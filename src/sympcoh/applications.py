@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.stats import norm
 
 from .coherence import max_symplectic_coherence
 from .gaussian_core import (
@@ -452,4 +451,6 @@ def tvd_exact_zero_mean_normals(var1: float, var2: float) -> float:
     if var1 == var2:
         return 0.0
     x_star = math.sqrt(var1 * var2 * math.log(var2 / var1) / (var2 - var1))
-    return float(2.0 * abs(norm.cdf(x_star / math.sqrt(var1)) - norm.cdf(x_star / math.sqrt(var2))))
+    # 2 |Phi(a) - Phi(b)| with the standard normal CDF Phi(z) = erfc(-z / sqrt(2)) / 2.
+    a, b = x_star / math.sqrt(var1), x_star / math.sqrt(var2)
+    return abs(math.erfc(-a / math.sqrt(2.0)) - math.erfc(-b / math.sqrt(2.0)))

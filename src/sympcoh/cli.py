@@ -32,7 +32,7 @@ DEFAULT_SEED = 0x5EED
 
 def _version() -> str:
     try:
-        return metadata.version("artifact")
+        return metadata.version("sympcoh")
     except metadata.PackageNotFoundError:  # pragma: no cover - editable corner
         return "0.0.0"
 
@@ -279,16 +279,6 @@ def _add_cm_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", type=int, default=None, help="expected mode count (cross-checked)")
 
 
-def _add_threads(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker bound for Monte-Carlo loops; per-index RNG streams make "
-        "the output independent of this value",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sympcoh",
@@ -339,12 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--csv", default=None, help="write per-sample (nu_sq, coherence) rows")
-    _add_threads(p)
     p.set_defaults(func=_cmd_ensemble)
 
     p = subs.add_parser("discriminate", help="simulate the two-channel protocol")
     p.add_argument("--config", required=True, help="config JSON file")
-    _add_threads(p)
     p.set_defaults(func=_cmd_discriminate)
 
     p = subs.add_parser("qfi", help="displacement-sensing Fisher information (m=1)")
@@ -360,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_threads(p)
     p.set_defaults(func=_cmd_maxsearch)
 
     return parser
@@ -370,7 +357,7 @@ def _manifest(args: argparse.Namespace, wall_time: float) -> dict:
     params = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("func", "subcommand", "threads") and not callable(v)
+        if k not in ("func", "subcommand") and not callable(v)
     }
     return {
         "subcommand": args.subcommand,
@@ -386,12 +373,11 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "threads", 1) < 1:
-        print("--threads must be >= 1", file=sys.stderr)
-        return 2
     start = time.perf_counter()
     try:
         result, code = args.func(args)
+        envelope = {"result": result, "manifest": _manifest(args, time.perf_counter() - start)}
+        text = json.dumps(envelope, sort_keys=True, allow_nan=False)  # no bare NaN/Infinity
     except gaussian_core.ValidationError as exc:
         print(str(exc), file=sys.stderr)
         return 1
@@ -408,8 +394,7 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    envelope = {"result": result, "manifest": _manifest(args, time.perf_counter() - start)}
-    print(json.dumps(envelope, sort_keys=True))
+    print(text)
     return code
 
 

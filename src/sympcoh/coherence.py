@@ -17,8 +17,13 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .gaussian_core import CovMat, GaussianState, blocks, is_pure, require_valid
-from .symplectic_ops import SympGate, derive_rng, haar_unitary
-from .ensembles import pure_cm_from_passive, sample_d, spectrum_from_weights
+from .symplectic_ops import (
+    SympGate,
+    pure_cm,
+    pure_param_blocks,
+    require_budget,
+    spectrum_from_weights,
+)
 
 FREE_TOL = 1e-10
 MEMBERSHIP_TOL = 1e-8
@@ -88,23 +93,21 @@ def max_symplectic_coherence(E: float, m: int) -> float:
     ``(E - 2m)^2 / 4 + (E - 2m)``.
 
     Raises:
-        ValueError: if E < 2m (no state has covariance trace below 2m).
+        ValueError: unless m >= 1 and 2m <= E with E^2 finite.
     """
+    require_budget(E, m)
     excess = E - 2.0 * m
-    if excess < 0:
-        raise ValueError(f"covariance trace must be >= 2m, got E={E}, m={m}")
     return excess * excess / 4.0 + excess
 
 
 def msc_squeezing(E: float, m: int) -> float:
     """Squeezing parameter of the canonical maximally correlated state.
 
-    Solves ``e^{2r} + e^{-2r} = E - 2(m-1)`` with r >= 0.
+    Solves ``e^{2r} + e^{-2r} = E - 2(m-1)`` with r >= 0.  Raises
+    ``ValueError`` unless m >= 1 and 2m <= E with E^2 finite.
     """
-    budget = E - 2.0 * (m - 1)
-    if budget < 2.0:
-        raise ValueError(f"covariance trace must be >= 2m, got E={E}, m={m}")
-    return 0.5 * float(np.arccosh(budget / 2.0))
+    require_budget(E, m)
+    return 0.5 * float(np.arccosh((E - 2.0 * (m - 1)) / 2.0))
 
 
 def msc_canonical(E: float, m: int) -> GaussianState:
@@ -176,7 +179,7 @@ def msc_from_spec(spec: MscSpec) -> GaussianState:
     # Passive gate [[X, Y], [-Y, X]] for O_outer . R(theta) . O_inner.
     x = spec.o_outer @ (ct[:, None] * spec.o_inner)
     y = spec.o_outer @ (st[:, None] * spec.o_inner)
-    return GaussianState(pure_cm_from_passive(x, y, d))
+    return GaussianState(CovMat(pure_cm(x, y, d)))
 
 
 @dataclass(frozen=True)
@@ -349,15 +352,11 @@ class SearchOutcome(NamedTuple):
     argmax: dict
 
 
-def _coherence_of_params(
-    x: np.ndarray, y: np.ndarray, theta: np.ndarray, d: np.ndarray
-) -> float:
-    """Coherence of the pure state with passive part (X, Y) after per-mode phases."""
-    ct, st = np.cos(theta), np.sin(theta)
-    xr = x * ct - y * st
-    yr = x * st + y * ct
-    v_xp = -(xr * d) @ yr.T + (yr / d) @ xr.T
-    return float(np.sum(v_xp * v_xp))
+def _coherence_of(v: np.ndarray) -> np.ndarray:
+    """``symplectic_coherence`` of a stack of raw (..., 2m, 2m) matrices."""
+    m = v.shape[-1] // 2
+    v_xp = v[..., :m, m:]
+    return np.einsum("...ij,...ij->...", v_xp, v_xp)
 
 
 def numeric_max_search(
@@ -388,73 +387,68 @@ def numeric_max_search(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if E < 2.0 * m:
-        raise ValueError(f"covariance trace must be >= 2m, got E={E}, m={m}")
+    require_budget(E, m)
     if isinstance(seed, np.random.Generator):
         seed = int(seed.integers(0, 2**63))
     if E - 2.0 * m < 1e-15:
         return SearchOutcome(0.0, {"trial": -1, "note": "trace budget forces vacuum"})
 
     best_c = -1.0
-    best = None
-    zero_theta = np.zeros(m)
-    for trial in range(trials):
-        rng = derive_rng(seed, trial)
-        d = sample_d(E, m, rng)
-        x, y = haar_unitary(m, rng)
-        c = _coherence_of_params(x, y, zero_theta, d)
-        if c > best_c:
-            best_c = c
-            best = (trial, x, y, d)
+    for start, xs, ys, ds in pure_param_blocks(seed, trials, E, m, False):
+        c = _coherence_of(pure_cm(xs, ys, ds))
+        j = int(np.argmax(c))  # first maximum, as a strict running ">" keeps
+        if c[j] > best_c:
+            best_c = float(c[j])
+            best = (start + j, xs[j], ys[j], ds[j])
 
     trial_idx, x, y, d = best
-    sample_c = best_c
     theta = np.zeros(m)
     excess = E - 2.0 * m
     weights = np.clip((d + 1.0 / d - 2.0) / excess, 0.0, None)
     weights = weights / weights.sum()
 
+    u = x + 1j * y
+    spectrum = spectrum_from_weights(E, m, weights)  # of the current weights
+
     def eval_at(th: np.ndarray, w: np.ndarray) -> float:
-        return _coherence_of_params(x, y, th, spectrum_from_weights(E, m, w))
+        # Per-mode phases after the passive gate: X + iY -> (X + iY) e^{i theta}.
+        ur = u * np.exp(1j * th)
+        d = spectrum if w is weights else spectrum_from_weights(E, m, w)
+        return float(_coherence_of(pure_cm(ur.real, ur.imag, d)))
 
-    for _ in range(refine_passes):
-        for i in range(m):
-            def neg_theta(t: float) -> float:
-                th = theta.copy()
-                th[i] = t
-                return -eval_at(th, weights)
+    # Coordinate moves: each maps (mode i, value t) to trial (theta, weights).
+    def rephased(i: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+        th = theta.copy()
+        th[i] = t
+        return th, weights
 
-            res = minimize_scalar(
-                neg_theta, bounds=(-np.pi / 2, np.pi / 2), method="bounded"
-            )
-            if -res.fun > eval_at(theta, weights):
-                theta[i] = float(res.x)
-        if m > 1:
-            for i in range(m):
-                rest = weights.sum() - weights[i]
+    def reweighted(i: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+        # Weight i set to t, the others rescaled to share the remaining 1 - t.
+        rest = weights.sum() - weights[i]
+        w = weights * ((1.0 - t) / rest) if rest > 0 else weights.copy()
+        w[i] = t
+        return theta, w / w.sum()
 
-                def neg_weight(t: float) -> float:
-                    w = weights.copy()
-                    if rest > 0:
-                        w *= (1.0 - t) / rest
-                    w[i] = t
-                    return -eval_at(theta, w / w.sum())
-
-                res = minimize_scalar(neg_weight, bounds=(0.0, 1.0), method="bounded")
-                if -res.fun > eval_at(theta, weights):
-                    t = float(res.x)
-                    if rest > 0:
-                        weights *= (1.0 - t) / rest
-                    weights[i] = t
-                    weights = weights / weights.sum()
-
+    moves = [(rephased, (-np.pi / 2, np.pi / 2))]
+    if m > 1:
+        moves.append((reweighted, (0.0, 1.0)))
     refined_c = eval_at(theta, weights)
-    sup_c = max(sample_c, refined_c)
+    for _ in range(refine_passes):
+        for move, bounds in moves:
+            for i in range(m):
+                res = minimize_scalar(
+                    lambda t: -eval_at(*move(i, t)), bounds=bounds, method="bounded"
+                )
+                if -res.fun > refined_c:
+                    theta, weights = move(i, float(res.x))
+                    spectrum = spectrum_from_weights(E, m, weights)
+                    refined_c = eval_at(theta, weights)
+    sup_c = max(best_c, refined_c)
     return SearchOutcome(
         sup_c,
         {
             "trial": trial_idx,
-            "sample_coherence": sample_c,
+            "sample_coherence": best_c,
             "refined_coherence": refined_c,
             "theta": theta.tolist(),
             "weights": weights.tolist(),

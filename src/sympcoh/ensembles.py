@@ -15,11 +15,13 @@ import numpy as np
 
 from .gaussian_core import CovMat
 from .symplectic_ops import (
-    derive_rng,
-    haar_orthogonal,
     haar_orthogonal_batch,
-    haar_unitary,
     haar_unitary_batch,
+    pure_cm,
+    pure_param_blocks,
+    require_budget,
+    sample_d,  # noqa: F401 - kept importable from this module
+    sample_pure_params,
 )
 
 KINDS = ("orthogonal", "unitary")
@@ -46,10 +48,7 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.m < 1:
-            raise ValueError(f"mode count must be >= 1, got {self.m}")
-        if self.E < 2 * self.m:
-            raise ValueError(f"need E >= 2m, got E={self.E}, m={self.m}")
+        require_budget(self.E, self.m)
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
 
@@ -82,58 +81,9 @@ class EnsembleStats:
     E: float
 
 
-def spectrum_from_weights(E: float, m: int, weights: np.ndarray) -> np.ndarray:
-    """Squeezing spectrum ``d`` from nonnegative weights summing to 1.
-
-    With ``x_i = (E - 2m) w_i`` the solution of ``d_i + 1/d_i = 2 + x_i``
-    with ``d_i >= 1`` is ``d_i = 1 + x_i/2 + sqrt(x_i + x_i^2/4)``, which
-    enforces ``sum(d_i + 1/d_i) = E`` exactly.
-    """
-    weights = np.asarray(weights, dtype=float)
-    x = (E - 2 * m) * weights
-    return 1.0 + x / 2.0 + np.sqrt(x + x * x / 4.0)
-
-
-def sample_d(E: float, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a squeezing spectrum with ``d_i >= 1`` and ``sum(d_i + 1/d_i) = E``.
-
-    The weights come from a point drawn uniformly on the unit (m-1)-sphere:
-    ``w_i`` are the squared coordinates, so ``sum w_i = 1`` exactly.
-    """
-    if E < 2 * m:
-        raise ValueError(f"need E >= 2m, got E={E}, m={m}")
-    g = rng.standard_normal(m)
-    norm = float(np.linalg.norm(g))
-    while norm == 0.0:  # pragma: no cover - probability zero
-        g = rng.standard_normal(m)
-        norm = float(np.linalg.norm(g))
-    w = (g / norm) ** 2
-    return spectrum_from_weights(E, m, w)
-
-
-def pure_cm_from_orthogonal(o: np.ndarray, d: np.ndarray) -> CovMat:
-    """Assemble ``diag(O,O) diag(d, 1/d) diag(O,O)^T`` with an exactly zero qp block."""
-    m = o.shape[0]
-    v_x = (o * d) @ o.T
-    v_p = (o / d) @ o.T
-    full = np.zeros((2 * m, 2 * m))
-    full[:m, :m] = 0.5 * (v_x + v_x.T)
-    full[m:, m:] = 0.5 * (v_p + v_p.T)
-    return CovMat(full)
-
-
 def pure_cm_from_passive(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> CovMat:
     """Assemble ``S_U diag(d, 1/d) S_U^T`` for ``S_U = [[X, Y], [-Y, X]]``."""
-    m = x.shape[0]
-    v_x = (x * d) @ x.T + (y / d) @ y.T
-    v_p = (y * d) @ y.T + (x / d) @ x.T
-    v_xp = -(x * d) @ y.T + (y / d) @ x.T
-    full = np.empty((2 * m, 2 * m))
-    full[:m, :m] = 0.5 * (v_x + v_x.T)
-    full[m:, m:] = 0.5 * (v_p + v_p.T)
-    full[:m, m:] = v_xp
-    full[m:, :m] = v_xp.T
-    return CovMat(full)
+    return CovMat(pure_cm(x, y, d))
 
 
 def sample_pure_cm(config: EnsembleConfig, rng: np.random.Generator) -> CovMat:
@@ -142,20 +92,15 @@ def sample_pure_cm(config: EnsembleConfig, rng: np.random.Generator) -> CovMat:
     The orthogonal kind has a structurally zero position-momentum block, so
     its samples carry no position-momentum correlations at all.
     """
-    d = sample_d(config.E, config.m, rng)
-    if config.kind == "orthogonal":
-        return pure_cm_from_orthogonal(haar_orthogonal(config.m, rng), d)
-    x, y = haar_unitary(config.m, rng)
-    return pure_cm_from_passive(x, y, d)
+    x, y, d = sample_pure_params(config.E, config.m, rng, config.kind == "orthogonal")
+    return CovMat(pure_cm(x, y, d))
 
 
-def _pair_sums(d: np.ndarray) -> tuple[float, float]:
-    """``sum_{i!=j} d_i/d_j + d_j/d_i`` and ``sum_{i!=j} d_i d_j + 1/(d_i d_j)``."""
-    m = d.shape[0]
-    ratio = np.outer(d, 1.0 / d)
-    prod = np.outer(d, d)
-    s1 = float(ratio.sum() + ratio.T.sum() - 2 * m)
-    s2 = float(prod.sum() + (1.0 / prod).sum() - np.sum(d * d) - np.sum(1.0 / (d * d)))
+def _pair_sums(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``d``: ``sum_{i!=j} d_i/d_j + d_j/d_i``, ``sum_{i!=j} d_i d_j + 1/(d_i d_j)``."""
+    a, b = d.sum(axis=1), (1.0 / d).sum(axis=1)
+    s1 = 2.0 * a * b - 2 * d.shape[1]
+    s2 = a * a - np.sum(d * d, axis=1) + b * b - np.sum(1.0 / (d * d), axis=1)
     return s1, s2
 
 
@@ -187,25 +132,16 @@ def ensemble_nu_sq(
     m = config.m
     nu_sq = np.empty(n)
     coh = np.empty(n)
-    analytic = np.empty(n)
     s1_arr = np.empty(n)
     s2_arr = np.empty(n)
-    for i in range(n):
-        rng = derive_rng(config.seed, i)
-        d = sample_d(config.E, m, rng)
-        if config.kind == "orthogonal":
-            o = haar_orthogonal(m, rng)
-            sx = float((o[0] * d) @ o[0])
-            sp = float((o[0] / d) @ o[0])
-            nu_sq[i] = sx * sp
-            coh[i] = 0.0
-        else:
-            x, y = haar_unitary(m, rng)
-            v = pure_cm_from_passive(x, y, d).matrix
-            nu_sq[i] = v[0, 0] * v[m, m] - v[0, m] ** 2
-            coh[i] = float(np.sum(v[:m, m:] ** 2))
-        s1_arr[i], s2_arr[i] = _pair_sums(d)
-        analytic[i] = analytic_mean_nu_sq(config.kind, m, s1_arr[i], s2_arr[i])
+    draws = pure_param_blocks(config.seed, n, config.E, m, config.kind == "orthogonal")
+    for start, x, y, d in draws:
+        v = pure_cm(x, y, d)
+        block = slice(start, start + d.shape[0])
+        nu_sq[block] = v[:, 0, 0] * v[:, m, m] - v[:, 0, m] ** 2
+        coh[block] = np.sum(v[:, :m, m:] ** 2, axis=(1, 2))
+        s1_arr[block], s2_arr[block] = _pair_sums(d)
+    analytic = analytic_mean_nu_sq(config.kind, m, s1_arr, s2_arr)
 
     mean = float(np.mean(nu_sq))
     stderr = float(np.std(nu_sq, ddof=1) / np.sqrt(n)) if n > 1 else 0.0

@@ -1,4 +1,4 @@
-"""Symplectic gates, Gaussian channels, tensor/trace plumbing, Haar samplers.
+"""Symplectic gates, Gaussian channels, tensor/trace plumbing, pure-state sampling.
 
 A gate is a pair ``(S, disp)`` acting on Gaussian states as
 ``V -> S V S^T``, ``d -> S d + disp``. All constructors return matrices
@@ -8,7 +8,7 @@ satisfying ``S Omega S^T = Omega`` within 1e-9 (Frobenius).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -118,10 +118,7 @@ def block_orthogonal(o: np.ndarray) -> SympGate:
     m = o.shape[0]
     if float(np.linalg.norm(o @ o.T - np.eye(m))) > SYMPLECTIC_TOL:
         raise GateError("matrix is not orthogonal (O O^T != I)")
-    s = np.zeros((2 * m, 2 * m))
-    s[:m, :m] = o
-    s[m:, m:] = o
-    return SympGate(m, s)
+    return SympGate(m, _passive_matrix(o, np.zeros_like(o)))
 
 
 def passive_from_unitary(x: np.ndarray, y: np.ndarray) -> SympGate:
@@ -134,12 +131,14 @@ def passive_from_unitary(x: np.ndarray, y: np.ndarray) -> SympGate:
     u = x + 1j * y
     if float(np.linalg.norm(u @ u.conj().T - np.eye(m))) > SYMPLECTIC_TOL:
         raise GateError("X + iY is not unitary")
-    s = np.zeros((2 * m, 2 * m))
-    s[:m, :m] = x
-    s[:m, m:] = y
-    s[m:, :m] = -y
-    s[m:, m:] = x
-    return SympGate(m, s)
+    return SympGate(m, _passive_matrix(x, y))
+
+
+def _passive_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``[[X, Y], [-Y, X]]`` from (..., m, m) blocks."""
+    top = np.concatenate([x, y], axis=-1)
+    # 0 - y rather than -y: a zero Y gives +0.0 entries, never -0.0.
+    return np.concatenate([top, np.concatenate([0.0 - y, x], axis=-1)], axis=-2)
 
 
 def displacement(m: int, d: Sequence[float]) -> SympGate:
@@ -185,9 +184,7 @@ def pure_gaussian_cm(s_u: SympGate, r: Sequence[float]) -> CovMat:
     r = np.asarray(r, dtype=float).reshape(-1)
     if r.shape[0] != m:
         raise DimensionError(f"need {m} squeezing parameters, got {r.shape[0]}")
-    core = np.concatenate([np.exp(2 * r), np.exp(-2 * r)])
-    v = (s_u.S * core) @ s_u.S.T
-    return CovMat(0.5 * (v + v.T))
+    return CovMat(pure_cm(s_u.S[:m, :m], s_u.S[:m, m:], np.exp(2 * r)))
 
 
 def apply_loss(cov: CovMat, eta: float) -> CovMat:
@@ -325,8 +322,48 @@ class StinespringChannel:
 
 
 # ---------------------------------------------------------------------------
-# Haar samplers (QR with sign/phase correction)
+# Pure-state sampling: spectra, Haar samplers (QR with sign/phase correction)
 # ---------------------------------------------------------------------------
+
+# Covariance entries per block of stacked samples (bounds Monte-Carlo memory).
+BLOCK_ENTRIES = 1 << 16
+
+
+def require_budget(E: float, m: int) -> None:
+    """Raise ``ValueError`` unless ``m >= 1`` and ``2m <= E`` with ``E^2`` finite."""
+    if m < 1:
+        raise ValueError(f"mode count must be >= 1, got {m}")
+    if not (2 * m <= E and E * E < np.inf):
+        raise ValueError(f"covariance trace must be >= 2m with E^2 finite, got E={E}, m={m}")
+
+
+def spectrum_from_weights(E: float, m: int, weights: np.ndarray) -> np.ndarray:
+    """Squeezing spectrum ``d`` from nonnegative weights summing to 1.
+
+    With ``x_i = (E - 2m) w_i`` the solution of ``d_i + 1/d_i = 2 + x_i``
+    with ``d_i >= 1`` is ``d_i = 1 + x_i/2 + sqrt(x_i + x_i^2/4)``, which
+    enforces ``sum(d_i + 1/d_i) = E`` exactly.
+    """
+    weights = np.asarray(weights, dtype=float)
+    x = (E - 2 * m) * weights
+    return 1.0 + x / 2.0 + np.sqrt(x + x * x / 4.0)
+
+
+def sample_d(E: float, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw a squeezing spectrum with ``d_i >= 1`` and ``sum(d_i + 1/d_i) = E``.
+
+    The weights come from a point drawn uniformly on the unit (m-1)-sphere:
+    ``w_i`` are the squared coordinates, so ``sum w_i = 1`` exactly.
+    Raises ``ValueError`` unless m >= 1 and 2m <= E with E^2 finite.
+    """
+    require_budget(E, m)
+    g = rng.standard_normal(m)
+    norm = float(np.linalg.norm(g))
+    while norm == 0.0:  # pragma: no cover - probability zero
+        g = rng.standard_normal(m)
+        norm = float(np.linalg.norm(g))
+    w = (g / norm) ** 2
+    return spectrum_from_weights(E, m, w)
 
 
 def haar_orthogonal(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -372,3 +409,49 @@ def haar_unitary_batch(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     phases = diag / np.abs(diag)
     return q * phases[:, None, :]
+
+
+def sample_pure_params(
+    E: float, m: int, rng: np.random.Generator, orthogonal: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw ``(X, Y, d)`` for one random pure state with covariance trace E.
+
+    The spectrum comes first, then the Haar passive gate: ``X + iY`` Haar
+    unitary, or ``X`` Haar orthogonal and ``Y = 0`` when ``orthogonal``.
+    """
+    d = sample_d(E, m, rng)
+    x, y = (haar_orthogonal(m, rng), np.zeros((m, m))) if orthogonal else haar_unitary(m, rng)
+    return x, y, d
+
+
+def pure_param_blocks(
+    seed: int, n: int, E: float, m: int, orthogonal: bool
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(start, X, Y, d)`` stacks for indices ``start, start + 1, ...`` < n.
+
+    Index i is drawn by ``sample_pure_params`` from ``derive_rng(seed, i)``,
+    so the draws do not depend on the block size.
+    """
+    block = max(1, BLOCK_ENTRIES // (4 * m * m))
+    for start in range(0, n, block):
+        draws = [
+            sample_pure_params(E, m, derive_rng(seed, i), orthogonal)
+            for i in range(start, min(n, start + block))
+        ]
+        x, y, d = (np.stack(a) for a in zip(*draws))
+        yield start, x, y, d
+
+
+def pure_cm(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Pure covariance matrices ``S_U diag(d, 1/d) S_U^T``, ``S_U = [[X, Y], [-Y, X]]``.
+
+    Takes ``x``, ``y`` of shape (..., m, m) and ``d`` of shape (..., m); returns
+    symmetric (..., 2m, 2m) matrices, with an exactly zero position-momentum
+    block where ``y = 0``.
+    """
+    s_u = _passive_matrix(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    d = np.asarray(d, dtype=float)
+    # V = A A^T, A = S_U diag(d, 1/d)^(1/2): numpy runs an array times its own
+    # transpose as a symmetric rank-k update, so V is exactly symmetric.
+    a = s_u * np.sqrt(np.concatenate([d, 1.0 / d], axis=-1))[..., None, :]
+    return a @ np.swapaxes(a, -1, -2)

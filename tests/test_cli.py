@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import signal
 
 import numpy as np
 import pytest
@@ -240,14 +241,6 @@ def test_repeated_runs_are_bit_identical(capsys):
     assert strip_wall_time(first) == strip_wall_time(second)
 
 
-def test_thread_count_does_not_change_output(capsys):
-    base = ["maxsearch", "--E", "8", "--m", "2", "--trials", "30", "--seed", "9"]
-    _, one, _ = run_cli(base + ["--threads", "1"], capsys)
-    _, four, _ = run_cli(base + ["--threads", "4"], capsys)
-    assert strip_wall_time(one) == strip_wall_time(four)
-    assert "threads" not in one["manifest"]["parameters"]
-
-
 def test_usage_errors_exit_2(capsys):
     assert main(["no-such-subcommand"]) == 2
     capsys.readouterr()
@@ -255,6 +248,36 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert main(["maxsearch", "--E", "6", "--m", "1", "--trials", "5", "--threads", "0"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maxsc", "--E", "4", "--m", "0"],
+        ["maxsc", "--E", "4", "--m", "-3"],
+        ["maxsc", "--E", "nan", "--m", "1"],
+        ["maxsearch", "--E", "inf", "--m", "1", "--trials", "5"],
+        ["maxsearch", "--E", "nan", "--m", "1", "--trials", "5"],
+        ["maxsearch", "--E", "6", "--m", "0", "--trials", "5"],
+        ["maxsearch", "--E", "1e200", "--m", "2", "--trials", "3"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_domain_budget_exits_1(argv, capsys):
+    def timeout(signum, frame):
+        pytest.fail(f"sympcoh {' '.join(argv)} did not return within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(20)
+    try:
+        code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "ValueError" in captured.err
 
 
 def test_malformed_json_exit_1(tmp_path, capsys):

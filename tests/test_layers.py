@@ -1,0 +1,49 @@
+"""Relative imports inside the package point one way, down the layer order.
+
+gaussian_core -> symplectic_ops -> {coherence, discord_map, ensembles}
+-> applications -> cli, with the package ``__init__`` on top.  A module may
+import only from layers strictly below its own.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import sympcoh
+
+LAYERS = {
+    "gaussian_core": 0,
+    "symplectic_ops": 1,
+    "coherence": 2,
+    "discord_map": 2,
+    "ensembles": 2,
+    "applications": 3,
+    "cli": 4,
+    "__init__": 5,
+}
+SOURCES = sorted(Path(sympcoh.__file__).parent.glob("*.py"))
+
+
+def relative_imports(path: Path) -> list[str]:
+    """Package modules named by ``from . import a`` / ``from .a import b``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.append(node.module.split(".")[0])
+            else:
+                found.extend(alias.name for alias in node.names)
+    return found
+
+
+def test_every_module_has_a_layer():
+    assert {path.stem for path in SOURCES} == set(LAYERS)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.stem)
+def test_imports_point_down(path):
+    upward = [name for name in relative_imports(path) if LAYERS[name] >= LAYERS[path.stem]]
+    assert not upward, f"{path.stem} imports {upward} from its own layer or above"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from sympcoh import (
     CovMat,
@@ -30,6 +30,7 @@ from sympcoh import (
     partial_trace,
     passive_from_unitary,
     phase_shifter,
+    pure_cm,
     pure_gaussian_cm,
     squeezer,
     symplectic_coherence,
@@ -117,6 +118,24 @@ def test_pure_gaussian_cm_matches_gate_action(rng):
     core = CovMat(np.diag(np.concatenate([np.exp(2 * r), np.exp(-2 * r)])))
     via_apply = apply(gate, GaussianState(core))
     assert_allclose(direct.matrix, via_apply.cov.matrix, atol=1e-10)
+
+
+@pytest.mark.parametrize("m", [1, 3, 8])
+def test_pure_cm_kernel(rng, m):
+    draws = [(*haar_unitary(m, rng), 1.0 + rng.exponential(2.0, size=m)) for _ in range(5)]
+    x, y, d = (np.stack(a) for a in zip(*draws))
+    batched = pure_cm(x, y, d)
+    assert batched.shape == (5, 2 * m, 2 * m)
+    assert_array_equal(batched, np.swapaxes(batched, -1, -2))
+    for k, (xk, yk, dk) in enumerate(draws):
+        single = pure_cm(xk, yk, dk)
+        assert_allclose(batched[k], single, rtol=0, atol=1e-13 * np.max(np.abs(single)))
+        core = CovMat(np.diag(np.concatenate([dk, 1.0 / dk])))
+        via_apply = apply(passive_from_unitary(xk, yk), GaussianState(core))
+        assert_allclose(single, via_apply.cov.matrix, atol=1e-10)
+    o = np.stack([haar_orthogonal(m, rng) for _ in range(5)])
+    free = pure_cm(o, np.zeros_like(o), d)
+    assert np.all(free[:, :m, m:] == 0.0)
 
 
 def test_pure_gaussian_cm_rejects_active_gate():
