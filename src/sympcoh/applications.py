@@ -22,7 +22,7 @@ from .gaussian_core import (
     is_pure,
     reduced_first_mode,
 )
-from .symplectic_ops import IdentityChannel, derive_rng
+from .symplectic_ops import BLOCK_ENTRIES, IdentityChannel, derive_rng
 
 MEAN_GAP_TOL = 1e-12
 
@@ -222,24 +222,28 @@ def n_thres_loss_optimal(m: int, E: float, eta1: float, eta2: float, delta: floa
     )
 
 
-def median_of_means(samples: Sequence[float], delta: float) -> float:
+def median_of_means(samples: Sequence[float] | np.ndarray, delta: float) -> float | np.ndarray:
     """Median-of-means estimate with ``K = max(1, ceil(8 log(2/delta)))`` blocks.
 
-    Blocks are equal-sized; trailing samples that do not fill a block are
-    discarded.  When fewer samples than blocks are given, every sample is
-    its own block.
+    Reduces along the last axis of a ``(..., n)`` array: a float for 1-D
+    input, an array of shape ``(...)`` otherwise, each entry equal to the
+    1-D estimate of its row.  Blocks are equal-sized; trailing samples that
+    do not fill a block are discarded.  When fewer samples than blocks are
+    given, every sample is its own block.
 
     Raises:
         ValueError: on empty input or delta outside (0, 1).
     """
     x = np.asarray(samples, dtype=float)
-    if x.size == 0:
+    n = x.shape[-1] if x.ndim else 0
+    if n == 0:
         raise ValueError("samples must be nonempty")
     k = max(1, math.ceil(8.0 * _log_factor(delta)))
-    k = min(k, x.size)
-    block = x.size // k
-    means = x[: k * block].reshape(k, block).mean(axis=1)
-    return float(np.median(means))
+    k = min(k, n)
+    block = n // k
+    means = x[..., : k * block].reshape(*x.shape[:-1], k, block).mean(axis=-1)
+    estimate = np.median(means, axis=-1)
+    return float(estimate) if x.ndim == 1 else estimate
 
 
 def wilson_upper(failures: int, trials: int, z: float = 1.96) -> float:
@@ -263,7 +267,11 @@ class DiscriminationConfig:
         delta: target failure probability in (0, 1).
         n_samples: measurement shots per trial.
         trials: number of simulated discrimination rounds.
-        seed: base seed; trial t uses the stream ``seed XOR t``.
+        seed: base seed; trials run in blocks of
+            ``max(1, BLOCK_ENTRIES // n_samples)``, block b drawn from
+            ``derive_rng(seed, b)``: the channel labels
+            (``integers(2, size=block)``), then the standard-normal shots
+            (``standard_normal((block, n_samples))``).
     """
 
     probe: GaussianState
@@ -329,7 +337,9 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
     Each trial picks the true channel uniformly, draws ``n_samples``
     outcomes from the exact output moments, compares the median of means
     against the midpoint of the two channel means, and predicts the channel
-    on that side.
+    on that side.  Trials run in the blocks described at
+    ``DiscriminationConfig.seed``, one shot array and one row-wise
+    median of means per block.
 
     Raises:
         ValueError: if the two channels give identical output means.
@@ -357,16 +367,19 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
 
     threshold = 0.5 * (mu1 + mu2)
     second_is_high = mu2 > mu1
-    sig1, sig2 = math.sqrt(var1), math.sqrt(var2)
+    mus, sigs = np.array([mu1, mu2]), np.sqrt([var1, var2])
+    size = max(1, BLOCK_ENTRIES // config.n_samples)
     failures = 0
-    for trial in range(config.trials):
-        rng = derive_rng(config.seed, trial)
-        true_second = bool(rng.integers(2))
-        mu, sig = (mu2, sig2) if true_second else (mu1, sig1)
-        draws = rng.normal(mu, sig, size=config.n_samples)
-        estimate = median_of_means(draws, config.delta)
+    for b, start in enumerate(range(0, config.trials, size)):
+        # Full-size block, cut at config.trials: trial t depends only on
+        # (seed, t // size, t % size).
+        rng = derive_rng(config.seed, b)
+        true_second = rng.integers(2, size=size)
+        z = rng.standard_normal((size, config.n_samples))
+        true_second, z = true_second[: config.trials - start], z[: config.trials - start]
+        estimate = median_of_means(mus[true_second, None] + sigs[true_second, None] * z, config.delta)
         predict_second = (estimate > threshold) == second_is_high
-        failures += predict_second != true_second
+        failures += int(np.count_nonzero(predict_second != true_second))
 
     return DiscriminationReport(
         mu1=mu1,

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .gaussian_core import CovMat, GaussianState, blocks, is_pure, require_valid
 from .symplectic_ops import (
@@ -359,6 +358,30 @@ def _coherence_of(v: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", v_xp, v_xp)
 
 
+# Phase move: as a function of one mode's phase theta, the coherence is a
+# trigonometric polynomial in phi = 2 theta with frequencies 0, 1, 2, so its
+# values at five angles spread over one period fix it exactly.
+_PHASES = -np.pi / 2 + np.pi / 5 * np.arange(5)
+# Fourier coefficients c_0, c_1, c_2 (in phi) from the values at _PHASES.
+_PHASE_DFT = np.exp(-2j * np.outer(_PHASES, np.arange(3))) / 5
+# Weight move: grid points per round, and rounds zooming in on the best point.
+_WEIGHT_GRID = 17
+_WEIGHT_ROUNDS = 6
+
+
+def _trig_argmax(values: np.ndarray) -> float:
+    """Global maximiser in (-pi/2, pi/2] of the degree-2 trigonometric polynomial
+    in ``2 theta`` that takes ``values`` at ``_PHASES``."""
+    _, c1, c2 = values @ _PHASE_DFT
+    # c(phi) = c_0 + 2 Re(c_1 z + c_2 z^2), z = e^{i phi}.  The critical points
+    # are the unit-circle roots of the quartic z^2 c'(phi) / i; taking the best
+    # root angle gives the global maximum.
+    roots = np.roots([2.0 * c2, c1, 0.0, -np.conj(c1), -2.0 * np.conj(c2)])
+    # z = 1 keeps a candidate when c is constant and there are no roots.
+    z = np.exp(1j * np.angle(np.append(roots, 1.0)))
+    return float(np.angle(z[np.argmax((c1 * z + c2 * z * z).real)])) / 2.0
+
+
 def numeric_max_search(
     E: float,
     m: int,
@@ -369,18 +392,27 @@ def numeric_max_search(
     """Randomized search for the largest coherence at fixed covariance trace.
 
     Samples pure covariance matrices (Haar passive gate times a random
-    squeezing spectrum summing to the trace budget), then refines the best
-    sample coordinate-wise over per-mode phase angles and squeezing weights
-    with a bounded scalar optimizer.  Per-trial RNG streams are derived as
-    ``seed XOR trial``, so the running maximum is reproducible and
-    independent of evaluation order.
+    squeezing spectrum summing to the trace budget) in the fixed-size blocks
+    of ``pure_param_blocks`` (block b from ``derive_rng(seed, b)``), so the
+    samples of a run are a prefix of those of any longer run with the same
+    seed.  The best sample is then refined coordinate-wise, each move
+    evaluated as one stack through ``pure_cm``:
+
+    * per-mode phase in [-pi/2, pi/2]: the coherence is a trigonometric
+      polynomial in twice the phase, fixed exactly by five samples, and its
+      global maximum is taken;
+    * single squeezing weight in [0, 1], the others rescaled to share the
+      rest: a grid, zoomed around its best point for a few rounds.
+
+    A move is accepted only if it raises the current value; a sweep that
+    accepts none ends the refinement, since the next would repeat it.
 
     Args:
         E: covariance trace budget (>= 2m).
         m: mode count.
         trials: number of random samples (>= 1).
         seed: base seed, or a generator used once to draw one.
-        refine_passes: coordinate sweeps during local refinement.
+        refine_passes: most coordinate sweeps during local refinement.
 
     Returns:
         Best coherence found and a description of where it occurred.
@@ -406,43 +438,48 @@ def numeric_max_search(
     excess = E - 2.0 * m
     weights = np.clip((d + 1.0 / d - 2.0) / excess, 0.0, None)
     weights = weights / weights.sum()
-
-    u = x + 1j * y
     spectrum = spectrum_from_weights(E, m, weights)  # of the current weights
+    u = x + 1j * y
 
-    def eval_at(th: np.ndarray, w: np.ndarray) -> float:
-        # Per-mode phases after the passive gate: X + iY -> (X + iY) e^{i theta}.
-        ur = u * np.exp(1j * th)
-        d = spectrum if w is weights else spectrum_from_weights(E, m, w)
-        return float(_coherence_of(pure_cm(ur.real, ur.imag, d)))
+    def coherences(th: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+        # Per-mode phases after the passive gate: X + iY -> (X + iY) e^{i theta},
+        # broadcast over stacks of phases (..., m) and spectra (..., m).
+        ur = u * np.exp(1j * th)[..., None, :]
+        return _coherence_of(pure_cm(ur.real, ur.imag, spectra))
 
-    # Coordinate moves: each maps (mode i, value t) to trial (theta, weights).
-    def rephased(i: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-        th = theta.copy()
-        th[i] = t
-        return th, weights
-
-    def reweighted(i: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-        # Weight i set to t, the others rescaled to share the remaining 1 - t.
-        rest = weights.sum() - weights[i]
-        w = weights * ((1.0 - t) / rest) if rest > 0 else weights.copy()
-        w[i] = t
-        return theta, w / w.sum()
-
-    moves = [(rephased, (-np.pi / 2, np.pi / 2))]
-    if m > 1:
-        moves.append((reweighted, (0.0, 1.0)))
-    refined_c = eval_at(theta, weights)
+    refined_c = float(coherences(theta, spectrum))
     for _ in range(refine_passes):
-        for move, bounds in moves:
-            for i in range(m):
-                res = minimize_scalar(
-                    lambda t: -eval_at(*move(i, t)), bounds=bounds, method="bounded"
-                )
-                if -res.fun > refined_c:
-                    theta, weights = move(i, float(res.x))
-                    spectrum = spectrum_from_weights(E, m, weights)
-                    refined_c = eval_at(theta, weights)
+        moved = False
+        for i in range(m):
+            samples = np.repeat(theta[None, :], len(_PHASES), axis=0)
+            samples[:, i] = _PHASES
+            th = theta.copy()
+            th[i] = _trig_argmax(coherences(samples, spectrum))
+            c = float(coherences(th, spectrum))
+            if c > refined_c:
+                theta, refined_c, moved = th, c, True
+        for i in range(m):
+            # Weight i set to t, the others rescaled to share the remaining 1 - t.
+            rest = weights.sum() - weights[i]
+            if rest <= 0.0:
+                continue  # m = 1 or no other weight: no new candidate, and t = 0 sums to 0
+            lo, hi = 0.0, 1.0
+            best_w, best_wc = None, refined_c
+            for _ in range(_WEIGHT_ROUNDS):
+                t = np.linspace(lo, hi, _WEIGHT_GRID)
+                w = weights * ((1.0 - t[:, None]) / rest)
+                w[:, i] = t
+                w /= w.sum(axis=1, keepdims=True)
+                c = coherences(theta, spectrum_from_weights(E, m, w))
+                k = int(np.argmax(c))
+                if c[k] > best_wc:
+                    best_w, best_wc = w[k], float(c[k])
+                lo, hi = t[max(k - 1, 0)], t[min(k + 1, _WEIGHT_GRID - 1)]
+            if best_w is not None:
+                weights, refined_c, moved = best_w, best_wc, True
+                spectrum = spectrum_from_weights(E, m, weights)
+        if not moved:
+            break
     sup_c = max(best_c, refined_c)
     return SearchOutcome(
         sup_c,

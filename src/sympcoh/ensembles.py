@@ -35,7 +35,8 @@ class EnsembleConfig:
         m: mode count.
         E: covariance-matrix trace of every sample (E >= 2m).
         n_samples: number of Monte-Carlo samples.
-        seed: base RNG seed; sample i uses the stream ``seed XOR i``.
+        seed: base RNG seed; samples are drawn in blocks of
+            ``block_samples(m)``, block b from ``derive_rng(seed, b)``.
         kind: "orthogonal" or "unitary".
     """
 
@@ -92,8 +93,8 @@ def sample_pure_cm(config: EnsembleConfig, rng: np.random.Generator) -> CovMat:
     The orthogonal kind has a structurally zero position-momentum block, so
     its samples carry no position-momentum correlations at all.
     """
-    x, y, d = sample_pure_params(config.E, config.m, rng, config.kind == "orthogonal")
-    return CovMat(pure_cm(x, y, d))
+    x, y, d = sample_pure_params(config.E, config.m, 1, rng, config.kind == "orthogonal")
+    return CovMat(pure_cm(x[0], y[0], d[0]))
 
 
 def _pair_sums(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,8 +119,9 @@ def ensemble_nu_sq(
 ) -> EnsembleStats | tuple[EnsembleStats, np.ndarray, np.ndarray]:
     """Monte-Carlo mean of the first-mode nu^2 over the ensemble.
 
-    Per-sample streams are derived as ``seed XOR index`` so the result does
-    not depend on evaluation order or worker count.
+    Samples come from ``pure_param_blocks``: fixed-size blocks, block b
+    drawn from ``derive_rng(seed, b)``, so the first k samples do not depend
+    on ``n_samples`` and different seeds give independent samples.
 
     Args:
         config: ensemble parameters.

@@ -29,12 +29,17 @@ class GateError(ValueError):
 
 
 def derive_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent per-index RNG stream: ``default_rng(seed XOR index)``.
+    """Generator for block ``index`` of the Monte-Carlo stream of ``seed``.
 
-    Used by every Monte-Carlo loop so results are a deterministic function of
-    (seed, index) and independent of worker count or evaluation order.
+    ``default_rng(SeedSequence(seed mod 2**64, spawn_key=(index,)))``, the
+    ``index``-th child of ``SeedSequence(seed)`` (NEP 19): distinct
+    ``(seed, index)`` pairs give distinct, independent streams.  Every
+    Monte-Carlo driver takes one generator per fixed-size block from here, so
+    results are a deterministic function of the seed alone.
     """
-    return np.random.default_rng((int(seed) ^ int(index)) & 0xFFFFFFFFFFFFFFFF)
+    return np.random.default_rng(
+        np.random.SeedSequence(int(seed) % 2**64, spawn_key=(int(index),))
+    )
 
 
 def is_symplectic(s: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
@@ -325,8 +330,16 @@ class StinespringChannel:
 # Pure-state sampling: spectra, Haar samplers (QR with sign/phase correction)
 # ---------------------------------------------------------------------------
 
-# Covariance entries per block of stacked samples (bounds Monte-Carlo memory).
+# Entries per Monte-Carlo block (covariance entries, or shots in the
+# discrimination driver): bounds memory and fixes where the blocks start.
 BLOCK_ENTRIES = 1 << 16
+# Most pure-state samples per block, so that short runs draw little past their end.
+MAX_BLOCK_SAMPLES = 256
+
+
+def block_samples(m: int) -> int:
+    """Pure-state samples per Monte-Carlo block on m modes; depends on m only."""
+    return max(1, min(MAX_BLOCK_SAMPLES, BLOCK_ENTRIES // (4 * m * m)))
 
 
 def require_budget(E: float, m: int) -> None:
@@ -349,52 +362,51 @@ def spectrum_from_weights(E: float, m: int, weights: np.ndarray) -> np.ndarray:
     return 1.0 + x / 2.0 + np.sqrt(x + x * x / 4.0)
 
 
-def sample_d(E: float, m: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw a squeezing spectrum with ``d_i >= 1`` and ``sum(d_i + 1/d_i) = E``.
+def sample_d_batch(E: float, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n squeezing spectra (shape n x m), each with ``d_i >= 1`` and ``sum(d_i + 1/d_i) = E``.
 
-    The weights come from a point drawn uniformly on the unit (m-1)-sphere:
-    ``w_i`` are the squared coordinates, so ``sum w_i = 1`` exactly.
+    Row k's weights are the squared coordinates of row k of one
+    ``standard_normal((n, m))`` draw projected onto the unit (m-1)-sphere,
+    ``w = g^2 / sum(g^2)``, so ``sum w_i = 1``.  A row of zeros (probability
+    zero) is redrawn from the same generator, which keeps the draw
+    deterministic and free of NaN.
     Raises ``ValueError`` unless m >= 1 and 2m <= E with E^2 finite.
     """
     require_budget(E, m)
-    g = rng.standard_normal(m)
-    norm = float(np.linalg.norm(g))
-    while norm == 0.0:  # pragma: no cover - probability zero
-        g = rng.standard_normal(m)
-        norm = float(np.linalg.norm(g))
-    w = (g / norm) ** 2
-    return spectrum_from_weights(E, m, w)
+    g = rng.standard_normal((n, m))
+    sq = g * g
+    total = sq.sum(axis=1)
+    while not total.all():
+        zero = total == 0.0
+        g[zero] = rng.standard_normal((int(zero.sum()), m))
+        sq = g * g
+        total = sq.sum(axis=1)
+    return spectrum_from_weights(E, m, sq / total[:, None])
+
+
+def sample_d(E: float, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw one squeezing spectrum: ``sample_d_batch(E, m, 1, rng)[0]``."""
+    return sample_d_batch(E, m, 1, rng)[0]
 
 
 def haar_orthogonal(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random m x m orthogonal matrix.
-
-    QR decomposition of an i.i.d. standard-normal matrix with the diagonal of
-    R sign-corrected, which makes the distribution exactly Haar.
-    """
-    z = rng.standard_normal((m, m))
-    q, r = np.linalg.qr(z)
-    signs = np.sign(np.diagonal(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+    """Haar-random m x m orthogonal matrix: ``haar_orthogonal_batch(m, 1, rng)[0]``."""
+    return haar_orthogonal_batch(m, 1, rng)[0]
 
 
 def haar_unitary(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Haar-random m x m unitary, returned as real/imag parts ``(X, Y)``.
-
-    QR decomposition of a complex Ginibre matrix with the diagonal of R
-    phase-corrected.
-    """
-    z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    phases = diag / np.abs(diag)
-    u = q * phases
+    """Haar-random m x m unitary, returned as real/imag parts ``(X, Y)``."""
+    u = haar_unitary_batch(m, 1, rng)[0]
     return u.real.copy(), u.imag.copy()
 
 
 def haar_orthogonal_batch(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of ``n`` Haar orthogonal matrices via batched QR (shape n x m x m)."""
+    """Stack of ``n`` Haar orthogonal matrices (shape n x m x m).
+
+    Batched QR of i.i.d. standard-normal matrices with the signs of R's
+    diagonal moved into Q, which makes the distribution exactly Haar
+    (Mezzadri, Notices AMS 54, 592, 2007).
+    """
     z = rng.standard_normal((n, m, m))
     q, r = np.linalg.qr(z)
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
@@ -403,7 +415,11 @@ def haar_orthogonal_batch(m: int, n: int, rng: np.random.Generator) -> np.ndarra
 
 
 def haar_unitary_batch(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of ``n`` Haar unitary matrices via batched QR (complex, n x m x m)."""
+    """Stack of ``n`` Haar unitary matrices (complex, n x m x m).
+
+    Batched QR of complex Ginibre matrices with the phases of R's diagonal
+    moved into Q (Mezzadri, Notices AMS 54, 592, 2007).
+    """
     z = (rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
@@ -412,34 +428,38 @@ def haar_unitary_batch(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_pure_params(
-    E: float, m: int, rng: np.random.Generator, orthogonal: bool
+    E: float, m: int, n: int, rng: np.random.Generator, orthogonal: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw ``(X, Y, d)`` for one random pure state with covariance trace E.
+    """Draw stacked ``(X, Y, d)`` for n random pure states with covariance trace E.
 
-    The spectrum comes first, then the Haar passive gate: ``X + iY`` Haar
-    unitary, or ``X`` Haar orthogonal and ``Y = 0`` when ``orthogonal``.
+    The spectra come first (``sample_d_batch``), then the Haar passive gates:
+    ``X + iY`` Haar unitary, or ``X`` Haar orthogonal and ``Y = 0`` when
+    ``orthogonal``.
     """
-    d = sample_d(E, m, rng)
-    x, y = (haar_orthogonal(m, rng), np.zeros((m, m))) if orthogonal else haar_unitary(m, rng)
-    return x, y, d
+    d = sample_d_batch(E, m, n, rng)
+    if orthogonal:
+        x = haar_orthogonal_batch(m, n, rng)
+        return x, np.zeros_like(x), d
+    u = haar_unitary_batch(m, n, rng)
+    return u.real, u.imag, d
 
 
 def pure_param_blocks(
     seed: int, n: int, E: float, m: int, orthogonal: bool
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield ``(start, X, Y, d)`` stacks for indices ``start, start + 1, ...`` < n.
+    """Yield ``(start, X, Y, d)`` stacks for samples ``start, start + 1, ...`` < n.
 
-    Index i is drawn by ``sample_pure_params`` from ``derive_rng(seed, i)``,
-    so the draws do not depend on the block size.
+    Block b holds samples ``b*B .. b*B + B - 1`` with ``B = block_samples(m)``.
+    It is drawn at full size by ``sample_pure_params`` from
+    ``derive_rng(seed, b)`` and then cut at n, so sample j depends only on
+    ``(seed, j // B, j % B)``: a run of n samples is a prefix of every
+    longer run with the same seed.
     """
-    block = max(1, BLOCK_ENTRIES // (4 * m * m))
-    for start in range(0, n, block):
-        draws = [
-            sample_pure_params(E, m, derive_rng(seed, i), orthogonal)
-            for i in range(start, min(n, start + block))
-        ]
-        x, y, d = (np.stack(a) for a in zip(*draws))
-        yield start, x, y, d
+    size = block_samples(m)
+    for b, start in enumerate(range(0, n, size)):
+        x, y, d = sample_pure_params(E, m, size, derive_rng(seed, b), orthogonal)
+        stop = min(size, n - start)
+        yield start, x[:stop], y[:stop], d[:stop]
 
 
 def pure_cm(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -40,6 +40,7 @@ from sympcoh import (
     vacuum_state,
     wilson_upper,
 )
+from sympcoh.symplectic_ops import BLOCK_ENTRIES
 from conftest import random_valid_cov
 
 TOL = 1e-9
@@ -274,6 +275,15 @@ def test_median_of_means_concentrates():
     assert hits >= 95
 
 
+def test_median_of_means_reduces_rows_like_the_1d_call():
+    data = derive_rng(7, 0).normal(size=(2, 3, 203))
+    batched = median_of_means(data, delta=0.05)
+    assert batched.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        assert batched[idx] == median_of_means(data[idx], delta=0.05)
+    assert type(median_of_means(data[0, 0], delta=0.05)) is float
+
+
 def test_median_of_means_rejects_empty():
     with pytest.raises(ValueError):
         median_of_means(np.array([]), delta=0.1)
@@ -350,6 +360,33 @@ def test_discrimination_is_deterministic():
     b = run_discrimination(config)
     assert a.empirical_error == b.empirical_error
     assert a.error_wilson_upper == b.error_wilson_upper
+
+
+def test_discrimination_matches_a_per_block_reference_loop():
+    config = DiscriminationConfig(
+        probe=msc_canonical(6.0, 1),
+        channels=(LossChannel(0.5), LossChannel(0.6)),
+        delta=0.1,
+        n_samples=300,
+        trials=500,
+        seed=12,
+    )
+    report = run_discrimination(config)
+    mu = (report.mu1, report.mu2)
+    sig = (np.sqrt(report.var1), np.sqrt(report.var2))
+    threshold = 0.5 * (report.mu1 + report.mu2)
+    size = BLOCK_ENTRIES // config.n_samples
+    assert config.trials > 2 * size
+    failures = 0
+    for b, start in enumerate(range(0, config.trials, size)):
+        rng = derive_rng(config.seed, b)
+        labels = rng.integers(2, size=size)
+        shots = rng.standard_normal((size, config.n_samples))
+        for label, z in zip(labels[: config.trials - start], shots):
+            estimate = median_of_means(mu[label] + sig[label] * z, config.delta)
+            failures += ((estimate > threshold) == (report.mu2 > report.mu1)) != bool(label)
+    assert 0 < failures < config.trials
+    assert report.empirical_error == failures / config.trials
 
 
 def test_discrimination_config_validation():

@@ -241,6 +241,20 @@ def test_repeated_runs_are_bit_identical(capsys):
     assert strip_wall_time(first) == strip_wall_time(second)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maxsearch", "--E", "6", "--m", "1", "--trials", "50", "--seed", "-1"],
+        ["ensemble", "--m", "2", "--E", "8", "--kind", "unitary", "--samples", "40", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_runs_and_repeats(argv, capsys):
+    code, first, _ = run_cli(argv, capsys)
+    assert code == 0
+    _, second, _ = run_cli(argv, capsys)
+    assert strip_wall_time(first) == strip_wall_time(second)
+
+
 def test_usage_errors_exit_2(capsys):
     assert main(["no-such-subcommand"]) == 2
     capsys.readouterr()

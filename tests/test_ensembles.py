@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from sympcoh import (
     EnsembleConfig,
@@ -21,6 +21,7 @@ from sympcoh import (
     spectrum_from_weights,
     symplectic_coherence,
 )
+from sympcoh.symplectic_ops import block_samples
 
 TOL = 1e-12
 
@@ -143,6 +144,30 @@ def test_ensemble_determinism_and_sample_access():
     assert len(nu_samples) == 300 and len(coh_samples) == 300
     assert np.mean(nu_samples) == pytest.approx(a.mean_nu_sq, abs=0)
     assert np.all(coh_samples >= 0)
+
+
+def test_different_seeds_share_no_sample():
+    nu_sq = [
+        ensemble_nu_sq(
+            EnsembleConfig(m=2, E=8.0, n_samples=1000, seed=seed, kind="unitary"),
+            return_samples=True,
+        )[1]
+        for seed in (0, 1)
+    ]
+    assert not set(nu_sq[0].tolist()) & set(nu_sq[1].tolist())
+
+
+@pytest.mark.parametrize("kind", ["orthogonal", "unitary"])
+def test_samples_are_a_prefix_of_longer_runs(kind):
+    assert block_samples(2) < 300
+    _, nu_short, coh_short = ensemble_nu_sq(
+        EnsembleConfig(m=2, E=8.0, n_samples=100, seed=5, kind=kind), return_samples=True
+    )
+    _, nu_long, coh_long = ensemble_nu_sq(
+        EnsembleConfig(m=2, E=8.0, n_samples=300, seed=5, kind=kind), return_samples=True
+    )
+    assert_array_equal(nu_long[:100], nu_short)
+    assert_array_equal(coh_long[:100], coh_short)
 
 
 def test_ensemble_config_validation():

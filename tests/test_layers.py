@@ -2,12 +2,16 @@
 
 gaussian_core -> symplectic_ops -> {coherence, discord_map, ensembles}
 -> applications -> cli, with the package ``__init__`` on top.  A module may
-import only from layers strictly below its own.
+import only from layers strictly below its own.  Outside the package the
+runtime needs numpy alone: scipy serves only the tests.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +51,13 @@ def test_every_module_has_a_layer():
 def test_imports_point_down(path):
     upward = [name for name in relative_imports(path) if LAYERS[name] >= LAYERS[path.stem]]
     assert not upward, f"{path.stem} imports {upward} from its own layer or above"
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(sympcoh.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, sympcoh.cli; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -37,7 +37,7 @@ from sympcoh import (
     tensor_states,
     vacuum_state,
 )
-from sympcoh.symplectic_ops import haar_orthogonal_batch, haar_unitary_batch
+from sympcoh.symplectic_ops import haar_orthogonal_batch, haar_unitary_batch, sample_d_batch
 from conftest import random_valid_cov
 
 TOL = 1e-12
@@ -49,6 +49,36 @@ def test_derive_rng_is_deterministic_per_index():
     c = derive_rng(123, 8).standard_normal(5)
     assert_allclose(a, b, atol=0)
     assert np.any(a != c)
+
+
+def test_derive_rng_streams_do_not_collide():
+    def first(seed, index):
+        return derive_rng(seed, index).standard_normal(4)
+
+    assert np.any(first(0, 1) != first(1, 0))  # shared under seed XOR index
+    # shared if (seed, index) were hashed as a zero-padded entropy list
+    assert np.any(first(5, 3) != first(5 + 3 * 2**32, 0))
+    assert_array_equal(first(-1, 2), first(2**64 - 1, 2))
+
+
+def test_sample_d_batch_redraws_a_zero_row():
+    class ZeroRowFirst:
+        """Generator stand-in whose first draw has an all-zero row."""
+
+        def __init__(self):
+            self.rng, self.calls = derive_rng(3, 0), 0
+
+        def standard_normal(self, shape):
+            g = self.rng.standard_normal(shape)
+            self.calls += 1
+            if self.calls == 1:
+                g[1] = 0.0
+            return g
+
+    d = sample_d_batch(8.0, 2, 4, ZeroRowFirst())
+    assert np.all(np.isfinite(d)) and np.all(d >= 1.0)
+    assert_allclose(np.sum(d + 1.0 / d, axis=1), 8.0, atol=1e-12)
+    assert_array_equal(d, sample_d_batch(8.0, 2, 4, ZeroRowFirst()))
 
 
 def test_constructors_are_symplectic(rng):
