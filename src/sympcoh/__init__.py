@@ -9,10 +9,12 @@ theory (:mod:`~sympcoh.coherence`), the virtual-state discord picture
 (:mod:`~sympcoh.applications`).  The ``sympcoh`` console script fronts it all.
 """
 
+from ._version import __version__
 from .gaussian_core import (
     CovMat,
     DimensionError,
     GaussianState,
+    Margins,
     NumericError,
     ValidationError,
     Violation,

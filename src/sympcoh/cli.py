@@ -20,21 +20,14 @@ import json
 import sys
 import time
 from dataclasses import asdict
-from importlib import metadata
 
 import numpy as np
 
 from . import applications, coherence, discord_map, ensembles, gaussian_core
 from . import symplectic_ops as ops
+from ._version import __version__
 
 DEFAULT_SEED = 0x5EED
-
-
-def _version() -> str:
-    try:
-        return metadata.version("sympcoh")
-    except metadata.PackageNotFoundError:  # pragma: no cover - editable corner
-        return "0.0.0"
 
 
 def _read_state(path: str, m: int | None = None) -> gaussian_core.GaussianState:
@@ -286,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         "measure, extremal states, discord image, metrology and "
         "channel-discrimination bounds.",
     )
-    parser.add_argument("--version", action="version", version=_version())
+    parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     p = subs.add_parser("validate", help="check covariance-matrix invariants")
@@ -363,7 +356,7 @@ def _manifest(args: argparse.Namespace, wall_time: float) -> dict:
         "subcommand": args.subcommand,
         "parameters": params,
         "seed": getattr(args, "seed", None),
-        "version": _version(),
+        "version": __version__,
         "wall_time_s": round(wall_time, 6),
     }
 

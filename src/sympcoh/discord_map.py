@@ -35,7 +35,7 @@ class DiscordImage:
     c_scale: float
 
     def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=float)
+        rho = np.array(self.rho, dtype=float)  # private copy: the caller's array stays writeable
         if rho.shape != (2 * self.m, 2 * self.m):
             raise ValueError(f"expected shape {(2 * self.m,) * 2}, got {rho.shape}")
         if not np.isfinite(rho).all():

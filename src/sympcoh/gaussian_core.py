@@ -17,6 +17,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -79,6 +80,27 @@ def _as_cm_array(matrix) -> np.ndarray:
     return arr
 
 
+class Margins(NamedTuple):
+    """Tolerance-free validity margins of a covariance matrix.
+
+    Attributes:
+        asymmetry: ``max |V - V^T|``.
+        min_eig: smallest eigenvalue of the symmetric part ``(V + V^T) / 2``.
+        min_uncertainty: smallest eigenvalue of the Hermitian matrix
+            ``(V + V^T) / 2 + i*Omega``.
+        min_vx: smallest eigenvalue of the symmetric part's position block.
+        min_vp: smallest eigenvalue of the symmetric part's momentum block.
+        trace: ``Tr[V]``.
+    """
+
+    asymmetry: float
+    min_eig: float
+    min_uncertainty: float
+    min_vx: float
+    min_vp: float
+    trace: float
+
+
 @dataclass(frozen=True)
 class CovMat:
     """A candidate covariance matrix in qqpp ordering.
@@ -86,6 +108,12 @@ class CovMat:
     Construction checks only shape/finiteness; use :func:`validate` (report)
     or :func:`require_valid` (raising) for the physical invariants, so that
     invalid matrices can still be constructed and inspected.
+
+    The eigen data behind those checks (:attr:`margins`, and
+    :attr:`williamson_moduli` for :func:`symplectic_eigenvalues`) is
+    computed at most once per instance, on first use, and cached.  That is
+    sound because ``matrix`` is a private read-only copy of the input;
+    every transformed matrix is a new ``CovMat`` with its own cache.
 
     Attributes:
         matrix: the 2m x 2m real matrix (read-only).
@@ -105,6 +133,43 @@ class CovMat:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix))
+
+    @cached_property
+    def margins(self) -> Margins:
+        """The eigenvalue and trace margins that :func:`validate` compares.
+
+        The uncertainty relation is evaluated in complex arithmetic on the
+        Hermitian matrix ``(V + V^T) / 2 + i*Omega``.
+        """
+        v = self.matrix
+        m = self.m
+        sym = 0.5 * (v + v.T)
+        return Margins(
+            asymmetry=float(np.max(np.abs(v - v.T))),
+            min_eig=float(np.linalg.eigvalsh(sym)[0]),
+            min_uncertainty=float(np.linalg.eigvalsh(sym + 1j * symplectic_form(m))[0]),
+            min_vx=float(np.linalg.eigvalsh(sym[:m, :m])[0]),
+            min_vp=float(np.linalg.eigvalsh(sym[m:, m:])[0]),
+            trace=float(np.trace(v)),
+        )
+
+    @cached_property
+    def williamson_moduli(self) -> np.ndarray:
+        """Moduli of the imaginary parts of ``eig(Omega V)``, sorted descending.
+
+        Length 2m and read-only; for a valid matrix they come in equal pairs,
+        one per symplectic eigenvalue.
+
+        Raises:
+            NumericError: if the eigenvalue solve fails.
+        """
+        try:
+            eigs = np.linalg.eigvals(symplectic_form(self.m) @ self.matrix)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure
+            raise NumericError(f"eigenvalue solve failed: {exc}") from exc
+        mods = np.sort(np.abs(eigs.imag))[::-1]
+        mods.flags.writeable = False
+        return mods
 
 
 @dataclass(frozen=True)
@@ -153,8 +218,9 @@ class Violation(NamedTuple):
 def validate(cov: CovMat, tol: float | None = None) -> list[Violation]:
     """Check every covariance-matrix invariant.
 
-    The uncertainty relation is checked in complex arithmetic on the
-    Hermitian matrix ``V + i*Omega``.
+    Compares the cached :attr:`CovMat.margins` with ``tol``, so the eigen
+    solves run once per ``CovMat`` (its matrix is read-only) whatever
+    tolerances it is checked at.
 
     Args:
         cov: candidate covariance matrix.
@@ -166,33 +232,19 @@ def validate(cov: CovMat, tol: float | None = None) -> list[Violation]:
     """
     if tol is None:
         tol = cov.tol
-    v = cov.matrix
-    m = cov.m
+    mg = cov.margins
     out: list[Violation] = []
-
-    asym = float(np.max(np.abs(v - v.T)))
-    if asym > tol:
-        out.append(Violation("symmetry", asym))
-
-    sym = 0.5 * (v + v.T)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
-    if min_eig <= -tol:
-        out.append(Violation("positive_definite", -min_eig))
-
-    herm = sym + 1j * symplectic_form(m)
-    min_unc = float(np.linalg.eigvalsh(herm)[0])
-    if min_unc < -tol:
-        out.append(Violation("uncertainty", -min_unc))
-
-    for name, block in (("vx_positive", sym[:m, :m]), ("vp_positive", sym[m:, m:])):
-        min_blk = float(np.linalg.eigvalsh(block)[0])
+    if mg.asymmetry > tol:
+        out.append(Violation("symmetry", mg.asymmetry))
+    if mg.min_eig <= -tol:
+        out.append(Violation("positive_definite", -mg.min_eig))
+    if mg.min_uncertainty < -tol:
+        out.append(Violation("uncertainty", -mg.min_uncertainty))
+    for name, min_blk in (("vx_positive", mg.min_vx), ("vp_positive", mg.min_vp)):
         if min_blk <= -tol:
             out.append(Violation(name, -min_blk))
-
-    tr = float(np.trace(v))
-    if tr < 2 * m - tol:
-        out.append(Violation("trace_bound", 2 * m - tr))
-
+    if mg.trace < 2 * cov.m - tol:
+        out.append(Violation("trace_bound", 2 * cov.m - mg.trace))
     return out
 
 
@@ -250,8 +302,10 @@ def mean_energy(state: GaussianState) -> float:
 def symplectic_eigenvalues(cov: CovMat, pairing_tol: float = 1e-8) -> np.ndarray:
     """Williamson symplectic eigenvalues, sorted descending.
 
-    Computed as the moduli of the imaginary parts of ``eig(Omega V)``, which
-    come in +/- pairs; the pair list is deduplicated into m values.
+    The moduli of the imaginary parts of ``eig(Omega V)`` come in +/- pairs;
+    the pair list is deduplicated into m values.  The solve runs once per
+    ``CovMat`` (:attr:`CovMat.williamson_moduli`, sound because its matrix is
+    read-only); the pairing check runs on every call.
 
     Args:
         cov: a valid covariance matrix.
@@ -259,13 +313,11 @@ def symplectic_eigenvalues(cov: CovMat, pairing_tol: float = 1e-8) -> np.ndarray
 
     Returns:
         Array of m values ``nu_1 >= ... >= nu_m`` (all >= 1 for valid input).
+
+    Raises:
+        NumericError: if the solve fails or the moduli do not pair.
     """
-    m = cov.m
-    try:
-        eigs = np.linalg.eigvals(symplectic_form(m) @ cov.matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure
-        raise NumericError(f"eigenvalue solve failed: {exc}") from exc
-    mods = np.sort(np.abs(eigs.imag))[::-1]
+    mods = cov.williamson_moduli
     first, second = mods[0::2], mods[1::2]
     scale = max(1.0, float(mods[0]))
     if float(np.max(np.abs(first - second))) > pairing_tol * scale:

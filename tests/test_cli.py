@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,9 +321,20 @@ def test_invalid_state_blocks_analysis_subcommands(tmp_path, capsys):
 
 
 def test_version_flag(capsys):
+    # The build reads the version from the attribute pyproject.toml names;
+    # tomllib is not in Python 3.10, so both files are read with a regex.
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text()
+    attr = re.search(r'^version = \{attr = "([\w.]+)"\}', pyproject, re.M).group(1)
+    module, name = attr.rsplit(".", 1)
+    source = (root / "src" / Path(*module.split("."))).with_suffix(".py").read_text()
+    version = re.search(rf'^{re.escape(name)} = "([^"]+)"', source, re.M).group(1)
+
     assert main(["--version"]) == 0
-    out = capsys.readouterr().out.strip()
-    assert out  # a version string was printed
+    assert capsys.readouterr().out.strip() == version
+    code, out, _ = run_cli(["maxsc", "--E", "10", "--m", "2"], capsys)
+    assert code == 0
+    assert out["manifest"]["version"] == version
 
 
 def test_stdin_accepts_bare_document(capsys, monkeypatch):

@@ -95,6 +95,16 @@ def test_image_constructor_checks_trace():
         DiscordImage(m=1, rho=np.eye(2), c_scale=2.0)
 
 
+def test_image_copies_the_callers_array():
+    a = np.diag([0.75, 0.25])
+    image = DiscordImage(m=1, rho=a, c_scale=2.0)
+    assert a.flags.writeable
+    a[0, 0] = 0.5
+    assert image.rho[0, 0] == 0.75
+    with pytest.raises(ValueError):
+        image.rho[0, 0] = 0.0
+
+
 def test_geometric_discord_values():
     assert geometric_discord(to_density(vacuum_state(2).cov)) == 0.0
     r = 0.5

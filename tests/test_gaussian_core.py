@@ -13,11 +13,13 @@ from sympcoh import (
     ValidationError,
     assemble,
     blocks,
+    coherence_discord_relation_check,
     is_pure,
     is_valid,
     load_state,
     mean_energy,
     mix_states,
+    qfi_displacement,
     reduced_first_mode,
     require_valid,
     save_state,
@@ -25,6 +27,7 @@ from sympcoh import (
     state_to_dict,
     symplectic_eigenvalues,
     symplectic_form,
+    to_density,
     vacuum_state,
     validate,
 )
@@ -93,6 +96,78 @@ def test_require_valid_raises_with_names():
         require_valid(CovMat(0.5 * np.eye(2)))
     assert "uncertainty" in str(err.value)
     assert err.value.violations
+
+
+@pytest.mark.parametrize(
+    "matrix, expected",
+    [
+        ([[2.0, 0.5], [0.0, 2.0]], [("symmetry", 0.5)]),
+        ([[1.0, 2.0], [2.0, 1.0]], [("positive_definite", 1.0), ("uncertainty", np.sqrt(5) - 1)]),
+        (np.diag([0.2, 3.0]), [("uncertainty", (np.sqrt(2.8**2 + 4) - 3.2) / 2)]),
+        (
+            np.diag([-1.0, 5.0]),
+            [("positive_definite", 1.0), ("uncertainty", np.sqrt(10) - 2), ("vx_positive", 1.0)],
+        ),
+        (
+            np.diag([5.0, -1.0]),
+            [("positive_definite", 1.0), ("uncertainty", np.sqrt(10) - 2), ("vp_positive", 1.0)],
+        ),
+        (0.8 * np.eye(2), [("uncertainty", 0.2), ("trace_bound", 0.4)]),
+    ],
+)
+def test_validate_reports_each_invariant_with_its_magnitude(matrix, expected):
+    report = validate(CovMat(matrix))
+    assert [v.name for v in report] == [name for name, _ in expected]
+    for v, (_, magnitude) in zip(report, expected):
+        assert v.magnitude == pytest.approx(magnitude, rel=1e-12)
+
+
+def test_validation_cache_is_tolerance_free():
+    v = np.eye(2)
+    v[0, 0] -= 1e-6  # about 5e-7 below the uncertainty bound, 1e-6 below the trace bound
+    fresh = {tol: validate(CovMat(v), tol) for tol in (1e-9, 1e-3)}
+    assert [x.name for x in fresh[1e-9]] == ["uncertainty", "trace_bound"]
+    assert fresh[1e-3] == []
+    for order in ((1e-9, 1e-3), (1e-3, 1e-9)):
+        cov = CovMat(v)
+        for tol in order:
+            assert validate(cov, tol) == fresh[tol]
+        assert is_valid(cov, 1e-3) and not is_valid(cov, 1e-9)
+
+
+def test_each_covmat_solves_its_eigenproblems_once(monkeypatch):
+    calls = {"eigvalsh": 0, "eigvals": 0}
+
+    def counted(name):
+        solve = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return solve(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    matrix = np.array([[2.0, 0.5], [0.5, 0.625]])  # a pure single-mode state: det = 1
+    cov = CovMat(matrix)
+    validate(cov)
+    validate(cov, 1e-3)
+    require_valid(cov)
+    to_density(cov)
+    coherence_discord_relation_check(cov)
+    assert is_pure(cov)
+    nu = symplectic_eigenvalues(cov)
+    assert qfi_displacement(cov).exact
+    assert calls == {"eigvalsh": 4, "eigvals": 1}  # one validation set of solves, one eig
+    nu[0] = 7.0  # the caller's copy, not the cache
+    assert_allclose(symplectic_eigenvalues(cov), [1.0], atol=1e-12)
+    assert not cov.williamson_moduli.flags.writeable
+
+    again = CovMat(matrix)
+    validate(again)
+    symplectic_eigenvalues(again)
+    assert calls == {"eigvalsh": 8, "eigvals": 2}
 
 
 def test_blocks_assemble_roundtrip(rng):

@@ -1,6 +1,6 @@
 """Relative imports inside the package point one way, down the layer order.
 
-gaussian_core -> symplectic_ops -> {coherence, discord_map, ensembles}
+_version -> gaussian_core -> symplectic_ops -> {coherence, discord_map, ensembles}
 -> applications -> cli, with the package ``__init__`` on top.  A module may
 import only from layers strictly below its own.  Outside the package the
 runtime needs numpy alone: scipy serves only the tests.
@@ -19,6 +19,7 @@ import pytest
 import sympcoh
 
 LAYERS = {
+    "_version": -1,
     "gaussian_core": 0,
     "symplectic_ops": 1,
     "coherence": 2,
