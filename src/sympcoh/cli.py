@@ -232,9 +232,10 @@ def _cmd_tvd(args) -> tuple[dict, int]:
     if "sxp1" in cfg or "sxp2" in cfg:
         cm_spec = cfg["cm"]
         if isinstance(cm_spec, str):
-            state = _read_valid_state(cm_spec)
+            state = _read_state(cm_spec)
         else:
             state = gaussian_core.state_from_dict(cm_spec)
+        gaussian_core.require_valid(state.cov)
         inflated = bool(cfg.get("inflated", False))
         result["bound"] = applications.tvd_bound_ppmm(
             state.cov,

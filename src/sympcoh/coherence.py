@@ -351,11 +351,37 @@ class SearchOutcome(NamedTuple):
     argmax: dict
 
 
-def _coherence_of(v: np.ndarray) -> np.ndarray:
-    """``symplectic_coherence`` of a stack of raw (..., 2m, 2m) matrices."""
-    m = v.shape[-1] // 2
-    v_xp = v[..., :m, m:]
-    return np.einsum("...ij,...ij->...", v_xp, v_xp)
+def _gram_form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Quadratic form of the coherence of pure states with passive unitary X + iY.
+
+    Takes (..., m, m) stacks and returns symmetric (..., 2m, 2m) matrices
+    ``H = [[G1, -G2], [-G2, G1]]`` with ``G1 = (X^T X) o (Y^T Y)`` and
+    ``G2 = (X^T Y) o (X^T Y)^T`` (``o`` elementwise), so that the state of
+    spectrum d has coherence ``a^T H a``, ``a = (d - 1, 1/d - 1)``: see
+    ``_form_coherence``.  ``y = 0`` gives ``H = 0`` exactly.
+    """
+    xt = np.swapaxes(x, -1, -2)
+    g1 = (xt @ x) * (np.swapaxes(y, -1, -2) @ y)
+    xty = xt @ y
+    g2 = -(xty * np.swapaxes(xty, -1, -2))
+    return np.concatenate(
+        [np.concatenate([g1, g2], axis=-1), np.concatenate([g2, g1], axis=-1)], axis=-2
+    )
+
+
+def _form_coherence(h: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Coherence ``a^T H a`` of spectra d (..., m) under forms h (..., 2m, 2m).
+
+    For a pure state, ``V_xp = Y D^-1 X^T - X D Y^T`` with ``D = diag(d)``.
+    Unitarity of X + iY makes ``Y X^T = X Y^T``, so
+    ``V_xp = Y (D^-1 - 1) X^T - X (D - 1) Y^T``, whose squared norm is the
+    form in ``a = (d - 1, 1/d - 1)``.  Shifting by 1 keeps ``a`` free of the
+    cancellation that the full blocks suffer near the vacuum (d -> 1).
+    """
+    alpha = d - 1.0
+    a = np.concatenate([alpha, -alpha / d], axis=-1)
+    # (a H) a rather than one three-operand einsum, which does not use BLAS.
+    return np.einsum("...i,...i->...", (a[..., None, :] @ h)[..., 0, :], a)
 
 
 # Phase move: as a function of one mode's phase theta, the coherence is a
@@ -367,6 +393,11 @@ _PHASE_DFT = np.exp(-2j * np.outer(_PHASES, np.arange(3))) / 5
 # Weight move: grid points per round, and rounds zooming in on the best point.
 _WEIGHT_GRID = 17
 _WEIGHT_ROUNDS = 6
+# Grid on [lo, hi] as lo * _GRID_FROM_LO + hi * _GRID_FROM_HI.  The fractions
+# k/16 and 1 - k/16 are exact, so the ends are exactly lo and hi, and no grid
+# point exceeds 1 (which would make the other weights negative).
+_GRID_FROM_HI = np.linspace(0.0, 1.0, _WEIGHT_GRID)
+_GRID_FROM_LO = 1.0 - _GRID_FROM_HI
 
 
 def _trig_argmax(values: np.ndarray) -> float:
@@ -391,18 +422,24 @@ def numeric_max_search(
 ) -> SearchOutcome:
     """Randomized search for the largest coherence at fixed covariance trace.
 
-    Samples pure covariance matrices (Haar passive gate times a random
+    Samples pure states (Haar passive gate times a random
     squeezing spectrum summing to the trace budget) in the fixed-size blocks
     of ``pure_param_blocks`` (block b from ``derive_rng(seed, b)``), so the
     samples of a run are a prefix of those of any longer run with the same
-    seed.  The best sample is then refined coordinate-wise, each move
-    evaluated as one stack through ``pure_cm``:
+    seed.  No covariance matrix is built: a pure state's coherence is the
+    quadratic form ``a^T H a`` in its shifted spectrum ``a = (d - 1, 1/d - 1)``,
+    with H from Gram matrices of its passive unitary X + iY (``_gram_form``,
+    ``_form_coherence``).  Each block of samples is one stack of forms.  The
+    best sample is then refined coordinate-wise:
 
     * per-mode phase in [-pi/2, pi/2]: the coherence is a trigonometric
-      polynomial in twice the phase, fixed exactly by five samples, and its
-      global maximum is taken;
+      polynomial in twice the phase, fixed exactly by five samples (one stack
+      of five forms), and its global maximum is taken, evaluated with the
+      form of that phase configuration;
     * single squeezing weight in [0, 1], the others rescaled to share the
-      rest: a grid, zoomed around its best point for a few rounds.
+      rest: a grid, zoomed around its best point for a few rounds.  The
+      phases do not change, so every round of a sweep reuses the form of the
+      current phases and only evaluates it at the grid's spectra.
 
     A move is accepted only if it raises the current value; a sweep that
     accepts none ends the refinement, since the next would repeat it.
@@ -427,7 +464,7 @@ def numeric_max_search(
 
     best_c = -1.0
     for start, xs, ys, ds in pure_param_blocks(seed, trials, E, m, False):
-        c = _coherence_of(pure_cm(xs, ys, ds))
+        c = _form_coherence(_gram_form(xs, ys), ds)
         j = int(np.argmax(c))  # first maximum, as a strict running ">" keeps
         if c[j] > best_c:
             best_c = float(c[j])
@@ -441,23 +478,25 @@ def numeric_max_search(
     spectrum = spectrum_from_weights(E, m, weights)  # of the current weights
     u = x + 1j * y
 
-    def coherences(th: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    def form(th: np.ndarray) -> np.ndarray:
         # Per-mode phases after the passive gate: X + iY -> (X + iY) e^{i theta},
-        # broadcast over stacks of phases (..., m) and spectra (..., m).
+        # broadcast over stacks of phases (..., m).
         ur = u * np.exp(1j * th)[..., None, :]
-        return _coherence_of(pure_cm(ur.real, ur.imag, spectra))
+        return _gram_form(ur.real, ur.imag)
 
-    refined_c = float(coherences(theta, spectrum))
+    h = form(theta)  # of the current phases
+    refined_c = float(_form_coherence(h, spectrum))
     for _ in range(refine_passes):
         moved = False
         for i in range(m):
             samples = np.repeat(theta[None, :], len(_PHASES), axis=0)
             samples[:, i] = _PHASES
             th = theta.copy()
-            th[i] = _trig_argmax(coherences(samples, spectrum))
-            c = float(coherences(th, spectrum))
+            th[i] = _trig_argmax(_form_coherence(form(samples), spectrum))
+            h_th = form(th)
+            c = float(_form_coherence(h_th, spectrum))
             if c > refined_c:
-                theta, refined_c, moved = th, c, True
+                theta, h, refined_c, moved = th, h_th, c, True
         for i in range(m):
             # Weight i set to t, the others rescaled to share the remaining 1 - t.
             rest = weights.sum() - weights[i]
@@ -466,11 +505,11 @@ def numeric_max_search(
             lo, hi = 0.0, 1.0
             best_w, best_wc = None, refined_c
             for _ in range(_WEIGHT_ROUNDS):
-                t = np.linspace(lo, hi, _WEIGHT_GRID)
+                t = lo * _GRID_FROM_LO + hi * _GRID_FROM_HI
                 w = weights * ((1.0 - t[:, None]) / rest)
                 w[:, i] = t
                 w /= w.sum(axis=1, keepdims=True)
-                c = coherences(theta, spectrum_from_weights(E, m, w))
+                c = _form_coherence(h, spectrum_from_weights(E, m, w))
                 k = int(np.argmax(c))
                 if c[k] > best_wc:
                     best_w, best_wc = w[k], float(c[k])

@@ -213,6 +213,22 @@ def test_tvd_exact_and_bound(tmp_path, capsys):
     assert out["result"]["inflated"] is True
 
 
+def test_tvd_rejects_an_invalid_inline_state(tmp_path, capsys):
+    # Below the uncertainty bound: validate rejects it, so tvd must too.
+    config = {
+        "cm": {"format": "sympcoh-cm-v1", "matrix": [[0.1, 0.0], [0.0, 0.1]]},
+        "sxp1": 0.3,
+        "sxp2": 0.0,
+        "theta": np.pi / 4,
+    }
+    config_file = tmp_path / "tvd.json"
+    config_file.write_text(json.dumps(config))
+    code, out, err = run_cli(["tvd", "--config", str(config_file)], capsys)
+    assert code == 1
+    assert out is None
+    assert "uncertainty" in err
+
+
 def test_tvd_rejects_empty_config(tmp_path, capsys):
     config_file = tmp_path / "empty.json"
     config_file.write_text("{}")

@@ -41,7 +41,8 @@ from sympcoh import (
     trace_distance_cov_bound,
     vacuum_state,
 )
-from sympcoh.coherence import MscSpec
+from sympcoh.coherence import MscSpec, _form_coherence, _gram_form
+from sympcoh.symplectic_ops import pure_cm, pure_param_blocks, spectrum_from_weights
 from conftest import random_free_cov, random_valid_cov
 
 TOL = 1e-9
@@ -390,6 +391,50 @@ def test_search_never_beats_closed_form(rng):
     for m, E in [(1, 4.0), (2, 7.5), (3, 9.0)]:
         outcome = numeric_max_search(E, m, trials=60, seed=int(rng.integers(1 << 30)))
         assert outcome.sup_c <= max_symplectic_coherence(E, m) + 1e-6
+
+
+def qp_norm_sq(v: np.ndarray) -> np.ndarray:
+    """Squared norm of the position-momentum blocks of a (..., 2m, 2m) stack."""
+    m = v.shape[-1] // 2
+    return np.einsum("...ij,...ij->...", v[..., :m, m:], v[..., :m, m:])
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
+def test_gram_form_matches_the_covariance_blocks(m):
+    # Near the vacuum the covariance blocks cancel down to ~sqrt(E - 2m) and
+    # lose digits (the shifted form does not), so the two agree less closely.
+    for E, rel in [
+        (2 * m + 1e-9, 1e-9),
+        (2 * m + 1e-6, 1e-9),
+        (4 * m + 8, 1e-12),
+        (1e3, 1e-12),
+        (1e8, 1e-12),
+    ]:
+        for _, x, y, d in pure_param_blocks(11, 64, E, m, False):
+            assert_allclose(
+                _form_coherence(_gram_form(x, y), d), qp_norm_sq(pure_cm(x, y, d)),
+                rtol=rel, atol=0,
+            )
+        _, x, y, d = next(pure_param_blocks(11, 64, E, m, True))
+        assert not np.any(y)
+        assert np.all(_form_coherence(_gram_form(x, y), d) == 0.0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_search_argmax_reproduces_its_value(m):
+    E = 4.0 * m + 8.0
+    for seed in range(5):
+        outcome = numeric_max_search(E, m, trials=200, seed=seed)
+        where = outcome.argmax
+        for start, x, y, _ in pure_param_blocks(seed, 200, E, m, False):
+            if start <= where["trial"] < start + len(x):
+                u = x[where["trial"] - start] + 1j * y[where["trial"] - start]
+                break
+        u = u * np.exp(1j * np.asarray(where["theta"]))
+        d = spectrum_from_weights(E, m, np.asarray(where["weights"]))
+        value = symplectic_coherence(CovMat(pure_cm(u.real, u.imag, d)))
+        assert value == pytest.approx(where["refined_coherence"], rel=1e-12, abs=0)
+        assert outcome.sup_c == max(where["sample_coherence"], where["refined_coherence"])
 
 
 def test_search_input_validation():
