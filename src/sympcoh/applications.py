@@ -22,7 +22,7 @@ from .gaussian_core import (
     is_pure,
     reduced_first_mode,
 )
-from .symplectic_ops import BLOCK_ENTRIES, IdentityChannel, derive_rng
+from .symplectic_ops import BLOCK_ENTRIES, IdentityChannel, mc_blocks
 
 MEAN_GAP_TOL = 1e-12
 
@@ -267,11 +267,10 @@ class DiscriminationConfig:
         delta: target failure probability in (0, 1).
         n_samples: measurement shots per trial.
         trials: number of simulated discrimination rounds.
-        seed: base seed; trials run in blocks of
-            ``max(1, BLOCK_ENTRIES // n_samples)``, block b drawn from
-            ``derive_rng(seed, b)``: the channel labels
-            (``integers(2, size=block)``), then the standard-normal shots
-            (``standard_normal((block, n_samples))``).
+        seed: base seed; trials run through ``symplectic_ops.mc_blocks`` in
+            blocks of ``max(1, BLOCK_ENTRIES // n_samples)``, each block
+            drawing the channel labels (``integers(2, size=block)``), then
+            the standard-normal shots (``standard_normal((block, n_samples))``).
     """
 
     probe: GaussianState
@@ -368,15 +367,13 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
     threshold = 0.5 * (mu1 + mu2)
     second_is_high = mu2 > mu1
     mus, sigs = np.array([mu1, mu2]), np.sqrt([var1, var2])
+
+    def draw(rng: np.random.Generator, size: int) -> tuple:
+        return rng.integers(2, size=size), rng.standard_normal((size, config.n_samples))
+
     size = max(1, BLOCK_ENTRIES // config.n_samples)
     failures = 0
-    for b, start in enumerate(range(0, config.trials, size)):
-        # Full-size block, cut at config.trials: trial t depends only on
-        # (seed, t // size, t % size).
-        rng = derive_rng(config.seed, b)
-        true_second = rng.integers(2, size=size)
-        z = rng.standard_normal((size, config.n_samples))
-        true_second, z = true_second[: config.trials - start], z[: config.trials - start]
+    for _, (true_second, z) in mc_blocks(config.seed, config.trials, size, draw):
         estimate = median_of_means(mus[true_second, None] + sigs[true_second, None] * z, config.delta)
         predict_second = (estimate > threshold) == second_is_high
         failures += int(np.count_nonzero(predict_second != true_second))

@@ -46,6 +46,13 @@ def _read_state(path: str, m: int | None = None) -> gaussian_core.GaussianState:
     return gaussian_core.load_state(path, m)
 
 
+def _state_arg(spec: str | dict) -> gaussian_core.GaussianState:
+    """A state given in a config as a file path (or ``-``) or as an inline document."""
+    if isinstance(spec, str):
+        return _read_state(spec)
+    return gaussian_core.state_from_dict(spec)
+
+
 def _read_valid_state(path: str, m: int | None = None) -> gaussian_core.GaussianState:
     state = _read_state(path, m)
     gaussian_core.require_valid(state.cov)
@@ -98,14 +105,9 @@ def build_channel(spec: dict):
     if kind == "identity":
         return ops.IdentityChannel()
     if kind == "stinespring":
-        env_spec = spec["env"]
-        if isinstance(env_spec, str):
-            env = _read_state(env_spec).cov
-        else:
-            env = gaussian_core.state_from_dict(env_spec).cov
         return ops.StinespringChannel(
             o=np.asarray(spec["o"], dtype=float),
-            env=env,
+            env=_state_arg(spec["env"]).cov,
             d=spec.get("d"),
         )
     raise ValueError(f"unknown channel kind {kind!r}")
@@ -198,10 +200,7 @@ def _cmd_ensemble(args) -> tuple[dict, int]:
 
 def _cmd_discriminate(args) -> tuple[dict, int]:
     cfg = _load_json(args.config)
-    if "probe_file" in cfg:
-        probe = _read_state(cfg["probe_file"])
-    else:
-        probe = gaussian_core.state_from_dict(cfg["probe"])
+    probe = _state_arg(cfg["probe_file"] if "probe_file" in cfg else cfg["probe"])
     gaussian_core.require_valid(probe.cov)
     channels = tuple(build_channel(spec) for spec in cfg["channels"])
     config = applications.DiscriminationConfig(
@@ -213,6 +212,7 @@ def _cmd_discriminate(args) -> tuple[dict, int]:
         seed=int(cfg.get("seed", DEFAULT_SEED)),
     )
     report = applications.run_discrimination(config)
+    args.seed = config.seed  # the manifest reports the seed that ran
     return asdict(report), 0
 
 
@@ -230,11 +230,7 @@ def _cmd_tvd(args) -> tuple[dict, int]:
             float(cfg["var1"]), float(cfg["var2"])
         )
     if "sxp1" in cfg or "sxp2" in cfg:
-        cm_spec = cfg["cm"]
-        if isinstance(cm_spec, str):
-            state = _read_state(cm_spec)
-        else:
-            state = gaussian_core.state_from_dict(cm_spec)
+        state = _state_arg(cfg["cm"])
         gaussian_core.require_valid(state.cov)
         inflated = bool(cfg.get("inflated", False))
         result["bound"] = applications.tvd_bound_ppmm(
@@ -258,7 +254,8 @@ def _cmd_maxsearch(args) -> tuple[dict, int]:
     return {
         "sup_c": outcome.sup_c,
         "c_max": c_max,
-        "within_bound": outcome.sup_c <= c_max + 1e-6,
+        # Relative slack: sup_c can exceed c_max by rounding, which scales with c_max.
+        "within_bound": outcome.sup_c <= c_max + 1e-12 * max(1.0, c_max),
         "argmax": outcome.argmax,
     }, 0
 
@@ -347,12 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest(args: argparse.Namespace, wall_time: float) -> dict:
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("func", "subcommand") and not callable(v)
-    }
+def _manifest(args: argparse.Namespace, params: dict, wall_time: float) -> dict:
     return {
         "subcommand": args.subcommand,
         "parameters": params,
@@ -368,9 +360,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     start = time.perf_counter()
+    # The parameters as parsed; a handler may then set args.seed to the seed it ran.
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
     try:
         result, code = args.func(args)
-        envelope = {"result": result, "manifest": _manifest(args, time.perf_counter() - start)}
+        envelope = {"result": result, "manifest": _manifest(args, params, time.perf_counter() - start)}
         text = json.dumps(envelope, sort_keys=True, allow_nan=False)  # no bare NaN/Infinity
     except gaussian_core.ValidationError as exc:
         print(str(exc), file=sys.stderr)

@@ -393,6 +393,8 @@ _PHASE_DFT = np.exp(-2j * np.outer(_PHASES, np.arange(3))) / 5
 # Weight move: grid points per round, and rounds zooming in on the best point.
 _WEIGHT_GRID = 17
 _WEIGHT_ROUNDS = 6
+# Most coordinate sweeps (phase moves, then weight moves) of the refinement.
+_REFINE_PASSES = 3
 # Grid on [lo, hi] as lo * _GRID_FROM_LO + hi * _GRID_FROM_HI.  The fractions
 # k/16 and 1 - k/16 are exact, so the ends are exactly lo and hi, and no grid
 # point exceeds 1 (which would make the other weights negative).
@@ -413,18 +415,12 @@ def _trig_argmax(values: np.ndarray) -> float:
     return float(np.angle(z[np.argmax((c1 * z + c2 * z * z).real)])) / 2.0
 
 
-def numeric_max_search(
-    E: float,
-    m: int,
-    trials: int,
-    seed: int | np.random.Generator = 0,
-    refine_passes: int = 3,
-) -> SearchOutcome:
+def numeric_max_search(E: float, m: int, trials: int, seed: int = 0) -> SearchOutcome:
     """Randomized search for the largest coherence at fixed covariance trace.
 
     Samples pure states (Haar passive gate times a random
     squeezing spectrum summing to the trace budget) in the fixed-size blocks
-    of ``pure_param_blocks`` (block b from ``derive_rng(seed, b)``), so the
+    of ``pure_param_blocks`` (blocks of ``mc_blocks``), so the
     samples of a run are a prefix of those of any longer run with the same
     seed.  No covariance matrix is built: a pure state's coherence is the
     quadratic form ``a^T H a`` in its shifted spectrum ``a = (d - 1, 1/d - 1)``,
@@ -442,14 +438,14 @@ def numeric_max_search(
       current phases and only evaluates it at the grid's spectra.
 
     A move is accepted only if it raises the current value; a sweep that
-    accepts none ends the refinement, since the next would repeat it.
+    accepts none ends the refinement, since the next would repeat it, and
+    there are at most ``_REFINE_PASSES`` sweeps.
 
     Args:
         E: covariance trace budget (>= 2m).
         m: mode count.
         trials: number of random samples (>= 1).
-        seed: base seed, or a generator used once to draw one.
-        refine_passes: most coordinate sweeps during local refinement.
+        seed: base seed.
 
     Returns:
         Best coherence found and a description of where it occurred.
@@ -457,8 +453,6 @@ def numeric_max_search(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     require_budget(E, m)
-    if isinstance(seed, np.random.Generator):
-        seed = int(seed.integers(0, 2**63))
     if E - 2.0 * m < 1e-15:
         return SearchOutcome(0.0, {"trial": -1, "note": "trace budget forces vacuum"})
 
@@ -486,7 +480,7 @@ def numeric_max_search(
 
     h = form(theta)  # of the current phases
     refined_c = float(_form_coherence(h, spectrum))
-    for _ in range(refine_passes):
+    for _ in range(_REFINE_PASSES):
         moved = False
         for i in range(m):
             samples = np.repeat(theta[None, :], len(_PHASES), axis=0)

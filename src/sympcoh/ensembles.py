@@ -15,8 +15,11 @@ import numpy as np
 
 from .gaussian_core import CovMat
 from .symplectic_ops import (
+    block_samples,
     haar_orthogonal_batch,
     haar_unitary_batch,
+    mc_blocks,
+    mean_stderr,
     pure_cm,
     pure_param_blocks,
     require_budget,
@@ -35,8 +38,8 @@ class EnsembleConfig:
         m: mode count.
         E: covariance-matrix trace of every sample (E >= 2m).
         n_samples: number of Monte-Carlo samples.
-        seed: base RNG seed; samples are drawn in blocks of
-            ``block_samples(m)``, block b from ``derive_rng(seed, b)``.
+        seed: base RNG seed; samples are drawn by ``pure_param_blocks``
+            through the one block driver ``symplectic_ops.mc_blocks``.
         kind: "orthogonal" or "unitary".
     """
 
@@ -119,9 +122,9 @@ def ensemble_nu_sq(
 ) -> EnsembleStats | tuple[EnsembleStats, np.ndarray, np.ndarray]:
     """Monte-Carlo mean of the first-mode nu^2 over the ensemble.
 
-    Samples come from ``pure_param_blocks``: fixed-size blocks, block b
-    drawn from ``derive_rng(seed, b)``, so the first k samples do not depend
-    on ``n_samples`` and different seeds give independent samples.
+    Samples come from ``pure_param_blocks`` (blocks of ``mc_blocks``), so the
+    first k samples do not depend on ``n_samples`` and different seeds give
+    independent samples.
 
     Args:
         config: ensemble parameters.
@@ -145,10 +148,8 @@ def ensemble_nu_sq(
         s1_arr[block], s2_arr[block] = _pair_sums(d)
     analytic = analytic_mean_nu_sq(config.kind, m, s1_arr, s2_arr)
 
-    mean = float(np.mean(nu_sq))
-    stderr = float(np.std(nu_sq, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    diff = nu_sq - analytic
-    stderr_diff = float(np.std(diff, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    mean, stderr = mean_stderr(nu_sq)
+    _, stderr_diff = mean_stderr(nu_sq - analytic)
     stats = EnsembleStats(
         mean_nu_sq=mean,
         stderr=stderr,
@@ -189,8 +190,7 @@ def _rows(samples: np.ndarray, kind: str, m: int) -> Iterable[MomentCheck]:
     """Moment rows for one kind given first-row samples (n x m, or complex)."""
 
     def check(name: str, values: np.ndarray, exact: float) -> MomentCheck:
-        est = float(np.mean(values))
-        se = float(np.std(values, ddof=1) / np.sqrt(values.shape[0]))
+        est, se = mean_stderr(values)
         return MomentCheck(kind, name, est, exact, se)
 
     if kind == "orthogonal":
@@ -211,21 +211,17 @@ def _rows(samples: np.ndarray, kind: str, m: int) -> Iterable[MomentCheck]:
         yield check("E[X_1i Y_1i X_1j Y_1j], i!=j", x1 * y1 * x2 * y2, 0.0)
 
 
-def haar_moment_check(
-    m: int,
-    n_samples: int,
-    rng: np.random.Generator,
-    kinds: tuple[str, ...] = KINDS,
-    batch: int = 20_000,
-) -> list[MomentCheck]:
+def haar_moment_check(m: int, n_samples: int, rng: np.random.Generator) -> list[MomentCheck]:
     """Estimate the fourth moments of Haar first rows against closed forms.
+
+    For each kind in ``KINDS``, one integer seed is drawn from ``rng``
+    (``integers(2**63)``); that kind's matrices then come from
+    ``symplectic_ops.mc_blocks`` in blocks of ``block_samples(m)``.
 
     Args:
         m: matrix size (needs m >= 2 for the i != j rows).
-        n_samples: Monte-Carlo sample count (>= 1000).
-        rng: random generator (consumed sequentially; sampling is batched).
-        kinds: which ensembles to check.
-        batch: QR batch size.
+        n_samples: Monte-Carlo sample count per kind (>= 1000).
+        rng: random generator, used only for the per-kind seeds.
 
     Returns:
         One row per moment with estimate, exact value and standard error.
@@ -235,18 +231,13 @@ def haar_moment_check(
     if m < 2:
         raise ValueError("moment table needs m >= 2")
     out: list[MomentCheck] = []
-    for kind in kinds:
-        rows = []
-        remaining = n_samples
-        while remaining > 0:
-            k = min(batch, remaining)
-            if kind == "orthogonal":
-                mats = haar_orthogonal_batch(m, k, rng)
-            else:
-                mats = haar_unitary_batch(m, k, rng)
-            rows.append(mats[:, 0, :])
-            remaining -= k
-        first_rows = np.concatenate(rows, axis=0)
+    for kind, sampler in zip(KINDS, (haar_orthogonal_batch, haar_unitary_batch)):
+
+        def draw(block_rng: np.random.Generator, size: int) -> tuple:
+            return (sampler(m, size, block_rng)[:, 0, :],)
+
+        blocks = mc_blocks(int(rng.integers(2**63)), n_samples, block_samples(m), draw)
+        first_rows = np.concatenate([rows for _, (rows,) in blocks])
         out.extend(_rows(first_rows, kind, m))
     return out
 

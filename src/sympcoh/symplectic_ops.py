@@ -8,7 +8,7 @@ satisfying ``S Omega S^T = Omega`` within 1e-9 (Frobenius).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,13 +33,34 @@ def derive_rng(seed: int, index: int) -> np.random.Generator:
 
     ``default_rng(SeedSequence(seed mod 2**64, spawn_key=(index,)))``, the
     ``index``-th child of ``SeedSequence(seed)`` (NEP 19): distinct
-    ``(seed, index)`` pairs give distinct, independent streams.  Every
-    Monte-Carlo driver takes one generator per fixed-size block from here, so
-    results are a deterministic function of the seed alone.
+    ``(seed, index)`` pairs give distinct, independent streams.  Only
+    ``mc_blocks`` calls it, once per block.
     """
     return np.random.default_rng(
         np.random.SeedSequence(int(seed) % 2**64, spawn_key=(int(index),))
     )
+
+
+def mc_blocks(seed: int, n: int, size: int, draw: Callable) -> Iterator[tuple[int, tuple]]:
+    """Yield ``(start, arrays)`` for Monte-Carlo samples ``start, start + 1, ...`` < n.
+
+    The one block driver of every Monte-Carlo routine.  Block b is
+    ``draw(derive_rng(seed, b), size)``, a tuple of arrays with ``size`` rows,
+    drawn at full size and then cut at n.  So sample j depends only on
+    ``(seed, j // size, j % size)``: results are a deterministic function of
+    the seed, different seeds give independent samples, and a run of n
+    samples is a prefix of every longer run with the same seed and size.
+    """
+    for b, start in enumerate(range(0, n, size)):
+        stop = min(size, n - start)
+        yield start, tuple(a[:stop] for a in draw(derive_rng(seed, b), size))
+
+
+def mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean of ``values`` and its standard error (0 for a single value)."""
+    n = values.shape[0]
+    se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return float(np.mean(values)), se
 
 
 def is_symplectic(s: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
@@ -449,17 +470,15 @@ def pure_param_blocks(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Yield ``(start, X, Y, d)`` stacks for samples ``start, start + 1, ...`` < n.
 
-    Block b holds samples ``b*B .. b*B + B - 1`` with ``B = block_samples(m)``.
-    It is drawn at full size by ``sample_pure_params`` from
-    ``derive_rng(seed, b)`` and then cut at n, so sample j depends only on
-    ``(seed, j // B, j % B)``: a run of n samples is a prefix of every
-    longer run with the same seed.
+    The ``mc_blocks`` of ``sample_pure_params`` in blocks of
+    ``block_samples(m)`` samples.
     """
-    size = block_samples(m)
-    for b, start in enumerate(range(0, n, size)):
-        x, y, d = sample_pure_params(E, m, size, derive_rng(seed, b), orthogonal)
-        stop = min(size, n - start)
-        yield start, x[:stop], y[:stop], d[:stop]
+
+    def draw(rng: np.random.Generator, size: int) -> tuple:
+        return sample_pure_params(E, m, size, rng, orthogonal)
+
+    for start, (x, y, d) in mc_blocks(seed, n, block_samples(m), draw):
+        yield start, x, y, d
 
 
 def pure_cm(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -15,8 +15,10 @@ import pytest
 from sympcoh import (
     EnsembleConfig,
     ensemble_nu_sq,
+    beamsplitter_orthogonal,
     msc_canonical,
     save_state,
+    state_to_dict,
     vacuum_state,
 )
 from sympcoh.cli import DEFAULT_SEED, main
@@ -186,6 +188,30 @@ def test_discriminate_from_config_file(tmp_path, capsys):
     assert 0.0 <= result["empirical_error"] <= 1.0
     assert result["error_wilson_upper"] >= result["empirical_error"]
     assert result["n_thres"] == pytest.approx(7562.7261245870495, abs=1e-6)
+    assert out["manifest"]["seed"] == 3
+
+
+def test_discriminate_inline_probe_and_file_environment(tmp_path, capsys):
+    # Inline probe, stinespring env given as a path, no seed: the default seed runs.
+    env_file = tmp_path / "env.json"
+    save_state(vacuum_state(1), str(env_file))
+    config = {
+        "probe": state_to_dict(msc_canonical(6.0, 1)),
+        "channels": [
+            {"kind": "identity"},
+            {"kind": "stinespring", "o": beamsplitter_orthogonal(0.5).tolist(), "env": str(env_file)},
+        ],
+        "delta": 0.1,
+        "n_samples": 32,
+        "trials": 25,
+    }
+    config_file = tmp_path / "disc.json"
+    config_file.write_text(json.dumps(config))
+    code, out, _ = run_cli(["discriminate", "--config", str(config_file)], capsys)
+    assert code == 0
+    assert out["result"]["mu2"] == pytest.approx(0.5 * out["result"]["mu1"], abs=1e-12)
+    assert out["manifest"]["seed"] == DEFAULT_SEED
+    assert out["manifest"]["parameters"] == {"config": str(config_file)}
 
 
 def test_tvd_exact_and_bound(tmp_path, capsys):
@@ -245,6 +271,14 @@ def test_maxsearch_within_bound(capsys):
     assert out["result"]["within_bound"] is True
     assert out["result"]["sup_c"] <= out["result"]["c_max"] + 1e-6
     assert out["result"]["sup_c"] >= 7.0
+
+
+def test_maxsearch_within_bound_at_large_trace(capsys):
+    # sup_c exceeds c_max here by rounding only (9.5e-16 relative).
+    argv = ["maxsearch", "--E", "1e5", "--m", "1", "--trials", "30", "--seed", "4"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out["result"]["within_bound"] is True
 
 
 def strip_wall_time(envelope: dict) -> dict:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -37,7 +39,14 @@ from sympcoh import (
     tensor_states,
     vacuum_state,
 )
-from sympcoh.symplectic_ops import haar_orthogonal_batch, haar_unitary_batch, sample_d_batch
+from sympcoh import applications, coherence, ensembles, symplectic_ops
+from sympcoh.symplectic_ops import (
+    BLOCK_ENTRIES,
+    block_samples,
+    haar_orthogonal_batch,
+    haar_unitary_batch,
+    sample_d_batch,
+)
 from conftest import random_valid_cov
 
 TOL = 1e-12
@@ -59,6 +68,38 @@ def test_derive_rng_streams_do_not_collide():
     # shared if (seed, index) were hashed as a zero-padded entropy list
     assert np.any(first(5, 3) != first(5 + 3 * 2**32, 0))
     assert_array_equal(first(-1, 2), first(2**64 - 1, 2))
+
+
+def test_every_driver_derives_one_generator_per_block(monkeypatch):
+    calls = []
+
+    def counting(seed, index):
+        calls.append(index)
+        return derive_rng(seed, index)
+
+    monkeypatch.setattr(symplectic_ops, "derive_rng", counting)
+
+    def count(run) -> int:
+        calls.clear()
+        run()
+        return len(calls)
+
+    pure_blocks = math.ceil(300 / block_samples(2))
+    config = ensembles.EnsembleConfig(m=2, E=8.0, n_samples=300, seed=1, kind="unitary")
+    assert count(lambda: ensembles.ensemble_nu_sq(config)) == pure_blocks
+    assert count(lambda: coherence.numeric_max_search(8.0, 2, 300, 1)) == pure_blocks
+    disc = applications.DiscriminationConfig(
+        probe=coherence.msc_canonical(6.0, 1),
+        channels=(LossChannel(0.5), LossChannel(0.6)),
+        delta=0.1,
+        n_samples=300,
+        trials=500,
+        seed=1,
+    )
+    disc_blocks = math.ceil(500 / (BLOCK_ENTRIES // 300))
+    assert count(lambda: applications.run_discrimination(disc)) == disc_blocks
+    haar_blocks = len(ensembles.KINDS) * math.ceil(1000 / block_samples(2))
+    assert count(lambda: ensembles.haar_moment_check(2, 1000, derive_rng(1, 0))) == haar_blocks
 
 
 def test_sample_d_batch_redraws_a_zero_row():
