@@ -10,6 +10,7 @@ under tensor products, and bounded at fixed trace by
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,7 +22,6 @@ from .symplectic_ops import (
     pure_cm,
     pure_param_blocks,
     require_budget,
-    spectrum_from_weights,
 )
 
 FREE_TOL = 1e-10
@@ -384,12 +384,70 @@ def _form_coherence(h: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", (a[..., None, :] @ h)[..., 0, :], a)
 
 
-# Phase move: as a function of one mode's phase theta, the coherence is a
-# trigonometric polynomial in phi = 2 theta with frequencies 0, 1, 2, so its
-# values at five angles spread over one period fix it exactly.
-_PHASES = -np.pi / 2 + np.pi / 5 * np.arange(5)
-# Fourier coefficients c_0, c_1, c_2 (in phi) from the values at _PHASES.
-_PHASE_DFT = np.exp(-2j * np.outer(_PHASES, np.arange(3))) / 5
+def _xp_block(
+    x: np.ndarray, y: np.ndarray, alpha: np.ndarray, beta: np.ndarray
+) -> np.ndarray:
+    """Position-momentum blocks ``V_xp`` of pure states of passive unitary X + iY.
+
+    Takes (..., m, m) stacks and the shifted spectra ``alpha = d - 1`` and
+    ``beta = 1/d - 1`` (..., m), and returns ``Y diag(beta) X^T - X diag(alpha)
+    Y^T`` (see ``_form_coherence``): two matmuls per state, and its squared
+    norm is the coherence.  It takes the shifted spectra rather than d
+    because ``d - 1`` loses digits near the vacuum: a caller that has them
+    in closed form passes them unrounded.
+    """
+    xt, yt = np.swapaxes(x, -1, -2), np.swapaxes(y, -1, -2)
+    return (y * beta[..., None, :]) @ xt - (x * alpha[..., None, :]) @ yt
+
+
+def _phase_coefficients(
+    v: np.ndarray, u: np.ndarray, sigma: float
+) -> tuple[complex, complex]:
+    """Fourier coefficients of the coherence along one mode's phase.
+
+    With squeezing ``gamma = (d + 1/d)/2 - 1`` and ``sigma = sqrt(gamma (gamma
+    + 2))`` per mode, ``V_xp = sum_k gamma_k A_k - sigma_k S_k`` where
+    ``A_k = y_k x_k^T - x_k y_k^T`` and ``S_k = Im(u_k u_k^T)`` for the
+    columns ``u_k = x_k + i y_k``.  Turning column u (of squeezing sigma)
+    to ``e^{i phi/2} u`` leaves its ``A`` alone and moves V to
+    ``V + sigma Im((1 - z) u u^T)``, ``z = e^{i phi}``, so the coherence is
+    ``c(phi) = c_0 + 2 Re(c_1 z + c_2 z^2)``.  Returns ``(c_1, c_2)`` from the
+    current block v: ``c_1 = i sigma p``, ``c_2 = -sigma^2 q^2 / 4`` with
+    ``q = u^T u`` and ``p = u^T v u + sigma (q^2 - |u|^4) / (2i)``.
+    """
+    q = complex(u @ u)
+    n2 = float(np.vdot(u, u).real)
+    p = complex(u @ (v @ u)) - 0.5j * sigma * (q * q - n2 * n2)
+    return 1j * sigma * p, -0.25 * sigma * sigma * q * q
+
+
+# Companion matrix of a monic quartic: ones below the diagonal, coefficients
+# in the first row.
+_COMPANION = np.eye(4, k=-1, dtype=complex)
+
+
+def _phase_argmax(c1: complex, c2: complex) -> complex:
+    """Point z of the unit circle where ``Re(c1 z + c2 z^2)`` is largest.
+
+    z = 1 wins ties, so a move that gains nothing stays where it is.
+    """
+    if c2 == 0:  # an unsqueezed mode (sigma = 0), or q = 0: at most linear in z
+        return c1.conjugate() / abs(c1) if c1 else 1.0 + 0j
+    # The critical points are the unit-circle roots of z^2 c'(phi) / i, the
+    # quartic 2 c2 z^4 + c1 z^3 - conj(c1) z - 2 conj(c2); taking the best root
+    # angle gives the global maximum.
+    comp = _COMPANION.copy()
+    comp[0] = (-c1 / (2.0 * c2), 0.0, c1.conjugate() / (2.0 * c2), c2.conjugate() / c2)
+    best, best_f = 1.0 + 0j, (c1 + c2).real
+    # The product of the roots has modulus |conj(c2) / c2| = 1, so none is 0.
+    for r in np.linalg.eigvals(comp).tolist():
+        z = r / abs(r)
+        f = (c1 * z + c2 * z * z).real
+        if f > best_f:
+            best, best_f = z, f
+    return best
+
+
 # Weight move: grid points per round, and rounds zooming in on the best point.
 _WEIGHT_GRID = 17
 _WEIGHT_ROUNDS = 6
@@ -402,19 +460,6 @@ _GRID_FROM_HI = np.linspace(0.0, 1.0, _WEIGHT_GRID)
 _GRID_FROM_LO = 1.0 - _GRID_FROM_HI
 
 
-def _trig_argmax(values: np.ndarray) -> float:
-    """Global maximiser in (-pi/2, pi/2] of the degree-2 trigonometric polynomial
-    in ``2 theta`` that takes ``values`` at ``_PHASES``."""
-    _, c1, c2 = values @ _PHASE_DFT
-    # c(phi) = c_0 + 2 Re(c_1 z + c_2 z^2), z = e^{i phi}.  The critical points
-    # are the unit-circle roots of the quartic z^2 c'(phi) / i; taking the best
-    # root angle gives the global maximum.
-    roots = np.roots([2.0 * c2, c1, 0.0, -np.conj(c1), -2.0 * np.conj(c2)])
-    # z = 1 keeps a candidate when c is constant and there are no roots.
-    z = np.exp(1j * np.angle(np.append(roots, 1.0)))
-    return float(np.angle(z[np.argmax((c1 * z + c2 * z * z).real)])) / 2.0
-
-
 def numeric_max_search(E: float, m: int, trials: int, seed: int = 0) -> SearchOutcome:
     """Randomized search for the largest coherence at fixed covariance trace.
 
@@ -422,20 +467,29 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int = 0) -> SearchOu
     squeezing spectrum summing to the trace budget) in the fixed-size blocks
     of ``pure_param_blocks`` (blocks of ``mc_blocks``), so the
     samples of a run are a prefix of those of any longer run with the same
-    seed.  No covariance matrix is built: a pure state's coherence is the
-    quadratic form ``a^T H a`` in its shifted spectrum ``a = (d - 1, 1/d - 1)``,
-    with H from Gram matrices of its passive unitary X + iY (``_gram_form``,
-    ``_form_coherence``).  Each block of samples is one stack of forms.  The
-    best sample is then refined coordinate-wise:
+    seed.  No covariance matrix is built: each block of samples is scored by
+    the squared norm of its position-momentum blocks, ``V_xp = Y (D^-1 - 1)
+    X^T - X (D - 1) Y^T`` for passive unitary X + iY and ``D = diag(d)``
+    (``_xp_block``, two batched matmuls).  The best sample is then refined
+    coordinate-wise, in sweeps of per-mode phase moves and then per-mode
+    weight moves:
 
-    * per-mode phase in [-pi/2, pi/2]: the coherence is a trigonometric
-      polynomial in twice the phase, fixed exactly by five samples (one stack
-      of five forms), and its global maximum is taken, evaluated with the
-      form of that phase configuration;
+    * per-mode phase: turning column i by ``e^{i phi/2}`` changes the
+      coherence by ``2 Re(c_1 (z - 1) + c_2 (z^2 - 1))``, ``z = e^{i phi}``,
+      with ``c_1``, ``c_2`` from two O(m^2) contractions of the current block
+      (``_phase_coefficients``).  The global maximum over phi is taken at the
+      unit-circle roots of a quartic, found as the eigenvalues of its 4 x 4
+      companion matrix (``_phase_argmax``), and an accepted move updates the
+      block by a rank-one term.  The phases are reported modulo pi, in
+      (-pi/2, pi/2];
     * single squeezing weight in [0, 1], the others rescaled to share the
-      rest: a grid, zoomed around its best point for a few rounds.  The
-      phases do not change, so every round of a sweep reuses the form of the
-      current phases and only evaluates it at the grid's spectra.
+      rest: a grid, zoomed around its best point for a few rounds.  With the
+      phases fixed the coherence is the quadratic form ``a^T H a``,
+      ``a = (d - 1, 1/d - 1) = (gamma + sigma, gamma - sigma)`` with
+      ``gamma = (E - 2m) w / 2`` and ``sigma = sqrt(gamma (gamma + 2))`` per
+      mode, and H is built once per sweep from Gram matrices of X + iY
+      (``_gram_form``, ``_form_coherence``), so each round only evaluates it
+      at its grid's ``(gamma, sigma)``.
 
     A move is accepted only if it raises the current value; a sweep that
     accepts none ends the refinement, since the next would repeat it, and
@@ -458,39 +512,46 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int = 0) -> SearchOu
 
     best_c = -1.0
     for start, xs, ys, ds in pure_param_blocks(seed, trials, E, m, False):
-        c = _form_coherence(_gram_form(xs, ys), ds)
+        alpha = ds - 1.0
+        vs = _xp_block(xs, ys, alpha, -alpha / ds)
+        c = np.einsum("...ij,...ij->...", vs, vs)
         j = int(np.argmax(c))  # first maximum, as a strict running ">" keeps
         if c[j] > best_c:
             best_c = float(c[j])
             best = (start + j, xs[j], ys[j], ds[j])
 
     trial_idx, x, y, d = best
-    theta = np.zeros(m)
-    excess = E - 2.0 * m
-    weights = np.clip((d + 1.0 / d - 2.0) / excess, 0.0, None)
+    half_excess = 0.5 * (E - 2.0 * m)
+    weights = np.clip((d + 1.0 / d - 2.0) / (2.0 * half_excess), 0.0, None)
     weights = weights / weights.sum()
-    spectrum = spectrum_from_weights(E, m, weights)  # of the current weights
-    u = x + 1j * y
+    theta = np.zeros(m)
+    cols0 = (x + 1j * y).T  # the sample's columns u_k, one per row
+    cols = cols0.copy()  # the columns at the current phases
 
-    def form(th: np.ndarray) -> np.ndarray:
-        # Per-mode phases after the passive gate: X + iY -> (X + iY) e^{i theta},
-        # broadcast over stacks of phases (..., m).
-        ur = u * np.exp(1j * th)[..., None, :]
-        return _gram_form(ur.real, ur.imag)
+    def moduli(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # gamma = (d + 1/d)/2 - 1 and sigma = (d - 1/d)/2 of weights w (..., m).
+        g = half_excess * w
+        return g, np.sqrt(g * (g + 2.0))
 
-    h = form(theta)  # of the current phases
-    refined_c = float(_form_coherence(h, spectrum))
+    gamma, sigma = moduli(weights)
+    v = _xp_block(x, y, gamma + sigma, gamma - sigma)  # of the current state
+    refined_c = float(np.sum(v * v))
     for _ in range(_REFINE_PASSES):
         moved = False
         for i in range(m):
-            samples = np.repeat(theta[None, :], len(_PHASES), axis=0)
-            samples[:, i] = _PHASES
-            th = theta.copy()
-            th[i] = _trig_argmax(_form_coherence(form(samples), spectrum))
-            h_th = form(th)
-            c = float(_form_coherence(h_th, spectrum))
-            if c > refined_c:
-                theta, h, refined_c, moved = th, h_th, c, True
+            c1, c2 = _phase_coefficients(v, cols[i], float(sigma[i]))
+            z = _phase_argmax(c1, c2)
+            gain = 2.0 * (c1 * (z - 1.0) + c2 * (z * z - 1.0)).real
+            if gain > 0.0:
+                v += sigma[i] * np.outer((1.0 - z) * cols[i], cols[i]).imag
+                # Phases matter modulo pi: keep theta in (-pi/2, pi/2].
+                th = (theta[i] + 0.5 * cmath.phase(z)) % np.pi
+                theta[i] = th - np.pi if th > 0.5 * np.pi else th
+                cols[i] = cols0[i] * cmath.exp(1j * theta[i])
+                refined_c += gain
+                moved = True
+        h = _gram_form(cols.real.T, cols.imag.T)  # of the current phases
+        weights_moved = False
         for i in range(m):
             # Weight i set to t, the others rescaled to share the remaining 1 - t.
             rest = weights.sum() - weights[i]
@@ -500,18 +561,21 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int = 0) -> SearchOu
             best_w, best_wc = None, refined_c
             for _ in range(_WEIGHT_ROUNDS):
                 t = lo * _GRID_FROM_LO + hi * _GRID_FROM_HI
-                w = weights * ((1.0 - t[:, None]) / rest)
+                w = weights * ((1.0 - t) / rest)[:, None]
                 w[:, i] = t
-                w /= w.sum(axis=1, keepdims=True)
-                c = _form_coherence(h, spectrum_from_weights(E, m, w))
-                k = int(np.argmax(c))
+                g, s = moduli(w)
+                a = np.concatenate([g + s, g - s], axis=1)  # (d - 1, 1/d - 1)
+                c = ((a @ h) * a).sum(axis=1)
+                k = int(c.argmax())
                 if c[k] > best_wc:
                     best_w, best_wc = w[k], float(c[k])
                 lo, hi = t[max(k - 1, 0)], t[min(k + 1, _WEIGHT_GRID - 1)]
             if best_w is not None:
-                weights, refined_c, moved = best_w, best_wc, True
-                spectrum = spectrum_from_weights(E, m, weights)
-        if not moved:
+                weights, refined_c, weights_moved = best_w, best_wc, True
+        if weights_moved:
+            gamma, sigma = moduli(weights)
+            v = _xp_block(cols.real.T, cols.imag.T, gamma + sigma, gamma - sigma)
+        if not (moved or weights_moved):
             break
     sup_c = max(best_c, refined_c)
     return SearchOutcome(

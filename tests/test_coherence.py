@@ -41,7 +41,15 @@ from sympcoh import (
     trace_distance_cov_bound,
     vacuum_state,
 )
-from sympcoh.coherence import MscSpec, _form_coherence, _gram_form
+from sympcoh import coherence
+from sympcoh.coherence import (
+    MscSpec,
+    _form_coherence,
+    _gram_form,
+    _phase_argmax,
+    _phase_coefficients,
+    _xp_block,
+)
 from sympcoh.symplectic_ops import pure_cm, pure_param_blocks, spectrum_from_weights
 from conftest import random_free_cov, random_valid_cov
 
@@ -435,6 +443,78 @@ def test_search_argmax_reproduces_its_value(m):
         value = symplectic_coherence(CovMat(pure_cm(u.real, u.imag, d)))
         assert value == pytest.approx(where["refined_coherence"], rel=1e-12, abs=0)
         assert outcome.sup_c == max(where["sample_coherence"], where["refined_coherence"])
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
+def test_xp_block_matches_the_covariance_blocks(m):
+    for E in (2 * m + 1e-9, 2 * m + 1e-6, 4 * m + 8, 1e3, 1e8):
+        for _, x, y, d in pure_param_blocks(11, 64, E, m, False):
+            alpha = d - 1.0
+            v = _xp_block(x, y, alpha, -alpha / d)
+            assert_allclose(v, pure_cm(x, y, d)[..., :m, m:], rtol=0, atol=1e-12 * E)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_phase_move_closed_form_is_exact(m):
+    phis = np.linspace(-np.pi, np.pi, 16, endpoint=False)
+    grid = np.linspace(-np.pi, np.pi, 720, endpoint=False)
+    for E in (2 * m + 1e-6, 4 * m + 8, 1e8):
+        _, xs, ys, ds = next(pure_param_blocks(17, 3, E, m, False))
+        for x, y, d in zip(xs, ys, ds):
+            u = x + 1j * y
+            v = pure_cm(x, y, d)[:m, m:]
+            c0 = float(np.sum(v * v))
+            sigma = (d - 1.0 / d) / 2.0
+            for i in range(m):
+                c1, c2 = _phase_coefficients(v, u[:, i], float(sigma[i]))
+
+                def closed(phi):
+                    z = np.exp(1j * phi)
+                    return c0 + 2.0 * (c1 * (z - 1.0) + c2 * (z * z - 1.0)).real
+
+                # Column i turned by e^{i phi/2}, built and measured explicitly.
+                turned = np.repeat(u[None], len(phis), axis=0)
+                turned[:, :, i] *= np.exp(0.5j * phis)[:, None]
+                spectra = np.repeat(d[None], len(phis), axis=0)
+                explicit = qp_norm_sq(pure_cm(turned.real, turned.imag, spectra))
+                # c(phi) is c_0 plus terms of the size of c_0, so its error
+                # scales with the state's coherence, not with each c(phi).
+                scale = max(1.0, float(explicit.max()))
+                assert_allclose(closed(phis), explicit, rtol=0, atol=1e-12 * scale)
+                z = _phase_argmax(c1, c2)
+                assert abs(z) == pytest.approx(1.0, abs=1e-15)
+                best = closed(np.angle(z))
+                assert best >= closed(grid).max() * (1.0 - 1e-12)
+
+
+def test_search_builds_one_form_per_sweep(monkeypatch):
+    # Sampling scores V_xp directly and the phase moves work on the block, so
+    # only the weight moves use the quadratic form, one per sweep.
+    shapes = []
+    gram_form = coherence._gram_form
+
+    def counting(x, y):
+        shapes.append(x.shape)
+        return gram_form(x, y)
+
+    monkeypatch.setattr(coherence, "_gram_form", counting)
+    numeric_max_search(24.0, 4, trials=300, seed=1)
+    assert 1 <= len(shapes) <= coherence._REFINE_PASSES
+    assert all(shape == (4, 4) for shape in shapes)
+
+
+@pytest.mark.parametrize("m, bound", [(2, 0.0100), (4, 0.0445), (8, 0.0460)])
+def test_search_mean_gap_and_phase_range(m, bound):
+    E = 4.0 * m + 8.0
+    c_max = max_symplectic_coherence(E, m)
+    gaps = []
+    for seed in range(10):
+        outcome = numeric_max_search(E, m, trials=200, seed=seed)
+        assert outcome.sup_c <= c_max * (1.0 + 1e-12)
+        gaps.append((c_max - outcome.sup_c) / c_max)
+        theta = np.asarray(outcome.argmax["theta"])
+        assert np.all((theta > -np.pi / 2) & (theta <= np.pi / 2))
+    assert np.mean(gaps) <= bound
 
 
 def test_search_input_validation():
