@@ -21,6 +21,7 @@ from .symplectic_ops import (
     SympGate,
     pure_cm,
     pure_param_blocks,
+    pure_xp_block,
     require_budget,
 )
 
@@ -384,22 +385,6 @@ def _form_coherence(h: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", (a[..., None, :] @ h)[..., 0, :], a)
 
 
-def _xp_block(
-    x: np.ndarray, y: np.ndarray, alpha: np.ndarray, beta: np.ndarray
-) -> np.ndarray:
-    """Position-momentum blocks ``V_xp`` of pure states of passive unitary X + iY.
-
-    Takes (..., m, m) stacks and the shifted spectra ``alpha = d - 1`` and
-    ``beta = 1/d - 1`` (..., m), and returns ``Y diag(beta) X^T - X diag(alpha)
-    Y^T`` (see ``_form_coherence``): two matmuls per state, and its squared
-    norm is the coherence.  It takes the shifted spectra rather than d
-    because ``d - 1`` loses digits near the vacuum: a caller that has them
-    in closed form passes them unrounded.
-    """
-    xt, yt = np.swapaxes(x, -1, -2), np.swapaxes(y, -1, -2)
-    return (y * beta[..., None, :]) @ xt - (x * alpha[..., None, :]) @ yt
-
-
 def _phase_coefficients(
     v: np.ndarray, u: np.ndarray, sigma: float
 ) -> tuple[complex, complex]:
@@ -470,9 +455,9 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int = 0) -> SearchOu
     seed.  No covariance matrix is built: each block of samples is scored by
     the squared norm of its position-momentum blocks, ``V_xp = Y (D^-1 - 1)
     X^T - X (D - 1) Y^T`` for passive unitary X + iY and ``D = diag(d)``
-    (``_xp_block``, two batched matmuls).  The best sample is then refined
-    coordinate-wise, in sweeps of per-mode phase moves and then per-mode
-    weight moves:
+    (``symplectic_ops.pure_xp_block``, two batched matmuls).  The best
+    sample is then refined coordinate-wise, in sweeps of per-mode phase moves
+    and then per-mode weight moves:
 
     * per-mode phase: turning column i by ``e^{i phi/2}`` changes the
       coherence by ``2 Re(c_1 (z - 1) + c_2 (z^2 - 1))``, ``z = e^{i phi}``,
@@ -513,7 +498,7 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int = 0) -> SearchOu
     best_c = -1.0
     for start, xs, ys, ds in pure_param_blocks(seed, trials, E, m, False):
         alpha = ds - 1.0
-        vs = _xp_block(xs, ys, alpha, -alpha / ds)
+        vs = pure_xp_block(xs, ys, alpha, -alpha / ds)
         c = np.einsum("...ij,...ij->...", vs, vs)
         j = int(np.argmax(c))  # first maximum, as a strict running ">" keeps
         if c[j] > best_c:
@@ -534,7 +519,7 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int = 0) -> SearchOu
         return g, np.sqrt(g * (g + 2.0))
 
     gamma, sigma = moduli(weights)
-    v = _xp_block(x, y, gamma + sigma, gamma - sigma)  # of the current state
+    v = pure_xp_block(x, y, gamma + sigma, gamma - sigma)  # of the current state
     refined_c = float(np.sum(v * v))
     for _ in range(_REFINE_PASSES):
         moved = False
@@ -574,7 +559,7 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int = 0) -> SearchOu
                 weights, refined_c, weights_moved = best_w, best_wc, True
         if weights_moved:
             gamma, sigma = moduli(weights)
-            v = _xp_block(cols.real.T, cols.imag.T, gamma + sigma, gamma - sigma)
+            v = pure_xp_block(cols.real.T, cols.imag.T, gamma + sigma, gamma - sigma)
         if not (moved or weights_moved):
             break
     sup_c = max(best_c, refined_c)

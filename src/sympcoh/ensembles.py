@@ -9,6 +9,7 @@ full passive family ``S = [[X, Y], [-Y, X]]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -22,6 +23,7 @@ from .symplectic_ops import (
     mean_stderr,
     pure_cm,
     pure_param_blocks,
+    pure_xp_block,
     require_budget,
     sample_d,  # noqa: F401 - kept importable from this module
     sample_pure_params,
@@ -60,6 +62,9 @@ class EnsembleConfig:
 @dataclass(frozen=True)
 class EnsembleStats:
     """Monte-Carlo summary of the first-mode squared symplectic eigenvalue.
+
+    Holds no coherence statistic: per-sample coherence is computed only when
+    ``ensemble_nu_sq`` is asked for the samples.
 
     Attributes:
         mean_nu_sq: Monte-Carlo mean of nu_1^2.
@@ -100,12 +105,47 @@ def sample_pure_cm(config: EnsembleConfig, rng: np.random.Generator) -> CovMat:
     return CovMat(pure_cm(x[0], y[0], d[0]))
 
 
+@cache
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mode indices ``(k, l)`` of the ``m(m-1)/2`` pairs ``k < l`` (read-only, shared)."""
+    pairs = np.triu_indices(m, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _pair_sums(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``d``: ``sum_{i!=j} d_i/d_j + d_j/d_i``, ``sum_{i!=j} d_i d_j + 1/(d_i d_j)``."""
-    a, b = d.sum(axis=1), (1.0 / d).sum(axis=1)
-    s1 = 2.0 * a * b - 2 * d.shape[1]
-    s2 = a * a - np.sum(d * d, axis=1) + b * b - np.sum(1.0 / (d * d), axis=1)
-    return s1, s2
+    """Per row of ``d``: ``sum_{i!=j} d_i/d_j + d_j/d_i``, ``sum_{i!=j} d_i d_j + 1/(d_i d_j)``.
+
+    Summed over the pairs ``k < l`` as ``2 sum (r + 1/r)``, ``r = d_k/d_l``,
+    and ``2 sum (p + 1/p)``, ``p = d_k d_l``: every term is positive, so no
+    large sums cancel when one ``d_k`` dominates.
+    """
+    k, l = _pairs(d.shape[1])
+    r = d[:, k] / d[:, l]
+    p = d[:, k] * d[:, l]
+    return 2.0 * np.sum(r + 1.0 / r, axis=1), 2.0 * np.sum(p + 1.0 / p, axis=1)
+
+
+def _first_mode_nu_sq(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """nu_1^2 of pure states from the first rows ``u = x + iy`` (n, m) and spectra d (n, m).
+
+    Rows 0 and m of ``A = S_U diag(d, 1/d)^(1/2)`` give ``nu_1^2 = |a|^2 |b|^2
+    - (a.b)^2``.  The Lagrange identity turns it into a sum of squared 2 x 2
+    minors, and ``|u|^2 = 1`` into
+
+        ``1 + sum_{k<l} (s - 1/s)^2 w^2 + (t - 1/t)^2 z^2``
+
+    with ``s = sqrt(d_k d_l)``, ``t = sqrt(d_k / d_l)`` and ``z + iw =
+    conj(u_k) u_l``.  Every term is nonnegative, so ``nu_1^2 >= 1`` and nothing
+    of size d^2 cancels; a single mode (no pairs) gives exactly 1.
+    """
+    k, l = _pairs(d.shape[1])
+    root = np.sqrt(d)
+    s = root[:, k] * root[:, l]
+    t = root[:, k] / root[:, l]
+    g = (x[:, k] - 1j * y[:, k]) * (x[:, l] + 1j * y[:, l])
+    return 1.0 + np.sum(((s - 1.0 / s) * g.imag) ** 2 + ((t - 1.0 / t) * g.real) ** 2, axis=1)
 
 
 def analytic_mean_nu_sq(kind: str, m: int, s1: float, s2: float) -> float:
@@ -124,11 +164,14 @@ def ensemble_nu_sq(
 
     Samples come from ``pure_param_blocks`` (blocks of ``mc_blocks``), so the
     first k samples do not depend on ``n_samples`` and different seeds give
-    independent samples.
+    independent samples.  No covariance matrix is built: nu_1^2 comes from
+    each sample's first row and spectrum (``_first_mode_nu_sq``).
 
     Args:
         config: ensemble parameters.
         return_samples: also return per-sample arrays (nu_1^2, coherence).
+            Only then is the coherence computed, from the position-momentum
+            blocks of ``symplectic_ops.pure_xp_block``.
 
     Returns:
         The statistics, plus the two per-sample arrays when requested.
@@ -136,16 +179,18 @@ def ensemble_nu_sq(
     n = config.n_samples
     m = config.m
     nu_sq = np.empty(n)
-    coh = np.empty(n)
+    coh = np.empty(n) if return_samples else None
     s1_arr = np.empty(n)
     s2_arr = np.empty(n)
     draws = pure_param_blocks(config.seed, n, config.E, m, config.kind == "orthogonal")
     for start, x, y, d in draws:
-        v = pure_cm(x, y, d)
         block = slice(start, start + d.shape[0])
-        nu_sq[block] = v[:, 0, 0] * v[:, m, m] - v[:, 0, m] ** 2
-        coh[block] = np.sum(v[:, :m, m:] ** 2, axis=(1, 2))
+        nu_sq[block] = _first_mode_nu_sq(x[:, 0], y[:, 0], d)
         s1_arr[block], s2_arr[block] = _pair_sums(d)
+        if return_samples:
+            alpha = d - 1.0
+            v = pure_xp_block(x, y, alpha, -alpha / d)
+            coh[block] = np.sum(v * v, axis=(1, 2))
     analytic = analytic_mean_nu_sq(config.kind, m, s1_arr, s2_arr)
 
     mean, stderr = mean_stderr(nu_sq)

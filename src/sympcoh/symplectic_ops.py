@@ -57,10 +57,17 @@ def mc_blocks(seed: int, n: int, size: int, draw: Callable) -> Iterator[tuple[in
 
 
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean of ``values`` and its standard error (0 for a single value)."""
+    """Sample mean of ``values`` and its standard error (0 for a single value).
+
+    Both are taken on ``values / 2^k``, with ``2^k`` just above the largest
+    magnitude, and scaled back: dividing by a power of two is exact, and the
+    squared deviations stay finite for values up to the largest float.
+    """
     n = values.shape[0]
-    se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return float(np.mean(values)), se
+    scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(values)))[1]))
+    scaled = values / scale
+    se = float(np.std(scaled, ddof=1) / np.sqrt(n) * scale) if n > 1 else 0.0
+    return float(np.mean(scaled) * scale), se
 
 
 def is_symplectic(s: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
@@ -441,11 +448,16 @@ def haar_unitary_batch(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     Batched QR of complex Ginibre matrices with the phases of R's diagonal
     moved into Q (Mezzadri, Notices AMS 54, 592, 2007).
     """
-    z = (rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))) / np.sqrt(2.0)
+    # Filled in place to save temporaries; the values are bit for bit those of
+    # (g1 + 1j * g2) / sqrt(2) and q * phases, which the samples' streams rely on.
+    z = np.empty((n, m, m), dtype=complex)
+    z.real = rng.standard_normal((n, m, m))
+    z.imag = rng.standard_normal((n, m, m))
+    z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    phases = diag / np.abs(diag)
-    return q * phases[:, None, :]
+    q *= (diag / np.abs(diag))[:, None, :]
+    return q
 
 
 def sample_pure_params(
@@ -494,3 +506,21 @@ def pure_cm(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
     # transpose as a symmetric rank-k update, so V is exactly symmetric.
     a = s_u * np.sqrt(np.concatenate([d, 1.0 / d], axis=-1))[..., None, :]
     return a @ np.swapaxes(a, -1, -2)
+
+
+def pure_xp_block(
+    x: np.ndarray, y: np.ndarray, alpha: np.ndarray, beta: np.ndarray
+) -> np.ndarray:
+    """Position-momentum blocks ``V_xp`` of pure states of passive unitary X + iY.
+
+    Takes (..., m, m) stacks and the shifted spectra ``alpha = d - 1`` and
+    ``beta = 1/d - 1`` (..., m), and returns ``Y diag(beta) X^T - X diag(alpha)
+    Y^T``: two matmuls per state, and its squared norm is the coherence.
+    The block of ``pure_cm`` is ``Y D^-1 X^T - X D Y^T`` with ``D = diag(d)``;
+    unitarity makes ``Y X^T = X Y^T``, which removes the identity from both
+    terms.  It takes the shifted spectra rather than d because ``d - 1``
+    loses digits near the vacuum: a caller that has them in closed form
+    passes them unrounded.  The block is exactly 0 where ``y = 0``.
+    """
+    xt, yt = np.swapaxes(x, -1, -2), np.swapaxes(y, -1, -2)
+    return (y * beta[..., None, :]) @ xt - (x * alpha[..., None, :]) @ yt

@@ -48,9 +48,13 @@ from sympcoh.coherence import (
     _gram_form,
     _phase_argmax,
     _phase_coefficients,
-    _xp_block,
 )
-from sympcoh.symplectic_ops import pure_cm, pure_param_blocks, spectrum_from_weights
+from sympcoh.symplectic_ops import (
+    pure_cm,
+    pure_param_blocks,
+    pure_xp_block,
+    spectrum_from_weights,
+)
 from conftest import random_free_cov, random_valid_cov
 
 TOL = 1e-9
@@ -450,7 +454,7 @@ def test_xp_block_matches_the_covariance_blocks(m):
     for E in (2 * m + 1e-9, 2 * m + 1e-6, 4 * m + 8, 1e3, 1e8):
         for _, x, y, d in pure_param_blocks(11, 64, E, m, False):
             alpha = d - 1.0
-            v = _xp_block(x, y, alpha, -alpha / d)
+            v = pure_xp_block(x, y, alpha, -alpha / d)
             assert_allclose(v, pure_cm(x, y, d)[..., :m, m:], rtol=0, atol=1e-12 * E)
 
 

@@ -21,7 +21,9 @@ from sympcoh import (
     spectrum_from_weights,
     symplectic_coherence,
 )
-from sympcoh.symplectic_ops import block_samples
+from sympcoh import ensembles
+from sympcoh.ensembles import _first_mode_nu_sq, _pair_sums
+from sympcoh.symplectic_ops import block_samples, pure_cm, pure_param_blocks
 
 TOL = 1e-12
 
@@ -84,10 +86,11 @@ def test_single_mode_orthogonal_is_diagonal_squeeze(rng):
 
 @pytest.mark.parametrize("kind", ["orthogonal", "unitary"])
 def test_single_mode_reduction_is_trivial(kind):
-    config = EnsembleConfig(m=1, E=8.0, n_samples=200, seed=4, kind=kind)
-    stats = ensemble_nu_sq(config)
-    assert stats.mean_nu_sq == pytest.approx(1.0, abs=TOL)
-    assert stats.analytic_mean == pytest.approx(1.0, abs=TOL)
+    for E in (8.0, 1e4, 1e8, 1e12, 1e150):
+        config = EnsembleConfig(m=1, E=E, n_samples=200, seed=4, kind=kind)
+        stats = ensemble_nu_sq(config)
+        assert stats.mean_nu_sq == pytest.approx(1.0, abs=TOL), E
+        assert stats.analytic_mean == pytest.approx(1.0, abs=TOL), E
 
 
 @pytest.mark.parametrize("kind", ["orthogonal", "unitary"])
@@ -113,6 +116,69 @@ def test_monte_carlo_matches_analytic_mean(kind, m, E):
     stats = ensemble_nu_sq(config)
     assert abs(stats.mean_nu_sq - stats.analytic_mean) <= 4 * stats.stderr_diff
     assert stats.mean_nu_sq >= 1.0 - 3 * stats.stderr
+
+
+def lagrange_nu_sq(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Long-double nu_1^2 of first rows (n, m): squared 2 x 2 minors of rows 0 and m of ``A``.
+
+    ``A = S_U diag(d, 1/d)^(1/2)``; ``sum_{i<j} (a_i b_j - a_j b_i)^2`` is the
+    Gram determinant ``|a|^2 |b|^2 - (a.b)^2`` without using ``|u| = 1``.
+    """
+    x, y, d = (np.asarray(v, dtype=np.longdouble) for v in (x, y, d))
+    root = np.sqrt(d)
+    a = np.concatenate([x * root, y / root], axis=1)
+    b = np.concatenate([-y * root, x / root], axis=1)
+    minors = a[:, :, None] * b[:, None, :] - a[:, None, :] * b[:, :, None]
+    return np.sum(minors * minors, axis=(1, 2)) / 2
+
+
+@pytest.mark.parametrize("kind", ["orthogonal", "unitary"])
+@pytest.mark.parametrize("m", [1, 2, 8, 16])
+def test_first_mode_nu_sq_matches_long_double_minors(kind, m):
+    for E in (2 * m + 1e-9, 2 * m + 1e-6, 4 * m + 8, 1e3, 1e8, 1e12, 1e50, 1e150):
+        for _, x, y, d in pure_param_blocks(23, 256, E, m, kind == "orthogonal"):
+            got = _first_mode_nu_sq(x[:, 0], y[:, 0], d)
+            want = lagrange_nu_sq(x[:, 0], y[:, 0], d)
+            assert np.all(np.abs(got - want) <= 1e-12 * want), (m, E)
+            assert np.all(got >= 1.0 - 1e-15), (m, E)
+
+
+@pytest.mark.parametrize("m", [2, 8])
+def test_pair_sums_match_long_double(m):
+    for E in (4 * m + 8, 1e4, 1e12, 1e150):
+        for _, _, _, d in pure_param_blocks(29, 64, E, m, True):
+            s1, s2 = _pair_sums(d)
+            ld = d.astype(np.longdouble)
+            off = ~np.eye(m, dtype=bool)
+            ratio, prod = ld[:, :, None] / ld[:, None, :], ld[:, :, None] * ld[:, None, :]
+            want1 = np.sum(np.where(off, ratio + 1 / ratio, 0), axis=(1, 2))
+            want2 = np.sum(np.where(off, prod + 1 / prod, 0), axis=(1, 2))
+            assert np.all(np.abs(s1 - want1) <= 1e-14 * want1), (m, E)
+            assert np.all(np.abs(s2 - want2) <= 1e-14 * want2), (m, E)
+
+
+@pytest.mark.parametrize("kind", ["orthogonal", "unitary"])
+def test_ensemble_statistics_stay_finite_at_large_trace(kind):
+    for m in (2, 8, 16):
+        stats = ensemble_nu_sq(EnsembleConfig(m=m, E=1e150, n_samples=300, seed=3, kind=kind))
+        values = (stats.mean_nu_sq, stats.stderr, stats.analytic_mean, stats.stderr_diff)
+        assert np.all(np.isfinite(values)) and stats.stderr > 0, m
+        assert abs(stats.mean_nu_sq - stats.analytic_mean) <= 5 * stats.stderr_diff, m
+
+
+def test_ensemble_builds_no_covariance_matrix(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pure_cm(*args)
+
+    monkeypatch.setattr(ensembles, "pure_cm", counting)
+    for kind in ("orthogonal", "unitary"):
+        config = EnsembleConfig(m=3, E=12.0, n_samples=300, seed=2, kind=kind)
+        ensemble_nu_sq(config)
+        ensemble_nu_sq(config, return_samples=True)
+    assert calls == []
 
 
 def test_analytic_mean_uses_pair_sums():

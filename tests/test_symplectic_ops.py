@@ -45,6 +45,7 @@ from sympcoh.symplectic_ops import (
     block_samples,
     haar_orthogonal_batch,
     haar_unitary_batch,
+    mean_stderr,
     sample_d_batch,
 )
 from conftest import random_valid_cov
@@ -100,6 +101,19 @@ def test_every_driver_derives_one_generator_per_block(monkeypatch):
     assert count(lambda: applications.run_discrimination(disc)) == disc_blocks
     haar_blocks = len(ensembles.KINDS) * math.ceil(1000 / block_samples(2))
     assert count(lambda: ensembles.haar_moment_check(2, 1000, derive_rng(1, 0))) == haar_blocks
+
+
+def test_mean_stderr_is_the_plain_formula_and_finite_near_the_float_range(rng):
+    for n in (2, 7, 300):
+        for scale in (1e-100, 1e-3, 1.0, 1e5, 1e100):
+            values = scale * (3.0 + rng.standard_normal(n))
+            se = np.std(values, ddof=1) / np.sqrt(n)
+            assert mean_stderr(values) == (float(np.mean(values)), float(se))
+    assert mean_stderr(np.array([2.5])) == (2.5, 0.0)
+    assert mean_stderr(np.zeros(4)) == (0.0, 0.0)
+    mean, se = mean_stderr(np.array([1e300, 3e300, 5e300]))
+    assert mean == pytest.approx(3e300, rel=1e-15)
+    assert se == pytest.approx(2e300 / np.sqrt(3), rel=1e-15)
 
 
 def test_sample_d_batch_redraws_a_zero_row():
@@ -307,6 +321,22 @@ def test_haar_samplers_produce_orthogonal_unitary(rng):
         x, y = haar_unitary(m, rng)
         u = x + 1j * y
         assert_allclose(u @ u.conj().T, np.eye(m), atol=1e-10)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
+def test_haar_unitary_batch_keeps_the_bytes_of_the_plain_formula(m):
+    for seed in range(50):
+        rng, ref_rng = derive_rng(seed, m), derive_rng(seed, m)
+        z = (
+            ref_rng.standard_normal((9, m, m)) + 1j * ref_rng.standard_normal((9, m, m))
+        ) / np.sqrt(2.0)
+        q, r = np.linalg.qr(z)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        phases = diag / np.abs(diag)
+        want = q * phases[:, None, :]
+        got = haar_unitary_batch(m, 9, rng)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_haar_batches_match_properties(rng):
