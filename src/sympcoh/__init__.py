@@ -20,6 +20,7 @@ from .gaussian_core import (
     Violation,
     blocks,
     assemble,
+    is_free,
     is_pure,
     is_valid,
     load_state,
@@ -73,7 +74,6 @@ from .coherence import (
     active_gate_counterexample,
     closest_free_cm,
     coherence_report,
-    is_free,
     max_symplectic_coherence,
     mixed_msc_check,
     msc_canonical,

@@ -25,6 +25,7 @@ from .gaussian_core import (
 from .symplectic_ops import BLOCK_ENTRIES, IdentityChannel, mc_blocks
 
 MEAN_GAP_TOL = 1e-12
+WILSON_Z = 1.96  #: normal quantile of the 95% Wilson-score bound on the error rate
 
 
 class QfiBound(NamedTuple):
@@ -246,10 +247,11 @@ def median_of_means(samples: Sequence[float] | np.ndarray, delta: float) -> floa
     return float(estimate) if x.ndim == 1 else estimate
 
 
-def wilson_upper(failures: int, trials: int, z: float = 1.96) -> float:
-    """Wilson-score upper confidence limit for a binomial proportion."""
+def wilson_upper(failures: int, trials: int) -> float:
+    """Wilson-score upper confidence limit for a binomial proportion, at ``z = WILSON_Z``."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = WILSON_Z
     p = failures / trials
     denom = 1.0 + z * z / trials
     center = p + z * z / (2.0 * trials)
@@ -355,10 +357,11 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
         probe_cov = config.probe.cov
         probe_mu = float(probe_cov.matrix[0, probe_cov.m])
         if probe_mu != 0.0:
+            first = reduced_first_mode(probe_cov)
             n_thres = n_thres_loss(
                 mu=probe_mu,
-                nu_sq=reduced_first_mode(probe_cov).nu_sq,
-                E1=reduced_first_mode(probe_cov).trace,
+                nu_sq=first.nu_sq,
+                E1=first.trace,
                 eta1=eta1,
                 eta2=eta2,
                 delta=config.delta,

@@ -59,9 +59,15 @@ def _read_valid_state(path: str, m: int | None = None) -> gaussian_core.Gaussian
     return state
 
 
+def _require_object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def _load_json(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        return _require_object(json.load(fh), f"the document in {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +82,8 @@ def build_gate(spec: dict, m: int) -> ops.SympGate:
     ``block_orthogonal`` (o), ``passive`` (x, y), ``displacement`` (d),
     ``beamsplitter`` (eta; two modes), ``matrix`` (S, optional disp).
     """
-    kind = spec.get("kind")
-    params = spec.get("params", {})
+    kind = _require_object(spec, "gate spec").get("kind")
+    params = _require_object(spec.get("params", {}), "gate params")
     if kind == "squeezer":
         return ops.squeezer(m, int(params["mode"]), float(params["r"]))
     if kind == "phase_shifter":
@@ -99,7 +105,7 @@ def build_gate(spec: dict, m: int) -> ops.SympGate:
 
 def build_channel(spec: dict):
     """Build a channel from ``{"kind": "loss"|"identity"|"stinespring", ...}``."""
-    kind = spec.get("kind")
+    kind = _require_object(spec, "channel spec").get("kind")
     if kind == "loss":
         return ops.LossChannel(float(spec["eta"]))
     if kind == "identity":
@@ -136,7 +142,7 @@ def _cmd_coherence(args) -> tuple[dict, int]:
     return {
         "c": report.coherence,
         "hs_distance_sq_to_free": report.hs_distance_sq_to_free,
-        "is_free": coherence.is_free(state.cov),
+        "is_free": gaussian_core.is_free(state.cov),
         "closest_free": report.closest_free.matrix.tolist(),
         "m": state.m,
         "trace": state.cov.trace,
@@ -202,6 +208,8 @@ def _cmd_discriminate(args) -> tuple[dict, int]:
     cfg = _load_json(args.config)
     probe = _state_arg(cfg["probe_file"] if "probe_file" in cfg else cfg["probe"])
     gaussian_core.require_valid(probe.cov)
+    if not isinstance(cfg["channels"], list):
+        raise ValueError("discriminate config: channels must be a JSON list of two channel specs")
     channels = tuple(build_channel(spec) for spec in cfg["channels"])
     config = applications.DiscriminationConfig(
         probe=probe,

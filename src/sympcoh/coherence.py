@@ -25,8 +25,8 @@ from .symplectic_ops import (
     require_budget,
 )
 
-FREE_TOL = 1e-10
-MEMBERSHIP_TOL = 1e-8
+MEMBERSHIP_TOL = 1e-8  #: largest first-row residual of a maximal-coherence member
+MIXED_MSC_TOL = 1e-9  #: tolerance of each equality that mixed_msc_check tests
 
 
 def symplectic_coherence(cov: CovMat) -> float:
@@ -46,18 +46,10 @@ def closest_free_cm(cov: CovMat) -> CovMat:
     yields a valid covariance matrix, and it minimises the Hilbert-Schmidt
     distance to the correlation-free set.
     """
-    v_x, v_p, _ = blocks(cov)
     m = cov.m
-    out = np.zeros((2 * m, 2 * m))
-    out[:m, :m] = v_x
-    out[m:, m:] = v_p
-    return CovMat(out, tol=cov.tol)
-
-
-def is_free(cov: CovMat, tol: float = FREE_TOL) -> bool:
-    """Whether every position-momentum covariance entry is within ``tol`` of 0."""
-    _, _, v_xp = blocks(cov)
-    return bool(np.max(np.abs(v_xp)) <= tol) if v_xp.size else True
+    out = cov.matrix.copy()
+    out[:m, m:] = out[m:, :m] = 0.0
+    return CovMat(out)
 
 
 @dataclass(frozen=True)
@@ -198,28 +190,21 @@ class MembershipReport:
 
     @property
     def max_residual(self) -> float:
-        return float(
-            max(
-                self.residual_cos_sq.max(),
-                self.residual_sin_sq.max(),
-                self.residual_cos_sin.max(),
-            )
-        )
+        res = (self.residual_cos_sq, self.residual_sin_sq, self.residual_cos_sin)
+        return float(max(r.max() for r in res))
 
 
-def msc_membership_conditions(
-    o: np.ndarray, theta: np.ndarray, tol: float = MEMBERSHIP_TOL
-) -> MembershipReport:
+def msc_membership_conditions(o: np.ndarray, theta: np.ndarray) -> MembershipReport:
     """Check whether phase angles and an inner orthogonal give maximal coherence.
 
     Args:
         o: m x m orthogonal matrix (the gate applied before the phase
             shifters, acting on a squeezed first mode).
         theta: per-mode phase angles, shape (m,).
-        tol: residual tolerance.
 
     Returns:
-        Per-condition first-row residuals and the overall verdict.
+        Per-condition first-row residuals and the overall verdict: a member
+        iff no residual exceeds ``MEMBERSHIP_TOL``.
 
     Raises:
         ValueError: if ``o`` is not orthogonal.
@@ -243,18 +228,17 @@ def msc_membership_conditions(
     res_c = first_row_residual(c * c)
     res_s = first_row_residual(s * s)
     res_cs = first_row_residual(c * s)
-    ok = bool(max(res_c.max(), res_s.max(), res_cs.max()) <= tol)
+    ok = bool(max(res_c.max(), res_s.max(), res_cs.max()) <= MEMBERSHIP_TOL)
     return MembershipReport(ok, res_c, res_s, res_cs)
 
 
-def mixed_msc_check(
-    cov: CovMat, comp1: CovMat, comp2: CovMat, tol: float = 1e-9
-) -> tuple[bool, list[str]]:
+def mixed_msc_check(cov: CovMat, comp1: CovMat, comp2: CovMat) -> tuple[bool, list[str]]:
     """Verify a maximal-coherence mixed state's equal-weight decomposition.
 
     Requires ``cov = (comp1 + comp2) / 2`` with both components pure, of equal
     covariance trace, with identical position-momentum blocks, and each
-    attaining the maximal coherence for that trace.
+    attaining the maximal coherence for that trace (purity as ``is_pure``
+    decides, the rest to ``MIXED_MSC_TOL``, relative for the coherences).
 
     Returns:
         (verdict, list of human-readable failure reasons; empty when true).
@@ -263,21 +247,21 @@ def mixed_msc_check(
     if cov.m != comp1.m or cov.m != comp2.m:
         return False, ["mode counts differ"]
     mix = 0.5 * (comp1.matrix + comp2.matrix)
-    if np.max(np.abs(mix - cov.matrix)) > tol:
+    if np.max(np.abs(mix - cov.matrix)) > MIXED_MSC_TOL:
         reasons.append("covariance is not the equal-weight average of the components")
     for label, comp in (("first", comp1), ("second", comp2)):
         if not is_pure(comp):
             reasons.append(f"{label} component is not pure")
     tr1, tr2 = float(np.trace(comp1.matrix)), float(np.trace(comp2.matrix))
-    if abs(tr1 - tr2) > tol:
+    if abs(tr1 - tr2) > MIXED_MSC_TOL:
         reasons.append("component covariance traces differ")
     _, _, xp1 = blocks(comp1)
     _, _, xp2 = blocks(comp2)
-    if np.max(np.abs(xp1 - xp2)) > tol:
+    if np.max(np.abs(xp1 - xp2)) > MIXED_MSC_TOL:
         reasons.append("component position-momentum blocks differ")
     c_max = max_symplectic_coherence(tr1, comp1.m)
     for label, comp in (("first", comp1), ("second", comp2)):
-        if abs(symplectic_coherence(comp) - c_max) > tol * max(1.0, c_max):
+        if abs(symplectic_coherence(comp) - c_max) > MIXED_MSC_TOL * max(1.0, c_max):
             reasons.append(f"{label} component coherence is not maximal for its trace")
     return (not reasons), reasons
 

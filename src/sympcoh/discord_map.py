@@ -16,7 +16,7 @@ import numpy as np
 
 from .gaussian_core import CovMat, require_valid
 
-CQ_TOL = 1e-10
+CQ_TOL = 1e-10  #: largest off-diagonal entry of a classical-quantum virtual state
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,9 @@ def geometric_discord(image: DiscordImage) -> float:
     return float(2.0 * np.sum(off * off))
 
 
-def is_classical_quantum(image: DiscordImage, tol: float = CQ_TOL) -> bool:
-    """Whether the virtual state is block-diagonal (zero discord) within tol."""
-    return bool(np.max(np.abs(image.off_block)) <= tol) if image.m else True
+def is_classical_quantum(image: DiscordImage) -> bool:
+    """Whether the virtual state is block-diagonal (zero discord) within ``CQ_TOL``."""
+    return bool(np.max(np.abs(image.off_block)) <= CQ_TOL)
 
 
 class RelationCheck(NamedTuple):
@@ -100,12 +100,13 @@ def coherence_discord_relation_check(cov: CovMat) -> RelationCheck:
     """Verify ``coherence = (Tr V)^2 / 2 * discord`` on one covariance matrix.
 
     The identity holds by construction; the residual guards against
-    implementation drift between the two code paths.
+    implementation drift between the two code paths.  Its right-hand side is
+    ``|Tr V * off_block|^2``: no ``(Tr V)^2`` to overflow, no discord to underflow.
     """
     m = cov.m
     v_xp = cov.matrix[:m, m:]
     coherence = float(np.sum(v_xp * v_xp))
     image = to_density(cov)
-    discord = geometric_discord(image)
-    residual = abs(coherence - image.c_scale**2 * discord / 2.0)
-    return RelationCheck(coherence, discord, residual)
+    rescaled = image.c_scale * image.off_block
+    residual = abs(coherence - float(np.sum(rescaled * rescaled)))
+    return RelationCheck(coherence, geometric_discord(image), residual)

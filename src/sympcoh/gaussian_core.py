@@ -24,6 +24,9 @@ import numpy as np
 
 #: Default absolute tolerance for eigenvalue-based validity checks.
 DEFAULT_TOL = 1e-9
+PAIRING_TOL = 1e-8  #: relative tolerance of the +/- pairing of the Williamson moduli
+PURITY_TOL = 1e-8  #: absolute tolerance of is_pure on every symplectic eigenvalue
+FREE_TOL = 1e-10  #: default absolute tolerance of is_free on the V_xp block
 
 #: Identifier stored in every covariance-matrix JSON document.
 CM_FORMAT = "sympcoh-cm-v1"
@@ -117,13 +120,11 @@ class CovMat:
 
     Attributes:
         matrix: the 2m x 2m real matrix (read-only).
-        m: number of modes.
-        tol: default absolute tolerance for validity checks.
+        m: number of modes, set from the matrix's shape.
     """
 
     matrix: np.ndarray
-    m: int = field(default=0)
-    tol: float = DEFAULT_TOL
+    m: int = field(init=False)
 
     def __post_init__(self):
         arr = _as_cm_array(self.matrix)
@@ -215,7 +216,7 @@ class Violation(NamedTuple):
     magnitude: float
 
 
-def validate(cov: CovMat, tol: float | None = None) -> list[Violation]:
+def validate(cov: CovMat, tol: float = DEFAULT_TOL) -> list[Violation]:
     """Check every covariance-matrix invariant.
 
     Compares the cached :attr:`CovMat.margins` with ``tol``, so the eigen
@@ -224,14 +225,12 @@ def validate(cov: CovMat, tol: float | None = None) -> list[Violation]:
 
     Args:
         cov: candidate covariance matrix.
-        tol: absolute tolerance; defaults to ``cov.tol``.
+        tol: absolute tolerance.
 
     Returns:
         An empty list iff all invariants hold; otherwise one entry per
         violated invariant with the violation magnitude.
     """
-    if tol is None:
-        tol = cov.tol
     mg = cov.margins
     out: list[Violation] = []
     if mg.asymmetry > tol:
@@ -248,14 +247,14 @@ def validate(cov: CovMat, tol: float | None = None) -> list[Violation]:
     return out
 
 
-def is_valid(cov: CovMat, tol: float | None = None) -> bool:
+def is_valid(cov: CovMat, tol: float = DEFAULT_TOL) -> bool:
     """True iff :func:`validate` reports no violations."""
     return not validate(cov, tol)
 
 
-def require_valid(cov: CovMat, tol: float | None = None) -> CovMat:
-    """Return ``cov`` unchanged, raising :class:`ValidationError` if invalid."""
-    report = validate(cov, tol)
+def require_valid(cov: CovMat) -> CovMat:
+    """Return ``cov`` unchanged, raising :class:`ValidationError` if :func:`validate` reports."""
+    report = validate(cov)
     if report:
         raise ValidationError(report)
     return cov
@@ -299,17 +298,16 @@ def mean_energy(state: GaussianState) -> float:
     return float((np.trace(state.cov.matrix) + state.d @ state.d) / 4.0)
 
 
-def symplectic_eigenvalues(cov: CovMat, pairing_tol: float = 1e-8) -> np.ndarray:
+def symplectic_eigenvalues(cov: CovMat) -> np.ndarray:
     """Williamson symplectic eigenvalues, sorted descending.
 
     The moduli of the imaginary parts of ``eig(Omega V)`` come in +/- pairs;
     the pair list is deduplicated into m values.  The solve runs once per
     ``CovMat`` (:attr:`CovMat.williamson_moduli`, sound because its matrix is
-    read-only); the pairing check runs on every call.
+    read-only); the pairing check (to ``PAIRING_TOL``, relative) runs on every call.
 
     Args:
         cov: a valid covariance matrix.
-        pairing_tol: relative tolerance to confirm +/- pairing.
 
     Returns:
         Array of m values ``nu_1 >= ... >= nu_m`` (all >= 1 for valid input).
@@ -320,15 +318,20 @@ def symplectic_eigenvalues(cov: CovMat, pairing_tol: float = 1e-8) -> np.ndarray
     mods = cov.williamson_moduli
     first, second = mods[0::2], mods[1::2]
     scale = max(1.0, float(mods[0]))
-    if float(np.max(np.abs(first - second))) > pairing_tol * scale:
+    if float(np.max(np.abs(first - second))) > PAIRING_TOL * scale:
         raise NumericError("could not pair symplectic eigenvalues by modulus")
     return first.copy()
 
 
-def is_pure(cov: CovMat, tol: float = 1e-8) -> bool:
-    """True iff every symplectic eigenvalue equals 1 within ``tol``."""
+def is_pure(cov: CovMat) -> bool:
+    """True iff every symplectic eigenvalue equals 1 within ``PURITY_TOL``."""
     nu = symplectic_eigenvalues(cov)
-    return float(np.max(np.abs(nu - 1.0))) <= tol
+    return float(np.max(np.abs(nu - 1.0))) <= PURITY_TOL
+
+
+def is_free(cov: CovMat, tol: float = FREE_TOL) -> bool:
+    """Whether every position-momentum covariance entry is within ``tol`` of 0 (a free state)."""
+    return bool(np.max(np.abs(cov.matrix[: cov.m, cov.m :])) <= tol)
 
 
 class FirstModeReduction(NamedTuple):

@@ -16,7 +16,7 @@ from .gaussian_core import (
     CovMat,
     DimensionError,
     GaussianState,
-    blocks,
+    is_free,
     require_valid,
     symplectic_form,
 )
@@ -70,13 +70,13 @@ def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(scaled) * scale), se
 
 
-def is_symplectic(s: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
-    """True iff ``S Omega S^T = Omega`` within ``tol`` in Frobenius norm."""
+def is_symplectic(s: np.ndarray) -> bool:
+    """True iff ``S Omega S^T = Omega`` within ``SYMPLECTIC_TOL`` in Frobenius norm."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
         return False
     omega = symplectic_form(s.shape[0] // 2)
-    return float(np.linalg.norm(s @ omega @ s.T - omega)) <= tol
+    return float(np.linalg.norm(s @ omega @ s.T - omega)) <= SYMPLECTIC_TOL
 
 
 @dataclass(frozen=True)
@@ -305,22 +305,19 @@ def orthogonal_stinespring(
     o: np.ndarray,
     env: CovMat,
     d: Sequence[float] | None = None,
-    free_tol: float = 1e-10,
 ) -> GaussianState:
     """Dilated free channel: tensor a free environment, rotate, displace, trace.
 
     Args:
         state: m-mode input state.
         o: (m+k) x (m+k) orthogonal matrix applied as ``diag(O, O)``.
-        env: covariance matrix of a k-mode free state (zero qp block).
+        env: covariance matrix of a k-mode free state (``is_free``), else ``GateError``.
         d: optional length-2(m+k) displacement applied after the rotation.
-        free_tol: max-abs tolerance on the environment's qp block.
 
     Returns:
         The output state on the first m modes.
     """
-    _, _, env_xp = blocks(env)
-    if float(np.max(np.abs(env_xp))) > free_tol:
+    if not is_free(env):
         raise GateError("environment is not free (nonzero position-momentum block)")
     total = tensor_states(state, GaussianState(env))
     gate = block_orthogonal(o)

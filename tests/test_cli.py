@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from sympcoh import (
+    CovMat,
     EnsembleConfig,
+    GaussianState,
     ensemble_nu_sq,
     beamsplitter_orthogonal,
     msc_canonical,
@@ -253,6 +255,47 @@ def test_tvd_rejects_an_invalid_inline_state(tmp_path, capsys):
     assert code == 1
     assert out is None
     assert "uncertainty" in err
+
+
+def test_discord_at_a_trace_whose_square_overflows(tmp_path, capsys):
+    state_file = tmp_path / "large.json"
+    save_state(GaussianState(CovMat([[1e160, 1.0], [1.0, 1e160]])), str(state_file))
+    code, out, err = run_cli(["discord", str(state_file)], capsys)
+    assert code == 0, err
+    result = out["result"]
+    assert np.isfinite([result["c"], result["D_G"], result["relation_residual"]]).all()
+    assert result["relation_residual"] <= 1e-15 * max(1.0, result["c"])
+
+
+_PROBE = {"format": "sympcoh-cm-v1", "matrix": [[3.0, 1.0], [1.0, 3.0]]}
+_DISC = {"probe": _PROBE, "delta": 0.1, "n_samples": 10, "trials": 10}
+
+
+@pytest.mark.parametrize(
+    "sub, doc",
+    [
+        ("apply", [1, 2]),
+        ("apply", {"kind": "squeezer", "params": [1, 0.5]}),
+        ("tvd", 5),
+        ("discriminate", [1]),
+        ("discriminate", {**_DISC, "channels": [[1], {"kind": "identity"}]}),
+        ("discriminate", {**_DISC, "channels": 5}),
+    ],
+)
+def test_json_inputs_of_the_wrong_shape_exit_1(sub, doc, tmp_path, capsys):
+    doc_file = tmp_path / "doc.json"
+    doc_file.write_text(json.dumps(doc))
+    if sub == "apply":
+        state_file = tmp_path / "state.json"
+        save_state(vacuum_state(1), str(state_file))
+        argv = ["apply", str(state_file), "--gate", str(doc_file)]
+    else:
+        argv = [sub, "--config", str(doc_file)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out is None
+    assert "ValueError" in err and "must be a JSON" in err
+    assert "Traceback" not in err
 
 
 def test_tvd_rejects_empty_config(tmp_path, capsys):

@@ -157,6 +157,16 @@ def test_relation_on_random_states(rng):
         )
 
 
+@pytest.mark.parametrize(
+    "trace, xp", [(1e3, 1.0), (1e160, 1.0), (1e160, 1e150), (1e300, 1.0), (1e300, 1e150)]
+)
+def test_relation_holds_where_the_squared_trace_overflows(trace, xp):
+    rel = coherence_discord_relation_check(CovMat(np.array([[trace, xp], [xp, trace]])))
+    assert np.isfinite([rel.coherence, rel.discord, rel.residual]).all()
+    assert rel.coherence == xp * xp
+    assert rel.residual <= 1e-15 * max(1.0, rel.coherence)
+
+
 def test_local_rotation_acts_as_kron_conjugation(rng):
     # A mode rotation applied to the state matches conjugating the image by
     # the corresponding block matrix, so the measure is invariant.

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import sympcoh
 from sympcoh import (
     CovMat,
     DimensionError,
@@ -14,6 +17,7 @@ from sympcoh import (
     assemble,
     blocks,
     coherence_discord_relation_check,
+    gaussian_core,
     is_pure,
     is_valid,
     load_state,
@@ -55,6 +59,37 @@ def test_covmat_shape_checks():
         CovMat(np.zeros((2, 4)))
     with pytest.raises(DimensionError):
         CovMat([[np.inf, 0.0], [0.0, 1.0]])
+
+
+def test_covmat_takes_only_the_matrix():
+    assert CovMat(np.eye(4)).m == 2
+    for keyword in ("m", "tol"):
+        with pytest.raises(TypeError):
+            CovMat(np.eye(2), **{keyword: 5})
+
+
+@pytest.mark.parametrize(
+    "func, name",
+    [
+        ("require_valid", "tol"),
+        ("symplectic_eigenvalues", "pairing_tol"),
+        ("is_pure", "tol"),
+        ("is_symplectic", "tol"),
+        ("orthogonal_stinespring", "free_tol"),
+        ("msc_membership_conditions", "tol"),
+        ("mixed_msc_check", "tol"),
+        ("is_classical_quantum", "tol"),
+        ("wilson_upper", "z"),
+    ],
+)
+def test_single_value_tolerances_are_not_parameters(func, name):
+    assert name not in inspect.signature(getattr(sympcoh, func)).parameters
+
+
+def test_is_free_lives_in_core_only():
+    assert sympcoh.is_free is gaussian_core.is_free
+    assert not hasattr(sympcoh.coherence, "is_free")
+    assert not hasattr(sympcoh.coherence, "FREE_TOL")
 
 
 def test_covmat_is_read_only_and_derives_m():

@@ -27,6 +27,7 @@ from sympcoh import (
     displacement,
     haar_orthogonal,
     haar_unitary,
+    is_free,
     is_symplectic,
     orthogonal_stinespring,
     partial_trace,
@@ -302,6 +303,19 @@ def test_stinespring_rejects_correlated_environment():
     env = CovMat(np.array([[2.0, 0.5], [0.5, 2.0]]))
     with pytest.raises(GateError):
         orthogonal_stinespring(vacuum_state(1), beamsplitter_orthogonal(0.5), env)
+
+
+@pytest.mark.parametrize("xp, free", [(5e-11, True), (2e-10, False)])
+def test_stinespring_environment_check_agrees_with_is_free(xp, free):
+    env = CovMat(np.array([[1.0, xp], [xp, 1.0]]))
+    assert is_free(env) is free
+    o = beamsplitter_orthogonal(0.5)
+    if free:
+        out = orthogonal_stinespring(vacuum_state(1), o, env)
+        assert_allclose(out.cov.matrix, np.eye(2), atol=1e-10)
+    else:
+        with pytest.raises(GateError, match="not free"):
+            orthogonal_stinespring(vacuum_state(1), o, env)
 
 
 def test_loss_scales_coherence_quadratically(rng):
