@@ -52,6 +52,7 @@ from .symplectic_ops import (
     displacement,
     haar_orthogonal,
     haar_unitary,
+    is_orthogonal,
     is_symplectic,
     orthogonal_stinespring,
     partial_trace,

@@ -1,8 +1,9 @@
 """Command-line front end: subcommand dispatch, file I/O, run manifests.
 
 Every invocation prints a single JSON object to stdout with two keys:
-``result`` (subcommand-specific payload) and ``manifest`` (subcommand,
-parameters, seed, tool version, wall time).  Diagnostics go to stderr.
+``result`` (subcommand-specific payload) and ``manifest`` (envelope format,
+subcommand, parameters, seed, RNG stream scheme, tool and numpy versions,
+wall time).  Diagnostics go to stderr.
 Exit codes: 0 success, 1 invalid input (with the violated invariant named
 on stderr), 2 usage error.
 
@@ -28,6 +29,7 @@ from . import symplectic_ops as ops
 from ._version import __version__
 
 DEFAULT_SEED = 0x5EED
+ENVELOPE_FORMAT = "sympcoh-envelope-v1"
 
 
 def _read_state(path: str, m: int | None = None) -> gaussian_core.GaussianState:
@@ -65,6 +67,18 @@ def _require_object(doc, what: str) -> dict:
     return doc
 
 
+def _number(doc: dict, key: str, kind: type = float):
+    """``kind(doc[key])``; a value ``kind`` cannot convert, such as a JSON
+    list, object or null, raises ``ValueError`` naming the field."""
+    value = doc[key]
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"field {key!r} must be a number, got {type(value).__name__} {json.dumps(value)[:40]}"
+        ) from None
+
+
 def _load_json(path: str) -> dict:
     with open(path) as fh:
         return _require_object(json.load(fh), f"the document in {path}")
@@ -85,9 +99,9 @@ def build_gate(spec: dict, m: int) -> ops.SympGate:
     kind = _require_object(spec, "gate spec").get("kind")
     params = _require_object(spec.get("params", {}), "gate params")
     if kind == "squeezer":
-        return ops.squeezer(m, int(params["mode"]), float(params["r"]))
+        return ops.squeezer(m, _number(params, "mode", int), _number(params, "r"))
     if kind == "phase_shifter":
-        return ops.phase_shifter(m, int(params["mode"]), float(params["theta"]))
+        return ops.phase_shifter(m, _number(params, "mode", int), _number(params, "theta"))
     if kind == "block_orthogonal":
         return ops.block_orthogonal(np.asarray(params["o"], dtype=float))
     if kind == "passive":
@@ -97,7 +111,7 @@ def build_gate(spec: dict, m: int) -> ops.SympGate:
     if kind == "displacement":
         return ops.displacement(m, params["d"])
     if kind == "beamsplitter":
-        return ops.block_orthogonal(ops.beamsplitter_orthogonal(float(params["eta"])))
+        return ops.block_orthogonal(ops.beamsplitter_orthogonal(_number(params, "eta")))
     if kind == "matrix":
         return ops.SympGate(m, np.asarray(params["S"], dtype=float), params.get("disp"))
     raise ValueError(f"unknown gate kind {kind!r}")
@@ -107,7 +121,7 @@ def build_channel(spec: dict):
     """Build a channel from ``{"kind": "loss"|"identity"|"stinespring", ...}``."""
     kind = _require_object(spec, "channel spec").get("kind")
     if kind == "loss":
-        return ops.LossChannel(float(spec["eta"]))
+        return ops.LossChannel(_number(spec, "eta"))
     if kind == "identity":
         return ops.IdentityChannel()
     if kind == "stinespring":
@@ -214,10 +228,10 @@ def _cmd_discriminate(args) -> tuple[dict, int]:
     config = applications.DiscriminationConfig(
         probe=probe,
         channels=channels,
-        delta=float(cfg["delta"]),
-        n_samples=int(cfg["n_samples"]),
-        trials=int(cfg["trials"]),
-        seed=int(cfg.get("seed", DEFAULT_SEED)),
+        delta=_number(cfg, "delta"),
+        n_samples=_number(cfg, "n_samples", int),
+        trials=_number(cfg, "trials", int),
+        seed=_number(cfg, "seed", int) if "seed" in cfg else DEFAULT_SEED,
     )
     report = applications.run_discrimination(config)
     args.seed = config.seed  # the manifest reports the seed that ran
@@ -235,7 +249,7 @@ def _cmd_tvd(args) -> tuple[dict, int]:
     result: dict = {}
     if "var1" in cfg or "var2" in cfg:
         result["tvd_exact"] = applications.tvd_exact_zero_mean_normals(
-            float(cfg["var1"]), float(cfg["var2"])
+            _number(cfg, "var1"), _number(cfg, "var2")
         )
     if "sxp1" in cfg or "sxp2" in cfg:
         state = _state_arg(cfg["cm"])
@@ -243,9 +257,9 @@ def _cmd_tvd(args) -> tuple[dict, int]:
         inflated = bool(cfg.get("inflated", False))
         result["bound"] = applications.tvd_bound_ppmm(
             state.cov,
-            float(cfg["sxp1"]),
-            float(cfg["sxp2"]),
-            float(cfg["theta"]),
+            _number(cfg, "sxp1"),
+            _number(cfg, "sxp2"),
+            _number(cfg, "theta"),
             inflated=inflated,
         )
         result["inflated"] = inflated
@@ -354,10 +368,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _manifest(args: argparse.Namespace, params: dict, wall_time: float) -> dict:
     return {
+        "format": ENVELOPE_FORMAT,
         "subcommand": args.subcommand,
         "parameters": params,
         "seed": getattr(args, "seed", None),
+        "stream_scheme": ops.STREAM_SCHEME,
         "version": __version__,
+        "numpy_version": np.__version__,
         "wall_time_s": round(wall_time, 6),
     }
 

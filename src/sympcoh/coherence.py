@@ -19,6 +19,7 @@ import numpy as np
 from .gaussian_core import CovMat, GaussianState, blocks, is_pure, require_valid
 from .symplectic_ops import (
     SympGate,
+    is_orthogonal,
     pure_cm,
     pure_param_blocks,
     pure_xp_block,
@@ -207,15 +208,15 @@ def msc_membership_conditions(o: np.ndarray, theta: np.ndarray) -> MembershipRep
         iff no residual exceeds ``MEMBERSHIP_TOL``.
 
     Raises:
-        ValueError: if ``o`` is not orthogonal.
+        ValueError: if ``o`` is not orthogonal (``symplectic_ops.is_orthogonal``).
     """
     o = np.asarray(o, dtype=float)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     m = o.shape[0]
     if o.shape != (m, m) or theta.shape != (m,):
         raise ValueError(f"shape mismatch: o {o.shape}, theta {theta.shape}")
-    if not np.allclose(o @ o.T, np.eye(m), atol=1e-10):
-        raise ValueError("matrix is not orthogonal")
+    if not is_orthogonal(o):
+        raise ValueError("matrix is not orthogonal (O O^T != I)")
     c, s = np.cos(theta), np.sin(theta)
     target = np.zeros(m)
     target[0] = 1.0

@@ -17,15 +17,17 @@ import numpy as np
 from .gaussian_core import CovMat
 from .symplectic_ops import (
     block_samples,
+    ginibre_batch,
+    haar_from_ginibre,
     haar_orthogonal_batch,
     haar_unitary_batch,
     mc_blocks,
     mean_stderr,
     pure_cm,
-    pure_param_blocks,
     pure_xp_block,
     require_budget,
     sample_d,  # noqa: F401 - kept importable from this module
+    sample_d_batch,
     sample_pure_params,
 )
 
@@ -40,8 +42,8 @@ class EnsembleConfig:
         m: mode count.
         E: covariance-matrix trace of every sample (E >= 2m).
         n_samples: number of Monte-Carlo samples.
-        seed: base RNG seed; samples are drawn by ``pure_param_blocks``
-            through the one block driver ``symplectic_ops.mc_blocks``.
+        seed: base RNG seed; samples are drawn in blocks of the one block
+            driver ``symplectic_ops.mc_blocks`` (see ``ensemble_nu_sq``).
         kind: "orthogonal" or "unitary".
     """
 
@@ -127,8 +129,8 @@ def _pair_sums(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 2.0 * np.sum(r + 1.0 / r, axis=1), 2.0 * np.sum(p + 1.0 / p, axis=1)
 
 
-def _first_mode_nu_sq(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """nu_1^2 of pure states from the first rows ``u = x + iy`` (n, m) and spectra d (n, m).
+def _first_mode_nu_sq(u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """nu_1^2 of pure states from unit first rows ``u = x + iy`` (n, m) and spectra d (n, m).
 
     Rows 0 and m of ``A = S_U diag(d, 1/d)^(1/2)`` give ``nu_1^2 = |a|^2 |b|^2
     - (a.b)^2``.  The Lagrange identity turns it into a sum of squared 2 x 2
@@ -138,14 +140,20 @@ def _first_mode_nu_sq(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray
 
     with ``s = sqrt(d_k d_l)``, ``t = sqrt(d_k / d_l)`` and ``z + iw =
     conj(u_k) u_l``.  Every term is nonnegative, so ``nu_1^2 >= 1`` and nothing
-    of size d^2 cancels; a single mode (no pairs) gives exactly 1.
+    of size d^2 cancels; a single mode (no pairs) gives exactly 1.  A real
+    ``u`` (orthogonal passive gate) has ``w = 0``.
     """
     k, l = _pairs(d.shape[1])
     root = np.sqrt(d)
     s = root[:, k] * root[:, l]
     t = root[:, k] / root[:, l]
-    g = (x[:, k] - 1j * y[:, k]) * (x[:, l] + 1j * y[:, l])
-    return 1.0 + np.sum(((s - 1.0 / s) * g.imag) ** 2 + ((t - 1.0 / t) * g.real) ** 2, axis=1)
+    g = np.conj(u[:, k]) * u[:, l]
+    z = (t - 1.0 / t) * g.real
+    nu_sq = 1.0 + np.einsum("ij,ij->i", z, z)
+    if np.iscomplexobj(g):
+        w = (s - 1.0 / s) * g.imag
+        nu_sq += np.einsum("ij,ij->i", w, w)
+    return nu_sq
 
 
 def analytic_mean_nu_sq(kind: str, m: int, s1: float, s2: float) -> float:
@@ -162,16 +170,21 @@ def ensemble_nu_sq(
 ) -> EnsembleStats | tuple[EnsembleStats, np.ndarray, np.ndarray]:
     """Monte-Carlo mean of the first-mode nu^2 over the ensemble.
 
-    Samples come from ``pure_param_blocks`` (blocks of ``mc_blocks``), so the
-    first k samples do not depend on ``n_samples`` and different seeds give
-    independent samples.  No covariance matrix is built: nu_1^2 comes from
-    each sample's first row and spectrum (``_first_mode_nu_sq``).
+    Block b of ``mc_blocks`` draws from ``derive_rng(seed, b)`` the spectra
+    (``sample_d_batch``), then one Ginibre stack ``z`` (``ginibre_batch``),
+    so the first k samples do not depend on ``n_samples`` and different seeds
+    give independent samples.  Sample j's passive unitary is the transpose
+    of the Haar matrix ``haar_from_ginibre(z[j])``; a Haar matrix's transpose
+    is again Haar.  Its first row is that matrix's first column, the
+    normalised Ginibre column ``z[j, :, 0] / |z[j, :, 0]|``, so nu_1^2
+    (``_first_mode_nu_sq``) needs no QR and no covariance matrix.
 
     Args:
         config: ensemble parameters.
         return_samples: also return per-sample arrays (nu_1^2, coherence).
-            Only then is the coherence computed, from the position-momentum
-            blocks of ``symplectic_ops.pure_xp_block``.
+            Only then is ``z`` factored, and the coherence computed from the
+            position-momentum blocks of ``symplectic_ops.pure_xp_block``.
+            The nu_1^2 samples and statistics are the same either way.
 
     Returns:
         The statistics, plus the two per-sample arrays when requested.
@@ -182,14 +195,20 @@ def ensemble_nu_sq(
     coh = np.empty(n) if return_samples else None
     s1_arr = np.empty(n)
     s2_arr = np.empty(n)
-    draws = pure_param_blocks(config.seed, n, config.E, m, config.kind == "orthogonal")
-    for start, x, y, d in draws:
+
+    def draw(rng: np.random.Generator, size: int) -> tuple:
+        d = sample_d_batch(config.E, m, size, rng)
+        return d, ginibre_batch(m, size, rng, real=config.kind == "orthogonal")
+
+    for start, (d, z) in mc_blocks(config.seed, n, block_samples(m), draw):
         block = slice(start, start + d.shape[0])
-        nu_sq[block] = _first_mode_nu_sq(x[:, 0], y[:, 0], d)
+        col = z[:, :, 0]
+        nu_sq[block] = _first_mode_nu_sq(col / np.linalg.norm(col, axis=1)[:, None], d)
         s1_arr[block], s2_arr[block] = _pair_sums(d)
         if return_samples:
+            passive = np.swapaxes(haar_from_ginibre(z), -1, -2)
             alpha = d - 1.0
-            v = pure_xp_block(x, y, alpha, -alpha / d)
+            v = pure_xp_block(passive.real, passive.imag, alpha, -alpha / d)
             coh[block] = np.sum(v * v, axis=(1, 2))
     analytic = analytic_mean_nu_sq(config.kind, m, s1_arr, s2_arr)
 

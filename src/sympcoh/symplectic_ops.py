@@ -22,6 +22,9 @@ from .gaussian_core import (
 )
 
 SYMPLECTIC_TOL = 1e-9
+# Id of the map from seeds to Monte-Carlo samples, reported in every CLI
+# manifest; bumped whenever a seeded sample changes (history in README).
+STREAM_SCHEME = "seedseq-spawn-v2"
 
 
 class GateError(ValueError):
@@ -68,6 +71,18 @@ def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     scaled = values / scale
     se = float(np.std(scaled, ddof=1) / np.sqrt(n) * scale) if n > 1 else 0.0
     return float(np.mean(scaled) * scale), se
+
+
+def is_orthogonal(o: np.ndarray) -> bool:
+    """True iff ``O O^H = I`` within ``SYMPLECTIC_TOL`` in Frobenius norm.
+
+    The one orthogonality verdict: a real ``O`` is tested for orthogonality,
+    a complex one for unitarity.  A non-square input is not orthogonal.
+    """
+    o = np.asarray(o)
+    if o.ndim != 2 or o.shape[0] != o.shape[1]:
+        return False
+    return float(np.linalg.norm(o @ o.conj().T - np.eye(o.shape[0]))) <= SYMPLECTIC_TOL
 
 
 def is_symplectic(s: np.ndarray) -> bool:
@@ -148,10 +163,9 @@ def block_orthogonal(o: np.ndarray) -> SympGate:
     o = np.asarray(o, dtype=float)
     if o.ndim != 2 or o.shape[0] != o.shape[1]:
         raise DimensionError(f"orthogonal matrix must be square, got {o.shape}")
-    m = o.shape[0]
-    if float(np.linalg.norm(o @ o.T - np.eye(m))) > SYMPLECTIC_TOL:
+    if not is_orthogonal(o):
         raise GateError("matrix is not orthogonal (O O^T != I)")
-    return SympGate(m, _passive_matrix(o, np.zeros_like(o)))
+    return SympGate(o.shape[0], _passive_matrix(o, np.zeros_like(o)))
 
 
 def passive_from_unitary(x: np.ndarray, y: np.ndarray) -> SympGate:
@@ -160,11 +174,9 @@ def passive_from_unitary(x: np.ndarray, y: np.ndarray) -> SympGate:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise DimensionError("X and Y must be square matrices of equal size")
-    m = x.shape[0]
-    u = x + 1j * y
-    if float(np.linalg.norm(u @ u.conj().T - np.eye(m))) > SYMPLECTIC_TOL:
+    if not is_orthogonal(x + 1j * y):
         raise GateError("X + iY is not unitary")
-    return SympGate(m, _passive_matrix(x, y))
+    return SympGate(x.shape[0], _passive_matrix(x, y))
 
 
 def _passive_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -212,7 +224,7 @@ def pure_gaussian_cm(s_u: SympGate, r: Sequence[float]) -> CovMat:
         A pure covariance matrix with trace ``sum(e^{2r_i} + e^{-2r_i})``.
     """
     m = s_u.m
-    if float(np.linalg.norm(s_u.S @ s_u.S.T - np.eye(2 * m))) > SYMPLECTIC_TOL:
+    if not is_orthogonal(s_u.S):
         raise GateError("pure-state constructor needs an orthogonal (passive) gate")
     r = np.asarray(r, dtype=float).reshape(-1)
     if r.shape[0] != m:
@@ -425,36 +437,46 @@ def haar_unitary(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarr
     return u.real.copy(), u.imag.copy()
 
 
-def haar_orthogonal_batch(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of ``n`` Haar orthogonal matrices (shape n x m x m).
+def ginibre_batch(m: int, n: int, rng: np.random.Generator, real: bool) -> np.ndarray:
+    """Stack of ``n`` Ginibre matrices (n x m x m) with i.i.d. entries of unit variance.
 
-    Batched QR of i.i.d. standard-normal matrices with the signs of R's
-    diagonal moved into Q, which makes the distribution exactly Haar
-    (Mezzadri, Notices AMS 54, 592, 2007).
+    Real standard normals, or complex ``(g1 + i g2) / sqrt(2)`` with the real
+    parts drawn before the imaginary ones.  ``haar_from_ginibre`` factors it.
     """
-    z = rng.standard_normal((n, m, m))
-    q, r = np.linalg.qr(z)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs[signs == 0] = 1.0
-    return q * signs[:, None, :]
-
-
-def haar_unitary_batch(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of ``n`` Haar unitary matrices (complex, n x m x m).
-
-    Batched QR of complex Ginibre matrices with the phases of R's diagonal
-    moved into Q (Mezzadri, Notices AMS 54, 592, 2007).
-    """
+    if real:
+        return rng.standard_normal((n, m, m))
     # Filled in place to save temporaries; the values are bit for bit those of
-    # (g1 + 1j * g2) / sqrt(2) and q * phases, which the samples' streams rely on.
+    # (g1 + 1j * g2) / sqrt(2), which the samples' streams rely on.
     z = np.empty((n, m, m), dtype=complex)
     z.real = rng.standard_normal((n, m, m))
     z.imag = rng.standard_normal((n, m, m))
     z /= np.sqrt(2.0)
+    return z
+
+
+def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
+    """Haar orthogonal (real ``z``) or unitary (complex ``z``) matrices from a Ginibre stack.
+
+    Batched QR with the phases (signs) of R's diagonal moved into Q, which
+    makes the distribution exactly Haar (Mezzadri, Notices AMS 54, 592,
+    2007).  R then has a positive diagonal, so column 0 of the result is
+    ``z[:, :, 0] / |z[:, :, 0]|``: a Haar matrix's first column needs no QR.
+    A zero diagonal entry (probability zero) keeps phase 1.
+    """
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    q *= (diag / np.abs(diag))[:, None, :]
+    q *= np.divide(diag, np.abs(diag), out=np.ones_like(diag), where=diag != 0)[:, None, :]
     return q
+
+
+def haar_orthogonal_batch(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Stack of ``n`` Haar orthogonal matrices (shape n x m x m): a factored real Ginibre draw."""
+    return haar_from_ginibre(ginibre_batch(m, n, rng, real=True))
+
+
+def haar_unitary_batch(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Stack of ``n`` Haar unitary matrices (complex, n x m x m): a factored complex Ginibre draw."""
+    return haar_from_ginibre(ginibre_batch(m, n, rng, real=False))
 
 
 def sample_pure_params(

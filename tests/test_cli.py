@@ -23,7 +23,8 @@ from sympcoh import (
     state_to_dict,
     vacuum_state,
 )
-from sympcoh.cli import DEFAULT_SEED, main
+from sympcoh.cli import DEFAULT_SEED, ENVELOPE_FORMAT, main
+from sympcoh.symplectic_ops import STREAM_SCHEME
 
 
 def run_cli(argv, capsys, monkeypatch=None, stdin_text=None):
@@ -296,6 +297,64 @@ def test_json_inputs_of_the_wrong_shape_exit_1(sub, doc, tmp_path, capsys):
     assert out is None
     assert "ValueError" in err and "must be a JSON" in err
     assert "Traceback" not in err
+
+
+_CHANNELS = [{"kind": "identity"}, {"kind": "loss", "eta": 0.5}]
+_TVD_BOUND = {"cm": _PROBE, "sxp1": 0.3, "sxp2": 0.0, "theta": 0.5}
+
+
+@pytest.mark.parametrize(
+    "sub, doc, field",
+    [
+        ("tvd", {"var1": [1], "var2": 2}, "var1"),
+        ("tvd", {"var1": 1, "var2": {"v": 2}}, "var2"),
+        ("tvd", {"var1": None, "var2": 2}, "var1"),
+        ("tvd", {**_TVD_BOUND, "theta": [0.5]}, "theta"),
+        ("tvd", {**_TVD_BOUND, "sxp1": {"v": 0.3}}, "sxp1"),
+        ("apply", {"kind": "squeezer", "params": {"mode": [1], "r": 0.5}}, "mode"),
+        ("apply", {"kind": "squeezer", "params": {"mode": 1, "r": {"r": 0.5}}}, "r"),
+        ("apply", {"kind": "phase_shifter", "params": {"mode": 1, "theta": [0.1]}}, "theta"),
+        ("apply", {"kind": "beamsplitter", "params": {"eta": [0.5]}}, "eta"),
+        ("discriminate", {**_DISC, "channels": _CHANNELS, "delta": [0.1]}, "delta"),
+        ("discriminate", {**_DISC, "channels": _CHANNELS, "n_samples": {"n": 10}}, "n_samples"),
+        ("discriminate", {**_DISC, "channels": _CHANNELS, "trials": [10]}, "trials"),
+        ("discriminate", {**_DISC, "channels": _CHANNELS, "seed": [3]}, "seed"),
+        ("discriminate", {**_DISC, "channels": [{"kind": "loss", "eta": [0.4]}, _CHANNELS[0]]}, "eta"),
+    ],
+)
+def test_non_numeric_scalar_fields_exit_1(sub, doc, field, tmp_path, capsys):
+    doc_file = tmp_path / "doc.json"
+    doc_file.write_text(json.dumps(doc))
+    if sub == "apply":
+        state_file = tmp_path / "state.json"
+        save_state(vacuum_state(1), str(state_file))
+        argv = ["apply", str(state_file), "--gate", str(doc_file)]
+    else:
+        argv = [sub, "--config", str(doc_file)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out is None
+    assert "ValueError" in err and f"field {field!r} must be a number" in err
+    assert "Traceback" not in err
+
+
+def test_manifest_key_set(capsys):
+    code, out, _ = run_cli(["maxsc", "--E", "10", "--m", "2"], capsys)
+    assert code == 0
+    manifest = out["manifest"]
+    assert set(manifest) == {
+        "format",
+        "numpy_version",
+        "parameters",
+        "seed",
+        "stream_scheme",
+        "subcommand",
+        "version",
+        "wall_time_s",
+    }
+    assert manifest["format"] == ENVELOPE_FORMAT
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["stream_scheme"] == STREAM_SCHEME
 
 
 def test_tvd_rejects_empty_config(tmp_path, capsys):

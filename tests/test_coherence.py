@@ -201,6 +201,27 @@ def test_membership_rejects_non_orthogonal():
         msc_membership_conditions(np.array([[1.0, 1.0], [0.0, 1.0]]), [0.0, 0.0])
 
 
+_SLANTED = np.eye(2)
+_SLANTED[0, 1] = 3e-10
+
+
+# |O O^T - I|_F is 4.2e-10 for the slanted identity (within SYMPLECTIC_TOL) and
+# 1.1e-5 for the scaled one; np.allclose(atol=1e-10) judged both the other way.
+@pytest.mark.parametrize(
+    "o, orthogonal", [(_SLANTED, True), ((1.0 + 4e-6) * np.eye(2), False)], ids=["slanted", "scaled"]
+)
+def test_membership_and_block_orthogonal_share_one_orthogonality_verdict(o, orthogonal):
+    def accepted(build) -> bool:
+        try:
+            build()
+        except ValueError:  # GateError is a ValueError
+            return False
+        return True
+
+    assert accepted(lambda: block_orthogonal(o)) == orthogonal
+    assert accepted(lambda: msc_membership_conditions(o, [0.0, 0.0])) == orthogonal
+
+
 def test_membership_two_mode_equal_angles_attains_maximum():
     # Oracle: build the state for theta=(pi/4, pi/4), O=I at trace E and
     # compare its coherence against the closed-form maximum directly.

@@ -23,7 +23,14 @@ from sympcoh import (
 )
 from sympcoh import ensembles
 from sympcoh.ensembles import _first_mode_nu_sq, _pair_sums
-from sympcoh.symplectic_ops import block_samples, pure_cm, pure_param_blocks
+from sympcoh.symplectic_ops import (
+    block_samples,
+    haar_orthogonal_batch,
+    haar_unitary_batch,
+    pure_cm,
+    pure_param_blocks,
+    sample_d_batch,
+)
 
 TOL = 1e-12
 
@@ -137,7 +144,7 @@ def lagrange_nu_sq(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
 def test_first_mode_nu_sq_matches_long_double_minors(kind, m):
     for E in (2 * m + 1e-9, 2 * m + 1e-6, 4 * m + 8, 1e3, 1e8, 1e12, 1e50, 1e150):
         for _, x, y, d in pure_param_blocks(23, 256, E, m, kind == "orthogonal"):
-            got = _first_mode_nu_sq(x[:, 0], y[:, 0], d)
+            got = _first_mode_nu_sq(x[:, 0] + 1j * y[:, 0], d)
             want = lagrange_nu_sq(x[:, 0], y[:, 0], d)
             assert np.all(np.abs(got - want) <= 1e-12 * want), (m, E)
             assert np.all(got >= 1.0 - 1e-15), (m, E)
@@ -179,6 +186,56 @@ def test_ensemble_builds_no_covariance_matrix(monkeypatch):
         ensemble_nu_sq(config)
         ensemble_nu_sq(config, return_samples=True)
     assert calls == []
+
+
+def test_ensemble_statistics_run_no_qr(monkeypatch):
+    def no_qr(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    for kind in ("orthogonal", "unitary"):
+        for m in (1, 2, 8):
+            stats = ensemble_nu_sq(EnsembleConfig(m=m, E=4 * m + 8, n_samples=300, seed=2, kind=kind))
+            assert np.isfinite(stats.mean_nu_sq) and stats.mean_nu_sq >= 1.0
+
+
+@pytest.mark.parametrize("kind", ["orthogonal", "unitary"])
+@pytest.mark.parametrize("m", [1, 2, 8])
+def test_samples_do_not_change_the_nu_sq_samples_or_statistics(kind, m, monkeypatch):
+    runs = []
+    for return_samples in (False, True):
+        recorded = []
+
+        def recording(u, d):
+            recorded.append(_first_mode_nu_sq(u, d))  # the unpatched function
+            return recorded[-1]
+
+        monkeypatch.setattr(ensembles, "_first_mode_nu_sq", recording)
+        config = EnsembleConfig(m=m, E=4 * m + 8, n_samples=600, seed=13, kind=kind)
+        out = ensemble_nu_sq(config, return_samples=return_samples)
+        runs.append((out[0] if return_samples else out, np.concatenate(recorded)))
+        if return_samples:
+            assert out[1].tobytes() == runs[-1][1].tobytes()
+    (stats_a, nu_a), (stats_b, nu_b) = runs
+    assert nu_a.tobytes() == nu_b.tobytes()
+    assert stats_a == stats_b
+
+
+@pytest.mark.parametrize("kind", ["orthogonal", "unitary"])
+@pytest.mark.parametrize("m", [2, 4])
+def test_samples_are_states_of_the_transposed_haar_draw(kind, m):
+    seed, E, size = 31, 4 * m + 8, block_samples(m)
+    _, nu_sq, coh = ensemble_nu_sq(
+        EnsembleConfig(m=m, E=E, n_samples=size, seed=seed, kind=kind), return_samples=True
+    )
+    rng = derive_rng(seed, 0)
+    d = sample_d_batch(E, m, size, rng)
+    draw = (haar_orthogonal_batch if kind == "orthogonal" else haar_unitary_batch)(m, size, rng)
+    passive = np.swapaxes(draw, -1, -2)
+    cms = pure_cm(passive.real, passive.imag, d)
+    first = cms[:, [0, m]][:, :, [0, m]]
+    assert_allclose(nu_sq, np.linalg.det(first), rtol=1e-10, atol=1e-10)
+    assert_allclose(coh, np.sum(cms[:, :m, m:] ** 2, axis=(1, 2)), rtol=1e-10, atol=1e-10)
 
 
 def test_analytic_mean_uses_pair_sums():

@@ -44,6 +44,7 @@ from sympcoh import applications, coherence, ensembles, symplectic_ops
 from sympcoh.symplectic_ops import (
     BLOCK_ENTRIES,
     block_samples,
+    ginibre_batch,
     haar_orthogonal_batch,
     haar_unitary_batch,
     mean_stderr,
@@ -351,6 +352,31 @@ def test_haar_unitary_batch_keeps_the_bytes_of_the_plain_formula(m):
         got = haar_unitary_batch(m, 9, rng)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
+def test_haar_orthogonal_batch_keeps_the_bytes_of_the_plain_formula(m):
+    for seed in range(50):
+        rng, ref_rng = derive_rng(seed, m), derive_rng(seed, m)
+        q, r = np.linalg.qr(ref_rng.standard_normal((9, m, m)))
+        signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+        signs[signs == 0] = 1.0
+        want = q * signs[:, None, :]
+        got = haar_orthogonal_batch(m, 9, rng)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 16])
+@pytest.mark.parametrize("real", [True, False], ids=["orthogonal", "unitary"])
+def test_haar_first_column_is_the_normalised_ginibre_column(m, real):
+    sampler = haar_orthogonal_batch if real else haar_unitary_batch
+    for seed in range(20):
+        z = ginibre_batch(m, 9, derive_rng(seed, m), real)
+        col = z[:, :, 0]
+        want = col / np.linalg.norm(col, axis=1)[:, None]
+        got = sampler(m, 9, derive_rng(seed, m))[:, :, 0]
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_haar_batches_match_properties(rng):
