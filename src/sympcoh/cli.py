@@ -79,6 +79,19 @@ def _number(doc: dict, key: str, kind: type = float):
         ) from None
 
 
+def _array(doc: dict, key: str) -> np.ndarray:
+    """``np.asarray(doc[key], dtype=float)``; a value that is not a (nested)
+    list of numbers, such as a JSON object, raises ``ValueError`` naming the field."""
+    value = doc[key]
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(
+            f"field {key!r} must be an array of numbers, got {type(value).__name__} "
+            f"{json.dumps(value)[:40]}"
+        ) from None
+
+
 def _load_json(path: str) -> dict:
     with open(path) as fh:
         return _require_object(json.load(fh), f"the document in {path}")
@@ -103,17 +116,16 @@ def build_gate(spec: dict, m: int) -> ops.SympGate:
     if kind == "phase_shifter":
         return ops.phase_shifter(m, _number(params, "mode", int), _number(params, "theta"))
     if kind == "block_orthogonal":
-        return ops.block_orthogonal(np.asarray(params["o"], dtype=float))
+        return ops.block_orthogonal(_array(params, "o"))
     if kind == "passive":
-        return ops.passive_from_unitary(
-            np.asarray(params["x"], dtype=float), np.asarray(params["y"], dtype=float)
-        )
+        return ops.passive_from_unitary(_array(params, "x"), _array(params, "y"))
     if kind == "displacement":
-        return ops.displacement(m, params["d"])
+        return ops.displacement(m, _array(params, "d"))
     if kind == "beamsplitter":
         return ops.block_orthogonal(ops.beamsplitter_orthogonal(_number(params, "eta")))
     if kind == "matrix":
-        return ops.SympGate(m, np.asarray(params["S"], dtype=float), params.get("disp"))
+        disp = None if params.get("disp") is None else _array(params, "disp")
+        return ops.SympGate(m, _array(params, "S"), disp)
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
@@ -126,9 +138,9 @@ def build_channel(spec: dict):
         return ops.IdentityChannel()
     if kind == "stinespring":
         return ops.StinespringChannel(
-            o=np.asarray(spec["o"], dtype=float),
+            o=_array(spec, "o"),
             env=_state_arg(spec["env"]).cov,
-            d=spec.get("d"),
+            d=None if spec.get("d") is None else _array(spec, "d"),
         )
     raise ValueError(f"unknown channel kind {kind!r}")
 

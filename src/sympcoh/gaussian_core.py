@@ -9,6 +9,16 @@ Conventions used throughout the package:
 A covariance matrix ``V`` is valid iff it is symmetric, positive definite,
 satisfies the uncertainty relation ``V + i*Omega >= 0`` (as a Hermitian
 matrix), has positive-definite diagonal blocks, and ``Tr[V] >= 2m``.
+
+The read side rests on one factorisation per matrix: the Cholesky factor
+``L`` of the symmetric part ``(V + V^T) / 2 = L L^T`` and the Hermitian
+matrix ``i L^T Omega L``, whose eigenvalues are exactly ``+/- nu`` for the
+Williamson symplectic eigenvalues ``nu`` (Weedbrook et al., Rev. Mod. Phys.
+84, 621 (2012); Bhatia and Jain, J. Math. Phys. 56, 112201 (2015)).  Its
+upper half is ``nu``, so no pairing step is needed, and together with the
+Cholesky it proves a matrix valid wherever the rounding floor allows
+(:class:`Certificate`); elsewhere :func:`validate` falls back to the
+eigenvalue margins (:class:`Margins`).
 """
 
 from __future__ import annotations
@@ -16,6 +26,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -24,9 +36,9 @@ import numpy as np
 
 #: Default absolute tolerance for eigenvalue-based validity checks.
 DEFAULT_TOL = 1e-9
-PAIRING_TOL = 1e-8  #: relative tolerance of the +/- pairing of the Williamson moduli
 PURITY_TOL = 1e-8  #: absolute tolerance of is_pure on every symplectic eigenvalue
 FREE_TOL = 1e-10  #: default absolute tolerance of is_free on the V_xp block
+_EPS = sys.float_info.epsilon
 
 #: Identifier stored in every covariance-matrix JSON document.
 CM_FORMAT = "sympcoh-cm-v1"
@@ -48,7 +60,8 @@ class ValidationError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """Raised when an eigenvalue solve fails or pairing is ambiguous."""
+    """Raised when a factorisation or eigenvalue solve fails, such as the
+    Cholesky of a matrix that is not positive definite in float64."""
 
 
 def symplectic_form(m: int) -> np.ndarray:
@@ -104,6 +117,37 @@ class Margins(NamedTuple):
     trace: float
 
 
+class Certificate(NamedTuple):
+    """What one Cholesky and one Hermitian solve prove about the margins.
+
+    With ``n = 2m``, ``u = eps / 2`` and ``S = (V + V^T) / 2``, a Cholesky
+    that succeeds in float64 returns ``L`` with ``L L^T = S + dS`` and
+    ``|dS|_2 <= (n + 1) u Tr[V]`` (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3).  Taking a Hermitian eigensolver's error
+    as ``n u |A|_2``, the rounding floor ``n^2 * eps * Tr[V]`` bounds both
+    ``|dS|_2`` plus the error of an ``eigvalsh`` of ``S`` or ``S + i*Omega``,
+    and the shift of the computed ``nu`` from the exact ``nu`` of ``L L^T``
+    (``(m + n) u Tr[V]``).  Hence the margins ``min_eig``, ``min_vx`` and
+    ``min_vp`` (interlacing) are at least ``-rounding_floor``.  By
+    Ostrowski's theorem on ``S + i*Omega = L (I + i L^-1 Omega L^-T) L^T``,
+    whose middle factor has eigenvalues ``1 +/- 1/nu``, ``min_uncertainty >=
+    -rounding_floor - (1/(nu_min - rounding_floor) - 1)_+ * (Tr[V] +
+    rounding_floor)``.
+
+    Attributes:
+        asymmetry: ``max |V - V^T|``, as in :class:`Margins`.
+        trace: ``Tr[V]``, as in :class:`Margins`.
+        rounding_floor: ``n^2 * eps * Tr[V]``; ``inf`` where the Cholesky fails.
+        uncertainty_floor: the bound above, ``min_uncertainty >=
+            -uncertainty_floor``; ``inf`` where it proves nothing.
+    """
+
+    asymmetry: float
+    trace: float
+    rounding_floor: float
+    uncertainty_floor: float
+
+
 @dataclass(frozen=True)
 class CovMat:
     """A candidate covariance matrix in qqpp ordering.
@@ -112,11 +156,14 @@ class CovMat:
     or :func:`require_valid` (raising) for the physical invariants, so that
     invalid matrices can still be constructed and inspected.
 
-    The eigen data behind those checks (:attr:`margins`, and
-    :attr:`williamson_moduli` for :func:`symplectic_eigenvalues`) is
-    computed at most once per instance, on first use, and cached.  That is
-    sound because ``matrix`` is a private read-only copy of the input;
-    every transformed matrix is a new ``CovMat`` with its own cache.
+    Everything behind those checks is computed at most once per instance,
+    on first use, and cached: one Cholesky of the symmetric part and one
+    Hermitian ``eigvalsh`` give the symplectic eigenvalues and the
+    :attr:`certificate`; the :attr:`margins` (four ``eigvalsh``) run only
+    where the certificate cannot decide, and the uncertainty solve alone
+    where only its bound is inconclusive.  Caching is sound because
+    ``matrix`` is a private read-only copy of the input; every transformed
+    matrix is a new ``CovMat`` with its own cache.
 
     Attributes:
         matrix: the 2m x 2m real matrix (read-only).
@@ -136,41 +183,70 @@ class CovMat:
         return float(np.trace(self.matrix))
 
     @cached_property
+    def _sym(self) -> np.ndarray:
+        v = self.matrix
+        return 0.5 * (v + v.T)
+
+    @cached_property
+    def _nu(self) -> np.ndarray | None:
+        """Symplectic eigenvalues of the symmetric part, descending and
+        read-only, or ``None`` if it is not positive definite in float64.
+
+        With ``S = L L^T`` and ``L`` split into its position rows ``L_q`` and
+        momentum rows ``L_p``, ``L^T Omega L = L_q^T L_p - L_p^T L_q``, and
+        ``eigvalsh`` of ``i`` times it returns ``-nu`` then ``nu``, ascending.
+        """
+        try:
+            low = np.linalg.cholesky(self._sym)
+        except np.linalg.LinAlgError:
+            return None
+        m = self.m
+        a = low[:m].T @ low[m:]
+        try:
+            spectrum = np.linalg.eigvalsh(1j * (a - a.T))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure
+            raise NumericError(f"eigenvalue solve failed: {exc}") from exc
+        nu = spectrum[m:][::-1].copy()
+        nu.flags.writeable = False
+        return nu
+
+    @cached_property
+    def _min_uncertainty(self) -> float:
+        return float(np.linalg.eigvalsh(self._sym + 1j * symplectic_form(self.m))[0])
+
+    @cached_property
+    def certificate(self) -> Certificate:
+        """The margins' bounds from the Cholesky and the Williamson solve."""
+        v = self.matrix
+        asymmetry = float(np.max(np.abs(v - v.T)))
+        trace = self.trace
+        if self._nu is None:
+            return Certificate(asymmetry, trace, math.inf, math.inf)
+        n = 2 * self.m
+        floor = n * n * _EPS * trace
+        nu_low = float(self._nu[-1]) - floor
+        bound = math.inf
+        if nu_low > 0.0:
+            bound = floor + max(0.0, 1.0 / nu_low - 1.0) * (trace + floor)
+        return Certificate(asymmetry, trace, floor, bound)
+
+    @cached_property
     def margins(self) -> Margins:
         """The eigenvalue and trace margins that :func:`validate` compares.
 
         The uncertainty relation is evaluated in complex arithmetic on the
         Hermitian matrix ``(V + V^T) / 2 + i*Omega``.
         """
-        v = self.matrix
         m = self.m
-        sym = 0.5 * (v + v.T)
+        sym = self._sym
         return Margins(
-            asymmetry=float(np.max(np.abs(v - v.T))),
+            asymmetry=self.certificate.asymmetry,
             min_eig=float(np.linalg.eigvalsh(sym)[0]),
-            min_uncertainty=float(np.linalg.eigvalsh(sym + 1j * symplectic_form(m))[0]),
+            min_uncertainty=self._min_uncertainty,
             min_vx=float(np.linalg.eigvalsh(sym[:m, :m])[0]),
             min_vp=float(np.linalg.eigvalsh(sym[m:, m:])[0]),
-            trace=float(np.trace(v)),
+            trace=self.certificate.trace,
         )
-
-    @cached_property
-    def williamson_moduli(self) -> np.ndarray:
-        """Moduli of the imaginary parts of ``eig(Omega V)``, sorted descending.
-
-        Length 2m and read-only; for a valid matrix they come in equal pairs,
-        one per symplectic eigenvalue.
-
-        Raises:
-            NumericError: if the eigenvalue solve fails.
-        """
-        try:
-            eigs = np.linalg.eigvals(symplectic_form(self.m) @ self.matrix)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure
-            raise NumericError(f"eigenvalue solve failed: {exc}") from exc
-        mods = np.sort(np.abs(eigs.imag))[::-1]
-        mods.flags.writeable = False
-        return mods
 
 
 @dataclass(frozen=True)
@@ -219,9 +295,14 @@ class Violation(NamedTuple):
 def validate(cov: CovMat, tol: float = DEFAULT_TOL) -> list[Violation]:
     """Check every covariance-matrix invariant.
 
-    Compares the cached :attr:`CovMat.margins` with ``tol``, so the eigen
-    solves run once per ``CovMat`` (its matrix is read-only) whatever
-    tolerances it is checked at.
+    Where the cached :attr:`CovMat.certificate` proves every margin within
+    ``tol`` (symmetry and trace compared directly, a rounding floor below
+    ``tol``, the uncertainty bound above ``-tol``), the matrix is valid with
+    no further solve.  Where only the uncertainty bound is inconclusive, the
+    one uncertainty ``eigvalsh`` decides.  Everywhere else the cached
+    :attr:`CovMat.margins` are compared with ``tol``.  Every path gives the
+    verdict and magnitudes the margins give, and its solves run once per
+    ``CovMat`` (its matrix is read-only) whatever tolerances it is checked at.
 
     Args:
         cov: candidate covariance matrix.
@@ -231,6 +312,12 @@ def validate(cov: CovMat, tol: float = DEFAULT_TOL) -> list[Violation]:
         An empty list iff all invariants hold; otherwise one entry per
         violated invariant with the violation magnitude.
     """
+    cert = cov.certificate
+    if cert.asymmetry <= tol and cert.trace >= 2 * cov.m - tol and cert.rounding_floor < tol:
+        if cert.uncertainty_floor < tol:
+            return []
+        min_uncertainty = cov._min_uncertainty
+        return [Violation("uncertainty", -min_uncertainty)] if min_uncertainty < -tol else []
     mg = cov.margins
     out: list[Violation] = []
     if mg.asymmetry > tol:
@@ -301,10 +388,9 @@ def mean_energy(state: GaussianState) -> float:
 def symplectic_eigenvalues(cov: CovMat) -> np.ndarray:
     """Williamson symplectic eigenvalues, sorted descending.
 
-    The moduli of the imaginary parts of ``eig(Omega V)`` come in +/- pairs;
-    the pair list is deduplicated into m values.  The solve runs once per
-    ``CovMat`` (:attr:`CovMat.williamson_moduli`, sound because its matrix is
-    read-only); the pairing check (to ``PAIRING_TOL``, relative) runs on every call.
+    The upper half of the spectrum of the Hermitian matrix ``i L^T Omega L``,
+    with ``L`` the Cholesky factor of the symmetric part; computed once per
+    ``CovMat`` and cached (sound because its matrix is read-only).
 
     Args:
         cov: a valid covariance matrix.
@@ -313,18 +399,24 @@ def symplectic_eigenvalues(cov: CovMat) -> np.ndarray:
         Array of m values ``nu_1 >= ... >= nu_m`` (all >= 1 for valid input).
 
     Raises:
-        NumericError: if the solve fails or the moduli do not pair.
+        NumericError: if the symmetric part is not positive definite in
+            float64 (its Cholesky fails), or the solve fails.
     """
-    mods = cov.williamson_moduli
-    first, second = mods[0::2], mods[1::2]
-    scale = max(1.0, float(mods[0]))
-    if float(np.max(np.abs(first - second))) > PAIRING_TOL * scale:
-        raise NumericError("could not pair symplectic eigenvalues by modulus")
-    return first.copy()
+    nu = cov._nu
+    if nu is None:
+        raise NumericError(
+            "covariance matrix is not positive definite in float64 (its Cholesky "
+            "factorisation failed), so its symplectic eigenvalues are undefined"
+        )
+    return nu.copy()
 
 
 def is_pure(cov: CovMat) -> bool:
-    """True iff every symplectic eigenvalue equals 1 within ``PURITY_TOL``."""
+    """True iff every symplectic eigenvalue equals 1 within ``PURITY_TOL``.
+
+    Raises:
+        NumericError: as :func:`symplectic_eigenvalues`.
+    """
     nu = symplectic_eigenvalues(cov)
     return float(np.max(np.abs(nu - 1.0))) <= PURITY_TOL
 

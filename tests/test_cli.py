@@ -338,6 +338,63 @@ def test_non_numeric_scalar_fields_exit_1(sub, doc, field, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_ENV = {"format": "sympcoh-cm-v1", "matrix": [[1.0, 0.0], [0.0, 1.0]]}
+_BS = [[0.6, 0.8], [-0.8, 0.6]]
+
+
+@pytest.mark.parametrize(
+    "sub, doc, field",
+    [
+        ("apply", {"kind": "block_orthogonal", "params": {"o": {"a": 1}}}, "o"),
+        ("apply", {"kind": "passive", "params": {"x": {"a": 1}, "y": [[0.0]]}}, "x"),
+        ("apply", {"kind": "passive", "params": {"x": [[1.0]], "y": {"a": 1}}}, "y"),
+        ("apply", {"kind": "displacement", "params": {"d": {"a": 1}}}, "d"),
+        ("apply", {"kind": "matrix", "params": {"S": {"a": 1}}}, "S"),
+        ("apply", {"kind": "matrix", "params": {"S": [[1, 0], [0, 1]], "disp": {"a": 1}}}, "disp"),
+        ("apply", {"kind": "matrix", "params": {"S": [[1, 0], [0, "x"]]}}, "S"),
+        (
+            "discriminate",
+            {**_DISC, "channels": [{"kind": "stinespring", "o": {"a": 1}, "env": _ENV}, _CHANNELS[0]]},
+            "o",
+        ),
+        (
+            "discriminate",
+            {
+                **_DISC,
+                "channels": [{"kind": "stinespring", "o": _BS, "env": _ENV, "d": {"a": 1}}, _CHANNELS[0]],
+            },
+            "d",
+        ),
+    ],
+)
+def test_non_numeric_array_fields_exit_1(sub, doc, field, tmp_path, capsys):
+    doc_file = tmp_path / "doc.json"
+    doc_file.write_text(json.dumps(doc))
+    if sub == "apply":
+        state_file = tmp_path / "state.json"
+        save_state(vacuum_state(1), str(state_file))
+        argv = ["apply", str(state_file), "--gate", str(doc_file)]
+    else:
+        argv = [sub, "--config", str(doc_file)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out is None
+    assert "ValueError" in err and f"field {field!r} must be an array of numbers" in err
+    assert "Traceback" not in err
+
+
+def test_qfi_on_a_matrix_not_positive_definite_in_float64_exits_1(tmp_path, capsys):
+    # At E = 1e12 the stored msc matrix is [[a, -a], [-a, a]]: singular in float64.
+    state_file = tmp_path / "s.json"
+    code, _, _ = run_cli(["msc", "--E", "1e12", "--m", "1", "-o", str(state_file)], capsys)
+    assert code == 0
+    code, out, err = run_cli(["qfi", str(state_file)], capsys)
+    assert code == 1
+    assert out is None
+    assert "NumericError" in err and "not positive definite in float64" in err
+    assert "Traceback" not in err
+
+
 def test_manifest_key_set(capsys):
     code, out, _ = run_cli(["maxsc", "--E", "10", "--m", "2"], capsys)
     assert code == 0

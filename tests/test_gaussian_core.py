@@ -6,6 +6,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import sympcoh
@@ -13,7 +15,9 @@ from sympcoh import (
     CovMat,
     DimensionError,
     GaussianState,
+    NumericError,
     ValidationError,
+    apply_loss,
     assemble,
     blocks,
     coherence_discord_relation_check,
@@ -23,6 +27,7 @@ from sympcoh import (
     load_state,
     mean_energy,
     mix_states,
+    msc_canonical,
     qfi_displacement,
     reduced_first_mode,
     require_valid,
@@ -35,9 +40,10 @@ from sympcoh import (
     vacuum_state,
     validate,
 )
-from conftest import random_valid_cov
+from conftest import random_pure_cov, random_valid_cov
 
 TOL = 1e-12
+EPS = np.finfo(float).eps
 
 
 def test_symplectic_form_squares_to_minus_identity():
@@ -171,7 +177,7 @@ def test_validation_cache_is_tolerance_free():
 
 
 def test_each_covmat_solves_its_eigenproblems_once(monkeypatch):
-    calls = {"eigvalsh": 0, "eigvals": 0}
+    calls = {"cholesky": 0, "eigvalsh": 0, "eigvals": 0}
 
     def counted(name):
         solve = getattr(np.linalg, name)
@@ -186,23 +192,125 @@ def test_each_covmat_solves_its_eigenproblems_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name))
     matrix = np.array([[2.0, 0.5], [0.5, 0.625]])  # a pure single-mode state: det = 1
     cov = CovMat(matrix)
-    validate(cov)
-    validate(cov, 1e-3)
-    require_valid(cov)
-    to_density(cov)
-    coherence_discord_relation_check(cov)
-    assert is_pure(cov)
-    nu = symplectic_eigenvalues(cov)
-    assert qfi_displacement(cov).exact
-    assert calls == {"eigvalsh": 4, "eigvals": 1}  # one validation set of solves, one eig
+    for _ in range(3):
+        assert validate(cov) == []
+        assert validate(cov, 1e-3) == []
+        require_valid(cov)
+        to_density(cov)
+        coherence_discord_relation_check(cov)
+        assert is_pure(cov)
+        nu = symplectic_eigenvalues(cov)
+        assert qfi_displacement(cov).exact
+    # one Cholesky and one Hermitian solve per valid matrix, no eig(Omega V)
+    assert calls == {"cholesky": 1, "eigvalsh": 1, "eigvals": 0}
     nu[0] = 7.0  # the caller's copy, not the cache
     assert_allclose(symplectic_eigenvalues(cov), [1.0], atol=1e-12)
-    assert not cov.williamson_moduli.flags.writeable
 
     again = CovMat(matrix)
     validate(again)
     symplectic_eigenvalues(again)
-    assert calls == {"eigvalsh": 8, "eigvals": 2}
+    assert calls == {"cholesky": 2, "eigvalsh": 2, "eigvals": 0}
+
+
+def test_symplectic_spectrum_needs_a_matrix_positive_definite_in_float64():
+    singular = msc_canonical(1e12, 1).cov  # stored as [[a, -a], [-a, a]]
+    indefinite = CovMat([[1.0, 2.0], [2.0, 1.0]])
+    for cov in (singular, indefinite):
+        for func in (symplectic_eigenvalues, is_pure):
+            with pytest.raises(NumericError, match="not positive definite in float64"):
+                func(cov)
+
+
+def _reference_report(v: np.ndarray, tol: float) -> list[tuple[str, float]]:
+    """The verdict of the four-eigvalsh margins (symmetric part, V + i*Omega, V_x, V_p)."""
+    m = v.shape[0] // 2
+    sym = 0.5 * (v + v.T)
+    asymmetry = float(np.max(np.abs(v - v.T)))
+    min_eig = float(np.linalg.eigvalsh(sym)[0])
+    min_uncertainty = float(np.linalg.eigvalsh(sym + 1j * symplectic_form(m))[0])
+    min_vx = float(np.linalg.eigvalsh(sym[:m, :m])[0])
+    min_vp = float(np.linalg.eigvalsh(sym[m:, m:])[0])
+    trace = float(np.trace(v))
+    out = []
+    if asymmetry > tol:
+        out.append(("symmetry", asymmetry))
+    if min_eig <= -tol:
+        out.append(("positive_definite", -min_eig))
+    if min_uncertainty < -tol:
+        out.append(("uncertainty", -min_uncertainty))
+    if min_vx <= -tol:
+        out.append(("vx_positive", -min_vx))
+    if min_vp <= -tol:
+        out.append(("vp_positive", -min_vp))
+    if trace < 2 * m - tol:
+        out.append(("trace_bound", 2 * m - trace))
+    return out
+
+
+def _paired_williamson(v: np.ndarray) -> np.ndarray:
+    """Symplectic eigenvalues as the moduli of Im eig(Omega V), paired."""
+    moduli = np.sort(np.abs(np.linalg.eigvals(symplectic_form(v.shape[0] // 2) @ v).imag))[::-1]
+    assert np.max(np.abs(moduli[0::2] - moduli[1::2])) <= 1e-8 * max(1.0, moduli[0])
+    return moduli[0::2]
+
+
+@st.composite
+def valid_covs(draw) -> CovMat:
+    """Pure, lossy or two-component mixed states, m <= 16, trace <= 1e3."""
+    m = draw(st.integers(1, 16))
+    kind = draw(st.sampled_from(("pure", "lossy", "mixed")))
+    trace = draw(st.floats(2 * m + 1e-6, 1e3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "pure":
+        return random_pure_cov(rng, m, trace)
+    if kind == "lossy":
+        return apply_loss(random_pure_cov(rng, m, trace), draw(st.floats(0.05, 0.95)))
+    w = draw(st.floats(0.05, 0.95))
+    parts = [GaussianState(random_pure_cov(rng, m, trace)) for _ in range(2)]
+    return mix_states([(w, parts[0]), (1.0 - w, parts[1])]).cov
+
+
+def _plant(v: np.ndarray, kind: str, size: float) -> np.ndarray:
+    """A copy of a valid matrix with one invariant violated by about ``size``."""
+    m = v.shape[0] // 2
+    if kind == "asymmetry":
+        out = v.copy()
+        out[0, -1] += size
+        return out
+    if kind == "negative_eigenvalue":
+        lam, vec = np.linalg.eigh(v)
+        out = v - (lam[0] + size) * np.outer(vec[:, 0], vec[:, 0])
+        return 0.5 * (out + out.T)
+    if kind == "uncertainty":
+        return (1.0 - min(size, 0.5)) * v
+    return v * ((2 * m - size) / np.trace(v))  # trace_bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(cov=valid_covs())
+def test_validate_and_williamson_match_the_eigenvalue_references_on_valid_states(cov):
+    v = cov.matrix
+    for tol in (gaussian_core.DEFAULT_TOL, 1e-6):
+        assert validate(cov, tol) == _reference_report(v, tol) == []
+    # measured worst |nu - nu_ref| over 6000 such states: 0.5 * eps * Tr[V]^2
+    trace = float(np.trace(v))
+    assert_allclose(symplectic_eigenvalues(cov), _paired_williamson(v), rtol=0, atol=4 * EPS * trace**2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    cov=valid_covs(),
+    kind=st.sampled_from(("asymmetry", "negative_eigenvalue", "uncertainty", "trace_bound")),
+    log_size=st.floats(-13.0, 0.0),
+)
+def test_validate_matches_the_margin_reference_on_planted_violations(cov, kind, log_size):
+    planted = _plant(cov.matrix, kind, 10.0**log_size)
+    for tol in (gaussian_core.DEFAULT_TOL, 1e-6):
+        report = validate(CovMat(planted), tol)
+        expected = _reference_report(planted, tol)
+        assert [v.name for v in report] == [name for name, _ in expected]
+        for v, (_, magnitude) in zip(report, expected):
+            assert v.magnitude == pytest.approx(magnitude, rel=1e-12)
 
 
 def test_blocks_assemble_roundtrip(rng):
