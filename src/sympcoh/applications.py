@@ -454,16 +454,17 @@ def tvd_exact_zero_mean_normals(var1: float, var2: float) -> float:
     """Exact total variation distance between N(0, var1) and N(0, var2).
 
     The densities cross at ``x*^2 = var1 var2 ln(var2/var1) / (var2 - var1)``
-    and the distance is ``2 |Phi(x*/sqrt(var1)) - Phi(x*/sqrt(var2))|``.
+    and the distance is ``2 |Phi(x*/sqrt(var1)) - Phi(x*/sqrt(var2))|``.  The
+    arguments a > b of Phi, squared, are ``L / (1 - e^-L)`` (1 at L = 0) and
+    ``e^-L`` times that, ``L = |ln var2 - ln var1|``: nothing overflows, and
+    ``erfc(-a / sqrt 2) - erfc(-b / sqrt 2)`` is symmetric in the variances.
 
     Raises:
         ValueError: on nonpositive variances.
     """
     if var1 <= 0 or var2 <= 0:
         raise ValueError("variances must be positive")
-    if var1 == var2:
-        return 0.0
-    x_star = math.sqrt(var1 * var2 * math.log(var2 / var1) / (var2 - var1))
-    # 2 |Phi(a) - Phi(b)| with the standard normal CDF Phi(z) = erfc(-z / sqrt(2)) / 2.
-    a, b = x_star / math.sqrt(var1), x_star / math.sqrt(var2)
-    return abs(math.erfc(-a / math.sqrt(2.0)) - math.erfc(-b / math.sqrt(2.0)))
+    log_ratio = abs(math.log(var2) - math.log(var1))
+    a_sq = log_ratio / -math.expm1(-log_ratio) if log_ratio else 1.0
+    a, b = math.sqrt(a_sq), math.sqrt(a_sq * math.exp(-log_ratio))
+    return math.erfc(-a / math.sqrt(2.0)) - math.erfc(-b / math.sqrt(2.0))

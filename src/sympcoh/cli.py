@@ -68,15 +68,18 @@ def _require_object(doc, what: str) -> dict:
 
 
 def _number(doc: dict, key: str, kind: type = float):
-    """``kind(doc[key])``; a value ``kind`` cannot convert, such as a JSON
-    list, object or null, raises ``ValueError`` naming the field."""
+    """``kind(doc[key])``; a value ``kind`` cannot convert, such as a JSON list,
+    object or null, or a non-finite one, raises ``ValueError`` naming the field."""
     value = doc[key]
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
+        number = np.nan
+    if isinstance(number, float) and not np.isfinite(number):
         raise ValueError(
             f"field {key!r} must be a number, got {type(value).__name__} {json.dumps(value)[:40]}"
-        ) from None
+        )
+    return number
 
 
 def _array(doc: dict, key: str) -> np.ndarray:

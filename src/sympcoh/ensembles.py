@@ -9,7 +9,7 @@ full passive family ``S = [[X, Y], [-Y, X]]``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from typing import Iterable
 
 import numpy as np
@@ -19,16 +19,13 @@ from .symplectic_ops import (
     block_samples,
     ginibre_batch,
     haar_from_ginibre,
-    haar_orthogonal_batch,
-    haar_unitary_batch,
     mc_blocks,
     mean_stderr,
     pure_cm,
+    pure_draw,
     pure_xp_block,
     require_budget,
     sample_d,  # noqa: F401 - kept importable from this module
-    sample_d_batch,
-    sample_pure_params,
 )
 
 KINDS = ("orthogonal", "unitary")
@@ -103,8 +100,9 @@ def sample_pure_cm(config: EnsembleConfig, rng: np.random.Generator) -> CovMat:
     The orthogonal kind has a structurally zero position-momentum block, so
     its samples carry no position-momentum correlations at all.
     """
-    x, y, d = sample_pure_params(config.E, config.m, 1, rng, config.kind == "orthogonal")
-    return CovMat(pure_cm(x[0], y[0], d[0]))
+    d, z = pure_draw(rng, 1, config.E, config.m, config.kind == "orthogonal")
+    u = haar_from_ginibre(z)[0]
+    return CovMat(pure_cm(u.real, u.imag, d[0]))
 
 
 @cache
@@ -170,10 +168,10 @@ def ensemble_nu_sq(
 ) -> EnsembleStats | tuple[EnsembleStats, np.ndarray, np.ndarray]:
     """Monte-Carlo mean of the first-mode nu^2 over the ensemble.
 
-    Block b of ``mc_blocks`` draws from ``derive_rng(seed, b)`` the spectra
-    (``sample_d_batch``), then one Ginibre stack ``z`` (``ginibre_batch``),
-    so the first k samples do not depend on ``n_samples`` and different seeds
-    give independent samples.  Sample j's passive unitary is the transpose
+    Block b of ``mc_blocks`` is the ``pure_draw`` of ``derive_rng(seed, b)``,
+    the spectra d and then one Ginibre stack ``z``, so the first k samples
+    do not depend on ``n_samples`` and different seeds give independent
+    samples.  Sample j's passive unitary is the transpose
     of the Haar matrix ``haar_from_ginibre(z[j])``; a Haar matrix's transpose
     is again Haar.  Its first row is that matrix's first column, the
     normalised Ginibre column ``z[j, :, 0] / |z[j, :, 0]|``, so nu_1^2
@@ -195,11 +193,7 @@ def ensemble_nu_sq(
     coh = np.empty(n) if return_samples else None
     s1_arr = np.empty(n)
     s2_arr = np.empty(n)
-
-    def draw(rng: np.random.Generator, size: int) -> tuple:
-        d = sample_d_batch(config.E, m, size, rng)
-        return d, ginibre_batch(m, size, rng, real=config.kind == "orthogonal")
-
+    draw = partial(pure_draw, E=config.E, m=m, real=config.kind == "orthogonal")
     for start, (d, z) in mc_blocks(config.seed, n, block_samples(m), draw):
         block = slice(start, start + d.shape[0])
         col = z[:, :, 0]
@@ -279,8 +273,8 @@ def haar_moment_check(m: int, n_samples: int, rng: np.random.Generator) -> list[
     """Estimate the fourth moments of Haar first rows against closed forms.
 
     For each kind in ``KINDS``, one integer seed is drawn from ``rng``
-    (``integers(2**63)``); that kind's matrices then come from
-    ``symplectic_ops.mc_blocks`` in blocks of ``block_samples(m)``.
+    (``integers(2**63)``); that kind's Ginibre stacks then come from
+    ``symplectic_ops.mc_blocks`` in blocks of ``block_samples(m)``, factored on the kept rows.
 
     Args:
         m: matrix size (needs m >= 2 for the i != j rows).
@@ -295,13 +289,13 @@ def haar_moment_check(m: int, n_samples: int, rng: np.random.Generator) -> list[
     if m < 2:
         raise ValueError("moment table needs m >= 2")
     out: list[MomentCheck] = []
-    for kind, sampler in zip(KINDS, (haar_orthogonal_batch, haar_unitary_batch)):
+    for kind in KINDS:
 
         def draw(block_rng: np.random.Generator, size: int) -> tuple:
-            return (sampler(m, size, block_rng)[:, 0, :],)
+            return (ginibre_batch(m, size, block_rng, real=kind == "orthogonal"),)
 
         blocks = mc_blocks(int(rng.integers(2**63)), n_samples, block_samples(m), draw)
-        first_rows = np.concatenate([rows for _, (rows,) in blocks])
+        first_rows = np.concatenate([haar_from_ginibre(z)[:, 0, :] for _, (z,) in blocks])
         out.extend(_rows(first_rows, kind, m))
     return out
 

@@ -82,7 +82,7 @@ def symplectic_form(m: int) -> np.ndarray:
 
 
 def _as_cm_array(matrix) -> np.ndarray:
-    """Coerce input to a float 2m x 2m array, checking shape only."""
+    """Coerce input to a float 2m x 2m array, checking shape and finiteness (entries, trace)."""
     arr = np.array(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"covariance matrix must be square, got shape {arr.shape}")
@@ -90,8 +90,14 @@ def _as_cm_array(matrix) -> np.ndarray:
         raise DimensionError(
             f"covariance matrix must be 2m x 2m with m >= 1, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise DimensionError("covariance matrix entries must be finite")
+    # One pass in the usual case: entries at most 1e300 / n in size are finite,
+    # and no summation order of their trace can overflow.
+    if not np.abs(arr).max() <= 1e300 / arr.shape[0]:
+        if not np.isfinite(arr).all():
+            raise DimensionError("covariance matrix entries must be finite")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.trace(arr)):
+                raise DimensionError("covariance matrix trace overflows float64")
     arr.flags.writeable = False
     return arr
 
@@ -115,6 +121,9 @@ class Margins(NamedTuple):
     min_vx: float
     min_vp: float
     trace: float
+
+
+_PROVEN = Margins(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # eigenvalue margins a floor below tol proves
 
 
 class Certificate(NamedTuple):
@@ -152,16 +161,16 @@ class Certificate(NamedTuple):
 class CovMat:
     """A candidate covariance matrix in qqpp ordering.
 
-    Construction checks only shape/finiteness; use :func:`validate` (report)
-    or :func:`require_valid` (raising) for the physical invariants, so that
-    invalid matrices can still be constructed and inspected.
+    Construction checks only shape and finiteness (entries and trace); use
+    :func:`validate` (report) or :func:`require_valid` (raising) for the
+    physical invariants, so invalid matrices can be constructed and inspected.
 
     Everything behind those checks is computed at most once per instance,
     on first use, and cached: one Cholesky of the symmetric part and one
     Hermitian ``eigvalsh`` give the symplectic eigenvalues and the
     :attr:`certificate`; the :attr:`margins` (four ``eigvalsh``) run only
-    where the certificate cannot decide, and the uncertainty solve alone
-    where only its bound is inconclusive.  Caching is sound because
+    where its rounding floor is not below the tolerance, and the uncertainty
+    solve where its uncertainty floor is not.  Caching is sound because
     ``matrix`` is a private read-only copy of the input; every transformed
     matrix is a new ``CovMat`` with its own cache.
 
@@ -184,7 +193,9 @@ class CovMat:
 
     @cached_property
     def _sym(self) -> np.ndarray:
-        v = self.matrix
+        v = self.matrix  # if bitwise symmetric, its own symmetric part: same bits, no overflow
+        if v.tobytes() == v.T.tobytes():
+            return v
         return 0.5 * (v + v.T)
 
     @cached_property
@@ -295,14 +306,11 @@ class Violation(NamedTuple):
 def validate(cov: CovMat, tol: float = DEFAULT_TOL) -> list[Violation]:
     """Check every covariance-matrix invariant.
 
-    Where the cached :attr:`CovMat.certificate` proves every margin within
-    ``tol`` (symmetry and trace compared directly, a rounding floor below
-    ``tol``, the uncertainty bound above ``-tol``), the matrix is valid with
-    no further solve.  Where only the uncertainty bound is inconclusive, the
-    one uncertainty ``eigvalsh`` decides.  Everywhere else the cached
-    :attr:`CovMat.margins` are compared with ``tol``.  Every path gives the
-    verdict and magnitudes the margins give, and its solves run once per
-    ``CovMat`` (its matrix is read-only) whatever tolerances it is checked at.
+    One pass that compares each invariant with ``tol`` once.  The cached
+    :attr:`CovMat.margins` and the uncertainty ``eigvalsh`` run only where
+    the cached :attr:`CovMat.certificate`'s rounding or uncertainty floor is
+    not below ``tol``; elsewhere the certificate proves the margin above
+    ``-tol``, so verdicts and magnitudes are the margins'.
 
     Args:
         cov: candidate covariance matrix.
@@ -313,24 +321,20 @@ def validate(cov: CovMat, tol: float = DEFAULT_TOL) -> list[Violation]:
         violated invariant with the violation magnitude.
     """
     cert = cov.certificate
-    if cert.asymmetry <= tol and cert.trace >= 2 * cov.m - tol and cert.rounding_floor < tol:
-        if cert.uncertainty_floor < tol:
-            return []
-        min_uncertainty = cov._min_uncertainty
-        return [Violation("uncertainty", -min_uncertainty)] if min_uncertainty < -tol else []
-    mg = cov.margins
+    mg = cov.margins if cert.rounding_floor >= tol else _PROVEN
+    min_uncertainty = cov._min_uncertainty if cert.uncertainty_floor >= tol else 0.0
     out: list[Violation] = []
-    if mg.asymmetry > tol:
-        out.append(Violation("symmetry", mg.asymmetry))
+    if cert.asymmetry > tol:
+        out.append(Violation("symmetry", cert.asymmetry))
     if mg.min_eig <= -tol:
         out.append(Violation("positive_definite", -mg.min_eig))
-    if mg.min_uncertainty < -tol:
-        out.append(Violation("uncertainty", -mg.min_uncertainty))
+    if min_uncertainty < -tol:
+        out.append(Violation("uncertainty", -min_uncertainty))
     for name, min_blk in (("vx_positive", mg.min_vx), ("vp_positive", mg.min_vp)):
         if min_blk <= -tol:
             out.append(Violation(name, -min_blk))
-    if mg.trace < 2 * cov.m - tol:
-        out.append(Violation("trace_bound", 2 * cov.m - mg.trace))
+    if cert.trace < 2 * cov.m - tol:
+        out.append(Violation("trace_bound", 2 * cov.m - cert.trace))
     return out
 
 

@@ -8,6 +8,7 @@ satisfying ``S Omega S^T = Omega`` within 1e-9 (Frobenius).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -53,6 +54,8 @@ def mc_blocks(seed: int, n: int, size: int, draw: Callable) -> Iterator[tuple[in
     ``(seed, j // size, j % size)``: results are a deterministic function of
     the seed, different seeds give independent samples, and a run of n
     samples is a prefix of every longer run with the same seed and size.
+    A ``draw`` only consumes its generator: per-sample transforms, such as
+    the QR of ``haar_from_ginibre``, run on the kept rows after the cut.
     """
     for b, start in enumerate(range(0, n, size)):
         stop = min(size, n - start)
@@ -479,21 +482,17 @@ def haar_unitary_batch(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return haar_from_ginibre(ginibre_batch(m, n, rng, real=False))
 
 
-def sample_pure_params(
-    E: float, m: int, n: int, rng: np.random.Generator, orthogonal: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw stacked ``(X, Y, d)`` for n random pure states with covariance trace E.
+def pure_draw(
+    rng: np.random.Generator, n: int, E: float, m: int, real: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The raw draw ``(d, z)`` of n random pure states with covariance trace E.
 
-    The spectra come first (``sample_d_batch``), then the Haar passive gates:
-    ``X + iY`` Haar unitary, or ``X`` Haar orthogonal and ``Y = 0`` when
-    ``orthogonal``.
+    The one layout of a pure-state Monte-Carlo block (an ``mc_blocks`` draw
+    once E, m, real are bound): spectra d (``sample_d_batch``), then one
+    Ginibre stack z (``ginibre_batch``), real iff the passive gates
+    ``haar_from_ginibre(z)`` are to be orthogonal.
     """
-    d = sample_d_batch(E, m, n, rng)
-    if orthogonal:
-        x = haar_orthogonal_batch(m, n, rng)
-        return x, np.zeros_like(x), d
-    u = haar_unitary_batch(m, n, rng)
-    return u.real, u.imag, d
+    return sample_d_batch(E, m, n, rng), ginibre_batch(m, n, rng, real)
 
 
 def pure_param_blocks(
@@ -501,15 +500,13 @@ def pure_param_blocks(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Yield ``(start, X, Y, d)`` stacks for samples ``start, start + 1, ...`` < n.
 
-    The ``mc_blocks`` of ``sample_pure_params`` in blocks of
-    ``block_samples(m)`` samples.
+    The ``mc_blocks`` of ``pure_draw`` in blocks of ``block_samples(m)`` samples;
+    ``X + iY = haar_from_ginibre(z)``, factored on the kept rows (``Y = 0`` if orthogonal).
     """
-
-    def draw(rng: np.random.Generator, size: int) -> tuple:
-        return sample_pure_params(E, m, size, rng, orthogonal)
-
-    for start, (x, y, d) in mc_blocks(seed, n, block_samples(m), draw):
-        yield start, x, y, d
+    draw = partial(pure_draw, E=E, m=m, real=orthogonal)
+    for start, (d, z) in mc_blocks(seed, n, block_samples(m), draw):
+        u = haar_from_ginibre(z)
+        yield start, u.real, u.imag, d
 
 
 def pure_cm(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:

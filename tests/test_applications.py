@@ -486,6 +486,22 @@ def test_tvd_exact_known_value():
         tvd_exact_zero_mean_normals(0.0, 1.0)
 
 
+def test_tvd_exact_is_symmetric_and_tends_to_one_at_extreme_ratios():
+    # Each of these overflowed a ratio or product of the variances.
+    for v1, v2 in ((1e-310, 1.0), (2.0, 1.5e308), (1e-10, 1e300), (5e-324, 1.7e308), (1.0, 1e30)):
+        assert tvd_exact_zero_mean_normals(v1, v2) == tvd_exact_zero_mean_normals(v2, v1)
+        assert tvd_exact_zero_mean_normals(v1, v2) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tvd_exact_agrees_with_scipy_at_moderate_ratios(rng):
+    for _ in range(50):
+        v1, v2 = (float(v) for v in 10.0 ** rng.uniform(-3.0, 3.0, size=2))
+        x_star = np.sqrt(v1 * v2 * np.log(v2 / v1) / (v2 - v1))
+        want = 2.0 * abs(norm.cdf(x_star / np.sqrt(v1)) - norm.cdf(x_star / np.sqrt(v2)))
+        assert tvd_exact_zero_mean_normals(v1, v2) == pytest.approx(want, abs=1e-12)
+        assert tvd_exact_zero_mean_normals(v1, v2) == tvd_exact_zero_mean_normals(v2, v1)
+
+
 def tvd_by_quadrature(v1: float, v2: float) -> float:
     """Half the L1 distance of the two densities, integrated adaptively.
 

@@ -242,6 +242,30 @@ def test_tvd_exact_and_bound(tmp_path, capsys):
     assert out["result"]["inflated"] is True
 
 
+def test_tvd_exact_at_extreme_variance_ratios(tmp_path, capsys):
+    for var1, var2 in ((1e-310, 1.0), (1.0, 1e-310), (2.0, 1.5e308), (1e-10, 1e300)):
+        config_file = tmp_path / "tvd.json"
+        config_file.write_text(json.dumps({"var1": var1, "var2": var2}))
+        code, out, err = run_cli(["tvd", "--config", str(config_file)], capsys)
+        assert code == 0, err
+        assert out["result"]["tvd_exact"] > 0.99
+
+
+def test_validate_at_the_edge_of_the_float_range(tmp_path, capsys):
+    pure = tmp_path / "pure.json"
+    save_state(GaussianState(CovMat([[1e308, 0.0], [0.0, 1e-308]])), str(pure))
+    code, out, err = run_cli(["validate", str(pure)], capsys)
+    assert code == 0, err
+    assert out["result"]["valid"] is True
+    overflow = tmp_path / "overflow.csv"
+    overflow.write_text("1e308,0\n0,1e308\n")
+    code, out, err = run_cli(["validate", str(overflow)], capsys)
+    assert code == 1
+    assert out is None
+    assert "DimensionError" in err and "trace" in err
+    assert "Traceback" not in err
+
+
 def test_tvd_rejects_an_invalid_inline_state(tmp_path, capsys):
     # Below the uncertainty bound: validate rejects it, so tvd must too.
     config = {
@@ -320,6 +344,14 @@ _TVD_BOUND = {"cm": _PROBE, "sxp1": 0.3, "sxp2": 0.0, "theta": 0.5}
         ("discriminate", {**_DISC, "channels": _CHANNELS, "trials": [10]}, "trials"),
         ("discriminate", {**_DISC, "channels": _CHANNELS, "seed": [3]}, "seed"),
         ("discriminate", {**_DISC, "channels": [{"kind": "loss", "eta": [0.4]}, _CHANNELS[0]]}, "eta"),
+        ("tvd", {**_TVD_BOUND, "theta": float("nan")}, "theta"),
+        ("tvd", {"var1": float("nan"), "var2": 2}, "var1"),
+        ("tvd", {"var1": 1, "var2": float("inf")}, "var2"),
+        ("tvd", {**_TVD_BOUND, "sxp2": float("-inf")}, "sxp2"),
+        ("apply", {"kind": "squeezer", "params": {"mode": 1, "r": float("nan")}}, "r"),
+        ("discriminate", {**_DISC, "channels": _CHANNELS, "delta": float("inf")}, "delta"),
+        ("discriminate", {**_DISC, "channels": _CHANNELS, "trials": float("nan")}, "trials"),
+        ("discriminate", {**_DISC, "channels": _CHANNELS, "seed": float("-inf")}, "seed"),
     ],
 )
 def test_non_numeric_scalar_fields_exit_1(sub, doc, field, tmp_path, capsys):

@@ -212,6 +212,33 @@ def test_each_covmat_solves_its_eigenproblems_once(monkeypatch):
     assert calls == {"cholesky": 2, "eigvalsh": 2, "eigvals": 0}
 
 
+def test_validate_solves_only_the_margins_its_floors_leave_open(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    asymmetric = CovMat([[2.0, 1e-3], [0.0, 2.0]])
+    assert [v.name for v in validate(asymmetric)] == ["symmetry"]
+    assert len(calls) == 1  # the Williamson solve; its floors prove the rest
+    calls.clear()
+    below_trace = CovMat(0.5 * np.eye(2))
+    assert [v.name for v in validate(below_trace)] == ["uncertainty", "trace_bound"]
+    assert len(calls) == 2  # plus the uncertainty solve its floor leaves open
+
+
+def test_covmat_at_the_edge_of_the_float_range():
+    pure = CovMat([[1e308, 0.0], [0.0, 1e-308]])  # det 1: a pure state
+    assert_allclose(symplectic_eigenvalues(pure), [1.0], rtol=0, atol=1e-12)
+    assert is_pure(pure)
+    assert validate(pure) == []
+    with pytest.raises(DimensionError, match="trace"):
+        CovMat([[1e308, 0.0], [0.0, 1e308]])
+
+
 def test_symplectic_spectrum_needs_a_matrix_positive_definite_in_float64():
     singular = msc_canonical(1e12, 1).cov  # stored as [[a, -a], [-a, a]]
     indefinite = CovMat([[1.0, 2.0], [2.0, 1.0]])

@@ -48,6 +48,8 @@ from sympcoh.symplectic_ops import (
     haar_orthogonal_batch,
     haar_unitary_batch,
     mean_stderr,
+    pure_draw,
+    pure_param_blocks,
     sample_d_batch,
 )
 from conftest import random_valid_cov
@@ -387,3 +389,53 @@ def test_haar_batches_match_properties(rng):
     us = haar_unitary_batch(3, 8, rng)
     for u in us:
         assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-10)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["orthogonal", "unitary"])
+def test_pure_draw_is_spectra_then_one_ginibre_stack(real):
+    d, z = pure_draw(derive_rng(2, 0), 5, 12.0, 3, real)
+    ref_rng = derive_rng(2, 0)
+    assert d.tobytes() == sample_d_batch(12.0, 3, 5, ref_rng).tobytes()
+    assert z.tobytes() == ginibre_batch(3, 5, ref_rng, real).tobytes()
+
+
+@pytest.mark.parametrize("m", [1, 3, 16])
+@pytest.mark.parametrize("orthogonal", [True, False], ids=["orthogonal", "unitary"])
+def test_pure_param_blocks_are_full_block_draws_cut_at_n(m, orthogonal):
+    # Factoring only the kept rows leaves every row's bytes as they are when
+    # the whole block is drawn and factored, for n below, at and above a block.
+    size, E, seed = block_samples(m), 4.0 * m + 8.0, 41
+    sampler = haar_orthogonal_batch if orthogonal else haar_unitary_batch
+    for n in (size - 7, size, 2 * size + 5):
+        blocks = list(pure_param_blocks(seed, n, E, m, orthogonal))
+        assert [start for start, *_ in blocks] == list(range(0, n, size))
+        for b, (start, x, y, d) in enumerate(blocks):
+            stop = min(size, n - start)
+            rng = derive_rng(seed, b)
+            want_d = sample_d_batch(E, m, size, rng)[:stop]
+            want_u = sampler(m, size, rng)[:stop]
+            assert x.shape == y.shape == (stop, m, m) and d.shape == (stop, m)
+            assert d.tobytes() == want_d.tobytes()
+            assert x.tobytes() == want_u.real.tobytes()
+            assert y.tobytes() == want_u.imag.tobytes()
+            assert not orthogonal or not y.any()
+
+
+@pytest.mark.parametrize("m", [1, 2, 8])
+def test_monte_carlo_drivers_factor_only_the_rows_they_keep(m, monkeypatch):
+    sizes = []
+    qr = np.linalg.qr
+
+    def recording(z, *args, **kwargs):
+        sizes.append((np.iscomplexobj(z), z.shape[0]))
+        return qr(z, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    coherence.numeric_max_search(4.0 * m + 8.0, m, 30, 3)
+    assert block_samples(m) > 30
+    assert sum(n for _, n in sizes) == 30
+    if m >= 2:
+        sizes.clear()
+        ensembles.haar_moment_check(m, 1000, derive_rng(1, 0))
+        assert sum(n for c, n in sizes if not c) == 1000
+        assert sum(n for c, n in sizes if c) == 1000
