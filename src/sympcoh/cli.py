@@ -8,8 +8,9 @@ Exit codes: 0 success, 1 invalid input (with the violated invariant named
 on stderr), 2 usage error.
 
 State files are JSON documents (see :mod:`sympcoh.gaussian_core`) or bare
-CSV matrices; ``-`` reads a document from stdin and accepts either a bare
-document or a previous invocation's envelope, so subcommands pipe:
+CSV matrices; ``-`` reads a document from stdin.  A JSON document, from a
+file, stdin or inline in a config, may be bare or a previous invocation's
+envelope, so subcommands pipe and read each other's saved output:
 ``sympcoh msc --E 6 --m 1 | sympcoh coherence -``.
 """
 
@@ -32,27 +33,22 @@ DEFAULT_SEED = 0x5EED
 ENVELOPE_FORMAT = "sympcoh-envelope-v1"
 
 
-def _read_state(path: str, m: int | None = None) -> gaussian_core.GaussianState:
-    """Read a state from a file path or stdin (``-``), unwrapping envelopes."""
-    if path == "-":
-        doc = json.loads(sys.stdin.read())
-        if isinstance(doc, dict) and "result" in doc and isinstance(doc["result"], dict):
-            if "format" in doc["result"]:
-                doc = doc["result"]
-        state = gaussian_core.state_from_dict(doc)
-        if m is not None and state.m != int(m):
-            raise gaussian_core.DimensionError(
-                f"expected m={m}, stdin document has m={state.m}"
-            )
-        return state
-    return gaussian_core.load_state(path, m)
+def _read_state(spec: str | dict, m: int | None = None) -> gaussian_core.GaussianState:
+    """A state from a file path, stdin (``-``) or an inline config document.
 
-
-def _state_arg(spec: str | dict) -> gaussian_core.GaussianState:
-    """A state given in a config as a file path (or ``-``) or as an inline document."""
-    if isinstance(spec, str):
-        return _read_state(spec)
-    return gaussian_core.state_from_dict(spec)
+    A JSON document may be bare or a previous invocation's envelope around one.
+    """
+    if spec == "-":
+        spec = json.load(sys.stdin)
+    elif isinstance(spec, str):
+        if spec.endswith(".csv"):
+            return gaussian_core.load_state(spec, m)
+        with open(spec) as fh:
+            spec = json.load(fh)
+    result = spec.get("result") if isinstance(spec, dict) else None
+    if isinstance(result, dict) and "format" in result:
+        spec = result
+    return gaussian_core.state_from_dict(spec, m)
 
 
 def _read_valid_state(path: str, m: int | None = None) -> gaussian_core.GaussianState:
@@ -142,7 +138,7 @@ def build_channel(spec: dict):
     if kind == "stinespring":
         return ops.StinespringChannel(
             o=_array(spec, "o"),
-            env=_state_arg(spec["env"]).cov,
+            env=_read_state(spec["env"]).cov,
             d=None if spec.get("d") is None else _array(spec, "d"),
         )
     raise ValueError(f"unknown channel kind {kind!r}")
@@ -235,7 +231,7 @@ def _cmd_ensemble(args) -> tuple[dict, int]:
 
 def _cmd_discriminate(args) -> tuple[dict, int]:
     cfg = _load_json(args.config)
-    probe = _state_arg(cfg["probe_file"] if "probe_file" in cfg else cfg["probe"])
+    probe = _read_state(cfg["probe_file"] if "probe_file" in cfg else cfg["probe"])
     gaussian_core.require_valid(probe.cov)
     if not isinstance(cfg["channels"], list):
         raise ValueError("discriminate config: channels must be a JSON list of two channel specs")
@@ -267,7 +263,7 @@ def _cmd_tvd(args) -> tuple[dict, int]:
             _number(cfg, "var1"), _number(cfg, "var2")
         )
     if "sxp1" in cfg or "sxp2" in cfg:
-        state = _state_arg(cfg["cm"])
+        state = _read_state(cfg["cm"])
         gaussian_core.require_valid(state.cov)
         inflated = bool(cfg.get("inflated", False))
         result["bound"] = applications.tvd_bound_ppmm(

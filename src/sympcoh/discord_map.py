@@ -14,9 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian_core import CovMat, require_valid
-
-CQ_TOL = 1e-10  #: largest off-diagonal entry of a classical-quantum virtual state
+from .gaussian_core import FREE_TOL, CovMat, require_valid
 
 
 @dataclass(frozen=True)
@@ -84,8 +82,14 @@ def geometric_discord(image: DiscordImage) -> float:
 
 
 def is_classical_quantum(image: DiscordImage) -> bool:
-    """Whether the virtual state is block-diagonal (zero discord) within ``CQ_TOL``."""
-    return bool(np.max(np.abs(image.off_block)) <= CQ_TOL)
+    """Whether the virtual state is classical-quantum (zero discord).
+
+    The free verdict (:func:`sympcoh.gaussian_core.is_free`) on the source
+    block ``c_scale * off_block``, compared as ``max |off_block| <= FREE_TOL /
+    c_scale`` so nothing overflows: a state is free iff its image is
+    classical-quantum.
+    """
+    return bool(np.max(np.abs(image.off_block)) <= FREE_TOL / image.c_scale)
 
 
 class RelationCheck(NamedTuple):

@@ -17,7 +17,7 @@ Williamson symplectic eigenvalues ``nu`` (Weedbrook et al., Rev. Mod. Phys.
 84, 621 (2012); Bhatia and Jain, J. Math. Phys. 56, 112201 (2015)).  Its
 upper half is ``nu``, so no pairing step is needed, and together with the
 Cholesky it proves a matrix valid wherever the rounding floor allows
-(:class:`Certificate`); elsewhere :func:`validate` falls back to the
+(:attr:`CovMat.violations`); elsewhere the verdict falls back to the
 eigenvalue margins (:class:`Margins`).
 """
 
@@ -34,10 +34,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-#: Default absolute tolerance for eigenvalue-based validity checks.
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9  #: absolute tolerance of every validity verdict (CovMat.violations)
 PURITY_TOL = 1e-8  #: absolute tolerance of is_pure on every symplectic eigenvalue
-FREE_TOL = 1e-10  #: default absolute tolerance of is_free on the V_xp block
+FREE_TOL = 1e-10  #: absolute tolerance of is_free on the V_xp block
 _EPS = sys.float_info.epsilon
 
 #: Identifier stored in every covariance-matrix JSON document.
@@ -126,35 +125,11 @@ class Margins(NamedTuple):
 _PROVEN = Margins(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # eigenvalue margins a floor below tol proves
 
 
-class Certificate(NamedTuple):
-    """What one Cholesky and one Hermitian solve prove about the margins.
+class Violation(NamedTuple):
+    """A violated covariance-matrix invariant and by how much."""
 
-    With ``n = 2m``, ``u = eps / 2`` and ``S = (V + V^T) / 2``, a Cholesky
-    that succeeds in float64 returns ``L`` with ``L L^T = S + dS`` and
-    ``|dS|_2 <= (n + 1) u Tr[V]`` (Higham, Accuracy and Stability of
-    Numerical Algorithms, Thm 10.3).  Taking a Hermitian eigensolver's error
-    as ``n u |A|_2``, the rounding floor ``n^2 * eps * Tr[V]`` bounds both
-    ``|dS|_2`` plus the error of an ``eigvalsh`` of ``S`` or ``S + i*Omega``,
-    and the shift of the computed ``nu`` from the exact ``nu`` of ``L L^T``
-    (``(m + n) u Tr[V]``).  Hence the margins ``min_eig``, ``min_vx`` and
-    ``min_vp`` (interlacing) are at least ``-rounding_floor``.  By
-    Ostrowski's theorem on ``S + i*Omega = L (I + i L^-1 Omega L^-T) L^T``,
-    whose middle factor has eigenvalues ``1 +/- 1/nu``, ``min_uncertainty >=
-    -rounding_floor - (1/(nu_min - rounding_floor) - 1)_+ * (Tr[V] +
-    rounding_floor)``.
-
-    Attributes:
-        asymmetry: ``max |V - V^T|``, as in :class:`Margins`.
-        trace: ``Tr[V]``, as in :class:`Margins`.
-        rounding_floor: ``n^2 * eps * Tr[V]``; ``inf`` where the Cholesky fails.
-        uncertainty_floor: the bound above, ``min_uncertainty >=
-            -uncertainty_floor``; ``inf`` where it proves nothing.
-    """
-
-    asymmetry: float
-    trace: float
-    rounding_floor: float
-    uncertainty_floor: float
+    name: str
+    magnitude: float
 
 
 @dataclass(frozen=True)
@@ -167,12 +142,11 @@ class CovMat:
 
     Everything behind those checks is computed at most once per instance,
     on first use, and cached: one Cholesky of the symmetric part and one
-    Hermitian ``eigvalsh`` give the symplectic eigenvalues and the
-    :attr:`certificate`; the :attr:`margins` (four ``eigvalsh``) run only
-    where its rounding floor is not below the tolerance, and the uncertainty
-    solve where its uncertainty floor is not.  Caching is sound because
-    ``matrix`` is a private read-only copy of the input; every transformed
-    matrix is a new ``CovMat`` with its own cache.
+    Hermitian ``eigvalsh`` give the symplectic eigenvalues and bound the
+    margins; the :attr:`violations` need the :attr:`margins` (four
+    ``eigvalsh``) only where those bounds leave a margin open.  Caching is
+    sound because ``matrix`` is a private read-only copy of the input; every
+    transformed matrix is a new ``CovMat`` with its own cache.
 
     Attributes:
         matrix: the 2m x 2m real matrix (read-only).
@@ -193,10 +167,20 @@ class CovMat:
 
     @cached_property
     def _sym(self) -> np.ndarray:
-        v = self.matrix  # if bitwise symmetric, its own symmetric part: same bits, no overflow
+        """The symmetric part ``V/2 + V^T/2``: halved first, so no sum overflows."""
+        v = self.matrix  # if bitwise symmetric, its own symmetric part: same bits, no work
         if v.tobytes() == v.T.tobytes():
             return v
-        return 0.5 * (v + v.T)
+        half = 0.5 * v
+        return half + half.T
+
+    @cached_property
+    def _asymmetry(self) -> float:
+        """``max |V - V^T|`` as ``2 max |V/2 - V^T/2|``, so no difference overflows."""
+        if self._sym is self.matrix:
+            return 0.0
+        half = 0.5 * self.matrix
+        return 2.0 * float(np.max(np.abs(half - half.T)))
 
     @cached_property
     def _nu(self) -> np.ndarray | None:
@@ -226,24 +210,8 @@ class CovMat:
         return float(np.linalg.eigvalsh(self._sym + 1j * symplectic_form(self.m))[0])
 
     @cached_property
-    def certificate(self) -> Certificate:
-        """The margins' bounds from the Cholesky and the Williamson solve."""
-        v = self.matrix
-        asymmetry = float(np.max(np.abs(v - v.T)))
-        trace = self.trace
-        if self._nu is None:
-            return Certificate(asymmetry, trace, math.inf, math.inf)
-        n = 2 * self.m
-        floor = n * n * _EPS * trace
-        nu_low = float(self._nu[-1]) - floor
-        bound = math.inf
-        if nu_low > 0.0:
-            bound = floor + max(0.0, 1.0 / nu_low - 1.0) * (trace + floor)
-        return Certificate(asymmetry, trace, floor, bound)
-
-    @cached_property
     def margins(self) -> Margins:
-        """The eigenvalue and trace margins that :func:`validate` compares.
+        """The eigenvalue and trace margins that :attr:`violations` compares.
 
         The uncertainty relation is evaluated in complex arithmetic on the
         Hermitian matrix ``(V + V^T) / 2 + i*Omega``.
@@ -251,13 +219,67 @@ class CovMat:
         m = self.m
         sym = self._sym
         return Margins(
-            asymmetry=self.certificate.asymmetry,
+            asymmetry=self._asymmetry,
             min_eig=float(np.linalg.eigvalsh(sym)[0]),
             min_uncertainty=self._min_uncertainty,
             min_vx=float(np.linalg.eigvalsh(sym[:m, :m])[0]),
             min_vp=float(np.linalg.eigvalsh(sym[m:, m:])[0]),
-            trace=self.certificate.trace,
+            trace=self.trace,
         )
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """Every invariant this matrix violates at ``DEFAULT_TOL``, with its magnitude.
+
+        One pass that compares each invariant with the tolerance once, with
+        the verdicts and magnitudes of the :attr:`margins`.  Symmetry and
+        trace are compared directly.  The ``min_eig``, ``min_vx`` and
+        ``min_vp`` margins are solved only where the rounding floor below is
+        not below the tolerance, and the uncertainty ``eigvalsh`` only where
+        the uncertainty floor is not; elsewhere the floor proves the margin
+        above ``-DEFAULT_TOL``, so the solve could not change the verdict.
+
+        What one Cholesky and one Hermitian solve prove about the margins:
+        with ``n = 2m``, ``u = eps / 2`` and ``S = (V + V^T) / 2``, a Cholesky
+        that succeeds in float64 returns ``L`` with ``L L^T = S + dS`` and
+        ``|dS|_2 <= (n + 1) u Tr[V]`` (Higham, Accuracy and Stability of
+        Numerical Algorithms, Thm 10.3).  Taking a Hermitian eigensolver's error
+        as ``n u |A|_2``, the rounding floor ``n^2 * eps * Tr[V]`` bounds both
+        ``|dS|_2`` plus the error of an ``eigvalsh`` of ``S`` or ``S + i*Omega``,
+        and the shift of the computed ``nu`` from the exact ``nu`` of ``L L^T``
+        (``(m + n) u Tr[V]``).  Hence the margins ``min_eig``, ``min_vx`` and
+        ``min_vp`` (interlacing) are at least ``-rounding_floor``.  By
+        Ostrowski's theorem on ``S + i*Omega = L (I + i L^-1 Omega L^-T) L^T``,
+        whose middle factor has eigenvalues ``1 +/- 1/nu``, ``min_uncertainty >=
+        -rounding_floor - (1/(nu_min - rounding_floor) - 1)_+ * (Tr[V] +
+        rounding_floor)``, the uncertainty floor.  Where the Cholesky fails
+        both floors are ``inf``, and where ``nu_min - rounding_floor <= 0``
+        the uncertainty floor is: they prove nothing.
+        """
+        tol, m, trace = DEFAULT_TOL, self.m, self.trace
+        rounding_floor = uncertainty_floor = math.inf
+        if self._nu is not None:
+            rounding_floor = (2 * m) ** 2 * _EPS * trace
+            nu_low = float(self._nu[-1]) - rounding_floor
+            if nu_low > 0.0:
+                uncertainty_floor = rounding_floor + max(0.0, 1.0 / nu_low - 1.0) * (
+                    trace + rounding_floor
+                )
+        mg = self.margins if rounding_floor >= tol else _PROVEN
+        min_uncertainty = self._min_uncertainty if uncertainty_floor >= tol else 0.0
+        out: list[Violation] = []
+        if self._asymmetry > tol:
+            out.append(Violation("symmetry", self._asymmetry))
+        if mg.min_eig <= -tol:
+            out.append(Violation("positive_definite", -mg.min_eig))
+        if min_uncertainty < -tol:
+            out.append(Violation("uncertainty", -min_uncertainty))
+        for name, min_blk in (("vx_positive", mg.min_vx), ("vp_positive", mg.min_vp)):
+            if min_blk <= -tol:
+                out.append(Violation(name, -min_blk))
+        if trace < 2 * m - tol:
+            out.append(Violation("trace_bound", 2 * m - trace))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -296,58 +318,28 @@ def vacuum_state(m: int) -> GaussianState:
     return GaussianState(CovMat(np.eye(2 * m)))
 
 
-class Violation(NamedTuple):
-    """A violated covariance-matrix invariant and by how much."""
+def validate(cov: CovMat) -> list[Violation]:
+    """Every covariance-matrix invariant that ``cov`` violates.
 
-    name: str
-    magnitude: float
-
-
-def validate(cov: CovMat, tol: float = DEFAULT_TOL) -> list[Violation]:
-    """Check every covariance-matrix invariant.
-
-    One pass that compares each invariant with ``tol`` once.  The cached
-    :attr:`CovMat.margins` and the uncertainty ``eigvalsh`` run only where
-    the cached :attr:`CovMat.certificate`'s rounding or uncertainty floor is
-    not below ``tol``; elsewhere the certificate proves the margin above
-    ``-tol``, so verdicts and magnitudes are the margins'.
-
-    Args:
-        cov: candidate covariance matrix.
-        tol: absolute tolerance.
+    A read of the cached :attr:`CovMat.violations`, computed once per matrix
+    at ``DEFAULT_TOL``; no verdict takes another tolerance.
 
     Returns:
         An empty list iff all invariants hold; otherwise one entry per
         violated invariant with the violation magnitude.
     """
-    cert = cov.certificate
-    mg = cov.margins if cert.rounding_floor >= tol else _PROVEN
-    min_uncertainty = cov._min_uncertainty if cert.uncertainty_floor >= tol else 0.0
-    out: list[Violation] = []
-    if cert.asymmetry > tol:
-        out.append(Violation("symmetry", cert.asymmetry))
-    if mg.min_eig <= -tol:
-        out.append(Violation("positive_definite", -mg.min_eig))
-    if min_uncertainty < -tol:
-        out.append(Violation("uncertainty", -min_uncertainty))
-    for name, min_blk in (("vx_positive", mg.min_vx), ("vp_positive", mg.min_vp)):
-        if min_blk <= -tol:
-            out.append(Violation(name, -min_blk))
-    if cert.trace < 2 * cov.m - tol:
-        out.append(Violation("trace_bound", 2 * cov.m - cert.trace))
-    return out
+    return list(cov.violations)
 
 
-def is_valid(cov: CovMat, tol: float = DEFAULT_TOL) -> bool:
-    """True iff :func:`validate` reports no violations."""
-    return not validate(cov, tol)
+def is_valid(cov: CovMat) -> bool:
+    """True iff ``cov`` violates no invariant (:attr:`CovMat.violations` is empty)."""
+    return not cov.violations
 
 
 def require_valid(cov: CovMat) -> CovMat:
-    """Return ``cov`` unchanged, raising :class:`ValidationError` if :func:`validate` reports."""
-    report = validate(cov)
-    if report:
-        raise ValidationError(report)
+    """Return ``cov`` unchanged, raising :class:`ValidationError` if it violates an invariant."""
+    if cov.violations:
+        raise ValidationError(cov.violations)
     return cov
 
 
@@ -425,9 +417,14 @@ def is_pure(cov: CovMat) -> bool:
     return float(np.max(np.abs(nu - 1.0))) <= PURITY_TOL
 
 
-def is_free(cov: CovMat, tol: float = FREE_TOL) -> bool:
-    """Whether every position-momentum covariance entry is within ``tol`` of 0 (a free state)."""
-    return bool(np.max(np.abs(cov.matrix[: cov.m, cov.m :])) <= tol)
+def is_free(cov: CovMat) -> bool:
+    """Whether every position-momentum covariance entry is within ``FREE_TOL`` of 0.
+
+    The one free-state verdict: a free state has zero symplectic coherence,
+    and its virtual image is classical-quantum
+    (:func:`sympcoh.discord_map.is_classical_quantum` is this test).
+    """
+    return bool(np.max(np.abs(cov.matrix[: cov.m, cov.m :])) <= FREE_TOL)
 
 
 class FirstModeReduction(NamedTuple):
@@ -504,8 +501,11 @@ def state_to_dict(state: GaussianState) -> dict:
     return doc
 
 
-def state_from_dict(doc: dict) -> GaussianState:
-    """Parse the covariance-matrix JSON document (no physical validation)."""
+def state_from_dict(doc: dict, m: int | None = None) -> GaussianState:
+    """Parse the covariance-matrix JSON document (no physical validation).
+
+    ``m``, if given, is an expected mode count, cross-checked like the document's own.
+    """
     if not isinstance(doc, dict):
         raise ValueError("covariance-matrix document must be a JSON object")
     fmt = doc.get("format")
@@ -516,11 +516,9 @@ def state_from_dict(doc: dict) -> GaussianState:
     if doc.get("hbar", CM_HBAR) != CM_HBAR:
         raise ValueError(f"unsupported hbar convention {doc.get('hbar')!r}")
     cov = CovMat(doc["matrix"])
-    declared_m = doc.get("m")
-    if declared_m is not None and int(declared_m) != cov.m:
-        raise DimensionError(
-            f"declared mode count {declared_m} does not match matrix size {cov.matrix.shape[0]}"
-        )
+    for expected in (doc.get("m"), m):
+        if expected is not None and int(expected) != cov.m:
+            raise DimensionError(f"expected m={expected}, the matrix has m={cov.m}")
     return GaussianState(cov, doc.get("displacement"))
 
 
@@ -538,13 +536,11 @@ def load_state(path: str, m: int | None = None) -> GaussianState:
     if path.endswith(".csv"):
         with open(path, newline="") as fh:
             rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
-        state = GaussianState(CovMat(rows))
+        doc = {"format": CM_FORMAT, "matrix": rows}
     else:
         with open(path) as fh:
-            state = state_from_dict(json.load(fh))
-    if m is not None and state.m != int(m):
-        raise DimensionError(f"expected m={m}, file has m={state.m}")
-    return state
+            doc = json.load(fh)
+    return state_from_dict(doc, m)
 
 
 def save_state(state: GaussianState, path: str) -> None:

@@ -67,6 +67,43 @@ def test_msc_writes_state_file_and_validate_accepts_it(tmp_path, capsys):
     assert out["result"]["violations"] == []
 
 
+def test_saved_envelope_is_read_from_a_file_and_inline(tmp_path, capsys):
+    code, out, _ = run_cli(["msc", "--E", "6", "--m", "1"], capsys)
+    assert code == 0
+    envelope = tmp_path / "env.json"
+    envelope.write_text(json.dumps(out))
+    code, out2, err = run_cli(["coherence", str(envelope)], capsys)
+    assert code == 0, err
+    assert out2["result"]["c"] == pytest.approx(8.0, abs=1e-9)
+    code, _, err = run_cli(["coherence", str(envelope), "--m", "2"], capsys)
+    assert code == 1
+    assert "m=2" in err
+    config = tmp_path / "tvd.json"
+    config.write_text(json.dumps({"cm": out, "sxp1": 0.3, "sxp2": 0.0, "theta": 0.5}))
+    code, out3, err = run_cli(["tvd", "--config", str(config)], capsys)
+    assert code == 0, err
+    assert np.isfinite(out3["result"]["bound"])
+
+
+def test_validate_names_every_violation_of_a_matrix_near_the_float_range(tmp_path, capsys):
+    lopsided = tmp_path / "lopsided.csv"
+    lopsided.write_text("1,1e308\n1.5e308,1\n")
+    code, out, err = run_cli(["validate", str(lopsided)], capsys)
+    assert code == 1
+    names = [v["name"] for v in out["result"]["violations"]]
+    assert names == ["symmetry", "positive_definite", "uncertainty"]
+    assert "positive_definite" in err and "Warning" not in err
+
+
+def test_coherence_and_discord_agree_on_free(tmp_path, capsys):
+    for xp in (5e-11, 1e-9):
+        state_file = tmp_path / "near_free.json"
+        save_state(GaussianState(CovMat([[50.0, xp], [xp, 50.0]])), str(state_file))
+        _, coh, _ = run_cli(["coherence", str(state_file)], capsys)
+        _, dis, _ = run_cli(["discord", str(state_file)], capsys)
+        assert coh["result"]["is_free"] is dis["result"]["classical_quantum"] is (xp < 1e-10)
+
+
 def test_validate_rejects_invalid_matrix(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     np.savetxt(bad, 0.5 * np.eye(2), delimiter=",")

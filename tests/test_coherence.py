@@ -138,7 +138,7 @@ def test_is_free_cases():
 
 def test_faithfulness_exact():
     free = CovMat(np.diag([2.0, 3.0, 1.0, 0.7]))
-    assert is_free(free, tol=0.0)
+    assert is_free(free)
     assert symplectic_coherence(free) == 0.0
 
 

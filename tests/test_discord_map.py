@@ -14,10 +14,12 @@ from sympcoh import (
     apply,
     block_orthogonal,
     coherence_discord_relation_check,
+    discord_map,
     from_density,
     geometric_discord,
     haar_orthogonal,
     is_classical_quantum,
+    is_free,
     msc_canonical,
     phase_shifter,
     squeezer,
@@ -138,6 +140,17 @@ def test_classical_quantum_detection(rng):
     thermal = GaussianState(CovMat(np.diag([3.0, 2.0, 1.5, 1.0])))
     assert is_classical_quantum(to_density(thermal.cov))
     assert not is_classical_quantum(to_density(msc_canonical(6.0, 1).cov))
+
+
+@pytest.mark.parametrize("trace", [2.0, 100.0, 1e6])
+@pytest.mark.parametrize("xp", [5e-11, 1e-9, 2e-10])
+def test_classical_quantum_is_the_free_verdict(trace, xp):
+    cov = CovMat(np.array([[trace / 2, xp], [xp, trace / 2]]))
+    assert is_classical_quantum(to_density(cov)) is is_free(cov) is (xp <= 1e-10)
+
+
+def test_classical_quantum_has_no_tolerance_of_its_own():
+    assert not hasattr(discord_map, "CQ_TOL")
 
 
 def test_relation_exact_examples():

@@ -77,7 +77,10 @@ def test_covmat_takes_only_the_matrix():
 @pytest.mark.parametrize(
     "func, name",
     [
+        ("validate", "tol"),
+        ("is_valid", "tol"),
         ("require_valid", "tol"),
+        ("is_free", "tol"),
         ("symplectic_eigenvalues", "pairing_tol"),
         ("is_pure", "tol"),
         ("is_symplectic", "tol"),
@@ -166,14 +169,12 @@ def test_validate_reports_each_invariant_with_its_magnitude(matrix, expected):
 def test_validation_cache_is_tolerance_free():
     v = np.eye(2)
     v[0, 0] -= 1e-6  # about 5e-7 below the uncertainty bound, 1e-6 below the trace bound
-    fresh = {tol: validate(CovMat(v), tol) for tol in (1e-9, 1e-3)}
-    assert [x.name for x in fresh[1e-9]] == ["uncertainty", "trace_bound"]
-    assert fresh[1e-3] == []
-    for order in ((1e-9, 1e-3), (1e-3, 1e-9)):
-        cov = CovMat(v)
-        for tol in order:
-            assert validate(cov, tol) == fresh[tol]
-        assert is_valid(cov, 1e-3) and not is_valid(cov, 1e-9)
+    fresh = validate(CovMat(v))
+    assert [x.name for x in fresh] == ["uncertainty", "trace_bound"]
+    cov = CovMat(v)
+    for _ in range(2):
+        assert validate(cov) == fresh
+        assert not is_valid(cov)
 
 
 def test_each_covmat_solves_its_eigenproblems_once(monkeypatch):
@@ -194,7 +195,6 @@ def test_each_covmat_solves_its_eigenproblems_once(monkeypatch):
     cov = CovMat(matrix)
     for _ in range(3):
         assert validate(cov) == []
-        assert validate(cov, 1e-3) == []
         require_valid(cov)
         to_density(cov)
         coherence_discord_relation_check(cov)
@@ -237,6 +237,28 @@ def test_covmat_at_the_edge_of_the_float_range():
     assert validate(pure) == []
     with pytest.raises(DimensionError, match="trace"):
         CovMat([[1e308, 0.0], [0.0, 1e308]])
+
+
+def test_asymmetric_matrix_at_the_edge_of_the_float_range():
+    # Its symmetric part [[1, 1.25e308], [1.25e308, 1]] is indefinite, and
+    # finite only when the entries are halved before they are summed.
+    lopsided = CovMat([[1.0, 1e308], [1.5e308, 1.0]])
+    assert [v.name for v in validate(lopsided)] == ["symmetry", "positive_definite", "uncertainty"]
+    assert validate(lopsided)[0].magnitude == pytest.approx(0.5e308, rel=1e-15)
+    assert_allclose(lopsided.margins.min_eig, 1.0 - 1.25e308, rtol=1e-12)
+    antisymmetric = CovMat([[1.0, 1e308], [-1e308, 1.0]])
+    report = validate(antisymmetric)
+    assert [v.name for v in report] == ["symmetry"]
+    assert report[0].magnitude == np.inf  # 2e308: the true asymmetry is past the float range
+
+
+def test_the_verdict_is_a_cached_property_at_the_module_tolerance():
+    cov = CovMat(np.diag([0.9, 1.0]))
+    assert cov.violations is cov.violations
+    assert validate(cov) == list(cov.violations)
+    assert [v.name for v in cov.violations] == ["uncertainty", "trace_bound"]
+    assert not hasattr(gaussian_core, "Certificate")
+    assert not hasattr(cov, "certificate")
 
 
 def test_symplectic_spectrum_needs_a_matrix_positive_definite_in_float64():
@@ -317,8 +339,7 @@ def _plant(v: np.ndarray, kind: str, size: float) -> np.ndarray:
 @given(cov=valid_covs())
 def test_validate_and_williamson_match_the_eigenvalue_references_on_valid_states(cov):
     v = cov.matrix
-    for tol in (gaussian_core.DEFAULT_TOL, 1e-6):
-        assert validate(cov, tol) == _reference_report(v, tol) == []
+    assert validate(cov) == _reference_report(v, gaussian_core.DEFAULT_TOL) == []
     # measured worst |nu - nu_ref| over 6000 such states: 0.5 * eps * Tr[V]^2
     trace = float(np.trace(v))
     assert_allclose(symplectic_eigenvalues(cov), _paired_williamson(v), rtol=0, atol=4 * EPS * trace**2)
@@ -332,12 +353,11 @@ def test_validate_and_williamson_match_the_eigenvalue_references_on_valid_states
 )
 def test_validate_matches_the_margin_reference_on_planted_violations(cov, kind, log_size):
     planted = _plant(cov.matrix, kind, 10.0**log_size)
-    for tol in (gaussian_core.DEFAULT_TOL, 1e-6):
-        report = validate(CovMat(planted), tol)
-        expected = _reference_report(planted, tol)
-        assert [v.name for v in report] == [name for name, _ in expected]
-        for v, (_, magnitude) in zip(report, expected):
-            assert v.magnitude == pytest.approx(magnitude, rel=1e-12)
+    report = validate(CovMat(planted))
+    expected = _reference_report(planted, gaussian_core.DEFAULT_TOL)
+    assert [v.name for v in report] == [name for name, _ in expected]
+    for v, (_, magnitude) in zip(report, expected):
+        assert v.magnitude == pytest.approx(magnitude, rel=1e-12)
 
 
 def test_blocks_assemble_roundtrip(rng):

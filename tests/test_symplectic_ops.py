@@ -321,6 +321,19 @@ def test_stinespring_environment_check_agrees_with_is_free(xp, free):
             orthogonal_stinespring(vacuum_state(1), o, env)
 
 
+def test_stinespring_displacement_lands_on_the_kept_modes():
+    # m = 1 plus one vacuum environment mode: d in qqpp order is (q1, q2, p1, p2).
+    out = orthogonal_stinespring(
+        vacuum_state(1), beamsplitter_orthogonal(0.5), vacuum_state(1).cov, d=[1.0, 2.0, 3.0, 4.0]
+    )
+    assert_array_equal(out.d, [1.0, 3.0])
+    assert_allclose(out.cov.matrix, np.eye(2), atol=1e-12)
+    assert not symplectic_ops.is_orthogonal(np.ones((2, 3)))
+    assert not symplectic_ops.is_orthogonal(np.ones(4))
+    assert not is_symplectic(np.eye(3))
+    assert not is_symplectic(np.ones((2, 4)))
+
+
 def test_loss_scales_coherence_quadratically(rng):
     for _ in range(20):
         m = int(rng.integers(1, 4))
