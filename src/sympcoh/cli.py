@@ -107,6 +107,9 @@ def build_gate(spec: dict, m: int) -> ops.SympGate:
     Kinds: ``squeezer`` (mode, r), ``phase_shifter`` (mode, theta),
     ``block_orthogonal`` (o), ``passive`` (x, y), ``displacement`` (d),
     ``beamsplitter`` (eta; two modes), ``matrix`` (S, optional disp).
+    ``m`` sizes the squeezer and the phase shifter; every other kind takes its
+    mode count from its parameters, and ``apply`` rejects a gate whose mode
+    count differs from the state's.
     """
     kind = _require_object(spec, "gate spec").get("kind")
     params = _require_object(spec.get("params", {}), "gate params")
@@ -119,12 +122,12 @@ def build_gate(spec: dict, m: int) -> ops.SympGate:
     if kind == "passive":
         return ops.passive_from_unitary(_array(params, "x"), _array(params, "y"))
     if kind == "displacement":
-        return ops.displacement(m, _array(params, "d"))
+        return ops.displacement(_array(params, "d"))
     if kind == "beamsplitter":
         return ops.block_orthogonal(ops.beamsplitter_orthogonal(_number(params, "eta")))
     if kind == "matrix":
         disp = None if params.get("disp") is None else _array(params, "disp")
-        return ops.SympGate(m, _array(params, "S"), disp)
+        return ops.SympGate(_array(params, "S"), disp)
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
@@ -154,7 +157,11 @@ def _cmd_validate(args) -> tuple[dict, int]:
     report = gaussian_core.validate(state.cov)
     result = {
         "valid": not report,
-        "violations": [{"name": v.name, "magnitude": v.magnitude} for v in report],
+        # JSON has no inf: an asymmetry past the float range is reported as null.
+        "violations": [
+            {"name": v.name, "magnitude": v.magnitude if np.isfinite(v.magnitude) else None}
+            for v in report
+        ],
     }
     for v in report:
         print(f"violated invariant: {v.name} (magnitude {v.magnitude:.3e})", file=sys.stderr)

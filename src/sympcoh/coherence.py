@@ -11,12 +11,12 @@ under tensor products, and bounded at fixed trace by
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian_core import CovMat, GaussianState, blocks, is_pure, require_valid
+from .gaussian_core import CovMat, DimensionError, GaussianState, blocks, is_pure, require_valid
 from .symplectic_ops import (
     SympGate,
     is_orthogonal,
@@ -125,37 +125,54 @@ class MscSpec:
 
     The state is built as (outer orthogonal gate) o (per-mode phase
     shifters) o (inner orthogonal gate) acting on a squeezed first mode and
-    vacuum elsewhere.
+    vacuum elsewhere.  The trace, the phases and the two orthogonals fix it;
+    the mode count and the squeezing follow from them.
 
     Attributes:
-        E: target covariance trace (>= 2m).
-        m: mode count.
-        r: squeezing parameter (>= 0).
-        theta: per-mode phase angles, shape (m,).
+        E: covariance trace of the state (>= 2m with E^2 finite).
+        theta: per-mode phase angles, shape (m,) (read-only copy).
         o_inner: m x m orthogonal matrix applied before the phase shifters.
         o_outer: m x m orthogonal matrix applied after the phase shifters.
+        m: mode count, ``len(theta)``.
+        r: squeezing parameter, ``msc_squeezing(E, m)``.
+
+    Raises:
+        DimensionError: if theta is not 1-D or an orthogonal is not m x m.
+        ValueError: if the trace is below 2m, or an orthogonal is not
+            orthogonal (``symplectic_ops.is_orthogonal``).
     """
 
     E: float
-    m: int
-    r: float
     theta: np.ndarray
     o_inner: np.ndarray
     o_outer: np.ndarray
+    m: int = field(init=False)
+    r: float = field(init=False)
+
+    def __post_init__(self):
+        theta = np.atleast_1d(np.array(self.theta, dtype=float))
+        if theta.ndim != 1:
+            raise DimensionError(f"theta must be one angle per mode, got shape {theta.shape}")
+        m = theta.shape[0]
+        object.__setattr__(self, "r", msc_squeezing(self.E, m))
+        for name in ("o_inner", "o_outer"):
+            o = np.array(getattr(self, name), dtype=float)
+            if o.shape != (m, m):
+                raise DimensionError(f"{name} must be {m} x {m} like theta, got shape {o.shape}")
+            if not is_orthogonal(o):
+                raise ValueError(f"{name} is not orthogonal (O O^T != I)")
+            o.flags.writeable = False
+            object.__setattr__(self, name, o)
+        theta.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "m", m)
 
 
 def msc_spec(E: float, m: int) -> MscSpec:
     """Canonical parameters: theta = (pi/4, 0, ..., 0), identity orthogonals."""
     theta = np.zeros(m)
     theta[0] = np.pi / 4.0
-    return MscSpec(
-        E=float(E),
-        m=m,
-        r=msc_squeezing(E, m),
-        theta=theta,
-        o_inner=np.eye(m),
-        o_outer=np.eye(m),
-    )
+    return MscSpec(E=float(E), theta=theta, o_inner=np.eye(m), o_outer=np.eye(m))
 
 
 def msc_from_spec(spec: MscSpec) -> GaussianState:
@@ -324,7 +341,7 @@ def active_gate_counterexample() -> NoGoWitness:
     s = np.zeros((4, 4))
     s[:2, :2] = a
     s[2:, 2:] = np.linalg.inv(a.T)
-    gate = SympGate(m=2, S=s, disp=np.zeros(4))
+    gate = SympGate(s)
     before = symplectic_coherence(cov)
     after = symplectic_coherence(CovMat(gate.S @ v @ gate.S.T))
     return NoGoWitness(cov, gate, before, after)
@@ -343,8 +360,14 @@ def _gram_form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     Takes (..., m, m) stacks and returns symmetric (..., 2m, 2m) matrices
     ``H = [[G1, -G2], [-G2, G1]]`` with ``G1 = (X^T X) o (Y^T Y)`` and
     ``G2 = (X^T Y) o (X^T Y)^T`` (``o`` elementwise), so that the state of
-    spectrum d has coherence ``a^T H a``, ``a = (d - 1, 1/d - 1)``: see
-    ``_form_coherence``.  ``y = 0`` gives ``H = 0`` exactly.
+    spectrum d has coherence ``a^T H a``, ``a = (d - 1, 1/d - 1)``.
+    ``y = 0`` gives ``H = 0`` exactly.
+
+    For a pure state, ``V_xp = Y D^-1 X^T - X D Y^T`` with ``D = diag(d)``.
+    Unitarity of X + iY makes ``Y X^T = X Y^T``, so
+    ``V_xp = Y (D^-1 - 1) X^T - X (D - 1) Y^T``, whose squared norm is the
+    form in ``a``.  Shifting by 1 keeps ``a`` free of the cancellation that
+    the full blocks suffer near the vacuum (d -> 1).
     """
     xt = np.swapaxes(x, -1, -2)
     g1 = (xt @ x) * (np.swapaxes(y, -1, -2) @ y)
@@ -353,21 +376,6 @@ def _gram_form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate(
         [np.concatenate([g1, g2], axis=-1), np.concatenate([g2, g1], axis=-1)], axis=-2
     )
-
-
-def _form_coherence(h: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Coherence ``a^T H a`` of spectra d (..., m) under forms h (..., 2m, 2m).
-
-    For a pure state, ``V_xp = Y D^-1 X^T - X D Y^T`` with ``D = diag(d)``.
-    Unitarity of X + iY makes ``Y X^T = X Y^T``, so
-    ``V_xp = Y (D^-1 - 1) X^T - X (D - 1) Y^T``, whose squared norm is the
-    form in ``a = (d - 1, 1/d - 1)``.  Shifting by 1 keeps ``a`` free of the
-    cancellation that the full blocks suffer near the vacuum (d -> 1).
-    """
-    alpha = d - 1.0
-    a = np.concatenate([alpha, -alpha / d], axis=-1)
-    # (a H) a rather than one three-operand einsum, which does not use BLAS.
-    return np.einsum("...i,...i->...", (a[..., None, :] @ h)[..., 0, :], a)
 
 
 def _phase_coefficients(
@@ -430,7 +438,7 @@ _GRID_FROM_HI = np.linspace(0.0, 1.0, _WEIGHT_GRID)
 _GRID_FROM_LO = 1.0 - _GRID_FROM_HI
 
 
-def numeric_max_search(E: float, m: int, trials: int, seed: int = 0) -> SearchOutcome:
+def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcome:
     """Randomized search for the largest coherence at fixed covariance trace.
 
     Samples pure states (Haar passive gate times a random
@@ -458,7 +466,7 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int = 0) -> SearchOu
       ``a = (d - 1, 1/d - 1) = (gamma + sigma, gamma - sigma)`` with
       ``gamma = (E - 2m) w / 2`` and ``sigma = sqrt(gamma (gamma + 2))`` per
       mode, and H is built once per sweep from Gram matrices of X + iY
-      (``_gram_form``, ``_form_coherence``), so each round only evaluates it
+      (``_gram_form``), so each round only evaluates it
       at its grid's ``(gamma, sigma)``.
 
     A move is accepted only if it raises the current value; a sweep that

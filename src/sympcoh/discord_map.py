@@ -9,12 +9,12 @@ the geometric discord of that virtual state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian_core import FREE_TOL, CovMat, require_valid
+from .gaussian_core import FREE_TOL, CovMat, DimensionError, require_valid
 
 
 @dataclass(frozen=True)
@@ -22,26 +22,27 @@ class DiscordImage:
     """Unit-trace virtual density matrix obtained from a covariance matrix.
 
     Attributes:
-        m: mode count of the source covariance matrix.
-        rho: 2m x 2m real symmetric unit-trace matrix (V / Tr V).
+        rho: 2m x 2m real symmetric unit-trace matrix (V / Tr V; read-only copy).
         c_scale: the source trace; ``c_scale * rho`` is again a valid
             covariance matrix, as is any larger multiple.
+        m: mode count of the source covariance matrix, set from rho's shape.
     """
 
-    m: int
     rho: np.ndarray
     c_scale: float
+    m: int = field(init=False)
 
     def __post_init__(self):
         rho = np.array(self.rho, dtype=float)  # private copy: the caller's array stays writeable
-        if rho.shape != (2 * self.m, 2 * self.m):
-            raise ValueError(f"expected shape {(2 * self.m,) * 2}, got {rho.shape}")
+        if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] % 2 or not rho.size:
+            raise DimensionError(f"virtual state must be 2m x 2m, m >= 1, got shape {rho.shape}")
         if not np.isfinite(rho).all():
             raise ValueError("matrix contains non-finite entries")
         if abs(np.trace(rho) - 1.0) > 1e-9:
             raise ValueError("virtual density matrix must have unit trace")
-        object.__setattr__(self, "rho", rho)
         rho.setflags(write=False)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "m", rho.shape[0] // 2)
 
     @property
     def off_block(self) -> np.ndarray:
@@ -53,7 +54,7 @@ def to_density(cov: CovMat) -> DiscordImage:
     """Normalize a valid covariance matrix into its virtual density matrix."""
     require_valid(cov)
     scale = float(np.trace(cov.matrix))
-    return DiscordImage(m=cov.m, rho=cov.matrix / scale, c_scale=scale)
+    return DiscordImage(rho=cov.matrix / scale, c_scale=scale)
 
 
 def from_density(image: DiscordImage, scale: float) -> CovMat:

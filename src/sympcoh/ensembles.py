@@ -31,6 +31,11 @@ from .symplectic_ops import (
 KINDS = ("orthogonal", "unitary")
 
 
+def _require_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Sampling parameters for a fixed-trace pure-state ensemble.
@@ -51,8 +56,7 @@ class EnsembleConfig:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        _require_kind(self.kind)
         require_budget(self.E, self.m)
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
@@ -94,13 +98,17 @@ def pure_cm_from_passive(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> CovMat:
     return CovMat(pure_cm(x, y, d))
 
 
-def sample_pure_cm(config: EnsembleConfig, rng: np.random.Generator) -> CovMat:
-    """Draw one pure covariance matrix with trace ``config.E``.
+def sample_pure_cm(E: float, m: int, kind: str, rng: np.random.Generator) -> CovMat:
+    """Draw one pure m-mode covariance matrix with trace E of ensemble ``kind``.
 
+    The draw is ``symplectic_ops.pure_draw`` for one sample from ``rng``.
     The orthogonal kind has a structurally zero position-momentum block, so
     its samples carry no position-momentum correlations at all.
+    Raises ``ValueError`` for a kind not in ``KINDS``, or unless m >= 1 and
+    2m <= E with E^2 finite.
     """
-    d, z = pure_draw(rng, 1, config.E, config.m, config.kind == "orthogonal")
+    _require_kind(kind)
+    d, z = pure_draw(rng, 1, E, m, kind == "orthogonal")
     u = haar_from_ginibre(z)[0]
     return CovMat(pure_cm(u.real, u.imag, d[0]))
 
@@ -156,8 +164,7 @@ def _first_mode_nu_sq(u: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def analytic_mean_nu_sq(kind: str, m: int, s1: float, s2: float) -> float:
     """Closed-form ensemble mean of nu_1^2 given the spectrum statistics."""
-    if kind not in KINDS:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    _require_kind(kind)
     if kind == "orthogonal":
         return 3.0 / (m + 2) + s1 / (2.0 * m * (m + 2))
     return 2.0 / (m + 1) + (s1 + s2) / (4.0 * m * (m + 1))

@@ -99,32 +99,33 @@ def is_symplectic(s: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class SympGate:
-    """A symplectic matrix plus displacement, acting on m modes."""
+    """A symplectic matrix plus displacement, acting on m modes.
 
-    m: int
+    Attributes:
+        S: the 2m x 2m symplectic matrix (read-only copy).
+        disp: length-2m displacement added after ``S`` (read-only; zeros if omitted).
+        m: number of modes, set from the matrix's shape.
+    """
+
     S: np.ndarray
-    disp: np.ndarray = field(default=None)
+    disp: np.ndarray = None
+    m: int = field(init=False)
 
     def __post_init__(self):
         s = np.array(self.S, dtype=float)
-        if s.shape != (2 * self.m, 2 * self.m):
-            raise DimensionError(
-                f"gate matrix must be {2 * self.m} x {2 * self.m}, got {s.shape}"
-            )
+        if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 or not s.size:
+            raise DimensionError(f"gate matrix must be 2m x 2m with m >= 1, got shape {s.shape}")
         if not is_symplectic(s):
             raise GateError("gate matrix is not symplectic (S Omega S^T != Omega)")
-        disp = self.disp
-        if disp is None:
-            disp = np.zeros(2 * self.m)
-        disp = np.array(disp, dtype=float).reshape(-1)
-        if disp.shape[0] != 2 * self.m:
-            raise DimensionError(
-                f"displacement must have length {2 * self.m}, got {disp.shape[0]}"
-            )
+        n = s.shape[0]
+        disp = np.zeros(n) if self.disp is None else np.array(self.disp, dtype=float).ravel()
+        if disp.shape[0] != n:
+            raise DimensionError(f"displacement must have length {n}, got {disp.shape[0]}")
         s.flags.writeable = False
         disp.flags.writeable = False
         object.__setattr__(self, "S", s)
         object.__setattr__(self, "disp", disp)
+        object.__setattr__(self, "m", n // 2)
 
 
 def _check_mode(m: int, mode: int) -> None:
@@ -145,7 +146,7 @@ def squeezer(m: int, mode: int, r: float) -> SympGate:
     i = mode - 1
     s[i, i] = np.exp(r)
     s[m + i, m + i] = np.exp(-r)
-    return SympGate(m, s)
+    return SympGate(s)
 
 
 def phase_shifter(m: int, mode: int, theta: float) -> SympGate:
@@ -158,7 +159,7 @@ def phase_shifter(m: int, mode: int, theta: float) -> SympGate:
     s[i, m + i] = sn
     s[m + i, i] = -sn
     s[m + i, m + i] = c
-    return SympGate(m, s)
+    return SympGate(s)
 
 
 def block_orthogonal(o: np.ndarray) -> SympGate:
@@ -168,7 +169,7 @@ def block_orthogonal(o: np.ndarray) -> SympGate:
         raise DimensionError(f"orthogonal matrix must be square, got {o.shape}")
     if not is_orthogonal(o):
         raise GateError("matrix is not orthogonal (O O^T != I)")
-    return SympGate(o.shape[0], _passive_matrix(o, np.zeros_like(o)))
+    return SympGate(_passive_matrix(o, np.zeros_like(o)))
 
 
 def passive_from_unitary(x: np.ndarray, y: np.ndarray) -> SympGate:
@@ -179,7 +180,7 @@ def passive_from_unitary(x: np.ndarray, y: np.ndarray) -> SympGate:
         raise DimensionError("X and Y must be square matrices of equal size")
     if not is_orthogonal(x + 1j * y):
         raise GateError("X + iY is not unitary")
-    return SympGate(x.shape[0], _passive_matrix(x, y))
+    return SympGate(_passive_matrix(x, y))
 
 
 def _passive_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -189,19 +190,19 @@ def _passive_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.concatenate([top, np.concatenate([0.0 - y, x], axis=-1)], axis=-2)
 
 
-def displacement(m: int, d: Sequence[float]) -> SympGate:
-    """Displacement gate: identity matrix, first moments shifted by ``d``."""
+def displacement(d: Sequence[float]) -> SympGate:
+    """Displacement gate on ``len(d) / 2`` modes: identity matrix, first moments shifted by d."""
     d = np.asarray(d, dtype=float).reshape(-1)
-    if d.shape[0] != 2 * m:
-        raise DimensionError(f"displacement must have length {2 * m}, got {d.shape[0]}")
-    return SympGate(m, np.eye(2 * m), d)
+    if d.shape[0] % 2 or not d.shape[0]:
+        raise DimensionError(f"displacement must have even length 2m >= 2, got {d.shape[0]}")
+    return SympGate(np.eye(d.shape[0]), d)
 
 
 def compose(outer: SympGate, inner: SympGate) -> SympGate:
     """Gate equal to applying ``inner`` first, then ``outer``."""
     if outer.m != inner.m:
         raise DimensionError("cannot compose gates on different mode counts")
-    return SympGate(outer.m, outer.S @ inner.S, outer.S @ inner.disp + outer.disp)
+    return SympGate(outer.S @ inner.S, outer.S @ inner.disp + outer.disp)
 
 
 def apply(gate: SympGate, state: GaussianState) -> GaussianState:
@@ -270,22 +271,19 @@ class IdentityChannel:
 
 
 def interleave_permutation(m_a: int, m_b: int) -> np.ndarray:
-    """Permutation taking ``(q_A p_A q_B p_B)`` to ``(q_A q_B p_A p_B)``.
+    """Index order taking ``(q_A p_A q_B p_B)`` to ``(q_A q_B p_A p_B)``.
 
     Returns:
-        A (2(m_a+m_b))-square permutation matrix ``P`` so that the direct sum
-        of two qqpp covariance matrices, conjugated by ``P``, is again qqpp.
+        The 2(m_a+m_b) source indices ``idx``: the direct sum ``ds`` of two qqpp
+        covariance matrices, reordered as ``ds[np.ix_(idx, idx)]``, is again qqpp.
     """
     m = m_a + m_b
-    src = (
-        list(range(0, m_a))                         # q_A
-        + list(range(2 * m_a, 2 * m_a + m_b))       # q_B
-        + list(range(m_a, 2 * m_a))                 # p_A
-        + list(range(2 * m_a + m_b, 2 * m))         # p_B
-    )
-    p = np.zeros((2 * m, 2 * m))
-    p[np.arange(2 * m), src] = 1.0
-    return p
+    return np.concatenate([
+        np.arange(0, m_a),                   # q_A
+        np.arange(2 * m_a, 2 * m_a + m_b),   # q_B
+        np.arange(m_a, 2 * m_a),             # p_A
+        np.arange(2 * m_a + m_b, 2 * m),     # p_B
+    ])
 
 
 def tensor_cm(a: CovMat, b: CovMat) -> CovMat:
@@ -293,14 +291,14 @@ def tensor_cm(a: CovMat, b: CovMat) -> CovMat:
     ds = np.zeros((2 * (a.m + b.m), 2 * (a.m + b.m)))
     ds[: 2 * a.m, : 2 * a.m] = a.matrix
     ds[2 * a.m :, 2 * a.m :] = b.matrix
-    p = interleave_permutation(a.m, b.m)
-    return CovMat(p @ ds @ p.T)
+    idx = interleave_permutation(a.m, b.m)
+    return CovMat(ds[np.ix_(idx, idx)])
 
 
 def tensor_states(a: GaussianState, b: GaussianState) -> GaussianState:
     """Tensor product of Gaussian states, preserving qqpp ordering."""
-    p = interleave_permutation(a.m, b.m)
-    return GaussianState(tensor_cm(a.cov, b.cov), p @ np.concatenate([a.d, b.d]))
+    idx = interleave_permutation(a.m, b.m)
+    return GaussianState(tensor_cm(a.cov, b.cov), np.concatenate([a.d, b.d])[idx])
 
 
 def partial_trace(state: GaussianState, keep: Sequence[int]) -> GaussianState:
@@ -337,7 +335,7 @@ def orthogonal_stinespring(
     total = tensor_states(state, GaussianState(env))
     gate = block_orthogonal(o)
     if d is not None:
-        gate = SympGate(gate.m, gate.S, d)
+        gate = SympGate(gate.S, d)
     rotated = apply(gate, total)
     return partial_trace(rotated, range(1, state.m + 1))
 
@@ -390,15 +388,16 @@ def require_budget(E: float, m: int) -> None:
         raise ValueError(f"covariance trace must be >= 2m with E^2 finite, got E={E}, m={m}")
 
 
-def spectrum_from_weights(E: float, m: int, weights: np.ndarray) -> np.ndarray:
-    """Squeezing spectrum ``d`` from nonnegative weights summing to 1.
+def spectrum_from_weights(E: float, weights: np.ndarray) -> np.ndarray:
+    """Squeezing spectrum ``d`` from nonnegative weights summing to 1, one per mode.
 
-    With ``x_i = (E - 2m) w_i`` the solution of ``d_i + 1/d_i = 2 + x_i``
-    with ``d_i >= 1`` is ``d_i = 1 + x_i/2 + sqrt(x_i + x_i^2/4)``, which
-    enforces ``sum(d_i + 1/d_i) = E`` exactly.
+    The mode count m is the length of the last axis of ``weights``.  With
+    ``x_i = (E - 2m) w_i`` the solution of ``d_i + 1/d_i = 2 + x_i`` with
+    ``d_i >= 1`` is ``d_i = 1 + x_i/2 + sqrt(x_i + x_i^2/4)``, which enforces
+    ``sum(d_i + 1/d_i) = E`` exactly.
     """
     weights = np.asarray(weights, dtype=float)
-    x = (E - 2 * m) * weights
+    x = (E - 2 * weights.shape[-1]) * weights
     return 1.0 + x / 2.0 + np.sqrt(x + x * x / 4.0)
 
 
@@ -421,7 +420,7 @@ def sample_d_batch(E: float, m: int, n: int, rng: np.random.Generator) -> np.nda
         g[zero] = rng.standard_normal((int(zero.sum()), m))
         sq = g * g
         total = sq.sum(axis=1)
-    return spectrum_from_weights(E, m, sq / total[:, None])
+    return spectrum_from_weights(E, sq / total[:, None])
 
 
 def sample_d(E: float, m: int, rng: np.random.Generator) -> np.ndarray:

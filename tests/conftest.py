@@ -7,7 +7,6 @@ import pytest
 
 from sympcoh import (
     CovMat,
-    EnsembleConfig,
     GaussianState,
     apply_loss,
     mix_states,
@@ -26,15 +25,13 @@ def random_pure_cov(rng: np.random.Generator, m: int, E: float | None = None) ->
     """Random pure covariance matrix with position-momentum correlations."""
     if E is None:
         E = 2 * m + float(rng.uniform(0.5, 6.0))
-    config = EnsembleConfig(m=m, E=E, n_samples=1, seed=0, kind="unitary")
-    return sample_pure_cm(config, rng)
+    return sample_pure_cm(E, m, "unitary", rng)
 
 
 def random_free_cov(rng: np.random.Generator, m: int) -> CovMat:
     """Random valid covariance matrix with an exactly zero qp block."""
     E = 2 * m + float(rng.uniform(0.5, 6.0))
-    config = EnsembleConfig(m=m, E=E, n_samples=1, seed=0, kind="orthogonal")
-    cov = sample_pure_cm(config, rng)
+    cov = sample_pure_cm(E, m, "orthogonal", rng)
     if rng.uniform() < 0.5:
         cov = apply_loss(cov, float(rng.uniform(0.3, 1.0)))
     return cov

@@ -127,7 +127,7 @@ def test_criterion_05_monotonicity_and_counterexample():
         m = int(rng.integers(1, 4))
         state = GaussianState(random_valid_cov(rng, m))
         c0 = symplectic_coherence(state.cov)
-        moved = apply(displacement(m, rng.normal(size=2 * m)), state)
+        moved = apply(displacement(rng.normal(size=2 * m)), state)
         assert symplectic_coherence(moved.cov) <= c0 + tol
 
     for _ in range(500):

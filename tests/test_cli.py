@@ -624,3 +624,44 @@ def test_stdin_accepts_bare_document(capsys, monkeypatch):
     )
     assert code == 0
     assert out["result"]["c"] == pytest.approx(8.0, abs=1e-9)
+
+
+def test_validate_reports_an_asymmetry_past_the_float_range_as_null(tmp_path, capsys):
+    # max|V - V^T| is 2e308 here: inf as a float, null in the JSON envelope.
+    antisymmetric = tmp_path / "antisymmetric.csv"
+    antisymmetric.write_text("1,1e308\n-1e308,1\n")
+    code, out, err = run_cli(["validate", str(antisymmetric)], capsys)
+    assert code == 1
+    assert out["result"] == {"valid": False, "violations": [{"name": "symmetry", "magnitude": None}]}
+    assert "symmetry (magnitude inf)" in err
+    assert "ValueError" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "gate, counts",
+    [
+        ({"kind": "matrix", "params": {"S": np.eye(2).tolist()}}, "1 modes"),
+        ({"kind": "displacement", "params": {"d": [1.0, 2.0]}}, "1 modes"),
+        ({"kind": "matrix", "params": {"S": np.eye(6).tolist()}}, "3 modes"),
+    ],
+)
+def test_apply_rejects_a_gate_of_the_wrong_size(gate, counts, tmp_path, capsys):
+    state_file = tmp_path / "vac.json"
+    save_state(vacuum_state(2), str(state_file))
+    gate_file = tmp_path / "gate.json"
+    gate_file.write_text(json.dumps(gate))
+    code, out, err = run_cli(["apply", str(state_file), "--gate", str(gate_file)], capsys)
+    assert code == 1
+    assert out is None
+    assert f"gate acts on {counts} but state has 2" in err
+    assert "Traceback" not in err
+
+
+def test_apply_takes_the_size_of_a_displacement_gate_from_its_vector(tmp_path, capsys):
+    state_file = tmp_path / "vac.json"
+    save_state(vacuum_state(2), str(state_file))
+    gate_file = tmp_path / "gate.json"
+    gate_file.write_text(json.dumps({"kind": "displacement", "params": {"d": [1, 2, 3, 4]}}))
+    code, out, _ = run_cli(["apply", str(state_file), "--gate", str(gate_file)], capsys)
+    assert code == 0
+    assert out["result"]["displacement"] == [1.0, 2.0, 3.0, 4.0]

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from sympcoh import (
     CovMat,
+    DimensionError,
     GaussianState,
     active_gate_counterexample,
     apply,
@@ -44,7 +45,6 @@ from sympcoh import (
 from sympcoh import coherence
 from sympcoh.coherence import (
     MscSpec,
-    _form_coherence,
     _gram_form,
     _phase_argmax,
     _phase_coefficients,
@@ -189,6 +189,31 @@ def test_spec_builder_reproduces_canonical_state():
         assert report.is_member
 
 
+def test_spec_derives_m_and_r_and_builds_its_trace(rng):
+    for E, m in [(10.0, 2), (6.0, 1), (1e6, 4)]:
+        theta = rng.uniform(-np.pi, np.pi, size=m)
+        spec = MscSpec(E, theta, haar_orthogonal(m, rng), haar_orthogonal(m, rng))
+        assert spec.m == m
+        assert spec.r == msc_squeezing(E, m)
+        trace = msc_from_spec(spec).cov.trace
+        assert abs(trace - E) <= 1e-12 * E
+
+
+def test_spec_rejects_inconsistent_parameters():
+    theta = np.array([np.pi / 4, 0.0])
+    with pytest.raises(ValueError, match="o_inner is not orthogonal"):
+        MscSpec(8.0, theta, np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
+    with pytest.raises(ValueError, match="o_outer is not orthogonal"):
+        MscSpec(8.0, theta, np.eye(2), 2.0 * np.eye(2))
+    for o_inner, o_outer in [(np.eye(3), np.eye(2)), (np.eye(2), np.eye(1)), (np.eye(2), np.ones(2))]:
+        with pytest.raises(DimensionError):
+            MscSpec(8.0, theta, o_inner, o_outer)
+    with pytest.raises(DimensionError):
+        MscSpec(8.0, np.zeros((2, 2)), np.eye(2), np.eye(2))
+    with pytest.raises(ValueError, match="trace"):
+        MscSpec(3.0, theta, np.eye(2), np.eye(2))
+
+
 def test_membership_single_mode():
     assert msc_membership_conditions(np.eye(1), [np.pi / 4]).is_member
     report = msc_membership_conditions(np.eye(1), [0.0])
@@ -228,9 +253,7 @@ def test_membership_two_mode_equal_angles_attains_maximum():
     E, m = 8.0, 2
     theta = np.array([np.pi / 4, np.pi / 4])
     report = msc_membership_conditions(np.eye(m), theta)
-    spec = MscSpec(
-        E=E, m=m, r=msc_squeezing(E, m), theta=theta, o_inner=np.eye(m), o_outer=np.eye(m)
-    )
+    spec = MscSpec(E=E, theta=theta, o_inner=np.eye(m), o_outer=np.eye(m))
     built = msc_from_spec(spec)
     attained = symplectic_coherence(built.cov)
     assert built.cov.trace == pytest.approx(E, abs=TOL)
@@ -255,9 +278,7 @@ def test_membership_verdict_matches_attained_coherence(rng):
     c_max = max_symplectic_coherence(E, m)
     for o, theta, _ in cases:
         member = msc_membership_conditions(o, theta).is_member
-        spec = MscSpec(
-            E=E, m=m, r=msc_squeezing(E, m), theta=theta, o_inner=o, o_outer=np.eye(m)
-        )
+        spec = MscSpec(E=E, theta=theta, o_inner=o, o_outer=np.eye(m))
         attained = symplectic_coherence(msc_from_spec(spec).cov)
         if member:
             assert attained == pytest.approx(c_max, abs=1e-8)
@@ -270,9 +291,7 @@ def test_membership_invariant_under_outer_orthogonal(rng):
     E, m = 8.0, 2
     theta = np.array([np.pi / 4, np.pi / 4])
     o_outer = haar_orthogonal(m, rng)
-    spec = MscSpec(
-        E=E, m=m, r=msc_squeezing(E, m), theta=theta, o_inner=np.eye(m), o_outer=o_outer
-    )
+    spec = MscSpec(E=E, theta=theta, o_inner=np.eye(m), o_outer=o_outer)
     attained = symplectic_coherence(msc_from_spec(spec).cov)
     assert attained == pytest.approx(max_symplectic_coherence(E, m), abs=TOL)
 
@@ -341,7 +360,7 @@ def test_invariance_under_block_orthogonal_and_displacement(rng):
         state = GaussianState(random_valid_cov(rng, m), rng.normal(size=2 * m))
         c0 = symplectic_coherence(state.cov)
         rotated = apply(block_orthogonal(haar_orthogonal(m, rng)), state)
-        displaced = apply(displacement(m, rng.normal(size=2 * m)), state)
+        displaced = apply(displacement(rng.normal(size=2 * m)), state)
         assert symplectic_coherence(rotated.cov) == pytest.approx(c0, abs=TOL)
         assert symplectic_coherence(displaced.cov) == pytest.approx(c0, abs=TOL)
 
@@ -432,6 +451,16 @@ def qp_norm_sq(v: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", v[..., :m, m:], v[..., :m, m:])
 
 
+def gram_coherence(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``a^T H a`` with ``H = _gram_form(x, y)`` and ``a = (d - 1, 1/d - 1)``.
+
+    ``1/d - 1`` is formed as ``-(d - 1)/d``, which does not cancel near d = 1.
+    """
+    alpha = d - 1.0
+    a = np.concatenate([alpha, -alpha / d], axis=-1)
+    return np.einsum("...i,...i->...", (a[..., None, :] @ _gram_form(x, y))[..., 0, :], a)
+
+
 @pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
 def test_gram_form_matches_the_covariance_blocks(m):
     # Near the vacuum the covariance blocks cancel down to ~sqrt(E - 2m) and
@@ -445,12 +474,11 @@ def test_gram_form_matches_the_covariance_blocks(m):
     ]:
         for _, x, y, d in pure_param_blocks(11, 64, E, m, False):
             assert_allclose(
-                _form_coherence(_gram_form(x, y), d), qp_norm_sq(pure_cm(x, y, d)),
-                rtol=rel, atol=0,
+                gram_coherence(x, y, d), qp_norm_sq(pure_cm(x, y, d)), rtol=rel, atol=0
             )
         _, x, y, d = next(pure_param_blocks(11, 64, E, m, True))
         assert not np.any(y)
-        assert np.all(_form_coherence(_gram_form(x, y), d) == 0.0)
+        assert np.all(gram_coherence(x, y, d) == 0.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8])
@@ -464,7 +492,7 @@ def test_search_argmax_reproduces_its_value(m):
                 u = x[where["trial"] - start] + 1j * y[where["trial"] - start]
                 break
         u = u * np.exp(1j * np.asarray(where["theta"]))
-        d = spectrum_from_weights(E, m, np.asarray(where["weights"]))
+        d = spectrum_from_weights(E, np.asarray(where["weights"]))
         value = symplectic_coherence(CovMat(pure_cm(u.real, u.imag, d)))
         assert value == pytest.approx(where["refined_coherence"], rel=1e-12, abs=0)
         assert outcome.sup_c == max(where["sample_coherence"], where["refined_coherence"])

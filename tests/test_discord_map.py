@@ -94,12 +94,12 @@ def test_from_density_with_small_scale_rejected():
 
 def test_image_constructor_checks_trace():
     with pytest.raises(ValueError):
-        DiscordImage(m=1, rho=np.eye(2), c_scale=2.0)
+        DiscordImage(rho=np.eye(2), c_scale=2.0)
 
 
 def test_image_copies_the_callers_array():
     a = np.diag([0.75, 0.25])
-    image = DiscordImage(m=1, rho=a, c_scale=2.0)
+    image = DiscordImage(rho=a, c_scale=2.0)
     assert a.flags.writeable
     a[0, 0] = 0.5
     assert image.rho[0, 0] == 0.75

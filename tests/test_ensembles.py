@@ -40,13 +40,28 @@ def test_spectrum_meets_trace_constraint(rng):
         m = int(rng.integers(1, 6))
         E = 2 * m + float(rng.uniform(0, 20))
         w = rng.dirichlet(np.ones(m))
-        d = spectrum_from_weights(E, m, w)
+        d = spectrum_from_weights(E, w)
         assert np.all(d >= 1.0)
         assert np.sum(d + 1.0 / d) == pytest.approx(E, abs=1e-9)
 
 
+def test_spectrum_meets_the_trace_for_any_number_of_weights():
+    # The mode count is the number of weights, so no separate count can disagree.
+    for m in range(1, 6):
+        d = spectrum_from_weights(10.0, np.full(m, 1.0 / m))
+        assert d.shape == (m,)
+        assert np.sum(d + 1.0 / d) == pytest.approx(10.0, abs=1e-12)
+
+
+def test_sample_pure_cm_rejects_an_unknown_kind(rng):
+    with pytest.raises(ValueError, match="kind"):
+        sample_pure_cm(8.0, 2, "special", rng)
+    with pytest.raises(ValueError, match="trace"):
+        sample_pure_cm(3.0, 2, "unitary", rng)
+
+
 def test_spectrum_single_mode_deterministic():
-    d = spectrum_from_weights(6.0, 1, np.array([1.0]))
+    d = spectrum_from_weights(6.0, np.array([1.0]))
     x = 4.0
     expected = 1.0 + x / 2.0 + np.sqrt(x + x * x / 4.0)
     assert d[0] == pytest.approx(expected, abs=TOL)
@@ -55,7 +70,7 @@ def test_spectrum_single_mode_deterministic():
 
 def test_spectrum_at_minimum_trace_is_flat():
     weights = np.array([0.2, 0.3, 0.5])
-    assert_allclose(spectrum_from_weights(6.0, 3, weights), np.ones(3), atol=TOL)
+    assert_allclose(spectrum_from_weights(6.0, weights), np.ones(3), atol=TOL)
 
 
 def test_sample_d_respects_constraint(rng):
@@ -68,24 +83,21 @@ def test_sample_d_respects_constraint(rng):
 
 @pytest.mark.parametrize("kind", ["orthogonal", "unitary"])
 def test_sampled_states_are_valid_pure_and_on_budget(rng, kind):
-    config = EnsembleConfig(m=3, E=10.0, n_samples=1, seed=1, kind=kind)
     for i in range(25):
-        cov = sample_pure_cm(config, derive_rng(7, i))
+        cov = sample_pure_cm(10.0, 3, kind, derive_rng(7, i))
         assert is_valid(cov)
         assert is_pure(cov)
         assert cov.trace == pytest.approx(10.0, abs=1e-8)
 
 
 def test_orthogonal_kind_has_zero_coherence(rng):
-    config = EnsembleConfig(m=3, E=12.0, n_samples=1, seed=0, kind="orthogonal")
     for i in range(25):
-        cov = sample_pure_cm(config, derive_rng(11, i))
+        cov = sample_pure_cm(12.0, 3, "orthogonal", derive_rng(11, i))
         assert symplectic_coherence(cov) == 0.0
 
 
 def test_single_mode_orthogonal_is_diagonal_squeeze(rng):
-    config = EnsembleConfig(m=1, E=6.0, n_samples=1, seed=0, kind="orthogonal")
-    cov = sample_pure_cm(config, derive_rng(3, 0))
+    cov = sample_pure_cm(6.0, 1, "orthogonal", derive_rng(3, 0))
     d = cov.matrix[0, 0]
     assert_allclose(cov.matrix, np.diag([d, 1.0 / d]), atol=1e-10)
     assert d + 1.0 / d == pytest.approx(6.0, abs=1e-9)
@@ -108,9 +120,8 @@ def test_minimum_trace_budget_gives_vacuum_reductions(kind):
 
 
 def test_reduction_agrees_with_general_solver(rng):
-    config = EnsembleConfig(m=3, E=11.0, n_samples=1, seed=0, kind="unitary")
     for i in range(10):
-        cov = sample_pure_cm(config, derive_rng(19, i))
+        cov = sample_pure_cm(11.0, 3, "unitary", derive_rng(19, i))
         red = reduced_first_mode(cov)
         assert red.nu_sq >= 1.0 - 1e-10
 

@@ -95,6 +95,25 @@ def test_single_value_tolerances_are_not_parameters(func, name):
     assert name not in inspect.signature(getattr(sympcoh, func)).parameters
 
 
+@pytest.mark.parametrize(
+    "func, params",
+    [
+        ("SympGate", ["S", "disp"]),
+        ("displacement", ["d"]),
+        ("DiscordImage", ["rho", "c_scale"]),
+        ("MscSpec", ["E", "theta", "o_inner", "o_outer"]),
+        ("spectrum_from_weights", ["E", "weights"]),
+        ("sample_pure_cm", ["E", "m", "kind", "rng"]),
+        ("numeric_max_search", ["E", "m", "trials", "seed"]),
+    ],
+)
+def test_constructors_take_only_independent_inputs(func, params):
+    signature = inspect.signature(getattr(sympcoh, func))
+    assert list(signature.parameters) == params
+    if func == "numeric_max_search":
+        assert signature.parameters["seed"].default is inspect.Parameter.empty
+
+
 def test_is_free_lives_in_core_only():
     assert sympcoh.is_free is gaussian_core.is_free
     assert not hasattr(sympcoh.coherence, "is_free")

@@ -37,6 +37,7 @@ from sympcoh import (
     pure_gaussian_cm,
     squeezer,
     symplectic_coherence,
+    tensor_cm,
     tensor_states,
     vacuum_state,
 )
@@ -147,7 +148,7 @@ def test_constructors_are_symplectic(rng):
         phase_shifter(m, 1, 0.3),
         block_orthogonal(haar_orthogonal(m, rng)),
         passive_from_unitary(*haar_unitary(m, rng)),
-        displacement(m, rng.normal(size=2 * m)),
+        displacement(rng.normal(size=2 * m)),
     ]
     for gate in gates:
         assert is_symplectic(gate.S)
@@ -155,9 +156,23 @@ def test_constructors_are_symplectic(rng):
 
 def test_sympgate_rejects_nonsymplectic():
     with pytest.raises(GateError):
-        SympGate(1, 2.0 * np.eye(2))
+        SympGate(2.0 * np.eye(2))
     with pytest.raises(DimensionError):
-        SympGate(1, np.eye(2), disp=[1.0, 2.0, 3.0])
+        SympGate(np.eye(2), disp=[1.0, 2.0, 3.0])
+
+
+def test_gates_take_their_mode_count_from_the_matrix():
+    assert SympGate(np.eye(4)).m == 2
+    assert_array_equal(SympGate(np.eye(4)).disp, np.zeros(4))
+    gate = displacement([1.0, 2.0, 3.0, 4.0])
+    assert gate.m == 2
+    assert_array_equal(gate.S, np.eye(4))
+    for bad in (np.eye(3), np.zeros((2, 4)), np.ones(4), np.zeros((0, 0))):
+        with pytest.raises(DimensionError):
+            SympGate(bad)
+    for bad in ([1.0, 2.0, 3.0], []):
+        with pytest.raises(DimensionError):
+            displacement(bad)
 
 
 def test_gate_constructor_input_checks(rng):
@@ -168,7 +183,7 @@ def test_gate_constructor_input_checks(rng):
     with pytest.raises(GateError):
         passive_from_unitary(np.eye(2), np.eye(2))
     with pytest.raises(DimensionError):
-        displacement(2, [1.0])
+        displacement([1.0])
 
 
 def test_squeezer_action_on_vacuum():
@@ -185,7 +200,7 @@ def test_phase_shifter_quarter_turn_swaps_quadratures():
 def test_compose_matches_sequential_application(rng):
     state = GaussianState(random_valid_cov(rng, 2), rng.normal(size=4))
     g1 = squeezer(2, 1, 0.4)
-    g2 = compose(block_orthogonal(haar_orthogonal(2, rng)), displacement(2, [1, 0, 0, -1]))
+    g2 = compose(block_orthogonal(haar_orthogonal(2, rng)), displacement([1, 0, 0, -1]))
     seq = apply(g2, apply(g1, state))
     fused = apply(compose(g2, g1), state)
     assert_allclose(fused.cov.matrix, seq.cov.matrix, atol=1e-10)
@@ -194,7 +209,7 @@ def test_compose_matches_sequential_application(rng):
 
 def test_apply_transforms_first_moments(rng):
     state = GaussianState(CovMat(np.eye(2)), [1.0, 2.0])
-    gate = SympGate(1, np.diag([2.0, 0.5]), disp=[0.5, -0.5])
+    gate = SympGate(np.diag([2.0, 0.5]), disp=[0.5, -0.5])
     out = apply(gate, state)
     assert_allclose(out.d, [2.5, 0.5], atol=TOL)
 
@@ -261,6 +276,25 @@ def test_tensor_keeps_qqpp_ordering():
     both = tensor_states(sq, vacuum_state(1))
     expected = np.diag([np.e, 1.0, 1 / np.e, 1.0])
     assert_allclose(both.cov.matrix, expected, atol=TOL)
+
+
+def test_tensor_cm_is_the_block_placed_reordered_direct_sum(rng):
+    # Built from the blocks, in (q_A q_B p_A p_B) order: the reorder is exact.
+    for m_a, m_b in [(1, 1), (1, 3), (2, 2), (3, 1)]:
+        a, b = random_valid_cov(rng, m_a), random_valid_cov(rng, m_b)
+        va, vb = a.matrix, b.matrix
+        zab = np.zeros((m_a, m_b))
+        expected = np.block([
+            [va[:m_a, :m_a], zab, va[:m_a, m_a:], zab],
+            [zab.T, vb[:m_b, :m_b], zab.T, vb[:m_b, m_b:]],
+            [va[m_a:, :m_a], zab, va[m_a:, m_a:], zab],
+            [zab.T, vb[m_b:, :m_b], zab.T, vb[m_b:, m_b:]],
+        ])
+        assert_array_equal(tensor_cm(a, b).matrix, expected)
+        da, db = rng.normal(size=2 * m_a), rng.normal(size=2 * m_b)
+        joint = tensor_states(GaussianState(a, da), GaussianState(b, db))
+        assert_array_equal(joint.cov.matrix, expected)
+        assert_array_equal(joint.d, np.concatenate([da[:m_a], db[:m_b], da[m_a:], db[m_b:]]))
 
 
 def test_partial_trace_inverts_tensor(rng):
