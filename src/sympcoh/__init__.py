@@ -26,7 +26,6 @@ from .gaussian_core import (
     load_state,
     mean_energy,
     mix_states,
-    reduced_first_mode,
     require_valid,
     save_state,
     state_from_dict,

@@ -15,14 +15,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .coherence import max_symplectic_coherence
-from .gaussian_core import (
-    CovMat,
-    DimensionError,
-    GaussianState,
-    is_pure,
-    reduced_first_mode,
-)
-from .symplectic_ops import BLOCK_ENTRIES, IdentityChannel, mc_blocks
+from .gaussian_core import CovMat, DimensionError, GaussianState, is_pure
+from .symplectic_ops import BLOCK_ENTRIES, mc_blocks
 
 MEAN_GAP_TOL = 1e-12
 WILSON_Z = 1.96  #: normal quantile of the 95% Wilson-score bound on the error rate
@@ -101,9 +95,11 @@ def meas_moments(state: GaussianState, channel) -> tuple[float, float]:
 
     The observable is the symmetrized product of the first mode's position
     and momentum (half the anticommutator).  For a zero-mean Gaussian output
-    its mean is the (1,1) entry of the position-momentum covariance block and
-    its variance is ``1 + nu_1^2 + 2 mu^2`` with ``nu_1`` the first mode's
-    local symplectic eigenvalue.
+    its mean is the (1,1) entry ``mu = V_0m`` of the position-momentum
+    covariance block and its variance is ``1 + V_00 V_mm + mu^2``, read from
+    the output's entries: a sum of nonnegative terms, equal to
+    ``1 + nu_1^2 + 2 mu^2`` with ``nu_1^2 = V_00 V_mm - mu^2`` the first
+    mode's squared local symplectic eigenvalue.
 
     Args:
         state: probe with zero first moments.
@@ -117,10 +113,9 @@ def meas_moments(state: GaussianState, channel) -> tuple[float, float]:
     out = channel.apply_to(state)
     if np.max(np.abs(out.d)) > MEAN_GAP_TOL:
         raise ValueError("channel output must have zero first moments")
-    m = out.cov.m
-    mu = float(out.cov.matrix[0, m])
-    nu_sq = reduced_first_mode(out.cov).nu_sq
-    return mu, float(1.0 + nu_sq + 2.0 * mu * mu)
+    v, m = out.cov.matrix, out.cov.m
+    mu = float(v[0, m])
+    return mu, float(1.0 + v[0, 0] * v[m, m] + mu * mu)
 
 
 def energy_offset(m: int, E: float) -> float:
@@ -325,13 +320,6 @@ class DiscriminationReport:
     )
 
 
-def _channel_eta(channel) -> float | None:
-    if isinstance(channel, IdentityChannel):
-        return 1.0
-    eta = getattr(channel, "eta", None)
-    return None if eta is None else float(eta)
-
-
 def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
     """Simulate the median-of-means threshold protocol and report its error rate.
 
@@ -342,6 +330,11 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
     ``DiscriminationConfig.seed``, one shot array and one row-wise
     median of means per block.
 
+    When both channels have a transmissivity ``eta`` (loss, or the identity
+    at ``eta = 1``) and the two differ, ``n_thres`` is :func:`n_thres_loss`
+    at the probe's first-mode entries: ``mu = V_0m``,
+    ``nu^2 = V_00 V_mm - V_0m V_m0`` and ``E1 = V_00 + V_mm``.
+
     Raises:
         ValueError: if the two channels give identical output means.
     """
@@ -351,21 +344,18 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
     if abs(mu2 - mu1) <= MEAN_GAP_TOL:
         raise ValueError("channel output means coincide; protocol is undefined")
 
-    eta1, eta2 = _channel_eta(ch1), _channel_eta(ch2)
+    eta1, eta2 = getattr(ch1, "eta", None), getattr(ch2, "eta", None)
     n_thres: float | None = None
     if eta1 is not None and eta2 is not None and abs(eta2 - eta1) > MEAN_GAP_TOL:
-        probe_cov = config.probe.cov
-        probe_mu = float(probe_cov.matrix[0, probe_cov.m])
-        if probe_mu != 0.0:
-            first = reduced_first_mode(probe_cov)
-            n_thres = n_thres_loss(
-                mu=probe_mu,
-                nu_sq=first.nu_sq,
-                E1=first.trace,
-                eta1=eta1,
-                eta2=eta2,
-                delta=config.delta,
-            )
+        v, m = config.probe.cov.matrix, config.probe.m
+        n_thres = n_thres_loss(
+            mu=float(v[0, m]),
+            nu_sq=float(v[0, 0] * v[m, m] - v[0, m] * v[m, 0]),
+            E1=float(v[0, 0] + v[m, m]),
+            eta1=eta1,
+            eta2=eta2,
+            delta=config.delta,
+        )
 
     threshold = 0.5 * (mu1 + mu2)
     second_is_high = mu2 > mu1

@@ -27,6 +27,7 @@ import numpy as np
 
 from . import applications, coherence, discord_map, ensembles, gaussian_core
 from . import symplectic_ops as ops
+from .gaussian_core import _array, _scalar
 from ._version import __version__
 
 DEFAULT_SEED = 0x5EED
@@ -51,8 +52,8 @@ def _read_state(spec: str | dict, m: int | None = None) -> gaussian_core.Gaussia
     return gaussian_core.state_from_dict(spec, m)
 
 
-def _read_valid_state(path: str, m: int | None = None) -> gaussian_core.GaussianState:
-    state = _read_state(path, m)
+def _read_valid_state(spec: str | dict, m: int | None = None) -> gaussian_core.GaussianState:
+    state = _read_state(spec, m)
     gaussian_core.require_valid(state.cov)
     return state
 
@@ -61,34 +62,6 @@ def _require_object(doc, what: str) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
     return doc
-
-
-def _number(doc: dict, key: str, kind: type = float):
-    """``kind(doc[key])``; a value ``kind`` cannot convert, such as a JSON list,
-    object or null, or a non-finite one, raises ``ValueError`` naming the field."""
-    value = doc[key]
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = np.nan
-    if isinstance(number, float) and not np.isfinite(number):
-        raise ValueError(
-            f"field {key!r} must be a number, got {type(value).__name__} {json.dumps(value)[:40]}"
-        )
-    return number
-
-
-def _array(doc: dict, key: str) -> np.ndarray:
-    """``np.asarray(doc[key], dtype=float)``; a value that is not a (nested)
-    list of numbers, such as a JSON object, raises ``ValueError`` naming the field."""
-    value = doc[key]
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(
-            f"field {key!r} must be an array of numbers, got {type(value).__name__} "
-            f"{json.dumps(value)[:40]}"
-        ) from None
 
 
 def _load_json(path: str) -> dict:
@@ -114,9 +87,9 @@ def build_gate(spec: dict, m: int) -> ops.SympGate:
     kind = _require_object(spec, "gate spec").get("kind")
     params = _require_object(spec.get("params", {}), "gate params")
     if kind == "squeezer":
-        return ops.squeezer(m, _number(params, "mode", int), _number(params, "r"))
+        return ops.squeezer(m, _scalar(params, "mode", int), _scalar(params, "r"))
     if kind == "phase_shifter":
-        return ops.phase_shifter(m, _number(params, "mode", int), _number(params, "theta"))
+        return ops.phase_shifter(m, _scalar(params, "mode", int), _scalar(params, "theta"))
     if kind == "block_orthogonal":
         return ops.block_orthogonal(_array(params, "o"))
     if kind == "passive":
@@ -124,7 +97,7 @@ def build_gate(spec: dict, m: int) -> ops.SympGate:
     if kind == "displacement":
         return ops.displacement(_array(params, "d"))
     if kind == "beamsplitter":
-        return ops.block_orthogonal(ops.beamsplitter_orthogonal(_number(params, "eta")))
+        return ops.block_orthogonal(ops.beamsplitter_orthogonal(_scalar(params, "eta")))
     if kind == "matrix":
         disp = None if params.get("disp") is None else _array(params, "disp")
         return ops.SympGate(_array(params, "S"), disp)
@@ -135,7 +108,7 @@ def build_channel(spec: dict):
     """Build a channel from ``{"kind": "loss"|"identity"|"stinespring", ...}``."""
     kind = _require_object(spec, "channel spec").get("kind")
     if kind == "loss":
-        return ops.LossChannel(_number(spec, "eta"))
+        return ops.LossChannel(_scalar(spec, "eta"))
     if kind == "identity":
         return ops.IdentityChannel()
     if kind == "stinespring":
@@ -238,18 +211,17 @@ def _cmd_ensemble(args) -> tuple[dict, int]:
 
 def _cmd_discriminate(args) -> tuple[dict, int]:
     cfg = _load_json(args.config)
-    probe = _read_state(cfg["probe_file"] if "probe_file" in cfg else cfg["probe"])
-    gaussian_core.require_valid(probe.cov)
+    probe = _read_valid_state(cfg["probe_file"] if "probe_file" in cfg else cfg["probe"])
     if not isinstance(cfg["channels"], list):
         raise ValueError("discriminate config: channels must be a JSON list of two channel specs")
     channels = tuple(build_channel(spec) for spec in cfg["channels"])
     config = applications.DiscriminationConfig(
         probe=probe,
         channels=channels,
-        delta=_number(cfg, "delta"),
-        n_samples=_number(cfg, "n_samples", int),
-        trials=_number(cfg, "trials", int),
-        seed=_number(cfg, "seed", int) if "seed" in cfg else DEFAULT_SEED,
+        delta=_scalar(cfg, "delta"),
+        n_samples=_scalar(cfg, "n_samples", int),
+        trials=_scalar(cfg, "trials", int),
+        seed=_scalar(cfg, "seed", int) if "seed" in cfg else DEFAULT_SEED,
     )
     report = applications.run_discrimination(config)
     args.seed = config.seed  # the manifest reports the seed that ran
@@ -267,17 +239,16 @@ def _cmd_tvd(args) -> tuple[dict, int]:
     result: dict = {}
     if "var1" in cfg or "var2" in cfg:
         result["tvd_exact"] = applications.tvd_exact_zero_mean_normals(
-            _number(cfg, "var1"), _number(cfg, "var2")
+            _scalar(cfg, "var1"), _scalar(cfg, "var2")
         )
     if "sxp1" in cfg or "sxp2" in cfg:
-        state = _read_state(cfg["cm"])
-        gaussian_core.require_valid(state.cov)
-        inflated = bool(cfg.get("inflated", False))
+        state = _read_valid_state(cfg["cm"])
+        inflated = _scalar(cfg, "inflated", bool) if "inflated" in cfg else False
         result["bound"] = applications.tvd_bound_ppmm(
             state.cov,
-            _number(cfg, "sxp1"),
-            _number(cfg, "sxp2"),
-            _number(cfg, "theta"),
+            _scalar(cfg, "sxp1"),
+            _scalar(cfg, "sxp2"),
+            _scalar(cfg, "theta"),
             inflated=inflated,
         )
         result["inflated"] = inflated

@@ -427,29 +427,6 @@ def is_free(cov: CovMat) -> bool:
     return bool(np.max(np.abs(cov.matrix[: cov.m, cov.m :])) <= FREE_TOL)
 
 
-class FirstModeReduction(NamedTuple):
-    """Reduced state of mode 1: its 2x2 covariance matrix and invariants."""
-
-    cov: CovMat
-    nu_sq: float
-    trace: float
-
-
-def reduced_first_mode(cov: CovMat) -> FirstModeReduction:
-    """Reduce to mode 1 by row/column selection.
-
-    Returns:
-        The 2x2 covariance matrix of mode 1, its squared symplectic
-        eigenvalue ``nu^2 = sigma_x*sigma_p - sigma_xp^2`` (a determinant,
-        exact in closed form) and its trace ``E_1``.
-    """
-    m = cov.m
-    idx = np.array([0, m])
-    sub = cov.matrix[np.ix_(idx, idx)]
-    nu_sq = float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
-    return FirstModeReduction(CovMat(sub), nu_sq, float(np.trace(sub)))
-
-
 def mix_states(components: Sequence[tuple[float, GaussianState]]) -> GaussianState:
     """Covariance matrix and first moments of a convex mixture.
 
@@ -501,10 +478,55 @@ def state_to_dict(state: GaussianState) -> dict:
     return doc
 
 
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
+
+
+def _field_error(key: str, what: str, value) -> ValueError:
+    return ValueError(
+        f"field {key!r} must be {what}, got {type(value).__name__} "
+        f"{json.dumps(value, default=repr)[:40]}"
+    )
+
+
+def _scalar(doc: dict, key: str, kind: type = float):
+    """``doc[key]`` as a finite float, an int or a bool (``kind``).
+
+    A float field takes whatever ``float`` converts to a finite value.  An
+    int field takes an integral number but no boolean, and a bool field only
+    a boolean.  Anything else, such as a JSON list, object or null, raises
+    ``ValueError`` naming the field.
+    """
+    value = doc[key]
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if kind is float:
+        ok = number is not None and math.isfinite(number)
+    else:  # no coercion between JSON booleans and numbers, nor of a fraction
+        ok = number is not None and number == value and isinstance(value, bool) == (kind is bool)
+    if not ok:
+        raise _field_error(key, _KIND_NAMES[kind], value)
+    return number
+
+
+def _array(doc: dict, key: str) -> np.ndarray:
+    """``np.asarray(doc[key], dtype=float)``; a value that is not a (nested)
+    list of numbers, such as a JSON object, raises ``ValueError`` naming the field."""
+    value = doc[key]
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise _field_error(key, "an array of numbers", value) from None
+
+
 def state_from_dict(doc: dict, m: int | None = None) -> GaussianState:
     """Parse the covariance-matrix JSON document (no physical validation).
 
-    ``m``, if given, is an expected mode count, cross-checked like the document's own.
+    ``matrix`` and the optional ``displacement`` must be arrays of numbers
+    and the optional ``m`` an integer; a field of another type raises
+    ``ValueError`` naming it.  ``m``, if given, is an expected mode count,
+    cross-checked like the document's own.
     """
     if not isinstance(doc, dict):
         raise ValueError("covariance-matrix document must be a JSON object")
@@ -515,11 +537,13 @@ def state_from_dict(doc: dict, m: int | None = None) -> GaussianState:
         raise ValueError(f"unsupported quadrature ordering {doc.get('ordering')!r}")
     if doc.get("hbar", CM_HBAR) != CM_HBAR:
         raise ValueError(f"unsupported hbar convention {doc.get('hbar')!r}")
-    cov = CovMat(doc["matrix"])
-    for expected in (doc.get("m"), m):
-        if expected is not None and int(expected) != cov.m:
+    cov = CovMat(_array(doc, "matrix"))
+    doc_m = None if doc.get("m") is None else _scalar(doc, "m", int)
+    for expected in (doc_m, m):
+        if expected is not None and expected != cov.m:
             raise DimensionError(f"expected m={expected}, the matrix has m={cov.m}")
-    return GaussianState(cov, doc.get("displacement"))
+    disp = None if doc.get("displacement") is None else _array(doc, "displacement")
+    return GaussianState(cov, disp)
 
 
 def load_state(path: str, m: int | None = None) -> GaussianState:

@@ -264,7 +264,12 @@ class LossChannel:
 
 @dataclass(frozen=True)
 class IdentityChannel:
-    """The do-nothing channel."""
+    """The do-nothing channel: pure loss at the fixed transmissivity ``eta = 1``.
+
+    ``eta`` is set, not passed, so ``IdentityChannel(0.5)`` is a ``TypeError``.
+    """
+
+    eta: float = field(default=1.0, init=False)
 
     def apply_to(self, state: GaussianState) -> GaussianState:
         return state
@@ -395,9 +400,21 @@ def spectrum_from_weights(E: float, weights: np.ndarray) -> np.ndarray:
     ``x_i = (E - 2m) w_i`` the solution of ``d_i + 1/d_i = 2 + x_i`` with
     ``d_i >= 1`` is ``d_i = 1 + x_i/2 + sqrt(x_i + x_i^2/4)``, which enforces
     ``sum(d_i + 1/d_i) = E`` exactly.
+
+    Raises:
+        ValueError: unless ``2m <= E`` (``require_budget``), every weight is
+            nonnegative, and every row sums to 1 within ``m sqrt(eps)``: half
+            the float64 digits of each of its m weights, which admits the
+            rounding drift of the maximum search's rescaled weights.
     """
     weights = np.asarray(weights, dtype=float)
-    x = (E - 2 * weights.shape[-1]) * weights
+    m = weights.shape[-1]
+    require_budget(E, m)
+    if np.any(weights < 0.0):
+        raise ValueError("weights must be nonnegative")
+    if not np.all(np.abs(weights.sum(axis=-1) - 1.0) <= m * np.sqrt(np.finfo(float).eps)):
+        raise ValueError("each row of weights must sum to 1")
+    x = (E - 2 * m) * weights
     return 1.0 + x / 2.0 + np.sqrt(x + x * x / 4.0)
 
 

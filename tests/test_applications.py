@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+import sympcoh
 from sympcoh import (
     CovMat,
     DimensionError,
@@ -14,9 +17,13 @@ from sympcoh import (
     GaussianState,
     IdentityChannel,
     LossChannel,
+    StinespringChannel,
+    applications,
     apply,
     derive_rng,
     energy_offset,
+    gaussian_core,
+    haar_orthogonal,
     helstrom_lower_bound_loss,
     loss_g,
     loss_gtilde,
@@ -32,6 +39,7 @@ from sympcoh import (
     qfi_displacement,
     rotated_quadrature_variance,
     run_discrimination,
+    sample_pure_cm,
     squeezer,
     td_lower_bound_gaussian,
     td_lower_bound_general,
@@ -157,6 +165,52 @@ def test_meas_moments_extremal_probe_under_loss():
     mu8, var8 = meas_moments(probe, LossChannel(0.8))
     assert mu8 == pytest.approx(-2.2627416997969525, abs=1e-12)
     assert var8 == pytest.approx(12.88, abs=1e-10)
+
+
+def test_first_mode_moments_have_one_path():
+    assert not hasattr(sympcoh, "reduced_first_mode")
+    assert not hasattr(gaussian_core, "reduced_first_mode")
+    assert not hasattr(gaussian_core, "FirstModeReduction")
+    assert not hasattr(applications, "_channel_eta")
+    assert IdentityChannel().eta == 1.0
+    with pytest.raises(TypeError):
+        IdentityChannel(0.5)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_meas_moments_read_the_output_entries(m, rng):
+    for _ in range(10):
+        probe = GaussianState(random_valid_cov(rng, m))
+        env = sample_pure_cm(4.0, 1, "orthogonal", rng)  # free: zero V_xp block
+        channels = (
+            IdentityChannel(),
+            LossChannel(float(rng.uniform())),
+            StinespringChannel(haar_orthogonal(m + 1, rng), env),
+        )
+        for channel in channels:
+            v = channel.apply_to(probe).cov.matrix
+            mu = v[0, m]
+            assert meas_moments(probe, channel) == (mu, 1.0 + v[0, 0] * v[m, m] + mu**2)
+
+
+@pytest.mark.parametrize("second", ["loss", "identity"])
+def test_discrimination_threshold_reads_the_probe_entries(second):
+    delta = 0.1
+    for i in range(30):
+        m = 1 + i % 3
+        probe = GaussianState(sample_pure_cm(2 * m + 1.0 + i, m, "unitary", derive_rng(23, i)))
+        eta1 = 0.2 + 0.02 * i
+        channels = (LossChannel(eta1), LossChannel(0.95) if second == "loss" else IdentityChannel())
+        report = run_discrimination(
+            DiscriminationConfig(probe, channels, delta, n_samples=10, trials=1, seed=i)
+        )
+        v = probe.cov.matrix
+        nu_sq = v[0, 0] * v[m, m] - v[0, m] * v[m, 0]
+        eta2 = channels[1].eta
+        assert report.n_thres == n_thres_loss(v[0, m], nu_sq, v[0, 0] + v[m, m], eta1, eta2, delta)
+        gap_sq = (report.mu2 - report.mu1) ** 2
+        expected = 272.0 * math.log(2.0 / delta) * max(report.var1 - 1.0, report.var2 - 1.0) / gap_sq
+        assert report.n_thres == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_meas_moments_rejects_displaced_probe():

@@ -362,6 +362,10 @@ def test_json_inputs_of_the_wrong_shape_exit_1(sub, doc, tmp_path, capsys):
 
 _CHANNELS = [{"kind": "identity"}, {"kind": "loss", "eta": 0.5}]
 _TVD_BOUND = {"cm": _PROBE, "sxp1": 0.3, "sxp2": 0.0, "theta": 0.5}
+# Integer fields take no fraction and no boolean; `inflated` takes only a boolean.
+_FIELD_KINDS = {f: "an integer" for f in ("mode", "n_samples", "trials", "seed")} | {
+    "inflated": "a boolean"
+}
 
 
 @pytest.mark.parametrize(
@@ -389,6 +393,14 @@ _TVD_BOUND = {"cm": _PROBE, "sxp1": 0.3, "sxp2": 0.0, "theta": 0.5}
         ("discriminate", {**_DISC, "channels": _CHANNELS, "delta": float("inf")}, "delta"),
         ("discriminate", {**_DISC, "channels": _CHANNELS, "trials": float("nan")}, "trials"),
         ("discriminate", {**_DISC, "channels": _CHANNELS, "seed": float("-inf")}, "seed"),
+        ("apply", {"kind": "squeezer", "params": {"mode": 1.9, "r": 0.5}}, "mode"),
+        ("apply", {"kind": "phase_shifter", "params": {"mode": True, "theta": 0.1}}, "mode"),
+        ("discriminate", {**_DISC, "channels": _CHANNELS, "n_samples": 10.7}, "n_samples"),
+        ("discriminate", {**_DISC, "channels": _CHANNELS, "trials": True}, "trials"),
+        ("discriminate", {**_DISC, "channels": _CHANNELS, "seed": "3"}, "seed"),
+        ("tvd", {**_TVD_BOUND, "inflated": "false"}, "inflated"),
+        ("tvd", {**_TVD_BOUND, "inflated": 1}, "inflated"),
+        ("tvd", {**_TVD_BOUND, "inflated": None}, "inflated"),
     ],
 )
 def test_non_numeric_scalar_fields_exit_1(sub, doc, field, tmp_path, capsys):
@@ -403,7 +415,7 @@ def test_non_numeric_scalar_fields_exit_1(sub, doc, field, tmp_path, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out is None
-    assert "ValueError" in err and f"field {field!r} must be a number" in err
+    assert "ValueError" in err and f"field {field!r} must be {_FIELD_KINDS.get(field, 'a number')}" in err
     assert "Traceback" not in err
 
 
@@ -449,6 +461,40 @@ def test_non_numeric_array_fields_exit_1(sub, doc, field, tmp_path, capsys):
     assert code == 1
     assert out is None
     assert "ValueError" in err and f"field {field!r} must be an array of numbers" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "bad, field, what",
+    [
+        ({"matrix": {"a": 1}}, "matrix", "an array of numbers"),
+        ({"matrix": [[1, 0], [0, "x"]]}, "matrix", "an array of numbers"),
+        ({"displacement": {"a": 1}}, "displacement", "an array of numbers"),
+        ({"m": [1]}, "m", "an integer"),
+        ({"m": 1.7}, "m", "an integer"),
+        ({"m": True}, "m", "an integer"),
+    ],
+)
+@pytest.mark.parametrize("where", ["validate", "probe", "env", "cm"])
+def test_bad_state_document_fields_exit_1(where, bad, field, what, tmp_path, capsys, monkeypatch):
+    doc = {**_ENV, **bad}
+    if where == "validate":
+        code, out, err = run_cli(["validate", "-"], capsys, monkeypatch, json.dumps(doc))
+    else:
+        sub, cfg = {
+            "probe": ("discriminate", {**_DISC, "probe": doc, "channels": _CHANNELS}),
+            "env": (
+                "discriminate",
+                {**_DISC, "channels": [{"kind": "stinespring", "o": _BS, "env": doc}, _CHANNELS[0]]},
+            ),
+            "cm": ("tvd", {**_TVD_BOUND, "cm": doc}),
+        }[where]
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(cfg))
+        code, out, err = run_cli([sub, "--config", str(cfg_file)], capsys)
+    assert code == 1
+    assert out is None
+    assert "ValueError" in err and f"field {field!r} must be {what}" in err
     assert "Traceback" not in err
 
 

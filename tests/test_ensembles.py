@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from sympcoh import (
     EnsembleConfig,
+    GaussianState,
     analytic_mean_nu_sq,
     derive_rng,
     ensemble_nu_sq,
@@ -15,11 +16,12 @@ from sympcoh import (
     haar_moment_check,
     is_pure,
     is_valid,
-    reduced_first_mode,
+    partial_trace,
     sample_d,
     sample_pure_cm,
     spectrum_from_weights,
     symplectic_coherence,
+    symplectic_eigenvalues,
 )
 from sympcoh import ensembles
 from sympcoh.ensembles import _first_mode_nu_sq, _pair_sums
@@ -51,6 +53,17 @@ def test_spectrum_meets_the_trace_for_any_number_of_weights():
         d = spectrum_from_weights(10.0, np.full(m, 1.0 / m))
         assert d.shape == (m,)
         assert np.sum(d + 1.0 / d) == pytest.approx(10.0, abs=1e-12)
+
+
+def test_spectrum_rejects_a_short_budget_and_bad_weights():
+    with pytest.raises(ValueError, match="trace"):
+        spectrum_from_weights(3.0, [0.5, 0.5])
+    with pytest.raises(ValueError, match="sum to 1"):
+        spectrum_from_weights(10.0, [0.7, 0.7])
+    with pytest.raises(ValueError, match="sum to 1"):
+        spectrum_from_weights(10.0, [[0.5, 0.5], [0.2, 0.9]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        spectrum_from_weights(10.0, [1.5, -0.5])
 
 
 def test_sample_pure_cm_rejects_an_unknown_kind(rng):
@@ -122,8 +135,8 @@ def test_minimum_trace_budget_gives_vacuum_reductions(kind):
 def test_reduction_agrees_with_general_solver(rng):
     for i in range(10):
         cov = sample_pure_cm(11.0, 3, "unitary", derive_rng(19, i))
-        red = reduced_first_mode(cov)
-        assert red.nu_sq >= 1.0 - 1e-10
+        nu = symplectic_eigenvalues(partial_trace(GaussianState(cov), [1]).cov)
+        assert nu[0] ** 2 >= 1.0 - 1e-10
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,6 @@ from sympcoh import (
     mix_states,
     msc_canonical,
     qfi_displacement,
-    reduced_first_mode,
     require_valid,
     save_state,
     state_from_dict,
@@ -402,16 +401,6 @@ def test_symplectic_eigenvalues_squeezed_pure():
     cov = CovMat(np.diag([np.exp(2 * r), np.exp(-2 * r)]))
     assert_allclose(symplectic_eigenvalues(cov), [1.0], atol=1e-9)
     assert is_pure(cov)
-
-
-def test_reduced_first_mode_closed_form(rng):
-    cov = random_valid_cov(rng, 3)
-    red = reduced_first_mode(cov)
-    v = cov.matrix
-    expected = v[0, 0] * v[3, 3] - v[0, 3] ** 2
-    assert red.nu_sq == pytest.approx(expected, abs=TOL)
-    assert red.trace == pytest.approx(v[0, 0] + v[3, 3], abs=TOL)
-    assert red.cov.m == 1
 
 
 def test_mix_states_moment_bookkeeping():
