@@ -43,7 +43,6 @@ from .symplectic_ops import (
     SympGate,
     apply,
     apply_loss,
-    apply_loss_state,
     beamsplitter_orthogonal,
     block_orthogonal,
     compose,
@@ -58,7 +57,6 @@ from .symplectic_ops import (
     passive_from_unitary,
     phase_shifter,
     pure_cm,
-    pure_gaussian_cm,
     sample_d,
     spectrum_from_weights,
     squeezer,

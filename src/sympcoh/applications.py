@@ -16,7 +16,7 @@ import numpy as np
 
 from .coherence import max_symplectic_coherence
 from .gaussian_core import CovMat, DimensionError, GaussianState, is_pure
-from .symplectic_ops import BLOCK_ENTRIES, mc_blocks
+from .symplectic_ops import BLOCK_ENTRIES, mc_blocks, require_transmissivity
 
 MEAN_GAP_TOL = 1e-12
 WILSON_Z = 1.96  #: normal quantile of the 95% Wilson-score bound on the error rate
@@ -83,8 +83,7 @@ def helstrom_lower_bound_loss(E: float, m: int, eta: float, c: float) -> float:
     coherence c: at least
     ``1/2 + (1/400) min(1, sqrt((1-eta)^2 (E-2m)^2/(2m) + 2 c (1-eta)^2) / (E+1))``.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must be in [0, 1], got {eta}")
+    require_transmissivity(eta)
     shrink = (1.0 - eta) ** 2
     gap = math.sqrt(shrink * (E - 2.0 * m) ** 2 / (2.0 * m) + 2.0 * c * shrink)
     return 0.5 + min(1.0, gap / (E + 1.0)) / 400.0

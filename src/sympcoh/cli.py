@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -37,18 +38,13 @@ ENVELOPE_FORMAT = "sympcoh-envelope-v1"
 def _read_state(spec: str | dict, m: int | None = None) -> gaussian_core.GaussianState:
     """A state from a file path, stdin (``-``) or an inline config document.
 
-    A JSON document may be bare or a previous invocation's envelope around one.
+    A JSON document may be bare or a previous invocation's envelope around one
+    (``gaussian_core.state_from_dict`` reads both).
     """
     if spec == "-":
-        spec = json.load(sys.stdin)
-    elif isinstance(spec, str):
-        if spec.endswith(".csv"):
-            return gaussian_core.load_state(spec, m)
-        with open(spec) as fh:
-            spec = json.load(fh)
-    result = spec.get("result") if isinstance(spec, dict) else None
-    if isinstance(result, dict) and "format" in result:
-        spec = result
+        return gaussian_core.state_from_dict(json.load(sys.stdin), m)
+    if isinstance(spec, str):
+        return gaussian_core.load_state(spec, m)
     return gaussian_core.state_from_dict(spec, m)
 
 
@@ -176,7 +172,7 @@ def _cmd_apply(args) -> tuple[dict, int]:
 
 def _cmd_loss(args) -> tuple[dict, int]:
     state = _read_valid_state(args.cm, args.m)
-    out = ops.apply_loss_state(state, args.eta)
+    out = ops.LossChannel(args.eta).apply_to(state)
     return gaussian_core.state_to_dict(out), 0
 
 
@@ -396,7 +392,14 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader closed early (``sympcoh ... | head``).  Point stdout at
+        # devnull, so that the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("BrokenPipeError: stdout was closed before the output was written", file=sys.stderr)
+        return 1
     return code
 
 

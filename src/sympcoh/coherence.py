@@ -532,7 +532,8 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
         weights_moved = False
         for i in range(m):
             # Weight i set to t, the others rescaled to share the remaining 1 - t.
-            rest = weights.sum() - weights[i]
+            # Summed directly: weights.sum() - weights[i] cancels when weight i is near 1.
+            rest = np.delete(weights, i).sum()
             if rest <= 0.0:
                 continue  # m = 1 or no other weight: no new candidate, and t = 0 sums to 0
             lo, hi = 0.0, 1.0

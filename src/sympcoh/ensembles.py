@@ -25,7 +25,7 @@ from .symplectic_ops import (
     pure_draw,
     pure_xp_block,
     require_budget,
-    sample_d,  # noqa: F401 - kept importable from this module
+    sample_d,  # noqa: F401 - perfbench times ensembles.sample_d by this name
 )
 
 KINDS = ("orthogonal", "unitary")
@@ -94,7 +94,10 @@ class EnsembleStats:
 
 
 def pure_cm_from_passive(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> CovMat:
-    """Assemble ``S_U diag(d, 1/d) S_U^T`` for ``S_U = [[X, Y], [-Y, X]]``."""
+    """``S_U diag(d, 1/d) S_U^T`` for ``S_U = [[X, Y], [-Y, X]]``: ``pure_cm`` as a ``CovMat``.
+
+    The one place in this module that wraps the kernel's output.
+    """
     return CovMat(pure_cm(x, y, d))
 
 
@@ -110,7 +113,7 @@ def sample_pure_cm(E: float, m: int, kind: str, rng: np.random.Generator) -> Cov
     _require_kind(kind)
     d, z = pure_draw(rng, 1, E, m, kind == "orthogonal")
     u = haar_from_ginibre(z)[0]
-    return CovMat(pure_cm(u.real, u.imag, d[0]))
+    return pure_cm_from_passive(u.real, u.imag, d[0])
 
 
 @cache

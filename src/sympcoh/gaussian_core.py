@@ -491,20 +491,19 @@ def _field_error(key: str, what: str, value) -> ValueError:
 def _scalar(doc: dict, key: str, kind: type = float):
     """``doc[key]`` as a finite float, an int or a bool (``kind``).
 
-    A float field takes whatever ``float`` converts to a finite value.  An
-    int field takes an integral number but no boolean, and a bool field only
-    a boolean.  Anything else, such as a JSON list, object or null, raises
-    ``ValueError`` naming the field.
+    No coercion between JSON types: a float field takes a finite number, an
+    int field an integral number, and a bool field only a boolean; neither
+    number kind takes a boolean.  Anything else, such as a JSON string, list,
+    object or null, raises ``ValueError`` naming the field.
     """
     value = doc[key]
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if kind is float:
-        ok = number is not None and math.isfinite(number)
-    else:  # no coercion between JSON booleans and numbers, nor of a fraction
-        ok = number is not None and number == value and isinstance(value, bool) == (kind is bool)
+    number = None
+    if isinstance(value, (int, float)) and isinstance(value, bool) == (kind is bool):
+        try:
+            number = kind(value)
+        except (ValueError, OverflowError):  # int of NaN or inf, float of a huge int
+            pass
+    ok = number is not None and (math.isfinite(number) if kind is float else number == value)
     if not ok:
         raise _field_error(key, _KIND_NAMES[kind], value)
     return number
@@ -523,6 +522,8 @@ def _array(doc: dict, key: str) -> np.ndarray:
 def state_from_dict(doc: dict, m: int | None = None) -> GaussianState:
     """Parse the covariance-matrix JSON document (no physical validation).
 
+    The document may be bare or a CLI envelope around one, ``{"result":
+    <document>, ...}``, so every reader takes a saved CLI output.
     ``matrix`` and the optional ``displacement`` must be arrays of numbers
     and the optional ``m`` an integer; a field of another type raises
     ``ValueError`` naming it.  ``m``, if given, is an expected mode count,
@@ -530,6 +531,9 @@ def state_from_dict(doc: dict, m: int | None = None) -> GaussianState:
     """
     if not isinstance(doc, dict):
         raise ValueError("covariance-matrix document must be a JSON object")
+    result = doc.get("result")
+    if isinstance(result, dict) and "format" in result:
+        doc = result
     fmt = doc.get("format")
     if fmt != CM_FORMAT:
         raise ValueError(f"unsupported document format {fmt!r}, expected {CM_FORMAT!r}")
@@ -551,7 +555,8 @@ def load_state(path: str, m: int | None = None) -> GaussianState:
 
     Args:
         path: file path; ``.csv`` files are read as a raw 2m x 2m matrix
-            (zero first moments), anything else as the JSON document.
+            (zero first moments), anything else as the JSON document, bare
+            or in a CLI envelope (:func:`state_from_dict`).
         m: optional expected mode count, cross-checked against the file.
 
     Returns:

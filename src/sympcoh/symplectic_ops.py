@@ -163,13 +163,8 @@ def phase_shifter(m: int, mode: int, theta: float) -> SympGate:
 
 
 def block_orthogonal(o: np.ndarray) -> SympGate:
-    """Gate ``S = diag(O, O)`` for an m x m orthogonal matrix O."""
-    o = np.asarray(o, dtype=float)
-    if o.ndim != 2 or o.shape[0] != o.shape[1]:
-        raise DimensionError(f"orthogonal matrix must be square, got {o.shape}")
-    if not is_orthogonal(o):
-        raise GateError("matrix is not orthogonal (O O^T != I)")
-    return SympGate(_passive_matrix(o, np.zeros_like(o)))
+    """Gate ``S = diag(O, O)`` for an m x m orthogonal matrix O: ``passive_from_unitary(O, 0)``."""
+    return passive_from_unitary(o, np.zeros(np.shape(o)))
 
 
 def passive_from_unitary(x: np.ndarray, y: np.ndarray) -> SympGate:
@@ -177,9 +172,9 @@ def passive_from_unitary(x: np.ndarray, y: np.ndarray) -> SympGate:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise DimensionError("X and Y must be square matrices of equal size")
+        raise DimensionError(f"X and Y must be square and of one shape, got {x.shape}, {y.shape}")
     if not is_orthogonal(x + 1j * y):
-        raise GateError("X + iY is not unitary")
+        raise GateError("X + iY is not unitary (orthogonal if Y = 0)")
     return SympGate(_passive_matrix(x, y))
 
 
@@ -217,49 +212,29 @@ def apply(gate: SympGate, state: GaussianState) -> GaussianState:
     return GaussianState(cov, gate.S @ state.d + gate.disp)
 
 
-def pure_gaussian_cm(s_u: SympGate, r: Sequence[float]) -> CovMat:
-    """Pure-state covariance matrix ``S_U diag(Z^2, Z^-2) S_U^T``.
-
-    Args:
-        s_u: a passive (orthogonal symplectic) gate.
-        r: length-m squeezing parameters; ``Z^2 = diag(e^{2 r_i})``.
-
-    Returns:
-        A pure covariance matrix with trace ``sum(e^{2r_i} + e^{-2r_i})``.
-    """
-    m = s_u.m
-    if not is_orthogonal(s_u.S):
-        raise GateError("pure-state constructor needs an orthogonal (passive) gate")
-    r = np.asarray(r, dtype=float).reshape(-1)
-    if r.shape[0] != m:
-        raise DimensionError(f"need {m} squeezing parameters, got {r.shape[0]}")
-    return CovMat(pure_cm(s_u.S[:m, :m], s_u.S[:m, m:], np.exp(2 * r)))
+def require_transmissivity(eta: float) -> None:
+    """Raise ``ValueError`` unless ``0 <= eta <= 1`` (so also for NaN)."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"transmissivity must be in [0, 1], got {eta}")
 
 
 def apply_loss(cov: CovMat, eta: float) -> CovMat:
     """Pure photon loss on the covariance matrix: ``V -> eta V + (1-eta) I``."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must be in [0, 1], got {eta}")
+    require_transmissivity(eta)
     return CovMat(eta * cov.matrix + (1.0 - eta) * np.eye(2 * cov.m))
-
-
-def apply_loss_state(state: GaussianState, eta: float) -> GaussianState:
-    """Pure photon loss on a state; first moments scale by sqrt(eta)."""
-    return GaussianState(apply_loss(state.cov, eta), np.sqrt(eta) * state.d)
 
 
 @dataclass(frozen=True)
 class LossChannel:
-    """Pure photon loss with transmissivity ``eta``."""
+    """Pure photon loss with transmissivity ``eta``; first moments scale by sqrt(eta)."""
 
     eta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"transmissivity must be in [0, 1], got {self.eta}")
+        require_transmissivity(self.eta)
 
     def apply_to(self, state: GaussianState) -> GaussianState:
-        return apply_loss_state(state, self.eta)
+        return GaussianState(apply_loss(state.cov, self.eta), np.sqrt(self.eta) * state.d)
 
 
 @dataclass(frozen=True)
@@ -275,7 +250,7 @@ class IdentityChannel:
         return state
 
 
-def interleave_permutation(m_a: int, m_b: int) -> np.ndarray:
+def _interleave_permutation(m_a: int, m_b: int) -> np.ndarray:
     """Index order taking ``(q_A p_A q_B p_B)`` to ``(q_A q_B p_A p_B)``.
 
     Returns:
@@ -296,13 +271,13 @@ def tensor_cm(a: CovMat, b: CovMat) -> CovMat:
     ds = np.zeros((2 * (a.m + b.m), 2 * (a.m + b.m)))
     ds[: 2 * a.m, : 2 * a.m] = a.matrix
     ds[2 * a.m :, 2 * a.m :] = b.matrix
-    idx = interleave_permutation(a.m, b.m)
+    idx = _interleave_permutation(a.m, b.m)
     return CovMat(ds[np.ix_(idx, idx)])
 
 
 def tensor_states(a: GaussianState, b: GaussianState) -> GaussianState:
     """Tensor product of Gaussian states, preserving qqpp ordering."""
-    idx = interleave_permutation(a.m, b.m)
+    idx = _interleave_permutation(a.m, b.m)
     return GaussianState(tensor_cm(a.cov, b.cov), np.concatenate([a.d, b.d])[idx])
 
 
@@ -351,8 +326,7 @@ def beamsplitter_orthogonal(eta: float) -> np.ndarray:
     Used as the orthogonal part of the dilation realizing pure loss with a
     one-mode vacuum environment.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must be in [0, 1], got {eta}")
+    require_transmissivity(eta)
     root_t, root_r = np.sqrt(eta), np.sqrt(1.0 - eta)
     return np.array([[root_t, root_r], [-root_r, root_t]])
 
@@ -446,8 +420,8 @@ def sample_d(E: float, m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def haar_orthogonal(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random m x m orthogonal matrix: ``haar_orthogonal_batch(m, 1, rng)[0]``."""
-    return haar_orthogonal_batch(m, 1, rng)[0]
+    """Haar-random m x m orthogonal matrix: a factored real Ginibre draw."""
+    return haar_from_ginibre(ginibre_batch(m, 1, rng, real=True))[0]
 
 
 def haar_unitary(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -486,11 +460,6 @@ def haar_from_ginibre(z: np.ndarray) -> np.ndarray:
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q *= np.divide(diag, np.abs(diag), out=np.ones_like(diag), where=diag != 0)[:, None, :]
     return q
-
-
-def haar_orthogonal_batch(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of ``n`` Haar orthogonal matrices (shape n x m x m): a factored real Ginibre draw."""
-    return haar_from_ginibre(ginibre_batch(m, n, rng, real=True))
 
 
 def haar_unitary_batch(m: int, n: int, rng: np.random.Generator) -> np.ndarray:

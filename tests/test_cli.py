@@ -1,23 +1,28 @@
-"""End-to-end checks of the console entry point (in-process, no subprocess)."""
+"""End-to-end checks of the console entry point (in-process; one subprocess for a closed pipe)."""
 
 from __future__ import annotations
 
 import csv
 import io
 import json
+import os
 import re
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sympcoh
 from sympcoh import (
     CovMat,
     EnsembleConfig,
     GaussianState,
     ensemble_nu_sq,
     beamsplitter_orthogonal,
+    load_state,
     msc_canonical,
     save_state,
     state_to_dict,
@@ -83,6 +88,35 @@ def test_saved_envelope_is_read_from_a_file_and_inline(tmp_path, capsys):
     code, out3, err = run_cli(["tvd", "--config", str(config)], capsys)
     assert code == 0, err
     assert np.isfinite(out3["result"]["bound"])
+
+
+def test_load_state_reads_a_saved_envelope(tmp_path, capsys):
+    assert main(["msc", "--E", "6", "--m", "1"]) == 0
+    envelope = tmp_path / "env.json"
+    envelope.write_text(capsys.readouterr().out)
+    state = load_state(str(envelope))
+    assert np.array_equal(state.cov.matrix, msc_canonical(6.0, 1).cov.matrix)
+    assert load_state(str(envelope), m=1).m == 1
+
+
+def test_a_reader_that_closes_early_gets_no_traceback():
+    # An m = 128 state is about 330 kB of JSON, several times what a pipe
+    # holds, so the write fails once the reader has closed its end.
+    src = str(Path(sympcoh.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sympcoh.cli", "msc", "--E", "1e3", "--m", "128"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.communicate(timeout=120)[1].decode()
+    assert proc.returncode == 1
+    assert "Traceback" not in err
+    reason = "BrokenPipeError: stdout was closed before the output was written"
+    assert err.strip().splitlines() == [reason]
 
 
 def test_validate_names_every_violation_of_a_matrix_near_the_float_range(tmp_path, capsys):
@@ -401,6 +435,11 @@ _FIELD_KINDS = {f: "an integer" for f in ("mode", "n_samples", "trials", "seed")
         ("tvd", {**_TVD_BOUND, "inflated": "false"}, "inflated"),
         ("tvd", {**_TVD_BOUND, "inflated": 1}, "inflated"),
         ("tvd", {**_TVD_BOUND, "inflated": None}, "inflated"),
+        ("tvd", {**_TVD_BOUND, "theta": "0.7"}, "theta"),
+        ("tvd", {**_TVD_BOUND, "sxp1": True}, "sxp1"),
+        ("tvd", {"var1": "1", "var2": 2}, "var1"),
+        ("apply", {"kind": "beamsplitter", "params": {"eta": False}}, "eta"),
+        ("discriminate", {**_DISC, "channels": _CHANNELS, "delta": "0.1"}, "delta"),
     ],
 )
 def test_non_numeric_scalar_fields_exit_1(sub, doc, field, tmp_path, capsys):

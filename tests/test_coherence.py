@@ -498,6 +498,16 @@ def test_search_argmax_reproduces_its_value(m):
         assert outcome.sup_c == max(where["sample_coherence"], where["refined_coherence"])
 
 
+@pytest.mark.parametrize(
+    "E, m, trials, seed", [(1e6, 2, 60, 4), (16.0, 2, 200, 3), (16.0, 4, 200, 7), (40.0, 8, 200, 0)]
+)
+def test_search_weights_sum_to_one(E, m, trials, seed):
+    # Rescaling the other weights by their own sum keeps the total at 1 to
+    # rounding; taking that sum as the total minus weight i cancelled near 1.
+    weights = np.asarray(numeric_max_search(E, m, trials, seed).argmax["weights"])
+    assert abs(weights.sum() - 1.0) <= 2 * m * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
 def test_xp_block_matches_the_covariance_blocks(m):
     for E in (2 * m + 1e-9, 2 * m + 1e-6, 4 * m + 8, 1e3, 1e8):

@@ -27,8 +27,8 @@ from sympcoh import ensembles
 from sympcoh.ensembles import _first_mode_nu_sq, _pair_sums
 from sympcoh.symplectic_ops import (
     block_samples,
-    haar_orthogonal_batch,
-    haar_unitary_batch,
+    ginibre_batch,
+    haar_from_ginibre,
     pure_cm,
     pure_param_blocks,
     sample_d_batch,
@@ -254,7 +254,7 @@ def test_samples_are_states_of_the_transposed_haar_draw(kind, m):
     )
     rng = derive_rng(seed, 0)
     d = sample_d_batch(E, m, size, rng)
-    draw = (haar_orthogonal_batch if kind == "orthogonal" else haar_unitary_batch)(m, size, rng)
+    draw = haar_from_ginibre(ginibre_batch(m, size, rng, kind == "orthogonal"))
     passive = np.swapaxes(draw, -1, -2)
     cms = pure_cm(passive.real, passive.imag, d)
     first = cms[:, [0, m]][:, :, [0, m]]

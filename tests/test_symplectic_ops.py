@@ -19,7 +19,6 @@ from sympcoh import (
     SympGate,
     apply,
     apply_loss,
-    apply_loss_state,
     beamsplitter_orthogonal,
     block_orthogonal,
     compose,
@@ -34,7 +33,6 @@ from sympcoh import (
     passive_from_unitary,
     phase_shifter,
     pure_cm,
-    pure_gaussian_cm,
     squeezer,
     symplectic_coherence,
     tensor_cm,
@@ -46,7 +44,7 @@ from sympcoh.symplectic_ops import (
     BLOCK_ENTRIES,
     block_samples,
     ginibre_batch,
-    haar_orthogonal_batch,
+    haar_from_ginibre,
     haar_unitary_batch,
     mean_stderr,
     pure_draw,
@@ -214,11 +212,11 @@ def test_apply_transforms_first_moments(rng):
     assert_allclose(out.d, [2.5, 0.5], atol=TOL)
 
 
-def test_pure_gaussian_cm_matches_gate_action(rng):
+def test_pure_cm_matches_gate_action(rng):
     m = 2
     gate = passive_from_unitary(*haar_unitary(m, rng))
     r = rng.uniform(-0.6, 0.6, size=m)
-    direct = pure_gaussian_cm(gate, r)
+    direct = CovMat(pure_cm(gate.S[:m, :m], gate.S[:m, m:], np.exp(2 * r)))
     core = CovMat(np.diag(np.concatenate([np.exp(2 * r), np.exp(-2 * r)])))
     via_apply = apply(gate, GaussianState(core))
     assert_allclose(direct.matrix, via_apply.cov.matrix, atol=1e-10)
@@ -242,19 +240,14 @@ def test_pure_cm_kernel(rng, m):
     assert np.all(free[:, :m, m:] == 0.0)
 
 
-def test_pure_gaussian_cm_rejects_active_gate():
-    with pytest.raises(GateError):
-        pure_gaussian_cm(squeezer(1, 1, 0.3), [0.0])
-
-
 def test_loss_endpoints_and_first_moments(rng):
     state = GaussianState(random_valid_cov(rng, 2), rng.normal(size=4))
-    assert_allclose(apply_loss_state(state, 1.0).cov.matrix, state.cov.matrix, atol=0)
-    zero = apply_loss_state(state, 0.0)
+    assert_allclose(LossChannel(1.0).apply_to(state).cov.matrix, state.cov.matrix, atol=0)
+    zero = LossChannel(0.0).apply_to(state)
     assert_allclose(zero.cov.matrix, np.eye(4), atol=TOL)
     assert_allclose(zero.d, np.zeros(4), atol=TOL)
     eta = 0.37
-    out = apply_loss_state(state, eta)
+    out = LossChannel(eta).apply_to(state)
     assert_allclose(out.d, np.sqrt(eta) * state.d, atol=TOL)
     assert_allclose(out.cov.matrix, eta * state.cov.matrix + (1 - eta) * np.eye(4), atol=TOL)
 
@@ -322,7 +315,7 @@ def test_beamsplitter_dilation_realizes_loss(rng):
     dilated = orthogonal_stinespring(
         state, beamsplitter_orthogonal(eta), vacuum_state(1).cov
     )
-    direct = apply_loss_state(state, eta)
+    direct = LossChannel(eta).apply_to(state)
     assert_allclose(dilated.cov.matrix, direct.cov.matrix, atol=1e-10)
     assert_allclose(dilated.d, direct.d, atol=1e-10)
 
@@ -411,7 +404,7 @@ def test_haar_orthogonal_batch_keeps_the_bytes_of_the_plain_formula(m):
         signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
         signs[signs == 0] = 1.0
         want = q * signs[:, None, :]
-        got = haar_orthogonal_batch(m, 9, rng)
+        got = haar_from_ginibre(ginibre_batch(m, 9, rng, real=True))
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -419,17 +412,16 @@ def test_haar_orthogonal_batch_keeps_the_bytes_of_the_plain_formula(m):
 @pytest.mark.parametrize("m", [1, 2, 8, 16])
 @pytest.mark.parametrize("real", [True, False], ids=["orthogonal", "unitary"])
 def test_haar_first_column_is_the_normalised_ginibre_column(m, real):
-    sampler = haar_orthogonal_batch if real else haar_unitary_batch
     for seed in range(20):
         z = ginibre_batch(m, 9, derive_rng(seed, m), real)
         col = z[:, :, 0]
         want = col / np.linalg.norm(col, axis=1)[:, None]
-        got = sampler(m, 9, derive_rng(seed, m))[:, :, 0]
+        got = haar_from_ginibre(ginibre_batch(m, 9, derive_rng(seed, m), real))[:, :, 0]
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def test_haar_batches_match_properties(rng):
-    os = haar_orthogonal_batch(3, 8, rng)
+    os = haar_from_ginibre(ginibre_batch(3, 8, rng, real=True))
     assert os.shape == (8, 3, 3)
     for o in os:
         assert_allclose(o @ o.T, np.eye(3), atol=1e-10)
@@ -452,7 +444,6 @@ def test_pure_param_blocks_are_full_block_draws_cut_at_n(m, orthogonal):
     # Factoring only the kept rows leaves every row's bytes as they are when
     # the whole block is drawn and factored, for n below, at and above a block.
     size, E, seed = block_samples(m), 4.0 * m + 8.0, 41
-    sampler = haar_orthogonal_batch if orthogonal else haar_unitary_batch
     for n in (size - 7, size, 2 * size + 5):
         blocks = list(pure_param_blocks(seed, n, E, m, orthogonal))
         assert [start for start, *_ in blocks] == list(range(0, n, size))
@@ -460,7 +451,7 @@ def test_pure_param_blocks_are_full_block_draws_cut_at_n(m, orthogonal):
             stop = min(size, n - start)
             rng = derive_rng(seed, b)
             want_d = sample_d_batch(E, m, size, rng)[:stop]
-            want_u = sampler(m, size, rng)[:stop]
+            want_u = haar_from_ginibre(ginibre_batch(m, size, rng, orthogonal))[:stop]
             assert x.shape == y.shape == (stop, m, m) and d.shape == (stop, m)
             assert d.tobytes() == want_d.tobytes()
             assert x.tobytes() == want_u.real.tobytes()
