@@ -77,7 +77,6 @@ from .coherence import (
     msc_canonical,
     msc_from_spec,
     msc_membership_conditions,
-    msc_spec,
     msc_squeezing,
     numeric_max_search,
     perturbation_bound,

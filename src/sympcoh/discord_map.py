@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian_core import FREE_TOL, CovMat, DimensionError, require_valid
+from .gaussian_core import FREE_TOL, CovMat, _as_cm_array, require_valid
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class DiscordImage:
     """Unit-trace virtual density matrix obtained from a covariance matrix.
 
     Attributes:
-        rho: 2m x 2m real symmetric unit-trace matrix (V / Tr V; read-only copy).
+        rho: 2m x 2m unit-trace matrix V / Tr V (read-only copy, checked by ``_as_cm_array``).
         c_scale: the source trace; ``c_scale * rho`` is again a valid
             covariance matrix, as is any larger multiple.
         m: mode count of the source covariance matrix, set from rho's shape.
@@ -33,14 +33,9 @@ class DiscordImage:
     m: int = field(init=False)
 
     def __post_init__(self):
-        rho = np.array(self.rho, dtype=float)  # private copy: the caller's array stays writeable
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] % 2 or not rho.size:
-            raise DimensionError(f"virtual state must be 2m x 2m, m >= 1, got shape {rho.shape}")
-        if not np.isfinite(rho).all():
-            raise ValueError("matrix contains non-finite entries")
+        rho = _as_cm_array(self.rho, "virtual state")  # a copy: the caller's array stays writeable
         if abs(np.trace(rho) - 1.0) > 1e-9:
             raise ValueError("virtual density matrix must have unit trace")
-        rho.setflags(write=False)
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "m", rho.shape[0] // 2)
 

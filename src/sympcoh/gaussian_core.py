@@ -80,25 +80,31 @@ def symplectic_form(m: int) -> np.ndarray:
     return omega
 
 
-def _as_cm_array(matrix) -> np.ndarray:
-    """Coerce input to a float 2m x 2m array, checking shape and finiteness (entries, trace)."""
+def _as_cm_array(matrix, name: str = "covariance matrix") -> np.ndarray:
+    """Read-only float 2m x 2m copy, checked for shape and finiteness; errors name the object."""
     arr = np.array(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise DimensionError(f"covariance matrix must be square, got shape {arr.shape}")
+        raise DimensionError(f"{name} must be square, got shape {arr.shape}")
     if arr.shape[0] % 2 != 0 or arr.shape[0] == 0:
-        raise DimensionError(
-            f"covariance matrix must be 2m x 2m with m >= 1, got shape {arr.shape}"
-        )
+        raise DimensionError(f"{name} must be 2m x 2m with m >= 1, got shape {arr.shape}")
     # One pass in the usual case: entries at most 1e300 / n in size are finite,
     # and no summation order of their trace can overflow.
     if not np.abs(arr).max() <= 1e300 / arr.shape[0]:
         if not np.isfinite(arr).all():
-            raise DimensionError("covariance matrix entries must be finite")
+            raise DimensionError(f"{name} entries must be finite")
         with np.errstate(over="ignore"):
             if not np.isfinite(np.trace(arr)):
-                raise DimensionError("covariance matrix trace overflows float64")
+                raise DimensionError(f"{name} trace overflows float64")
     arr.flags.writeable = False
     return arr
+
+
+def symmetric_part(v: np.ndarray) -> np.ndarray:
+    """``V/2 + V^T/2``, halved first so no sum overflows; a bitwise-symmetric ``v`` itself."""
+    if v.tobytes() == v.T.tobytes():
+        return v
+    half = 0.5 * v
+    return half + half.T
 
 
 class Margins(NamedTuple):
@@ -167,12 +173,8 @@ class CovMat:
 
     @cached_property
     def _sym(self) -> np.ndarray:
-        """The symmetric part ``V/2 + V^T/2``: halved first, so no sum overflows."""
-        v = self.matrix  # if bitwise symmetric, its own symmetric part: same bits, no work
-        if v.tobytes() == v.T.tobytes():
-            return v
-        half = 0.5 * v
-        return half + half.T
+        """The :func:`symmetric_part` of the matrix."""
+        return symmetric_part(self.matrix)
 
     @cached_property
     def _asymmetry(self) -> float:
@@ -440,7 +442,7 @@ def mix_states(components: Sequence[tuple[float, GaussianState]]) -> GaussianSta
             and sum to 1 within 1e-12.
 
     Returns:
-        The Gaussian-moment description of the mixture.
+        The Gaussian-moment description of the mixture (V a :func:`symmetric_part`).
     """
     if not components:
         raise ValueError("mixture needs at least one component")
@@ -455,8 +457,7 @@ def mix_states(components: Sequence[tuple[float, GaussianState]]) -> GaussianSta
     for w, s in components:
         d_bar += w * s.d
         second += w * (s.cov.matrix + np.outer(s.d, s.d))
-    v = second - np.outer(d_bar, d_bar)
-    return GaussianState(CovMat(0.5 * (v + v.T)), d_bar)
+    return GaussianState(CovMat(symmetric_part(second - np.outer(d_bar, d_bar))), d_bar)
 
 
 # ---------------------------------------------------------------------------

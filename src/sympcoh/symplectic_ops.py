@@ -17,8 +17,10 @@ from .gaussian_core import (
     CovMat,
     DimensionError,
     GaussianState,
+    _as_cm_array,
     is_free,
     require_valid,
+    symmetric_part,
     symplectic_form,
 )
 
@@ -102,7 +104,7 @@ class SympGate:
     """A symplectic matrix plus displacement, acting on m modes.
 
     Attributes:
-        S: the 2m x 2m symplectic matrix (read-only copy).
+        S: the 2m x 2m symplectic matrix (read-only copy, checked by ``_as_cm_array``).
         disp: length-2m displacement added after ``S`` (read-only; zeros if omitted).
         m: number of modes, set from the matrix's shape.
     """
@@ -112,16 +114,13 @@ class SympGate:
     m: int = field(init=False)
 
     def __post_init__(self):
-        s = np.array(self.S, dtype=float)
-        if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2 or not s.size:
-            raise DimensionError(f"gate matrix must be 2m x 2m with m >= 1, got shape {s.shape}")
+        s = _as_cm_array(self.S, "gate matrix")
         if not is_symplectic(s):
             raise GateError("gate matrix is not symplectic (S Omega S^T != Omega)")
         n = s.shape[0]
         disp = np.zeros(n) if self.disp is None else np.array(self.disp, dtype=float).ravel()
         if disp.shape[0] != n:
             raise DimensionError(f"displacement must have length {n}, got {disp.shape[0]}")
-        s.flags.writeable = False
         disp.flags.writeable = False
         object.__setattr__(self, "S", s)
         object.__setattr__(self, "disp", disp)
@@ -150,16 +149,15 @@ def squeezer(m: int, mode: int, r: float) -> SympGate:
 
 
 def phase_shifter(m: int, mode: int, theta: float) -> SympGate:
-    """Phase shifter ``[[cos t, sin t], [-sin t, cos t]]`` on one mode."""
+    """Phase shifter ``[[cos t, sin t], [-sin t, cos t]]`` on one mode.
+
+    ``passive_from_unitary`` of the identity with ``e^{it}`` at the mode.
+    """
     _check_mode(m, mode)
-    s = np.eye(2 * m)
+    x, y = np.eye(m), np.zeros((m, m))
     i = mode - 1
-    c, sn = np.cos(theta), np.sin(theta)
-    s[i, i] = c
-    s[i, m + i] = sn
-    s[m + i, i] = -sn
-    s[m + i, m + i] = c
-    return SympGate(s)
+    x[i, i], y[i, i] = np.cos(theta), np.sin(theta)
+    return passive_from_unitary(x, y)
 
 
 def block_orthogonal(o: np.ndarray) -> SympGate:
@@ -201,14 +199,12 @@ def compose(outer: SympGate, inner: SympGate) -> SympGate:
 
 
 def apply(gate: SympGate, state: GaussianState) -> GaussianState:
-    """Apply a gate: ``V -> S V S^T``, ``d -> S d + disp``; revalidates output."""
+    """Apply a gate: ``V -> symmetric_part(S V S^T)``, ``d -> S d + disp``; revalidates output."""
     if gate.m != state.m:
         raise DimensionError(
             f"gate acts on {gate.m} modes but state has {state.m}"
         )
-    v = gate.S @ state.cov.matrix @ gate.S.T
-    v = 0.5 * (v + v.T)
-    cov = require_valid(CovMat(v))
+    cov = require_valid(CovMat(symmetric_part(gate.S @ state.cov.matrix @ gate.S.T)))
     return GaussianState(cov, gate.S @ state.d + gate.disp)
 
 

@@ -1,6 +1,8 @@
-"""Shared fixtures: seeded RNGs and random valid covariance matrices."""
+"""Shared fixtures: seeded RNGs, random valid covariance matrices, exact checks."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,11 @@ from sympcoh import (
 )
 
 BASE_SEED = 20240817
+
+# [[a, -a], [-a, a]]: exactly singular, as msc_canonical(1e12, 1) stored it
+# before its off-diagonal entry was rounded toward zero.
+_A = float.fromhex("0x1.d1a94a1fffff8p+38")
+SINGULAR_1E12 = [[_A, -_A], [-_A, _A]]
 
 
 @pytest.fixture
@@ -51,3 +58,19 @@ def random_valid_cov(rng: np.random.Generator, m: int) -> CovMat:
         ]
     )
     return mixed.cov
+
+
+def first_mode_block_exactly_valid(v: np.ndarray) -> bool:
+    """Exact verdict on a matrix that is the identity outside its first-mode block.
+
+    True iff every entry outside rows and columns ``(0, m)`` is exactly the
+    identity's, and the block ``[[V_00, V_0m], [V_m0, V_mm]]`` is symmetric
+    with ``V_00 > 0`` and ``V_00 V_mm - V_0m^2 >= 1`` in rational arithmetic:
+    then the matrix is a valid covariance matrix, taken exactly from its
+    float64 entries.
+    """
+    m = v.shape[0] // 2
+    rest = np.array(v, dtype=float)
+    rest[np.ix_([0, m], [0, m])] = np.eye(2)
+    a, c, b, b_t = (Fraction(float(v[i, j])) for i, j in ((0, 0), (m, m), (0, m), (m, 0)))
+    return np.array_equal(rest, np.eye(2 * m)) and b == b_t and a > 0 and a * c - b * b >= 1

@@ -30,6 +30,7 @@ from sympcoh import (
 )
 from sympcoh.cli import DEFAULT_SEED, ENVELOPE_FORMAT, main
 from sympcoh.symplectic_ops import STREAM_SCHEME
+from conftest import SINGULAR_1E12
 
 
 def run_cli(argv, capsys, monkeypatch=None, stdin_text=None):
@@ -538,10 +539,14 @@ def test_bad_state_document_fields_exit_1(where, bad, field, what, tmp_path, cap
 
 
 def test_qfi_on_a_matrix_not_positive_definite_in_float64_exits_1(tmp_path, capsys):
-    # At E = 1e12 the stored msc matrix is [[a, -a], [-a, a]]: singular in float64.
+    # msc's document at E = 1e12, holding [[a, -a], [-a, a]] (singular in
+    # float64) as msc stored it before its off-diagonal entry was rounded.
     state_file = tmp_path / "s.json"
     code, _, _ = run_cli(["msc", "--E", "1e12", "--m", "1", "-o", str(state_file)], capsys)
     assert code == 0
+    doc = json.loads(state_file.read_text())
+    doc["matrix"] = SINGULAR_1E12
+    state_file.write_text(json.dumps(doc))
     code, out, err = run_cli(["qfi", str(state_file)], capsys)
     assert code == 1
     assert out is None

@@ -30,7 +30,6 @@ from sympcoh import (
     msc_canonical,
     msc_from_spec,
     msc_membership_conditions,
-    msc_spec,
     msc_squeezing,
     numeric_max_search,
     partial_trace,
@@ -55,7 +54,7 @@ from sympcoh.symplectic_ops import (
     pure_xp_block,
     spectrum_from_weights,
 )
-from conftest import random_free_cov, random_valid_cov
+from conftest import first_mode_block_exactly_valid, random_free_cov, random_valid_cov
 
 TOL = 1e-9
 EXACT = 1e-12
@@ -168,6 +167,22 @@ def test_canonical_state_at_minimum_trace_is_vacuum():
     assert_allclose(msc_canonical(4, 2).cov.matrix, np.eye(4), atol=EXACT)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])
+def test_canonical_writer_stores_an_exactly_valid_matrix(m):
+    # 2m, just above it, and 300 traces up to 1e150: the stored first-mode
+    # block is valid in rational arithmetic, the rest is exactly the
+    # identity, and V_0m is -sinh 2r moved toward zero by a few ulps at most.
+    traces = [2.0 * m, 2.0 * m + 1e-9, *np.geomspace(2.0 * m + 1e-6, 1e150, 300)]
+    for E in traces:
+        v = msc_canonical(E, m).cov.matrix
+        assert first_mode_block_exactly_valid(v), E
+        r = msc_squeezing(E, m)
+        assert v[0, 0] == v[m, m] == np.cosh(2.0 * r)
+        unrounded = -np.sinh(2.0 * r)
+        assert unrounded <= v[0, m] <= 0.0
+        assert v[0, m] - unrounded <= 4 * np.spacing(abs(unrounded)), E
+
+
 def test_canonical_state_rejects_small_trace():
     with pytest.raises(ValueError):
         msc_canonical(1.9, 1)
@@ -182,7 +197,9 @@ def test_squeezing_solves_trace_equation():
 
 def test_spec_builder_reproduces_canonical_state():
     for E, m in [(6.0, 1), (9.0, 3)]:
-        spec = msc_spec(E, m)
+        theta = np.zeros(m)
+        theta[0] = np.pi / 4
+        spec = MscSpec(E, theta, np.eye(m), np.eye(m))
         built = msc_from_spec(spec)
         assert_allclose(built.cov.matrix, msc_canonical(E, m).cov.matrix, atol=TOL)
         report = msc_membership_conditions(spec.o_inner, spec.theta)

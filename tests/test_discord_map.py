@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from sympcoh import (
     CovMat,
+    DimensionError,
     DiscordImage,
     GaussianState,
     ValidationError,
@@ -95,6 +96,14 @@ def test_from_density_with_small_scale_rejected():
 def test_image_constructor_checks_trace():
     with pytest.raises(ValueError):
         DiscordImage(rho=np.eye(2), c_scale=2.0)
+
+
+@pytest.mark.parametrize(
+    "bad", [[[0.5, np.nan], [0.0, 0.5]], np.eye(2)[:1], np.ones((2, 4))], ids=["nan", "1x2", "2x4"]
+)
+def test_image_check_names_the_virtual_state(bad):
+    with pytest.raises(DimensionError, match="virtual state"):
+        DiscordImage(rho=bad, c_scale=2.0)
 
 
 def test_image_copies_the_callers_array():

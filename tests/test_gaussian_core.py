@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from sympcoh import (
     load_state,
     mean_energy,
     mix_states,
-    msc_canonical,
     qfi_displacement,
     require_valid,
     save_state,
@@ -39,7 +39,7 @@ from sympcoh import (
     vacuum_state,
     validate,
 )
-from conftest import random_pure_cov, random_valid_cov
+from conftest import SINGULAR_1E12, random_pure_cov, random_valid_cov
 
 TOL = 1e-12
 EPS = np.finfo(float).eps
@@ -280,7 +280,7 @@ def test_the_verdict_is_a_cached_property_at_the_module_tolerance():
 
 
 def test_symplectic_spectrum_needs_a_matrix_positive_definite_in_float64():
-    singular = msc_canonical(1e12, 1).cov  # stored as [[a, -a], [-a, a]]
+    singular = CovMat(SINGULAR_1E12)
     indefinite = CovMat([[1.0, 2.0], [2.0, 1.0]])
     for cov in (singular, indefinite):
         for func in (symplectic_eigenvalues, is_pure):
@@ -410,6 +410,14 @@ def test_mix_states_moment_bookkeeping():
     d = np.array([1.2, -0.8])
     assert_allclose(mix.d, 0.5 * d, atol=TOL)
     assert_allclose(mix.cov.matrix, np.eye(2) + 0.25 * np.outer(d, d), atol=TOL)
+
+
+def test_mix_states_near_the_float_range_returns_the_matrix():
+    edge = [[1e308, 0.0], [0.0, 1e-308]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mix = mix_states([(1.0, GaussianState(CovMat(edge)))])
+    assert np.array_equal(mix.cov.matrix, edge)
 
 
 def test_mix_states_weight_validation():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,63 @@ def test_gate_constructor_input_checks(rng):
         passive_from_unitary(np.eye(2), np.eye(2))
     with pytest.raises(DimensionError):
         displacement([1.0])
+
+
+# Entries at the two ends of the float range: V + V^T overflows, V/2 + V^T/2 does not.
+EDGE = [[1e308, 0.0], [0.0, 1e-308]]
+
+
+@pytest.mark.parametrize("gate", [phase_shifter(1, 1, 0.0), squeezer(1, 1, 0.0)], ids=["phase", "squeeze"])
+def test_apply_near_the_float_range_returns_the_matrix(gate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = apply(gate, GaussianState(CovMat(EDGE)))
+    assert np.array_equal(out.cov.matrix, EDGE)
+
+
+def _old_phase_shifter_matrix(m: int, mode: int, theta: float) -> np.ndarray:
+    """The rotation as phase_shifter once wrote it, entry by entry."""
+    s = np.eye(2 * m)
+    i = mode - 1
+    c, sn = np.cos(theta), np.sin(theta)
+    s[i, i] = c
+    s[i, m + i] = sn
+    s[m + i, i] = -sn
+    s[m + i, m + i] = c
+    return s
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_phase_shifter_is_the_hand_built_rotation(m):
+    angles = [0.0, -0.0, np.pi / 4, np.pi / 2, np.pi, -np.pi / 3, 2 * np.pi, 1e6, -1e-300]
+    angles += list(np.linspace(-7.0, 7.0, 15))
+    for mode in range(1, m + 1):
+        for theta in angles:
+            expected = _old_phase_shifter_matrix(m, mode, theta)
+            assert np.array_equal(phase_shifter(m, mode, theta).S, expected)
+
+
+def test_apply_matches_the_old_symmetrisation_bytewise(rng):
+    # On ordinary inputs V/2 + V^T/2 has the bits of 0.5 * (V + V^T).
+    for _ in range(40):
+        m = int(rng.integers(1, 5))
+        state = GaussianState(random_valid_cov(rng, m), rng.normal(size=2 * m))
+        mode = int(rng.integers(1, m + 1))
+        local = compose(
+            squeezer(m, mode, float(rng.uniform(-1, 1))),
+            phase_shifter(m, mode, float(rng.uniform(-4, 4))),
+        )
+        gate = compose(passive_from_unitary(*haar_unitary(m, rng)), local)
+        v = gate.S @ state.cov.matrix @ gate.S.T
+        assert apply(gate, state).cov.matrix.tobytes() == (0.5 * (v + v.T)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "bad", [[[1.0, np.nan], [0.0, 1.0]], np.eye(2)[:1], np.ones((2, 4))], ids=["nan", "1x2", "2x4"]
+)
+def test_gate_matrix_check_names_the_gate(bad):
+    with pytest.raises(DimensionError, match="gate matrix"):
+        SympGate(bad)
 
 
 def test_squeezer_action_on_vacuum():
