@@ -128,6 +128,16 @@ def _log_factor(delta: float) -> float:
     return math.log(2.0 / delta)
 
 
+def _mom_groups(n: int, delta: float) -> tuple[int, int]:
+    """Median-of-means group count and size for n samples: ``(K, n // K)``.
+
+    ``K = min(max(1, ceil(8 log(2/delta))), n)``: every sample is its own
+    group when there are fewer samples than groups.
+    """
+    k = min(max(1, math.ceil(8.0 * _log_factor(delta))), n)
+    return k, n // k
+
+
 def n_thres_orthogonal(mu1: float, mu2: float, m: int, E: float, delta: float) -> float:
     """Sufficient samples to tell two orthogonal-dilation channels apart.
 
@@ -233,9 +243,7 @@ def median_of_means(samples: Sequence[float] | np.ndarray, delta: float) -> floa
     n = x.shape[-1] if x.ndim else 0
     if n == 0:
         raise ValueError("samples must be nonempty")
-    k = max(1, math.ceil(8.0 * _log_factor(delta)))
-    k = min(k, n)
-    block = n // k
+    k, block = _mom_groups(n, delta)
     means = x[..., : k * block].reshape(*x.shape[:-1], k, block).mean(axis=-1)
     estimate = np.median(means, axis=-1)
     return float(estimate) if x.ndim == 1 else estimate
@@ -264,9 +272,10 @@ class DiscriminationConfig:
         n_samples: measurement shots per trial.
         trials: number of simulated discrimination rounds.
         seed: base seed; trials run through ``symplectic_ops.mc_blocks`` in
-            blocks of ``max(1, BLOCK_ENTRIES // n_samples)``, each block
-            drawing the channel labels (``integers(2, size=block)``), then
-            the standard-normal shots (``standard_normal((block, n_samples))``).
+            blocks of ``BLOCK_ENTRIES // K`` (K median-of-means groups, as in
+            :func:`median_of_means`), each block drawing the channel labels
+            (``integers(2, size=block)``), then one standard normal per group
+            mean (``standard_normal((block, K))``).
     """
 
     probe: GaussianState
@@ -301,7 +310,8 @@ class DiscriminationReport:
         trials: trial count.
         n_samples: shots per trial.
         model_note: reminder that outcomes are simulated from the exact
-            first two moments with a normal model.
+            first two moments with a normal model, through each trial's
+            group means.
     """
 
     mu1: float
@@ -315,19 +325,25 @@ class DiscriminationReport:
     n_samples: int
     model_note: str = (
         "outcomes drawn from a normal model with the exact channel-output "
-        "mean and variance; the protocol's guarantees use only these moments"
+        "mean and variance: each trial draws its K median-of-means group "
+        "means, N(mu, var/b) for groups of b shots, not its shots; the "
+        "protocol's guarantees use only these moments"
     )
 
 
 def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
     """Simulate the median-of-means threshold protocol and report its error rate.
 
-    Each trial picks the true channel uniformly, draws ``n_samples``
-    outcomes from the exact output moments, compares the median of means
-    against the midpoint of the two channel means, and predicts the channel
-    on that side.  Trials run in the blocks described at
-    ``DiscriminationConfig.seed``, one shot array and one row-wise
-    median of means per block.
+    Each trial picks the true channel uniformly, takes the median of its K
+    median-of-means group means, compares it against the midpoint of the two
+    channel means, and predicts the channel on that side.  Under the normal
+    model a group of ``b = n_samples // K`` shots has mean exactly
+    ``N(mu, var/b)``, and :func:`median_of_means` discards the trailing
+    ``n_samples - K b`` shots, so each trial draws its K group means, not
+    its shots: the error rate has the shot-level distribution at a cost and
+    memory independent of ``n_samples``.  Trials run in the blocks described
+    at ``DiscriminationConfig.seed``, one ``(block, K)`` array and one
+    row-wise median per block.
 
     When both channels have a transmissivity ``eta`` (loss, or the identity
     at ``eta = 1``) and the two differ, ``n_thres`` is :func:`n_thres_loss`
@@ -358,15 +374,15 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
 
     threshold = 0.5 * (mu1 + mu2)
     second_is_high = mu2 > mu1
-    mus, sigs = np.array([mu1, mu2]), np.sqrt([var1, var2])
+    k, b = _mom_groups(config.n_samples, config.delta)
+    mus, spreads = np.array([mu1, mu2]), np.sqrt([var1, var2]) / math.sqrt(b)
 
     def draw(rng: np.random.Generator, size: int) -> tuple:
-        return rng.integers(2, size=size), rng.standard_normal((size, config.n_samples))
+        return rng.integers(2, size=size), rng.standard_normal((size, k))
 
-    size = max(1, BLOCK_ENTRIES // config.n_samples)
     failures = 0
-    for _, (true_second, z) in mc_blocks(config.seed, config.trials, size, draw):
-        estimate = median_of_means(mus[true_second, None] + sigs[true_second, None] * z, config.delta)
+    for _, (true_second, z) in mc_blocks(config.seed, config.trials, BLOCK_ENTRIES // k, draw):
+        estimate = np.median(mus[true_second, None] + spreads[true_second, None] * z, axis=-1)
         predict_second = (estimate > threshold) == second_is_high
         failures += int(np.count_nonzero(predict_second != true_second))
 

@@ -269,8 +269,8 @@ def mixed_msc_check(cov: CovMat, comp1: CovMat, comp2: CovMat) -> tuple[bool, li
     reasons: list[str] = []
     if cov.m != comp1.m or cov.m != comp2.m:
         return False, ["mode counts differ"]
-    mix = 0.5 * (comp1.matrix + comp2.matrix)
-    if np.max(np.abs(mix - cov.matrix)) > MIXED_MSC_TOL:
+    mix = 0.5 * comp1.matrix + 0.5 * comp2.matrix
+    if _max_gap(mix, cov.matrix) > MIXED_MSC_TOL:
         reasons.append("covariance is not the equal-weight average of the components")
     for label, comp in (("first", comp1), ("second", comp2)):
         if not is_pure(comp):
@@ -280,13 +280,22 @@ def mixed_msc_check(cov: CovMat, comp1: CovMat, comp2: CovMat) -> tuple[bool, li
         reasons.append("component covariance traces differ")
     _, _, xp1 = blocks(comp1)
     _, _, xp2 = blocks(comp2)
-    if np.max(np.abs(xp1 - xp2)) > MIXED_MSC_TOL:
+    if _max_gap(xp1, xp2) > MIXED_MSC_TOL:
         reasons.append("component position-momentum blocks differ")
-    c_max = max_symplectic_coherence(tr1, comp1.m)
+    try:
+        c_max = max_symplectic_coherence(tr1, comp1.m)
+    except ValueError as err:
+        reasons.append(f"first component has no maximal coherence: {err}")
+        return False, reasons
     for label, comp in (("first", comp1), ("second", comp2)):
         if abs(symplectic_coherence(comp) - c_max) > MIXED_MSC_TOL * max(1.0, c_max):
             reasons.append(f"{label} component coherence is not maximal for its trace")
     return (not reasons), reasons
+
+
+def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """``max |a - b|``, differenced on halves so that nothing overflows (inf past the float range)."""
+    return 2.0 * float(np.max(np.abs(0.5 * a - 0.5 * b)))
 
 
 def perturbation_bound(c_rho: float, c_sigma: float, E: float, eps: float) -> float:

@@ -27,7 +27,7 @@ from .gaussian_core import (
 SYMPLECTIC_TOL = 1e-9
 # Id of the map from seeds to Monte-Carlo samples, reported in every CLI
 # manifest; bumped whenever a seeded sample changes (history in README).
-STREAM_SCHEME = "seedseq-spawn-v2"
+STREAM_SCHEME = "seedseq-spawn-v3"
 
 
 class GateError(ValueError):
@@ -343,8 +343,9 @@ class StinespringChannel:
 # Pure-state sampling: spectra, Haar samplers (QR with sign/phase correction)
 # ---------------------------------------------------------------------------
 
-# Entries per Monte-Carlo block (covariance entries, or shots in the
-# discrimination driver): bounds memory and fixes where the blocks start.
+# Entries per Monte-Carlo block (covariance entries, or median-of-means group
+# means in the discrimination driver): bounds memory and fixes where the
+# blocks start.
 BLOCK_ENTRIES = 1 << 16
 # Most pure-state samples per block, so that short runs draw little past their end.
 MAX_BLOCK_SAMPLES = 256

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,25 +423,78 @@ def test_discrimination_matches_a_per_block_reference_loop():
         channels=(LossChannel(0.5), LossChannel(0.6)),
         delta=0.1,
         n_samples=300,
-        trials=500,
+        trials=6000,
         seed=12,
     )
     report = run_discrimination(config)
     mu = (report.mu1, report.mu2)
-    sig = (np.sqrt(report.var1), np.sqrt(report.var2))
+    k = math.ceil(8.0 * math.log(2.0 / config.delta))
+    b = config.n_samples // k
+    assert (k, b) == (24, 12)
+    spread = (np.sqrt(report.var1) / math.sqrt(b), np.sqrt(report.var2) / math.sqrt(b))
     threshold = 0.5 * (report.mu1 + report.mu2)
-    size = BLOCK_ENTRIES // config.n_samples
+    size = BLOCK_ENTRIES // k
     assert config.trials > 2 * size
     failures = 0
-    for b, start in enumerate(range(0, config.trials, size)):
-        rng = derive_rng(config.seed, b)
+    for block, start in enumerate(range(0, config.trials, size)):
+        rng = derive_rng(config.seed, block)
         labels = rng.integers(2, size=size)
-        shots = rng.standard_normal((size, config.n_samples))
-        for label, z in zip(labels[: config.trials - start], shots):
-            estimate = median_of_means(mu[label] + sig[label] * z, config.delta)
+        group_means = rng.standard_normal((size, k))
+        for label, z in zip(labels[: config.trials - start], group_means):
+            estimate = np.median(mu[label] + spread[label] * z)
             failures += ((estimate > threshold) == (report.mu2 > report.mu1)) != bool(label)
     assert 0 < failures < config.trials
     assert report.empirical_error == failures / config.trials
+
+
+def _shot_level_error(config: DiscriminationConfig, report) -> float:
+    """Error rate of the protocol run on every shot: median_of_means over n_samples normals."""
+    mu, sig = np.array([report.mu1, report.mu2]), np.sqrt([report.var1, report.var2])
+    threshold = 0.5 * (report.mu1 + report.mu2)
+    size = max(1, BLOCK_ENTRIES // config.n_samples)
+    failures = 0
+    for block, start in enumerate(range(0, config.trials, size)):
+        rng = derive_rng(config.seed, block)
+        labels = rng.integers(2, size=size)[: config.trials - start]
+        shots = rng.standard_normal((size, config.n_samples))[: config.trials - start]
+        estimate = median_of_means(mu[labels, None] + sig[labels, None] * shots, config.delta)
+        failures += np.count_nonzero(((estimate > threshold) == (mu[1] > mu[0])) != labels)
+    return failures / config.trials
+
+
+def test_discrimination_error_rate_matches_the_shot_level_protocol():
+    # 60 shots in K = 24 groups of b = 2, 12 trailing shots discarded.
+    config = DiscriminationConfig(
+        probe=msc_canonical(6.0, 1),
+        channels=(LossChannel(0.5), LossChannel(0.56)),
+        delta=0.1,
+        n_samples=60,
+        trials=20_000,
+        seed=3,
+    )
+    report = run_discrimination(config)
+    p, q = report.empirical_error, _shot_level_error(config, report)
+    assert 0.3 <= q <= 0.45
+    assert abs(p - q) <= 5.0 * math.sqrt((p * (1.0 - p) + q * (1.0 - q)) / config.trials)
+
+
+def test_discrimination_memory_does_not_grow_with_the_shot_count():
+    config = DiscriminationConfig(
+        probe=msc_canonical(6.0, 1),
+        channels=(LossChannel(0.5), LossChannel(0.6)),
+        delta=0.1,
+        n_samples=10**7,
+        trials=3,
+        seed=4,
+    )
+    run_discrimination(config)  # warm-up: the first np.median call imports numpy.ma
+    tracemalloc.start()
+    try:
+        run_discrimination(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_discrimination_config_validation():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -332,6 +334,25 @@ def test_mixed_decomposition_check():
     ok, reasons = mixed_msc_check(msc, msc, flipped)
     assert not ok
     assert any("average" in r for r in reasons)
+
+
+def test_mixed_decomposition_check_near_the_float_range_names_the_budget():
+    e = CovMat([[1e308, 0.0], [0.0, 1e-308]])
+    budget = (
+        "first component has no maximal coherence: covariance trace must be >= 2m "
+        "with E^2 finite, got E=1e+308, m=1"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mixed_msc_check(e, e, e) == (False, [budget])
+        # The average's gap to the covariance, 2e308, is past the float range.
+        far = CovMat([[-1e308, 0.0], [0.0, 1.0]])
+        ok, reasons = mixed_msc_check(far, e, e)
+    assert (ok, reasons[0], reasons[-1]) == (
+        False,
+        "covariance is not the equal-weight average of the components",
+        budget,
+    )
 
 
 def test_perturbation_bound_values():

@@ -98,10 +98,10 @@ def test_every_driver_derives_one_generator_per_block(monkeypatch):
         channels=(LossChannel(0.5), LossChannel(0.6)),
         delta=0.1,
         n_samples=300,
-        trials=500,
+        trials=6000,
         seed=1,
     )
-    disc_blocks = math.ceil(500 / (BLOCK_ENTRIES // 300))
+    disc_blocks = math.ceil(6000 / (BLOCK_ENTRIES // applications._mom_groups(300, 0.1)[0]))
     assert count(lambda: applications.run_discrimination(disc)) == disc_blocks
     haar_blocks = len(ensembles.KINDS) * math.ceil(1000 / block_samples(2))
     assert count(lambda: ensembles.haar_moment_check(2, 1000, derive_rng(1, 0))) == haar_blocks
