@@ -8,7 +8,7 @@ full passive family ``S = [[X, Y], [-Y, X]]``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Iterable
 
@@ -26,6 +26,7 @@ from .symplectic_ops import (
     pure_xp_block,
     require_budget,
     sample_d,  # noqa: F401 - perfbench times ensembles.sample_d by this name
+    sample_d_batch,
 )
 
 KINDS = ("orthogonal", "unitary")
@@ -34,6 +35,17 @@ KINDS = ("orthogonal", "unitary")
 def _require_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+
+
+def _n_sigma(estimate: float, exact: float, stderr: float) -> float | None:
+    """``|estimate - exact| / stderr``: the distance of an estimate from its closed form.
+
+    A zero standard error gives 0 where the two agree exactly and ``None``
+    (undefined, and never a non-JSON infinity) where they differ.
+    """
+    if stderr == 0.0:
+        return 0.0 if estimate == exact else None
+    return abs(estimate - exact) / stderr
 
 
 @dataclass(frozen=True)
@@ -79,6 +91,10 @@ class EnsembleStats:
             ``nu_1^2(i) - analytic(i)`` (the right scale for comparing
             mean_nu_sq with analytic_mean, since both share the sampled
             spectra).
+        n_sigma: ``|mean_nu_sq - analytic_mean| / stderr_diff``, set from
+            those fields by the rule of ``MomentCheck.n_sigma``: 0 for one
+            mode, where every sample equals the closed form, and ``None``
+            for a single sample, which has no standard error.
     """
 
     mean_nu_sq: float
@@ -91,6 +107,12 @@ class EnsembleStats:
     kind: str
     m: int
     E: float
+    n_sigma: float | None = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "n_sigma", _n_sigma(self.mean_nu_sq, self.analytic_mean, self.stderr_diff)
+        )
 
 
 def pure_cm_from_passive(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> CovMat:
@@ -173,26 +195,48 @@ def analytic_mean_nu_sq(kind: str, m: int, s1: float, s2: float) -> float:
     return 2.0 / (m + 1) + (s1 + s2) / (4.0 * m * (m + 1))
 
 
+def _ensemble_draw(
+    rng: np.random.Generator, n: int, E: float, m: int, real: bool, full: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """One ensemble block ``(d, z)``: spectra, then Ginibre columns from the same generator.
+
+    d is ``sample_d_batch``; z is the first column alone, an (n, m, 1)
+    ``ginibre_batch``, unless ``full``, when the other m - 1 columns are
+    drawn after it and z is the whole (n, m, m) stack.  Either way the first
+    column has the same bytes.
+    """
+    d = sample_d_batch(E, m, n, rng)
+    z = ginibre_batch(m, n, rng, real, columns=1)
+    if full:
+        z = np.concatenate([z, ginibre_batch(m, n, rng, real, columns=m - 1)], axis=2)
+    return d, z
+
+
 def ensemble_nu_sq(
     config: EnsembleConfig, return_samples: bool = False
 ) -> EnsembleStats | tuple[EnsembleStats, np.ndarray, np.ndarray]:
     """Monte-Carlo mean of the first-mode nu^2 over the ensemble.
 
-    Block b of ``mc_blocks`` is the ``pure_draw`` of ``derive_rng(seed, b)``,
-    the spectra d and then one Ginibre stack ``z``, so the first k samples
-    do not depend on ``n_samples`` and different seeds give independent
-    samples.  Sample j's passive unitary is the transpose
-    of the Haar matrix ``haar_from_ginibre(z[j])``; a Haar matrix's transpose
-    is again Haar.  Its first row is that matrix's first column, the
-    normalised Ginibre column ``z[j, :, 0] / |z[j, :, 0]|``, so nu_1^2
-    (``_first_mode_nu_sq``) needs no QR and no covariance matrix.
+    Block b of ``mc_blocks`` draws from ``derive_rng(seed, b)`` the spectra
+    d (``sample_d_batch``), then the first column of every sample's Ginibre
+    matrix z, as an (n, m) stack, then, only when samples are requested,
+    the other m - 1 columns; so the first k samples do not depend on
+    ``n_samples`` and different seeds give independent samples.  Sample j's
+    passive unitary is the transpose of the Haar matrix
+    ``haar_from_ginibre(z[j])``; a Haar matrix's transpose is again Haar.
+    Its first row is that matrix's first column, the normalised Ginibre
+    column ``z[j, :, 0] / |z[j, :, 0]|`` (Mezzadri, Notices AMS 54, 592
+    (2007)), so nu_1^2 (``_first_mode_nu_sq``) needs only m of the m^2
+    Ginibre entries, and no QR and no covariance matrix.
 
     Args:
         config: ensemble parameters.
         return_samples: also return per-sample arrays (nu_1^2, coherence).
-            Only then is ``z`` factored, and the coherence computed from the
-            position-momentum blocks of ``symplectic_ops.pure_xp_block``.
-            The nu_1^2 samples and statistics are the same either way.
+            Only then are the other columns drawn and ``z`` factored, and
+            the coherence computed from the position-momentum blocks of
+            ``symplectic_ops.pure_xp_block``.  The other columns come after
+            the first, so the nu_1^2 samples and statistics are the same
+            either way.
 
     Returns:
         The statistics, plus the two per-sample arrays when requested.
@@ -203,7 +247,9 @@ def ensemble_nu_sq(
     coh = np.empty(n) if return_samples else None
     s1_arr = np.empty(n)
     s2_arr = np.empty(n)
-    draw = partial(pure_draw, E=config.E, m=m, real=config.kind == "orthogonal")
+    draw = partial(
+        _ensemble_draw, E=config.E, m=m, real=config.kind == "orthogonal", full=return_samples
+    )
     for start, (d, z) in mc_blocks(config.seed, n, block_samples(m), draw):
         block = slice(start, start + d.shape[0])
         col = z[:, :, 0]
@@ -248,10 +294,8 @@ class MomentCheck:
     stderr: float
 
     @property
-    def n_sigma(self) -> float:
-        if self.stderr == 0.0:
-            return 0.0 if self.estimate == self.exact else float("inf")
-        return abs(self.estimate - self.exact) / self.stderr
+    def n_sigma(self) -> float | None:
+        return _n_sigma(self.estimate, self.exact, self.stderr)
 
 
 def _rows(samples: np.ndarray, kind: str, m: int) -> Iterable[MomentCheck]:

@@ -27,7 +27,7 @@ from .gaussian_core import (
 SYMPLECTIC_TOL = 1e-9
 # Id of the map from seeds to Monte-Carlo samples, reported in every CLI
 # manifest; bumped whenever a seeded sample changes (history in README).
-STREAM_SCHEME = "seedseq-spawn-v3"
+STREAM_SCHEME = "seedseq-spawn-v4"
 
 
 class GateError(ValueError):
@@ -427,19 +427,25 @@ def haar_unitary(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarr
     return u.real.copy(), u.imag.copy()
 
 
-def ginibre_batch(m: int, n: int, rng: np.random.Generator, real: bool) -> np.ndarray:
-    """Stack of ``n`` Ginibre matrices (n x m x m) with i.i.d. entries of unit variance.
+def ginibre_batch(
+    m: int, n: int, rng: np.random.Generator, real: bool, columns: int | None = None
+) -> np.ndarray:
+    """Stack of ``n`` Ginibre draws (n x m x columns) with i.i.d. entries of unit variance.
 
+    ``columns`` defaults to m, a stack of square matrices that
+    ``haar_from_ginibre`` factors; fewer columns draw the leading columns of
+    a matrix, and a later call on the same generator can draw the rest.
     Real standard normals, or complex ``(g1 + i g2) / sqrt(2)`` with the real
-    parts drawn before the imaginary ones.  ``haar_from_ginibre`` factors it.
+    parts drawn before the imaginary ones.
     """
+    shape = (n, m, m if columns is None else columns)
     if real:
-        return rng.standard_normal((n, m, m))
+        return rng.standard_normal(shape)
     # Filled in place to save temporaries; the values are bit for bit those of
     # (g1 + 1j * g2) / sqrt(2), which the samples' streams rely on.
-    z = np.empty((n, m, m), dtype=complex)
-    z.real = rng.standard_normal((n, m, m))
-    z.imag = rng.standard_normal((n, m, m))
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
     z /= np.sqrt(2.0)
     return z
 
@@ -469,10 +475,11 @@ def pure_draw(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The raw draw ``(d, z)`` of n random pure states with covariance trace E.
 
-    The one layout of a pure-state Monte-Carlo block (an ``mc_blocks`` draw
-    once E, m, real are bound): spectra d (``sample_d_batch``), then one
+    The layout of a block of whole pure states (an ``mc_blocks`` draw once
+    E, m, real are bound): spectra d (``sample_d_batch``), then one square
     Ginibre stack z (``ginibre_batch``), real iff the passive gates
-    ``haar_from_ginibre(z)`` are to be orthogonal.
+    ``haar_from_ginibre(z)`` are to be orthogonal.  The ensembles, which
+    read only z's first column, draw that column first instead.
     """
     return sample_d_batch(E, m, n, rng), ginibre_batch(m, n, rng, real)
 

@@ -242,6 +242,21 @@ def test_ensemble_default_seed_in_manifest(capsys):
     assert out["manifest"]["seed"] == DEFAULT_SEED
 
 
+def test_ensemble_reports_n_sigma_or_null(capsys):
+    base = ["ensemble", "--E", "20", "--kind", "unitary", "--seed", "3"]
+    code, out, _ = run_cli(base + ["--m", "3", "--samples", "500"], capsys)
+    assert code == 0
+    result = out["result"]
+    assert result["n_sigma"] == pytest.approx(
+        abs(result["mean_nu_sq"] - result["analytic_mean"]) / result["stderr_diff"], rel=1e-15
+    )
+    code, out, _ = run_cli(base + ["--m", "1", "--samples", "20"], capsys)
+    assert code == 0 and out["result"]["n_sigma"] == 0.0
+    # One sample has no standard error: null, not a non-JSON Infinity.
+    code, out, _ = run_cli(base + ["--m", "3", "--samples", "1"], capsys)
+    assert code == 0 and out["result"]["n_sigma"] is None
+
+
 def test_discriminate_from_config_file(tmp_path, capsys):
     probe_file = tmp_path / "probe.json"
     save_state(msc_canonical(6.0, 1), str(probe_file))

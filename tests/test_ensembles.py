@@ -23,7 +23,7 @@ from sympcoh import (
     symplectic_coherence,
     symplectic_eigenvalues,
 )
-from sympcoh import ensembles
+from sympcoh import ensembles, symplectic_ops
 from sympcoh.ensembles import _first_mode_nu_sq, _pair_sums
 from sympcoh.symplectic_ops import (
     block_samples,
@@ -252,14 +252,64 @@ def test_samples_are_states_of_the_transposed_haar_draw(kind, m):
     _, nu_sq, coh = ensemble_nu_sq(
         EnsembleConfig(m=m, E=E, n_samples=size, seed=seed, kind=kind), return_samples=True
     )
-    rng = derive_rng(seed, 0)
+    # The block layout: spectra, the first Ginibre column, the other m - 1 columns.
+    rng, real = derive_rng(seed, 0), kind == "orthogonal"
     d = sample_d_batch(E, m, size, rng)
-    draw = haar_from_ginibre(ginibre_batch(m, size, rng, kind == "orthogonal"))
-    passive = np.swapaxes(draw, -1, -2)
+    first = ginibre_batch(m, size, rng, real, columns=1)
+    z = np.concatenate([first, ginibre_batch(m, size, rng, real, columns=m - 1)], axis=2)
+    passive = np.swapaxes(haar_from_ginibre(z), -1, -2)
     cms = pure_cm(passive.real, passive.imag, d)
     first = cms[:, [0, m]][:, :, [0, m]]
     assert_allclose(nu_sq, np.linalg.det(first), rtol=1e-10, atol=1e-10)
     assert_allclose(coh, np.sum(cms[:, :m, m:] ** 2, axis=(1, 2)), rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("kind", ["orthogonal", "unitary"])
+@pytest.mark.parametrize("m", [1, 2, 8])
+def test_statistics_draw_one_ginibre_column_per_sample(kind, m, monkeypatch):
+    # After its spectra a block takes m normals per sample, 2m for complex entries.
+    rngs = []
+
+    def recording(seed, index):
+        rngs.append(derive_rng(seed, index))
+        return rngs[-1]
+
+    monkeypatch.setattr(symplectic_ops, "derive_rng", recording)
+    seed, E, size = 37, 4 * m + 8, block_samples(m)
+    ensemble_nu_sq(EnsembleConfig(m=m, E=E, n_samples=size + 3, seed=seed, kind=kind))
+    assert len(rngs) == 2
+    for b, rng in enumerate(rngs):
+        ref = derive_rng(seed, b)
+        sample_d_batch(E, m, size, ref)
+        ref.standard_normal(size * m * (1 if kind == "orthogonal" else 2))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["orthogonal", "unitary"])
+@pytest.mark.parametrize("m", [1, 2, 8])
+def test_pair_statistics_read_only_the_block_spectra(kind, m):
+    seed, E, n, size = 43, 4 * m + 8, 700, block_samples(m)
+    stats = ensemble_nu_sq(EnsembleConfig(m=m, E=E, n_samples=n, seed=seed, kind=kind))
+    d = np.concatenate(
+        [sample_d_batch(E, m, size, derive_rng(seed, b)) for b in range(-(-n // size))]
+    )[:n]
+    s1, s2 = _pair_sums(d)
+    assert stats.s1_hat == float(np.mean(s1))
+    assert stats.s2_hat == float(np.mean(s2))
+
+
+@pytest.mark.parametrize("kind", ["orthogonal", "unitary"])
+def test_n_sigma_measures_the_mean_against_the_closed_form(kind):
+    stats = ensemble_nu_sq(EnsembleConfig(m=3, E=20.0, n_samples=2000, seed=5, kind=kind))
+    assert stats.stderr_diff > 0
+    assert stats.n_sigma == abs(stats.mean_nu_sq - stats.analytic_mean) / stats.stderr_diff
+    assert stats.n_sigma <= 4.0
+    one_mode = ensemble_nu_sq(EnsembleConfig(m=1, E=9.0, n_samples=50, seed=5, kind=kind))
+    assert one_mode.stderr_diff == 0.0 and one_mode.n_sigma == 0.0
+    one_sample = ensemble_nu_sq(EnsembleConfig(m=3, E=20.0, n_samples=1, seed=5, kind=kind))
+    assert one_sample.stderr_diff == 0.0
+    assert one_sample.mean_nu_sq != one_sample.analytic_mean
+    assert one_sample.n_sigma is None
 
 
 def test_analytic_mean_uses_pair_sums():

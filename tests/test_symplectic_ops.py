@@ -478,6 +478,20 @@ def test_haar_first_column_is_the_normalised_ginibre_column(m, real):
         assert np.max(np.abs(got - want)) <= 1e-14
 
 
+@pytest.mark.parametrize("columns", [0, 1, 3])
+@pytest.mark.parametrize("real", [True, False], ids=["orthogonal", "unitary"])
+def test_ginibre_columns_keep_the_bytes_of_the_plain_formula(columns, real):
+    rng, ref_rng = derive_rng(8, columns), derive_rng(8, columns)
+    shape = (5, 4, columns)
+    want = ref_rng.standard_normal(shape)
+    if not real:
+        want = (want + 1j * ref_rng.standard_normal(shape)) / np.sqrt(2.0)
+    got = ginibre_batch(4, 5, rng, real, columns=columns)
+    assert got.dtype == want.dtype and got.shape == shape
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_haar_batches_match_properties(rng):
     os = haar_from_ginibre(ginibre_batch(3, 8, rng, real=True))
     assert os.shape == (8, 3, 3)
