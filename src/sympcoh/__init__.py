@@ -14,7 +14,6 @@ from .gaussian_core import (
     CovMat,
     DimensionError,
     GaussianState,
-    Margins,
     NumericError,
     ValidationError,
     Violation,
@@ -52,7 +51,6 @@ from .symplectic_ops import (
     haar_unitary,
     is_orthogonal,
     is_symplectic,
-    orthogonal_stinespring,
     partial_trace,
     passive_from_unitary,
     phase_shifter,

@@ -411,8 +411,12 @@ def rotated_quadrature_variance(cov: CovMat, theta: float) -> float:
     if cov.m != 1:
         raise DimensionError(f"single-mode covariance required, got m={cov.m}")
     v = cov.matrix
+    return _rotated_variance(v[0, 0], v[1, 1], v[0, 1], theta)
+
+
+def _rotated_variance(v_x: float, v_p: float, v_xp: float, theta: float) -> float:
     ct, st = math.cos(theta), math.sin(theta)
-    return float(v[0, 0] * ct * ct + v[1, 1] * st * st + v[0, 1] * math.sin(2.0 * theta))
+    return float(v_x * ct * ct + v_p * st * st + v_xp * math.sin(2.0 * theta))
 
 
 def tvd_bound_ppmm(
@@ -436,20 +440,20 @@ def tvd_bound_ppmm(
 
     Raises:
         DimensionError: if the covariance matrix is not single-mode.
-        ValueError: if a rotated variance vanishes.
+        ValueError: if a rotated variance is below 1e-12 (or NaN), so that
+            output is no state.
     """
     if cov.m != 1:
         raise DimensionError(f"single-mode covariance required, got m={cov.m}")
     v = cov.matrix
-    ct, st = math.cos(theta), math.sin(theta)
-    s2t = math.sin(2.0 * theta)
-    base = v[0, 0] * ct * ct + v[1, 1] * st * st
-    var1 = base + sxp1 * s2t
-    var2 = base + sxp2 * s2t
-    if min(abs(var1), abs(var2)) < 1e-12:
-        raise ValueError("degenerate rotated variance; bound undefined")
-    gap = abs(s2t) * abs(sxp1 - sxp2)
-    h = min(gap / abs(var1), gap / abs(var2))
+    var1, var2 = (_rotated_variance(v[0, 0], v[1, 1], sxp, theta) for sxp in (sxp1, sxp2))
+    for output, var in ((1, var1), (2, var2)):
+        if not var >= 1e-12:
+            raise ValueError(
+                f"rotated variance of output {output} is {var:.6g}, not positive; bound undefined"
+            )
+    gap = abs(math.sin(2.0 * theta)) * abs(sxp1 - sxp2)
+    h = min(gap / var1, gap / var2)
     if inflated:
         h *= 1.5
     return min(1.0, h)

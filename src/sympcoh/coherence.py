@@ -17,7 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian_core import CovMat, DimensionError, GaussianState, blocks, is_pure, require_valid
+from .gaussian_core import (
+    CovMat, DimensionError, GaussianState, _max_gap, blocks, is_pure, require_valid,
+)
 from .symplectic_ops import (
     SympGate,
     is_orthogonal,
@@ -291,11 +293,6 @@ def mixed_msc_check(cov: CovMat, comp1: CovMat, comp2: CovMat) -> tuple[bool, li
         if abs(symplectic_coherence(comp) - c_max) > MIXED_MSC_TOL * max(1.0, c_max):
             reasons.append(f"{label} component coherence is not maximal for its trace")
     return (not reasons), reasons
-
-
-def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """``max |a - b|``, differenced on halves so that nothing overflows (inf past the float range)."""
-    return 2.0 * float(np.max(np.abs(0.5 * a - 0.5 * b)))
 
 
 def perturbation_bound(c_rho: float, c_sigma: float, E: float, eps: float) -> float:

@@ -17,8 +17,8 @@ Williamson symplectic eigenvalues ``nu`` (Weedbrook et al., Rev. Mod. Phys.
 84, 621 (2012); Bhatia and Jain, J. Math. Phys. 56, 112201 (2015)).  Its
 upper half is ``nu``, so no pairing step is needed, and together with the
 Cholesky it proves a matrix valid wherever the rounding floor allows
-(:attr:`CovMat.violations`); elsewhere the verdict falls back to the
-eigenvalue margins (:class:`Margins`).
+(:attr:`CovMat.violations`); elsewhere the verdict solves the eigenvalue
+margins that the floor leaves open.
 """
 
 from __future__ import annotations
@@ -107,28 +107,9 @@ def symmetric_part(v: np.ndarray) -> np.ndarray:
     return half + half.T
 
 
-class Margins(NamedTuple):
-    """Tolerance-free validity margins of a covariance matrix.
-
-    Attributes:
-        asymmetry: ``max |V - V^T|``.
-        min_eig: smallest eigenvalue of the symmetric part ``(V + V^T) / 2``.
-        min_uncertainty: smallest eigenvalue of the Hermitian matrix
-            ``(V + V^T) / 2 + i*Omega``.
-        min_vx: smallest eigenvalue of the symmetric part's position block.
-        min_vp: smallest eigenvalue of the symmetric part's momentum block.
-        trace: ``Tr[V]``.
-    """
-
-    asymmetry: float
-    min_eig: float
-    min_uncertainty: float
-    min_vx: float
-    min_vp: float
-    trace: float
-
-
-_PROVEN = Margins(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)  # eigenvalue margins a floor below tol proves
+def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """``max |a - b|``, differenced on halves so that nothing overflows (inf past the float range)."""
+    return 2.0 * float(np.max(np.abs(0.5 * a - 0.5 * b)))
 
 
 class Violation(NamedTuple):
@@ -149,10 +130,10 @@ class CovMat:
     Everything behind those checks is computed at most once per instance,
     on first use, and cached: one Cholesky of the symmetric part and one
     Hermitian ``eigvalsh`` give the symplectic eigenvalues and bound the
-    margins; the :attr:`violations` need the :attr:`margins` (four
-    ``eigvalsh``) only where those bounds leave a margin open.  Caching is
-    sound because ``matrix`` is a private read-only copy of the input; every
-    transformed matrix is a new ``CovMat`` with its own cache.
+    eigenvalue margins; the :attr:`violations` solve a margin only where
+    those bounds leave it open.  Caching is sound because ``matrix`` is a
+    private read-only copy of the input; every transformed matrix is a new
+    ``CovMat`` with its own cache.
 
     Attributes:
         matrix: the 2m x 2m real matrix (read-only).
@@ -178,11 +159,10 @@ class CovMat:
 
     @cached_property
     def _asymmetry(self) -> float:
-        """``max |V - V^T|`` as ``2 max |V/2 - V^T/2|``, so no difference overflows."""
+        """``max |V - V^T|``, by :func:`_max_gap`, so no difference overflows."""
         if self._sym is self.matrix:
             return 0.0
-        half = 0.5 * self.matrix
-        return 2.0 * float(np.max(np.abs(half - half.T)))
+        return _max_gap(self.matrix, self.matrix.T)
 
     @cached_property
     def _nu(self) -> np.ndarray | None:
@@ -208,38 +188,18 @@ class CovMat:
         return nu
 
     @cached_property
-    def _min_uncertainty(self) -> float:
-        return float(np.linalg.eigvalsh(self._sym + 1j * symplectic_form(self.m))[0])
-
-    @cached_property
-    def margins(self) -> Margins:
-        """The eigenvalue and trace margins that :attr:`violations` compares.
-
-        The uncertainty relation is evaluated in complex arithmetic on the
-        Hermitian matrix ``(V + V^T) / 2 + i*Omega``.
-        """
-        m = self.m
-        sym = self._sym
-        return Margins(
-            asymmetry=self._asymmetry,
-            min_eig=float(np.linalg.eigvalsh(sym)[0]),
-            min_uncertainty=self._min_uncertainty,
-            min_vx=float(np.linalg.eigvalsh(sym[:m, :m])[0]),
-            min_vp=float(np.linalg.eigvalsh(sym[m:, m:])[0]),
-            trace=self.trace,
-        )
-
-    @cached_property
     def violations(self) -> tuple[Violation, ...]:
         """Every invariant this matrix violates at ``DEFAULT_TOL``, with its magnitude.
 
-        One pass that compares each invariant with the tolerance once, with
-        the verdicts and magnitudes of the :attr:`margins`.  Symmetry and
-        trace are compared directly.  The ``min_eig``, ``min_vx`` and
-        ``min_vp`` margins are solved only where the rounding floor below is
-        not below the tolerance, and the uncertainty ``eigvalsh`` only where
-        the uncertainty floor is not; elsewhere the floor proves the margin
-        above ``-DEFAULT_TOL``, so the solve could not change the verdict.
+        One pass that compares each invariant with the tolerance once.
+        Symmetry (``max |V - V^T|``) and trace are compared directly.  With
+        ``S = (V + V^T) / 2``, the margins ``min_eig``, ``min_vx`` and
+        ``min_vp``, the smallest eigenvalues of ``S`` and of its position and
+        momentum blocks, are solved only where the rounding floor below is
+        not below the tolerance, and ``min_uncertainty``, that of the
+        Hermitian ``S + i*Omega``, only where the uncertainty floor is not;
+        elsewhere the floor proves the margin above ``-DEFAULT_TOL``, so the
+        solve could not change the verdict.
 
         What one Cholesky and one Hermitian solve prove about the margins:
         with ``n = 2m``, ``u = eps / 2`` and ``S = (V + V^T) / 2``, a Cholesky
@@ -267,16 +227,22 @@ class CovMat:
                 uncertainty_floor = rounding_floor + max(0.0, 1.0 / nu_low - 1.0) * (
                     trace + rounding_floor
                 )
-        mg = self.margins if rounding_floor >= tol else _PROVEN
-        min_uncertainty = self._min_uncertainty if uncertainty_floor >= tol else 0.0
+        sym = self._sym
+        min_eig = min_vx = min_vp = min_uncertainty = 0.0
+        if rounding_floor >= tol:
+            min_eig = float(np.linalg.eigvalsh(sym)[0])
+            min_vx = float(np.linalg.eigvalsh(sym[:m, :m])[0])
+            min_vp = float(np.linalg.eigvalsh(sym[m:, m:])[0])
+        if uncertainty_floor >= tol:
+            min_uncertainty = float(np.linalg.eigvalsh(sym + 1j * symplectic_form(m))[0])
         out: list[Violation] = []
         if self._asymmetry > tol:
             out.append(Violation("symmetry", self._asymmetry))
-        if mg.min_eig <= -tol:
-            out.append(Violation("positive_definite", -mg.min_eig))
+        if min_eig <= -tol:
+            out.append(Violation("positive_definite", -min_eig))
         if min_uncertainty < -tol:
             out.append(Violation("uncertainty", -min_uncertainty))
-        for name, min_blk in (("vx_positive", mg.min_vx), ("vp_positive", mg.min_vp)):
+        for name, min_blk in (("vx_positive", min_vx), ("vp_positive", min_vp)):
             if min_blk <= -tol:
                 out.append(Violation(name, -min_blk))
         if trace < 2 * m - tol:

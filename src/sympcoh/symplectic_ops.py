@@ -105,7 +105,7 @@ class SympGate:
 
     Attributes:
         S: the 2m x 2m symplectic matrix (read-only copy, checked by ``_as_cm_array``).
-        disp: length-2m displacement added after ``S`` (read-only; zeros if omitted).
+        disp: finite length-2m displacement added after ``S`` (read-only; zeros if omitted).
         m: number of modes, set from the matrix's shape.
     """
 
@@ -121,6 +121,8 @@ class SympGate:
         disp = np.zeros(n) if self.disp is None else np.array(self.disp, dtype=float).ravel()
         if disp.shape[0] != n:
             raise DimensionError(f"displacement must have length {n}, got {disp.shape[0]}")
+        if not np.isfinite(disp).all():
+            raise DimensionError("gate displacement must be finite")
         disp.flags.writeable = False
         object.__setattr__(self, "S", s)
         object.__setattr__(self, "disp", disp)
@@ -246,35 +248,26 @@ class IdentityChannel:
         return state
 
 
-def _interleave_permutation(m_a: int, m_b: int) -> np.ndarray:
-    """Index order taking ``(q_A p_A q_B p_B)`` to ``(q_A q_B p_A p_B)``.
-
-    Returns:
-        The 2(m_a+m_b) source indices ``idx``: the direct sum ``ds`` of two qqpp
-        covariance matrices, reordered as ``ds[np.ix_(idx, idx)]``, is again qqpp.
-    """
-    m = m_a + m_b
-    return np.concatenate([
-        np.arange(0, m_a),                   # q_A
-        np.arange(2 * m_a, 2 * m_a + m_b),   # q_B
-        np.arange(m_a, 2 * m_a),             # p_A
-        np.arange(2 * m_a + m_b, 2 * m),     # p_B
-    ])
-
-
-def tensor_cm(a: CovMat, b: CovMat) -> CovMat:
-    """Tensor product of covariance matrices, preserving qqpp ordering."""
-    ds = np.zeros((2 * (a.m + b.m), 2 * (a.m + b.m)))
-    ds[: 2 * a.m, : 2 * a.m] = a.matrix
-    ds[2 * a.m :, 2 * a.m :] = b.matrix
-    idx = _interleave_permutation(a.m, b.m)
-    return CovMat(ds[np.ix_(idx, idx)])
+def _mode_rows(m: int, modes: np.ndarray) -> np.ndarray:
+    """Rows of the 0-based ``modes`` in m-mode qqpp order: their positions, then their momenta."""
+    return np.concatenate([modes, m + modes])
 
 
 def tensor_states(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Tensor product of Gaussian states, preserving qqpp ordering."""
-    idx = _interleave_permutation(a.m, b.m)
-    return GaussianState(tensor_cm(a.cov, b.cov), np.concatenate([a.d, b.d])[idx])
+    """Tensor product of Gaussian states: A on modes 1..a, B on the modes after, in qqpp."""
+    m = a.m + b.m
+    cov = np.zeros((2 * m, 2 * m))
+    d = np.empty(2 * m)
+    for part, modes in ((a, np.arange(a.m)), (b, np.arange(a.m, m))):
+        rows = _mode_rows(m, modes)
+        cov[np.ix_(rows, rows)] = part.cov.matrix
+        d[rows] = part.d
+    return GaussianState(CovMat(cov), d)
+
+
+def tensor_cm(a: CovMat, b: CovMat) -> CovMat:
+    """Tensor product of covariance matrices: the covariance of :func:`tensor_states`."""
+    return tensor_states(GaussianState(a), GaussianState(b)).cov
 
 
 def partial_trace(state: GaussianState, keep: Sequence[int]) -> GaussianState:
@@ -283,37 +276,10 @@ def partial_trace(state: GaussianState, keep: Sequence[int]) -> GaussianState:
     keep = list(keep)
     if not keep or any(not 1 <= k <= m for k in keep) or len(set(keep)) != len(keep):
         raise DimensionError(f"kept modes must be distinct indices in 1..{m}")
-    idx = np.array([k - 1 for k in keep] + [m + k - 1 for k in keep])
+    idx = _mode_rows(m, np.array([k - 1 for k in keep]))
     return GaussianState(
         CovMat(state.cov.matrix[np.ix_(idx, idx)]), state.d[idx]
     )
-
-
-def orthogonal_stinespring(
-    state: GaussianState,
-    o: np.ndarray,
-    env: CovMat,
-    d: Sequence[float] | None = None,
-) -> GaussianState:
-    """Dilated free channel: tensor a free environment, rotate, displace, trace.
-
-    Args:
-        state: m-mode input state.
-        o: (m+k) x (m+k) orthogonal matrix applied as ``diag(O, O)``.
-        env: covariance matrix of a k-mode free state (``is_free``), else ``GateError``.
-        d: optional length-2(m+k) displacement applied after the rotation.
-
-    Returns:
-        The output state on the first m modes.
-    """
-    if not is_free(env):
-        raise GateError("environment is not free (nonzero position-momentum block)")
-    total = tensor_states(state, GaussianState(env))
-    gate = block_orthogonal(o)
-    if d is not None:
-        gate = SympGate(gate.S, d)
-    rotated = apply(gate, total)
-    return partial_trace(rotated, range(1, state.m + 1))
 
 
 def beamsplitter_orthogonal(eta: float) -> np.ndarray:
@@ -329,14 +295,29 @@ def beamsplitter_orthogonal(eta: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StinespringChannel:
-    """Channel defined by an orthogonal dilation (rotation, env, displacement)."""
+    """Dilated free channel: tensor a free environment, rotate, displace, trace.
+
+    Attributes:
+        o: (m+k) x (m+k) orthogonal matrix applied as ``diag(O, O)``.
+        env: covariance matrix of a k-mode free state (``is_free``), else
+            ``apply_to`` raises ``GateError``.
+        d: optional length-2(m+k) displacement applied after the rotation.
+    """
 
     o: np.ndarray
     env: CovMat
     d: np.ndarray = None
 
     def apply_to(self, state: GaussianState) -> GaussianState:
-        return orthogonal_stinespring(state, self.o, self.env, self.d)
+        """The output state on the first m modes of the m-mode input ``state``."""
+        if not is_free(self.env):
+            raise GateError("environment is not free (nonzero position-momentum block)")
+        total = tensor_states(state, GaussianState(self.env))
+        gate = block_orthogonal(self.o)
+        if self.d is not None:
+            gate = SympGate(gate.S, self.d)
+        rotated = apply(gate, total)
+        return partial_trace(rotated, range(1, state.m + 1))
 
 
 # ---------------------------------------------------------------------------

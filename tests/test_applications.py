@@ -573,7 +573,14 @@ def test_tvd_bound_values():
 
 def test_tvd_bound_caps_at_one():
     cov = CovMat(np.eye(2))
-    assert tvd_bound_ppmm(cov, 100.0, -100.0, np.pi / 4) == 1.0
+    # rotated variances 1.9 and 0.1; the uncapped inflated bound is about 1.42
+    assert tvd_bound_ppmm(cov, 0.9, -0.9, np.pi / 4, inflated=True) == 1.0
+
+
+@pytest.mark.parametrize("sxp1, sxp2, output", [(100.0, -100.0, 2), (-5.0, 0.0, 1)])
+def test_tvd_bound_rejects_a_negative_rotated_variance(sxp1, sxp2, output):
+    with pytest.raises(ValueError, match=f"output {output} is -"):
+        tvd_bound_ppmm(CovMat(np.eye(2)), sxp1, sxp2, np.pi / 4)
 
 
 def test_tvd_bound_rejects_degenerate_variance():

@@ -412,6 +412,7 @@ def test_json_inputs_of_the_wrong_shape_exit_1(sub, doc, tmp_path, capsys):
 
 _CHANNELS = [{"kind": "identity"}, {"kind": "loss", "eta": 0.5}]
 _TVD_BOUND = {"cm": _PROBE, "sxp1": 0.3, "sxp2": 0.0, "theta": 0.5}
+_VACUUM = {"format": "sympcoh-cm-v1", "matrix": [[1.0, 0.0], [0.0, 1.0]]}
 # Integer fields take no fraction and no boolean; `inflated` takes only a boolean.
 _FIELD_KINDS = {f: "an integer" for f in ("mode", "n_samples", "trials", "seed")} | {
     "inflated": "a boolean"
@@ -760,6 +761,37 @@ def test_apply_rejects_a_gate_of_the_wrong_size(gate, counts, tmp_path, capsys):
     assert out is None
     assert f"gate acts on {counts} but state has 2" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "sub, doc, reason",
+    [
+        (
+            "apply",
+            {"kind": "displacement", "params": {"d": [float("nan"), 0]}},
+            "gate displacement must be finite",
+        ),
+        (
+            "tvd",
+            {**_TVD_BOUND, "cm": _VACUUM, "sxp1": -5, "theta": np.pi / 4},
+            "rotated variance of output 1",
+        ),
+    ],
+)
+def test_gate_and_bound_faults_exit_1_naming_the_input(sub, doc, reason, tmp_path, capsys):
+    doc_file = tmp_path / "doc.json"
+    doc_file.write_text(json.dumps(doc))
+    if sub == "apply":
+        state_file = tmp_path / "state.json"
+        save_state(vacuum_state(1), str(state_file))
+        argv = ["apply", str(state_file), "--gate", str(doc_file)]
+    else:
+        argv = [sub, "--config", str(doc_file)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out is None
+    assert reason in err
+    assert "first moments" not in err and "Traceback" not in err
 
 
 def test_apply_takes_the_size_of_a_displacement_gate_from_its_vector(tmp_path, capsys):

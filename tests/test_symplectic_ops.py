@@ -29,7 +29,6 @@ from sympcoh import (
     haar_unitary,
     is_free,
     is_symplectic,
-    orthogonal_stinespring,
     partial_trace,
     passive_from_unitary,
     phase_shifter,
@@ -171,6 +170,14 @@ def test_gates_take_their_mode_count_from_the_matrix():
             SympGate(bad)
     for bad in ([1.0, 2.0, 3.0], []):
         with pytest.raises(DimensionError):
+            displacement(bad)
+
+
+def test_gates_reject_a_non_finite_displacement():
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [0.0, -np.inf]):
+        with pytest.raises(DimensionError, match="gate displacement must be finite"):
+            SympGate(np.eye(2), bad)
+        with pytest.raises(DimensionError, match="gate displacement must be finite"):
             displacement(bad)
 
 
@@ -370,9 +377,7 @@ def test_partial_trace_rejects_bad_modes(rng):
 def test_beamsplitter_dilation_realizes_loss(rng):
     eta = 0.55
     state = GaussianState(random_valid_cov(rng, 1), rng.normal(size=2))
-    dilated = orthogonal_stinespring(
-        state, beamsplitter_orthogonal(eta), vacuum_state(1).cov
-    )
+    dilated = StinespringChannel(beamsplitter_orthogonal(eta), vacuum_state(1).cov).apply_to(state)
     direct = LossChannel(eta).apply_to(state)
     assert_allclose(dilated.cov.matrix, direct.cov.matrix, atol=1e-10)
     assert_allclose(dilated.d, direct.d, atol=1e-10)
@@ -390,7 +395,7 @@ def test_stinespring_channel_object(rng):
 def test_stinespring_rejects_correlated_environment():
     env = CovMat(np.array([[2.0, 0.5], [0.5, 2.0]]))
     with pytest.raises(GateError):
-        orthogonal_stinespring(vacuum_state(1), beamsplitter_orthogonal(0.5), env)
+        StinespringChannel(beamsplitter_orthogonal(0.5), env).apply_to(vacuum_state(1))
 
 
 @pytest.mark.parametrize("xp, free", [(5e-11, True), (2e-10, False)])
@@ -399,18 +404,18 @@ def test_stinespring_environment_check_agrees_with_is_free(xp, free):
     assert is_free(env) is free
     o = beamsplitter_orthogonal(0.5)
     if free:
-        out = orthogonal_stinespring(vacuum_state(1), o, env)
+        out = StinespringChannel(o, env).apply_to(vacuum_state(1))
         assert_allclose(out.cov.matrix, np.eye(2), atol=1e-10)
     else:
         with pytest.raises(GateError, match="not free"):
-            orthogonal_stinespring(vacuum_state(1), o, env)
+            StinespringChannel(o, env).apply_to(vacuum_state(1))
 
 
 def test_stinespring_displacement_lands_on_the_kept_modes():
     # m = 1 plus one vacuum environment mode: d in qqpp order is (q1, q2, p1, p2).
-    out = orthogonal_stinespring(
-        vacuum_state(1), beamsplitter_orthogonal(0.5), vacuum_state(1).cov, d=[1.0, 2.0, 3.0, 4.0]
-    )
+    out = StinespringChannel(
+        beamsplitter_orthogonal(0.5), vacuum_state(1).cov, d=[1.0, 2.0, 3.0, 4.0]
+    ).apply_to(vacuum_state(1))
     assert_array_equal(out.d, [1.0, 3.0])
     assert_allclose(out.cov.matrix, np.eye(2), atol=1e-12)
     assert not symplectic_ops.is_orthogonal(np.ones((2, 3)))
