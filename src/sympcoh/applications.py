@@ -15,10 +15,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .coherence import max_symplectic_coherence
-from .gaussian_core import CovMat, DimensionError, GaussianState, is_pure
+from .gaussian_core import CovMat, DimensionError, GaussianState, _gap_exceeds_floor, is_pure
 from .symplectic_ops import BLOCK_ENTRIES, mc_blocks, require_transmissivity
 
-MEAN_GAP_TOL = 1e-12
 WILSON_Z = 1.96  #: normal quantile of the 95% Wilson-score bound on the error rate
 
 
@@ -107,10 +106,10 @@ def meas_moments(state: GaussianState, channel) -> tuple[float, float]:
     Raises:
         ValueError: if the probe or the channel output has first moments.
     """
-    if np.max(np.abs(state.d)) > MEAN_GAP_TOL:
+    if np.any(state.d):
         raise ValueError("probe must have zero first moments")
     out = channel.apply_to(state)
-    if np.max(np.abs(out.d)) > MEAN_GAP_TOL:
+    if np.any(out.d):
         raise ValueError("channel output must have zero first moments")
     v, m = out.cov.matrix, out.cov.m
     mu = float(v[0, m])
@@ -147,7 +146,7 @@ def n_thres_orthogonal(mu1: float, mu2: float, m: int, E: float, delta: float) -
     Raises:
         ValueError: if the means coincide (no finite threshold exists).
     """
-    if abs(mu2 - mu1) <= MEAN_GAP_TOL:
+    if not _gap_exceeds_floor(mu1, mu2, 2 * m):
         raise ValueError("channel output means coincide; threshold is infinite")
     f = energy_offset(m, E)
     return 272.0 * _log_factor(delta) * (max(mu1**2, mu2**2) + f) / (mu2 - mu1) ** 2
@@ -189,7 +188,7 @@ def n_thres_loss(
     Raises:
         ValueError: if ``mu == 0`` or the transmissivities coincide.
     """
-    if abs(eta2 - eta1) <= MEAN_GAP_TOL:
+    if not _gap_exceeds_floor(eta1, eta2, 1):
         raise ValueError("equal transmissivities; threshold is infinite")
     g_max = max(loss_g(nu_sq, mu, E1, eta1), loss_g(nu_sq, mu, E1, eta2))
     return 272.0 * _log_factor(delta) * g_max / (eta2 - eta1) ** 2
@@ -292,7 +291,7 @@ class DiscriminationConfig:
             raise ValueError("n_samples and trials must be >= 1")
         if len(self.channels) != 2:
             raise ValueError("exactly two candidate channels are required")
-        if np.max(np.abs(self.probe.d)) > MEAN_GAP_TOL:
+        if np.any(self.probe.d):
             raise ValueError("probe must have zero first moments")
 
 
@@ -356,13 +355,13 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
     ch1, ch2 = config.channels
     mu1, var1 = meas_moments(config.probe, ch1)
     mu2, var2 = meas_moments(config.probe, ch2)
-    if abs(mu2 - mu1) <= MEAN_GAP_TOL:
+    v, m = config.probe.cov.matrix, config.probe.m
+    if not _gap_exceeds_floor(mu1, mu2, 2 * m):
         raise ValueError("channel output means coincide; protocol is undefined")
 
     eta1, eta2 = getattr(ch1, "eta", None), getattr(ch2, "eta", None)
     n_thres: float | None = None
-    if eta1 is not None and eta2 is not None and abs(eta2 - eta1) > MEAN_GAP_TOL:
-        v, m = config.probe.cov.matrix, config.probe.m
+    if eta1 is not None and eta2 is not None and _gap_exceeds_floor(eta1, eta2, 1):
         n_thres = n_thres_loss(
             mu=float(v[0, m]),
             nu_sq=float(v[0, 0] * v[m, m] - v[0, m] * v[m, 0]),

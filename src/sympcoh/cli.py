@@ -126,6 +126,7 @@ def _cmd_validate(args) -> tuple[dict, int]:
     report = gaussian_core.validate(state.cov)
     result = {
         "valid": not report,
+        "floor": state.cov.floor,
         # JSON has no inf: an asymmetry past the float range is reported as null.
         "violations": [
             {"name": v.name, "magnitude": v.magnitude if np.isfinite(v.magnitude) else None}

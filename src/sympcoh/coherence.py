@@ -18,7 +18,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .gaussian_core import (
-    CovMat, DimensionError, GaussianState, _max_gap, blocks, is_pure, require_valid,
+    CovMat, DimensionError, GaussianState, _gap_exceeds_floor, blocks, is_pure, require_valid,
+    rounding_floor,
 )
 from .symplectic_ops import (
     SympGate,
@@ -28,9 +29,6 @@ from .symplectic_ops import (
     pure_xp_block,
     require_budget,
 )
-
-MEMBERSHIP_TOL = 1e-8  #: largest first-row residual of a maximal-coherence member
-MIXED_MSC_TOL = 1e-9  #: tolerance of each equality that mixed_msc_check tests
 
 
 def symplectic_coherence(cov: CovMat) -> float:
@@ -228,8 +226,8 @@ def msc_membership_conditions(o: np.ndarray, theta: np.ndarray) -> MembershipRep
         theta: per-mode phase angles, shape (m,).
 
     Returns:
-        Per-condition first-row residuals and the overall verdict: a member
-        iff no residual exceeds ``MEMBERSHIP_TOL``.
+        Per-condition first-row residuals and the overall verdict: a member iff
+        no residual exceeds ``rounding_floor(m, 1)`` (no entry exceeds 1 in size).
 
     Raises:
         ValueError: if ``o`` is not orthogonal (``symplectic_ops.is_orthogonal``).
@@ -253,7 +251,7 @@ def msc_membership_conditions(o: np.ndarray, theta: np.ndarray) -> MembershipRep
     res_c = first_row_residual(c * c)
     res_s = first_row_residual(s * s)
     res_cs = first_row_residual(c * s)
-    ok = bool(max(res_c.max(), res_s.max(), res_cs.max()) <= MEMBERSHIP_TOL)
+    ok = bool(max(res_c.max(), res_s.max(), res_cs.max()) <= rounding_floor(m, 1.0))
     return MembershipReport(ok, res_c, res_s, res_cs)
 
 
@@ -263,7 +261,8 @@ def mixed_msc_check(cov: CovMat, comp1: CovMat, comp2: CovMat) -> tuple[bool, li
     Requires ``cov = (comp1 + comp2) / 2`` with both components pure, of equal
     covariance trace, with identical position-momentum blocks, and each
     attaining the maximal coherence for that trace (purity as ``is_pure``
-    decides, the rest to ``MIXED_MSC_TOL``, relative for the coherences).
+    decides; each equality within ``rounding_floor(2m, ...)`` of the entries
+    it differences, and of ``(Tr V)^2`` for the coherences).
 
     Returns:
         (verdict, list of human-readable failure reasons; empty when true).
@@ -272,17 +271,18 @@ def mixed_msc_check(cov: CovMat, comp1: CovMat, comp2: CovMat) -> tuple[bool, li
     if cov.m != comp1.m or cov.m != comp2.m:
         return False, ["mode counts differ"]
     mix = 0.5 * comp1.matrix + 0.5 * comp2.matrix
-    if _max_gap(mix, cov.matrix) > MIXED_MSC_TOL:
+    n = 2 * cov.m
+    if _gap_exceeds_floor(mix, cov.matrix, n):
         reasons.append("covariance is not the equal-weight average of the components")
     for label, comp in (("first", comp1), ("second", comp2)):
         if not is_pure(comp):
             reasons.append(f"{label} component is not pure")
     tr1, tr2 = float(np.trace(comp1.matrix)), float(np.trace(comp2.matrix))
-    if abs(tr1 - tr2) > MIXED_MSC_TOL:
+    if _gap_exceeds_floor(tr1, tr2, n):
         reasons.append("component covariance traces differ")
     _, _, xp1 = blocks(comp1)
     _, _, xp2 = blocks(comp2)
-    if _max_gap(xp1, xp2) > MIXED_MSC_TOL:
+    if _gap_exceeds_floor(xp1, xp2, n):
         reasons.append("component position-momentum blocks differ")
     try:
         c_max = max_symplectic_coherence(tr1, comp1.m)
@@ -290,7 +290,7 @@ def mixed_msc_check(cov: CovMat, comp1: CovMat, comp2: CovMat) -> tuple[bool, li
         reasons.append(f"first component has no maximal coherence: {err}")
         return False, reasons
     for label, comp in (("first", comp1), ("second", comp2)):
-        if abs(symplectic_coherence(comp) - c_max) > MIXED_MSC_TOL * max(1.0, c_max):
+        if abs(symplectic_coherence(comp) - c_max) > rounding_floor(n, tr1 * tr1):
             reasons.append(f"{label} component coherence is not maximal for its trace")
     return (not reasons), reasons
 

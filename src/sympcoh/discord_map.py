@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian_core import FREE_TOL, CovMat, _as_cm_array, require_valid
+from .gaussian_core import CovMat, _as_cm_array, require_valid, rounding_floor
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class DiscordImage:
 
     def __post_init__(self):
         rho = _as_cm_array(self.rho, "virtual state")  # a copy: the caller's array stays writeable
-        if abs(np.trace(rho) - 1.0) > 1e-9:
+        if abs(np.trace(rho) - 1.0) > rounding_floor(rho.shape[0], 1.0):
             raise ValueError("virtual density matrix must have unit trace")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "m", rho.shape[0] // 2)
@@ -80,12 +80,11 @@ def geometric_discord(image: DiscordImage) -> float:
 def is_classical_quantum(image: DiscordImage) -> bool:
     """Whether the virtual state is classical-quantum (zero discord).
 
-    The free verdict (:func:`sympcoh.gaussian_core.is_free`) on the source
-    block ``c_scale * off_block``, compared as ``max |off_block| <= FREE_TOL /
-    c_scale`` so nothing overflows: a state is free iff its image is
-    classical-quantum.
+    The free verdict (:func:`sympcoh.gaussian_core.is_free`) divided through by
+    the trace, ``max |off_block| <= rounding_floor(2m, 1)``: a state is free iff
+    its image is classical-quantum, up to the rounding of ``V / Tr V``.
     """
-    return bool(np.max(np.abs(image.off_block)) <= FREE_TOL / image.c_scale)
+    return bool(np.max(np.abs(image.off_block)) <= rounding_floor(2 * image.m, 1.0))
 
 
 class RelationCheck(NamedTuple):

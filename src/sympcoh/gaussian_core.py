@@ -15,10 +15,11 @@ The read side rests on one factorisation per matrix: the Cholesky factor
 matrix ``i L^T Omega L``, whose eigenvalues are exactly ``+/- nu`` for the
 Williamson symplectic eigenvalues ``nu`` (Weedbrook et al., Rev. Mod. Phys.
 84, 621 (2012); Bhatia and Jain, J. Math. Phys. 56, 112201 (2015)).  Its
-upper half is ``nu``, so no pairing step is needed, and together with the
-Cholesky it proves a matrix valid wherever the rounding floor allows
-(:attr:`CovMat.violations`); elsewhere the verdict solves the eigenvalue
-margins that the floor leaves open.
+upper half is ``nu``, so no pairing step is needed.
+
+Every verdict of the package compares a residual with one :func:`rounding_floor`.
+A negative verdict is proven: the exact property fails by more than the floor.
+A positive verdict means "within the floor".
 """
 
 from __future__ import annotations
@@ -29,14 +30,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-DEFAULT_TOL = 1e-9  #: absolute tolerance of every validity verdict (CovMat.violations)
-PURITY_TOL = 1e-8  #: absolute tolerance of is_pure on every symplectic eigenvalue
-FREE_TOL = 1e-10  #: absolute tolerance of is_free on the V_xp block
 _EPS = sys.float_info.epsilon
 
 #: Identifier stored in every covariance-matrix JSON document.
@@ -63,8 +61,9 @@ class NumericError(RuntimeError):
     Cholesky of a matrix that is not positive definite in float64."""
 
 
+@lru_cache(maxsize=None)
 def symplectic_form(m: int) -> np.ndarray:
-    """Return the 2m x 2m symplectic form ``[[0, I], [-I, 0]]``.
+    """Return the 2m x 2m symplectic form ``[[0, I], [-I, 0]]``, read-only and built once per m.
 
     Args:
         m: number of modes.
@@ -77,6 +76,7 @@ def symplectic_form(m: int) -> np.ndarray:
     omega = np.zeros((2 * m, 2 * m))
     omega[:m, m:] = np.eye(m)
     omega[m:, :m] = -np.eye(m)
+    omega.flags.writeable = False
     return omega
 
 
@@ -112,6 +112,23 @@ def _max_gap(a: np.ndarray, b: np.ndarray) -> float:
     return 2.0 * float(np.max(np.abs(0.5 * a - 0.5 * b)))
 
 
+def rounding_floor(n: int, scale: float) -> float:
+    """``(n + 2)^2 * eps * scale``: the one floor every verdict compares its residual with.
+
+    ``n`` is the dimension of the computation and ``scale`` the magnitude the
+    residual is computed from (``Tr V`` for a margin of ``V``, ``|S|_F^2`` for
+    ``S A S^T``).  It exceeds the rounding of a Cholesky, a Hermitian eigensolve
+    and an n-term product at that scale (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.3 and Sec. 3.5).
+    """
+    return (n + 2) ** 2 * _EPS * scale
+
+
+def _gap_exceeds_floor(a, b, n: int) -> bool:
+    """Whether ``max |a - b|`` exceeds the rounding floor of the entries it differences."""
+    return bool(_max_gap(a, b) > rounding_floor(n, max(np.max(np.abs(a)), np.max(np.abs(b)))))
+
+
 class Violation(NamedTuple):
     """A violated covariance-matrix invariant and by how much."""
 
@@ -128,12 +145,11 @@ class CovMat:
     physical invariants, so invalid matrices can be constructed and inspected.
 
     Everything behind those checks is computed at most once per instance,
-    on first use, and cached: one Cholesky of the symmetric part and one
-    Hermitian ``eigvalsh`` give the symplectic eigenvalues and bound the
-    eigenvalue margins; the :attr:`violations` solve a margin only where
-    those bounds leave it open.  Caching is sound because ``matrix`` is a
-    private read-only copy of the input; every transformed matrix is a new
-    ``CovMat`` with its own cache.
+    on first use, and cached: one Cholesky of the symmetric part ``S`` and
+    one Hermitian ``eigvalsh`` for the symplectic eigenvalues, and one of
+    ``S + i*Omega`` for validity and purity.  Caching is sound because
+    ``matrix`` is a private read-only copy of the input; every transformed
+    matrix is a new ``CovMat`` with its own cache.
 
     Attributes:
         matrix: the 2m x 2m real matrix (read-only).
@@ -153,16 +169,14 @@ class CovMat:
         return float(np.trace(self.matrix))
 
     @cached_property
+    def floor(self) -> float:
+        """``rounding_floor(2m, |Tr V|)``, the floor of every verdict on this matrix."""
+        return rounding_floor(2 * self.m, abs(self.trace))
+
+    @cached_property
     def _sym(self) -> np.ndarray:
         """The :func:`symmetric_part` of the matrix."""
         return symmetric_part(self.matrix)
-
-    @cached_property
-    def _asymmetry(self) -> float:
-        """``max |V - V^T|``, by :func:`_max_gap`, so no difference overflows."""
-        if self._sym is self.matrix:
-            return 0.0
-        return _max_gap(self.matrix, self.matrix.T)
 
     @cached_property
     def _nu(self) -> np.ndarray | None:
@@ -188,64 +202,44 @@ class CovMat:
         return nu
 
     @cached_property
+    def _uncertainty_spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of ``S + i*Omega``, congruent (Williamson) to
+        ``diag(nu, nu) + i*Omega`` with eigenvalues ``nu_k -/+ 1``: by Sylvester's
+        law of inertia the first is the uncertainty margin, and the first m are
+        all 0 iff ``V`` is pure."""
+        return np.linalg.eigvalsh(self._sym + 1j * symplectic_form(self.m))
+
+    @cached_property
     def violations(self) -> tuple[Violation, ...]:
-        """Every invariant this matrix violates at ``DEFAULT_TOL``, with its magnitude.
+        """Every invariant this matrix violates, with its magnitude.
 
-        One pass that compares each invariant with the tolerance once.
-        Symmetry (``max |V - V^T|``) and trace are compared directly.  With
-        ``S = (V + V^T) / 2``, the margins ``min_eig``, ``min_vx`` and
-        ``min_vp``, the smallest eigenvalues of ``S`` and of its position and
-        momentum blocks, are solved only where the rounding floor below is
-        not below the tolerance, and ``min_uncertainty``, that of the
-        Hermitian ``S + i*Omega``, only where the uncertainty floor is not;
-        elsewhere the floor proves the margin above ``-DEFAULT_TOL``, so the
-        solve could not change the verdict.
-
-        What one Cholesky and one Hermitian solve prove about the margins:
-        with ``n = 2m``, ``u = eps / 2`` and ``S = (V + V^T) / 2``, a Cholesky
-        that succeeds in float64 returns ``L`` with ``L L^T = S + dS`` and
-        ``|dS|_2 <= (n + 1) u Tr[V]`` (Higham, Accuracy and Stability of
-        Numerical Algorithms, Thm 10.3).  Taking a Hermitian eigensolver's error
-        as ``n u |A|_2``, the rounding floor ``n^2 * eps * Tr[V]`` bounds both
-        ``|dS|_2`` plus the error of an ``eigvalsh`` of ``S`` or ``S + i*Omega``,
-        and the shift of the computed ``nu`` from the exact ``nu`` of ``L L^T``
-        (``(m + n) u Tr[V]``).  Hence the margins ``min_eig``, ``min_vx`` and
-        ``min_vp`` (interlacing) are at least ``-rounding_floor``.  By
-        Ostrowski's theorem on ``S + i*Omega = L (I + i L^-1 Omega L^-T) L^T``,
-        whose middle factor has eigenvalues ``1 +/- 1/nu``, ``min_uncertainty >=
-        -rounding_floor - (1/(nu_min - rounding_floor) - 1)_+ * (Tr[V] +
-        rounding_floor)``, the uncertainty floor.  Where the Cholesky fails
-        both floors are ``inf``, and where ``nu_min - rounding_floor <= 0``
-        the uncertainty floor is: they prove nothing.
+        Each margin is compared with :attr:`floor` once: the asymmetry, the
+        trace's gap to 2m, the smallest eigenvalue of ``S + i*Omega`` and those
+        of ``S = (V + V^T) / 2``, ``S_x`` and ``S_p``.  A Cholesky that succeeds
+        gives ``L L^T = S + dS`` with ``|dS|_2 <= (2m + 1) eps/2 Tr V`` (Higham,
+        Thm 10.3), which proves the last three above ``-floor`` (with
+        interlacing), so they are solved only where the Cholesky fails.
         """
-        tol, m, trace = DEFAULT_TOL, self.m, self.trace
-        rounding_floor = uncertainty_floor = math.inf
-        if self._nu is not None:
-            rounding_floor = (2 * m) ** 2 * _EPS * trace
-            nu_low = float(self._nu[-1]) - rounding_floor
-            if nu_low > 0.0:
-                uncertainty_floor = rounding_floor + max(0.0, 1.0 / nu_low - 1.0) * (
-                    trace + rounding_floor
-                )
-        sym = self._sym
-        min_eig = min_vx = min_vp = min_uncertainty = 0.0
-        if rounding_floor >= tol:
+        m, trace, floor, sym = self.m, self.trace, self.floor, self._sym
+        # max |V - V^T| by _max_gap, so no difference overflows
+        asymmetry = 0.0 if sym is self.matrix else _max_gap(self.matrix, self.matrix.T)
+        min_eig = min_vx = min_vp = 0.0
+        if self._nu is None:
             min_eig = float(np.linalg.eigvalsh(sym)[0])
             min_vx = float(np.linalg.eigvalsh(sym[:m, :m])[0])
             min_vp = float(np.linalg.eigvalsh(sym[m:, m:])[0])
-        if uncertainty_floor >= tol:
-            min_uncertainty = float(np.linalg.eigvalsh(sym + 1j * symplectic_form(m))[0])
+        min_uncertainty = float(self._uncertainty_spectrum[0])
         out: list[Violation] = []
-        if self._asymmetry > tol:
-            out.append(Violation("symmetry", self._asymmetry))
-        if min_eig <= -tol:
+        if asymmetry > floor:
+            out.append(Violation("symmetry", asymmetry))
+        if min_eig <= -floor:
             out.append(Violation("positive_definite", -min_eig))
-        if min_uncertainty < -tol:
+        if min_uncertainty < -floor:
             out.append(Violation("uncertainty", -min_uncertainty))
         for name, min_blk in (("vx_positive", min_vx), ("vp_positive", min_vp)):
-            if min_blk <= -tol:
+            if min_blk <= -floor:
                 out.append(Violation(name, -min_blk))
-        if trace < 2 * m - tol:
+        if trace < 2 * m - floor:
             out.append(Violation("trace_bound", 2 * m - trace))
         return tuple(out)
 
@@ -290,7 +284,7 @@ def validate(cov: CovMat) -> list[Violation]:
     """Every covariance-matrix invariant that ``cov`` violates.
 
     A read of the cached :attr:`CovMat.violations`, computed once per matrix
-    at ``DEFAULT_TOL``; no verdict takes another tolerance.
+    at ``cov.floor``; no verdict takes a tolerance.
 
     Returns:
         An empty list iff all invariants hold; otherwise one entry per
@@ -376,23 +370,25 @@ def symplectic_eigenvalues(cov: CovMat) -> np.ndarray:
 
 
 def is_pure(cov: CovMat) -> bool:
-    """True iff every symplectic eigenvalue equals 1 within ``PURITY_TOL``.
+    """True iff the m smallest eigenvalues of ``S + i*Omega`` are within ``cov.floor`` of 0.
+
+    Exactly, they are all 0 iff every symplectic eigenvalue is 1.
 
     Raises:
         NumericError: as :func:`symplectic_eigenvalues`.
     """
-    nu = symplectic_eigenvalues(cov)
-    return float(np.max(np.abs(nu - 1.0))) <= PURITY_TOL
+    symplectic_eigenvalues(cov)  # raises where the Cholesky fails
+    return float(np.max(np.abs(cov._uncertainty_spectrum[: cov.m]))) <= cov.floor
 
 
 def is_free(cov: CovMat) -> bool:
-    """Whether every position-momentum covariance entry is within ``FREE_TOL`` of 0.
+    """Whether every position-momentum covariance entry is within ``cov.floor`` of 0.
 
     The one free-state verdict: a free state has zero symplectic coherence,
     and its virtual image is classical-quantum
-    (:func:`sympcoh.discord_map.is_classical_quantum` is this test).
+    (:func:`sympcoh.discord_map.is_classical_quantum` is this test on ``V / Tr V``).
     """
-    return bool(np.max(np.abs(cov.matrix[: cov.m, cov.m :])) <= FREE_TOL)
+    return bool(np.max(np.abs(cov.matrix[: cov.m, cov.m :])) <= cov.floor)
 
 
 def mix_states(components: Sequence[tuple[float, GaussianState]]) -> GaussianState:

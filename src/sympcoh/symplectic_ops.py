@@ -1,8 +1,8 @@
 """Symplectic gates, Gaussian channels, tensor/trace plumbing, pure-state sampling.
 
 A gate is a pair ``(S, disp)`` acting on Gaussian states as
-``V -> S V S^T``, ``d -> S d + disp``. All constructors return matrices
-satisfying ``S Omega S^T = Omega`` within 1e-9 (Frobenius).
+``V -> S V S^T``, ``d -> S d + disp``. Every gate matrix satisfies ``S Omega S^T
+= Omega`` within the rounding floor of the product (:func:`is_symplectic`).
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ from .gaussian_core import (
     _as_cm_array,
     is_free,
     require_valid,
+    rounding_floor,
     symmetric_part,
     symplectic_form,
 )
 
-SYMPLECTIC_TOL = 1e-9
 # Id of the map from seeds to Monte-Carlo samples, reported in every CLI
 # manifest; bumped whenever a seeded sample changes (history in README).
 STREAM_SCHEME = "seedseq-spawn-v4"
@@ -78,8 +78,14 @@ def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(scaled) * scale), se
 
 
+def _product_residual_within_floor(a: np.ndarray, form: np.ndarray) -> bool:
+    """Whether ``|A F A^H - F|_F`` is within ``rounding_floor(n, |A|_F^2)`` (and finite)."""
+    residual = float(np.linalg.norm(a @ form @ a.conj().T - form))
+    return bool(residual <= rounding_floor(a.shape[0], np.linalg.norm(a) ** 2) < np.inf)
+
+
 def is_orthogonal(o: np.ndarray) -> bool:
-    """True iff ``O O^H = I`` within ``SYMPLECTIC_TOL`` in Frobenius norm.
+    """True iff ``O O^H = I`` within the rounding floor of the product, in Frobenius norm.
 
     The one orthogonality verdict: a real ``O`` is tested for orthogonality,
     a complex one for unitarity.  A non-square input is not orthogonal.
@@ -87,16 +93,15 @@ def is_orthogonal(o: np.ndarray) -> bool:
     o = np.asarray(o)
     if o.ndim != 2 or o.shape[0] != o.shape[1]:
         return False
-    return float(np.linalg.norm(o @ o.conj().T - np.eye(o.shape[0]))) <= SYMPLECTIC_TOL
+    return _product_residual_within_floor(o, np.eye(o.shape[0]))
 
 
 def is_symplectic(s: np.ndarray) -> bool:
-    """True iff ``S Omega S^T = Omega`` within ``SYMPLECTIC_TOL`` in Frobenius norm."""
+    """True iff ``S Omega S^T = Omega`` within the rounding floor of the product, in Frobenius norm."""
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] % 2:
         return False
-    omega = symplectic_form(s.shape[0] // 2)
-    return float(np.linalg.norm(s @ omega @ s.T - omega)) <= SYMPLECTIC_TOL
+    return _product_residual_within_floor(s, symplectic_form(s.shape[0] // 2))
 
 
 @dataclass(frozen=True)

@@ -74,3 +74,19 @@ def first_mode_block_exactly_valid(v: np.ndarray) -> bool:
     rest[np.ix_([0, m], [0, m])] = np.eye(2)
     a, c, b, b_t = (Fraction(float(v[i, j])) for i, j in ((0, 0), (m, m), (0, m), (m, 0)))
     return np.array_equal(rest, np.eye(2 * m)) and b == b_t and a > 0 and a * c - b * b >= 1
+
+
+def fractions(a) -> np.ndarray:
+    """The entries of ``a`` (floats, ints or Fractions) as an object array of exact Fractions."""
+    return np.array([[Fraction(x) for x in row] for row in np.asarray(a, dtype=object)], dtype=object)
+
+
+def exact_residual_sq(s, form) -> Fraction:
+    """``|S F S^T - F|_F^2`` in rational arithmetic, for the exact values of ``s`` and ``form``.
+
+    With ``F = Omega`` it is 0 iff ``S`` is exactly symplectic, with ``F = I``
+    iff ``S`` is exactly orthogonal.
+    """
+    s, form = fractions(s), fractions(form)
+    residual = s @ form @ s.T - form
+    return sum((x * x for x in residual.flat), Fraction(0))

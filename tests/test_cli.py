@@ -29,6 +29,7 @@ from sympcoh import (
     vacuum_state,
 )
 from sympcoh.cli import DEFAULT_SEED, ENVELOPE_FORMAT, main
+from sympcoh.gaussian_core import rounding_floor
 from sympcoh.symplectic_ops import STREAM_SCHEME
 from conftest import SINGULAR_1E12
 
@@ -131,12 +132,14 @@ def test_validate_names_every_violation_of_a_matrix_near_the_float_range(tmp_pat
 
 
 def test_coherence_and_discord_agree_on_free(tmp_path, capsys):
+    # The floor at trace 2e4 is rounding_floor(2, 2e4) = 7.1e-11: between the two entries.
     for xp in (5e-11, 1e-9):
         state_file = tmp_path / "near_free.json"
-        save_state(GaussianState(CovMat([[50.0, xp], [xp, 50.0]])), str(state_file))
+        save_state(GaussianState(CovMat([[1e4, xp], [xp, 1e4]])), str(state_file))
         _, coh, _ = run_cli(["coherence", str(state_file)], capsys)
         _, dis, _ = run_cli(["discord", str(state_file)], capsys)
-        assert coh["result"]["is_free"] is dis["result"]["classical_quantum"] is (xp < 1e-10)
+        free = xp <= rounding_floor(2, 2e4)
+        assert coh["result"]["is_free"] is dis["result"]["classical_quantum"] is free
 
 
 def test_validate_rejects_invalid_matrix(tmp_path, capsys):
@@ -589,6 +592,21 @@ def test_manifest_key_set(capsys):
     assert manifest["stream_scheme"] == STREAM_SCHEME
 
 
+def test_validate_result_key_set_and_floor(tmp_path, capsys):
+    # Eigenvalue rounding at this trace, about eps * E = 7.8e-9, is above any
+    # absolute 1e-9 but far below the floor the verdict is judged at.
+    state_file = tmp_path / "s.json"
+    code, _, _ = run_cli(["msc", "--E", "3.5e7", "--m", "8", "-o", str(state_file)], capsys)
+    assert code == 0
+    code, out, err = run_cli(["validate", str(state_file)], capsys)
+    assert code == 0, err
+    result = out["result"]
+    assert set(result) == {"valid", "floor", "violations"}
+    assert result["valid"] is True and result["violations"] == []
+    trace = load_state(str(state_file)).cov.trace
+    assert result["floor"] == rounding_floor(16, trace) == 18**2 * np.finfo(float).eps * trace
+
+
 def test_tvd_rejects_empty_config(tmp_path, capsys):
     config_file = tmp_path / "empty.json"
     config_file.write_text("{}")
@@ -738,7 +756,11 @@ def test_validate_reports_an_asymmetry_past_the_float_range_as_null(tmp_path, ca
     antisymmetric.write_text("1,1e308\n-1e308,1\n")
     code, out, err = run_cli(["validate", str(antisymmetric)], capsys)
     assert code == 1
-    assert out["result"] == {"valid": False, "violations": [{"name": "symmetry", "magnitude": None}]}
+    assert out["result"] == {
+        "valid": False,
+        "floor": rounding_floor(2, 2.0),
+        "violations": [{"name": "symmetry", "magnitude": None}],
+    }
     assert "symmetry (magnitude inf)" in err
     assert "ValueError" not in err and "Traceback" not in err
 

@@ -56,6 +56,8 @@ from sympcoh.symplectic_ops import (
     pure_xp_block,
     spectrum_from_weights,
 )
+from sympcoh.applications import qfi_displacement
+from sympcoh.gaussian_core import NumericError, validate
 from conftest import first_mode_block_exactly_valid, random_free_cov, random_valid_cov
 
 TOL = 1e-9
@@ -185,6 +187,41 @@ def test_canonical_writer_stores_an_exactly_valid_matrix(m):
         assert v[0, m] - unrounded <= 4 * np.spacing(abs(unrounded)), E
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])
+def test_validate_accepts_every_exactly_valid_canonical_state(m):
+    # 2m, just above it, and 100 traces up to 1e12: each stored matrix is
+    # exactly valid, so the verdict must accept it at every trace.  Where its
+    # Cholesky succeeds it is also pure and its own maximal decomposition.
+    traces = [2.0 * m, 2.0 * m + 1e-9, *np.geomspace(2.0 * m + 1e-6, 1e12, 100)]
+    for E in traces:
+        cov = msc_canonical(E, m).cov
+        assert first_mode_block_exactly_valid(cov.matrix), E
+        assert validate(cov) == [], E
+        try:
+            pure = is_pure(cov)
+        except NumericError:  # not positive definite in float64: from E of about 1e9
+            assert E > 1e8, E
+            continue
+        assert pure, E
+        assert mixed_msc_check(cov, cov, cov) == (True, []), E
+    qfi = qfi_displacement(msc_canonical(1e5, 1).cov)
+    assert qfi.exact
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_mixed_check_accepts_a_decomposition_computed_two_ways(m, rng):
+    # The same maximal state by two computations, rotated by one Haar orthogonal:
+    # the gaps between them are rounding, within the floors of what they difference.
+    for E in np.geomspace(2.0 * m + 1.0, 1e8, 12):
+        o = haar_orthogonal(m, rng)
+        theta = np.zeros(m)
+        theta[0] = np.pi / 4
+        first = apply(block_orthogonal(o), msc_canonical(E, m)).cov
+        second = msc_from_spec(MscSpec(E, theta, np.eye(m), o)).cov
+        mixed = mix_states([(0.5, GaussianState(first)), (0.5, GaussianState(second))]).cov
+        assert mixed_msc_check(mixed, first, second) == (True, []), E
+
+
 def test_canonical_state_rejects_small_trace():
     with pytest.raises(ValueError):
         msc_canonical(1.9, 1)
@@ -246,11 +283,11 @@ def test_membership_rejects_non_orthogonal():
 
 
 _SLANTED = np.eye(2)
-_SLANTED[0, 1] = 3e-10
+_SLANTED[0, 1] = 3e-15
 
 
-# |O O^T - I|_F is 4.2e-10 for the slanted identity (within SYMPLECTIC_TOL) and
-# 1.1e-5 for the scaled one; np.allclose(atol=1e-10) judged both the other way.
+# |O O^T - I|_F is 4.2e-15 for the slanted identity, within its rounding floor
+# rounding_floor(2, |O|_F^2) = 16 * eps * 2 = 7.1e-15, and 1.1e-5 for the scaled one.
 @pytest.mark.parametrize(
     "o, orthogonal", [(_SLANTED, True), ((1.0 + 4e-6) * np.eye(2), False)], ids=["slanted", "scaled"]
 )

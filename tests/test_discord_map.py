@@ -29,6 +29,7 @@ from sympcoh import (
     to_density,
     vacuum_state,
 )
+from sympcoh.gaussian_core import rounding_floor
 from conftest import random_valid_cov
 
 TOL = 1e-9
@@ -154,8 +155,19 @@ def test_classical_quantum_detection(rng):
 @pytest.mark.parametrize("trace", [2.0, 100.0, 1e6])
 @pytest.mark.parametrize("xp", [5e-11, 1e-9, 2e-10])
 def test_classical_quantum_is_the_free_verdict(trace, xp):
+    # Free iff xp is within the floor (2 + 2)^2 * eps * trace: at trace 1e6
+    # (3.6e-9) every entry here is, at traces 2 and 100 none is.
     cov = CovMat(np.array([[trace / 2, xp], [xp, trace / 2]]))
-    assert is_classical_quantum(to_density(cov)) is is_free(cov) is (xp <= 1e-10)
+    free = bool(xp <= 16 * np.finfo(float).eps * trace)
+    assert is_classical_quantum(to_density(cov)) is is_free(cov) is free
+
+
+@pytest.mark.parametrize("trace", [2.0, 100.0, 1e6, 1e12])
+@pytest.mark.parametrize("times_floor, free", [(0.5, True), (2.0, False)])
+def test_classical_quantum_and_free_agree_on_either_side_of_the_floor(trace, times_floor, free):
+    xp = times_floor * rounding_floor(2, trace)
+    cov = CovMat(np.array([[trace / 2, xp], [xp, trace / 2]]))
+    assert is_classical_quantum(to_density(cov)) is is_free(cov) is free
 
 
 def test_classical_quantum_has_no_tolerance_of_its_own():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -51,7 +52,8 @@ from sympcoh.symplectic_ops import (
     pure_param_blocks,
     sample_d_batch,
 )
-from conftest import random_valid_cov
+from sympcoh.gaussian_core import rounding_floor, symplectic_form
+from conftest import exact_residual_sq, fractions, random_valid_cov
 
 TOL = 1e-12
 
@@ -157,6 +159,76 @@ def test_sympgate_rejects_nonsymplectic():
         SympGate(2.0 * np.eye(2))
     with pytest.raises(DimensionError):
         SympGate(np.eye(2), disp=[1.0, 2.0, 3.0])
+
+
+_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29))
+
+
+def _exact_passive(m: int, shift: int) -> np.ndarray:
+    """A passive gate in rationals: a phase on every mode, then a rotation of
+    each neighbouring mode pair, each with a Pythagorean ``(cos, sin)``."""
+    n = 2 * m
+    out = fractions(np.eye(n))
+    for i in range(m):
+        a, b, c = _TRIPLES[(i + shift) % len(_TRIPLES)]
+        cos, sin = Fraction(a, c), Fraction(b, c)
+        phase = fractions(np.eye(n))
+        phase[i, i] = phase[m + i, m + i] = cos
+        phase[i, m + i], phase[m + i, i] = sin, -sin
+        out = phase @ out
+        if i + 1 < m:  # diag(G, G) with G the rotation of modes i and i + 1
+            turn = fractions(np.eye(n))
+            for base in (0, m):
+                j, k = base + i, base + i + 1
+                turn[j, j] = turn[k, k] = sin
+                turn[j, k], turn[k, j] = cos, -cos
+            out = turn @ out
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+@pytest.mark.parametrize("k", [0, 7, 14, 20])
+def test_exact_symplectic_gates_pass_and_perturbations_above_the_floor_fail(m, k):
+    # e^r = 2^k is an exact stand-in for a squeezer, and 2^20 exceeds the msc
+    # squeezing e^r at E = 1e12, the largest trace the CLI's msc reaches.
+    assert 2.0**20 > math.exp(coherence.msc_squeezing(1e12, 1))
+    omega = symplectic_form(m)
+    squeeze = fractions(np.eye(2 * m))
+    squeeze[0, 0], squeeze[m, m] = Fraction(2**k), Fraction(1, 2**k)
+    factors = (_exact_passive(m, 1), squeeze, _exact_passive(m, 0))
+    exact = factors[0] @ factors[1] @ factors[2]
+    assert exact_residual_sq(exact, omega) == 0
+    for p in (factors[0], factors[2]):
+        assert exact_residual_sq(p, np.eye(2 * m)) == 0
+        assert symplectic_ops.is_orthogonal(p.astype(float))
+    rounded = exact.astype(float)  # the exact gate, each entry rounded once
+    product = factors[0].astype(float) @ factors[1].astype(float) @ factors[2].astype(float)
+    for s in (rounded, product):
+        assert is_symplectic(s)
+        SympGate(s)
+    floor = rounding_floor(2 * m, float(np.linalg.norm(rounded)) ** 2)
+    bumped = (1.0 + 2.0 * floor / math.sqrt(2 * m)) * rounded  # residual about 4 floors
+    assert exact_residual_sq(bumped, omega) > 4 * Fraction(floor) ** 2
+    assert not is_symplectic(bumped)
+    with pytest.raises(GateError, match="not symplectic"):
+        SympGate(bumped)
+
+
+@pytest.mark.parametrize("r", [9.0, 9.21, 10.0, 11.0, 12.0])
+def test_compose_accepts_its_own_rotated_squeezers(r):
+    # The msc squeezing at E = 1e8, m = 2 is r = 9.21; the CLI accepts traces to 1e12.
+    for m in (1, 2):
+        gate = compose(phase_shifter(m, 1, 0.3), compose(squeezer(m, 1, r), phase_shifter(m, 1, 1.1)))
+        assert is_symplectic(gate.S)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_bloch_messiah_gates_are_symplectic_at_large_squeezing(m, rng):
+    # P2 Z(r) P1 with Haar passive P: the residual grows like eps * e^{2r}, as its floor does.
+    for r in (8.0, 10.0):
+        for _ in range(5):
+            p1, p2 = (passive_from_unitary(*haar_unitary(m, rng)).S for _ in range(2))
+            assert is_symplectic(p2 @ squeezer(m, 1, r).S @ p1)
 
 
 def test_gates_take_their_mode_count_from_the_matrix():
@@ -400,12 +472,14 @@ def test_stinespring_rejects_correlated_environment():
 
 @pytest.mark.parametrize("xp, free", [(5e-11, True), (2e-10, False)])
 def test_stinespring_environment_check_agrees_with_is_free(xp, free):
-    env = CovMat(np.array([[1.0, xp], [xp, 1.0]]))
+    # A thermal environment of trace 2e4: its floor, 16 * eps * 2e4 = 7.1e-11,
+    # lies between the two entries.
+    env = CovMat(np.array([[1e4, xp], [xp, 1e4]]))
     assert is_free(env) is free
     o = beamsplitter_orthogonal(0.5)
     if free:
         out = StinespringChannel(o, env).apply_to(vacuum_state(1))
-        assert_allclose(out.cov.matrix, np.eye(2), atol=1e-10)
+        assert_allclose(out.cov.matrix, 0.5 * np.eye(2) + 0.5 * env.matrix, rtol=1e-15, atol=1e-11)
     else:
         with pytest.raises(GateError, match="not free"):
             StinespringChannel(o, env).apply_to(vacuum_state(1))
