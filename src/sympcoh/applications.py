@@ -273,8 +273,10 @@ class DiscriminationConfig:
         seed: base seed; trials run through ``symplectic_ops.mc_blocks`` in
             blocks of ``BLOCK_ENTRIES // K`` (K median-of-means groups, as in
             :func:`median_of_means`), each block drawing the channel labels
-            (``integers(2, size=block)``), then one standard normal per group
-            mean (``standard_normal((block, K))``).
+            of all its trials (``integers(2, size=block)``), then one
+            standard normal per group mean of each kept trial
+            (``standard_normal((kept, K))``), the first rows of a full
+            ``(block, K)`` draw.
     """
 
     probe: GaussianState
@@ -330,6 +332,24 @@ class DiscriminationReport:
     )
 
 
+def _median_exceeds(x: np.ndarray, threshold: float) -> np.ndarray:
+    """``np.median(x, axis=-1) > threshold`` for a 2-D x, bit for bit, by counting.
+
+    A row whose entries above the threshold number more than K/2 (K = row
+    length) has its median above it, and one with fewer has not: for even
+    K the median is the float mean of the two middle values, which lies
+    between them.  Only a row with exactly K/2 above, where the two middle
+    values straddle the threshold, takes its median.
+    """
+    k = x.shape[-1]
+    above = 2 * np.sum(x > threshold, axis=-1)
+    high = above > k
+    tie = above == k
+    if tie.any():
+        high[tie] = np.median(x[tie], axis=-1) > threshold
+    return high
+
+
 def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
     """Simulate the median-of-means threshold protocol and report its error rate.
 
@@ -341,8 +361,10 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
     ``n_samples - K b`` shots, so each trial draws its K group means, not
     its shots: the error rate has the shot-level distribution at a cost and
     memory independent of ``n_samples``.  Trials run in the blocks described
-    at ``DiscriminationConfig.seed``, one ``(block, K)`` array and one
-    row-wise median per block.
+    at ``DiscriminationConfig.seed``, one ``(kept, K)`` array of group means
+    per block.  The side of each median is read by counting the group means
+    above the midpoint (``_median_exceeds``), which gives the median's
+    verdict bit for bit and takes a median only where the count is K/2.
 
     When both channels have a transmissivity ``eta`` (loss, or the identity
     at ``eta = 1``) and the two differ, ``n_thres`` is :func:`n_thres_loss`
@@ -376,14 +398,13 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
     k, b = _mom_groups(config.n_samples, config.delta)
     mus, spreads = np.array([mu1, mu2]), np.sqrt([var1, var2]) / math.sqrt(b)
 
-    def draw(rng: np.random.Generator, size: int) -> tuple:
-        return rng.integers(2, size=size), rng.standard_normal((size, k))
+    def draw(rng: np.random.Generator, size: int, keep: int) -> tuple:
+        return rng.integers(2, size=size)[:keep], rng.standard_normal((keep, k))
 
     failures = 0
     for _, (true_second, z) in mc_blocks(config.seed, config.trials, BLOCK_ENTRIES // k, draw):
-        estimate = np.median(mus[true_second, None] + spreads[true_second, None] * z, axis=-1)
-        predict_second = (estimate > threshold) == second_is_high
-        failures += int(np.count_nonzero(predict_second != true_second))
+        high = _median_exceeds(mus[true_second, None] + spreads[true_second, None] * z, threshold)
+        failures += int(np.count_nonzero((high == second_is_high) != true_second))
 
     return DiscriminationReport(
         mu1=mu1,

@@ -196,11 +196,12 @@ def analytic_mean_nu_sq(kind: str, m: int, s1: float, s2: float) -> float:
 
 
 def _ensemble_draw(
-    rng: np.random.Generator, n: int, E: float, m: int, real: bool, full: bool
+    rng: np.random.Generator, n: int, keep: int, E: float, m: int, real: bool, full: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One ensemble block ``(d, z)``: spectra, then Ginibre columns from the same generator.
+    """One ensemble block ``(d, z)`` of n samples, cut to its first ``keep`` rows.
 
-    d is ``sample_d_batch``; z is the first column alone, an (n, m, 1)
+    Spectra, then Ginibre columns from the same generator: d is
+    ``sample_d_batch``; z is the first column alone, an (n, m, 1)
     ``ginibre_batch``, unless ``full``, when the other m - 1 columns are
     drawn after it and z is the whole (n, m, m) stack.  Either way the first
     column has the same bytes.
@@ -209,7 +210,7 @@ def _ensemble_draw(
     z = ginibre_batch(m, n, rng, real, columns=1)
     if full:
         z = np.concatenate([z, ginibre_batch(m, n, rng, real, columns=m - 1)], axis=2)
-    return d, z
+    return d[:keep], z[:keep]
 
 
 def ensemble_nu_sq(
@@ -345,8 +346,8 @@ def haar_moment_check(m: int, n_samples: int, rng: np.random.Generator) -> list[
     out: list[MomentCheck] = []
     for kind in KINDS:
 
-        def draw(block_rng: np.random.Generator, size: int) -> tuple:
-            return (ginibre_batch(m, size, block_rng, real=kind == "orthogonal"),)
+        def draw(block_rng: np.random.Generator, size: int, keep: int) -> tuple:
+            return (ginibre_batch(m, size, block_rng, real=kind == "orthogonal")[:keep],)
 
         blocks = mc_blocks(int(rng.integers(2**63)), n_samples, block_samples(m), draw)
         first_rows = np.concatenate([haar_from_ginibre(z)[:, 0, :] for _, (z,) in blocks])

@@ -372,12 +372,11 @@ def symplectic_eigenvalues(cov: CovMat) -> np.ndarray:
 def is_pure(cov: CovMat) -> bool:
     """True iff the m smallest eigenvalues of ``S + i*Omega`` are within ``cov.floor`` of 0.
 
-    Exactly, they are all 0 iff every symplectic eigenvalue is 1.
-
-    Raises:
-        NumericError: as :func:`symplectic_eigenvalues`.
+    Exactly, they are all 0 iff every symplectic eigenvalue is 1.  The
+    verdict needs no Cholesky factor, so it holds where
+    :func:`symplectic_eigenvalues` raises: on a pure state whose smallest
+    eigenvalue (about 1/Tr V) is below its rounding.
     """
-    symplectic_eigenvalues(cov)  # raises where the Cholesky fails
     return float(np.max(np.abs(cov._uncertainty_spectrum[: cov.m]))) <= cov.floor
 
 

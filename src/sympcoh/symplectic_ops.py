@@ -51,17 +51,19 @@ def mc_blocks(seed: int, n: int, size: int, draw: Callable) -> Iterator[tuple[in
     """Yield ``(start, arrays)`` for Monte-Carlo samples ``start, start + 1, ...`` < n.
 
     The one block driver of every Monte-Carlo routine.  Block b is
-    ``draw(derive_rng(seed, b), size)``, a tuple of arrays with ``size`` rows,
-    drawn at full size and then cut at n.  So sample j depends only on
-    ``(seed, j // size, j % size)``: results are a deterministic function of
-    the seed, different seeds give independent samples, and a run of n
-    samples is a prefix of every longer run with the same seed and size.
-    A ``draw`` only consumes its generator: per-sample transforms, such as
-    the QR of ``haar_from_ginibre``, run on the kept rows after the cut.
+    ``draw(derive_rng(seed, b), size, keep=k)``, a tuple of arrays with the
+    block's first ``k = min(size, n - start)`` rows: the block cut at n.  A
+    draw uses its generator exactly as a draw of the full ``size`` rows
+    would, except that its last fill may draw just the k kept rows; numpy's
+    ``Generator`` fills an array in order, so those rows have the same bytes.
+    So sample j depends only on ``(seed, j // size, j % size)``: results are
+    a deterministic function of the seed, different seeds give independent
+    samples, and a run of n samples is a prefix of every longer run with the
+    same seed and size.  A ``draw`` only consumes its generator: per-sample
+    transforms, such as the QR of ``haar_from_ginibre``, run on the kept rows.
     """
     for b, start in enumerate(range(0, n, size)):
-        stop = min(size, n - start)
-        yield start, tuple(a[:stop] for a in draw(derive_rng(seed, b), size))
+        yield start, draw(derive_rng(seed, b), size, keep=min(size, n - start))
 
 
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -457,17 +459,18 @@ def haar_unitary_batch(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def pure_draw(
-    rng: np.random.Generator, n: int, E: float, m: int, real: bool
+    rng: np.random.Generator, n: int, E: float, m: int, real: bool, keep: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The raw draw ``(d, z)`` of n random pure states with covariance trace E.
+    """The raw draw ``(d, z)`` of n random pure states with covariance trace E, cut at ``keep``.
 
     The layout of a block of whole pure states (an ``mc_blocks`` draw once
     E, m, real are bound): spectra d (``sample_d_batch``), then one square
     Ginibre stack z (``ginibre_batch``), real iff the passive gates
-    ``haar_from_ginibre(z)`` are to be orthogonal.  The ensembles, which
-    read only z's first column, draw that column first instead.
+    ``haar_from_ginibre(z)`` are to be orthogonal.  Both are drawn for all n
+    states and then cut to their first ``keep`` rows (all n by default).  The
+    ensembles, which read only z's first column, draw that column first instead.
     """
-    return sample_d_batch(E, m, n, rng), ginibre_batch(m, n, rng, real)
+    return sample_d_batch(E, m, n, rng)[:keep], ginibre_batch(m, n, rng, real)[:keep]
 
 
 def pure_param_blocks(

@@ -7,6 +7,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -495,6 +498,76 @@ def test_discrimination_memory_does_not_grow_with_the_shot_count():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_discrimination_draws_only_the_trials_it_keeps():
+    # K = 24: a block has BLOCK_ENTRIES // 24 = 2730 trials, and a full block
+    # of group means would take about 512 KiB; three kept trials take 576 bytes.
+    config = DiscriminationConfig(
+        probe=msc_canonical(6.0, 1),
+        channels=(LossChannel(0.5), LossChannel(0.6)),
+        delta=0.1,
+        n_samples=300,
+        trials=3,
+        seed=4,
+    )
+    assert applications._mom_groups(config.n_samples, config.delta)[0] == 24
+    run_discrimination(config)  # warm-up: the first np.median call imports numpy.ma
+    tracemalloc.start()
+    try:
+        run_discrimination(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
+
+
+@pytest.mark.parametrize(
+    "first, n_samples, expected",
+    [
+        # K = 30 groups, 3 blocks of 2184 trials, ties in the count rule.
+        (LossChannel(0.5), 200, 0.0214),
+        (IdentityChannel(), 200, 0.0166),
+        # K = 1: every shot is its own group.
+        (LossChannel(0.5), 1, 0.4158),
+        (IdentityChannel(), 1, 0.4178),
+    ],
+    ids=["loss-first-K30", "identity-first-K30", "loss-first-K1", "identity-first-K1"],
+)
+def test_discrimination_error_rates_are_pinned(first, n_samples, expected):
+    # Rates of msc(6, 1) probes, loss 0.5 against the identity in either order,
+    # recorded before the count rule replaced the median; a seeded sample
+    # that moves must bump STREAM_SCHEME.
+    second = IdentityChannel() if isinstance(first, LossChannel) else LossChannel(0.5)
+    config = DiscriminationConfig(
+        probe=msc_canonical(6.0, 1),
+        channels=(first, second),
+        delta=0.05,
+        n_samples=n_samples,
+        trials=5000,
+        seed=7,
+    )
+    assert run_discrimination(config).empirical_error == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.integers(1, 40),
+    rows=st.integers(1, 6),
+    threshold=st.sampled_from([-1.5, 0.0, 0.25, 3.0]),
+    data=st.data(),
+)
+def test_the_count_rule_is_the_median_verdict(k, rows, threshold, data):
+    # Entries mostly from a small pool that holds the threshold and its float
+    # neighbours, so rows have duplicates, entries equal to it and, for even
+    # K, exact K/2 ties whose two middle values are adjacent floats.
+    near = [threshold, np.nextafter(threshold, -np.inf), np.nextafter(threshold, np.inf)]
+    pool = st.sampled_from([*near, threshold - 1.0, threshold + 1.0, -2.0, 7.0])
+    entry = st.one_of(pool, st.floats(-10.0, 10.0))
+    row = st.lists(entry, min_size=k, max_size=k)
+    x = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
+    expected = np.median(x, axis=-1) > threshold
+    assert_array_equal(applications._median_exceeds(x, threshold), expected)
 
 
 def test_discrimination_config_validation():

@@ -208,6 +208,17 @@ def test_validate_accepts_every_exactly_valid_canonical_state(m):
     assert qfi.exact
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])
+def test_every_canonical_state_is_pure_where_its_cholesky_fails_too(m):
+    # From a trace of about 1/sqrt(eps) the smallest eigenvalue of a pure
+    # state (about 1/Tr V) is below its rounding and its Cholesky can fail;
+    # purity reads eigvalsh(S + i Omega) alone, which exists at every trace.
+    for E in np.geomspace(2.0 * m + 1.0, 1e12, 60):
+        cov = msc_canonical(E, m).cov
+        assert is_pure(cov), E
+        assert mixed_msc_check(cov, cov, cov) == (True, []), E
+
+
 @pytest.mark.parametrize("m", [1, 2, 4, 8])
 def test_mixed_check_accepts_a_decomposition_computed_two_ways(m, rng):
     # The same maximal state by two computations, rotated by one Haar orthogonal:

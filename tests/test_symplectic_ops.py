@@ -581,6 +581,32 @@ def test_haar_batches_match_properties(rng):
         assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-10)
 
 
+def test_a_last_fill_of_the_kept_rows_is_the_full_fill_cut():
+    # The discrimination block's draw rests on this: numpy's Generator fills
+    # an array in order, so after the same label draw, n rows of normals are
+    # the first n rows of a full block's.
+    size, k = 2184, 30
+    for n in (1, 7, 1000, size):
+        full_rng, kept_rng = derive_rng(5, n), derive_rng(5, n)
+        full_rng.integers(2, size=size)
+        kept_rng.integers(2, size=size)
+        kept = kept_rng.standard_normal((n, k))
+        assert kept.tobytes() == full_rng.standard_normal((size, k))[:n].tobytes()
+
+
+def test_mc_blocks_tells_each_draw_the_rows_it_keeps():
+    calls = []
+
+    def draw(rng, size, keep):
+        calls.append((size, keep))
+        return (rng.standard_normal((keep, 2)),)
+
+    blocks = list(symplectic_ops.mc_blocks(3, 25, 10, draw))
+    assert calls == [(10, 10), (10, 10), (10, 5)]
+    assert [start for start, _ in blocks] == [0, 10, 20]
+    assert [z.shape for _, (z,) in blocks] == [(10, 2), (10, 2), (5, 2)]
+
+
 @pytest.mark.parametrize("real", [True, False], ids=["orthogonal", "unitary"])
 def test_pure_draw_is_spectra_then_one_ginibre_stack(real):
     d, z = pure_draw(derive_rng(2, 0), 5, 12.0, 3, real)
