@@ -440,13 +440,67 @@ def _phase_argmax(c1: complex, c2: complex) -> complex:
 # Weight move: grid points per round, and rounds zooming in on the best point.
 _WEIGHT_GRID = 17
 _WEIGHT_ROUNDS = 6
-# Most coordinate sweeps (phase moves, then weight moves) of the refinement.
+# Most coordinate sweeps (phase moves, then one weight move) of the refinement.
 _REFINE_PASSES = 3
 # Grid on [lo, hi] as lo * _GRID_FROM_LO + hi * _GRID_FROM_HI.  The fractions
 # k/16 and 1 - k/16 are exact, so the ends are exactly lo and hi, and no grid
 # point exceeds 1 (which would make the other weights negative).
 _GRID_FROM_HI = np.linspace(0.0, 1.0, _WEIGHT_GRID)
 _GRID_FROM_LO = 1.0 - _GRID_FROM_HI
+
+
+def _moduli(half_excess: float, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``gamma = (d + 1/d)/2 - 1`` and ``sigma = (d - 1/d)/2`` of weights w (..., m)."""
+    g = half_excess * w
+    return g, np.sqrt(g * (g + 2.0))
+
+
+def _weight_move(
+    weights: np.ndarray, h: np.ndarray, half_excess: float, c0: float
+) -> tuple[np.ndarray, float] | None:
+    """The best single-weight move of ``a^T H a`` from ``weights``, if it raises c0.
+
+    Line i sets weight i to t in [0, 1] and rescales the others to share the
+    remaining 1 - t by their own directly summed rest (the total minus weight
+    i cancels when weight i is near 1); a line whose rest is 0 (m = 1, or
+    weight i alone) has no other point and is left out.  All lines are
+    zoomed together: each of the ``_WEIGHT_ROUNDS`` rounds evaluates one
+    (lines, ``_WEIGHT_GRID``, 2m) stack of ``a = (d - 1, 1/d - 1)`` against
+    H, and each line narrows its own [lo, hi] to the neighbours of its best
+    grid point.  The best point of the best line is returned (the
+    Gauss-Southwell rule), or None if no point beats c0.
+    """
+    m = len(weights)
+    rest = np.where(np.eye(m, dtype=bool), 0.0, weights).sum(axis=1)
+    lines = np.flatnonzero(rest > 0.0)
+    if not len(lines):
+        return None
+    rest, rows = rest[lines, None], np.arange(len(lines))
+    first = rows * _WEIGHT_GRID  # flat index of each line's first grid point
+    lo, hi = np.zeros(len(lines)), np.ones(len(lines))
+    points, values = [], []  # per round, each line's best grid point and value
+    for _ in range(_WEIGHT_ROUNDS):
+        t = lo[:, None] * _GRID_FROM_LO + hi[:, None] * _GRID_FROM_HI
+        w = weights * ((1.0 - t) / rest)[..., None]
+        w[rows, :, lines] = t
+        g, s = _moduli(half_excess, w)
+        a = np.concatenate([g + s, g - s], axis=-1)
+        c = ((a @ h) * a).sum(axis=-1)
+        k = first + c.argmax(axis=1)
+        t = t.ravel()
+        points.append(t[k])
+        values.append(c.ravel()[k])
+        lo, hi = t[np.maximum(k - 1, first)], t[np.minimum(k + 1, first + _WEIGHT_GRID - 1)]
+    # Each line's best round and the best line, the first of equals.
+    values = np.array(values)
+    best = values.max(axis=0)
+    j = int(best.argmax())
+    if not best[j] > c0:
+        return None
+    t = points[int(values[:, j].argmax())][j]
+    w = weights * ((1.0 - t) / rest[j, 0])  # the bytes of that round's point
+    w[lines[j]] = t
+    return w, float(best[j])
 
 
 def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcome:
@@ -461,7 +515,7 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
     X^T - X (D - 1) Y^T`` for passive unitary X + iY and ``D = diag(d)``
     (``symplectic_ops.pure_xp_block``, two batched matmuls).  The best
     sample is then refined coordinate-wise, in sweeps of per-mode phase moves
-    and then per-mode weight moves:
+    and then one weight move:
 
     * per-mode phase: turning column i by ``e^{i phi/2}`` changes the
       coherence by ``2 Re(c_1 (z - 1) + c_2 (z^2 - 1))``, ``z = e^{i phi}``,
@@ -472,20 +526,22 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
       block by a rank-one term.  The phases are reported modulo pi, in
       (-pi/2, pi/2];
     * single squeezing weight in [0, 1], the others rescaled to share the
-      rest: a grid, zoomed around its best point for a few rounds.  With the
-      phases fixed the coherence is the quadratic form ``a^T H a``,
-      ``a = (d - 1, 1/d - 1) = (gamma + sigma, gamma - sigma)`` with
-      ``gamma = (E - 2m) w / 2`` and ``sigma = sqrt(gamma (gamma + 2))`` per
-      mode, and H is built once per sweep from Gram matrices of X + iY
-      (``_gram_form``), so each round only evaluates it
-      at its grid's ``(gamma, sigma)``.
+      rest: with the phases fixed the coherence is the quadratic form
+      ``a^T H a``, ``a = (d - 1, 1/d - 1) = (gamma + sigma, gamma - sigma)``
+      with ``gamma = (E - 2m) w / 2`` and ``sigma = sqrt(gamma (gamma + 2))``
+      per mode, and H is built once per sweep from Gram matrices of X + iY
+      (``_gram_form``).  Every mode's line is gridded and zoomed around its
+      best point together, one stacked evaluation of the form per round, and
+      only the best line's best point is taken (``_weight_move``), so a sweep
+      costs ``_WEIGHT_ROUNDS`` evaluations at any m.
 
     A move is accepted only if it raises the current value; a sweep that
     accepts none ends the refinement, since the next would repeat it, and
     there are at most ``_REFINE_PASSES`` sweeps.
 
     Args:
-        E: covariance trace budget (>= 2m).
+        E: covariance trace budget (>= 2m); only E = 2m forces the vacuum,
+            reported as ``sup_c = 0`` with trial -1.
         m: mode count.
         trials: number of random samples (>= 1).
         seed: base seed.
@@ -496,7 +552,7 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
     if trials < 1:
         raise ValueError("trials must be >= 1")
     require_budget(E, m)
-    if E - 2.0 * m < 1e-15:
+    if E == 2.0 * m:
         return SearchOutcome(0.0, {"trial": -1, "note": "trace budget forces vacuum"})
 
     best_c = -1.0
@@ -517,12 +573,7 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
     cols0 = (x + 1j * y).T  # the sample's columns u_k, one per row
     cols = cols0.copy()  # the columns at the current phases
 
-    def moduli(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # gamma = (d + 1/d)/2 - 1 and sigma = (d - 1/d)/2 of weights w (..., m).
-        g = half_excess * w
-        return g, np.sqrt(g * (g + 2.0))
-
-    gamma, sigma = moduli(weights)
+    gamma, sigma = _moduli(half_excess, weights)
     v = pure_xp_block(x, y, gamma + sigma, gamma - sigma)  # of the current state
     refined_c = float(np.sum(v * v))
     for _ in range(_REFINE_PASSES):
@@ -540,32 +591,12 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
                 refined_c += gain
                 moved = True
         h = _gram_form(cols.real.T, cols.imag.T)  # of the current phases
-        weights_moved = False
-        for i in range(m):
-            # Weight i set to t, the others rescaled to share the remaining 1 - t.
-            # Summed directly: weights.sum() - weights[i] cancels when weight i is near 1.
-            rest = np.delete(weights, i).sum()
-            if rest <= 0.0:
-                continue  # m = 1 or no other weight: no new candidate, and t = 0 sums to 0
-            lo, hi = 0.0, 1.0
-            best_w, best_wc = None, refined_c
-            for _ in range(_WEIGHT_ROUNDS):
-                t = lo * _GRID_FROM_LO + hi * _GRID_FROM_HI
-                w = weights * ((1.0 - t) / rest)[:, None]
-                w[:, i] = t
-                g, s = moduli(w)
-                a = np.concatenate([g + s, g - s], axis=1)  # (d - 1, 1/d - 1)
-                c = ((a @ h) * a).sum(axis=1)
-                k = int(c.argmax())
-                if c[k] > best_wc:
-                    best_w, best_wc = w[k], float(c[k])
-                lo, hi = t[max(k - 1, 0)], t[min(k + 1, _WEIGHT_GRID - 1)]
-            if best_w is not None:
-                weights, refined_c, weights_moved = best_w, best_wc, True
-        if weights_moved:
-            gamma, sigma = moduli(weights)
+        move = _weight_move(weights, h, half_excess, refined_c)
+        if move is not None:
+            weights, refined_c = move
+            gamma, sigma = _moduli(half_excess, weights)
             v = pure_xp_block(cols.real.T, cols.imag.T, gamma + sigma, gamma - sigma)
-        if not (moved or weights_moved):
+        if not moved and move is None:
             break
     sup_c = max(best_c, refined_c)
     return SearchOutcome(

@@ -347,7 +347,7 @@ def haar_moment_check(m: int, n_samples: int, rng: np.random.Generator) -> list[
     for kind in KINDS:
 
         def draw(block_rng: np.random.Generator, size: int, keep: int) -> tuple:
-            return (ginibre_batch(m, size, block_rng, real=kind == "orthogonal")[:keep],)
+            return (ginibre_batch(m, size, block_rng, real=kind == "orthogonal", keep=keep),)
 
         blocks = mc_blocks(int(rng.integers(2**63)), n_samples, block_samples(m), draw)
         first_rows = np.concatenate([haar_from_ginibre(z)[:, 0, :] for _, (z,) in blocks])

@@ -416,7 +416,12 @@ def haar_unitary(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarr
 
 
 def ginibre_batch(
-    m: int, n: int, rng: np.random.Generator, real: bool, columns: int | None = None
+    m: int,
+    n: int,
+    rng: np.random.Generator,
+    real: bool,
+    columns: int | None = None,
+    keep: int | None = None,
 ) -> np.ndarray:
     """Stack of ``n`` Ginibre draws (n x m x columns) with i.i.d. entries of unit variance.
 
@@ -424,16 +429,20 @@ def ginibre_batch(
     ``haar_from_ginibre`` factors; fewer columns draw the leading columns of
     a matrix, and a later call on the same generator can draw the rest.
     Real standard normals, or complex ``(g1 + i g2) / sqrt(2)`` with the real
-    parts drawn before the imaginary ones.
+    parts drawn before the imaginary ones.  With ``keep`` only the first
+    ``keep`` draws are returned, and the last fill (the real stack, or the
+    imaginary parts) stops there; the generator fills in order, so they have
+    the bytes of the whole stack's first ``keep`` draws.
     """
     shape = (n, m, m if columns is None else columns)
+    kept = (n if keep is None else keep,) + shape[1:]
     if real:
-        return rng.standard_normal(shape)
+        return rng.standard_normal(kept)
     # Filled in place to save temporaries; the values are bit for bit those of
     # (g1 + 1j * g2) / sqrt(2), which the samples' streams rely on.
-    z = np.empty(shape, dtype=complex)
-    z.real = rng.standard_normal(shape)
-    z.imag = rng.standard_normal(shape)
+    z = np.empty(kept, dtype=complex)
+    z.real = rng.standard_normal(shape)[: kept[0]]
+    z.imag = rng.standard_normal(kept)
     z /= np.sqrt(2.0)
     return z
 
@@ -466,11 +475,13 @@ def pure_draw(
     The layout of a block of whole pure states (an ``mc_blocks`` draw once
     E, m, real are bound): spectra d (``sample_d_batch``), then one square
     Ginibre stack z (``ginibre_batch``), real iff the passive gates
-    ``haar_from_ginibre(z)`` are to be orthogonal.  Both are drawn for all n
-    states and then cut to their first ``keep`` rows (all n by default).  The
-    ensembles, which read only z's first column, draw that column first instead.
+    ``haar_from_ginibre(z)`` are to be orthogonal.  The spectra (and a
+    complex stack's real parts) are drawn for all n states and cut to their
+    first ``keep`` rows (all n by default); the last fill, the real stack or
+    the imaginary parts, stops at ``keep``.  The ensembles, which read only
+    z's first column, draw that column first instead.
     """
-    return sample_d_batch(E, m, n, rng)[:keep], ginibre_batch(m, n, rng, real)[:keep]
+    return sample_d_batch(E, m, n, rng)[:keep], ginibre_batch(m, n, rng, real, keep=keep)
 
 
 def pure_param_blocks(

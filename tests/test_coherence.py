@@ -45,8 +45,13 @@ from sympcoh import (
 )
 from sympcoh import coherence
 from sympcoh.coherence import (
+    _GRID_FROM_HI,
+    _GRID_FROM_LO,
+    _WEIGHT_GRID,
+    _WEIGHT_ROUNDS,
     MscSpec,
     _gram_form,
+    _moduli,
     _phase_argmax,
     _phase_coefficients,
 )
@@ -650,6 +655,107 @@ def test_search_builds_one_form_per_sweep(monkeypatch):
     numeric_max_search(24.0, 4, trials=300, seed=1)
     assert 1 <= len(shapes) <= coherence._REFINE_PASSES
     assert all(shape == (4, 4) for shape in shapes)
+
+
+def weight_move_line_by_line(weights, h, half_excess, c0):
+    """The weight move zoomed one line at a time, each from the same weights.
+
+    Line i sets weight i to t and rescales the others by their own sum, and
+    its grid is zoomed around its best point for ``_WEIGHT_ROUNDS`` rounds;
+    the best point of the best line is returned if it beats c0, else None.
+    """
+    best = None, c0
+    for i in range(len(weights)):
+        rest = np.delete(weights, i).sum()
+        if rest <= 0.0:
+            continue
+        lo, hi = 0.0, 1.0
+        best_w, best_wc = None, c0
+        for _ in range(_WEIGHT_ROUNDS):
+            t = lo * _GRID_FROM_LO + hi * _GRID_FROM_HI
+            w = weights * ((1.0 - t) / rest)[:, None]
+            w[:, i] = t
+            g, s = _moduli(half_excess, w)
+            a = np.concatenate([g + s, g - s], axis=1)
+            c = ((a @ h) * a).sum(axis=1)
+            k = int(c.argmax())
+            if c[k] > best_wc:
+                best_w, best_wc = w[k], float(c[k])
+            lo, hi = t[max(k - 1, 0)], t[min(k + 1, _WEIGHT_GRID - 1)]
+        if best_w is not None and best_wc > best[1]:
+            best = best_w, best_wc
+    return None if best[0] is None else best
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 16])
+def test_stacked_weight_move_matches_the_line_by_line_zoom(m):
+    rng = np.random.default_rng(100 + m)
+    _, xs, ys, _ = next(pure_param_blocks(5, 8, 4.0 * m + 8.0, m, False))
+    for x, y in zip(xs, ys):
+        h = _gram_form(x, y)
+        for half_excess in (1e-9, 4.0, 1e6):
+            g = rng.standard_normal(m) ** 2
+            g[rng.random(m) < 0.2] = 0.0  # some lines rescale zero weights
+            for weights in (g / g.sum() if g.any() else np.eye(m)[0], np.eye(m)[m - 1]):
+                gamma, sigma = _moduli(half_excess, weights)
+                a = np.concatenate([gamma + sigma, gamma - sigma])
+                c0 = float(a @ h @ a)
+                for start in (c0, 0.5 * c0, 2.0 * c0 + 1.0):
+                    want = weight_move_line_by_line(weights, h, half_excess, start)
+                    got = coherence._weight_move(weights, h, half_excess, start)
+                    if want is None:
+                        assert got is None
+                        continue
+                    assert got[1] == pytest.approx(want[1], rel=1e-15, abs=0)
+                    assert_allclose(got[0], want[0], rtol=1e-15, atol=0)
+
+
+class CountingForm(np.ndarray):
+    """A quadratic form that counts the products ``a @ H`` taken with it."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.products += 1
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+@pytest.mark.parametrize("m", [2, 8])
+def test_weight_move_evaluates_one_stack_per_round(m, monkeypatch):
+    # Every line of a sweep is zoomed in the same stacked evaluation, so a
+    # sweep takes _WEIGHT_ROUNDS products with its form, not that many per mode.
+    forms = []
+    gram_form = coherence._gram_form
+
+    def counting(x, y):
+        forms.append(gram_form(x, y).view(CountingForm))
+        return forms[-1]
+
+    monkeypatch.setattr(coherence, "_gram_form", counting)
+    numeric_max_search(4.0 * m + 8.0, m, trials=200, seed=0)
+    assert forms
+    assert all(0 < form.products <= _WEIGHT_ROUNDS for form in forms)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])
+@pytest.mark.parametrize("ulps", [1, 2])
+def test_search_just_above_the_minimum_budget(m, ulps):
+    # Only E = 2m forces the vacuum; an ulp or two above it the search still
+    # finds a squeezed state, with weights summing to 1 and no warning.
+    E = 2.0 * m
+    for _ in range(ulps):
+        E = float(np.nextafter(E, np.inf))
+    c_max = max_symplectic_coherence(E, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome = numeric_max_search(E, m, trials=30, seed=0)
+    weights = np.asarray(outcome.argmax["weights"])
+    assert np.all(np.isfinite(weights)) and np.all(weights >= 0.0)
+    assert abs(weights.sum() - 1.0) <= 2 * m * np.finfo(float).eps
+    assert 0.5 * c_max < outcome.sup_c <= c_max * (1.0 + 1e-12)
+    if m == 1:
+        assert outcome.sup_c == pytest.approx(c_max, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("m, bound", [(2, 0.0100), (4, 0.0445), (8, 0.0460)])

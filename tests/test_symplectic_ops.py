@@ -615,6 +615,23 @@ def test_pure_draw_is_spectra_then_one_ginibre_stack(real):
     assert z.tobytes() == ginibre_batch(3, 5, ref_rng, real).tobytes()
 
 
+@pytest.mark.parametrize("real", [True, False], ids=["orthogonal", "unitary"])
+def test_pure_draw_fills_its_last_stack_only_to_keep(real):
+    # The spectra and a complex stack's real parts are drawn for the whole
+    # block; the last fill stops at keep, with the full draw's bytes.
+    m, E = 8, 40.0
+    n = block_samples(m)
+    d_all, z_all = pure_draw(derive_rng(9, 0), n, E, m, real)
+    for keep in (1, 30, n):
+        rng = derive_rng(9, 0)
+        d, z = pure_draw(rng, n, E, m, real, keep=keep)
+        assert d.tobytes() == d_all[:keep].tobytes()
+        assert z.tobytes() == z_all[:keep].tobytes()
+        # The next normal of the stream follows the keep rows of the last fill.
+        drawn = n * m + (0 if real else n * m * m) + keep * m * m
+        assert rng.standard_normal() == derive_rng(9, 0).standard_normal(drawn + 1)[-1]
+
+
 @pytest.mark.parametrize("m", [1, 3, 16])
 @pytest.mark.parametrize("orthogonal", [True, False], ids=["orthogonal", "unitary"])
 def test_pure_param_blocks_are_full_block_draws_cut_at_n(m, orthogonal):
