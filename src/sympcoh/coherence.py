@@ -10,7 +10,6 @@ under tensor products, and bounded at fixed trace by
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -365,49 +364,24 @@ class SearchOutcome(NamedTuple):
     argmax: dict
 
 
-def _gram_form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Quadratic form of the coherence of pure states with passive unitary X + iY.
+def _gram_squares(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(|G|^2, G o G)`` elementwise, of ``G = U^T U`` for passive unitary U = X + iY."""
+    u = x + 1j * y
+    g = u.T @ u
+    return (g * g.conj()).real, g * g
 
-    Takes (..., m, m) stacks and returns symmetric (..., 2m, 2m) matrices
-    ``H = [[G1, -G2], [-G2, G1]]`` with ``G1 = (X^T X) o (Y^T Y)`` and
-    ``G2 = (X^T Y) o (X^T Y)^T`` (``o`` elementwise), so that the state of
-    spectrum d has coherence ``a^T H a``, ``a = (d - 1, 1/d - 1)``.
-    ``y = 0`` gives ``H = 0`` exactly.
 
-    For a pure state, ``V_xp = Y D^-1 X^T - X D Y^T`` with ``D = diag(d)``.
-    Unitarity of X + iY makes ``Y X^T = X Y^T``, so
-    ``V_xp = Y (D^-1 - 1) X^T - X (D - 1) Y^T``, whose squared norm is the
-    form in ``a``.  Shifting by 1 keeps ``a`` free of the cancellation that
-    the full blocks suffer near the vacuum (d -> 1).
+def _gram_coherence(
+    gamma: np.ndarray, sigma: np.ndarray, gram_abs: np.ndarray, gram_re: np.ndarray
+) -> np.ndarray:
+    """Coherence of pure states of one passive unitary at fixed phases, for (..., m) moduli.
+
+    ``1/2 [sum(gamma^2 + sigma^2) - gamma^T |G|^2 gamma - sigma^T Re(G o G o z z^T) sigma]``
+    with ``gram_abs = |G|^2`` and ``gram_re = Re(G o G o z z^T)`` at the phases
+    ``z_k = e^{2i theta_k}`` (the identity of ``numeric_max_search``).
     """
-    xt = np.swapaxes(x, -1, -2)
-    g1 = (xt @ x) * (np.swapaxes(y, -1, -2) @ y)
-    xty = xt @ y
-    g2 = -(xty * np.swapaxes(xty, -1, -2))
-    return np.concatenate(
-        [np.concatenate([g1, g2], axis=-1), np.concatenate([g2, g1], axis=-1)], axis=-2
-    )
-
-
-def _phase_coefficients(
-    v: np.ndarray, u: np.ndarray, sigma: float
-) -> tuple[complex, complex]:
-    """Fourier coefficients of the coherence along one mode's phase.
-
-    With squeezing ``gamma = (d + 1/d)/2 - 1`` and ``sigma = sqrt(gamma (gamma
-    + 2))`` per mode, ``V_xp = sum_k gamma_k A_k - sigma_k S_k`` where
-    ``A_k = y_k x_k^T - x_k y_k^T`` and ``S_k = Im(u_k u_k^T)`` for the
-    columns ``u_k = x_k + i y_k``.  Turning column u (of squeezing sigma)
-    to ``e^{i phi/2} u`` leaves its ``A`` alone and moves V to
-    ``V + sigma Im((1 - z) u u^T)``, ``z = e^{i phi}``, so the coherence is
-    ``c(phi) = c_0 + 2 Re(c_1 z + c_2 z^2)``.  Returns ``(c_1, c_2)`` from the
-    current block v: ``c_1 = i sigma p``, ``c_2 = -sigma^2 q^2 / 4`` with
-    ``q = u^T u`` and ``p = u^T v u + sigma (q^2 - |u|^4) / (2i)``.
-    """
-    q = complex(u @ u)
-    n2 = float(np.vdot(u, u).real)
-    p = complex(u @ (v @ u)) - 0.5j * sigma * (q * q - n2 * n2)
-    return 1j * sigma * p, -0.25 * sigma * sigma * q * q
+    quad = ((gamma @ gram_abs) * gamma).sum(axis=-1) + ((sigma @ gram_re) * sigma).sum(axis=-1)
+    return 0.5 * ((gamma * gamma + sigma * sigma).sum(axis=-1) - quad)
 
 
 # Companion matrix of a monic quartic: ones below the diagonal, coefficients
@@ -456,18 +430,18 @@ def _moduli(half_excess: float, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _weight_move(
-    weights: np.ndarray, h: np.ndarray, half_excess: float, c0: float
+    weights: np.ndarray, gram_abs: np.ndarray, gram_re: np.ndarray, half_excess: float, c0: float
 ) -> tuple[np.ndarray, float] | None:
-    """The best single-weight move of ``a^T H a`` from ``weights``, if it raises c0.
+    """The best single-weight move of ``_gram_coherence`` from ``weights``, if it raises c0.
 
     Line i sets weight i to t in [0, 1] and rescales the others to share the
     remaining 1 - t by their own directly summed rest (the total minus weight
     i cancels when weight i is near 1); a line whose rest is 0 (m = 1, or
     weight i alone) has no other point and is left out.  All lines are
     zoomed together: each of the ``_WEIGHT_ROUNDS`` rounds evaluates one
-    (lines, ``_WEIGHT_GRID``, 2m) stack of ``a = (d - 1, 1/d - 1)`` against
-    H, and each line narrows its own [lo, hi] to the neighbours of its best
-    grid point.  The best point of the best line is returned (the
+    (lines, ``_WEIGHT_GRID``, m) stack of moduli at the fixed phases, and
+    each line narrows its own [lo, hi] to the neighbours of its best grid
+    point.  The best point of the best line is returned (the
     Gauss-Southwell rule), or None if no point beats c0.
     """
     m = len(weights)
@@ -483,9 +457,7 @@ def _weight_move(
         t = lo[:, None] * _GRID_FROM_LO + hi[:, None] * _GRID_FROM_HI
         w = weights * ((1.0 - t) / rest)[..., None]
         w[rows, :, lines] = t
-        g, s = _moduli(half_excess, w)
-        a = np.concatenate([g + s, g - s], axis=-1)
-        c = ((a @ h) * a).sum(axis=-1)
+        c = _gram_coherence(*_moduli(half_excess, w), gram_abs, gram_re)
         k = first + c.argmax(axis=1)
         t = t.ravel()
         points.append(t[k])
@@ -513,27 +485,37 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
     seed.  No covariance matrix is built: each block of samples is scored by
     the squared norm of its position-momentum blocks, ``V_xp = Y (D^-1 - 1)
     X^T - X (D - 1) Y^T`` for passive unitary X + iY and ``D = diag(d)``
-    (``symplectic_ops.pure_xp_block``, two batched matmuls).  The best
-    sample is then refined coordinate-wise, in sweeps of per-mode phase moves
-    and then one weight move:
+    (``symplectic_ops.pure_xp_block``, two batched matmuls).
 
-    * per-mode phase: turning column i by ``e^{i phi/2}`` changes the
-      coherence by ``2 Re(c_1 (z - 1) + c_2 (z^2 - 1))``, ``z = e^{i phi}``,
-      with ``c_1``, ``c_2`` from two O(m^2) contractions of the current block
-      (``_phase_coefficients``).  The global maximum over phi is taken at the
-      unit-circle roots of a quartic, found as the eigenvalues of its 4 x 4
-      companion matrix (``_phase_argmax``), and an accepted move updates the
-      block by a rank-one term.  The phases are reported modulo pi, in
-      (-pi/2, pi/2];
+    The best sample is then refined on one identity.  With ``gamma = (d +
+    1/d)/2 - 1`` and ``sigma = (d - 1/d)/2`` per mode, and column k of U turned
+    by ``e^{i theta_k}``, ``V_xp = Im(U Gamma U^H) - Im(U W U^T)`` with
+    ``Gamma = diag(gamma)``, ``W = diag(w)`` and ``w_k = sigma_k z_k``, ``z_k =
+    e^{2i theta_k}``: an antisymmetric plus a symmetric matrix, orthogonal in
+    the Frobenius product, so unitarity gives
+
+        c = 1/2 [sum(gamma^2 + sigma^2) - gamma^T |G|^2 gamma - Re w^T (G o G) w]
+
+    for ``G = U^T U`` of the sample (``o`` elementwise).  ``|G|^2`` and ``G o
+    G`` are built once per search (``_gram_squares``), and the refinement
+    carries only the weights and z, in sweeps of per-mode phase moves and then
+    one weight move:
+
+    * per-mode phase: turning z_k by zeta changes the coherence by ``Re(c_1
+      (zeta - 1) + c_2 (zeta^2 - 1))`` with ``c_1 = -w_k sum_{l != k} w_l
+      G_kl^2`` and ``c_2 = -w_k^2 G_kk^2 / 2``, O(m) from one row of ``G o
+      G``.  The global maximum over zeta is taken at the unit-circle roots of
+      a quartic, found as the eigenvalues of its 4 x 4 companion matrix
+      (``_phase_argmax``).  The phases are reported as ``theta = arg(z)/2``,
+      in (-pi/2, pi/2];
     * single squeezing weight in [0, 1], the others rescaled to share the
-      rest: with the phases fixed the coherence is the quadratic form
-      ``a^T H a``, ``a = (d - 1, 1/d - 1) = (gamma + sigma, gamma - sigma)``
-      with ``gamma = (E - 2m) w / 2`` and ``sigma = sqrt(gamma (gamma + 2))``
-      per mode, and H is built once per sweep from Gram matrices of X + iY
-      (``_gram_form``).  Every mode's line is gridded and zoomed around its
-      best point together, one stacked evaluation of the form per round, and
-      only the best line's best point is taken (``_weight_move``), so a sweep
-      costs ``_WEIGHT_ROUNDS`` evaluations at any m.
+      rest: ``gamma = (E - 2m) w / 2`` and ``sigma = sqrt(gamma (gamma + 2))``
+      per mode, and at the fixed phases the identity reads ``sigma^T Re(G o
+      G o z z^T) sigma`` in its last term (``_gram_coherence``).  Every
+      mode's line is gridded and zoomed around its best point together, one
+      stacked evaluation of the identity per round, and only the best line's
+      best point is taken (``_weight_move``), so a sweep costs
+      ``_WEIGHT_ROUNDS`` evaluations at any m.
 
     A move is accepted only if it raises the current value; a sweep that
     accepts none ends the refinement, since the next would repeat it, and
@@ -569,35 +551,32 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
     half_excess = 0.5 * (E - 2.0 * m)
     weights = np.clip((d + 1.0 / d - 2.0) / (2.0 * half_excess), 0.0, None)
     weights = weights / weights.sum()
-    theta = np.zeros(m)
-    cols0 = (x + 1j * y).T  # the sample's columns u_k, one per row
-    cols = cols0.copy()  # the columns at the current phases
-
+    gram_abs, gram_sq = _gram_squares(x, y)
+    z = np.ones(m, dtype=complex)  # e^{2i theta}, one per mode
     gamma, sigma = _moduli(half_excess, weights)
-    v = pure_xp_block(x, y, gamma + sigma, gamma - sigma)  # of the current state
-    refined_c = float(np.sum(v * v))
+    w = sigma * z
+    refined_c = float(_gram_coherence(gamma, sigma, gram_abs, gram_sq.real))
     for _ in range(_REFINE_PASSES):
         moved = False
-        for i in range(m):
-            c1, c2 = _phase_coefficients(v, cols[i], float(sigma[i]))
-            z = _phase_argmax(c1, c2)
-            gain = 2.0 * (c1 * (z - 1.0) + c2 * (z * z - 1.0)).real
+        for k in range(m):
+            c2 = -0.5 * complex(w[k] * w[k] * gram_sq[k, k])
+            c1 = -complex(w[k] * (gram_sq[k] @ w)) - 2.0 * c2  # the sum over l != k
+            zeta = _phase_argmax(c1, c2)
+            gain = (c1 * (zeta - 1.0) + c2 * (zeta * zeta - 1.0)).real
             if gain > 0.0:
-                v += sigma[i] * np.outer((1.0 - z) * cols[i], cols[i]).imag
-                # Phases matter modulo pi: keep theta in (-pi/2, pi/2].
-                th = (theta[i] + 0.5 * cmath.phase(z)) % np.pi
-                theta[i] = th - np.pi if th > 0.5 * np.pi else th
-                cols[i] = cols0[i] * cmath.exp(1j * theta[i])
+                z[k] *= zeta
+                w[k] *= zeta
                 refined_c += gain
                 moved = True
-        h = _gram_form(cols.real.T, cols.imag.T)  # of the current phases
-        move = _weight_move(weights, h, half_excess, refined_c)
+        gram_re = (gram_sq * np.outer(z, z)).real  # of the current phases
+        move = _weight_move(weights, gram_abs, gram_re, half_excess, refined_c)
         if move is not None:
             weights, refined_c = move
-            gamma, sigma = _moduli(half_excess, weights)
-            v = pure_xp_block(cols.real.T, cols.imag.T, gamma + sigma, gamma - sigma)
+            w = _moduli(half_excess, weights)[1] * z
         if not moved and move is None:
             break
+    arg = np.angle(z)
+    theta = 0.5 * np.where(arg == -np.pi, np.pi, arg)
     sup_c = max(best_c, refined_c)
     return SearchOutcome(
         sup_c,

@@ -8,6 +8,7 @@ full passive family ``S = [[X, Y], [-Y, X]]``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Iterable
@@ -358,15 +359,20 @@ def haar_moment_check(m: int, n_samples: int, rng: np.random.Generator) -> list[
 def entanglement_entropy(nu: float) -> float:
     """Entropy of a symplectic eigenvalue.
 
-    ``h(nu) = ((nu+1)/2) ln((nu+1)/2) - ((nu-1)/2) ln((nu-1)/2)`` with the
-    analytic limit h(1) = 0.
+    ``h(nu) = up ln(up) - dn ln(dn)`` with ``dn = (nu - 1)/2``, ``up = dn + 1``
+    and the analytic limit h(1) = 0.  It is evaluated as ``up log1p(dn) - dn
+    ln(dn)`` for dn < 1 and ``up log1p(1/dn) + ln(dn)`` for dn >= 1, where
+    both terms are nonnegative, so nothing cancels.
 
     Args:
         nu: symplectic eigenvalue, must be >= 1.
     """
     if nu < 1.0:
         raise ValueError(f"symplectic eigenvalue must be >= 1, got {nu}")
-    if nu - 1.0 < 1e-12:
+    dn = (nu - 1.0) / 2.0
+    if dn == 0.0:
         return 0.0
-    up, down = (nu + 1.0) / 2.0, (nu - 1.0) / 2.0
-    return float(up * np.log(up) - down * np.log(down))
+    up = dn + 1.0
+    if dn < 1.0:
+        return up * math.log1p(dn) - dn * math.log(dn)
+    return up * math.log1p(1.0 / dn) + math.log(dn)

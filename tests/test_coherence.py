@@ -50,10 +50,10 @@ from sympcoh.coherence import (
     _WEIGHT_GRID,
     _WEIGHT_ROUNDS,
     MscSpec,
-    _gram_form,
+    _gram_coherence,
+    _gram_squares,
     _moduli,
     _phase_argmax,
-    _phase_coefficients,
 )
 from sympcoh.symplectic_ops import (
     pure_cm,
@@ -536,45 +536,68 @@ def test_search_never_beats_closed_form(rng):
         assert outcome.sup_c <= max_symplectic_coherence(E, m) + 1e-6
 
 
+def norm_sq(v: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a (..., n, n) stack."""
+    return np.einsum("...ij,...ij->...", v, v)
+
+
 def qp_norm_sq(v: np.ndarray) -> np.ndarray:
     """Squared norm of the position-momentum blocks of a (..., 2m, 2m) stack."""
     m = v.shape[-1] // 2
-    return np.einsum("...ij,...ij->...", v[..., :m, m:], v[..., :m, m:])
+    return norm_sq(v[..., :m, m:])
 
 
-def gram_coherence(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """``a^T H a`` with ``H = _gram_form(x, y)`` and ``a = (d - 1, 1/d - 1)``.
+def identity_coherence(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The coherence of each sample by the identity in ``G = U^T U``, at z = 1.
 
-    ``1/d - 1`` is formed as ``-(d - 1)/d``, which does not cancel near d = 1.
+    ``gamma`` and ``sigma`` are formed from ``d - 1`` and ``1/d - 1 = -(d - 1)/d``,
+    which do not cancel near d = 1.
     """
     alpha = d - 1.0
-    a = np.concatenate([alpha, -alpha / d], axis=-1)
-    return np.einsum("...i,...i->...", (a[..., None, :] @ _gram_form(x, y))[..., 0, :], a)
+    beta = -alpha / d
+    gamma, sigma = 0.5 * (alpha + beta), 0.5 * (alpha - beta)
+    out = []
+    for xk, yk, g, s in zip(x, y, gamma, sigma):
+        gram_abs, gram_sq = _gram_squares(xk, yk)
+        out.append(_gram_coherence(g, s, gram_abs, gram_sq.real))
+    return np.array(out)
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
-def test_gram_form_matches_the_covariance_blocks(m):
-    # Near the vacuum the covariance blocks cancel down to ~sqrt(E - 2m) and
-    # lose digits (the shifted form does not), so the two agree less closely.
-    for E, rel in [
-        (2 * m + 1e-9, 1e-9),
-        (2 * m + 1e-6, 1e-9),
-        (4 * m + 8, 1e-12),
-        (1e3, 1e-12),
-        (1e8, 1e-12),
-    ]:
+def test_gram_identity_matches_the_covariance_blocks(m):
+    # The identity is a difference of terms of the size of c_max, so it holds
+    # to a multiple of c_max, not of each value (an m = 1 sample of small c
+    # differs by up to ~1e-10 of its own).  pure_xp_block's shifted blocks
+    # meet that bound at every trace; near the vacuum pure_cm's blocks cancel
+    # down to ~sqrt(E - 2m) and lose digits, so there they keep 1e-9 relative.
+    for E in (2 * m + 1e-9, 2 * m + 1e-6, 4 * m + 8, 1e3, 1e8, 1e12):
+        bound = 1e-14 * max_symplectic_coherence(E, m)
         for _, x, y, d in pure_param_blocks(11, 64, E, m, False):
-            assert_allclose(
-                gram_coherence(x, y, d), qp_norm_sq(pure_cm(x, y, d)), rtol=rel, atol=0
-            )
-        _, x, y, d = next(pure_param_blocks(11, 64, E, m, True))
-        assert not np.any(y)
-        assert np.all(gram_coherence(x, y, d) == 0.0)
+            got = identity_coherence(x, y, d)
+            alpha = d - 1.0
+            shifted = norm_sq(pure_xp_block(x, y, alpha, -alpha / d))
+            assert_allclose(got, shifted, rtol=0, atol=bound)
+            full = qp_norm_sq(pure_cm(x, y, d))
+            if E >= 4 * m + 8:
+                assert_allclose(got, full, rtol=0, atol=bound)
+            else:
+                assert_allclose(got, full, rtol=1e-9, atol=0)
 
 
-@pytest.mark.parametrize("m", [1, 2, 4, 8])
-def test_search_argmax_reproduces_its_value(m):
-    E = 4.0 * m + 8.0
+SEARCH_TRACES = {
+    "4m+8": lambda m: 4.0 * m + 8.0,
+    "2m+1e-6": lambda m: 2.0 * m + 1e-6,
+    "1e8": lambda m: 1e8,
+    "1e12": lambda m: 1e12,
+}
+
+
+@pytest.mark.parametrize("trace", list(SEARCH_TRACES))
+@pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
+def test_search_argmax_reproduces_its_value(m, trace):
+    # The reference is the shifted block of pure_xp_block: the covariance
+    # blocks of pure_cm lose about 8e-13 of the value at large trace.
+    E = SEARCH_TRACES[trace](m)
     for seed in range(5):
         outcome = numeric_max_search(E, m, trials=200, seed=seed)
         where = outcome.argmax
@@ -584,7 +607,8 @@ def test_search_argmax_reproduces_its_value(m):
                 break
         u = u * np.exp(1j * np.asarray(where["theta"]))
         d = spectrum_from_weights(E, np.asarray(where["weights"]))
-        value = symplectic_coherence(CovMat(pure_cm(u.real, u.imag, d)))
+        alpha = d - 1.0
+        value = float(norm_sq(pure_xp_block(u.real, u.imag, alpha, -alpha / d)))
         assert value == pytest.approx(where["refined_coherence"], rel=1e-12, abs=0)
         assert outcome.sup_c == max(where["sample_coherence"], where["refined_coherence"])
 
@@ -606,6 +630,17 @@ def test_xp_block_matches_the_covariance_blocks(m):
             alpha = d - 1.0
             v = pure_xp_block(x, y, alpha, -alpha / d)
             assert_allclose(v, pure_cm(x, y, d)[..., :m, m:], rtol=0, atol=1e-12 * E)
+        _, x, y, d = next(pure_param_blocks(11, 64, E, m, True))
+        assert not np.any(y)
+        alpha = d - 1.0
+        assert np.all(pure_xp_block(x, y, alpha, -alpha / d) == 0.0)
+
+
+def phase_coefficients(gram_sq: np.ndarray, w: np.ndarray, k: int) -> tuple[complex, complex]:
+    """``c_1 = -w_k sum_{l != k} w_l G_kl^2`` and ``c_2 = -w_k^2 G_kk^2 / 2``."""
+    others = np.delete(np.arange(len(w)), k)
+    c1 = -w[k] * (gram_sq[k, others] @ w[others])
+    return complex(c1), complex(-0.5 * w[k] * w[k] * gram_sq[k, k])
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8])
@@ -616,15 +651,15 @@ def test_phase_move_closed_form_is_exact(m):
         _, xs, ys, ds = next(pure_param_blocks(17, 3, E, m, False))
         for x, y, d in zip(xs, ys, ds):
             u = x + 1j * y
-            v = pure_cm(x, y, d)[:m, m:]
-            c0 = float(np.sum(v * v))
-            sigma = (d - 1.0 / d) / 2.0
+            c0 = float(qp_norm_sq(pure_cm(x, y, d)))
+            _, gram_sq = _gram_squares(x, y)
+            w = (d - 1.0 / d) / 2.0 + 0j  # sigma z at the sample's phases, z = 1
             for i in range(m):
-                c1, c2 = _phase_coefficients(v, u[:, i], float(sigma[i]))
+                c1, c2 = phase_coefficients(gram_sq, w, i)
 
                 def closed(phi):
                     z = np.exp(1j * phi)
-                    return c0 + 2.0 * (c1 * (z - 1.0) + c2 * (z * z - 1.0)).real
+                    return c0 + (c1 * (z - 1.0) + c2 * (z * z - 1.0)).real
 
                 # Column i turned by e^{i phi/2}, built and measured explicitly.
                 turned = np.repeat(u[None], len(phis), axis=0)
@@ -641,23 +676,22 @@ def test_phase_move_closed_form_is_exact(m):
                 assert best >= closed(grid).max() * (1.0 - 1e-12)
 
 
-def test_search_builds_one_form_per_sweep(monkeypatch):
-    # Sampling scores V_xp directly and the phase moves work on the block, so
-    # only the weight moves use the quadratic form, one per sweep.
+def test_search_builds_its_forms_once_per_search(monkeypatch):
+    # Sampling scores V_xp directly; the refinement's phase and weight moves
+    # all read |G|^2 and G o G of the best sample, built once.
     shapes = []
-    gram_form = coherence._gram_form
+    gram_squares = coherence._gram_squares
 
     def counting(x, y):
         shapes.append(x.shape)
-        return gram_form(x, y)
+        return gram_squares(x, y)
 
-    monkeypatch.setattr(coherence, "_gram_form", counting)
+    monkeypatch.setattr(coherence, "_gram_squares", counting)
     numeric_max_search(24.0, 4, trials=300, seed=1)
-    assert 1 <= len(shapes) <= coherence._REFINE_PASSES
-    assert all(shape == (4, 4) for shape in shapes)
+    assert shapes == [(4, 4)]
 
 
-def weight_move_line_by_line(weights, h, half_excess, c0):
+def weight_move_line_by_line(weights, gram_abs, gram_re, half_excess, c0):
     """The weight move zoomed one line at a time, each from the same weights.
 
     Line i sets weight i to t and rescales the others by their own sum, and
@@ -675,9 +709,7 @@ def weight_move_line_by_line(weights, h, half_excess, c0):
             t = lo * _GRID_FROM_LO + hi * _GRID_FROM_HI
             w = weights * ((1.0 - t) / rest)[:, None]
             w[:, i] = t
-            g, s = _moduli(half_excess, w)
-            a = np.concatenate([g + s, g - s], axis=1)
-            c = ((a @ h) * a).sum(axis=1)
+            c = _gram_coherence(*_moduli(half_excess, w), gram_abs, gram_re)
             k = int(c.argmax())
             if c[k] > best_wc:
                 best_w, best_wc = w[k], float(c[k])
@@ -692,17 +724,17 @@ def test_stacked_weight_move_matches_the_line_by_line_zoom(m):
     rng = np.random.default_rng(100 + m)
     _, xs, ys, _ = next(pure_param_blocks(5, 8, 4.0 * m + 8.0, m, False))
     for x, y in zip(xs, ys):
-        h = _gram_form(x, y)
+        gram_abs, gram_sq = _gram_squares(x, y)
+        z = np.exp(1j * rng.uniform(-np.pi, np.pi, m))
+        gram_re = (gram_sq * np.outer(z, z)).real
         for half_excess in (1e-9, 4.0, 1e6):
             g = rng.standard_normal(m) ** 2
             g[rng.random(m) < 0.2] = 0.0  # some lines rescale zero weights
             for weights in (g / g.sum() if g.any() else np.eye(m)[0], np.eye(m)[m - 1]):
-                gamma, sigma = _moduli(half_excess, weights)
-                a = np.concatenate([gamma + sigma, gamma - sigma])
-                c0 = float(a @ h @ a)
+                c0 = float(_gram_coherence(*_moduli(half_excess, weights), gram_abs, gram_re))
                 for start in (c0, 0.5 * c0, 2.0 * c0 + 1.0):
-                    want = weight_move_line_by_line(weights, h, half_excess, start)
-                    got = coherence._weight_move(weights, h, half_excess, start)
+                    want = weight_move_line_by_line(weights, gram_abs, gram_re, half_excess, start)
+                    got = coherence._weight_move(weights, gram_abs, gram_re, half_excess, start)
                     if want is None:
                         assert got is None
                         continue
@@ -711,7 +743,7 @@ def test_stacked_weight_move_matches_the_line_by_line_zoom(m):
 
 
 class CountingForm(np.ndarray):
-    """A quadratic form that counts the products ``a @ H`` taken with it."""
+    """A quadratic form that counts the products ``gamma @ |G|^2`` taken with it."""
 
     products = 0
 
@@ -724,18 +756,27 @@ class CountingForm(np.ndarray):
 @pytest.mark.parametrize("m", [2, 8])
 def test_weight_move_evaluates_one_stack_per_round(m, monkeypatch):
     # Every line of a sweep is zoomed in the same stacked evaluation, so a
-    # sweep takes _WEIGHT_ROUNDS products with its form, not that many per mode.
-    forms = []
-    gram_form = coherence._gram_form
+    # weight move takes _WEIGHT_ROUNDS products with the form, not that many
+    # per mode.
+    forms, moves = [], []
+    gram_squares, weight_move = coherence._gram_squares, coherence._weight_move
 
-    def counting(x, y):
-        forms.append(gram_form(x, y).view(CountingForm))
-        return forms[-1]
+    def counting_squares(x, y):
+        gram_abs, gram_sq = gram_squares(x, y)
+        forms.append(gram_abs.view(CountingForm))
+        return forms[-1], gram_sq
 
-    monkeypatch.setattr(coherence, "_gram_form", counting)
+    def counting_move(*args):
+        before = forms[-1].products
+        out = weight_move(*args)
+        moves.append(forms[-1].products - before)
+        return out
+
+    monkeypatch.setattr(coherence, "_gram_squares", counting_squares)
+    monkeypatch.setattr(coherence, "_weight_move", counting_move)
     numeric_max_search(4.0 * m + 8.0, m, trials=200, seed=0)
-    assert forms
-    assert all(0 < form.products <= _WEIGHT_ROUNDS for form in forms)
+    assert len(forms) == 1 and moves
+    assert all(0 < products <= _WEIGHT_ROUNDS for products in moves)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])

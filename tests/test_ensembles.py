@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import decimal
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -397,15 +399,41 @@ def test_haar_moment_check_mode_floor(rng):
         haar_moment_check(1, 2000, rng)
 
 
+def decimal_entropy(nu: float) -> float:
+    """``up ln(up) - dn ln(dn)`` in 700-digit decimal arithmetic.
+
+    Fewer digits lose ``1 + 1/dn`` past nu ~ 1e100, where the two terms agree
+    to about 200 digits.
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 700
+        dn = (decimal.Decimal(nu) - 1) / 2
+        up = dn + 1
+        return float(up * up.ln() - dn * dn.ln())
+
+
 def test_entropy_values():
     assert entanglement_entropy(1.0) == 0.0
-    assert entanglement_entropy(1.0 + 1e-14) == 0.0
+    assert entanglement_entropy(1.0 + 1e-14) == pytest.approx(
+        decimal_entropy(1.0 + 1e-14), rel=1e-15, abs=0
+    )
     assert entanglement_entropy(3.0) == pytest.approx(2.0 * np.log(2.0), abs=1e-12)
     with pytest.raises(ValueError):
         entanglement_entropy(0.5)
+
+
+def test_entropy_matches_a_decimal_reference_over_the_float_range():
+    # up ln(up) - dn ln(dn) cancels: it gave 0.0 at nu = 1e16 (true 37.148)
+    # and at nu = 1 + 2^-40 (true 1.34e-11).
+    nus = [1.0 + 2.0**-52, 1.0 + 2.0**-40, 1.0 + 1e-7, 2.0, 3.0, 1e12, 9e15, 1e16]
+    nus += (1.0 + np.logspace(-15, 300, 64)).tolist()
+    for nu in nus:
+        assert entanglement_entropy(nu) == pytest.approx(decimal_entropy(nu), rel=1e-15, abs=0)
 
 
 def test_entropy_monotone():
     grid = np.linspace(1.0, 8.0, 40)
     vals = [entanglement_entropy(v) for v in grid]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
+    wide = [entanglement_entropy(v) for v in 1.0 + np.logspace(-16, 300, 400)]
+    assert all(b > a for a, b in zip(wide, wide[1:]))
