@@ -272,11 +272,11 @@ class DiscriminationConfig:
         trials: number of simulated discrimination rounds.
         seed: base seed; trials run through ``symplectic_ops.mc_blocks`` in
             blocks of ``BLOCK_ENTRIES // K`` (K median-of-means groups, as in
-            :func:`median_of_means`), each block drawing the channel labels
-            of all its trials (``integers(2, size=block)``), then one
-            standard normal per group mean of each kept trial
-            (``standard_normal((kept, K))``), the first rows of a full
-            ``(block, K)`` draw.
+            :func:`median_of_means`), each block drawing one ``(kept, 4)``
+            array of uniforms (``random((kept, 4))``) and nothing else, the
+            first rows of a full ``(block, 4)`` draw: per trial its channel,
+            its count of group means above the midpoint and, for a K/2 tie,
+            the two middle group means (see :func:`run_discrimination`).
     """
 
     probe: GaussianState
@@ -312,7 +312,7 @@ class DiscriminationReport:
         n_samples: shots per trial.
         model_note: reminder that outcomes are simulated from the exact
             first two moments with a normal model, through each trial's
-            group means.
+            count of group means above the midpoint.
     """
 
     mu1: float
@@ -326,45 +326,86 @@ class DiscriminationReport:
     n_samples: int
     model_note: str = (
         "outcomes drawn from a normal model with the exact channel-output "
-        "mean and variance: each trial draws its K median-of-means group "
-        "means, N(mu, var/b) for groups of b shots, not its shots; the "
-        "protocol's guarantees use only these moments"
+        "mean and variance: each trial draws its count of K median-of-means "
+        "group means N(mu, var/b) (groups of b shots) above the midpoint, "
+        "Binomial(K, p), and at a K/2 tie its two middle group means, not "
+        "its shots; the protocol's guarantees use only these moments"
     )
 
 
-def _median_exceeds(x: np.ndarray, threshold: float) -> np.ndarray:
-    """``np.median(x, axis=-1) > threshold`` for a 2-D x, bit for bit, by counting.
+def _count_cdf(k: int, p: float, q: float) -> np.ndarray:
+    """``P(C <= c)`` for ``C ~ Binomial(k, p)`` at ``c = 0, ..., k - 1``; ``q = 1 - p``.
 
-    A row whose entries above the threshold number more than K/2 (K = row
-    length) has its median above it, and one with fewer has not: for even
-    K the median is the float mean of the two middle values, which lies
-    between them.  Only a row with exactly K/2 above, where the two middle
-    values straddle the threshold, takes its median.
+    p and q are passed separately so that each keeps its own precision.  The
+    mass is ``exp`` of its logarithm, so no binomial coefficient overflows;
+    at p = 0 or q = 0 the count is a point mass (at 0 or at k), and no
+    ``log(0)`` is taken.  ``searchsorted(cdf, u, "right")`` of a uniform u
+    in [0, 1) is then a draw of C.
     """
-    k = x.shape[-1]
-    above = 2 * np.sum(x > threshold, axis=-1)
-    high = above > k
-    tie = above == k
-    if tie.any():
-        high[tie] = np.median(x[tie], axis=-1) > threshold
-    return high
+    if p == 0.0 or q == 0.0:
+        return np.full(k, 1.0 if p == 0.0 else 0.0)
+    c = np.arange(k + 1)
+    log_comb = np.concatenate(([0.0], np.cumsum(np.log((k - c[:-1]) / c[1:]))))
+    return np.cumsum(np.exp(log_comb + c * math.log(p) + (k - c) * math.log(q)))[:-1]
+
+
+def _tie_is_high(
+    tau: np.ndarray, p: np.ndarray, q: np.ndarray, u_above: np.ndarray, u_below: np.ndarray, k: int
+) -> np.ndarray:
+    """Whether the median of a K/2 tie lies above the midpoint, one trial per entry.
+
+    In standard units the midpoint is tau, and ``p = Q(tau)``,
+    ``q = Phi(tau)`` are the chances that a group mean lies above and below
+    it.  The smallest of the K/2 group means above is
+    ``A = -Phi^-1(p (1 - u_above)^(2/K))`` and the largest of the K/2 below
+    is ``B = Phi^-1(q (1 - u_below)^(2/K))``; the median ``(A + B)/2`` is
+    above tau iff ``A + B > 2 tau``.
+    """
+    # Imported here: only ties need it, and its first import (which pulls in
+    # fractions and decimal) takes milliseconds that a cold CLI process would pay.
+    from statistics import NormalDist
+
+    inv_cdf = NormalDist().inv_cdf
+    above = (p * (1.0 - u_above) ** (2.0 / k)).tolist()
+    below = (q * (1.0 - u_below) ** (2.0 / k)).tolist()
+    return np.array(
+        [inv_cdf(b) - inv_cdf(a) > 2.0 * t for a, b, t in zip(above, below, tau.tolist())],
+        dtype=bool,
+    )
 
 
 def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
     """Simulate the median-of-means threshold protocol and report its error rate.
 
     Each trial picks the true channel uniformly, takes the median of its K
-    median-of-means group means, compares it against the midpoint of the two
-    channel means, and predicts the channel on that side.  Under the normal
-    model a group of ``b = n_samples // K`` shots has mean exactly
-    ``N(mu, var/b)``, and :func:`median_of_means` discards the trailing
-    ``n_samples - K b`` shots, so each trial draws its K group means, not
-    its shots: the error rate has the shot-level distribution at a cost and
-    memory independent of ``n_samples``.  Trials run in the blocks described
-    at ``DiscriminationConfig.seed``, one ``(kept, K)`` array of group means
-    per block.  The side of each median is read by counting the group means
-    above the midpoint (``_median_exceeds``), which gives the median's
-    verdict bit for bit and takes a median only where the count is K/2.
+    median-of-means group means, compares it against the midpoint t of the
+    two channel means, and predicts the channel on that side.  Under the
+    normal model a group of ``b = n_samples // K`` shots has mean exactly
+    ``N(mu_i, s_i^2)``, ``s_i = sqrt(var_i / b)``, and :func:`median_of_means`
+    discards the trailing ``n_samples - K b`` shots; so the K group means
+    are i.i.d., and a trial draws only what its verdict reads, at a cost and
+    memory independent of ``n_samples``:
+
+    - In standard units ``tau_i = (t - mu_i) / s_i``, each group mean lies
+      above t with chance ``p_i = erfc(tau_i / sqrt 2) / 2``, so the count
+      C of group means above t is ``Binomial(K, p_i)``.  More than K/2 above
+      puts the median above t, fewer than K/2 puts it at or below: the
+      median is a middle value, or for even K the mean of the two middle
+      values, which lies between them.
+    - Only a tie, ``2C = K`` (even K), reads more: the median is the mean of
+      the smallest group mean above t and the largest below.  Given the
+      count, the K/2 above are i.i.d. from the normal cut to ``(tau, inf)``,
+      so their minimum A has ``P(A > a) = (Q(a) / Q(tau))^(K/2)``, and
+      ``A = -Phi^-1(Q(tau) V^(2/K))`` for a uniform V; likewise the largest
+      of the K/2 below is ``B = Phi^-1(Phi(tau) W^(2/K))`` (David and
+      Nagaraja, *Order Statistics*, 3rd ed., 2003, sections 2.1-2.4).  The
+      tie is high iff ``A + B > 2 tau``.
+
+    Trials run in the blocks described at ``DiscriminationConfig.seed``: a
+    trial's four uniforms u give its channel (the second iff ``u_0 < 1/2``),
+    its count (u_1 inverted through the ``Binomial(K, p_i)`` table, built
+    once per call) and, at a tie, A and B from ``V = 1 - u_2`` and
+    ``W = 1 - u_3`` (:func:`_tie_is_high`).
 
     When both channels have a transmissivity ``eta`` (loss, or the identity
     at ``eta = 1``) and the two differ, ``n_thres`` is :func:`n_thres_loss`
@@ -396,14 +437,27 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
     threshold = 0.5 * (mu1 + mu2)
     second_is_high = mu2 > mu1
     k, b = _mom_groups(config.n_samples, config.delta)
-    mus, spreads = np.array([mu1, mu2]), np.sqrt([var1, var2]) / math.sqrt(b)
+    tau = np.array([(threshold - mu) / math.sqrt(var / b) for mu, var in ((mu1, var1), (mu2, var2))])
+    p = np.array([0.5 * math.erfc(t / math.sqrt(2.0)) for t in tau])
+    q = np.array([0.5 * math.erfc(-t / math.sqrt(2.0)) for t in tau])
+    cdf = [_count_cdf(k, p[i], q[i]) for i in (0, 1)]
 
     def draw(rng: np.random.Generator, size: int, keep: int) -> tuple:
-        return rng.integers(2, size=size)[:keep], rng.standard_normal((keep, k))
+        return (rng.random((keep, 4)),)
 
     failures = 0
-    for _, (true_second, z) in mc_blocks(config.seed, config.trials, BLOCK_ENTRIES // k, draw):
-        high = _median_exceeds(mus[true_second, None] + spreads[true_second, None] * z, threshold)
+    for _, (u,) in mc_blocks(config.seed, config.trials, BLOCK_ENTRIES // k, draw):
+        true_second = u[:, 0] < 0.5
+        count = np.where(
+            true_second,
+            np.searchsorted(cdf[1], u[:, 1], side="right"),
+            np.searchsorted(cdf[0], u[:, 1], side="right"),
+        )
+        high = 2 * count > k
+        tie = 2 * count == k
+        if tie.any():
+            i = true_second[tie].astype(int)
+            high[tie] = _tie_is_high(tau[i], p[i], q[i], u[tie, 2], u[tie, 3], k)
         failures += int(np.count_nonzero((high == second_is_high) != true_second))
 
     return DiscriminationReport(

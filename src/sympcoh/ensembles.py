@@ -362,13 +362,15 @@ def entanglement_entropy(nu: float) -> float:
     ``h(nu) = up ln(up) - dn ln(dn)`` with ``dn = (nu - 1)/2``, ``up = dn + 1``
     and the analytic limit h(1) = 0.  It is evaluated as ``up log1p(dn) - dn
     ln(dn)`` for dn < 1 and ``up log1p(1/dn) + ln(dn)`` for dn >= 1, where
-    both terms are nonnegative, so nothing cancels.
+    both terms are nonnegative, so nothing cancels.  h(inf) = inf.
 
     Args:
-        nu: symplectic eigenvalue, must be >= 1.
+        nu: symplectic eigenvalue, must be >= 1 (NaN is rejected).
     """
-    if nu < 1.0:
+    if not nu >= 1.0:
         raise ValueError(f"symplectic eigenvalue must be >= 1, got {nu}")
+    if nu == math.inf:
+        return math.inf
     dn = (nu - 1.0) / 2.0
     if dn == 0.0:
         return 0.0

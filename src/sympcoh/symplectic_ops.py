@@ -27,7 +27,7 @@ from .gaussian_core import (
 
 # Id of the map from seeds to Monte-Carlo samples, reported in every CLI
 # manifest; bumped whenever a seeded sample changes (history in README).
-STREAM_SCHEME = "seedseq-spawn-v4"
+STREAM_SCHEME = "seedseq-spawn-v5"
 
 
 class GateError(ValueError):
@@ -331,9 +331,12 @@ class StinespringChannel:
 # Pure-state sampling: spectra, Haar samplers (QR with sign/phase correction)
 # ---------------------------------------------------------------------------
 
-# Entries per Monte-Carlo block (covariance entries, or median-of-means group
-# means in the discrimination driver): bounds memory and fixes where the
-# blocks start.
+# Entries per Monte-Carlo block: bounds memory and fixes where the blocks
+# start.  Covariance entries in the pure-state drivers; in the discrimination
+# driver, the K median-of-means group means of each of BLOCK_ENTRIES // K
+# trials, which a trial stands in for with four uniforms (its channel, its
+# count of group means above the midpoint and, at a K/2 tie, the two middle
+# ones), so a full block draws 4 * (BLOCK_ENTRIES // K) uniforms.
 BLOCK_ENTRIES = 1 << 16
 # Most pure-state samples per block, so that short runs draw little past their end.
 MAX_BLOCK_SAMPLES = 256

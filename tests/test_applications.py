@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.stats import binom, norm
 
 import sympcoh
 from sympcoh import (
@@ -420,34 +422,59 @@ def test_discrimination_is_deterministic():
     assert a.error_wilson_upper == b.error_wilson_upper
 
 
+def _group_sides(report, config) -> tuple[list[float], list[float], list[float]]:
+    """Per channel: the midpoint in standard units tau, and the chances p, q of a group mean above and below it."""
+    b = applications._mom_groups(config.n_samples, config.delta)[1]
+    threshold = 0.5 * (report.mu1 + report.mu2)
+    tau = [(threshold - mu) / math.sqrt(var / b) for mu, var in ((report.mu1, report.var1), (report.mu2, report.var2))]
+    return tau, [float(norm.sf(t)) for t in tau], [float(norm.cdf(t)) for t in tau]
+
+
+def _reference_failures(config: DiscriminationConfig, report) -> tuple[list[bool], int]:
+    """Whether each trial is misidentified, decided one trial at a time from its
+    four uniforms, and how many trials were K/2 ties."""
+    k, _ = applications._mom_groups(config.n_samples, config.delta)
+    tau, p, q = _group_sides(report, config)
+    inv_cdf = NormalDist().inv_cdf
+    size = BLOCK_ENTRIES // k
+    failures, ties = [], 0
+    for block, start in enumerate(range(0, config.trials, size)):
+        uniforms = derive_rng(config.seed, block).random((size, 4))
+        for u_label, u_count, u_above, u_below in uniforms[: config.trials - start].tolist():
+            i = int(u_label < 0.5)
+            count, mass = 0, q[i] ** k
+            while u_count >= mass and count < k:
+                count += 1
+                mass += math.comb(k, count) * p[i] ** count * q[i] ** (k - count)
+            if 2 * count == k:
+                ties += 1
+                above = -inv_cdf(p[i] * (1.0 - u_above) ** (2.0 / k))
+                below = inv_cdf(q[i] * (1.0 - u_below) ** (2.0 / k))
+                high = above + below > 2.0 * tau[i]
+            else:
+                high = 2 * count > k
+            failures.append((high == (report.mu2 > report.mu1)) != bool(i))
+    return failures, ties
+
+
 def test_discrimination_matches_a_per_block_reference_loop():
+    # Blocks of BLOCK_ENTRIES // 24 = 2730 trials: 5000 trials end in the
+    # second block, 5500 in the third, and the shorter run is a prefix.
     config = DiscriminationConfig(
         probe=msc_canonical(6.0, 1),
         channels=(LossChannel(0.5), LossChannel(0.6)),
         delta=0.1,
         n_samples=300,
-        trials=6000,
+        trials=5500,
         seed=12,
     )
+    assert applications._mom_groups(config.n_samples, config.delta) == (24, 12)
     report = run_discrimination(config)
-    mu = (report.mu1, report.mu2)
-    k = math.ceil(8.0 * math.log(2.0 / config.delta))
-    b = config.n_samples // k
-    assert (k, b) == (24, 12)
-    spread = (np.sqrt(report.var1) / math.sqrt(b), np.sqrt(report.var2) / math.sqrt(b))
-    threshold = 0.5 * (report.mu1 + report.mu2)
-    size = BLOCK_ENTRIES // k
-    assert config.trials > 2 * size
-    failures = 0
-    for block, start in enumerate(range(0, config.trials, size)):
-        rng = derive_rng(config.seed, block)
-        labels = rng.integers(2, size=size)
-        group_means = rng.standard_normal((size, k))
-        for label, z in zip(labels[: config.trials - start], group_means):
-            estimate = np.median(mu[label] + spread[label] * z)
-            failures += ((estimate > threshold) == (report.mu2 > report.mu1)) != bool(label)
-    assert 0 < failures < config.trials
-    assert report.empirical_error == failures / config.trials
+    failures, ties = _reference_failures(config, report)
+    assert 0 < sum(failures) < config.trials and 0 < ties < config.trials
+    assert report.empirical_error == sum(failures) / config.trials
+    shorter = dataclasses.replace(config, trials=config.trials - 500)
+    assert run_discrimination(shorter).empirical_error == sum(failures[: shorter.trials]) / shorter.trials
 
 
 def _shot_level_error(config: DiscriminationConfig, report) -> float:
@@ -465,20 +492,118 @@ def _shot_level_error(config: DiscriminationConfig, report) -> float:
     return failures / config.trials
 
 
-def test_discrimination_error_rate_matches_the_shot_level_protocol():
+# The two-sided check: the draw against the protocol run on every shot.
+# Each regime: probe, channels, delta, n_samples and the band that the
+# shot-level error rate must lie in, so that the regime is the one named.
+_SHOT_LEVEL_REGIMES = {
     # 60 shots in K = 24 groups of b = 2, 12 trailing shots discarded.
-    config = DiscriminationConfig(
-        probe=msc_canonical(6.0, 1),
-        channels=(LossChannel(0.5), LossChannel(0.56)),
-        delta=0.1,
-        n_samples=60,
-        trials=20_000,
-        seed=3,
-    )
+    "K24": (msc_canonical(6.0, 1), (LossChannel(0.5), LossChannel(0.56)), 0.1, 60, (0.3, 0.45)),
+    # K = 2 groups of one shot: ties in 27% of the vacuum's trials (loss 0)
+    # and 47% of the identity's, so ties that lean one way move the rate.
+    "K2": (msc_canonical(6.0, 1), (LossChannel(0.0), IdentityChannel()), 0.1, 2, (0.15, 0.25)),
+    # K = 30, tie-heavy: each group mean is above the midpoint with chance about 1/2.
+    "K30-tie-heavy": (
+        msc_canonical(6.0, 1), (LossChannel(0.5), LossChannel(0.52)), 0.05, 200, (0.4, 0.5)
+    ),
+    # K = 6 groups of 10 shots on a probe turned a quarter period, so that the
+    # identity's mean is the higher: the vacuum's group means (loss 0) lie
+    # above the midpoint with chance below 1e-3.
+    "K6-far-tail": (
+        apply(phase_shifter(1, 1, math.pi / 2), msc_canonical(6.0, 1)),
+        (LossChannel(0.0), IdentityChannel()),
+        0.95,
+        60,
+        (0.002, 0.02),
+    ),
+}
+
+
+@pytest.mark.parametrize("regime", list(_SHOT_LEVEL_REGIMES))
+def test_discrimination_error_rate_matches_the_shot_level_protocol(regime):
+    probe, channels, delta, n_samples, (lo, hi) = _SHOT_LEVEL_REGIMES[regime]
+    config = DiscriminationConfig(probe, channels, delta, n_samples, trials=20_000, seed=3)
     report = run_discrimination(config)
-    p, q = report.empirical_error, _shot_level_error(config, report)
-    assert 0.3 <= q <= 0.45
-    assert abs(p - q) <= 5.0 * math.sqrt((p * (1.0 - p) + q * (1.0 - q)) / config.trials)
+    _, p, _ = _group_sides(report, config)
+    if regime == "K6-far-tail":
+        assert min(p) < 1e-3
+    p_err, q_err = report.empirical_error, _shot_level_error(config, report)
+    assert lo <= q_err <= hi
+    sigma = math.sqrt((p_err * (1.0 - p_err) + q_err * (1.0 - q_err)) / config.trials)
+    assert abs(p_err - q_err) <= 5.0 * sigma
+
+
+@pytest.mark.parametrize(
+    "channels, delta, n_samples, k",
+    [
+        ((LossChannel(0.5), IdentityChannel()), 0.05, 1, 1),
+        # Channels wrong 7% (vacuum) and 31% (identity) of their trials, so a
+        # channel label that leans one way moves the rate.
+        ((LossChannel(0.0), IdentityChannel()), 0.05, 3, 3),
+        ((LossChannel(0.5), LossChannel(0.6)), 0.045, 200, 31),
+    ],
+    ids=["K1", "K3", "K31"],
+)
+def test_discrimination_error_rate_matches_the_binomial_closed_form_for_odd_k(
+    channels, delta, n_samples, k
+):
+    # For odd K there is no tie: a trial is high iff Binomial(K, p_i) > K/2,
+    # and the error rate is 1/2 * sum_i P(verdict wrong | channel i).
+    config = DiscriminationConfig(msc_canonical(6.0, 1), channels, delta, n_samples, 40_000, seed=9)
+    assert applications._mom_groups(n_samples, delta)[0] == k
+    report = run_discrimination(config)
+    _, p, _ = _group_sides(report, config)
+    high = [float(binom.sf(k // 2, k, p_i)) for p_i in p]
+    second_is_high = report.mu2 > report.mu1
+    wrong = (high[0] if second_is_high else 1.0 - high[0], 1.0 - high[1] if second_is_high else high[1])
+    expected = 0.5 * sum(wrong)
+    assert 0.01 <= expected <= 0.5
+    sigma = math.sqrt(expected * (1.0 - expected) / config.trials)
+    assert abs(report.empirical_error - expected) <= 5.0 * sigma
+
+
+@pytest.mark.parametrize("k, tau", [(2, 0.3), (6, -0.4), (30, 0.15)])
+def test_a_tie_is_high_at_the_rate_of_brute_force_ties(k, tau):
+    # Brute force: rows of K standard normals with exactly K/2 above tau, and
+    # the side of their median.
+    rng = derive_rng(17, k)
+    highs, ties = 0, 0
+    for _ in range(8):
+        z = rng.standard_normal((25_000, k))
+        tied = z[np.count_nonzero(z > tau, axis=1) * 2 == k]
+        ties += tied.shape[0]
+        highs += int(np.count_nonzero(np.median(tied, axis=1) > tau))
+    brute = highs / ties
+    n = 40_000
+    u = rng.random((n, 2))
+    model = applications._tie_is_high(
+        np.full(n, tau), np.full(n, norm.sf(tau)), np.full(n, norm.cdf(tau)), u[:, 0], u[:, 1], k
+    ).mean()
+    assert ties > 10_000
+    sigma = math.sqrt(brute * (1.0 - brute) / ties + model * (1.0 - model) / n)
+    assert abs(model - brute) <= 5.0 * sigma
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 30, 2000])
+def test_the_count_table_is_the_binomial_cdf(k):
+    for p in (1e-300, 1e-3, 0.3, 0.5, 0.97):
+        cdf = applications._count_cdf(k, p, 1.0 - p)
+        expected = binom.cdf(np.arange(k), k, p)
+        assert cdf.shape == (k,)
+        assert np.all(np.diff(cdf) >= 0)
+        assert np.allclose(cdf, expected, rtol=1e-10, atol=1e-14)
+    # A count certain to be 0 or K takes no log(0).
+    with np.errstate(all="raise"):
+        assert_array_equal(applications._count_cdf(k, 0.0, 1.0), np.ones(k))
+        assert_array_equal(applications._count_cdf(k, 1.0, 0.0), np.zeros(k))
+
+
+def _warm_up_the_tie_branch():
+    # A tie-heavy run: its ties import statistics, outside every measurement.
+    run_discrimination(
+        DiscriminationConfig(
+            msc_canonical(6.0, 1), (LossChannel(0.5), LossChannel(0.52)), 0.05, 200, 200, seed=0
+        )
+    )
 
 
 def test_discrimination_memory_does_not_grow_with_the_shot_count():
@@ -490,7 +615,8 @@ def test_discrimination_memory_does_not_grow_with_the_shot_count():
         trials=3,
         seed=4,
     )
-    run_discrimination(config)  # warm-up: the first np.median call imports numpy.ma
+    _warm_up_the_tie_branch()
+    run_discrimination(config)
     tracemalloc.start()
     try:
         run_discrimination(config)
@@ -502,7 +628,7 @@ def test_discrimination_memory_does_not_grow_with_the_shot_count():
 
 def test_discrimination_draws_only_the_trials_it_keeps():
     # K = 24: a block has BLOCK_ENTRIES // 24 = 2730 trials, and a full block
-    # of group means would take about 512 KiB; three kept trials take 576 bytes.
+    # of uniforms would take about 85 KiB; three kept trials take 96 bytes.
     config = DiscriminationConfig(
         probe=msc_canonical(6.0, 1),
         channels=(LossChannel(0.5), LossChannel(0.6)),
@@ -512,7 +638,8 @@ def test_discrimination_draws_only_the_trials_it_keeps():
         seed=4,
     )
     assert applications._mom_groups(config.n_samples, config.delta)[0] == 24
-    run_discrimination(config)  # warm-up: the first np.median call imports numpy.ma
+    _warm_up_the_tie_branch()
+    run_discrimination(config)
     tracemalloc.start()
     try:
         run_discrimination(config)
@@ -525,19 +652,19 @@ def test_discrimination_draws_only_the_trials_it_keeps():
 @pytest.mark.parametrize(
     "first, n_samples, expected",
     [
-        # K = 30 groups, 3 blocks of 2184 trials, ties in the count rule.
-        (LossChannel(0.5), 200, 0.0214),
-        (IdentityChannel(), 200, 0.0166),
+        # K = 30 groups, 3 blocks of 2184 trials, with K/2 ties.
+        (LossChannel(0.5), 200, 0.0152),
+        (IdentityChannel(), 200, 0.0184),
         # K = 1: every shot is its own group.
-        (LossChannel(0.5), 1, 0.4158),
-        (IdentityChannel(), 1, 0.4178),
+        (LossChannel(0.5), 1, 0.4186),
+        (IdentityChannel(), 1, 0.4148),
     ],
     ids=["loss-first-K30", "identity-first-K30", "loss-first-K1", "identity-first-K1"],
 )
 def test_discrimination_error_rates_are_pinned(first, n_samples, expected):
     # Rates of msc(6, 1) probes, loss 0.5 against the identity in either order,
-    # recorded before the count rule replaced the median; a seeded sample
-    # that moves must bump STREAM_SCHEME.
+    # recorded under seedseq-spawn-v5; a seeded sample that moves must bump
+    # STREAM_SCHEME.
     second = IdentityChannel() if isinstance(first, LossChannel) else LossChannel(0.5)
     config = DiscriminationConfig(
         probe=msc_canonical(6.0, 1),
@@ -557,7 +684,10 @@ def test_discrimination_error_rates_are_pinned(first, n_samples, expected):
     threshold=st.sampled_from([-1.5, 0.0, 0.25, 3.0]),
     data=st.data(),
 )
-def test_the_count_rule_is_the_median_verdict(k, rows, threshold, data):
+def test_the_median_side_is_the_count_side_or_the_tie_midpoint_side(k, rows, threshold, data):
+    # The identity the draw rests on: a median is above the threshold iff
+    # more than K/2 entries are, except at a K/2 tie (even K), where it is
+    # the mean of the largest entry at or below and the smallest above.
     # Entries mostly from a small pool that holds the threshold and its float
     # neighbours, so rows have duplicates, entries equal to it and, for even
     # K, exact K/2 ties whose two middle values are adjacent floats.
@@ -566,8 +696,13 @@ def test_the_count_rule_is_the_median_verdict(k, rows, threshold, data):
     entry = st.one_of(pool, st.floats(-10.0, 10.0))
     row = st.lists(entry, min_size=k, max_size=k)
     x = np.array(data.draw(st.lists(row, min_size=rows, max_size=rows)))
-    expected = np.median(x, axis=-1) > threshold
-    assert_array_equal(applications._median_exceeds(x, threshold), expected)
+    above = x > threshold
+    twice = 2 * np.count_nonzero(above, axis=-1)
+    lowest_above = np.where(above, x, np.inf).min(axis=-1)
+    highest_below = np.where(above, -np.inf, x).max(axis=-1)
+    tie_side = (highest_below + lowest_above) / 2 > threshold
+    side = np.where(twice == k, tie_side, twice > k)
+    assert_array_equal(side, np.median(x, axis=-1) > threshold)
 
 
 def test_discrimination_config_validation():

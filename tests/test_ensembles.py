@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import decimal
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -429,6 +431,16 @@ def test_entropy_matches_a_decimal_reference_over_the_float_range():
     nus += (1.0 + np.logspace(-15, 300, 64)).tolist()
     for nu in nus:
         assert entanglement_entropy(nu) == pytest.approx(decimal_entropy(nu), rel=1e-15, abs=0)
+
+
+def test_entropy_is_infinite_at_infinity_and_rejects_nan():
+    # up * log1p(1/dn) is inf * 0 at nu = inf; the largest float stays finite.
+    assert entanglement_entropy(math.inf) == math.inf
+    big = sys.float_info.max
+    assert entanglement_entropy(big) == pytest.approx(decimal_entropy(big), rel=1e-15, abs=0)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            entanglement_entropy(bad)
 
 
 def test_entropy_monotone():

@@ -62,3 +62,23 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_statistics_loads_only_when_a_discrimination_trial_ties():
+    # The tie branch's normal quantile comes from the stdlib's statistics,
+    # imported on that branch alone: a run with no K/2 tie (K = 1) loads it
+    # no more than the CLI import does.
+    src = str(Path(sympcoh.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = (
+        "import sys, sympcoh.cli\n"
+        "from sympcoh import DiscriminationConfig, LossChannel, msc_canonical, run_discrimination\n"
+        "def run(eta, n_samples):\n"
+        "    run_discrimination(DiscriminationConfig(msc_canonical(6.0, 1), (LossChannel(0.5), LossChannel(eta)), 0.05, n_samples, 500, 0))\n"
+        "    return 'statistics' in sys.modules\n"
+        "print([run(0.9, 1), run(0.52, 200)])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert out.stdout.strip() == "[False, True]"

@@ -582,9 +582,10 @@ def test_haar_batches_match_properties(rng):
 
 
 def test_a_last_fill_of_the_kept_rows_is_the_full_fill_cut():
-    # The discrimination block's draw rests on this: numpy's Generator fills
-    # an array in order, so after the same label draw, n rows of normals are
-    # the first n rows of a full block's.
+    # A draw that cuts its last fill at the kept rows (``ginibre_batch`` with
+    # ``keep``) rests on this: numpy's Generator fills an array in order, so
+    # after the same earlier draw, n rows of normals are the first n rows of a
+    # full block's.
     size, k = 2184, 30
     for n in (1, 7, 1000, size):
         full_rng, kept_rng = derive_rng(5, n), derive_rng(5, n)
