@@ -93,11 +93,9 @@ from .discord_map import (
 from .ensembles import (
     EnsembleConfig,
     EnsembleStats,
-    MomentCheck,
     analytic_mean_nu_sq,
     ensemble_nu_sq,
     entanglement_entropy,
-    haar_moment_check,
     pure_cm_from_passive,
     sample_pure_cm,
 )

@@ -11,6 +11,7 @@ under tensor products, and bounded at fixed trace by
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -384,31 +385,65 @@ def _gram_coherence(
     return 0.5 * ((gamma * gamma + sigma * sigma).sum(axis=-1) - quad)
 
 
-# Companion matrix of a monic quartic: ones below the diagonal, coefficients
-# in the first row.
-_COMPANION = np.eye(4, k=-1, dtype=complex)
-
-
 def _phase_argmax(c1: complex, c2: complex) -> complex:
-    """Point z of the unit circle where ``Re(c1 z + c2 z^2)`` is largest.
+    """Point z of the unit circle where ``Re(c1 z + c2 z^2)`` is largest, on Python scalars.
 
-    z = 1 wins ties, so a move that gains nothing stays where it is.
+    With ``z = rho xi``, ``rho^2 = conj(c2)/|c2|``, and ``xi = x + iy``, the
+    problem is to maximise ``q x^2 + a x + b y`` on ``x^2 + y^2 = 1``, where
+    ``q = 2|c2|`` and ``a - ib = c1 rho`` (a constant ``-|c2|`` dropped): a
+    two-dimensional trust-region subproblem (More and Sorensen, SIAM J. Sci.
+    Stat. Comput. 4, 553 (1983)).  Its global maximiser is ``x = a/(2u)``,
+    ``y = b/(2(q + u))`` at the unique root ``u > 0`` of ``x^2 + y^2 = 1``,
+    except in the hard case ``a = 0``, ``|b| <= 2q``, where ``y = b/(2q)``.
+    The inputs are scaled by ``max(|c1|, |c2|)`` first, so no ratio of the
+    two overflows or underflows.  z = 1 wins ties, so a move that gains
+    nothing stays where it is.
     """
     if c2 == 0:  # an unsqueezed mode (sigma = 0), or q = 0: at most linear in z
         return c1.conjugate() / abs(c1) if c1 else 1.0 + 0j
-    # The critical points are the unit-circle roots of z^2 c'(phi) / i, the
-    # quartic 2 c2 z^4 + c1 z^3 - conj(c1) z - 2 conj(c2); taking the best root
-    # angle gives the global maximum.
-    comp = _COMPANION.copy()
-    comp[0] = (-c1 / (2.0 * c2), 0.0, c1.conjugate() / (2.0 * c2), c2.conjugate() / c2)
-    best, best_f = 1.0 + 0j, (c1 + c2).real
-    # The product of the roots has modulus |conj(c2) / c2| = 1, so none is 0.
-    for r in np.linalg.eigvals(comp).tolist():
-        z = r / abs(r)
-        f = (c1 * z + c2 * z * z).real
-        if f > best_f:
-            best, best_f = z, f
-    return best
+    size = abs(c2)
+    scale = max(abs(c1), size)
+    q = 2.0 * size / scale
+    rho = (c2.conjugate() / size) ** 0.5
+    g = c1 / scale * rho
+    a, b = g.real, -g.imag
+    # x^2 <= 1 and y^2 <= 1 bound the root below, x^2 + y^2 <= (a^2 + b^2)/(4u^2) above.
+    lo, hi = max(0.5 * abs(a), 0.5 * abs(b) - q), 0.5 * math.hypot(a, b)
+    if lo == 0.0:  # the hard case: a = 0 (to underflow) and |b| <= 2q
+        y = b / (q + q)
+        x = math.copysign(math.sqrt(1.0 - y * y), a)
+    else:
+        # Newton on 1/|(x, y)| = 1, which is concave and increasing in u, so
+        # from lo its steps rise to the root; a step that leaves (lo, hi) or
+        # is not below half the one before the last is replaced by halving
+        # the bracket, geometrically while it spans more than a factor 2.
+        u = lo
+        older = last = hi - lo  # the steps before the last, and the last
+        while True:
+            x, y = a / (u + u), b / (2.0 * (q + u))
+            n2 = x * x + y * y
+            if n2 > 1.0:
+                lo = u
+            elif n2 < 1.0:
+                hi = u
+            else:
+                break
+            step = n2 * (math.sqrt(n2) - 1.0) / (x * x / u + y * y / (q + u))
+            if u + step == u:
+                break
+            if lo < u + step < hi and abs(step) <= 0.5 * older:
+                nxt = u + step
+            else:
+                nxt = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+                if not lo < nxt < hi:
+                    break
+            older, last = last, abs(nxt - u)
+            u = nxt
+    zeta = rho * complex(x, y)
+    zeta /= abs(zeta)
+    if (c1 * zeta + c2 * zeta * zeta).real > (c1 + c2).real:
+        return zeta
+    return 1.0 + 0j
 
 
 # Weight move: grid points per round, and rounds zooming in on the best point.
@@ -504,10 +539,12 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
     * per-mode phase: turning z_k by zeta changes the coherence by ``Re(c_1
       (zeta - 1) + c_2 (zeta^2 - 1))`` with ``c_1 = -w_k sum_{l != k} w_l
       G_kl^2`` and ``c_2 = -w_k^2 G_kk^2 / 2``, O(m) from one row of ``G o
-      G``.  The global maximum over zeta is taken at the unit-circle roots of
-      a quartic, found as the eigenvalues of its 4 x 4 companion matrix
-      (``_phase_argmax``).  The phases are reported as ``theta = arg(z)/2``,
-      in (-pi/2, pi/2];
+      G``.  The global maximum over zeta is a two-dimensional trust-region
+      subproblem, solved in closed form up to the root of one scalar secular
+      equation (``_phase_argmax``), so the per-mode loop runs on Python
+      complex scalars: one row of ``G o G`` as a list, w and z as lists, and
+      no numpy call per mode.  The phases are reported as ``theta =
+      arg(z)/2``, in (-pi/2, pi/2];
     * single squeezing weight in [0, 1], the others rescaled to share the
       rest: ``gamma = (E - 2m) w / 2`` and ``sigma = sqrt(gamma (gamma + 2))``
       per mode, and at the fixed phases the identity reads ``sigma^T Re(G o
@@ -552,27 +589,30 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
     weights = np.clip((d + 1.0 / d - 2.0) / (2.0 * half_excess), 0.0, None)
     weights = weights / weights.sum()
     gram_abs, gram_sq = _gram_squares(x, y)
-    z = np.ones(m, dtype=complex)  # e^{2i theta}, one per mode
+    rows = gram_sq.tolist()  # G o G as Python complex rows, read by the phase moves
+    z = [1.0 + 0j] * m  # e^{2i theta}, one per mode
     gamma, sigma = _moduli(half_excess, weights)
-    w = sigma * z
+    w = sigma.tolist()  # sigma z at z = 1
     refined_c = float(_gram_coherence(gamma, sigma, gram_abs, gram_sq.real))
     for _ in range(_REFINE_PASSES):
         moved = False
         for k in range(m):
-            c2 = -0.5 * complex(w[k] * w[k] * gram_sq[k, k])
-            c1 = -complex(w[k] * (gram_sq[k] @ w)) - 2.0 * c2  # the sum over l != k
+            row, wk = rows[k], w[k]
+            c2 = -0.5 * (wk * wk * row[k])
+            c1 = -(wk * sum(map(operator.mul, row, w))) - 2.0 * c2  # the sum over l != k
             zeta = _phase_argmax(c1, c2)
             gain = (c1 * (zeta - 1.0) + c2 * (zeta * zeta - 1.0)).real
             if gain > 0.0:
                 z[k] *= zeta
-                w[k] *= zeta
+                w[k] = wk * zeta
                 refined_c += gain
                 moved = True
-        gram_re = (gram_sq * np.outer(z, z)).real  # of the current phases
+        phases = np.array(z)
+        gram_re = (gram_sq * np.outer(phases, phases)).real  # of the current phases
         move = _weight_move(weights, gram_abs, gram_re, half_excess, refined_c)
         if move is not None:
             weights, refined_c = move
-            w = _moduli(half_excess, weights)[1] * z
+            w = (_moduli(half_excess, weights)[1] * phases).tolist()
         if not moved and move is None:
             break
     arg = np.angle(z)

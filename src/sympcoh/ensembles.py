@@ -1,4 +1,4 @@
-"""Fixed-trace ensembles of pure Gaussian states and Haar moment checks.
+"""Fixed-trace ensembles of pure Gaussian states and their entanglement statistics.
 
 The ensembles draw a squeezing spectrum ``d`` with ``sum(d_i + 1/d_i) = E``
 and a Haar passive gate; the "orthogonal" kind uses ``S = diag(O, O)``
@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, partial
-from typing import Iterable
 
 import numpy as np
 
 from .gaussian_core import CovMat
 from .symplectic_ops import (
+    _scaled,
     block_samples,
     ginibre_batch,
     haar_from_ginibre,
@@ -93,9 +93,9 @@ class EnsembleStats:
             mean_nu_sq with analytic_mean, since both share the sampled
             spectra).
         n_sigma: ``|mean_nu_sq - analytic_mean| / stderr_diff``, set from
-            those fields by the rule of ``MomentCheck.n_sigma``: 0 for one
-            mode, where every sample equals the closed form, and ``None``
-            for a single sample, which has no standard error.
+            those fields by ``_n_sigma``: 0 for one mode, where every sample
+            equals the closed form, and ``None`` for a single sample, which
+            has no standard error.
     """
 
     mean_nu_sq: float
@@ -266,14 +266,14 @@ def ensemble_nu_sq(
 
     mean, stderr = mean_stderr(nu_sq)
     _, stderr_diff = mean_stderr(nu_sq - analytic)
+    # Pair sums reach (Tr V)^2, so a plain sum of them overflows from E of about 1e154.
+    s1_hat, s2_hat = (float(np.mean(v) * k) for v, k in map(_scaled, (s1_arr, s2_arr)))
     stats = EnsembleStats(
         mean_nu_sq=mean,
         stderr=stderr,
-        s1_hat=float(np.mean(s1_arr)),
-        s2_hat=float(np.mean(s2_arr)),
-        analytic_mean=analytic_mean_nu_sq(
-            config.kind, m, float(np.mean(s1_arr)), float(np.mean(s2_arr))
-        ),
+        s1_hat=s1_hat,
+        s2_hat=s2_hat,
+        analytic_mean=analytic_mean_nu_sq(config.kind, m, s1_hat, s2_hat),
         stderr_diff=stderr_diff,
         n_samples=n,
         kind=config.kind,
@@ -283,77 +283,6 @@ def ensemble_nu_sq(
     if return_samples:
         return stats, nu_sq, coh
     return stats
-
-
-@dataclass(frozen=True)
-class MomentCheck:
-    """One estimated Haar fourth moment against its closed form."""
-
-    kind: str
-    name: str
-    estimate: float
-    exact: float
-    stderr: float
-
-    @property
-    def n_sigma(self) -> float | None:
-        return _n_sigma(self.estimate, self.exact, self.stderr)
-
-
-def _rows(samples: np.ndarray, kind: str, m: int) -> Iterable[MomentCheck]:
-    """Moment rows for one kind given first-row samples (n x m, or complex)."""
-
-    def check(name: str, values: np.ndarray, exact: float) -> MomentCheck:
-        est, se = mean_stderr(values)
-        return MomentCheck(kind, name, est, exact, se)
-
-    if kind == "orthogonal":
-        o1, o2 = samples[:, 0], samples[:, 1]
-        denom = m * (m + 2)
-        yield check("E[O_1i^2 O_1i^2]", o1**4, 3.0 / denom)
-        yield check("E[O_1i^2 O_1j^2], i!=j", o1**2 * o2**2, 1.0 / denom)
-    else:
-        x1, y1 = samples[:, 0].real, samples[:, 0].imag
-        x2, y2 = samples[:, 1].real, samples[:, 1].imag
-        denom = 4.0 * m * (m + 1)
-        yield check("E[X_1i^2 X_1i^2]", x1**4, 3.0 / denom)
-        yield check("E[X_1i^2 X_1j^2], i!=j", x1**2 * x2**2, 1.0 / denom)
-        yield check("E[Y_1i^2 Y_1i^2]", y1**4, 3.0 / denom)
-        yield check("E[Y_1i^2 Y_1j^2], i!=j", y1**2 * y2**2, 1.0 / denom)
-        yield check("E[X_1i^2 Y_1i^2]", x1**2 * y1**2, 1.0 / denom)
-        yield check("E[X_1i^2 Y_1j^2], i!=j", x1**2 * y2**2, 1.0 / denom)
-        yield check("E[X_1i Y_1i X_1j Y_1j], i!=j", x1 * y1 * x2 * y2, 0.0)
-
-
-def haar_moment_check(m: int, n_samples: int, rng: np.random.Generator) -> list[MomentCheck]:
-    """Estimate the fourth moments of Haar first rows against closed forms.
-
-    For each kind in ``KINDS``, one integer seed is drawn from ``rng``
-    (``integers(2**63)``); that kind's Ginibre stacks then come from
-    ``symplectic_ops.mc_blocks`` in blocks of ``block_samples(m)``, factored on the kept rows.
-
-    Args:
-        m: matrix size (needs m >= 2 for the i != j rows).
-        n_samples: Monte-Carlo sample count per kind (>= 1000).
-        rng: random generator, used only for the per-kind seeds.
-
-    Returns:
-        One row per moment with estimate, exact value and standard error.
-    """
-    if n_samples < 1000:
-        raise ValueError("need at least 1000 samples for a meaningful check")
-    if m < 2:
-        raise ValueError("moment table needs m >= 2")
-    out: list[MomentCheck] = []
-    for kind in KINDS:
-
-        def draw(block_rng: np.random.Generator, size: int, keep: int) -> tuple:
-            return (ginibre_batch(m, size, block_rng, real=kind == "orthogonal", keep=keep),)
-
-        blocks = mc_blocks(int(rng.integers(2**63)), n_samples, block_samples(m), draw)
-        first_rows = np.concatenate([haar_from_ginibre(z)[:, 0, :] for _, (z,) in blocks])
-        out.extend(_rows(first_rows, kind, m))
-    return out
 
 
 def entanglement_entropy(nu: float) -> float:

@@ -7,6 +7,7 @@ A gate is a pair ``(S, disp)`` acting on Gaussian states as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Sequence
@@ -66,16 +67,24 @@ def mc_blocks(seed: int, n: int, size: int, draw: Callable) -> Iterator[tuple[in
         yield start, draw(derive_rng(seed, b), size, keep=min(size, n - start))
 
 
+def _scaled(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """``values / 2^k`` and ``2^k``, the largest power of two not above the largest magnitude.
+
+    Dividing by a power of two is exact, and the scaled values are below 2 in
+    size, so their sums and squared deviations stay finite for values up to
+    the largest float; ``2^k`` itself is finite there too.
+    """
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(values).max()))[1] - 1)
+    return values / scale, scale
+
+
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
     """Sample mean of ``values`` and its standard error (0 for a single value).
 
-    Both are taken on ``values / 2^k``, with ``2^k`` just above the largest
-    magnitude, and scaled back: dividing by a power of two is exact, and the
-    squared deviations stay finite for values up to the largest float.
+    Both are taken on the ``_scaled`` values and scaled back.
     """
     n = values.shape[0]
-    scale = np.ldexp(1.0, int(np.frexp(np.max(np.abs(values)))[1]))
-    scaled = values / scale
+    scaled, scale = _scaled(values)
     se = float(np.std(scaled, ddof=1) / np.sqrt(n) * scale) if n > 1 else 0.0
     return float(np.mean(scaled) * scale), se
 

@@ -1,8 +1,10 @@
-"""Shared fixtures: seeded RNGs, random valid covariance matrices, exact checks."""
+"""Shared fixtures: seeded RNGs, random valid covariance matrices, exact checks, Haar moments."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -13,6 +15,14 @@ from sympcoh import (
     apply_loss,
     mix_states,
     sample_pure_cm,
+)
+from sympcoh.ensembles import KINDS, _n_sigma
+from sympcoh.symplectic_ops import (
+    block_samples,
+    ginibre_batch,
+    haar_from_ginibre,
+    mc_blocks,
+    mean_stderr,
 )
 
 BASE_SEED = 20240817
@@ -90,3 +100,76 @@ def exact_residual_sq(s, form) -> Fraction:
     s, form = fractions(s), fractions(form)
     residual = s @ form @ s.T - form
     return sum((x * x for x in residual.flat), Fraction(0))
+
+
+@dataclass(frozen=True)
+class MomentCheck:
+    """One estimated Haar fourth moment against its closed form."""
+
+    kind: str
+    name: str
+    estimate: float
+    exact: float
+    stderr: float
+
+    @property
+    def n_sigma(self) -> float | None:
+        return _n_sigma(self.estimate, self.exact, self.stderr)
+
+
+def _rows(samples: np.ndarray, kind: str, m: int) -> Iterable[MomentCheck]:
+    """Moment rows for one kind given first-row samples (n x m, or complex)."""
+
+    def check(name: str, values: np.ndarray, exact: float) -> MomentCheck:
+        est, se = mean_stderr(values)
+        return MomentCheck(kind, name, est, exact, se)
+
+    if kind == "orthogonal":
+        o1, o2 = samples[:, 0], samples[:, 1]
+        denom = m * (m + 2)
+        yield check("E[O_1i^2 O_1i^2]", o1**4, 3.0 / denom)
+        yield check("E[O_1i^2 O_1j^2], i!=j", o1**2 * o2**2, 1.0 / denom)
+    else:
+        x1, y1 = samples[:, 0].real, samples[:, 0].imag
+        x2, y2 = samples[:, 1].real, samples[:, 1].imag
+        denom = 4.0 * m * (m + 1)
+        yield check("E[X_1i^2 X_1i^2]", x1**4, 3.0 / denom)
+        yield check("E[X_1i^2 X_1j^2], i!=j", x1**2 * x2**2, 1.0 / denom)
+        yield check("E[Y_1i^2 Y_1i^2]", y1**4, 3.0 / denom)
+        yield check("E[Y_1i^2 Y_1j^2], i!=j", y1**2 * y2**2, 1.0 / denom)
+        yield check("E[X_1i^2 Y_1i^2]", x1**2 * y1**2, 1.0 / denom)
+        yield check("E[X_1i^2 Y_1j^2], i!=j", x1**2 * y2**2, 1.0 / denom)
+        yield check("E[X_1i Y_1i X_1j Y_1j], i!=j", x1 * y1 * x2 * y2, 0.0)
+
+
+def haar_moment_check(m: int, n_samples: int, rng: np.random.Generator) -> list[MomentCheck]:
+    """Estimate the fourth moments of Haar first rows against closed forms.
+
+    A self-check of the package's Haar sampler.  For each kind in
+    ``ensembles.KINDS``, one integer seed is drawn from ``rng``
+    (``integers(2**63)``); that kind's Ginibre stacks then come from
+    ``symplectic_ops.mc_blocks`` in blocks of ``block_samples(m)``, factored
+    on the kept rows.
+
+    Args:
+        m: matrix size (needs m >= 2 for the i != j rows).
+        n_samples: Monte-Carlo sample count per kind (>= 1000).
+        rng: random generator, used only for the per-kind seeds.
+
+    Returns:
+        One row per moment with estimate, exact value and standard error.
+    """
+    if n_samples < 1000:
+        raise ValueError("need at least 1000 samples for a meaningful check")
+    if m < 2:
+        raise ValueError("moment table needs m >= 2")
+    out: list[MomentCheck] = []
+    for kind in KINDS:
+
+        def draw(block_rng: np.random.Generator, size: int, keep: int) -> tuple:
+            return (ginibre_batch(m, size, block_rng, real=kind == "orthogonal", keep=keep),)
+
+        blocks = mc_blocks(int(rng.integers(2**63)), n_samples, block_samples(m), draw)
+        first_rows = np.concatenate([haar_from_ginibre(z)[:, 0, :] for _, (z,) in blocks])
+        out.extend(_rows(first_rows, kind, m))
+    return out

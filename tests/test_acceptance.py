@@ -29,7 +29,6 @@ from sympcoh import (
     displacement,
     ensemble_nu_sq,
     geometric_discord,
-    haar_moment_check,
     haar_orthogonal,
     helstrom_lower_bound_loss,
     is_classical_quantum,
@@ -51,7 +50,7 @@ from sympcoh import (
     tvd_exact_zero_mean_normals,
     vacuum_state,
 )
-from conftest import random_free_cov, random_valid_cov
+from conftest import haar_moment_check, random_free_cov, random_valid_cov
 from test_applications import tvd_by_quadrature
 
 SEED = 903212

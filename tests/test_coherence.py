@@ -676,6 +676,124 @@ def test_phase_move_closed_form_is_exact(m):
                 assert best >= closed(grid).max() * (1.0 - 1e-12)
 
 
+def phase_oracle_gain(c1: np.ndarray, c2: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Most that any oracle point o gains over z in ``Re(c1 o + c2 o^2)``, per case.
+
+    The oracle points are o = 1, the unit-normalised roots of the companion
+    matrix of ``2 c2 o^4 + c1 o^3 - conj(c1) o - 2 conj(c2)`` (whose
+    unit-circle roots are the critical points; built on inputs scaled by
+    ``max(|c1|, |c2|)`` and left out where it is not finite), and every local
+    maximum of a 1024-point angle grid, polished by Newton steps in the angle
+    clipped to one grid spacing.  A gain is taken as ``Re((o - z)(c1 + c2 (o +
+    z)))``, which does not round two nearly equal values.
+    """
+
+    def gain(o, c1, c2, z):
+        return ((o - z) * (c1 + c2 * (o + z))).real
+
+    scale = np.maximum(np.abs(c1), np.abs(c2))
+    scale[scale == 0] = 1.0
+    a1, a2 = c1 / scale, c2 / scale
+    with np.errstate(all="ignore"):
+        comp = np.zeros((len(c1), 4, 4), dtype=complex)
+        comp[:, 1:, :3] = np.eye(3)
+        comp[:, 0] = np.stack([-a1 / (2 * a2), 0 * a1, a1.conj() / (2 * a2), a2.conj() / a2], axis=1)
+        ok = np.all(np.isfinite(comp), axis=(1, 2))
+        roots = np.ones((len(c1), 4), dtype=complex)
+        roots[ok] = np.linalg.eigvals(comp[ok])
+        roots = np.where(np.isfinite(roots) & (roots != 0), roots / np.abs(roots), 1.0)
+    points = np.column_stack([np.ones(len(c1)), roots])
+    best = gain(points, c1[:, None], c2[:, None], z[:, None]).max(axis=1)
+    step = 2 * np.pi / 1024
+    grid = np.exp(1j * step * np.arange(1024))
+    f = (a1[:, None] * grid + a2[:, None] * grid * grid).real
+    case, at = np.nonzero((f >= np.roll(f, 1, axis=1)) & (f >= np.roll(f, -1, axis=1)))
+    phi = step * at
+    for _ in range(60):
+        e = np.exp(1j * phi)
+        d1 = (1j * a1[case] * e + 2j * a2[case] * e * e).real
+        d2 = (-a1[case] * e - 4 * a2[case] * e * e).real
+        phi = phi - np.where(d2 < 0, np.clip(d1 / np.where(d2 < 0, d2, -1.0), -step, step), 0.0)
+    np.maximum.at(best, case, gain(np.exp(1j * phi), c1[case], c2[case], z[case]))
+    return best
+
+
+def phase_cases(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n random (c1, c2), |c1|/|c2| log-uniform in [1e-300, 1e300], plus the edge cases.
+
+    The edge cases are c1 = 0, c2 = 0, both 0, the hard case (real c2 > 0 and
+    imaginary c1, so a = 0 exactly) inside and on its boundary |b| = 2q, and
+    its neighbours, where a is small and |b| is near 2q.
+    """
+    ratio = rng.uniform(-300, 300, n)
+    size = rng.uniform(-4, 4, n)
+    c1 = 10 ** (size + ratio / 2) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    c2 = 10 ** (size - ratio / 2) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    edge = [(0, 1), (0, -3j), (1, 0), (-2 + 1j, 0), (0, 0), (1j, 1), (-3j, 1), (2j, 0.5)]
+    edge += [(4j, 1), (-4j, 1), (4e-300j, 1e-300), (1, 1e-300), (1e200, 1e-200), (5e-324 + 4j, 1)]
+    for eps in (1e-16, 1e-12, 1e-8, 1e-4, 1e-1):
+        for sign in (1, -1):
+            edge += [(4j * (1 + sign * eps), 1), (4j + sign * eps, 1), (3.9j + sign * eps, 1)]
+            edge += [(4j * (1 + sign * eps) + eps * eps, 1), (sign * eps - 2j, -0.5j)]
+    e1, e2 = np.array(edge, dtype=complex).T
+    return np.concatenate([c1, e1]), np.concatenate([c2, e2])
+
+
+def test_phase_argmax_matches_a_companion_and_grid_oracle():
+    c1, c2 = phase_cases(10_000, np.random.default_rng(26))
+    z = np.array([_phase_argmax(complex(a), complex(b)) for a, b in zip(c1, c2)])
+    assert_allclose(np.abs(z), 1.0, rtol=0, atol=1e-15)
+    gain = phase_oracle_gain(c1, c2, z)
+    assert np.all(gain <= 1e-15 * (np.abs(c1) + np.abs(c2))), np.max(gain / (np.abs(c1) + np.abs(c2)))
+
+
+@pytest.mark.parametrize("c1, c2", [(1.0, 1e-300), (1e200, 1e-200), (1e-200j, 1e200)])
+def test_phase_argmax_at_extreme_coefficient_ratios(c1, c2):
+    # A companion matrix of these overflows (c1 / c2 = 1e400), or a root
+    # underflows to 0; the closed form only compares scaled inputs.
+    z = _phase_argmax(complex(c1), complex(c2))
+    grid = np.exp(1j * np.linspace(-np.pi, np.pi, 4096, endpoint=False))
+    best = (c1 * grid + c2 * grid * grid).real.max()
+    assert abs(z) == pytest.approx(1.0, abs=1e-15)
+    assert (c1 * z + c2 * z * z).real >= best - 1e-15 * (abs(c1) + abs(c2))
+
+
+def test_phase_argmax_keeps_z_1_on_a_tie():
+    # Re(z^2) is largest at both z = 1 and z = -1, and a constant at every z;
+    # the hard case Re(i z + z^2) has its two maxima, of 9/8, off z = 1.
+    assert _phase_argmax(0j, 1 + 0j) == 1.0
+    assert _phase_argmax(0j, 0j) == 1.0
+    assert _phase_argmax(-2 + 0j, 0j) == -1.0
+    z = _phase_argmax(1j, 1 + 0j)
+    assert (1j * z + z * z).real == pytest.approx(1.125, rel=1e-15, abs=0)
+    # With Im(c1) = -2 Im(c2) and Re(c1) > 4|c2|, z = 1 is a maximum, and
+    # the closed form lands within rounding of it: it returns exactly 1
+    # unless its own point's value is larger.
+    rng = np.random.default_rng(8)
+    stayed = 0
+    for _ in range(200):
+        c2 = complex(*rng.standard_normal(2))
+        c1 = complex(4.0 * abs(c2) * (1.0 + rng.random()), -2.0 * c2.imag)
+        z = _phase_argmax(c1, c2)
+        assert z == 1.0 or (c1 * z + c2 * z * z).real > (c1 + c2).real
+        stayed += z == 1.0
+    assert stayed >= 50
+
+
+@pytest.mark.parametrize("m", [2, 8])
+def test_search_makes_no_eigensolve(m, monkeypatch):
+    # The phase move is closed form and the rest of the refinement is matrix
+    # products; only the sampling's Haar QR reads numpy.linalg.
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.linalg called by the refinement")
+
+    for name in np.linalg.__all__:
+        if name != "qr" and not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refused)
+    outcome = numeric_max_search(4.0 * m + 8.0, m, trials=200, seed=3)
+    assert outcome.argmax["refined_coherence"] > outcome.argmax["sample_coherence"]
+
+
 def test_search_builds_its_forms_once_per_search(monkeypatch):
     # Sampling scores V_xp directly; the refinement's phase and weight moves
     # all read |G|^2 and G o G of the best sample, built once.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import decimal
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from sympcoh import (
     derive_rng,
     ensemble_nu_sq,
     entanglement_entropy,
-    haar_moment_check,
     is_pure,
     is_valid,
     partial_trace,
@@ -37,6 +37,7 @@ from sympcoh.symplectic_ops import (
     pure_param_blocks,
     sample_d_batch,
 )
+from conftest import haar_moment_check
 
 TOL = 1e-12
 
@@ -194,11 +195,17 @@ def test_pair_sums_match_long_double(m):
 
 @pytest.mark.parametrize("kind", ["orthogonal", "unitary"])
 def test_ensemble_statistics_stay_finite_at_large_trace(kind):
-    for m in (2, 8, 16):
-        stats = ensemble_nu_sq(EnsembleConfig(m=m, E=1e150, n_samples=300, seed=3, kind=kind))
+    # Up to the largest trace with E^2 finite: the pair sums reach E^2, and
+    # a plain mean of them overflowed from E of about 1e154.
+    cases = [(m, 1e150) for m in (2, 8, 16)] + [(m, E) for m in (2, 4) for E in (1e154, 1.3e154)]
+    for m, E in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = ensemble_nu_sq(EnsembleConfig(m=m, E=E, n_samples=300, seed=3, kind=kind))
         values = (stats.mean_nu_sq, stats.stderr, stats.analytic_mean, stats.stderr_diff)
-        assert np.all(np.isfinite(values)) and stats.stderr > 0, m
-        assert abs(stats.mean_nu_sq - stats.analytic_mean) <= 5 * stats.stderr_diff, m
+        values += (stats.s1_hat, stats.s2_hat, stats.n_sigma)
+        assert np.all(np.isfinite(values)) and stats.stderr > 0, (m, E)
+        assert abs(stats.mean_nu_sq - stats.analytic_mean) <= 5 * stats.stderr_diff, (m, E)
 
 
 def test_ensemble_builds_no_covariance_matrix(monkeypatch):

@@ -53,7 +53,7 @@ from sympcoh.symplectic_ops import (
     sample_d_batch,
 )
 from sympcoh.gaussian_core import rounding_floor, symplectic_form
-from conftest import exact_residual_sq, fractions, random_valid_cov
+from conftest import exact_residual_sq, fractions, haar_moment_check, random_valid_cov
 
 TOL = 1e-12
 
@@ -105,7 +105,7 @@ def test_every_driver_derives_one_generator_per_block(monkeypatch):
     disc_blocks = math.ceil(6000 / (BLOCK_ENTRIES // applications._mom_groups(300, 0.1)[0]))
     assert count(lambda: applications.run_discrimination(disc)) == disc_blocks
     haar_blocks = len(ensembles.KINDS) * math.ceil(1000 / block_samples(2))
-    assert count(lambda: ensembles.haar_moment_check(2, 1000, derive_rng(1, 0))) == haar_blocks
+    assert count(lambda: haar_moment_check(2, 1000, derive_rng(1, 0))) == haar_blocks
 
 
 def test_mean_stderr_is_the_plain_formula_and_finite_near_the_float_range(rng):
@@ -119,6 +119,12 @@ def test_mean_stderr_is_the_plain_formula_and_finite_near_the_float_range(rng):
     mean, se = mean_stderr(np.array([1e300, 3e300, 5e300]))
     assert mean == pytest.approx(3e300, rel=1e-15)
     assert se == pytest.approx(2e300 / np.sqrt(3), rel=1e-15)
+    # Above 2^1023 the scale is that power of two itself, not an infinite 2^1024.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, se = mean_stderr(np.array([1.7e308, 1.6e308, 1.5e308]))
+    assert mean == pytest.approx(1.6e308, rel=1e-15)
+    assert se == pytest.approx(1e307 / np.sqrt(3), rel=1e-14)
 
 
 def test_sample_d_batch_redraws_a_zero_row():
@@ -669,6 +675,6 @@ def test_monte_carlo_drivers_factor_only_the_rows_they_keep(m, monkeypatch):
     assert sum(n for _, n in sizes) == 30
     if m >= 2:
         sizes.clear()
-        ensembles.haar_moment_check(m, 1000, derive_rng(1, 0))
+        haar_moment_check(m, 1000, derive_rng(1, 0))
         assert sum(n for c, n in sizes if not c) == 1000
         assert sum(n for c, n in sizes if c) == 1000
