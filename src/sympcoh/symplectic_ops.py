@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -61,7 +60,8 @@ def mc_blocks(seed: int, n: int, size: int, draw: Callable) -> Iterator[tuple[in
     a deterministic function of the seed, different seeds give independent
     samples, and a run of n samples is a prefix of every longer run with the
     same seed and size.  A ``draw`` only consumes its generator: per-sample
-    transforms, such as the QR of ``haar_from_ginibre``, run on the kept rows.
+    transforms, such as the QR of ``haar_from_ginibre``, run on the rows a
+    driver still needs.
     """
     for b, start in enumerate(range(0, n, size)):
         yield start, draw(derive_rng(seed, b), size, keep=min(size, n - start))
@@ -494,20 +494,6 @@ def pure_draw(
     z's first column, draw that column first instead.
     """
     return sample_d_batch(E, m, n, rng)[:keep], ginibre_batch(m, n, rng, real, keep=keep)
-
-
-def pure_param_blocks(
-    seed: int, n: int, E: float, m: int, orthogonal: bool
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield ``(start, X, Y, d)`` stacks for samples ``start, start + 1, ...`` < n.
-
-    The ``mc_blocks`` of ``pure_draw`` in blocks of ``block_samples(m)`` samples;
-    ``X + iY = haar_from_ginibre(z)``, factored on the kept rows (``Y = 0`` if orthogonal).
-    """
-    draw = partial(pure_draw, E=E, m=m, real=orthogonal)
-    for start, (d, z) in mc_blocks(seed, n, block_samples(m), draw):
-        u = haar_from_ginibre(z)
-        yield start, u.real, u.imag, d
 
 
 def pure_cm(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -1,10 +1,11 @@
-"""Shared fixtures: seeded RNGs, random valid covariance matrices, exact checks, Haar moments."""
+"""Shared fixtures: seeded RNGs, random valid covariance matrices, exact checks, Haar samples and moments."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import partial
+from typing import Iterable, Iterator
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from sympcoh.symplectic_ops import (
     haar_from_ginibre,
     mc_blocks,
     mean_stderr,
+    pure_draw,
 )
 
 BASE_SEED = 20240817
@@ -100,6 +102,21 @@ def exact_residual_sq(s, form) -> Fraction:
     s, form = fractions(s), fractions(form)
     residual = s @ form @ s.T - form
     return sum((x * x for x in residual.flat), Fraction(0))
+
+
+def pure_param_blocks(
+    seed: int, n: int, E: float, m: int, orthogonal: bool
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(start, X, Y, d)`` stacks for samples ``start, start + 1, ...`` < n.
+
+    The ``mc_blocks`` of ``pure_draw`` in blocks of ``block_samples(m)`` samples;
+    ``X + iY = haar_from_ginibre(z)``, factored on every kept row (``Y = 0`` if
+    orthogonal): the samples of the maximum search, all of them factored.
+    """
+    draw = partial(pure_draw, E=E, m=m, real=orthogonal)
+    for start, (d, z) in mc_blocks(seed, n, block_samples(m), draw):
+        u = haar_from_ginibre(z)
+        yield start, u.real, u.imag, d
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -57,13 +58,14 @@ from sympcoh.coherence import (
 )
 from sympcoh.symplectic_ops import (
     pure_cm,
-    pure_param_blocks,
     pure_xp_block,
     spectrum_from_weights,
 )
 from sympcoh.applications import qfi_displacement
-from sympcoh.gaussian_core import NumericError, validate
-from conftest import first_mode_block_exactly_valid, random_free_cov, random_valid_cov
+from sympcoh.gaussian_core import NumericError, rounding_floor, validate
+from conftest import (
+    first_mode_block_exactly_valid, pure_param_blocks, random_free_cov, random_valid_cov,
+)
 
 TOL = 1e-9
 EXACT = 1e-12
@@ -634,6 +636,119 @@ def test_xp_block_matches_the_covariance_blocks(m):
         assert not np.any(y)
         alpha = d - 1.0
         assert np.all(pure_xp_block(x, y, alpha, -alpha / d) == 0.0)
+
+
+def spectrum_bound(d: np.ndarray) -> np.ndarray:
+    """``B = sum_k sigma_k^2``, with ``sigma = (alpha - beta)/2`` from ``alpha = d - 1``, ``beta = 1/d - 1``."""
+    alpha = d - 1.0
+    sigma = 0.5 * (alpha + alpha / d)
+    return np.einsum("...i,...i->...", sigma, sigma)
+
+
+def panel_traces(m: int) -> tuple[float, ...]:
+    """Traces from just above the vacuum's 2m to the largest whose square is finite."""
+    return (2.0 * m + 1e-9, 2.0 * m + 1e-6, 4.0 * m + 8.0, 1e3, 1e8, 1e12, 1.3e154)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])
+def test_spectrum_bound_holds_on_haar_samples(m):
+    # c <= sum_k sigma_k^2 at every passive U, to the rounding floor; with the
+    # passive gate e^{i pi/4} O for real orthogonal O, G = i O^T O = i I and
+    # the bound is attained, so the floor is exercised where it is tight.
+    for E in panel_traces(m):
+        for _, x, y, d in pure_param_blocks(13, 300, E, m, False):
+            bound, alpha = spectrum_bound(d), d - 1.0
+            c = norm_sq(pure_xp_block(x, y, alpha, -alpha / d))
+            assert np.all(c <= bound + rounding_floor(2 * m, bound))
+        for _, o, _, d in pure_param_blocks(13, 300, E, m, True):
+            bound, alpha, turned = spectrum_bound(d), d - 1.0, o * np.sqrt(0.5)
+            c = norm_sq(pure_xp_block(turned, turned, alpha, -alpha / d))
+            assert np.all(np.abs(c - bound) <= rounding_floor(2 * m, bound))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])
+def test_spectrum_bound_is_attained_by_squeezers_turned_by_pi_4(m):
+    # The canonical state's bound is sinh(2r)^2.  Near the vacuum its stored
+    # cosh(2r) holds few digits of the excess (its docstring), so the traces
+    # start where the stored matrix is within rounding of the state.
+    for E in (4.0 * m + 8.0, 1e3, 1e8, 1e12):
+        bound = np.sinh(2.0 * msc_squeezing(E, m)) ** 2
+        c = symplectic_coherence(msc_canonical(E, m).cov)
+        assert abs(c - bound) <= rounding_floor(2 * m, bound)
+    r = np.linspace(0.1, 1.5, m)
+    modes = [rotated_squeezed(float(rk), np.pi / 4) for rk in r]
+    bound = float(spectrum_bound(np.exp(2.0 * r)))
+    c = symplectic_coherence(reduce(tensor_states, modes).cov)
+    assert abs(c - bound) <= rounding_floor(2 * m, bound)
+    # Any other turn theta of one mode loses sinh(2r)^2 cos(2 theta)^2 of it.
+    modes[-1] = rotated_squeezed(float(r[-1]), 0.3)
+    c = symplectic_coherence(reduce(tensor_states, modes).cov)
+    assert bound - c == pytest.approx(np.sinh(2.0 * r[-1]) ** 2 * np.cos(0.6) ** 2, rel=1e-9)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])
+def test_spectrum_bound_is_the_maximum_iff_one_mode_carries_the_excess(m, rng):
+    # B = sum gamma^2 + 2h <= h^2 + 2h = c_max with h = (E - 2m)/2, and
+    # c_max - B = h^2 - sum gamma^2 = 2 sum_{k<l} gamma_k gamma_l.  The moduli
+    # are taken from the weights, as the refinement takes them, since a
+    # stored d near 1 holds few digits of its excess.
+    for E in (2.0 * m + 1e-6, 4.0 * m + 8.0, 1e3, 1e8, 1e12):
+        c_max, h = max_symplectic_coherence(E, m), 0.5 * (E - 2.0 * m)
+        for alone in np.eye(m):
+            sigma = _moduli(h, alone)[1]
+            assert abs(float(sigma @ sigma) - c_max) <= rounding_floor(2 * m, c_max)
+        if m == 1:
+            continue
+        for _ in range(20):
+            weights = rng.dirichlet(np.full(m, 0.3))
+            gamma, sigma = _moduli(h, weights)
+            bound = float(sigma @ sigma)
+            deficit = h * h - float(gamma @ gamma)
+            assert bound <= c_max + rounding_floor(2 * m, c_max)
+            assert deficit > rounding_floor(2 * m, c_max)
+            assert c_max - bound == pytest.approx(deficit, rel=1e-6, abs=rounding_floor(2 * m, c_max))
+
+
+def exhaustive_best_sample(E: float, m: int, trials: int, seed: int):
+    """``(c, trial, X, Y, d)`` of the first best sample, every kept row factored and scored.
+
+    The search's sampling before it bounded samples by their spectra: each
+    block of ``pure_param_blocks`` scored whole, its first maximum taken.
+    """
+    best_c = -1.0
+    for start, xs, ys, ds in pure_param_blocks(seed, trials, E, m, False):
+        alpha = ds - 1.0
+        c = norm_sq(pure_xp_block(xs, ys, alpha, -alpha / ds))
+        j = int(np.argmax(c))
+        if c[j] > best_c:
+            best_c = float(c[j])
+            best = (start + j, xs[j], ys[j], ds[j])
+    return (best_c,) + best
+
+
+def exact(value):
+    """``value`` with every float written as its hex form, so equality is equality of bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [exact(v) for v in value]
+    if isinstance(value, dict):
+        return [(k, exact(v)) for k, v in value.items()]
+    return value
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])
+def test_search_is_the_exhaustive_scoring_bit_for_bit(m, monkeypatch):
+    # A sample the spectrum bound leaves out could neither win nor tie, so the
+    # whole outcome is the exhaustive scoring's, refinement included; at
+    # m = 1 every sample has the same bound and none is left out.
+    cases = [(E, n, seed) for E in panel_traces(m) for n, seed in ((1, 0), (9, 1), (200, 2), (600, 3))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [numeric_max_search(E, m, n, seed) for E, n, seed in cases]
+        monkeypatch.setattr(coherence, "_best_sample", exhaustive_best_sample)
+        want = [numeric_max_search(E, m, n, seed) for E, n, seed in cases]
+    assert [exact(o) for o in got] == [exact(o) for o in want]
 
 
 def phase_coefficients(gram_sq: np.ndarray, w: np.ndarray, k: int) -> tuple[complex, complex]:

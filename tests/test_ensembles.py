@@ -34,10 +34,9 @@ from sympcoh.symplectic_ops import (
     ginibre_batch,
     haar_from_ginibre,
     pure_cm,
-    pure_param_blocks,
     sample_d_batch,
 )
-from conftest import haar_moment_check
+from conftest import haar_moment_check, pure_param_blocks
 
 TOL = 1e-12
 

@@ -49,11 +49,13 @@ from sympcoh.symplectic_ops import (
     haar_unitary_batch,
     mean_stderr,
     pure_draw,
-    pure_param_blocks,
+    pure_xp_block,
     sample_d_batch,
 )
 from sympcoh.gaussian_core import rounding_floor, symplectic_form
-from conftest import exact_residual_sq, fractions, haar_moment_check, random_valid_cov
+from conftest import (
+    exact_residual_sq, fractions, haar_moment_check, pure_param_blocks, random_valid_cov,
+)
 
 TOL = 1e-12
 
@@ -660,7 +662,30 @@ def test_pure_param_blocks_are_full_block_draws_cut_at_n(m, orthogonal):
             assert not orthogonal or not y.any()
 
 
-@pytest.mark.parametrize("m", [1, 2, 8])
+def rows_whose_bound_reaches_the_best(E: float, m: int, trials: int, seed: int) -> int:
+    """Rows of a maximum search whose spectrum bound can still win, from every row scored.
+
+    Per block: the ``coherence._FIRST_BATCH`` rows of largest bound ``B =
+    sum_k sigma_k^2``, and every other row whose ``B + 4m rounding_floor(2m,
+    B)`` reaches the best c of earlier blocks and of those first rows.
+    """
+    best, count = -1.0, 0
+    for _, x, y, d in pure_param_blocks(seed, trials, E, m, False):
+        alpha = d - 1.0
+        beta = -alpha / d
+        v = pure_xp_block(x, y, alpha, beta)
+        c = np.einsum("...ij,...ij->...", v, v)
+        sigma = 0.5 * (alpha - beta)
+        bound = np.einsum("ij,ij->i", sigma, sigma)
+        first = np.argsort(bound)[-coherence._FIRST_BATCH:]
+        best = max(best, c[first].max())
+        others = np.delete(bound, first)
+        count += len(first) + int(np.sum(others + 4.0 * m * rounding_floor(2 * m, others) >= best))
+        best = max(best, c.max())
+    return count
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 16])
 def test_monte_carlo_drivers_factor_only_the_rows_they_keep(m, monkeypatch):
     sizes = []
     qr = np.linalg.qr
@@ -670,9 +695,14 @@ def test_monte_carlo_drivers_factor_only_the_rows_they_keep(m, monkeypatch):
         return qr(z, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "qr", recording)
-    coherence.numeric_max_search(4.0 * m + 8.0, m, 30, 3)
-    assert block_samples(m) > 30
-    assert sum(n for _, n in sizes) == 30
+    # The search factors exactly the rows whose spectrum bound can still win:
+    # every row at m = 1, where all bounds are equal, and few of them above.
+    E, trials, seed = 4.0 * m + 8.0, 200, 3
+    coherence.numeric_max_search(E, m, trials, seed)
+    factored = sum(n for _, n in sizes)
+    assert factored == rows_whose_bound_reaches_the_best(E, m, trials, seed)
+    assert factored == trials if m == 1 else factored < trials
+    assert (block_samples(m) > trials) == (m < 16)
     if m >= 2:
         sizes.clear()
         haar_moment_check(m, 1000, derive_rng(1, 0))
