@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .gaussian_core import (
-    CovMat, DimensionError, GaussianState, _gap_exceeds_floor, blocks, is_pure, require_valid,
-    rounding_floor,
+    CovMat, DimensionError, GaussianState, _frobenius_sq, _gap_exceeds_floor, is_pure,
+    require_valid, rounding_floor,
 )
 from .symplectic_ops import (
     SympGate,
@@ -39,10 +39,13 @@ def symplectic_coherence(cov: CovMat) -> float:
     """Squared Frobenius norm of the position-momentum block.
 
     Additive under tensor products and zero exactly on states with no
-    position-momentum correlations.
+    position-momentum correlations.  Computed once per ``CovMat``
+    (:attr:`~sympcoh.gaussian_core.CovMat.xp_norm_sq`).
+
+    Raises:
+        NumericError: if it overflows float64.
     """
-    _, _, v_xp = blocks(cov)
-    return float(np.sum(v_xp * v_xp))
+    return cov.xp_norm_sq
 
 
 def closest_free_cm(cov: CovMat) -> CovMat:
@@ -75,12 +78,16 @@ class CoherenceReport:
 
 
 def coherence_report(cov: CovMat) -> CoherenceReport:
-    """Coherence, distance to the correlation-free set, and the minimiser."""
+    """Coherence, distance to the correlation-free set, and the minimiser.
+
+    Raises:
+        NumericError: if the coherence or the distance overflows float64.
+    """
     free = closest_free_cm(cov)
     diff = cov.matrix - free.matrix
     return CoherenceReport(
         coherence=symplectic_coherence(cov),
-        hs_distance_sq_to_free=float(np.sum(diff * diff)),
+        hs_distance_sq_to_free=_frobenius_sq(diff, cov.trace, "squared distance to the free set"),
         closest_free=free,
     )
 
@@ -281,12 +288,11 @@ def mixed_msc_check(cov: CovMat, comp1: CovMat, comp2: CovMat) -> tuple[bool, li
     for label, comp in (("first", comp1), ("second", comp2)):
         if not is_pure(comp):
             reasons.append(f"{label} component is not pure")
-    tr1, tr2 = float(np.trace(comp1.matrix)), float(np.trace(comp2.matrix))
+    tr1, tr2 = comp1.trace, comp2.trace
     if _gap_exceeds_floor(tr1, tr2, n):
         reasons.append("component covariance traces differ")
-    _, _, xp1 = blocks(comp1)
-    _, _, xp2 = blocks(comp2)
-    if _gap_exceeds_floor(xp1, xp2, n):
+    m = cov.m
+    if _gap_exceeds_floor(comp1.matrix[:m, m:], comp2.matrix[:m, m:], n):
         reasons.append("component position-momentum blocks differ")
     try:
         c_max = max_symplectic_coherence(tr1, comp1.m)

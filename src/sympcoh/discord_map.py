@@ -5,6 +5,11 @@ positive matrix and can be read as a qubit-times-m-level density matrix whose
 qubit blocks are the position/momentum blocks.  The squared Frobenius norm of
 the off-diagonal block then ties the position-momentum correlation measure to
 the geometric discord of that virtual state.
+
+The image of a ``CovMat`` is built once: :func:`to_density` keeps it in the
+matrix's instance dict beside its cached properties, and every later call,
+such as the one inside :func:`coherence_discord_relation_check`, reads it
+back.  Sharing it is sound because an image is frozen and its ``rho`` read-only.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian_core import CovMat, _as_cm_array, require_valid, rounding_floor
+from .gaussian_core import CovMat, _as_cm_array, _frobenius_sq, require_valid, rounding_floor
 
 
 @dataclass(frozen=True)
@@ -46,10 +51,16 @@ class DiscordImage:
 
 
 def to_density(cov: CovMat) -> DiscordImage:
-    """Normalize a valid covariance matrix into its virtual density matrix."""
-    require_valid(cov)
-    scale = float(np.trace(cov.matrix))
-    return DiscordImage(rho=cov.matrix / scale, c_scale=scale)
+    """Normalize a valid covariance matrix into its virtual density matrix.
+
+    Built once per ``CovMat`` and kept on it: every call returns the same image.
+    """
+    image = cov.__dict__.get("_image")
+    if image is None:
+        require_valid(cov)
+        image = DiscordImage(rho=cov.matrix / cov.trace, c_scale=cov.trace)
+        cov.__dict__["_image"] = image  # beside the instance's cached properties
+    return image
 
 
 def from_density(image: DiscordImage, scale: float) -> CovMat:
@@ -101,11 +112,13 @@ def coherence_discord_relation_check(cov: CovMat) -> RelationCheck:
     The identity holds by construction; the residual guards against
     implementation drift between the two code paths.  Its right-hand side is
     ``|Tr V * off_block|^2``: no ``(Tr V)^2`` to overflow, no discord to underflow.
+
+    Raises:
+        NumericError: if either side overflows float64.
     """
-    m = cov.m
-    v_xp = cov.matrix[:m, m:]
-    coherence = float(np.sum(v_xp * v_xp))
+    coherence = cov.xp_norm_sq
     image = to_density(cov)
-    rescaled = image.c_scale * image.off_block
-    residual = abs(coherence - float(np.sum(rescaled * rescaled)))
-    return RelationCheck(coherence, geometric_discord(image), residual)
+    rescaled = _frobenius_sq(
+        image.c_scale * image.off_block, cov.trace, "rescaled discord |Tr V * rho_xp|^2"
+    )
+    return RelationCheck(coherence, geometric_discord(image), abs(coherence - rescaled))

@@ -17,6 +17,11 @@ Williamson symplectic eigenvalues ``nu`` (Weedbrook et al., Rev. Mod. Phys.
 84, 621 (2012); Bhatia and Jain, J. Math. Phys. 56, 112201 (2015)).  Its
 upper half is ``nu``, so no pairing step is needed.
 
+Each :class:`CovMat` computes every derived quantity once and caches it on
+the instance: the trace, that Cholesky, the two Hermitian eigensolves (the
+Williamson one and that of ``S + i*Omega``), the sum of squared
+position-momentum entries, and its virtual image ``V / Tr V``.
+
 Every verdict of the package compares a residual with one :func:`rounding_floor`.
 A negative verdict is proven: the exact property fails by more than the floor.
 A positive verdict means "within the floor".
@@ -80,6 +85,22 @@ def symplectic_form(m: int) -> np.ndarray:
     return omega
 
 
+@lru_cache(maxsize=None)
+def _i_omega(m: int) -> np.ndarray:
+    """``1j * symplectic_form(m)``, read-only and built once per m."""
+    i_omega = 1j * symplectic_form(m)
+    i_omega.flags.writeable = False
+    return i_omega
+
+
+@lru_cache(maxsize=None)
+def identity(n: int) -> np.ndarray:
+    """The n x n identity, read-only and built once per n."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def _as_cm_array(matrix, name: str = "covariance matrix") -> np.ndarray:
     """Read-only float 2m x 2m copy, checked for shape and finiteness; errors name the object."""
     arr = np.array(matrix, dtype=float)
@@ -124,6 +145,35 @@ def rounding_floor(n: int, scale: float) -> float:
     return (n + 2) ** 2 * _EPS * scale
 
 
+#: Below this trace ``(Tr V)^2`` is at most a quarter of the float range, so
+#: no sum of squares bounded by it can overflow.
+_SAFE_SQ_TRACE = math.sqrt(sys.float_info.max) / 2
+
+
+def _frobenius_sq(a: np.ndarray, trace: float, quantity: str) -> float:
+    """``sum a^2`` for an ``a`` drawn from a covariance matrix ``V`` of trace
+    ``trace``: a block of ``V``, its distance to the free set, or ``Tr V``
+    times a block of ``V / Tr V``.
+
+    For a positive semidefinite ``V`` the sum is at most ``(Tr V)^2``, so below
+    :data:`_SAFE_SQ_TRACE` it is finite and taken with no guard; above it, it is
+    taken with overflow ignored and checked.  (A ``V`` that is not positive
+    semidefinite can overflow below it too: the error is the same, after
+    numpy's overflow warning.)
+
+    Raises:
+        NumericError: naming ``quantity`` if the sum overflows float64.
+    """
+    if abs(trace) <= _SAFE_SQ_TRACE:
+        total = float(np.sum(a * a))
+    else:
+        with np.errstate(over="ignore"):
+            total = float(np.sum(a * a))
+    if not math.isfinite(total):
+        raise NumericError(f"{quantity} overflows float64")
+    return total
+
+
 def _gap_exceeds_floor(a, b, n: int) -> bool:
     """Whether ``max |a - b|`` exceeds the rounding floor of the entries it differences."""
     return bool(_max_gap(a, b) > rounding_floor(n, max(np.max(np.abs(a)), np.max(np.abs(b)))))
@@ -145,11 +195,13 @@ class CovMat:
     physical invariants, so invalid matrices can be constructed and inspected.
 
     Everything behind those checks is computed at most once per instance,
-    on first use, and cached: one Cholesky of the symmetric part ``S`` and
-    one Hermitian ``eigvalsh`` for the symplectic eigenvalues, and one of
-    ``S + i*Omega`` for validity and purity.  Caching is sound because
-    ``matrix`` is a private read-only copy of the input; every transformed
-    matrix is a new ``CovMat`` with its own cache.
+    on first use, and cached: the trace, one Cholesky of the symmetric part
+    ``S`` and one Hermitian ``eigvalsh`` for the symplectic eigenvalues, one
+    of ``S + i*Omega`` for validity and purity, and the sum of squared
+    position-momentum entries.  The virtual image ``V / Tr V``
+    (:func:`sympcoh.discord_map.to_density`) is kept in the same instance
+    dict.  Caching is sound because ``matrix`` is a private read-only copy of
+    the input; every transformed matrix is a new ``CovMat`` with its own cache.
 
     Attributes:
         matrix: the 2m x 2m real matrix (read-only).
@@ -164,9 +216,22 @@ class CovMat:
         object.__setattr__(self, "matrix", arr)
         object.__setattr__(self, "m", arr.shape[0] // 2)
 
-    @property
+    @cached_property
     def trace(self) -> float:
         return float(np.trace(self.matrix))
+
+    @cached_property
+    def xp_norm_sq(self) -> float:
+        """``sum V_xp^2``, the squared Frobenius norm of the position-momentum
+        block: the symplectic coherence.  At most ``(Tr V)^2 / 2`` for a valid ``V``.
+
+        Raises:
+            NumericError: if it overflows float64.
+        """
+        m = self.m
+        return _frobenius_sq(
+            self.matrix[:m, m:], self.trace, "symplectic coherence (sum of squared V_xp entries)"
+        )
 
     @cached_property
     def floor(self) -> float:
@@ -207,7 +272,7 @@ class CovMat:
         ``diag(nu, nu) + i*Omega`` with eigenvalues ``nu_k -/+ 1``: by Sylvester's
         law of inertia the first is the uncertainty margin, and the first m are
         all 0 iff ``V`` is pure."""
-        return np.linalg.eigvalsh(self._sym + 1j * symplectic_form(self.m))
+        return np.linalg.eigvalsh(self._sym + _i_omega(self.m))
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -340,7 +405,7 @@ def mean_energy(state: GaussianState) -> float:
 
     With hbar = 2 the vacuum has energy m/2 (ground-state energy of m modes).
     """
-    return float((np.trace(state.cov.matrix) + state.d @ state.d) / 4.0)
+    return float((state.cov.trace + state.d @ state.d) / 4.0)
 
 
 def symplectic_eigenvalues(cov: CovMat) -> np.ndarray:

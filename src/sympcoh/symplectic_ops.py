@@ -18,6 +18,7 @@ from .gaussian_core import (
     DimensionError,
     GaussianState,
     _as_cm_array,
+    identity,
     is_free,
     require_valid,
     rounding_floor,
@@ -235,7 +236,7 @@ def require_transmissivity(eta: float) -> None:
 def apply_loss(cov: CovMat, eta: float) -> CovMat:
     """Pure photon loss on the covariance matrix: ``V -> eta V + (1-eta) I``."""
     require_transmissivity(eta)
-    return CovMat(eta * cov.matrix + (1.0 - eta) * np.eye(2 * cov.m))
+    return CovMat(eta * cov.matrix + (1.0 - eta) * identity(2 * cov.m))
 
 
 @dataclass(frozen=True)

@@ -382,6 +382,28 @@ def test_discord_at_a_trace_whose_square_overflows(tmp_path, capsys):
     assert result["relation_residual"] <= 1e-15 * max(1.0, result["c"])
 
 
+@pytest.mark.parametrize("sub", ["coherence", "discord"])
+def test_coherence_past_the_float_range_exits_1_naming_it(sub, capsys, monkeypatch):
+    # Valid, but sum V_xp^2 = 2.5e399: a named reason, no overflow warning (an error under pytest).
+    doc = {"format": "sympcoh-cm-v1", "matrix": [[1e200, 5e199], [5e199, 1e200]]}
+    code, _, _ = run_cli(["validate", "-"], capsys, monkeypatch, stdin_text=json.dumps(doc))
+    assert code == 0
+    code, out, err = run_cli([sub, "-"], capsys, monkeypatch, stdin_text=json.dumps(doc))
+    assert code == 1
+    assert out is None
+    assert "NumericError: symplectic coherence" in err and "overflows float64" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("sub", ["validate", "qfi", "coherence", "discord"])
+def test_every_reader_answers_where_the_cholesky_fails(sub, tmp_path, capsys):
+    state_file = tmp_path / "singular.json"
+    state_file.write_text(json.dumps({"format": "sympcoh-cm-v1", "matrix": SINGULAR_1E12}))
+    code, out, err = run_cli([sub, str(state_file)], capsys)
+    assert code == 0, err
+    assert out["result"]
+
+
 _PROBE = {"format": "sympcoh-cm-v1", "matrix": [[3.0, 1.0], [1.0, 3.0]]}
 _DISC = {"probe": _PROBE, "delta": 0.1, "n_samples": 10, "trials": 10}
 

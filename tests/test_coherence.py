@@ -15,6 +15,7 @@ from sympcoh import (
     CovMat,
     DimensionError,
     GaussianState,
+    NumericError,
     active_gate_counterexample,
     apply,
     apply_loss,
@@ -129,6 +130,24 @@ def test_distance_interpretation(rng):
         assert report.hs_distance_sq_to_free == pytest.approx(
             2 * report.coherence, abs=TOL
         )
+
+
+def test_coherence_past_the_float_range_raises_naming_it():
+    # Under pytest an overflow warning is an error, so each call is also warning-free.
+    cov = CovMat([[1e200, 5e199], [5e199, 1e200]])
+    assert is_valid(cov)
+    for measure in (symplectic_coherence, coherence_report):
+        with pytest.raises(NumericError, match=r"symplectic coherence .* overflows float64"):
+            measure(cov)
+
+
+def test_distance_past_the_float_range_raises_naming_it():
+    # sum V_xp^2 = 1.44e308 is finite, the distance 2 * sum V_xp^2 is not.
+    cov = CovMat([[2e154, 1.2e154], [1.2e154, 2e154]])
+    assert is_valid(cov)
+    assert symplectic_coherence(cov) == 1.2e154 * 1.2e154
+    with pytest.raises(NumericError, match="squared distance to the free set overflows float64"):
+        coherence_report(cov)
 
 
 def test_distance_to_arbitrary_free_never_smaller(rng):

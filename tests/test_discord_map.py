@@ -11,6 +11,7 @@ from sympcoh import (
     DimensionError,
     DiscordImage,
     GaussianState,
+    NumericError,
     ValidationError,
     apply,
     block_orthogonal,
@@ -199,6 +200,14 @@ def test_relation_holds_where_the_squared_trace_overflows(trace, xp):
     assert np.isfinite([rel.coherence, rel.discord, rel.residual]).all()
     assert rel.coherence == xp * xp
     assert rel.residual <= 1e-15 * max(1.0, rel.coherence)
+
+
+def test_relation_past_the_float_range_raises_naming_it():
+    # Valid, but sum V_xp^2 = 2.5e399: a named error, not an inf - inf residual.
+    cov = CovMat([[1e200, 5e199], [5e199, 1e200]])
+    with pytest.raises(NumericError, match=r"symplectic coherence .* overflows float64"):
+        coherence_discord_relation_check(cov)
+    assert geometric_discord(to_density(cov)) == pytest.approx(0.125, rel=1e-15)
 
 
 def test_local_rotation_acts_as_kron_conjugation(rng):

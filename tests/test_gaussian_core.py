@@ -330,6 +330,22 @@ def test_symplectic_spectrum_needs_a_matrix_positive_definite_in_float64():
     assert is_pure(indefinite) is False
 
 
+def test_the_read_side_answers_where_the_cholesky_fails():
+    # Exactly singular: the Cholesky of S fails in float64, so only the
+    # Williamson spectrum is undefined; every other reader answers.
+    cov = CovMat(SINGULAR_1E12)
+    assert validate(cov) == []
+    assert is_pure(cov) is True
+    assert qfi_displacement(cov).exact is True
+    image = to_density(cov)
+    assert image.c_scale == cov.trace
+    rel = coherence_discord_relation_check(cov)
+    assert rel.coherence == SINGULAR_1E12[0][1] ** 2
+    assert rel.residual <= gaussian_core.rounding_floor(2, rel.coherence)
+    with pytest.raises(NumericError, match="not positive definite in float64"):
+        symplectic_eigenvalues(cov)
+
+
 def _reference_report(v: np.ndarray) -> list[tuple[str, float]]:
     """The verdict of the four-eigvalsh margins (symmetric part, V + i*Omega, V_x, V_p),
     each compared with the floor ``(2m + 2)^2 * eps * |Tr V|``."""

@@ -1,0 +1,116 @@
+"""The read side derives each quantity of a CovMat once, and each equals its plain formula bit for bit."""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from sympcoh import (
+    CovMat,
+    GaussianState,
+    apply_loss,
+    coherence_discord_relation_check,
+    coherence_report,
+    geometric_discord,
+    is_pure,
+    mix_states,
+    sample_pure_cm,
+    symplectic_coherence,
+    symplectic_eigenvalues,
+    to_density,
+    validate,
+)
+from conftest import BASE_SEED
+
+MODES = (1, 2, 4, 8, 16)
+KINDS = ("pure", "lossy", "mixed")
+
+
+def panel_state(m: int, trace: float, kind: str, rng: np.random.Generator) -> CovMat:
+    """A valid state of covariance trace ``trace`` (within rounding)."""
+    if kind == "pure":
+        return sample_pure_cm(trace, m, "unitary", rng)
+    if kind == "lossy":
+        eta = float(rng.uniform(0.2, 0.9))
+        return apply_loss(sample_pure_cm((trace - (1.0 - eta) * 2 * m) / eta, m, "unitary", rng), eta)
+    w = float(rng.uniform(0.2, 0.8))
+    parts = [(w, GaussianState(sample_pure_cm(trace, m, "unitary", rng))),
+             (1.0 - w, GaussianState(sample_pure_cm(trace, m, "unitary", rng)))]
+    return mix_states(parts).cov
+
+
+def panel() -> list[tuple[str, CovMat, float]]:
+    rng = np.random.default_rng(BASE_SEED)
+    cases = []
+    for m in MODES:
+        for trace in (2.0 * m + 1.0, 4.0 * m + 8.0, 1e3, 1e5, 1e8):
+            for kind in KINDS:
+                cases.append((f"m{m}-{trace:g}-{kind}", panel_state(m, trace, kind, rng),
+                              float(rng.uniform(0.1, 0.9))))
+    return cases
+
+
+PANEL = panel()
+
+
+def same(a, b) -> bool:
+    """Bitwise equality of two floats or two float arrays, shape included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name, cov, eta", PANEL, ids=[case[0] for case in PANEL])
+def test_every_read_equals_its_plain_formula(name, cov, eta):
+    assert validate(cov) == []
+    v, m = np.array(cov.matrix), cov.m
+    trace = float(np.trace(v))
+    xp = v[:m, m:].copy()
+    coherence = float(np.sum(xp * xp))
+    free = v.copy()
+    free[:m, m:] = free[m:, :m] = 0.0
+    diff = v - free
+    rho = v / trace
+    off = rho[:m, m:]
+    rescaled = trace * off
+
+    report = coherence_report(cov)
+    assert same(report.coherence, coherence)
+    assert same(symplectic_coherence(cov), coherence)
+    assert same(report.hs_distance_sq_to_free, float(np.sum(diff * diff)))
+    assert same(report.closest_free.matrix, free)
+    image = to_density(cov)
+    assert same(image.rho, rho) and same(image.c_scale, trace) and image.m == m
+    assert same(geometric_discord(image), float(2.0 * np.sum(off * off)))
+    rel = coherence_discord_relation_check(cov)
+    assert same(rel.coherence, coherence)
+    assert same(rel.discord, float(2.0 * np.sum(off * off)))
+    assert same(rel.residual, abs(coherence - float(np.sum(rescaled * rescaled))))
+    assert same(apply_loss(cov, eta).matrix, eta * v + (1.0 - eta) * np.eye(2 * m))
+
+
+def test_each_quantity_of_a_covmat_is_computed_once(monkeypatch):
+    traced = Counter()
+    trace = np.trace
+
+    def counted(a, *args, **kwargs):
+        traced[id(a)] += 1
+        return trace(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "trace", counted)
+    cov = sample_pure_cm(40.0, 4, "unitary", np.random.default_rng(BASE_SEED))
+    for _ in range(3):
+        validate(cov)
+        is_pure(cov)
+        symplectic_eigenvalues(cov)
+        coherence_report(cov)
+        coherence_discord_relation_check(cov)
+        apply_loss(cov, 0.5)
+        image = to_density(cov)
+        assert to_density(cov) is image
+    # one trace of V, and one of its image's rho (the unit-trace check), however often it is read
+    assert traced == {id(cov.matrix): 1, id(image.rho): 1}
+    assert not image.rho.flags.writeable
+    with pytest.raises(ValueError):
+        image.rho[0, 0] = 0.0
