@@ -87,7 +87,7 @@ def coherence_report(cov: CovMat) -> CoherenceReport:
     diff = cov.matrix - free.matrix
     return CoherenceReport(
         coherence=symplectic_coherence(cov),
-        hs_distance_sq_to_free=_frobenius_sq(diff, cov.trace, "squared distance to the free set"),
+        hs_distance_sq_to_free=_frobenius_sq(diff, cov._peak, "squared distance to the free set"),
         closest_free=free,
     )
 

@@ -15,6 +15,7 @@ back.  Sharing it is sound because an image is frozen and its ``rho`` read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +39,7 @@ class DiscordImage:
     m: int = field(init=False)
 
     def __post_init__(self):
-        rho = _as_cm_array(self.rho, "virtual state")  # a copy: the caller's array stays writeable
+        rho, _ = _as_cm_array(self.rho, "virtual state")  # a copy: the caller's array stays writeable
         if abs(np.trace(rho) - 1.0) > rounding_floor(rho.shape[0], 1.0):
             raise ValueError("virtual density matrix must have unit trace")
         object.__setattr__(self, "rho", rho)
@@ -48,6 +49,12 @@ class DiscordImage:
     def off_block(self) -> np.ndarray:
         """Top-right m x m block of the virtual state."""
         return self.rho[: self.m, self.m :]
+
+    @cached_property
+    def geometric_discord(self) -> float:
+        """``2 sum rho_xp^2``, computed once per image (see :func:`geometric_discord`)."""
+        off = self.off_block
+        return float(2.0 * np.sum(off * off))
 
 
 def to_density(cov: CovMat) -> DiscordImage:
@@ -82,10 +89,9 @@ def geometric_discord(image: DiscordImage) -> float:
     """Geometric discord of the virtual state under qubit measurements.
 
     Twice the squared Frobenius norm of the off-diagonal block; never
-    exceeds 1/2.
+    exceeds 1/2.  Cached on the image, so every call after the first reads it back.
     """
-    off = image.off_block
-    return float(2.0 * np.sum(off * off))
+    return image.geometric_discord
 
 
 def is_classical_quantum(image: DiscordImage) -> bool:
@@ -119,6 +125,6 @@ def coherence_discord_relation_check(cov: CovMat) -> RelationCheck:
     coherence = cov.xp_norm_sq
     image = to_density(cov)
     rescaled = _frobenius_sq(
-        image.c_scale * image.off_block, cov.trace, "rescaled discord |Tr V * rho_xp|^2"
+        image.c_scale * image.off_block, cov._peak, "rescaled discord |Tr V * rho_xp|^2"
     )
-    return RelationCheck(coherence, geometric_discord(image), abs(coherence - rescaled))
+    return RelationCheck(coherence, image.geometric_discord, abs(coherence - rescaled))

@@ -16,12 +16,11 @@ import numpy as np
 
 from .gaussian_core import CovMat
 from .symplectic_ops import (
-    _scaled,
     block_samples,
     ginibre_batch,
     haar_from_ginibre,
     mc_blocks,
-    mean_stderr,
+    mean_stderr_rows,
     pure_cm,
     pure_draw,
     pure_xp_block,
@@ -153,12 +152,17 @@ def _pair_sums(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Summed over the pairs ``k < l`` as ``2 sum (r + 1/r)``, ``r = d_k/d_l``,
     and ``2 sum (p + 1/p)``, ``p = d_k d_l``: every term is positive, so no
-    large sums cancel when one ``d_k`` dominates.
+    large sums cancel when one ``d_k`` dominates.  The pair arithmetic runs
+    in place on three pair-sized arrays.
     """
     k, l = _pairs(d.shape[1])
-    r = d[:, k] / d[:, l]
-    p = d[:, k] * d[:, l]
-    return 2.0 * np.sum(r + 1.0 / r, axis=1), 2.0 * np.sum(p + 1.0 / p, axis=1)
+    dk, dl = d[:, k], d[:, l]
+    r = np.divide(dk, dl)
+    p = np.multiply(dk, dl, out=dk)
+    inv = np.divide(1.0, r, out=dl)
+    s1 = 2.0 * np.sum(np.add(r, inv, out=r), axis=1)
+    np.divide(1.0, p, out=inv)
+    return s1, 2.0 * np.sum(np.add(p, inv, out=p), axis=1)
 
 
 def _first_mode_nu_sq(u: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -173,17 +177,24 @@ def _first_mode_nu_sq(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     with ``s = sqrt(d_k d_l)``, ``t = sqrt(d_k / d_l)`` and ``z + iw =
     conj(u_k) u_l``.  Every term is nonnegative, so ``nu_1^2 >= 1`` and nothing
     of size d^2 cancels; a single mode (no pairs) gives exactly 1.  A real
-    ``u`` (orthogonal passive gate) has ``w = 0``.
+    ``u`` (orthogonal passive gate) has ``w = 0``.  The real pair arithmetic
+    runs in place on the gathered arrays.
     """
     k, l = _pairs(d.shape[1])
+    # The complex product first, while no real pair array is alive, and out of
+    # place: numpy's in-place complex multiply of one element can round differently.
+    g = u[:, k]
+    g = np.multiply(np.conjugate(g, out=g), u[:, l])
     root = np.sqrt(d)
-    s = root[:, k] * root[:, l]
-    t = root[:, k] / root[:, l]
-    g = np.conj(u[:, k]) * u[:, l]
-    z = (t - 1.0 / t) * g.real
+    rk, rl = root[:, k], root[:, l]
+    t = np.divide(rk, rl)
+    s = np.multiply(rk, rl, out=rk)
+    inv = np.divide(1.0, t, out=rl)
+    z = np.multiply(np.subtract(t, inv, out=t), g.real, out=t)
     nu_sq = 1.0 + np.einsum("ij,ij->i", z, z)
     if np.iscomplexobj(g):
-        w = (s - 1.0 / s) * g.imag
+        np.divide(1.0, s, out=inv)
+        w = np.multiply(np.subtract(s, inv, out=s), g.imag, out=s)
         nu_sq += np.einsum("ij,ij->i", w, w)
     return nu_sq
 
@@ -245,10 +256,11 @@ def ensemble_nu_sq(
     """
     n = config.n_samples
     m = config.m
-    nu_sq = np.empty(n)
+    # One row per statistic, reduced in one pass: nu_1^2, its difference from
+    # the closed form, and the two pair sums.
+    rows = np.empty((4, n))
+    nu_sq, diff, s1_arr, s2_arr = rows
     coh = np.empty(n) if return_samples else None
-    s1_arr = np.empty(n)
-    s2_arr = np.empty(n)
     draw = partial(
         _ensemble_draw, E=config.E, m=m, real=config.kind == "orthogonal", full=return_samples
     )
@@ -262,12 +274,12 @@ def ensemble_nu_sq(
             alpha = d - 1.0
             v = pure_xp_block(passive.real, passive.imag, alpha, -alpha / d)
             coh[block] = np.sum(v * v, axis=(1, 2))
-    analytic = analytic_mean_nu_sq(config.kind, m, s1_arr, s2_arr)
-
-    mean, stderr = mean_stderr(nu_sq)
-    _, stderr_diff = mean_stderr(nu_sq - analytic)
-    # Pair sums reach (Tr V)^2, so a plain sum of them overflows from E of about 1e154.
-    s1_hat, s2_hat = (float(np.mean(v) * k) for v, k in map(_scaled, (s1_arr, s2_arr)))
+    np.subtract(nu_sq, analytic_mean_nu_sq(config.kind, m, s1_arr, s2_arr), out=diff)
+    # Pair sums reach (Tr V)^2, so a plain sum of them overflows from E of about
+    # 1e154; every row is reduced on values scaled by a power of two.
+    means, stderrs = (x.tolist() for x in mean_stderr_rows(rows))
+    mean, _, s1_hat, s2_hat = means
+    stderr, stderr_diff, _, _ = stderrs
     stats = EnsembleStats(
         mean_nu_sq=mean,
         stderr=stderr,

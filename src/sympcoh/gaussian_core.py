@@ -101,8 +101,9 @@ def identity(n: int) -> np.ndarray:
     return eye
 
 
-def _as_cm_array(matrix, name: str = "covariance matrix") -> np.ndarray:
-    """Read-only float 2m x 2m copy, checked for shape and finiteness; errors name the object."""
+def _as_cm_array(matrix, name: str = "covariance matrix") -> tuple[np.ndarray, float]:
+    """Read-only float 2m x 2m copy, checked for shape and finiteness, and its
+    largest entry magnitude; errors name the object."""
     arr = np.array(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {arr.shape}")
@@ -110,14 +111,15 @@ def _as_cm_array(matrix, name: str = "covariance matrix") -> np.ndarray:
         raise DimensionError(f"{name} must be 2m x 2m with m >= 1, got shape {arr.shape}")
     # One pass in the usual case: entries at most 1e300 / n in size are finite,
     # and no summation order of their trace can overflow.
-    if not np.abs(arr).max() <= 1e300 / arr.shape[0]:
+    peak = np.abs(arr).max()
+    if not peak <= 1e300 / arr.shape[0]:
         if not np.isfinite(arr).all():
             raise DimensionError(f"{name} entries must be finite")
         with np.errstate(over="ignore"):
             if not np.isfinite(np.trace(arr)):
                 raise DimensionError(f"{name} trace overflows float64")
     arr.flags.writeable = False
-    return arr
+    return arr, peak
 
 
 def symmetric_part(v: np.ndarray) -> np.ndarray:
@@ -145,26 +147,25 @@ def rounding_floor(n: int, scale: float) -> float:
     return (n + 2) ** 2 * _EPS * scale
 
 
-#: Below this trace ``(Tr V)^2`` is at most a quarter of the float range, so
-#: no sum of squares bounded by it can overflow.
-_SAFE_SQ_TRACE = math.sqrt(sys.float_info.max) / 2
+#: Below this ``x^2`` is at most a quarter of the float range.
+_SAFE_SQ_ROOT = math.sqrt(sys.float_info.max) / 2
 
 
-def _frobenius_sq(a: np.ndarray, trace: float, quantity: str) -> float:
-    """``sum a^2`` for an ``a`` drawn from a covariance matrix ``V`` of trace
-    ``trace``: a block of ``V``, its distance to the free set, or ``Tr V``
-    times a block of ``V / Tr V``.
+def _frobenius_sq(a: np.ndarray, peak: float, quantity: str) -> float:
+    """``sum a^2`` for an ``a`` drawn from a covariance matrix ``V`` whose
+    largest entry magnitude is ``peak``: a block of ``V``, its distance to
+    the free set, or ``Tr V`` times a block of ``V / Tr V``.
 
-    For a positive semidefinite ``V`` the sum is at most ``(Tr V)^2``, so below
-    :data:`_SAFE_SQ_TRACE` it is finite and taken with no guard; above it, it is
-    taken with overflow ignored and checked.  (A ``V`` that is not positive
-    semidefinite can overflow below it too: the error is the same, after
-    numpy's overflow warning.)
+    Every entry of ``a`` is at most ``peak`` in size (up to rounding), so the
+    sum is at most ``(a.size * peak)^2``, for any matrix.  Where that is below
+    a quarter of the float range (``peak <= _SAFE_SQ_ROOT / a.size``) the sum
+    is finite and taken with no guard; above it, it is taken with overflow
+    ignored and checked, so no overflow warning precedes the error.
 
     Raises:
         NumericError: naming ``quantity`` if the sum overflows float64.
     """
-    if abs(trace) <= _SAFE_SQ_TRACE:
+    if peak <= _SAFE_SQ_ROOT / a.size:
         total = float(np.sum(a * a))
     else:
         with np.errstate(over="ignore"):
@@ -202,6 +203,8 @@ class CovMat:
     (:func:`sympcoh.discord_map.to_density`) is kept in the same instance
     dict.  Caching is sound because ``matrix`` is a private read-only copy of
     the input; every transformed matrix is a new ``CovMat`` with its own cache.
+    The largest entry magnitude, which construction scans anyway, is kept as
+    ``_peak``: it bounds every sum of squares of entries (``_frobenius_sq``).
 
     Attributes:
         matrix: the 2m x 2m real matrix (read-only).
@@ -212,8 +215,9 @@ class CovMat:
     m: int = field(init=False)
 
     def __post_init__(self):
-        arr = _as_cm_array(self.matrix)
+        arr, peak = _as_cm_array(self.matrix)
         object.__setattr__(self, "matrix", arr)
+        object.__setattr__(self, "_peak", peak)
         object.__setattr__(self, "m", arr.shape[0] // 2)
 
     @cached_property
@@ -230,7 +234,7 @@ class CovMat:
         """
         m = self.m
         return _frobenius_sq(
-            self.matrix[:m, m:], self.trace, "symplectic coherence (sum of squared V_xp entries)"
+            self.matrix[:m, m:], self._peak, "symplectic coherence (sum of squared V_xp entries)"
         )
 
     @cached_property

@@ -68,26 +68,32 @@ def mc_blocks(seed: int, n: int, size: int, draw: Callable) -> Iterator[tuple[in
         yield start, draw(derive_rng(seed, b), size, keep=min(size, n - start))
 
 
-def _scaled(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """``values / 2^k`` and ``2^k``, the largest power of two not above the largest magnitude.
+def mean_stderr_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``values`` (reduced along the last axis): sample mean and standard error.
 
-    Dividing by a power of two is exact, and the scaled values are below 2 in
-    size, so their sums and squared deviations stay finite for values up to
-    the largest float; ``2^k`` itself is finite there too.
+    Each row is divided by its own power of two, the largest not above its
+    largest magnitude (``np.frexp``/``np.ldexp``).  That division is exact,
+    and the scaled values are below 2 in size, so their sums and squared
+    deviations stay finite for values up to the largest float; the scale
+    itself is finite there too.  The standard error is ``std(ddof=1) /
+    sqrt(n)`` of the scaled row, scaled back, and 0 for a single sample.
     """
-    scale = math.ldexp(1.0, math.frexp(float(np.abs(values).max()))[1] - 1)
-    return values / scale, scale
+    n = values.shape[-1]
+    scale = np.ldexp(1.0, np.frexp(np.abs(values).max(axis=-1))[1] - 1)
+    scaled = values / scale[..., None]
+    mean = np.add.reduce(scaled, axis=-1) / n
+    if n == 1:
+        return mean * scale, np.zeros_like(mean)
+    dev = np.subtract(scaled, mean[..., None], out=scaled)
+    np.multiply(dev, dev, out=dev)
+    se = np.sqrt(np.add.reduce(dev, axis=-1) / (n - 1)) / np.sqrt(n) * scale
+    return mean * scale, se
 
 
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean of ``values`` and its standard error (0 for a single value).
-
-    Both are taken on the ``_scaled`` values and scaled back.
-    """
-    n = values.shape[0]
-    scaled, scale = _scaled(values)
-    se = float(np.std(scaled, ddof=1) / np.sqrt(n) * scale) if n > 1 else 0.0
-    return float(np.mean(scaled) * scale), se
+    """Sample mean of ``values`` and its standard error: ``mean_stderr_rows`` of one row."""
+    mean, se = mean_stderr_rows(values[None])
+    return float(mean[0]), float(se[0])
 
 
 def _product_residual_within_floor(a: np.ndarray, form: np.ndarray) -> bool:
@@ -131,7 +137,7 @@ class SympGate:
     m: int = field(init=False)
 
     def __post_init__(self):
-        s = _as_cm_array(self.S, "gate matrix")
+        s, _ = _as_cm_array(self.S, "gate matrix")
         if not is_symplectic(s):
             raise GateError("gate matrix is not symplectic (S Omega S^T != Omega)")
         n = s.shape[0]
@@ -365,6 +371,10 @@ def require_budget(E: float, m: int) -> None:
         raise ValueError(f"covariance trace must be >= 2m with E^2 finite, got E={E}, m={m}")
 
 
+#: ``sqrt(eps)``: half the float64 digits, the per-weight tolerance of ``spectrum_from_weights``.
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+
+
 def spectrum_from_weights(E: float, weights: np.ndarray) -> np.ndarray:
     """Squeezing spectrum ``d`` from nonnegative weights summing to 1, one per mode.
 
@@ -384,7 +394,7 @@ def spectrum_from_weights(E: float, weights: np.ndarray) -> np.ndarray:
     require_budget(E, m)
     if np.any(weights < 0.0):
         raise ValueError("weights must be nonnegative")
-    if not np.all(np.abs(weights.sum(axis=-1) - 1.0) <= m * np.sqrt(np.finfo(float).eps)):
+    if not np.all(np.abs(weights.sum(axis=-1) - 1.0) <= m * _SQRT_EPS):
         raise ValueError("each row of weights must sum to 1")
     x = (E - 2 * m) * weights
     return 1.0 + x / 2.0 + np.sqrt(x + x * x / 4.0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -17,7 +18,15 @@ from sympcoh import (
     mix_states,
     sample_pure_cm,
 )
-from sympcoh.ensembles import KINDS, _n_sigma
+from sympcoh.ensembles import (
+    KINDS,
+    EnsembleConfig,
+    EnsembleStats,
+    _ensemble_draw,
+    _n_sigma,
+    _pairs,
+    analytic_mean_nu_sq,
+)
 from sympcoh.symplectic_ops import (
     block_samples,
     ginibre_batch,
@@ -190,3 +199,73 @@ def haar_moment_check(m: int, n_samples: int, rng: np.random.Generator) -> list[
         first_rows = np.concatenate([haar_from_ginibre(z)[:, 0, :] for _, (z,) in blocks])
         out.extend(_rows(first_rows, kind, m))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference ensemble statistics: one pass per array, out-of-place pair arithmetic
+# ---------------------------------------------------------------------------
+
+
+def reference_scaled(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """``values / 2^k`` and ``2^k``, the largest power of two not above the largest magnitude."""
+    scale = math.ldexp(1.0, math.frexp(float(np.abs(values).max()))[1] - 1)
+    return values / scale, scale
+
+
+def reference_mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of one array, taken on its ``reference_scaled`` values."""
+    n = values.shape[0]
+    scaled, scale = reference_scaled(values)
+    se = float(np.std(scaled, ddof=1) / np.sqrt(n) * scale) if n > 1 else 0.0
+    return float(np.mean(scaled) * scale), se
+
+
+def reference_pair_sums(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``ensembles._pair_sums`` with a new array for every operation."""
+    k, l = _pairs(d.shape[1])
+    r = d[:, k] / d[:, l]
+    p = d[:, k] * d[:, l]
+    return 2.0 * np.sum(r + 1.0 / r, axis=1), 2.0 * np.sum(p + 1.0 / p, axis=1)
+
+
+def reference_first_mode_nu_sq(u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``ensembles._first_mode_nu_sq`` with a new array for every operation."""
+    k, l = _pairs(d.shape[1])
+    root = np.sqrt(d)
+    s = root[:, k] * root[:, l]
+    t = root[:, k] / root[:, l]
+    g = np.conj(u[:, k]) * u[:, l]
+    z = (t - 1.0 / t) * g.real
+    nu_sq = 1.0 + np.einsum("ij,ij->i", z, z)
+    if np.iscomplexobj(g):
+        w = (s - 1.0 / s) * g.imag
+        nu_sq += np.einsum("ij,ij->i", w, w)
+    return nu_sq
+
+
+def reference_ensemble_stats(config: EnsembleConfig) -> EnsembleStats:
+    """``ensemble_nu_sq(config)`` from the same draws, with one reduction per statistic."""
+    n, m = config.n_samples, config.m
+    nu_sq, s1, s2 = np.empty(n), np.empty(n), np.empty(n)
+    draw = partial(_ensemble_draw, E=config.E, m=m, real=config.kind == "orthogonal", full=False)
+    for start, (d, z) in mc_blocks(config.seed, n, block_samples(m), draw):
+        block = slice(start, start + d.shape[0])
+        col = z[:, :, 0]
+        nu_sq[block] = reference_first_mode_nu_sq(col / np.linalg.norm(col, axis=1)[:, None], d)
+        s1[block], s2[block] = reference_pair_sums(d)
+    analytic = analytic_mean_nu_sq(config.kind, m, s1, s2)
+    mean, stderr = reference_mean_stderr(nu_sq)
+    _, stderr_diff = reference_mean_stderr(nu_sq - analytic)
+    s1_hat, s2_hat = (float(np.mean(v) * k) for v, k in map(reference_scaled, (s1, s2)))
+    return EnsembleStats(
+        mean_nu_sq=mean,
+        stderr=stderr,
+        s1_hat=s1_hat,
+        s2_hat=s2_hat,
+        analytic_mean=analytic_mean_nu_sq(config.kind, m, s1_hat, s2_hat),
+        stderr_diff=stderr_diff,
+        n_samples=n,
+        kind=config.kind,
+        m=m,
+        E=config.E,
+    )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from sympcoh import (
     CovMat,
     GaussianState,
+    NumericError,
     apply_loss,
     coherence_discord_relation_check,
     coherence_report,
@@ -22,6 +24,8 @@ from sympcoh import (
     to_density,
     validate,
 )
+from sympcoh.discord_map import DiscordImage
+from sympcoh.gaussian_core import _SAFE_SQ_ROOT
 from conftest import BASE_SEED
 
 MODES = (1, 2, 4, 8, 16)
@@ -114,3 +118,53 @@ def test_each_quantity_of_a_covmat_is_computed_once(monkeypatch):
     assert not image.rho.flags.writeable
     with pytest.raises(ValueError):
         image.rho[0, 0] = 0.0
+
+
+def test_the_geometric_discord_of_an_image_is_computed_once(monkeypatch):
+    cached = DiscordImage.__dict__["geometric_discord"]
+    calls = Counter()
+    compute = cached.func
+
+    def counted(image):
+        calls[id(image)] += 1
+        return compute(image)
+
+    monkeypatch.setattr(cached, "func", counted)
+    cov = sample_pure_cm(40.0, 4, "unitary", np.random.default_rng(BASE_SEED))
+    image = to_density(cov)
+    off = image.off_block
+    for _ in range(3):
+        # the state audit: the discord, then the relation check, which reads it too
+        assert same(geometric_discord(image), float(2.0 * np.sum(off * off)))
+        assert same(coherence_discord_relation_check(cov).discord, geometric_discord(image))
+    assert calls == {id(image): 1}
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[1.0, 1e200], [1e200, 1.0]],  # trace 2: the old trace guard let it through
+        [[-1e200, 5e199], [5e199, 1e200]],  # trace 0
+        [[1e200, 5e199], [5e199, 1e200]],  # valid
+    ],
+)
+def test_sums_of_squares_past_the_float_range_raise_no_warning_first(matrix):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cov = CovMat(matrix)
+        for measure in (symplectic_coherence, coherence_report):
+            with pytest.raises(NumericError, match=r"symplectic coherence .* overflows float64"):
+                measure(cov)
+
+
+def test_sums_of_squares_below_the_float_range_take_no_guard(monkeypatch):
+    # Any matrix whose entries are at most sqrt(float max) / 2 over its block
+    # size is summed with no errstate; the bound holds whatever its trace.
+    def no_errstate(**_):
+        raise AssertionError("errstate on the fast path")
+
+    monkeypatch.setattr(np, "errstate", no_errstate)
+    peak = _SAFE_SQ_ROOT / 4
+    cov = CovMat([[-peak, peak], [peak, peak]])
+    assert same(symplectic_coherence(cov), peak * peak)
+    assert same(coherence_report(cov).hs_distance_sq_to_free, 2 * peak * peak)
