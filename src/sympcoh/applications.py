@@ -8,6 +8,7 @@ product of the first mode's position and momentum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -271,12 +272,11 @@ class DiscriminationConfig:
         n_samples: measurement shots per trial.
         trials: number of simulated discrimination rounds.
         seed: base seed; trials run through ``symplectic_ops.mc_blocks`` in
-            blocks of ``BLOCK_ENTRIES // K`` (K median-of-means groups, as in
-            :func:`median_of_means`), each block drawing one ``(kept, 4)``
-            array of uniforms (``random((kept, 4))``) and nothing else, the
-            first rows of a full ``(block, 4)`` draw: per trial its channel,
-            its count of group means above the midpoint and, for a K/2 tie,
-            the two middle group means (see :func:`run_discrimination`).
+            blocks of ``BLOCK_ENTRIES`` trials, each block drawing one array
+            of ``kept`` uniforms (``random(kept)``) and nothing else, the
+            first entries of a full block's draw: one uniform per trial,
+            compared with the model's chance of a wrong verdict (see
+            :func:`run_discrimination`).
     """
 
     probe: GaussianState
@@ -311,8 +311,8 @@ class DiscriminationReport:
         trials: trial count.
         n_samples: shots per trial.
         model_note: reminder that outcomes are simulated from the exact
-            first two moments with a normal model, through each trial's
-            count of group means above the midpoint.
+            first two moments with a normal model, through the model's exact
+            chance of a wrong verdict.
     """
 
     mu1: float
@@ -326,52 +326,77 @@ class DiscriminationReport:
     n_samples: int
     model_note: str = (
         "outcomes drawn from a normal model with the exact channel-output "
-        "mean and variance: each trial draws its count of K median-of-means "
-        "group means N(mu, var/b) (groups of b shots) above the midpoint, "
-        "Binomial(K, p), and at a K/2 tie its two middle group means, not "
-        "its shots; the protocol's guarantees use only these moments"
+        "mean and variance: a trial is wrong with the model's exact chance, "
+        "from the Binomial(K, p) count of K group means N(mu, var/b) (groups "
+        "of b shots) above the midpoint and the chance that a K/2 tie's "
+        "median is above it; the protocol's guarantees use only these moments"
     )
 
 
-def _count_cdf(k: int, p: float, q: float) -> np.ndarray:
-    """``P(C <= c)`` for ``C ~ Binomial(k, p)`` at ``c = 0, ..., k - 1``; ``q = 1 - p``.
+def _count_sides(k: int, p: float, q: float) -> tuple[float, float, float]:
+    """``P(2C < k)``, ``P(2C = k)`` and ``P(2C > k)`` for ``C ~ Binomial(k, p)``; ``q = 1 - p``.
 
-    p and q are passed separately so that each keeps its own precision.  The
-    mass is ``exp`` of its logarithm, so no binomial coefficient overflows;
-    at p = 0 or q = 0 the count is a point mass (at 0 or at k), and no
-    ``log(0)`` is taken.  ``searchsorted(cdf, u, "right")`` of a uniform u
-    in [0, 1) is then a draw of C.
+    p and q are passed separately so that each keeps its own precision, and
+    each side is summed on its own terms, so a side far in the tail keeps its
+    relative precision.  The mass is ``exp`` of its logarithm, so no binomial
+    coefficient overflows; at p = 0 or q = 0 the count is a point mass (at 0
+    or at k), and no ``log(0)`` is taken.
     """
     if p == 0.0 or q == 0.0:
-        return np.full(k, 1.0 if p == 0.0 else 0.0)
+        return (1.0, 0.0, 0.0) if p == 0.0 else (0.0, 0.0, 1.0)
     c = np.arange(k + 1)
     log_comb = np.concatenate(([0.0], np.cumsum(np.log((k - c[:-1]) / c[1:]))))
-    return np.cumsum(np.exp(log_comb + c * math.log(p) + (k - c) * math.log(q)))[:-1]
+    mass = np.exp(log_comb + c * math.log(p) + (k - c) * math.log(q))
+    tie = 0.0 if k % 2 else float(mass[k // 2])
+    return float(mass[: (k + 1) // 2].sum()), tie, float(mass[k // 2 + 1 :].sum())
 
 
-def _tie_is_high(
-    tau: np.ndarray, p: np.ndarray, q: np.ndarray, u_above: np.ndarray, u_below: np.ndarray, k: int
-) -> np.ndarray:
-    """Whether the median of a K/2 tie lies above the midpoint, one trial per entry.
+#: Nodes of the Gauss-Legendre rule that integrates a tie's chance to be high.
+_TIE_NODES = 48
 
-    In standard units the midpoint is tau, and ``p = Q(tau)``,
-    ``q = Phi(tau)`` are the chances that a group mean lies above and below
-    it.  The smallest of the K/2 group means above is
-    ``A = -Phi^-1(p (1 - u_above)^(2/K))`` and the largest of the K/2 below
-    is ``B = Phi^-1(q (1 - u_below)^(2/K))``; the median ``(A + B)/2`` is
-    above tau iff ``A + B > 2 tau``.
+
+@functools.cache
+def _cube_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes s and weights ``3 s^2 w`` of ``int_0^1 f(u) du = int_0^1 f(s^3) 3 s^2 ds``.
+
+    The ``_TIE_NODES``-node Gauss-Legendre rule on [0, 1], built once per
+    process by Golub-Welsch (Math. Comp. 23, 221 (1969)): the nodes on
+    [-1, 1] are the eigenvalues of the Jacobi matrix of the Legendre
+    recurrence, off-diagonal ``j / sqrt(4 j^2 - 1)``, and each weight is
+    twice the squared first component of its unit eigenvector.
     """
+    j = np.arange(1.0, _TIE_NODES)
+    # The subdiagonal alone: eigh reads the lower triangle.
+    x, vectors = np.linalg.eigh(np.diag(j / np.sqrt(4.0 * j * j - 1.0), -1))
+    s = 0.5 * (x + 1.0)
+    return s, 3.0 * s * s * vectors[0] ** 2
+
+
+def _tie_high_chance(k: int, tau: float) -> float:
+    """Chance that the median of K/2 group means above the midpoint and K/2 below lies above it.
+
+    In standard units the midpoint is tau.  The largest of the K/2 below has
+    ``P(B <= b) = (Phi(b) / Phi(tau))^(K/2)``, so ``B(u) = Phi^-1(Phi(tau) u^(2/K))``
+    for a uniform u; the smallest of the K/2 above has
+    ``P(A > a) = (Q(a) / Q(tau))^(K/2)``; and the median ``(A + B)/2`` is
+    above tau iff ``A > 2 tau - B`` (David and Nagaraja, *Order Statistics*,
+    3rd ed., 2003, sections 2.1-2.4).  So the chance is
+    ``t(tau) = int_0^1 (Q(2 tau - B(u)) / Q(tau))^(K/2) du``, integrated by
+    :func:`_cube_rule` only at tau <= 0, where ``Q(tau) >= 1/2``; reflecting
+    every group mean gives ``t(tau) = 1 - t(-tau)``.  The quantile's
+    argument is kept at or above the least float, where the integrand is 1.
+    """
+    if tau > 0.0:
+        return 1.0 - _tie_high_chance(k, -tau)
     # Imported here: only ties need it, and its first import (which pulls in
     # fractions and decimal) takes milliseconds that a cold CLI process would pay.
     from statistics import NormalDist
 
     inv_cdf = NormalDist().inv_cdf
-    above = (p * (1.0 - u_above) ** (2.0 / k)).tolist()
-    below = (q * (1.0 - u_below) ** (2.0 / k)).tolist()
-    return np.array(
-        [inv_cdf(b) - inv_cdf(a) > 2.0 * t for a, b, t in zip(above, below, tau.tolist())],
-        dtype=bool,
-    )
+    s, weights = _cube_rule()
+    below = np.maximum(0.5 * math.erfc(-tau / math.sqrt(2.0)) * s ** (6.0 / k), math.ulp(0.0))
+    tail = [math.erfc((2.0 * tau - inv_cdf(x)) / math.sqrt(2.0)) for x in below.tolist()]
+    return float((np.array(tail) / math.erfc(tau / math.sqrt(2.0))) ** (k / 2) @ weights)
 
 
 def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
@@ -383,29 +408,26 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
     normal model a group of ``b = n_samples // K`` shots has mean exactly
     ``N(mu_i, s_i^2)``, ``s_i = sqrt(var_i / b)``, and :func:`median_of_means`
     discards the trailing ``n_samples - K b`` shots; so the K group means
-    are i.i.d., and a trial draws only what its verdict reads, at a cost and
-    memory independent of ``n_samples``:
+    are i.i.d., and each channel's chance ``w_i`` of a wrong verdict is
+    computed once per call, at a cost independent of ``n_samples``:
 
     - In standard units ``tau_i = (t - mu_i) / s_i``, each group mean lies
       above t with chance ``p_i = erfc(tau_i / sqrt 2) / 2``, so the count
-      C of group means above t is ``Binomial(K, p_i)``.  More than K/2 above
-      puts the median above t, fewer than K/2 puts it at or below: the
-      median is a middle value, or for even K the mean of the two middle
-      values, which lies between them.
-    - Only a tie, ``2C = K`` (even K), reads more: the median is the mean of
-      the smallest group mean above t and the largest below.  Given the
-      count, the K/2 above are i.i.d. from the normal cut to ``(tau, inf)``,
-      so their minimum A has ``P(A > a) = (Q(a) / Q(tau))^(K/2)``, and
-      ``A = -Phi^-1(Q(tau) V^(2/K))`` for a uniform V; likewise the largest
-      of the K/2 below is ``B = Phi^-1(Phi(tau) W^(2/K))`` (David and
-      Nagaraja, *Order Statistics*, 3rd ed., 2003, sections 2.1-2.4).  The
-      tie is high iff ``A + B > 2 tau``.
+      C of group means above t is ``Binomial(K, p_i)``
+      (:func:`_count_sides`).  More than K/2 above puts the median above t,
+      fewer than K/2 puts it at or below: the median is a middle value, or
+      for even K the mean of the two middle values, which lies between them.
+    - At a tie, ``2C = K`` (even K), the median is the mean of the smallest
+      group mean above t and the largest below, and it is above t with the
+      chance :func:`_tie_high_chance`.
+    - The verdict is wrong for the channel whose mean is above t (tau < 0)
+      when the median is at or below t, and for the other when it is above.
 
-    Trials run in the blocks described at ``DiscriminationConfig.seed``: a
-    trial's four uniforms u give its channel (the second iff ``u_0 < 1/2``),
-    its count (u_1 inverted through the ``Binomial(K, p_i)`` table, built
-    once per call) and, at a tie, A and B from ``V = 1 - u_2`` and
-    ``W = 1 - u_3`` (:func:`_tie_is_high`).
+    A trial is then misidentified with the mixture chance
+    ``w = (w_1 + w_2) / 2``, the same Binomial(trials, w) law as drawing
+    each trial's channel and count; trials run in the blocks described at
+    ``DiscriminationConfig.seed``, each trial failing iff its uniform is
+    below w.
 
     When both channels have a transmissivity ``eta`` (loss, or the identity
     at ``eta = 1``) and the two differ, ``n_thres`` is :func:`n_thres_loss`
@@ -435,30 +457,21 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
         )
 
     threshold = 0.5 * (mu1 + mu2)
-    second_is_high = mu2 > mu1
     k, b = _mom_groups(config.n_samples, config.delta)
-    tau = np.array([(threshold - mu) / math.sqrt(var / b) for mu, var in ((mu1, var1), (mu2, var2))])
-    p = np.array([0.5 * math.erfc(t / math.sqrt(2.0)) for t in tau])
-    q = np.array([0.5 * math.erfc(-t / math.sqrt(2.0)) for t in tau])
-    cdf = [_count_cdf(k, p[i], q[i]) for i in (0, 1)]
+    error = 0.0
+    for mu, var in ((mu1, var1), (mu2, var2)):
+        tau = (threshold - mu) / math.sqrt(var / b)
+        z = tau / math.sqrt(2.0)
+        low, tie, high = _count_sides(k, 0.5 * math.erfc(z), 0.5 * math.erfc(-z))
+        tie_high = _tie_high_chance(k, tau) if tie else 0.0
+        error += 0.5 * (low + tie * (1.0 - tie_high) if tau < 0.0 else high + tie * tie_high)
 
     def draw(rng: np.random.Generator, size: int, keep: int) -> tuple:
-        return (rng.random((keep, 4)),)
+        return (rng.random(keep),)
 
     failures = 0
-    for _, (u,) in mc_blocks(config.seed, config.trials, BLOCK_ENTRIES // k, draw):
-        true_second = u[:, 0] < 0.5
-        count = np.where(
-            true_second,
-            np.searchsorted(cdf[1], u[:, 1], side="right"),
-            np.searchsorted(cdf[0], u[:, 1], side="right"),
-        )
-        high = 2 * count > k
-        tie = 2 * count == k
-        if tie.any():
-            i = true_second[tie].astype(int)
-            high[tie] = _tie_is_high(tau[i], p[i], q[i], u[tie, 2], u[tie, 3], k)
-        failures += int(np.count_nonzero((high == second_is_high) != true_second))
+    for _, (u,) in mc_blocks(config.seed, config.trials, BLOCK_ENTRIES, draw):
+        failures += int(np.count_nonzero(u < error))
 
     return DiscriminationReport(
         mu1=mu1,

@@ -8,6 +8,7 @@ A gate is a pair ``(S, disp)`` acting on Gaussian states as
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -28,11 +29,18 @@ from .gaussian_core import (
 
 # Id of the map from seeds to Monte-Carlo samples, reported in every CLI
 # manifest; bumped whenever a seeded sample changes (history in README).
-STREAM_SCHEME = "seedseq-spawn-v5"
+STREAM_SCHEME = "seedseq-spawn-v6"
 
 
 class GateError(ValueError):
     """Raised for non-symplectic, non-orthogonal or out-of-range gate input."""
+
+
+# A gate whose squared Frobenius norm is past the float range has an infinite
+# rounding floor, so no symplecticity verdict; a squeezer past _LOG_FLOAT_MAX
+# has no float matrix at all.
+_NORM_OVERFLOW = "squared norm of the gate matrix overflows float64"
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def derive_rng(seed: int, index: int) -> np.random.Generator:
@@ -97,9 +105,15 @@ def mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 
 def _product_residual_within_floor(a: np.ndarray, form: np.ndarray) -> bool:
-    """Whether ``|A F A^H - F|_F`` is within ``rounding_floor(n, |A|_F^2)`` (and finite)."""
-    residual = float(np.linalg.norm(a @ form @ a.conj().T - form))
-    return bool(residual <= rounding_floor(a.shape[0], np.linalg.norm(a) ** 2) < np.inf)
+    """Whether ``|A F A^H - F|_F`` is within ``rounding_floor(n, |A|_F^2)`` (and finite).
+
+    Computed with overflow ignored: a residual or a norm past the float range
+    (inf, or NaN where a complex product meets inf) is never within, and no
+    warning precedes that verdict.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm(a @ form @ a.conj().T - form))
+        return bool(residual <= rounding_floor(a.shape[0], np.linalg.norm(a) ** 2) < np.inf)
 
 
 def is_orthogonal(o: np.ndarray) -> bool:
@@ -138,6 +152,9 @@ class SympGate:
 
     def __post_init__(self):
         s, _ = _as_cm_array(self.S, "gate matrix")
+        with np.errstate(over="ignore"):
+            if not np.linalg.norm(s) ** 2 < np.inf:
+                raise GateError(_NORM_OVERFLOW)
         if not is_symplectic(s):
             raise GateError("gate matrix is not symplectic (S Omega S^T != Omega)")
         n = s.shape[0]
@@ -164,8 +181,15 @@ def squeezer(m: int, mode: int, r: float) -> SympGate:
         m: total mode count.
         mode: 1-based target mode.
         r: squeezing parameter (r = 0 is the identity).
+
+    Raises:
+        GateError: if ``|r|`` exceeds the log of the largest float, so that
+            ``e^|r|`` overflows (past ``|r|`` of about 354.9 the gate's
+            squared norm overflows, and ``SympGate`` names it the same way).
     """
     _check_mode(m, mode)
+    if abs(r) > _LOG_FLOAT_MAX:
+        raise GateError(_NORM_OVERFLOW)
     s = np.eye(2 * m)
     i = mode - 1
     s[i, i] = np.exp(r)
@@ -349,10 +373,8 @@ class StinespringChannel:
 
 # Entries per Monte-Carlo block: bounds memory and fixes where the blocks
 # start.  Covariance entries in the pure-state drivers; in the discrimination
-# driver, the K median-of-means group means of each of BLOCK_ENTRIES // K
-# trials, which a trial stands in for with four uniforms (its channel, its
-# count of group means above the midpoint and, at a K/2 tie, the two middle
-# ones), so a full block draws 4 * (BLOCK_ENTRIES // K) uniforms.
+# driver, trials, each drawing one uniform against the model's chance of a
+# wrong verdict, so a full block draws BLOCK_ENTRIES uniforms.
 BLOCK_ENTRIES = 1 << 16
 # Most pure-state samples per block, so that short runs draw little past their end.
 MAX_BLOCK_SAMPLES = 256

@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import tracemalloc
-from statistics import NormalDist
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 from scipy.integrate import quad
+from scipy.special import erfcx, log_ndtr
 from scipy.stats import binom, norm
 
 import sympcoh
@@ -430,50 +431,83 @@ def _group_sides(report, config) -> tuple[list[float], list[float], list[float]]
     return tau, [float(norm.sf(t)) for t in tau], [float(norm.cdf(t)) for t in tau]
 
 
-def _reference_failures(config: DiscriminationConfig, report) -> tuple[list[bool], int]:
-    """Whether each trial is misidentified, decided one trial at a time from its
-    four uniforms, and how many trials were K/2 ties."""
-    k, _ = applications._mom_groups(config.n_samples, config.delta)
-    tau, p, q = _group_sides(report, config)
-    inv_cdf = NormalDist().inv_cdf
-    size = BLOCK_ENTRIES // k
-    failures, ties = [], 0
-    for block, start in enumerate(range(0, config.trials, size)):
-        uniforms = derive_rng(config.seed, block).random((size, 4))
-        for u_label, u_count, u_above, u_below in uniforms[: config.trials - start].tolist():
-            i = int(u_label < 0.5)
-            count, mass = 0, q[i] ** k
-            while u_count >= mass and count < k:
-                count += 1
-                mass += math.comb(k, count) * p[i] ** count * q[i] ** (k - count)
-            if 2 * count == k:
-                ties += 1
-                above = -inv_cdf(p[i] * (1.0 - u_above) ** (2.0 / k))
-                below = inv_cdf(q[i] * (1.0 - u_below) ** (2.0 / k))
-                high = above + below > 2.0 * tau[i]
-            else:
-                high = 2 * count > k
-            failures.append((high == (report.mu2 > report.mu1)) != bool(i))
-    return failures, ties
+def _log_cdf_ratio(x: float, y: float) -> float:
+    """``log Phi(x) - log Phi(y)``.  For two negative arguments it is taken as
+    ``log(erfcx(-x/sqrt 2) / erfcx(-y/sqrt 2)) - (x - y)(x + y)/2``, which keeps
+    the difference of two log-cdfs near -800 from cancelling."""
+    if max(x, y) < 0.0:
+        return math.log(erfcx(-x / math.sqrt(2.0)) / erfcx(-y / math.sqrt(2.0))) - (x - y) * (x + y) / 2.0
+    return float(log_ndtr(x) - log_ndtr(y))
+
+
+def _oracle_tie_high(k: int, tau: float) -> float:
+    """Chance that a K/2 tie's median is above tau, by quad over the law of B,
+    the largest group mean below tau, taken in log space:
+    ``int_{-inf}^{tau} f_B(b) (Q(2 tau - b) / Q(tau))^(K/2) db``, with
+    ``P(B <= b) = (Phi(b) / Phi(tau))^(K/2)``, split at points that close in on tau."""
+    h = k / 2
+    # log(phi(b) / Phi(tau)) = log_pdf_shift - (b - tau)(b + tau)/2
+    if tau < 0.0:
+        log_pdf_shift = -math.log(math.sqrt(math.pi / 2.0) * erfcx(-tau / math.sqrt(2.0)))
+    else:
+        log_pdf_shift = -0.5 * math.log(2.0 * math.pi) - tau * tau / 2.0 - float(log_ndtr(tau))
+
+    def integrand(b: float) -> float:
+        log_density = math.log(h) + (h - 1.0) * _log_cdf_ratio(b, tau) + log_pdf_shift - (b - tau) * (b + tau) / 2.0
+        return math.exp(log_density + h * _log_cdf_ratio(b - 2.0 * tau, -tau))
+
+    cuts = {tau - d for d in (60.0, 10.0, 3.0, 1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5)}
+    edges = sorted(cuts | {x for x in (-8.0, -4.0, -2.0, 0.0, 2.0, 4.0) if tau - 60.0 < x < tau} | {tau})
+    return sum(quad(integrand, a, c, epsabs=1e-15, epsrel=1e-12, limit=200)[0] for a, c in zip(edges, edges[1:]))
+
+
+def _oracle_count_sides(k: int, tau: float) -> tuple[float, float, float]:
+    """``P(2C < K)``, ``P(2C = K)``, ``P(2C > K)`` for the count C of K group means above tau."""
+    p = float(norm.sf(tau))
+    tie = float(binom.pmf(k // 2, k, p)) if k % 2 == 0 else 0.0
+    return float(binom.cdf((k - 1) // 2, k, p)), tie, float(binom.sf(k // 2, k, p))
+
+
+def _oracle_error(config: DiscriminationConfig, report) -> float:
+    """The normal model's chance of a wrong verdict, half the sum over the channels, from the oracles."""
+    tau, _, _ = _group_sides(report, config)
+    k = applications._mom_groups(config.n_samples, config.delta)[0]
+    error = 0.0
+    for t in tau:
+        below, tie, above = _oracle_count_sides(k, t)
+        high = _oracle_tie_high(k, t) if tie else 0.0
+        error += 0.5 * (below + tie * (1.0 - high) if t < 0.0 else above + tie * high)
+    return error
+
+
+def _reference_failures(config: DiscriminationConfig, report) -> list[bool]:
+    """Whether each trial is misidentified, decided one trial at a time: its
+    one uniform against the oracle's error."""
+    error = _oracle_error(config, report)
+    failures = []
+    for block, start in enumerate(range(0, config.trials, BLOCK_ENTRIES)):
+        uniforms = derive_rng(config.seed, block).random(BLOCK_ENTRIES)
+        failures.extend(u < error for u in uniforms[: config.trials - start].tolist())
+    return failures
 
 
 def test_discrimination_matches_a_per_block_reference_loop():
-    # Blocks of BLOCK_ENTRIES // 24 = 2730 trials: 5000 trials end in the
-    # second block, 5500 in the third, and the shorter run is a prefix.
+    # Blocks of BLOCK_ENTRIES = 65536 trials: 100 000 trials end in the
+    # second block, 140 000 in the third, and the shorter run is a prefix.
     config = DiscriminationConfig(
         probe=msc_canonical(6.0, 1),
         channels=(LossChannel(0.5), LossChannel(0.6)),
         delta=0.1,
         n_samples=300,
-        trials=5500,
+        trials=140_000,
         seed=12,
     )
     assert applications._mom_groups(config.n_samples, config.delta) == (24, 12)
     report = run_discrimination(config)
-    failures, ties = _reference_failures(config, report)
-    assert 0 < sum(failures) < config.trials and 0 < ties < config.trials
+    failures = _reference_failures(config, report)
+    assert 0 < sum(failures) < config.trials
     assert report.empirical_error == sum(failures) / config.trials
-    shorter = dataclasses.replace(config, trials=config.trials - 500)
+    shorter = dataclasses.replace(config, trials=100_000)
     assert run_discrimination(shorter).empirical_error == sum(failures[: shorter.trials]) / shorter.trials
 
 
@@ -561,6 +595,36 @@ def test_discrimination_error_rate_matches_the_binomial_closed_form_for_odd_k(
     assert abs(report.empirical_error - expected) <= 5.0 * sigma
 
 
+# Each shot-level regime, the odd-K closed-form regimes above, and their
+# even-K extension, where K/2 ties carry the tie integral: probe, channels,
+# delta, n_samples and K.
+_EXACT_ERROR_REGIMES = {
+    **{name: (*regime[:4], None) for name, regime in _SHOT_LEVEL_REGIMES.items()},
+    "closed-K1": (msc_canonical(6.0, 1), (LossChannel(0.5), IdentityChannel()), 0.05, 1, 1),
+    "closed-K3": (msc_canonical(6.0, 1), (LossChannel(0.0), IdentityChannel()), 0.05, 3, 3),
+    "closed-K31": (msc_canonical(6.0, 1), (LossChannel(0.5), LossChannel(0.6)), 0.045, 200, 31),
+    # Two groups of one shot, loss 0.5 against the identity.
+    "closed-K2": (msc_canonical(6.0, 1), (LossChannel(0.5), IdentityChannel()), 0.05, 2, 2),
+    # Six groups of one shot.
+    "closed-K6": (msc_canonical(6.0, 1), (LossChannel(0.0), IdentityChannel()), 0.05, 6, 6),
+    # The benchmark's channels and shots on msc(6, 1): 30 groups of 6.
+    "closed-K30": (msc_canonical(6.0, 1), (LossChannel(0.5), IdentityChannel()), 0.05, 200, 30),
+}
+
+
+@pytest.mark.parametrize("regime", list(_EXACT_ERROR_REGIMES))
+def test_discrimination_error_rate_matches_the_exact_error(regime):
+    probe, channels, delta, n_samples, k = _EXACT_ERROR_REGIMES[regime]
+    config = DiscriminationConfig(probe, channels, delta, n_samples, trials=400_000, seed=19)
+    if k is not None:
+        assert applications._mom_groups(n_samples, delta)[0] == k
+    report = run_discrimination(config)
+    expected = _oracle_error(config, report)
+    assert 0.005 <= expected <= 0.5
+    sigma = math.sqrt(expected * (1.0 - expected) / config.trials)
+    assert abs(report.empirical_error - expected) <= 5.0 * sigma
+
+
 @pytest.mark.parametrize("k, tau", [(2, 0.3), (6, -0.4), (30, 0.15)])
 def test_a_tie_is_high_at_the_rate_of_brute_force_ties(k, tau):
     # Brute force: rows of K standard normals with exactly K/2 above tau, and
@@ -573,28 +637,61 @@ def test_a_tie_is_high_at_the_rate_of_brute_force_ties(k, tau):
         ties += tied.shape[0]
         highs += int(np.count_nonzero(np.median(tied, axis=1) > tau))
     brute = highs / ties
-    n = 40_000
-    u = rng.random((n, 2))
-    model = applications._tie_is_high(
-        np.full(n, tau), np.full(n, norm.sf(tau)), np.full(n, norm.cdf(tau)), u[:, 0], u[:, 1], k
-    ).mean()
+    exact = applications._tie_high_chance(k, tau)
     assert ties > 10_000
-    sigma = math.sqrt(brute * (1.0 - brute) / ties + model * (1.0 - model) / n)
-    assert abs(model - brute) <= 5.0 * sigma
+    sigma = math.sqrt(exact * (1.0 - exact) / ties)
+    assert abs(brute - exact) <= 5.0 * sigma
+
+
+_TAU_PANEL = (-40.0, -10.0, -3.5, -2.0, -0.4, 0.0, 0.3, 2.0, 3.5, 10.0, 40.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 30, 31, 2000])
+def test_the_exact_error_matches_the_scipy_oracle(k):
+    # Count sides against scipy's binomial, a tie's chance to be high against
+    # quad over the law of B; p or q is exactly 0 at tau = +-40.  No step warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sides = [
+            applications._count_sides(k, 0.5 * math.erfc(tau / math.sqrt(2.0)), 0.5 * math.erfc(-tau / math.sqrt(2.0)))
+            for tau in _TAU_PANEL
+        ]
+        highs = [applications._tie_high_chance(k, tau) for tau in _TAU_PANEL] if k % 2 == 0 else []
+    for tau, side in zip(_TAU_PANEL, sides):
+        assert np.allclose(side, _oracle_count_sides(k, tau), rtol=0.0, atol=1e-10), tau
+    for tau, high in zip(_TAU_PANEL, highs):
+        assert abs(high - _oracle_tie_high(k, tau)) <= 1e-10, tau
+
+
+@pytest.mark.parametrize("k", [2, 6, 30, 2000])
+def test_a_tie_is_high_at_tau_as_often_as_it_is_low_at_minus_tau(k):
+    # Reflecting every group mean about the midpoint.  At tau = +-38 and K = 2
+    # the quantile's argument Phi(tau) u is below the least float for the
+    # smallest nodes; at +-40, Phi(tau) or Q(tau) is exactly 0 and no step
+    # takes a log(0) or any other floating-point exception.
+    for tau in (0.3, 2.0, 10.0, 38.0):
+        high, low = applications._tie_high_chance(k, tau), applications._tie_high_chance(k, -tau)
+        assert 0.0 <= high <= 1.0 and 0.0 <= low <= 1.0
+        assert abs(high + low - 1.0) <= 2.0**-52, tau
+    # At tau = 0 both sides are the same integral, 1/2 up to the rule's error.
+    assert abs(applications._tie_high_chance(k, 0.0) - 0.5) <= 1e-13
+    with np.errstate(all="raise"):
+        high, low = applications._tie_high_chance(k, 40.0), applications._tie_high_chance(k, -40.0)
+    assert abs(high + low - 1.0) <= 2.0**-52 and high <= 1e-14
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 30, 2000])
 def test_the_count_table_is_the_binomial_cdf(k):
+    # The three sides of the count, P(2C < K), P(2C = K) and P(2C > K), each
+    # against scipy's binomial.
     for p in (1e-300, 1e-3, 0.3, 0.5, 0.97):
-        cdf = applications._count_cdf(k, p, 1.0 - p)
-        expected = binom.cdf(np.arange(k), k, p)
-        assert cdf.shape == (k,)
-        assert np.all(np.diff(cdf) >= 0)
-        assert np.allclose(cdf, expected, rtol=1e-10, atol=1e-14)
+        sides = applications._count_sides(k, p, 1.0 - p)
+        expected = (binom.cdf((k - 1) // 2, k, p), binom.pmf(k // 2, k, p) if k % 2 == 0 else 0.0, binom.sf(k // 2, k, p))
+        assert np.allclose(sides, expected, rtol=1e-10, atol=1e-14)
     # A count certain to be 0 or K takes no log(0).
     with np.errstate(all="raise"):
-        assert_array_equal(applications._count_cdf(k, 0.0, 1.0), np.ones(k))
-        assert_array_equal(applications._count_cdf(k, 1.0, 0.0), np.zeros(k))
+        assert applications._count_sides(k, 0.0, 1.0) == (1.0, 0.0, 0.0)
+        assert applications._count_sides(k, 1.0, 0.0) == (0.0, 0.0, 1.0)
 
 
 def _warm_up_the_tie_branch():
@@ -652,19 +749,20 @@ def test_discrimination_draws_only_the_trials_it_keeps():
 @pytest.mark.parametrize(
     "first, n_samples, expected",
     [
-        # K = 30 groups, 3 blocks of 2184 trials, with K/2 ties.
-        (LossChannel(0.5), 200, 0.0152),
-        (IdentityChannel(), 200, 0.0184),
+        # K = 30 groups, with K/2 ties, in one block.
+        (LossChannel(0.5), 200, 0.0174),
+        (IdentityChannel(), 200, 0.0174),
         # K = 1: every shot is its own group.
-        (LossChannel(0.5), 1, 0.4186),
-        (IdentityChannel(), 1, 0.4148),
+        (LossChannel(0.5), 1, 0.417),
+        (IdentityChannel(), 1, 0.417),
     ],
     ids=["loss-first-K30", "identity-first-K30", "loss-first-K1", "identity-first-K1"],
 )
 def test_discrimination_error_rates_are_pinned(first, n_samples, expected):
     # Rates of msc(6, 1) probes, loss 0.5 against the identity in either order,
-    # recorded under seedseq-spawn-v5; a seeded sample that moves must bump
-    # STREAM_SCHEME.
+    # recorded under seedseq-spawn-v6; a seeded sample that moves must bump
+    # STREAM_SCHEME.  The order does not move the rate: a trial's chance of a
+    # wrong verdict is the mean over the two channels, and it draws one uniform.
     second = IdentityChannel() if isinstance(first, LossChannel) else LossChannel(0.5)
     config = DiscriminationConfig(
         probe=msc_canonical(6.0, 1),

@@ -806,6 +806,9 @@ def test_apply_rejects_a_gate_of_the_wrong_size(gate, counts, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_NORM_OVERFLOW = "GateError: squared norm of the gate matrix overflows float64"
+
+
 @pytest.mark.parametrize(
     "sub, doc, reason",
     [
@@ -819,6 +822,9 @@ def test_apply_rejects_a_gate_of_the_wrong_size(gate, counts, tmp_path, capsys):
             {**_TVD_BOUND, "cm": _VACUUM, "sxp1": -5, "theta": np.pi / 4},
             "rotated variance of output 1",
         ),
+        ("apply", {"kind": "squeezer", "params": {"mode": 1, "r": 400.0}}, _NORM_OVERFLOW),
+        ("apply", {"kind": "squeezer", "params": {"mode": 1, "r": 1000.0}}, _NORM_OVERFLOW),
+        ("apply", {"kind": "matrix", "params": {"S": [[1e200, 0.0], [0.0, 1e-200]]}}, _NORM_OVERFLOW),
     ],
 )
 def test_gate_and_bound_faults_exit_1_naming_the_input(sub, doc, reason, tmp_path, capsys):

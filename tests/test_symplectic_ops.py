@@ -101,10 +101,10 @@ def test_every_driver_derives_one_generator_per_block(monkeypatch):
         channels=(LossChannel(0.5), LossChannel(0.6)),
         delta=0.1,
         n_samples=300,
-        trials=6000,
+        trials=140_000,
         seed=1,
     )
-    disc_blocks = math.ceil(6000 / (BLOCK_ENTRIES // applications._mom_groups(300, 0.1)[0]))
+    disc_blocks = math.ceil(140_000 / BLOCK_ENTRIES)
     assert count(lambda: applications.run_discrimination(disc)) == disc_blocks
     haar_blocks = len(ensembles.KINDS) * math.ceil(1000 / block_samples(2))
     assert count(lambda: haar_moment_check(2, 1000, derive_rng(1, 0))) == haar_blocks
@@ -327,6 +327,40 @@ def test_apply_matches_the_old_symmetrisation_bytewise(rng):
 def test_gate_matrix_check_names_the_gate(bad):
     with pytest.raises(DimensionError, match="gate matrix"):
         SympGate(bad)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: squeezer(1, 1, 400.0),
+        lambda: squeezer(2, 2, -1000.0),
+        lambda: squeezer(1, 1, np.inf),
+        lambda: SympGate(np.diag([1e200, 1e-200])),
+        lambda: SympGate(np.diag([2.0**512, 2.0**-512])),
+    ],
+    ids=["squeezer-400", "squeezer-minus-1000", "squeezer-inf", "diag-1e200", "diag-2^512"],
+)
+def test_a_gate_whose_squared_norm_overflows_is_named_with_no_warning(make):
+    # Each matrix is exactly symplectic, or would be, but its rounding floor
+    # (eps times the squared norm) is infinite, so there is no verdict.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GateError, match="squared norm of the gate matrix overflows float64"):
+            make()
+
+
+def test_gates_with_a_finite_squared_norm_keep_their_verdicts():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # The last squared norms below the float range: exactly symplectic, accepted.
+        assert SympGate(np.diag([2.0**511, 2.0**-511])).m == 1
+        assert squeezer(2, 1, 354.0).m == 2
+        # A residual past the float range is not within the floor: rejected as before.
+        with pytest.raises(GateError, match="not symplectic"):
+            SympGate(np.diag([1e100, 1e100]))
+        # The predicates answer past the float range too.
+        assert not is_symplectic(np.array([[1e200, -1e200], [1e200, 1e200]]))
+        assert not symplectic_ops.is_orthogonal(np.array([[1e200, -1e200j], [1e200, 1e200]]))
 
 
 def test_squeezer_action_on_vacuum():
