@@ -156,13 +156,13 @@ def n_thres_orthogonal(mu1: float, mu2: float, m: int, E: float, delta: float) -
 def n_thres_orthogonal_optimal(m: int, E: float, delta: float, c: float) -> float:
     """Orthogonal-pair threshold for a probe of maximal mean gap at coherence c.
 
-    ``272 log(2/delta) ((1 + (E/2-(m-1))^2) / (4c) + 1/4)``, algebraically
-    equal to ``68 log(2/delta) (1 + f/c)``.
+    :func:`n_thres_orthogonal` at the means ``-sqrt(c)`` and ``sqrt(c)``:
+    ``272 log(2/delta) (c + f) / (4c) = 68 log(2/delta) (1 + f/c)`` with
+    ``f = 1 + (E/2-(m-1))^2``.
     """
-    if c <= 0:
-        raise ValueError("coherence must be positive for a finite threshold")
-    f = energy_offset(m, E)
-    return 272.0 * _log_factor(delta) * (f / (4.0 * c) + 0.25)
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"coherence must be positive and finite for a finite threshold, got {c}")
+    return n_thres_orthogonal(-math.sqrt(c), math.sqrt(c), m, E, delta)
 
 
 def loss_g(nu_sq: float, mu: float, E1: float, eta: float) -> float:
@@ -429,10 +429,15 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
     ``DiscriminationConfig.seed``, each trial failing iff its uniform is
     below w.
 
-    When both channels have a transmissivity ``eta`` (loss, or the identity
-    at ``eta = 1``) and the two differ, ``n_thres`` is :func:`n_thres_loss`
-    at the probe's first-mode entries: ``mu = V_0m``,
-    ``nu^2 = V_00 V_mm - V_0m V_m0`` and ``E1 = V_00 + V_mm``.
+    When both channels have a transmissivity ``eta`` (loss, the identity
+    being loss at ``eta = 1``), ``n_thres`` is :func:`n_thres_loss` at the
+    probe's first-mode entries: ``mu = V_0m``, ``nu^2 = V_00 V_mm - V_0m V_m0``
+    and ``E1 = V_00 + V_mm``.  Its transmissivities are more than their
+    floor apart because the means are: loss gives ``mu_i = fl(eta_i V_0m)``,
+    each rounded by at most eps/2 relative, so means more than
+    ``rounding_floor(2m, .)`` (at least 16 eps of the larger) apart come from
+    transmissivities more than 15 eps of the larger apart, past their
+    ``rounding_floor(1, .)`` of 9 eps.
 
     Raises:
         ValueError: if the two channels give identical output means.
@@ -446,7 +451,7 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
 
     eta1, eta2 = getattr(ch1, "eta", None), getattr(ch2, "eta", None)
     n_thres: float | None = None
-    if eta1 is not None and eta2 is not None and _gap_exceeds_floor(eta1, eta2, 1):
+    if eta1 is not None and eta2 is not None:
         n_thres = n_thres_loss(
             mu=float(v[0, m]),
             nu_sq=float(v[0, 0] * v[m, m] - v[0, m] * v[m, 0]),

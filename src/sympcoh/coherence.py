@@ -24,6 +24,7 @@ from .gaussian_core import (
 )
 from .symplectic_ops import (
     SympGate,
+    apply,
     block_samples,
     haar_from_ginibre,
     is_orthogonal,
@@ -352,7 +353,8 @@ def active_gate_counterexample() -> NoGoWitness:
 
     The input covariance is ``2 I`` plus a single unit position-momentum
     correlation between mode 2's position and mode 1's momentum; the shear
-    ``A = [[1, 1], [0, 1]]`` maps that block from norm-squared 1 to 4.
+    ``A = [[1, 1], [0, 1]]`` maps that block from norm-squared 1 to 4 (the
+    output is :func:`sympcoh.symplectic_ops.apply` of the gate).
     """
     v = 2.0 * np.eye(4)
     v[1, 2] = v[2, 1] = 1.0
@@ -364,7 +366,7 @@ def active_gate_counterexample() -> NoGoWitness:
     s[2:, 2:] = np.linalg.inv(a.T)
     gate = SympGate(s)
     before = symplectic_coherence(cov)
-    after = symplectic_coherence(CovMat(gate.S @ v @ gate.S.T))
+    after = symplectic_coherence(apply(gate, GaussianState(cov)).cov)
     return NoGoWitness(cov, gate, before, after)
 
 

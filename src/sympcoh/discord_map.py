@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian_core import CovMat, _as_cm_array, _frobenius_sq, require_valid, rounding_floor
+from .gaussian_core import CovMat, _as_cm_array, _frobenius_sq, is_free, require_valid, rounding_floor
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,11 @@ def geometric_discord(image: DiscordImage) -> float:
 def is_classical_quantum(image: DiscordImage) -> bool:
     """Whether the virtual state is classical-quantum (zero discord).
 
-    The free verdict (:func:`sympcoh.gaussian_core.is_free`) divided through by
-    the trace, ``max |off_block| <= rounding_floor(2m, 1)``: a state is free iff
-    its image is classical-quantum, up to the rounding of ``V / Tr V``.
+    The free verdict :func:`sympcoh.gaussian_core.is_free` of ``rho`` read as
+    a covariance matrix: a state is free iff its image is classical-quantum,
+    up to the rounding of ``V / Tr V``.
     """
-    return bool(np.max(np.abs(image.off_block)) <= rounding_floor(2 * image.m, 1.0))
+    return is_free(CovMat(image.rho))
 
 
 class RelationCheck(NamedTuple):

@@ -175,6 +175,18 @@ def _frobenius_sq(a: np.ndarray, peak: float, quantity: str) -> float:
     return total
 
 
+def _require_finite(a: np.ndarray, quantity: str) -> np.ndarray:
+    """``a`` itself, or ``NumericError`` naming ``quantity`` if an entry is not finite.
+
+    For a product of finite inputs taken with overflow and invalid ignored:
+    a non-finite entry (inf, or NaN from ``inf - inf``) is an overflow, and
+    no warning precedes the error.
+    """
+    if not np.isfinite(a).all():
+        raise NumericError(f"{quantity} overflows float64")
+    return a
+
+
 def _gap_exceeds_floor(a, b, n: int) -> bool:
     """Whether ``max |a - b|`` exceeds the rounding floor of the entries it differences."""
     return bool(_max_gap(a, b) > rounding_floor(n, max(np.max(np.abs(a)), np.max(np.abs(b)))))
@@ -454,7 +466,7 @@ def is_free(cov: CovMat) -> bool:
 
     The one free-state verdict: a free state has zero symplectic coherence,
     and its virtual image is classical-quantum
-    (:func:`sympcoh.discord_map.is_classical_quantum` is this test on ``V / Tr V``).
+    (:func:`sympcoh.discord_map.is_classical_quantum` is this verdict on ``V / Tr V``).
     """
     return bool(np.max(np.abs(cov.matrix[: cov.m, cov.m :])) <= cov.floor)
 
@@ -473,6 +485,11 @@ def mix_states(components: Sequence[tuple[float, GaussianState]]) -> GaussianSta
 
     Returns:
         The Gaussian-moment description of the mixture (V a :func:`symmetric_part`).
+
+    Raises:
+        NumericError: if V overflows float64 (taken with overflow ignored,
+            so no warning precedes the error); an overflowing ``d_bar``
+            overflows V too, through ``d_bar d_bar^T``.
     """
     if not components:
         raise ValueError("mixture needs at least one component")
@@ -484,10 +501,12 @@ def mix_states(components: Sequence[tuple[float, GaussianState]]) -> GaussianSta
         raise DimensionError("all mixture components must have the same mode count")
     d_bar = np.zeros(2 * m)
     second = np.zeros((2 * m, 2 * m))
-    for w, s in components:
-        d_bar += w * s.d
-        second += w * (s.cov.matrix + np.outer(s.d, s.d))
-    return GaussianState(CovMat(symmetric_part(second - np.outer(d_bar, d_bar))), d_bar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, s in components:
+            d_bar += w * s.d
+            second += w * (s.cov.matrix + np.outer(s.d, s.d))
+        v = _require_finite(second - np.outer(d_bar, d_bar), "mixture covariance matrix")
+    return GaussianState(CovMat(symmetric_part(v)), d_bar)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .gaussian_core import (
     DimensionError,
     GaussianState,
     _as_cm_array,
+    _require_finite,
     identity,
     is_free,
     require_valid,
@@ -96,12 +97,6 @@ def mean_stderr_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.multiply(dev, dev, out=dev)
     se = np.sqrt(np.add.reduce(dev, axis=-1) / (n - 1)) / np.sqrt(n) * scale
     return mean * scale, se
-
-
-def mean_stderr(values: np.ndarray) -> tuple[float, float]:
-    """Sample mean of ``values`` and its standard error: ``mean_stderr_rows`` of one row."""
-    mean, se = mean_stderr_rows(values[None])
-    return float(mean[0]), float(se[0])
 
 
 def _product_residual_within_floor(a: np.ndarray, form: np.ndarray) -> bool:
@@ -248,13 +243,23 @@ def compose(outer: SympGate, inner: SympGate) -> SympGate:
 
 
 def apply(gate: SympGate, state: GaussianState) -> GaussianState:
-    """Apply a gate: ``V -> symmetric_part(S V S^T)``, ``d -> S d + disp``; revalidates output."""
+    """Apply a gate: ``V -> symmetric_part(S V S^T)``, ``d -> S d + disp``; revalidates output.
+
+    The one ``S V S^T`` rule of the package.  Its inputs are finite, so an
+    output entry past the float range is an overflow; the products are taken
+    with overflow ignored and checked, so no warning precedes the error.
+
+    Raises:
+        NumericError: if ``S V S^T`` or ``S d + disp`` overflows float64.
+    """
     if gate.m != state.m:
         raise DimensionError(
             f"gate acts on {gate.m} modes but state has {state.m}"
         )
-    cov = require_valid(CovMat(symmetric_part(gate.S @ state.cov.matrix @ gate.S.T)))
-    return GaussianState(cov, gate.S @ state.d + gate.disp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _require_finite(gate.S @ state.cov.matrix @ gate.S.T, "gate output S V S^T")
+        d = _require_finite(gate.S @ state.d + gate.disp, "gate output S d + disp")
+    return GaussianState(require_valid(CovMat(symmetric_part(v))), d)
 
 
 def require_transmissivity(eta: float) -> None:
@@ -279,20 +284,21 @@ class LossChannel:
         require_transmissivity(self.eta)
 
     def apply_to(self, state: GaussianState) -> GaussianState:
+        """``state`` through the channel: ``V -> eta V + (1 - eta) I``, ``d -> sqrt(eta) d``.
+
+        At ``eta = 1`` that is the input itself, which is returned as it is.
+        """
+        if self.eta == 1.0:
+            return state
         return GaussianState(apply_loss(state.cov, self.eta), np.sqrt(self.eta) * state.d)
 
 
-@dataclass(frozen=True)
-class IdentityChannel:
-    """The do-nothing channel: pure loss at the fixed transmissivity ``eta = 1``.
+def IdentityChannel() -> LossChannel:
+    """The do-nothing channel: ``LossChannel(1.0)``, pure loss at ``eta = 1``.
 
-    ``eta`` is set, not passed, so ``IdentityChannel(0.5)`` is a ``TypeError``.
+    It takes no transmissivity, so ``IdentityChannel(0.5)`` is a ``TypeError``.
     """
-
-    eta: float = field(default=1.0, init=False)
-
-    def apply_to(self, state: GaussianState) -> GaussianState:
-        return state
+    return LossChannel(1.0)
 
 
 def _mode_rows(m: int, modes: np.ndarray) -> np.ndarray:

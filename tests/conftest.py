@@ -32,7 +32,7 @@ from sympcoh.symplectic_ops import (
     ginibre_batch,
     haar_from_ginibre,
     mc_blocks,
-    mean_stderr,
+    mean_stderr_rows,
     pure_draw,
 )
 
@@ -126,6 +126,12 @@ def pure_param_blocks(
     for start, (d, z) in mc_blocks(seed, n, block_samples(m), draw):
         u = haar_from_ginibre(z)
         yield start, u.real, u.imag, d
+
+
+def mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean of ``values`` and its standard error: ``mean_stderr_rows`` of one row."""
+    mean, se = mean_stderr_rows(values[None])
+    return float(mean[0]), float(se[0])
 
 
 @dataclass(frozen=True)

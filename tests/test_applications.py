@@ -220,6 +220,37 @@ def test_discrimination_threshold_reads_the_probe_entries(second):
         assert report.n_thres == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+def test_loss_means_apart_imply_transmissivities_apart():
+    # run_discrimination calls n_thres_loss whenever both channels are loss,
+    # with no check of its own on the transmissivities: means more than their
+    # floor apart (mu_i = fl(eta_i V_0m)) must give transmissivities more than
+    # theirs apart, so that n_thres_loss never raises.  Pairs from 1 to 2^16
+    # ulps apart, a quarter of them against the identity, on msc and sampled
+    # probes with E - 2m from 1e-3 to 1e12.
+    rng = np.random.default_rng(31)
+    apart = within = 0
+    for i in range(200):
+        m = 1 + i % 3
+        E = 2 * m + 10.0 ** rng.uniform(-3.0, 12.0)
+        probe = msc_canonical(E, m) if i % 2 else GaussianState(sample_pure_cm(E, m, "unitary", rng))
+        v = probe.cov.matrix
+        nu_sq, e1 = float(v[0, 0] * v[m, m] - v[0, m] * v[m, 0]), float(v[0, 0] + v[m, m])
+        for _ in range(100):
+            eta1 = float(rng.choice([0.0, 1.0, rng.uniform()], p=[0.05, 0.25, 0.7]))
+            gap = math.ulp(max(eta1, 0.5)) * 2.0 ** rng.uniform(0.0, 16.0)
+            up = eta1 == 0.0 or (eta1 < 1.0 and rng.uniform() < 0.5)
+            eta2 = min(1.0, max(0.0, eta1 + gap if up else eta1 - gap))
+            mu1, _ = meas_moments(probe, LossChannel(eta1))
+            mu2, _ = meas_moments(probe, LossChannel(eta2))
+            if not gaussian_core._gap_exceeds_floor(mu1, mu2, 2 * m):
+                within += 1
+                continue
+            apart += 1
+            assert n_thres_loss(float(v[0, m]), nu_sq, e1, eta1, eta2, 0.1) > 0.0, (E, m, eta1, eta2)
+    # both sides of the means' floor are well populated
+    assert apart > 10_000 and within > 4_000
+
+
 def test_meas_moments_rejects_displaced_probe():
     probe = GaussianState(CovMat(np.eye(2)), [1.0, 0.0])
     with pytest.raises(ValueError):
@@ -256,6 +287,25 @@ def test_n_thres_orthogonal_optimal_matches_direct_form():
     assert val == pytest.approx(564.3985564794323, abs=1e-9)
     with pytest.raises(ValueError):
         n_thres_orthogonal_optimal(m, E, delta, 0.0)
+
+
+def test_n_thres_orthogonal_optimal_is_the_pair_at_plus_and_minus_root_c(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return n_thres_orthogonal(*args)
+
+    monkeypatch.setattr(applications, "n_thres_orthogonal", spy)
+    c = max_symplectic_coherence(6.0, 1)
+    assert n_thres_orthogonal_optimal(1, 6.0, 0.05, c) == n_thres_orthogonal(
+        -math.sqrt(c), math.sqrt(c), 1, 6.0, 0.05
+    )
+    assert calls == [(-math.sqrt(c), math.sqrt(c), 1, 6.0, 0.05)]
+    # No coherence is infinite or NaN: named, not read as coinciding means.
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="coherence must be positive and finite"):
+            n_thres_orthogonal_optimal(1, 6.0, 0.05, bad)
 
 
 def test_n_thres_orthogonal_shrinks_when_gap_grows():
@@ -763,7 +813,7 @@ def test_discrimination_error_rates_are_pinned(first, n_samples, expected):
     # recorded under seedseq-spawn-v6; a seeded sample that moves must bump
     # STREAM_SCHEME.  The order does not move the rate: a trial's chance of a
     # wrong verdict is the mean over the two channels, and it draws one uniform.
-    second = IdentityChannel() if isinstance(first, LossChannel) else LossChannel(0.5)
+    second = IdentityChannel() if first.eta < 1.0 else LossChannel(0.5)
     config = DiscriminationConfig(
         probe=msc_canonical(6.0, 1),
         channels=(first, second),

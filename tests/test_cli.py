@@ -395,6 +395,21 @@ def test_coherence_past_the_float_range_exits_1_naming_it(sub, capsys, monkeypat
     assert "Traceback" not in err
 
 
+def test_apply_past_the_float_range_exits_1_naming_it(tmp_path, capsys, monkeypatch):
+    # A squeezer at r = 300 on a trace-1e100 state: S V S^T is past the float
+    # range, a named reason with no overflow warning (an error under pytest).
+    code, state, _ = run_cli(["msc", "--E", "1e100", "--m", "1"], capsys)
+    assert code == 0
+    gate_file = tmp_path / "r300.json"
+    gate_file.write_text(json.dumps({"kind": "squeezer", "params": {"mode": 1, "r": 300}}))
+    argv = ["apply", "-", "--gate", str(gate_file)]
+    code, out, err = run_cli(argv, capsys, monkeypatch, stdin_text=json.dumps(state))
+    assert code == 1
+    assert out is None
+    assert "NumericError: gate output S V S^T overflows float64" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("sub", ["validate", "qfi", "coherence", "discord"])
 def test_every_reader_answers_where_the_cholesky_fails(sub, tmp_path, capsys):
     state_file = tmp_path / "singular.json"

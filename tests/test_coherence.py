@@ -519,6 +519,19 @@ def test_active_gate_counterexample_increases_coherence():
     assert witness.coherence_after == pytest.approx(4.0, abs=EXACT)
 
 
+def test_active_gate_counterexample_is_the_apply_output(monkeypatch):
+    outputs = []
+
+    def spy(gate, state):
+        outputs.append(apply(gate, state))
+        return outputs[-1]
+
+    monkeypatch.setattr(coherence, "apply", spy)
+    witness = active_gate_counterexample()
+    assert len(outputs) == 1
+    assert witness.coherence_after == symplectic_coherence(outputs[0].cov)
+
+
 def test_active_gate_preserves_free_set(rng):
     witness = active_gate_counterexample()
     s = witness.gate.S

@@ -171,6 +171,21 @@ def test_classical_quantum_and_free_agree_on_either_side_of_the_floor(trace, tim
     assert is_classical_quantum(to_density(cov)) is is_free(cov) is free
 
 
+def test_classical_quantum_is_is_free_of_the_image(monkeypatch, rng):
+    seen = []
+
+    def spy(cov):
+        seen.append(cov.matrix)
+        return is_free(cov)
+
+    monkeypatch.setattr(discord_map, "is_free", spy)
+    for cov in (random_valid_cov(rng, 2), msc_canonical(6.0, 1).cov, vacuum_state(3).cov):
+        image = to_density(cov)
+        assert is_classical_quantum(image) is is_free(CovMat(image.rho))
+        assert np.array_equal(seen[-1], image.rho)
+    assert len(seen) == 3
+
+
 def test_classical_quantum_has_no_tolerance_of_its_own():
     assert not hasattr(discord_map, "CQ_TOL")
 

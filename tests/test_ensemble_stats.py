@@ -13,9 +13,10 @@ import pytest
 
 from sympcoh import EnsembleConfig, ensemble_nu_sq
 from sympcoh.ensembles import KINDS, _first_mode_nu_sq, _pair_sums
-from sympcoh.symplectic_ops import block_samples, mean_stderr, mean_stderr_rows
+from sympcoh.symplectic_ops import block_samples, mean_stderr_rows
 from conftest import (
     BASE_SEED,
+    mean_stderr,
     pure_param_blocks,
     reference_ensemble_stats,
     reference_first_mode_nu_sq,

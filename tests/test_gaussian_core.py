@@ -489,6 +489,15 @@ def test_mix_states_near_the_float_range_returns_the_matrix():
     assert np.array_equal(mix.cov.matrix, edge)
 
 
+def test_mix_states_names_an_overflowing_mixture():
+    # d d^T and d_bar d_bar^T past the float range, and inf - inf between them.
+    parts = [(0.5, GaussianState(CovMat(np.eye(2)), [1e200, 0.0])), (0.5, vacuum_state(1))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="mixture covariance matrix overflows float64"):
+            mix_states(parts)
+
+
 def test_mix_states_weight_validation():
     vac = vacuum_state(1)
     with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from sympcoh import (
     GaussianState,
     IdentityChannel,
     LossChannel,
+    NumericError,
     StinespringChannel,
     SympGate,
     apply,
@@ -47,14 +48,13 @@ from sympcoh.symplectic_ops import (
     ginibre_batch,
     haar_from_ginibre,
     haar_unitary_batch,
-    mean_stderr,
     pure_draw,
     pure_xp_block,
     sample_d_batch,
 )
 from sympcoh.gaussian_core import rounding_floor, symplectic_form
 from conftest import (
-    exact_residual_sq, fractions, haar_moment_check, pure_param_blocks, random_valid_cov,
+    exact_residual_sq, fractions, haar_moment_check, mean_stderr, pure_param_blocks, random_valid_cov,
 )
 
 TOL = 1e-12
@@ -284,6 +284,16 @@ def test_apply_near_the_float_range_returns_the_matrix(gate):
     assert np.array_equal(out.cov.matrix, EDGE)
 
 
+def test_apply_names_an_overflowing_product():
+    # Valid inputs whose images are past the float range: a named reason, no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"gate output S V S\^T overflows float64"):
+            apply(squeezer(1, 1, 300.0), coherence.msc_canonical(1e100, 1))
+        with pytest.raises(NumericError, match=r"gate output S d \+ disp overflows float64"):
+            apply(displacement([1.5e308, 0.0]), GaussianState(CovMat(np.eye(2)), [1.5e308, 0.0]))
+
+
 def _old_phase_shifter_matrix(m: int, mode: int, theta: float) -> np.ndarray:
     """The rotation as phase_shifter once wrote it, entry by entry."""
     s = np.eye(2 * m)
@@ -441,6 +451,23 @@ def test_loss_channel_object_matches_function(rng):
     assert IdentityChannel().apply_to(state) is state
     with pytest.raises(ValueError):
         LossChannel(1.2)
+
+
+def test_the_identity_is_loss_at_eta_one(rng):
+    assert type(IdentityChannel()) is LossChannel
+    assert IdentityChannel() == LossChannel(1.0) and IdentityChannel().eta == 1.0
+    assert not isinstance(symplectic_ops.IdentityChannel, type)
+    with pytest.raises(TypeError):
+        IdentityChannel(0.5)
+    # At eta = 1 loss returns its input, the loss formula's value; only a
+    # -0.0 entry, which 1 V + 0 I turns into +0.0, keeps its sign.
+    v = random_valid_cov(rng, 2).matrix.copy()
+    v[0, 2] = v[2, 0] = -0.0
+    state = GaussianState(CovMat(v), rng.normal(size=4))
+    out = LossChannel(1.0).apply_to(state)
+    assert out is state
+    assert np.array_equal(out.cov.matrix, apply_loss(state.cov, 1.0).matrix)
+    assert np.signbit(out.cov.matrix[0, 2]) and not np.signbit(apply_loss(state.cov, 1.0).matrix[0, 2])
 
 
 def test_tensor_keeps_qqpp_ordering():
