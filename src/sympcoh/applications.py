@@ -17,7 +17,7 @@ import numpy as np
 
 from .coherence import max_symplectic_coherence
 from .gaussian_core import CovMat, DimensionError, GaussianState, _gap_exceeds_floor, is_pure
-from .symplectic_ops import BLOCK_ENTRIES, mc_blocks, require_transmissivity
+from .symplectic_ops import BLOCK_ENTRIES, _require_int, mc_blocks, require_transmissivity
 
 WILSON_Z = 1.96  #: normal quantile of the 95% Wilson-score bound on the error rate
 
@@ -107,10 +107,10 @@ def meas_moments(state: GaussianState, channel) -> tuple[float, float]:
     Raises:
         ValueError: if the probe or the channel output has first moments.
     """
-    if np.any(state.d):
+    if state.d.any():
         raise ValueError("probe must have zero first moments")
     out = channel.apply_to(state)
-    if np.any(out.d):
+    if out.d.any():
         raise ValueError("channel output must have zero first moments")
     v, m = out.cov.matrix, out.cov.m
     mu = float(v[0, m])
@@ -277,6 +277,9 @@ class DiscriminationConfig:
             first entries of a full block's draw: one uniform per trial,
             compared with the model's chance of a wrong verdict (see
             :func:`run_discrimination`).
+
+    ``n_samples``, ``trials`` and ``seed`` must be Python or numpy integers,
+    not bools; construction raises ``ValueError`` naming the field otherwise.
     """
 
     probe: GaussianState
@@ -289,11 +292,13 @@ class DiscriminationConfig:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
+        for name in ("n_samples", "trials", "seed"):
+            _require_int(name, getattr(self, name))
         if self.n_samples < 1 or self.trials < 1:
             raise ValueError("n_samples and trials must be >= 1")
         if len(self.channels) != 2:
             raise ValueError("exactly two candidate channels are required")
-        if np.any(self.probe.d):
+        if self.probe.d.any():
             raise ValueError("probe must have zero first moments")
 
 
@@ -333,22 +338,34 @@ class DiscriminationReport:
     )
 
 
-def _count_sides(k: int, p: float, q: float) -> tuple[float, float, float]:
-    """``P(2C < k)``, ``P(2C = k)`` and ``P(2C > k)`` for ``C ~ Binomial(k, p)``; ``q = 1 - p``.
+def _count_sides(
+    k: int, p: Sequence[float], q: Sequence[float]
+) -> list[tuple[float, float, float]]:
+    """Per channel i: ``P(2C < k)``, ``P(2C = k)``, ``P(2C > k)`` for ``C ~ Binomial(k, p_i)``.
 
-    p and q are passed separately so that each keeps its own precision, and
-    each side is summed on its own terms, so a side far in the tail keeps its
-    relative precision.  The mass is ``exp`` of its logarithm, so no binomial
-    coefficient overflows; at p = 0 or q = 0 the count is a point mass (at 0
-    or at k), and no ``log(0)`` is taken.
+    ``q_i = 1 - p_i``, passed separately so that each keeps its own
+    precision, and each side is summed on its own terms, so a side far in the
+    tail keeps its relative precision.  The masses of all channels are one
+    (channels, k + 1) array, ``exp`` of their logarithms with each channel's
+    own ``math.log`` of p_i and q_i, so no binomial coefficient overflows; at
+    p_i = 0 or q_i = 0 the count is a point mass (at 0 or at k), and no
+    ``log(0)`` is taken.
     """
-    if p == 0.0 or q == 0.0:
-        return (1.0, 0.0, 0.0) if p == 0.0 else (0.0, 0.0, 1.0)
+    sides = [(1.0, 0.0, 0.0) if a == 0.0 else (0.0, 0.0, 1.0) for a in p]
+    live = [i for i, (a, b) in enumerate(zip(p, q)) if a != 0.0 and b != 0.0]
+    if not live:
+        return sides
     c = np.arange(k + 1)
     log_comb = np.concatenate(([0.0], np.cumsum(np.log((k - c[:-1]) / c[1:]))))
-    mass = np.exp(log_comb + c * math.log(p) + (k - c) * math.log(q))
-    tie = 0.0 if k % 2 else float(mass[k // 2])
-    return float(mass[: (k + 1) // 2].sum()), tie, float(mass[k // 2 + 1 :].sum())
+    log_p = np.array([[math.log(p[i])] for i in live])
+    log_q = np.array([[math.log(q[i])] for i in live])
+    mass = np.exp(log_comb + c * log_p + (k - c) * log_q)
+    low = mass[:, : (k + 1) // 2].sum(axis=1).tolist()
+    tie = [0.0] * len(live) if k % 2 else mass[:, k // 2].tolist()
+    high = mass[:, k // 2 + 1 :].sum(axis=1).tolist()
+    for i, side in zip(live, zip(low, tie, high)):
+        sides[i] = side
+    return sides
 
 
 #: Nodes of the Gauss-Legendre rule that integrates a tie's chance to be high.
@@ -372,31 +389,64 @@ def _cube_rule() -> tuple[np.ndarray, np.ndarray]:
     return s, 3.0 * s * s * vectors[0] ** 2
 
 
-def _tie_high_chance(k: int, tau: float) -> float:
-    """Chance that the median of K/2 group means above the midpoint and K/2 below lies above it.
+def _tie_high_chance(k: int, taus: Sequence[float]) -> list[float]:
+    """Per channel, the chance that the median of K/2 group means above the midpoint and K/2 below lies above it.
 
-    In standard units the midpoint is tau.  The largest of the K/2 below has
-    ``P(B <= b) = (Phi(b) / Phi(tau))^(K/2)``, so ``B(u) = Phi^-1(Phi(tau) u^(2/K))``
-    for a uniform u; the smallest of the K/2 above has
-    ``P(A > a) = (Q(a) / Q(tau))^(K/2)``; and the median ``(A + B)/2`` is
-    above tau iff ``A > 2 tau - B`` (David and Nagaraja, *Order Statistics*,
-    3rd ed., 2003, sections 2.1-2.4).  So the chance is
+    In standard units the midpoint is tau, one per channel.  The largest of
+    the K/2 below has ``P(B <= b) = (Phi(b) / Phi(tau))^(K/2)``, so
+    ``B(u) = Phi^-1(Phi(tau) u^(2/K))`` for a uniform u; the smallest of the
+    K/2 above has ``P(A > a) = (Q(a) / Q(tau))^(K/2)``; and the median
+    ``(A + B)/2`` is above tau iff ``A > 2 tau - B`` (David and Nagaraja,
+    *Order Statistics*, 3rd ed., 2003, sections 2.1-2.4).  So the chance is
     ``t(tau) = int_0^1 (Q(2 tau - B(u)) / Q(tau))^(K/2) du``, integrated by
     :func:`_cube_rule` only at tau <= 0, where ``Q(tau) >= 1/2``; reflecting
     every group mean gives ``t(tau) = 1 - t(-tau)``.  The quantile's
     argument is kept at or above the least float, where the integrand is 1.
+    Every channel's nodes are one (channels, ``_TIE_NODES``) array, and all
+    their quantiles are taken in one loop.
     """
-    if tau > 0.0:
-        return 1.0 - _tie_high_chance(k, -tau)
     # Imported here: only ties need it, and its first import (which pulls in
-    # fractions and decimal) takes milliseconds that a cold CLI process would pay.
+    # fractions and decimal) takes milliseconds that a cold CLI process would
+    # pay.  The scalar quantile stays: it is C-backed, and a numpy Phi^-1
+    # (Wichura's AS241) over a tie's 96 nodes took about five times as long.
     from statistics import NormalDist
 
     inv_cdf = NormalDist().inv_cdf
+    root2 = math.sqrt(2.0)
     s, weights = _cube_rule()
-    below = np.maximum(0.5 * math.erfc(-tau / math.sqrt(2.0)) * s ** (6.0 / k), math.ulp(0.0))
-    tail = [math.erfc((2.0 * tau - inv_cdf(x)) / math.sqrt(2.0)) for x in below.tolist()]
-    return float((np.array(tail) / math.erfc(tau / math.sqrt(2.0))) ** (k / 2) @ weights)
+    reflected = [tau if tau <= 0.0 else -tau for tau in taus]
+    head = np.array([[0.5 * math.erfc(-tau / root2)] for tau in reflected])
+    below = np.maximum(head * s ** (6.0 / k), math.ulp(0.0))
+    tail = [
+        math.erfc((2.0 * tau - inv_cdf(x)) / root2)
+        for tau, nodes in zip(reflected, below.tolist())
+        for x in nodes
+    ]
+    shares = np.array([[math.erfc(tau / root2)] for tau in reflected])
+    ratios = (np.array(tail).reshape(below.shape) / shares) ** (k / 2)
+    chances = [float(ratio @ weights) for ratio in ratios]
+    return [t if tau <= 0.0 else 1.0 - t for tau, t in zip(taus, chances)]
+
+
+def _error_chance(k: int, taus: Sequence[float]) -> float:
+    """The mixture chance ``w = (w_1 + w_2) / 2`` of a wrong verdict.
+
+    tau_i is the midpoint in channel i's standard units.  Both channels go through :func:`_count_sides` in one call, and those
+    whose K/2 tie has positive mass through :func:`_tie_high_chance` in one
+    more (so a run with no tie never imports ``statistics``); see
+    :func:`run_discrimination` for the rule.  Each ``0.5 w_i`` is added to
+    the sum in turn, and float addition commutes, so the order of the
+    channels does not move w by a bit.
+    """
+    z = [tau / math.sqrt(2.0) for tau in taus]
+    sides = _count_sides(k, [0.5 * math.erfc(x) for x in z], [0.5 * math.erfc(-x) for x in z])
+    tied = [tau for tau, (_, tie, _) in zip(taus, sides) if tie]
+    tie_highs = iter(_tie_high_chance(k, tied) if tied else ())
+    error = 0.0
+    for tau, (low, tie, high) in zip(taus, sides):
+        tie_high = next(tie_highs) if tie else 0.0
+        error += 0.5 * (low + tie * (1.0 - tie_high) if tau < 0.0 else high + tie * tie_high)
+    return error
 
 
 def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
@@ -409,7 +459,8 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
     ``N(mu_i, s_i^2)``, ``s_i = sqrt(var_i / b)``, and :func:`median_of_means`
     discards the trailing ``n_samples - K b`` shots; so the K group means
     are i.i.d., and each channel's chance ``w_i`` of a wrong verdict is
-    computed once per call, at a cost independent of ``n_samples``:
+    computed once per call, both channels in one pass (:func:`_error_chance`),
+    at a cost independent of ``n_samples``:
 
     - In standard units ``tau_i = (t - mu_i) / s_i``, each group mean lies
       above t with chance ``p_i = erfc(tau_i / sqrt 2) / 2``, so the count
@@ -463,13 +514,9 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
 
     threshold = 0.5 * (mu1 + mu2)
     k, b = _mom_groups(config.n_samples, config.delta)
-    error = 0.0
-    for mu, var in ((mu1, var1), (mu2, var2)):
-        tau = (threshold - mu) / math.sqrt(var / b)
-        z = tau / math.sqrt(2.0)
-        low, tie, high = _count_sides(k, 0.5 * math.erfc(z), 0.5 * math.erfc(-z))
-        tie_high = _tie_high_chance(k, tau) if tie else 0.0
-        error += 0.5 * (low + tie * (1.0 - tie_high) if tau < 0.0 else high + tie * tie_high)
+    error = _error_chance(
+        k, [(threshold - mu) / math.sqrt(var / b) for mu, var in ((mu1, var1), (mu2, var2))]
+    )
 
     def draw(rng: np.random.Generator, size: int, keep: int) -> tuple:
         return (rng.random(keep),)

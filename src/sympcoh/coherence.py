@@ -24,6 +24,7 @@ from .gaussian_core import (
 )
 from .symplectic_ops import (
     SympGate,
+    _require_int,
     apply,
     block_samples,
     haar_from_ginibre,
@@ -655,9 +656,14 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
         trials: number of random samples (>= 1).
         seed: base seed.
 
+    ``m``, ``trials`` and ``seed`` must be Python or numpy integers, not
+    bools; a ``ValueError`` names the argument otherwise.
+
     Returns:
         Best coherence found and a description of where it occurred.
     """
+    for name, value in (("m", m), ("trials", trials), ("seed", seed)):
+        _require_int(name, value)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     require_budget(E, m)

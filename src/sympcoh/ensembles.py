@@ -16,6 +16,7 @@ import numpy as np
 
 from .gaussian_core import CovMat
 from .symplectic_ops import (
+    _require_int,
     block_samples,
     ginibre_batch,
     haar_from_ginibre,
@@ -59,6 +60,9 @@ class EnsembleConfig:
         seed: base RNG seed; samples are drawn in blocks of the one block
             driver ``symplectic_ops.mc_blocks`` (see ``ensemble_nu_sq``).
         kind: "orthogonal" or "unitary".
+
+    ``m``, ``n_samples`` and ``seed`` must be Python or numpy integers, not
+    bools; construction raises ``ValueError`` naming the field otherwise.
     """
 
     m: int
@@ -69,6 +73,8 @@ class EnsembleConfig:
 
     def __post_init__(self):
         _require_kind(self.kind)
+        for name in ("m", "n_samples", "seed"):
+            _require_int(name, getattr(self, name))
         require_budget(self.E, self.m)
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")

@@ -109,17 +109,25 @@ def _as_cm_array(matrix, name: str = "covariance matrix") -> tuple[np.ndarray, f
         raise DimensionError(f"{name} must be square, got shape {arr.shape}")
     if arr.shape[0] % 2 != 0 or arr.shape[0] == 0:
         raise DimensionError(f"{name} must be 2m x 2m with m >= 1, got shape {arr.shape}")
-    # One pass in the usual case: entries at most 1e300 / n in size are finite,
-    # and no summation order of their trace can overflow.
     peak = np.abs(arr).max()
+    _require_in_range(arr, peak, name)
+    arr.flags.writeable = False
+    return arr, peak
+
+
+def _require_in_range(arr: np.ndarray, peak: float, name: str) -> None:
+    """Raise ``DimensionError`` naming the object unless ``arr``'s entries and
+    trace are finite, for an ``arr`` whose entries are at most ``peak`` in size.
+
+    No pass in the usual case: entries at most 1e300 / n in size are finite,
+    and no summation order of their trace can overflow.
+    """
     if not peak <= 1e300 / arr.shape[0]:
         if not np.isfinite(arr).all():
             raise DimensionError(f"{name} entries must be finite")
         with np.errstate(over="ignore"):
             if not np.isfinite(np.trace(arr)):
                 raise DimensionError(f"{name} trace overflows float64")
-    arr.flags.writeable = False
-    return arr, peak
 
 
 def symmetric_part(v: np.ndarray) -> np.ndarray:
@@ -188,8 +196,15 @@ def _require_finite(a: np.ndarray, quantity: str) -> np.ndarray:
 
 
 def _gap_exceeds_floor(a, b, n: int) -> bool:
-    """Whether ``max |a - b|`` exceeds the rounding floor of the entries it differences."""
-    return bool(_max_gap(a, b) > rounding_floor(n, max(np.max(np.abs(a)), np.max(np.abs(b)))))
+    """Whether ``max |a - b|`` exceeds the rounding floor of the entries it differences.
+
+    Two arrays go through :func:`_max_gap`; two scalars take the same
+    arithmetic on Python numbers, with no numpy call: ``2 |a/2 - b/2|``
+    against the floor of the larger magnitude.
+    """
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return bool(_max_gap(a, b) > rounding_floor(n, max(np.max(np.abs(a)), np.max(np.abs(b)))))
+    return bool(2.0 * abs(0.5 * a - 0.5 * b) > rounding_floor(n, max(abs(a), abs(b))))
 
 
 class Violation(NamedTuple):
@@ -215,8 +230,10 @@ class CovMat:
     (:func:`sympcoh.discord_map.to_density`) is kept in the same instance
     dict.  Caching is sound because ``matrix`` is a private read-only copy of
     the input; every transformed matrix is a new ``CovMat`` with its own cache.
-    The largest entry magnitude, which construction scans anyway, is kept as
-    ``_peak``: it bounds every sum of squares of entries (``_frobenius_sq``).
+    ``_peak`` is an upper bound on every entry's magnitude, so it bounds every
+    sum of squares of entries (``_frobenius_sq``): the largest magnitude,
+    which construction scans anyway, or for a matrix taken by :meth:`_adopt`
+    the bound its maker proves.
 
     Attributes:
         matrix: the 2m x 2m real matrix (read-only).
@@ -227,10 +244,27 @@ class CovMat:
     m: int = field(init=False)
 
     def __post_init__(self):
-        arr, peak = _as_cm_array(self.matrix)
+        self._take(*_as_cm_array(self.matrix))
+
+    def _take(self, arr: np.ndarray, peak: float) -> None:
         object.__setattr__(self, "matrix", arr)
         object.__setattr__(self, "_peak", peak)
         object.__setattr__(self, "m", arr.shape[0] // 2)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, peak: float) -> CovMat:
+        """A ``CovMat`` that takes the fresh float 2m x 2m ``arr`` as its matrix, with no copy.
+
+        For a maker that has just computed ``arr``, holds no other reference
+        to it, and proves its entries finite and at most ``peak`` in size.
+        So no scan runs, and the finiteness pass of :func:`_as_cm_array` only
+        where ``peak`` is past 1e300 / n, for the trace.
+        """
+        _require_in_range(arr, peak, "covariance matrix")
+        arr.flags.writeable = False
+        cov = object.__new__(cls)
+        cov._take(arr, peak)
+        return cov
 
     @cached_property
     def trace(self) -> float:
@@ -338,18 +372,30 @@ class GaussianState:
     d: np.ndarray = field(default=None)
 
     def __post_init__(self):
-        d = self.d
-        if d is None:
-            d = np.zeros(2 * self.cov.m)
-        d = np.array(d, dtype=float).reshape(-1)
-        if d.shape[0] != 2 * self.cov.m:
-            raise DimensionError(
-                f"first-moment vector must have length {2 * self.cov.m}, got {d.shape[0]}"
-            )
-        if not np.all(np.isfinite(d)):
-            raise DimensionError("first moments must be finite")
+        n = 2 * self.cov.m
+        if self.d is None:
+            d = np.zeros(n)
+        else:
+            d = np.array(self.d, dtype=float).reshape(-1)
+            if d.shape[0] != n:
+                raise DimensionError(f"first-moment vector must have length {n}, got {d.shape[0]}")
+            if not np.isfinite(d).all():
+                raise DimensionError("first moments must be finite")
         d.flags.writeable = False
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _adopt(cls, cov: CovMat, d: np.ndarray) -> GaussianState:
+        """A state that takes the fresh float vector ``d`` as its first moments, with no copy.
+
+        For a maker that has just computed ``d``, of length 2m, holds no other
+        reference to it, and proves its entries finite; nothing is checked.
+        """
+        d.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "cov", cov)
+        object.__setattr__(state, "d", d)
+        return state
 
     @property
     def m(self) -> int:

@@ -44,6 +44,16 @@ _NORM_OVERFLOW = "squared norm of the gate matrix overflows float64"
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
+def _require_int(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a Python or numpy integer, not a bool.
+
+    For the counts, seeds and mode counts of the Monte-Carlo drivers: a float
+    such as 1.5 would otherwise be cut to the stream of another seed.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+
+
 def derive_rng(seed: int, index: int) -> np.random.Generator:
     """Generator for block ``index`` of the Monte-Carlo stream of ``seed``.
 
@@ -269,9 +279,18 @@ def require_transmissivity(eta: float) -> None:
 
 
 def apply_loss(cov: CovMat, eta: float) -> CovMat:
-    """Pure photon loss on the covariance matrix: ``V -> eta V + (1-eta) I``."""
+    """Pure photon loss on the covariance matrix: ``V -> eta V + (1-eta) I``.
+
+    The output is a fresh array, finite for a finite ``V`` and ``0 <= eta <=
+    1``, so the ``CovMat`` adopts it (``CovMat._adopt``) with no copy and no
+    scan.  Rounding is monotone, so with ``p`` the input's ``_peak`` every
+    output entry is at most ``fl(eta p) + (1 - eta)`` in size: off the
+    diagonal ``|fl(eta v)| <= fl(eta p)``, and on it that plus ``1 - eta``.
+    That bound is the output's ``_peak``.
+    """
     require_transmissivity(eta)
-    return CovMat(eta * cov.matrix + (1.0 - eta) * identity(2 * cov.m))
+    rest = 1.0 - eta
+    return CovMat._adopt(eta * cov.matrix + rest * identity(2 * cov.m), eta * cov._peak + rest)
 
 
 @dataclass(frozen=True)
@@ -287,10 +306,12 @@ class LossChannel:
         """``state`` through the channel: ``V -> eta V + (1 - eta) I``, ``d -> sqrt(eta) d``.
 
         At ``eta = 1`` that is the input itself, which is returned as it is.
+        Both outputs are fresh and finite (``|sqrt(eta) d_i| <= |d_i|``), so
+        the state adopts them (:func:`apply_loss`, ``GaussianState._adopt``).
         """
         if self.eta == 1.0:
             return state
-        return GaussianState(apply_loss(state.cov, self.eta), np.sqrt(self.eta) * state.d)
+        return GaussianState._adopt(apply_loss(state.cov, self.eta), math.sqrt(self.eta) * state.d)
 
 
 def IdentityChannel() -> LossChannel:

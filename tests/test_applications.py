@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -687,7 +688,7 @@ def test_a_tie_is_high_at_the_rate_of_brute_force_ties(k, tau):
         ties += tied.shape[0]
         highs += int(np.count_nonzero(np.median(tied, axis=1) > tau))
     brute = highs / ties
-    exact = applications._tie_high_chance(k, tau)
+    (exact,) = applications._tie_high_chance(k, [tau])
     assert ties > 10_000
     sigma = math.sqrt(exact * (1.0 - exact) / ties)
     assert abs(brute - exact) <= 5.0 * sigma
@@ -699,18 +700,51 @@ _TAU_PANEL = (-40.0, -10.0, -3.5, -2.0, -0.4, 0.0, 0.3, 2.0, 3.5, 10.0, 40.0)
 @pytest.mark.parametrize("k", [1, 2, 3, 6, 30, 31, 2000])
 def test_the_exact_error_matches_the_scipy_oracle(k):
     # Count sides against scipy's binomial, a tie's chance to be high against
-    # quad over the law of B; p or q is exactly 0 at tau = +-40.  No step warns.
+    # quad over the law of B; p or q is exactly 0 at tau = +-40.  No step
+    # warns.  The whole panel is one stacked call of each.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sides = [
-            applications._count_sides(k, 0.5 * math.erfc(tau / math.sqrt(2.0)), 0.5 * math.erfc(-tau / math.sqrt(2.0)))
-            for tau in _TAU_PANEL
-        ]
-        highs = [applications._tie_high_chance(k, tau) for tau in _TAU_PANEL] if k % 2 == 0 else []
+        sides = applications._count_sides(
+            k,
+            [0.5 * math.erfc(tau / math.sqrt(2.0)) for tau in _TAU_PANEL],
+            [0.5 * math.erfc(-tau / math.sqrt(2.0)) for tau in _TAU_PANEL],
+        )
+        highs = applications._tie_high_chance(k, _TAU_PANEL) if k % 2 == 0 else []
     for tau, side in zip(_TAU_PANEL, sides):
         assert np.allclose(side, _oracle_count_sides(k, tau), rtol=0.0, atol=1e-10), tau
     for tau, high in zip(_TAU_PANEL, highs):
         assert abs(high - _oracle_tie_high(k, tau)) <= 1e-10, tau
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 30, 31, 2000])
+def test_each_channel_of_the_stacked_helpers_is_its_own_evaluation(k):
+    # Both channels go through _count_sides and _tie_high_chance in one call;
+    # each channel's entry must be its one-channel evaluation bit for bit, and
+    # swapping the channels must leave the mixture error w unchanged.
+    def p_q(taus):
+        z = [tau / math.sqrt(2.0) for tau in taus]
+        return [0.5 * math.erfc(x) for x in z], [0.5 * math.erfc(-x) for x in z]
+
+    for pair in itertools.product(_TAU_PANEL, repeat=2):
+        # repr is exact for floats and tells -0.0 from 0.0
+        sides = applications._count_sides(k, *p_q(pair))
+        assert repr(sides) == repr([applications._count_sides(k, *p_q([tau]))[0] for tau in pair]), pair
+        if k % 2 == 0:
+            highs = applications._tie_high_chance(k, pair)
+            assert repr(highs) == repr([applications._tie_high_chance(k, [tau])[0] for tau in pair]), pair
+        w = applications._error_chance(k, pair)
+        assert 0.0 <= w <= 1.0
+        assert repr(w) == repr(applications._error_chance(k, pair[::-1])), pair
+
+
+@pytest.mark.parametrize("regime", list(_EXACT_ERROR_REGIMES))
+def test_swapping_the_channels_swaps_only_their_moments(regime):
+    probe, channels, delta, n_samples, _ = _EXACT_ERROR_REGIMES[regime]
+    report = run_discrimination(DiscriminationConfig(probe, channels, delta, n_samples, 2000, seed=5))
+    swapped = run_discrimination(DiscriminationConfig(probe, channels[::-1], delta, n_samples, 2000, seed=5))
+    assert swapped == dataclasses.replace(
+        report, mu1=report.mu2, mu2=report.mu1, var1=report.var2, var2=report.var1
+    )
 
 
 @pytest.mark.parametrize("k", [2, 6, 30, 2000])
@@ -720,13 +754,13 @@ def test_a_tie_is_high_at_tau_as_often_as_it_is_low_at_minus_tau(k):
     # smallest nodes; at +-40, Phi(tau) or Q(tau) is exactly 0 and no step
     # takes a log(0) or any other floating-point exception.
     for tau in (0.3, 2.0, 10.0, 38.0):
-        high, low = applications._tie_high_chance(k, tau), applications._tie_high_chance(k, -tau)
+        high, low = applications._tie_high_chance(k, [tau, -tau])
         assert 0.0 <= high <= 1.0 and 0.0 <= low <= 1.0
         assert abs(high + low - 1.0) <= 2.0**-52, tau
     # At tau = 0 both sides are the same integral, 1/2 up to the rule's error.
-    assert abs(applications._tie_high_chance(k, 0.0) - 0.5) <= 1e-13
+    assert abs(applications._tie_high_chance(k, [0.0])[0] - 0.5) <= 1e-13
     with np.errstate(all="raise"):
-        high, low = applications._tie_high_chance(k, 40.0), applications._tie_high_chance(k, -40.0)
+        high, low = applications._tie_high_chance(k, [40.0, -40.0])
     assert abs(high + low - 1.0) <= 2.0**-52 and high <= 1e-14
 
 
@@ -734,14 +768,13 @@ def test_a_tie_is_high_at_tau_as_often_as_it_is_low_at_minus_tau(k):
 def test_the_count_table_is_the_binomial_cdf(k):
     # The three sides of the count, P(2C < K), P(2C = K) and P(2C > K), each
     # against scipy's binomial.
-    for p in (1e-300, 1e-3, 0.3, 0.5, 0.97):
-        sides = applications._count_sides(k, p, 1.0 - p)
+    panel = (1e-300, 1e-3, 0.3, 0.5, 0.97)
+    for p, sides in zip(panel, applications._count_sides(k, panel, [1.0 - p for p in panel])):
         expected = (binom.cdf((k - 1) // 2, k, p), binom.pmf(k // 2, k, p) if k % 2 == 0 else 0.0, binom.sf(k // 2, k, p))
         assert np.allclose(sides, expected, rtol=1e-10, atol=1e-14)
     # A count certain to be 0 or K takes no log(0).
     with np.errstate(all="raise"):
-        assert applications._count_sides(k, 0.0, 1.0) == (1.0, 0.0, 0.0)
-        assert applications._count_sides(k, 1.0, 0.0) == (0.0, 0.0, 1.0)
+        assert applications._count_sides(k, [0.0, 1.0], [1.0, 0.0]) == [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)]
 
 
 def _warm_up_the_tie_branch():
@@ -882,6 +915,44 @@ def test_discrimination_config_validation():
             trials=5,
             seed=0,
         )
+
+
+def _config(**fields) -> DiscriminationConfig:
+    base = dict(
+        probe=msc_canonical(6.0, 1),
+        channels=(LossChannel(0.5), IdentityChannel()),
+        delta=0.05,
+        n_samples=200,
+        trials=100,
+        seed=7,
+    )
+    return DiscriminationConfig(**{**base, **fields})
+
+
+@pytest.mark.parametrize("field", ["trials", "n_samples"])
+def test_discrimination_config_rejects_a_fractional_count(field):
+    # trials=100.0 used to pass construction and fail inside mc_blocks with
+    # an unnamed TypeError.
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        _config(**{field: 100.0})
+
+
+def test_discrimination_config_rejects_a_boolean_shot_count():
+    # n_samples=True used to run one shot.
+    with pytest.raises(ValueError, match="^n_samples must be an integer"):
+        _config(n_samples=True)
+
+
+@pytest.mark.parametrize("seed", [1.5, False])
+def test_discrimination_config_rejects_a_seed_that_is_not_an_integer(seed):
+    # seed=1.5 used to run the stream of seed 1.
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        _config(seed=seed)
+
+
+def test_discrimination_config_accepts_numpy_integers():
+    numpy_ints = _config(n_samples=np.int64(200), trials=np.int32(100), seed=np.uint64(7))
+    assert run_discrimination(numpy_ints) == run_discrimination(_config())
 
 
 # ---------------------------------------------------------------------------

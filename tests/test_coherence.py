@@ -1085,6 +1085,24 @@ def test_search_input_validation():
         numeric_max_search(1.0, 1, trials=5, seed=0)
 
 
+def test_search_rejects_a_boolean_trial_count():
+    # trials=True used to run one trial.
+    with pytest.raises(ValueError, match="^trials must be an integer"):
+        numeric_max_search(6.0, 1, trials=True, seed=0)
+
+
+@pytest.mark.parametrize("field, value", [("seed", 1.5), ("m", 2.0), ("trials", 30.0)])
+def test_search_rejects_a_seed_or_count_that_is_not_an_integer(field, value):
+    args = {**dict(E=8.0, m=2, trials=30, seed=0), field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        numeric_max_search(**args)
+
+
+def test_search_accepts_numpy_integers():
+    plain = numeric_max_search(8.0, 2, trials=30, seed=4)
+    assert numeric_max_search(8.0, np.int64(2), trials=np.int32(30), seed=np.uint64(4)) == plain
+
+
 def test_loss_scaling_of_measure(rng):
     for _ in range(30):
         m = int(rng.integers(1, 5))

@@ -388,6 +388,28 @@ def test_ensemble_config_validation():
         EnsembleConfig(m=1, E=4.0, n_samples=5, seed=0, kind="special")
 
 
+@pytest.mark.parametrize("field, value", [("n_samples", 250.0), ("m", 2.0)])
+def test_ensemble_config_rejects_a_count_that_is_not_an_integer(field, value):
+    # Before, these passed construction and failed inside mc_blocks with an
+    # unnamed TypeError.
+    fields = {**dict(m=2, E=8.0, n_samples=250, seed=0, kind="unitary"), field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        EnsembleConfig(**fields)
+
+
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_ensemble_config_rejects_a_seed_that_is_not_an_integer(seed):
+    # seed=1.5 would otherwise run the stream of seed 1.
+    with pytest.raises(ValueError, match="^seed must be an integer"):
+        EnsembleConfig(m=2, E=8.0, n_samples=50, seed=seed, kind="unitary")
+
+
+def test_ensemble_config_accepts_numpy_integers():
+    plain = ensemble_nu_sq(EnsembleConfig(m=2, E=8.0, n_samples=50, seed=3, kind="unitary"))
+    numpy_ints = EnsembleConfig(m=np.int64(2), E=8.0, n_samples=np.int32(50), seed=np.uint64(3), kind="unitary")
+    assert ensemble_nu_sq(numpy_ints) == plain
+
+
 def test_haar_moment_check_sample_floor(rng):
     with pytest.raises(ValueError):
         haar_moment_check(2, 500, rng)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import math
 import warnings
 from fractions import Fraction
 
@@ -544,3 +545,37 @@ def test_file_roundtrip_json_and_csv(tmp_path, rng):
 
     with pytest.raises(DimensionError):
         load_state(csv_path, m=3)
+
+
+def _ulps_away(x: float, k: int) -> float:
+    """The float k ulps from x, away from zero for k > 0 (through the bit pattern)."""
+    bits = np.array(abs(x)).view(np.int64) + k
+    return math.copysign(float(bits.view(np.float64)), x)
+
+
+def test_the_scalar_gap_verdict_is_the_array_verdict():
+    # The verdict on two Python floats makes no numpy call; it must equal the
+    # array form, _max_gap against rounding_floor on 0-d arrays, on pairs from
+    # 1 to 2^16 ulps apart either way, in both orders, at magnitudes from
+    # 1e-300 to 1e300 of both signs (powers of two among them, where a step
+    # down halves the ulp and the larger magnitude's floor decides), and from
+    # +-0.0 to the subnormals next to it.
+    steps = sorted({s for j in range(17) for s in (2**j - 1, 2**j, 2**j + 1) if 1 <= s <= 2**16})
+    mags = [float(x) for x in 10.0 ** np.linspace(-300.0, 300.0, 13)] + [2.0**j for j in range(-990, 997, 165)]
+    pairs = [(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    for sign in (1.0, -1.0):
+        pairs += [(sign * 0.0, sign * k * 5e-324) for k in steps]
+        for mag in mags:
+            a = sign * mag
+            pairs += [(a, _ulps_away(a, k)) for k in steps] + [(a, _ulps_away(a, -k)) for k in steps]
+    for n in (1, 2, 4, 8):
+        verdicts = set()
+        for a, b in pairs + [(b, a) for a, b in pairs]:
+            x, y = np.array(a), np.array(b)
+            floor = gaussian_core.rounding_floor(n, max(np.max(np.abs(x)), np.max(np.abs(y))))
+            expected = bool(gaussian_core._max_gap(x, y) > floor)
+            verdict = gaussian_core._gap_exceeds_floor(a, b, n)
+            assert verdict is expected, (a, b, n)
+            assert gaussian_core._gap_exceeds_floor(x, y, n) is expected
+            verdicts.add(verdict)
+        assert verdicts == {True, False}

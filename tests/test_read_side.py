@@ -168,3 +168,51 @@ def test_sums_of_squares_below_the_float_range_take_no_guard(monkeypatch):
     cov = CovMat([[-peak, peak], [peak, peak]])
     assert same(symplectic_coherence(cov), peak * peak)
     assert same(coherence_report(cov).hs_distance_sq_to_free, 2 * peak * peak)
+
+
+ADOPT_ETAS = (0.0, 5e-324, 0.5, 1.0 - 2.0**-53, 1.0)
+
+
+def adopt_panel() -> list[np.ndarray]:
+    """Symmetric matrices at m = 1, 2, 4 with peaks up to and past the
+    ``1e300 / n`` edge of ``_as_cm_array``, some with negative diagonals."""
+    rng = np.random.default_rng(BASE_SEED)
+    out = []
+    for m in (1, 2, 4):
+        n = 2 * m
+        edge = 1e300 / n
+        for scale in (1.0, 1e8, np.nextafter(edge, 0.0), edge, np.nextafter(edge, np.inf), 1e307):
+            for signs in (1.0, -1.0):
+                r = rng.uniform(-1.0, 1.0, (n, n))
+                r = 0.5 * (r + r.T)
+                np.fill_diagonal(r, signs * rng.choice([1.0, -1.0], n) if signs < 0 else 1.0)
+                out.append(scale * r)
+    out.append(np.array([[1e200, 5e199], [5e199, 1e200]]))
+    return out
+
+
+@pytest.mark.parametrize("eta", ADOPT_ETAS)
+def test_the_adopted_loss_output_is_the_checked_one(eta):
+    # apply_loss adopts its fresh output with no copy and no scan: the bytes
+    # are those of the checked CovMat, _peak bounds every entry, and a
+    # coherence past the float range is still a named error with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in adopt_panel():
+            cov = CovMat(v)
+            out = apply_loss(cov, eta)
+            n = v.shape[0]
+            checked = CovMat(eta * cov.matrix + (1.0 - eta) * np.eye(n))
+            assert same(out.matrix, checked.matrix) and out.m == checked.m
+            assert not out.matrix.flags.writeable
+            assert out._peak >= np.abs(out.matrix).max()
+            assert np.isfinite(out.trace)
+            m = out.m
+            xp = out.matrix[:m, m:]
+            with np.errstate(over="ignore"):
+                expected = float(np.sum(xp * xp))
+            if np.isfinite(expected):
+                assert same(symplectic_coherence(out), expected)
+            else:
+                with pytest.raises(NumericError, match=r"symplectic coherence .* overflows float64"):
+                    symplectic_coherence(out)
