@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .coherence import max_symplectic_coherence
-from .gaussian_core import CovMat, DimensionError, GaussianState, _gap_exceeds_floor, is_pure
+from .gaussian_core import CovMat, DimensionError, GaussianState, NumericError, _gap_exceeds_floor, is_pure
 from .symplectic_ops import BLOCK_ENTRIES, _require_int, mc_blocks, require_transmissivity
 
 WILSON_Z = 1.96  #: normal quantile of the 95% Wilson-score bound on the error rate
@@ -40,14 +40,20 @@ def qfi_displacement(cov: CovMat) -> QfiBound:
     negative, the Fourier gate (quadrature swap) makes it positive without
     changing the bound, hence the absolute value.
 
+    Taken on Python floats, the same IEEE arithmetic as on numpy scalars,
+    so an overflow gives ``inf`` with no warning.
+
     Raises:
         DimensionError: if the covariance matrix is not single-mode.
+        NumericError: if the bound overflows float64.
     """
     if cov.m != 1:
         raise DimensionError(f"single-mode covariance required, got m={cov.m}")
-    v = cov.matrix
-    value = 2.0 * (v[0, 0] + v[1, 1]) + 4.0 * abs(v[0, 1])
-    return QfiBound(float(value), bool(is_pure(cov)))
+    (v_x, v_xp), (_, v_p) = cov.matrix.tolist()
+    value = 2.0 * (v_x + v_p) + 4.0 * abs(v_xp)
+    if not math.isfinite(value):
+        raise NumericError("quantum Fisher information bound 2 (V_x + V_p) + 4 |V_xp| overflows float64")
+    return QfiBound(value, is_pure(cov))
 
 
 def td_lower_bound_gaussian(
@@ -123,9 +129,12 @@ def energy_offset(m: int, E: float) -> float:
 
 
 def _log_factor(delta: float) -> float:
+    """``log(2 / delta)``; for a delta below ``2 / float max``, where the
+    ratio overflows, the difference of the two logarithms."""
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure probability must be in (0, 1), got {delta}")
-    return math.log(2.0 / delta)
+    ratio = 2.0 / delta
+    return math.log(ratio) if ratio != math.inf else math.log(2.0) - math.log(delta)
 
 
 def _mom_groups(n: int, delta: float) -> tuple[int, int]:
@@ -338,6 +347,20 @@ class DiscriminationReport:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _log_binomials(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The counts ``c = 0 ... k`` and ``log C(k, c)``, read-only and built once per k.
+
+    ``log C(k, c)`` is the running sum of ``log((k - j) / (j + 1))``.  A
+    discrimination call's k is at most ``ceil(8 log(2 / delta))``, below
+    6 000 for any positive float delta, so each entry is small.
+    """
+    c = np.arange(k + 1)
+    log_comb = np.concatenate(([0.0], np.cumsum(np.log((k - c[:-1]) / c[1:]))))
+    c.flags.writeable = log_comb.flags.writeable = False
+    return c, log_comb
+
+
 def _count_sides(
     k: int, p: Sequence[float], q: Sequence[float]
 ) -> list[tuple[float, float, float]]:
@@ -355,8 +378,7 @@ def _count_sides(
     live = [i for i, (a, b) in enumerate(zip(p, q)) if a != 0.0 and b != 0.0]
     if not live:
         return sides
-    c = np.arange(k + 1)
-    log_comb = np.concatenate(([0.0], np.cumsum(np.log((k - c[:-1]) / c[1:]))))
+    c, log_comb = _log_binomials(k)
     log_p = np.array([[math.log(p[i])] for i in live])
     log_q = np.array([[math.log(q[i])] for i in live])
     mass = np.exp(log_comb + c * log_p + (k - c) * log_q)

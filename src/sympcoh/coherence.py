@@ -55,12 +55,13 @@ def closest_free_cm(cov: CovMat) -> CovMat:
 
     Zeroing the position-momentum block of a valid covariance matrix always
     yields a valid covariance matrix, and it minimises the Hilbert-Schmidt
-    distance to the correlation-free set.
+    distance to the correlation-free set.  Its entries are a subset of
+    ``V``'s, so ``V``'s bound on them holds and no scan runs.
     """
     m = cov.m
     out = cov.matrix.copy()
     out[:m, m:] = out[m:, :m] = 0.0
-    return CovMat(out)
+    return CovMat._adopt(out, cov._peak)
 
 
 @dataclass(frozen=True)

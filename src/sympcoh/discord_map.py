@@ -28,7 +28,8 @@ class DiscordImage:
     """Unit-trace virtual density matrix obtained from a covariance matrix.
 
     Attributes:
-        rho: 2m x 2m unit-trace matrix V / Tr V (read-only copy, checked by ``_as_cm_array``).
+        rho: 2m x 2m unit-trace matrix V / Tr V, read-only: a copy checked by
+            ``_as_cm_array``, or the array :func:`to_density` computed.
         c_scale: the source trace; ``c_scale * rho`` is again a valid
             covariance matrix, as is any larger multiple.
         m: mode count of the source covariance matrix, set from rho's shape.
@@ -40,10 +41,26 @@ class DiscordImage:
 
     def __post_init__(self):
         rho, _ = _as_cm_array(self.rho, "virtual state")  # a copy: the caller's array stays writeable
+        self._take(rho)
+
+    def _take(self, rho: np.ndarray) -> None:
         if abs(np.trace(rho) - 1.0) > rounding_floor(rho.shape[0], 1.0):
             raise ValueError("virtual density matrix must have unit trace")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "m", rho.shape[0] // 2)
+
+    @classmethod
+    def _adopt(cls, rho: np.ndarray, c_scale: float) -> DiscordImage:
+        """An image that takes the fresh float 2m x 2m ``rho`` as its matrix, with no copy.
+
+        For a maker that has just computed ``rho``, holds no other reference
+        to it, and proves its entries finite; only the unit trace is checked.
+        """
+        rho.flags.writeable = False
+        image = object.__new__(cls)
+        object.__setattr__(image, "c_scale", c_scale)
+        image._take(rho)
+        return image
 
     @property
     def off_block(self) -> np.ndarray:
@@ -54,18 +71,20 @@ class DiscordImage:
     def geometric_discord(self) -> float:
         """``2 sum rho_xp^2``, computed once per image (see :func:`geometric_discord`)."""
         off = self.off_block
-        return float(2.0 * np.sum(off * off))
+        return float(2.0 * (off * off).sum())
 
 
 def to_density(cov: CovMat) -> DiscordImage:
     """Normalize a valid covariance matrix into its virtual density matrix.
 
     Built once per ``CovMat`` and kept on it: every call returns the same image.
+    It adopts ``V / Tr V`` with no copy or scan: a valid ``V`` has
+    ``|V_ij| <= Tr V``, so every entry is finite.
     """
     image = cov.__dict__.get("_image")
     if image is None:
         require_valid(cov)
-        image = DiscordImage(rho=cov.matrix / cov.trace, c_scale=cov.trace)
+        image = DiscordImage._adopt(cov.matrix / cov.trace, cov.trace)
         cov.__dict__["_image"] = image  # beside the instance's cached properties
     return image
 

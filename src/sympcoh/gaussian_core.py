@@ -18,9 +18,10 @@ Williamson symplectic eigenvalues ``nu`` (Weedbrook et al., Rev. Mod. Phys.
 upper half is ``nu``, so no pairing step is needed.
 
 Each :class:`CovMat` computes every derived quantity once and caches it on
-the instance: the trace, that Cholesky, the two Hermitian eigensolves (the
-Williamson one and that of ``S + i*Omega``), the sum of squared
-position-momentum entries, and its virtual image ``V / Tr V``.
+the instance: the trace, that Cholesky, one stacked Hermitian eigensolve of
+``i L^T Omega L`` and ``S + i*Omega`` together (the Williamson spectrum and
+the uncertainty spectrum), the sum of squared position-momentum entries,
+and its virtual image ``V / Tr V``.
 
 Every verdict of the package compares a residual with one :func:`rounding_floor`.
 A negative verdict is proven: the exact property fails by more than the floor.
@@ -174,10 +175,10 @@ def _frobenius_sq(a: np.ndarray, peak: float, quantity: str) -> float:
         NumericError: naming ``quantity`` if the sum overflows float64.
     """
     if peak <= _SAFE_SQ_ROOT / a.size:
-        total = float(np.sum(a * a))
+        total = float((a * a).sum())
     else:
         with np.errstate(over="ignore"):
-            total = float(np.sum(a * a))
+            total = float((a * a).sum())
     if not math.isfinite(total):
         raise NumericError(f"{quantity} overflows float64")
     return total
@@ -224,8 +225,9 @@ class CovMat:
 
     Everything behind those checks is computed at most once per instance,
     on first use, and cached: the trace, one Cholesky of the symmetric part
-    ``S`` and one Hermitian ``eigvalsh`` for the symplectic eigenvalues, one
-    of ``S + i*Omega`` for validity and purity, and the sum of squared
+    ``S``, one ``eigvalsh`` call on the stacked pair of Hermitian matrices
+    behind the symplectic eigenvalues and behind validity and purity
+    (``S + i*Omega`` alone where the Cholesky fails), and the sum of squared
     position-momentum entries.  The virtual image ``V / Tr V``
     (:func:`sympcoh.discord_map.to_density`) is kept in the same instance
     dict.  Caching is sound because ``matrix`` is a private read-only copy of
@@ -294,35 +296,40 @@ class CovMat:
         return symmetric_part(self.matrix)
 
     @cached_property
-    def _nu(self) -> np.ndarray | None:
-        """Symplectic eigenvalues of the symmetric part, descending and
-        read-only, or ``None`` if it is not positive definite in float64.
+    def _spectra(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """The symplectic eigenvalues and the spectrum of ``S + i*Omega``, from one eigensolve.
 
-        With ``S = L L^T`` and ``L`` split into its position rows ``L_q`` and
-        momentum rows ``L_p``, ``L^T Omega L = L_q^T L_p - L_p^T L_q``, and
-        ``eigvalsh`` of ``i`` times it returns ``-nu`` then ``nu``, ascending.
+        The first is descending and read-only, or ``None`` if ``S`` is not
+        positive definite in float64.  With ``S = L L^T`` and ``L`` split into
+        its position rows ``L_q`` and momentum rows ``L_p``,
+        ``L^T Omega L = L_q^T L_p - L_p^T L_q``, and ``eigvalsh`` of ``i``
+        times it returns ``-nu`` then ``nu``, ascending.
+
+        The second is ascending, congruent (Williamson) to ``diag(nu, nu) +
+        i*Omega`` with eigenvalues ``nu_k -/+ 1``: by Sylvester's law of inertia
+        its first entry is the uncertainty margin, and its first m are all 0
+        iff ``V`` is pure.
+
+        Both Hermitian matrices go into one preallocated (2, 2m, 2m) buffer
+        and one ``eigvalsh`` call, which solves each as a call of its own
+        would.  Where the Cholesky fails, ``S + i*Omega`` is solved alone.
         """
+        m, sym = self.m, self._sym
         try:
-            low = np.linalg.cholesky(self._sym)
+            low = np.linalg.cholesky(sym)
         except np.linalg.LinAlgError:
-            return None
-        m = self.m
+            return None, np.linalg.eigvalsh(sym + _i_omega(m))
         a = low[:m].T @ low[m:]
+        pair = np.empty((2, 2 * m, 2 * m), dtype=complex)
+        np.multiply(1j, a - a.T, out=pair[0])
+        np.add(sym, _i_omega(m), out=pair[1])
         try:
-            spectrum = np.linalg.eigvalsh(1j * (a - a.T))
+            williamson, uncertainty = np.linalg.eigvalsh(pair)
         except np.linalg.LinAlgError as exc:  # pragma: no cover - solver failure
             raise NumericError(f"eigenvalue solve failed: {exc}") from exc
-        nu = spectrum[m:][::-1].copy()
+        nu = williamson[m:][::-1].copy()
         nu.flags.writeable = False
-        return nu
-
-    @cached_property
-    def _uncertainty_spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of ``S + i*Omega``, congruent (Williamson) to
-        ``diag(nu, nu) + i*Omega`` with eigenvalues ``nu_k -/+ 1``: by Sylvester's
-        law of inertia the first is the uncertainty margin, and the first m are
-        all 0 iff ``V`` is pure."""
-        return np.linalg.eigvalsh(self._sym + _i_omega(self.m))
+        return nu, uncertainty
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -338,12 +345,13 @@ class CovMat:
         m, trace, floor, sym = self.m, self.trace, self.floor, self._sym
         # max |V - V^T| by _max_gap, so no difference overflows
         asymmetry = 0.0 if sym is self.matrix else _max_gap(self.matrix, self.matrix.T)
+        nu, uncertainty = self._spectra
         min_eig = min_vx = min_vp = 0.0
-        if self._nu is None:
+        if nu is None:
             min_eig = float(np.linalg.eigvalsh(sym)[0])
             min_vx = float(np.linalg.eigvalsh(sym[:m, :m])[0])
             min_vp = float(np.linalg.eigvalsh(sym[m:, m:])[0])
-        min_uncertainty = float(self._uncertainty_spectrum[0])
+        min_uncertainty = float(uncertainty[0])
         out: list[Violation] = []
         if asymmetry > floor:
             out.append(Violation("symmetry", asymmetry))
@@ -487,7 +495,7 @@ def symplectic_eigenvalues(cov: CovMat) -> np.ndarray:
         NumericError: if the symmetric part is not positive definite in
             float64 (its Cholesky fails), or the solve fails.
     """
-    nu = cov._nu
+    nu = cov._spectra[0]
     if nu is None:
         raise NumericError(
             "covariance matrix is not positive definite in float64 (its Cholesky "
@@ -500,11 +508,14 @@ def is_pure(cov: CovMat) -> bool:
     """True iff the m smallest eigenvalues of ``S + i*Omega`` are within ``cov.floor`` of 0.
 
     Exactly, they are all 0 iff every symplectic eigenvalue is 1.  The
-    verdict needs no Cholesky factor, so it holds where
-    :func:`symplectic_eigenvalues` raises: on a pure state whose smallest
-    eigenvalue (about 1/Tr V) is below its rounding.
+    verdict needs no Cholesky factor (where it fails, ``S + i*Omega`` is
+    solved alone), so it holds where :func:`symplectic_eigenvalues` raises:
+    on a pure state whose smallest eigenvalue (about 1/Tr V) is below its
+    rounding.  Each entry is compared
+    as a Python float, so a NaN is never within the floor.
     """
-    return float(np.max(np.abs(cov._uncertainty_spectrum[: cov.m]))) <= cov.floor
+    floor = cov.floor
+    return all(abs(x) <= floor for x in cov._spectra[1][: cov.m].tolist())
 
 
 def is_free(cov: CovMat) -> bool:

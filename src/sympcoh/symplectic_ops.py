@@ -445,7 +445,12 @@ def spectrum_from_weights(E: float, weights: np.ndarray) -> np.ndarray:
         raise ValueError("weights must be nonnegative")
     if not np.all(np.abs(weights.sum(axis=-1) - 1.0) <= m * _SQRT_EPS):
         raise ValueError("each row of weights must sum to 1")
-    x = (E - 2 * m) * weights
+    return _spectrum(E, weights)
+
+
+def _spectrum(E: float, weights: np.ndarray) -> np.ndarray:
+    """:func:`spectrum_from_weights` with no checks, for float weights its maker proves valid."""
+    x = (E - 2 * weights.shape[-1]) * weights
     return 1.0 + x / 2.0 + np.sqrt(x + x * x / 4.0)
 
 
@@ -468,7 +473,7 @@ def sample_d_batch(E: float, m: int, n: int, rng: np.random.Generator) -> np.nda
         g[zero] = rng.standard_normal((int(zero.sum()), m))
         sq = g * g
         total = sq.sum(axis=1)
-    return spectrum_from_weights(E, sq / total[:, None])
+    return _spectrum(E, sq / total[:, None])  # nonnegative, normalised and E checked above
 
 
 def sample_d(E: float, m: int, rng: np.random.Generator) -> np.ndarray:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -25,6 +26,7 @@ from sympcoh import (
     GaussianState,
     IdentityChannel,
     LossChannel,
+    NumericError,
     StinespringChannel,
     applications,
     apply,
@@ -87,6 +89,21 @@ def test_qfi_mixed_state_flagged_inexact():
     bound = qfi_displacement(CovMat(2.0 * np.eye(2)))
     assert bound.value == pytest.approx(8.0, abs=EXACT)
     assert not bound.exact
+
+
+def test_a_qfi_bound_past_the_float_range_is_a_named_error_with_no_warning():
+    edge = CovMat([[1e308, 0.0], [0.0, 1e-308]])  # a valid pure state: det 1
+    assert gaussian_core.validate(edge) == []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"quantum Fisher information .* overflows float64"):
+            qfi_displacement(edge)
+        # just inside the range: the value of the numpy formula, bit for bit
+        near = CovMat([[4e307, -1e3], [-1e3, 2.5e-308]])
+        v = near.matrix
+        bound = qfi_displacement(near)
+        assert bound.value == float(2.0 * (v[0, 0] + v[1, 1]) + 4.0 * abs(v[0, 1]))
+        assert type(bound.value) is float and type(bound.exact) is bool
 
 
 def test_qfi_rejects_multimode():
@@ -775,6 +792,33 @@ def test_the_count_table_is_the_binomial_cdf(k):
     # A count certain to be 0 or K takes no log(0).
     with np.errstate(all="raise"):
         assert applications._count_sides(k, [0.0, 1.0], [1.0, 0.0]) == [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)]
+
+
+def test_the_log_binomials_are_built_once_per_k_and_read_only():
+    # The K-only half of the count table: cached per K, and equal to a fresh build.
+    for k in (1, 2, 30, 31, 5962):
+        c, log_comb = applications._log_binomials(k)
+        assert applications._log_binomials(k)[1] is log_comb
+        assert not c.flags.writeable and not log_comb.flags.writeable
+        fresh = np.arange(k + 1)
+        assert_array_equal(c, fresh)
+        want = np.concatenate(([0.0], np.cumsum(np.log((k - fresh[:-1]) / fresh[1:]))))
+        assert log_comb.tobytes() == want.tobytes()
+    # the largest K any positive float delta gives, where 2 / delta overflows
+    assert applications._mom_groups(10**9, 5e-324)[0] == 5962
+
+
+@pytest.mark.parametrize("delta", [5e-324, 1e-310, 2.0 / sys.float_info.max])
+def test_a_delta_whose_reciprocal_overflows_runs(delta):
+    # 2 / delta is past the float range: log 2 - log delta, with no warning and no error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = applications._mom_groups(10**9, delta)[0]
+        report = run_discrimination(
+            DiscriminationConfig(msc_canonical(6.0, 1), (LossChannel(0.5), IdentityChannel()), delta, 200, 10, seed=0)
+        )
+    assert k == math.ceil(8.0 * (math.log(2.0) - math.log(delta)))
+    assert math.isfinite(report.n_thres) and 0.0 <= report.empirical_error <= 1.0
 
 
 def _warm_up_the_tie_branch():

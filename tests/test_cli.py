@@ -419,6 +419,19 @@ def test_every_reader_answers_where_the_cholesky_fails(sub, tmp_path, capsys):
     assert out["result"]
 
 
+def test_qfi_past_the_float_range_exits_1_naming_the_overflow(tmp_path, capsys):
+    # A valid pure state whose bound 2 (V_x + V_p) overflows: every other reader answers.
+    edge = tmp_path / "edge.csv"
+    edge.write_text("1e308,0\n0,1e-308\n")
+    for sub in ("validate", "coherence", "discord"):
+        code, out, err = run_cli([sub, str(edge)], capsys)
+        assert code == 0 and err == "", (sub, err)
+    code, out, err = run_cli(["qfi", str(edge)], capsys)
+    assert code == 1 and out is None
+    assert "NumericError: quantum Fisher information" in err and "overflows float64" in err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+
+
 _PROBE = {"format": "sympcoh-cm-v1", "matrix": [[3.0, 1.0], [1.0, 3.0]]}
 _DISC = {"probe": _PROBE, "delta": 0.1, "n_samples": 10, "trials": 10}
 

@@ -253,15 +253,15 @@ def test_each_covmat_solves_its_eigenproblems_once(monkeypatch):
         assert is_pure(cov)
         nu = symplectic_eigenvalues(cov)
         assert qfi_displacement(cov).exact
-    # one Cholesky, one Williamson solve and one of S + i*Omega per matrix, no eig(Omega V)
-    assert calls == {"cholesky": 1, "eigvalsh": 2, "eigvals": 0}
+    # one Cholesky and one stacked solve of the Williamson matrix and S + i*Omega per matrix, no eig(Omega V)
+    assert calls == {"cholesky": 1, "eigvalsh": 1, "eigvals": 0}
     nu[0] = 7.0  # the caller's copy, not the cache
     assert_allclose(symplectic_eigenvalues(cov), [1.0], atol=1e-12)
 
     again = CovMat(matrix)
     validate(again)
     symplectic_eigenvalues(again)
-    assert calls == {"cholesky": 2, "eigvalsh": 4, "eigvals": 0}
+    assert calls == {"cholesky": 2, "eigvalsh": 2, "eigvals": 0}
 
 
 def test_validate_solves_only_the_margins_its_floors_leave_open(monkeypatch):
@@ -275,11 +275,11 @@ def test_validate_solves_only_the_margins_its_floors_leave_open(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     asymmetric = CovMat([[2.0, 1e-3], [0.0, 2.0]])
     assert [v.name for v in validate(asymmetric)] == ["symmetry"]
-    assert len(calls) == 2  # Williamson and S + i*Omega; the Cholesky proves the other margins
+    assert len(calls) == 1  # Williamson and S + i*Omega, stacked; the Cholesky proves the other margins
     calls.clear()
     below_trace = CovMat(0.5 * np.eye(2))
     assert [v.name for v in validate(below_trace)] == ["uncertainty", "trace_bound"]
-    assert len(calls) == 2
+    assert len(calls) == 1
     calls.clear()
     indefinite = CovMat([[1.0, 2.0], [2.0, 1.0]])
     assert [v.name for v in validate(indefinite)] == ["positive_definite", "uncertainty"]

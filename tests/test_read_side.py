@@ -24,8 +24,9 @@ from sympcoh import (
     to_density,
     validate,
 )
+from sympcoh.coherence import closest_free_cm
 from sympcoh.discord_map import DiscordImage
-from sympcoh.gaussian_core import _SAFE_SQ_ROOT
+from sympcoh.gaussian_core import _SAFE_SQ_ROOT, symmetric_part, symplectic_form
 from conftest import BASE_SEED
 
 MODES = (1, 2, 4, 8, 16)
@@ -216,3 +217,93 @@ def test_the_adopted_loss_output_is_the_checked_one(eta):
             else:
                 with pytest.raises(NumericError, match=r"symplectic coherence .* overflows float64"):
                     symplectic_coherence(out)
+
+
+SPECTRUM_MODES = (1, 2, 3, 4, 8, 16)
+
+
+def spectrum_panel() -> list[CovMat]:
+    rng = np.random.default_rng(BASE_SEED)
+    covs = [panel_state(m, trace, kind, rng)
+            for m in SPECTRUM_MODES
+            for trace in (2.0 * m + 1.0, 4.0 * m + 8.0, 1e3, 1e5, 1e8)
+            for kind in KINDS]
+    lopsided = np.array(covs[-1].matrix)
+    lopsided[0, 1] += 1e-3  # both solves read the symmetric part
+    a = float.fromhex("0x1.d1a94a1fffff8p+38")
+    return covs + [CovMat([[2.0, 1e-3], [0.0, 2.0]]), CovMat(lopsided),
+                   CovMat([[a, -a], [-a, a]])]  # exactly singular: its Cholesky fails
+
+
+def test_the_stacked_spectra_equal_two_separate_solves_bit_for_bit():
+    # One eigvalsh call on the stacked pair solves each matrix as a call of its own.
+    branches = Counter()
+    for cov in spectrum_panel():
+        m = cov.m
+        sym = symmetric_part(cov.matrix)
+        nu, uncertainty = cov._spectra
+        assert same(uncertainty, np.linalg.eigvalsh(sym + 1j * symplectic_form(m)))
+        try:
+            low = np.linalg.cholesky(sym)
+        except np.linalg.LinAlgError:
+            assert nu is None
+            branches["alone"] += 1
+            continue
+        a = low[:m].T @ low[m:]
+        assert same(nu, np.linalg.eigvalsh(1j * (a - a.T))[m:][::-1])
+        assert not nu.flags.writeable
+        branches["stacked"] += 1
+    assert branches["alone"] >= 1 and branches["stacked"] >= 1
+
+
+def check_adopted(derived: np.ndarray, source: CovMat) -> None:
+    assert not derived.flags.writeable
+    assert not np.shares_memory(derived, source.matrix)
+
+
+@pytest.mark.parametrize("name, cov, eta", PANEL, ids=[case[0] for case in PANEL])
+def test_the_adopted_free_matrix_and_image_are_private_and_read_only(name, cov, eta):
+    free = coherence_report(cov).closest_free
+    check_adopted(free.matrix, cov)
+    assert free._peak >= np.abs(free.matrix).max()
+    image = to_density(cov)
+    check_adopted(image.rho, cov)
+    # a valid V has |V_ij| <= Tr V, so its image is finite and at most 1 in size
+    assert np.abs(image.rho).max() <= 1.0
+
+
+def test_the_adopted_free_matrix_is_the_checked_one():
+    # closest_free_cm adopts its copy with V's bound, on any CovMat, across the 1e300 / n edge
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in adopt_panel():
+            cov = CovMat(v)
+            free = closest_free_cm(cov)
+            checked = CovMat(free.matrix)
+            assert same(free.matrix, checked.matrix) and free.m == checked.m
+            assert free._peak == cov._peak >= np.abs(free.matrix).max()
+            check_adopted(free.matrix, cov)
+
+
+def ulps_from(x: float, k: int) -> float:
+    """The float k units in the last place above (k > 0) or below (k < 0) a positive x."""
+    return float((np.array(x).view(np.int64) + k).view(np.float64))
+
+
+def test_the_purity_verdict_equals_the_numpy_formula_at_the_floor():
+    m = 2
+    floor = CovMat(np.eye(2 * m)).floor
+    steps = [sign * 2**j for j in range(17) for sign in (1, -1)] + [0]
+    values = [ulps_from(floor, k) for k in steps]
+    for x in values:
+        for lead in ([x, 0.0], [0.0, -x], [-x, x], [x, ulps_from(floor, -1)]):
+            spectrum = np.array(lead + [2.0, 3.0])
+            cov = CovMat(np.eye(2 * m))
+            cov.__dict__["_spectra"] = (None, spectrum)
+            expected = float(np.max(np.abs(spectrum[:m]))) <= cov.floor
+            assert is_pure(cov) is expected
+            assert expected == (abs(x) <= floor)
+    for lead in ([np.nan, 0.0], [0.0, np.nan], [np.nan, np.nan], [-np.nan, floor]):
+        cov = CovMat(np.eye(2 * m))
+        cov.__dict__["_spectra"] = (None, np.array(lead + [2.0, 3.0]))
+        assert is_pure(cov) is False  # a NaN is never within the floor, in any position

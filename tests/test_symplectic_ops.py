@@ -51,6 +51,7 @@ from sympcoh.symplectic_ops import (
     pure_draw,
     pure_xp_block,
     sample_d_batch,
+    spectrum_from_weights,
 )
 from sympcoh.gaussian_core import rounding_floor, symplectic_form
 from conftest import (
@@ -147,6 +148,16 @@ def test_sample_d_batch_redraws_a_zero_row():
     assert np.all(np.isfinite(d)) and np.all(d >= 1.0)
     assert_allclose(np.sum(d + 1.0 / d, axis=1), 8.0, atol=1e-12)
     assert_array_equal(d, sample_d_batch(8.0, 2, 4, ZeroRowFirst()))
+
+
+@pytest.mark.parametrize("E, m", [(2.5, 1), (12.0, 3), (40.0, 8), (1e8, 4), (1.3e154, 2)])
+def test_sample_d_batch_is_the_checked_spectrum_of_its_weights(E, m):
+    # The batch skips spectrum_from_weights' checks on the weights it has just
+    # normalised; the bytes are those of the checked path.
+    d = sample_d_batch(E, m, 250, derive_rng(11, m))
+    g = derive_rng(11, m).standard_normal((250, m))
+    sq = g * g
+    assert d.tobytes() == spectrum_from_weights(E, sq / sq.sum(axis=1)[:, None]).tobytes()
 
 
 def test_constructors_are_symplectic(rng):
