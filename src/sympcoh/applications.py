@@ -56,6 +56,22 @@ def qfi_displacement(cov: CovMat) -> QfiBound:
     return QfiBound(value, is_pure(cov))
 
 
+def _moment_gap_sq(E1: float, E2: float, c1: float, c2: float, cap: float, m: int) -> float:
+    """``(E1-E2)^2/(2m) + 2(sqrt(c1)-sqrt(c2))^2``: the squared moment gap of both trace-distance bounds.
+
+    Raises:
+        ValueError: unless the traces E_i, the coherences c_i and the bound's
+            energy cap are nonnegative and finite (so also for NaN), and m >= 1.
+    """
+    if not all(0.0 <= x < math.inf for x in (E1, E2, c1, c2, cap)) or not m >= 1:
+        raise ValueError(
+            "traces, coherences and energy cap must be nonnegative and finite with m >= 1, "
+            f"got E1={E1}, E2={E2}, c1={c1}, c2={c2}, cap={cap}, m={m}"
+        )
+    trace_gap, root_gap = E1 - E2, math.sqrt(c1) - math.sqrt(c2)
+    return trace_gap * trace_gap / (2.0 * m) + 2.0 * root_gap * root_gap
+
+
 def td_lower_bound_gaussian(
     E1: float, E2: float, c1: float, c2: float, E_cap: float, m: int
 ) -> float:
@@ -64,9 +80,11 @@ def td_lower_bound_gaussian(
     ``(1/200) min(1, sqrt((E1-E2)^2/(2m) + 2(sqrt(c1)-sqrt(c2))^2) / (E_cap+1))``
     where E_i are covariance traces, c_i the coherences, and E_cap a caller
     supplied energy cap; the value never exceeds 1/200.
+
+    Raises:
+        ValueError: on a negative, infinite or NaN input, or m < 1.
     """
-    gap = math.sqrt((E1 - E2) ** 2 / (2.0 * m) + 2.0 * (math.sqrt(c1) - math.sqrt(c2)) ** 2)
-    return min(1.0, gap / (E_cap + 1.0)) / 200.0
+    return min(1.0, math.sqrt(_moment_gap_sq(E1, E2, c1, c2, E_cap, m)) / (E_cap + 1.0)) / 200.0
 
 
 def td_lower_bound_general(
@@ -76,9 +94,11 @@ def td_lower_bound_general(
 
     ``((E1-E2)^2/(2m) + 2(sqrt(c1)-sqrt(c2))^2) / (3200 E_tilde_sq m)`` with
     ``E_tilde_sq`` a caller-supplied second-moment energy cap.
+
+    Raises:
+        ValueError: on a negative, infinite or NaN input, or m < 1.
     """
-    gap_sq = (E1 - E2) ** 2 / (2.0 * m) + 2.0 * (math.sqrt(c1) - math.sqrt(c2)) ** 2
-    return gap_sq / (3200.0 * E_tilde_sq * m)
+    return _moment_gap_sq(E1, E2, c1, c2, E_tilde_sq, m) / (3200.0 * E_tilde_sq * m)
 
 
 def helstrom_lower_bound_loss(E: float, m: int, eta: float, c: float) -> float:
@@ -86,13 +106,19 @@ def helstrom_lower_bound_loss(E: float, m: int, eta: float, c: float) -> float:
 
     Optimal success probability of telling the identity from loss with
     transmissivity ``eta`` using a probe of covariance trace E and
-    coherence c: at least
+    coherence c: Helstrom's ``1/2 + D/2`` at the trace-distance bound
+    :func:`td_lower_bound_gaussian` between the two outputs, at energy cap E.
+    The identity's output has trace E and coherence c, the loss output
+    ``eta E + (1-eta) 2m`` and ``eta^2 c``, so the bound is
     ``1/2 + (1/400) min(1, sqrt((1-eta)^2 (E-2m)^2/(2m) + 2 c (1-eta)^2) / (E+1))``.
+
+    Raises:
+        ValueError: unless ``0 <= eta <= 1``, E and c are nonnegative and
+            finite (so also for NaN), and m >= 1.
     """
     require_transmissivity(eta)
-    shrink = (1.0 - eta) ** 2
-    gap = math.sqrt(shrink * (E - 2.0 * m) ** 2 / (2.0 * m) + 2.0 * c * shrink)
-    return 0.5 + min(1.0, gap / (E + 1.0)) / 400.0
+    loss_trace = eta * E + (1.0 - eta) * 2.0 * m
+    return 0.5 + 0.5 * td_lower_bound_gaussian(E, loss_trace, c, eta * eta * c, E, m)
 
 
 def meas_moments(state: GaussianState, channel) -> tuple[float, float]:
@@ -102,8 +128,8 @@ def meas_moments(state: GaussianState, channel) -> tuple[float, float]:
     and momentum (half the anticommutator).  For a zero-mean Gaussian output
     its mean is the (1,1) entry ``mu = V_0m`` of the position-momentum
     covariance block and its variance is ``1 + V_00 V_mm + mu^2``, read from
-    the output's entries: a sum of nonnegative terms, equal to
-    ``1 + nu_1^2 + 2 mu^2`` with ``nu_1^2 = V_00 V_mm - mu^2`` the first
+    the output's entries on Python floats: a sum of nonnegative terms, equal
+    to ``1 + nu_1^2 + 2 mu^2`` with ``nu_1^2 = V_00 V_mm - mu^2`` the first
     mode's squared local symplectic eigenvalue.
 
     Args:
@@ -112,6 +138,7 @@ def meas_moments(state: GaussianState, channel) -> tuple[float, float]:
 
     Raises:
         ValueError: if the probe or the channel output has first moments.
+        NumericError: if the variance overflows float64.
     """
     if state.d.any():
         raise ValueError("probe must have zero first moments")
@@ -119,13 +146,17 @@ def meas_moments(state: GaussianState, channel) -> tuple[float, float]:
     if out.d.any():
         raise ValueError("channel output must have zero first moments")
     v, m = out.cov.matrix, out.cov.m
-    mu = float(v[0, m])
-    return mu, float(1.0 + v[0, 0] * v[m, m] + mu * mu)
+    mu, v00, vmm = float(v[0, m]), float(v[0, 0]), float(v[m, m])
+    var = 1.0 + v00 * vmm + mu * mu
+    if not math.isfinite(var):
+        raise NumericError("variance 1 + V_00 V_mm + mu^2 of the measured product overflows float64")
+    return mu, var
 
 
 def energy_offset(m: int, E: float) -> float:
-    """Variance budget term ``1 + (E/2 - (m-1))^2`` used by the thresholds."""
-    return 1.0 + (E / 2.0 - (m - 1)) ** 2
+    """Variance budget term ``1 + (E/2 - (m-1))^2`` used by the thresholds (inf past the float range)."""
+    half = E / 2.0 - (m - 1)
+    return 1.0 + half * half
 
 
 def _log_factor(delta: float) -> float:
@@ -147,19 +178,33 @@ def _mom_groups(n: int, delta: float) -> tuple[int, int]:
     return k, n // k
 
 
+def _finite_threshold(numerator: float, gap: float) -> float:
+    """``numerator / gap^2``, divided as ``(numerator / gap) / gap`` so that no square underflows.
+
+    Raises:
+        NumericError: if the threshold, or the numerator, is past the float range.
+    """
+    n = numerator / gap / gap
+    if not math.isfinite(n):
+        raise NumericError(f"sample threshold overflows float64: numerator / gap^2 is {n}")
+    return n
+
+
 def n_thres_orthogonal(mu1: float, mu2: float, m: int, E: float, delta: float) -> float:
     """Sufficient samples to tell two orthogonal-dilation channels apart.
 
     ``272 log(2/delta) (max(mu1^2, mu2^2) + 1 + (E/2-(m-1))^2) / (mu2-mu1)^2``
-    for channel-output means mu1 != mu2 at probe trace E.
+    for channel-output means mu1 != mu2 at probe trace E, on Python floats.
 
     Raises:
         ValueError: if the means coincide (no finite threshold exists).
+        NumericError: if the threshold, or its numerator, overflows float64.
     """
     if not _gap_exceeds_floor(mu1, mu2, 2 * m):
         raise ValueError("channel output means coincide; threshold is infinite")
     f = energy_offset(m, E)
-    return 272.0 * _log_factor(delta) * (max(mu1**2, mu2**2) + f) / (mu2 - mu1) ** 2
+    numerator = 272.0 * _log_factor(delta) * (max(mu1 * mu1, mu2 * mu2) + f)
+    return _finite_threshold(numerator, mu2 - mu1)
 
 
 def n_thres_orthogonal_optimal(m: int, E: float, delta: float, c: float) -> float:
@@ -168,6 +213,10 @@ def n_thres_orthogonal_optimal(m: int, E: float, delta: float, c: float) -> floa
     :func:`n_thres_orthogonal` at the means ``-sqrt(c)`` and ``sqrt(c)``:
     ``272 log(2/delta) (c + f) / (4c) = 68 log(2/delta) (1 + f/c)`` with
     ``f = 1 + (E/2-(m-1))^2``.
+
+    Raises:
+        ValueError: unless c is positive and finite.
+        NumericError: as :func:`n_thres_orthogonal`.
     """
     if not 0.0 < c < math.inf:
         raise ValueError(f"coherence must be positive and finite for a finite threshold, got {c}")
@@ -180,11 +229,14 @@ def loss_g(nu_sq: float, mu: float, E1: float, eta: float) -> float:
     ``(eta^2 nu^2 + (1-eta)^2 + eta(1-eta) E1 + 2 eta^2 mu^2) / mu^2`` where
     nu^2 and mu are the probe's first-mode local symplectic eigenvalue
     squared and position-momentum covariance, and E1 its first-mode trace.
+    Taken on Python floats and divided as ``(num / mu) / mu``: inf past the
+    float range, with no error.
     """
     if mu == 0.0:
         raise ValueError("probe position-momentum covariance must be nonzero")
-    num = eta**2 * nu_sq + (1.0 - eta) ** 2 + eta * (1.0 - eta) * E1 + 2.0 * eta**2 * mu**2
-    return num / mu**2
+    rest, eta_sq = 1.0 - eta, eta * eta
+    num = eta_sq * nu_sq + rest * rest + eta * rest * E1 + 2.0 * eta_sq * (mu * mu)
+    return num / mu / mu
 
 
 def n_thres_loss(
@@ -197,11 +249,12 @@ def n_thres_loss(
 
     Raises:
         ValueError: if ``mu == 0`` or the transmissivities coincide.
+        NumericError: if the threshold overflows float64 (or is NaN).
     """
     if not _gap_exceeds_floor(eta1, eta2, 1):
         raise ValueError("equal transmissivities; threshold is infinite")
     g_max = max(loss_g(nu_sq, mu, E1, eta1), loss_g(nu_sq, mu, E1, eta2))
-    return 272.0 * _log_factor(delta) * g_max / (eta2 - eta1) ** 2
+    return _finite_threshold(272.0 * _log_factor(delta) * g_max, eta2 - eta1)
 
 
 def loss_gtilde(m: int, E: float, eta: float) -> float:
@@ -222,6 +275,10 @@ def n_thres_loss_optimal(m: int, E: float, eta1: float, eta2: float, delta: floa
     The optimal probe at trace E has ``mu^2 = c_max``, a pure first mode
     (``nu^2 = 1``) and first-mode trace ``E - 2(m-1)``; the threshold is
     :func:`n_thres_loss` at those values.
+
+    Raises:
+        ValueError: if ``E = 2m`` (no correlations) or the transmissivities coincide.
+        NumericError: as :func:`n_thres_loss`.
     """
     c_max = max_symplectic_coherence(E, m)
     if c_max <= 0:
@@ -319,7 +376,8 @@ class DiscriminationReport:
         mu1, mu2: channel-output means of the measured product observable.
         var1, var2: corresponding variances.
         n_thres: sufficient-sample bound when both channels are loss-like,
-            else None.
+            else None; past the float range the run raises ``NumericError``
+            instead.
         empirical_error: fraction of misidentified trials.
         error_wilson_upper: Wilson 95% upper bound on the error rate.
         trials: trial count.
@@ -514,6 +572,8 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
 
     Raises:
         ValueError: if the two channels give identical output means.
+        NumericError: if a channel output's variance (:func:`meas_moments`)
+            or the loss pair's ``n_thres`` overflows float64.
     """
     ch1, ch2 = config.channels
     mu1, var1 = meas_moments(config.probe, ch1)
@@ -525,10 +585,13 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
     eta1, eta2 = getattr(ch1, "eta", None), getattr(ch2, "eta", None)
     n_thres: float | None = None
     if eta1 is not None and eta2 is not None:
+        # On Python floats: an entry product past the float range is inf (or
+        # NaN), which n_thres_loss names, with no warning.
+        v00, v0m, vm0, vmm = float(v[0, 0]), float(v[0, m]), float(v[m, 0]), float(v[m, m])
         n_thres = n_thres_loss(
-            mu=float(v[0, m]),
-            nu_sq=float(v[0, 0] * v[m, m] - v[0, m] * v[m, 0]),
-            E1=float(v[0, 0] + v[m, m]),
+            mu=v0m,
+            nu_sq=v00 * vmm - v0m * vm0,
+            E1=v00 + vmm,
             eta1=eta1,
             eta2=eta2,
             delta=config.delta,
@@ -630,10 +693,10 @@ def tvd_exact_zero_mean_normals(var1: float, var2: float) -> float:
     ``erfc(-a / sqrt 2) - erfc(-b / sqrt 2)`` is symmetric in the variances.
 
     Raises:
-        ValueError: on nonpositive variances.
+        ValueError: unless both variances are positive and finite (so also for NaN).
     """
-    if var1 <= 0 or var2 <= 0:
-        raise ValueError("variances must be positive")
+    if not (0.0 < var1 < math.inf and 0.0 < var2 < math.inf):
+        raise ValueError(f"variances must be positive and finite, got {var1} and {var2}")
     log_ratio = abs(math.log(var2) - math.log(var1))
     a_sq = log_ratio / -math.expm1(-log_ratio) if log_ratio else 1.0
     a, b = math.sqrt(a_sq), math.sqrt(a_sq * math.exp(-log_ratio))

@@ -262,8 +262,8 @@ def _cmd_maxsearch(args) -> tuple[dict, int]:
     return {
         "sup_c": outcome.sup_c,
         "c_max": c_max,
-        # Relative slack: sup_c can exceed c_max by rounding, which scales with c_max.
-        "within_bound": outcome.sup_c <= c_max + 1e-12 * max(1.0, c_max),
+        # sup_c can exceed c_max only by the rounding of a 2m-mode coherence of size c_max.
+        "within_bound": outcome.sup_c <= c_max + gaussian_core.rounding_floor(2 * args.m, c_max),
         "argmax": outcome.argmax,
     }, 0
 

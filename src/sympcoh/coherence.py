@@ -315,9 +315,12 @@ def perturbation_bound(c_rho: float, c_sigma: float, E: float, eps: float) -> fl
     ``E^2``: ``800 E^2 eps + 40 sqrt(2) E max(sqrt(c_rho), sqrt(c_sigma))
     sqrt(eps)``.  The energy cap is caller-supplied; covariance data alone
     does not determine it.
+
+    Raises:
+        ValueError: unless every argument is nonnegative and finite (so also for NaN).
     """
-    if min(c_rho, c_sigma, E, eps) < 0:
-        raise ValueError("all arguments must be nonnegative")
+    if not all(0.0 <= x < math.inf for x in (c_rho, c_sigma, E, eps)):
+        raise ValueError(f"all arguments must be nonnegative and finite, got {(c_rho, c_sigma, E, eps)}")
     return float(
         800.0 * E * E * eps
         + 40.0 * np.sqrt(2.0) * E * max(np.sqrt(c_rho), np.sqrt(c_sigma)) * np.sqrt(eps)
@@ -329,9 +332,15 @@ def trace_distance_cov_bound(E_cap: float, m: int, trace_dist: float) -> float:
 
     ``40 * E_cap * sqrt(m * trace_dist)`` where ``E_cap`` caps the
     second-moment energy of both states.
+
+    Raises:
+        ValueError: unless ``E_cap`` and ``trace_dist`` are nonnegative and
+            finite (so also for NaN) and m >= 1.
     """
-    if min(E_cap, trace_dist) < 0 or m < 1:
-        raise ValueError("arguments must be nonnegative with m >= 1")
+    if not (0.0 <= E_cap < math.inf and 0.0 <= trace_dist < math.inf and m >= 1):
+        raise ValueError(
+            f"arguments must be nonnegative and finite with m >= 1, got {(E_cap, m, trace_dist)}"
+        )
     return float(40.0 * E_cap * np.sqrt(m * trace_dist))
 
 

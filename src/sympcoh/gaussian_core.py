@@ -538,7 +538,8 @@ def mix_states(components: Sequence[tuple[float, GaussianState]]) -> GaussianSta
 
     Args:
         components: pairs ``(weight, state)``; weights must be nonnegative
-            and sum to 1 within 1e-12.
+            and sum to 1 within ``rounding_floor(n, 1)`` for n components
+            (a NaN weight fails both).
 
     Returns:
         The Gaussian-moment description of the mixture (V a :func:`symmetric_part`).
@@ -551,7 +552,8 @@ def mix_states(components: Sequence[tuple[float, GaussianState]]) -> GaussianSta
     if not components:
         raise ValueError("mixture needs at least one component")
     weights = np.array([w for w, _ in components], dtype=float)
-    if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > 1e-12:
+    sum_gap = abs(float(weights.sum()) - 1.0)
+    if not (weights >= 0).all() or not sum_gap <= rounding_floor(len(weights), 1.0):
         raise ValueError("mixture weights must be nonnegative and sum to 1")
     m = components[0][1].m
     if any(s.m != m for _, s in components):

@@ -371,27 +371,56 @@ def beamsplitter_orthogonal(eta: float) -> np.ndarray:
 class StinespringChannel:
     """Dilated free channel: tensor a free environment, rotate, displace, trace.
 
+    Construction checks every part and builds the dilation gate
+    ``diag(O, O)`` plus ``d`` once; each fault raises an error that names the
+    channel.
+
     Attributes:
-        o: (m+k) x (m+k) orthogonal matrix applied as ``diag(O, O)``.
-        env: covariance matrix of a k-mode free state (``is_free``), else
-            ``apply_to`` raises ``GateError``.
-        d: optional length-2(m+k) displacement applied after the rotation.
+        o: (m+k) x (m+k) orthogonal matrix applied as ``diag(O, O)``, with
+            m >= 1 (else ``DimensionError``; ``GateError`` if not orthogonal).
+        env: covariance matrix of a valid k-mode free state (``is_free``),
+            else construction raises ``GateError``.
+        d: optional finite length-2(m+k) displacement applied after the
+            rotation (else ``DimensionError``).
     """
 
     o: np.ndarray
     env: CovMat
     d: np.ndarray = None
 
+    def __post_init__(self):
+        env = self.env
+        if env.violations:
+            names = ", ".join(v.name for v in env.violations)
+            raise GateError(f"Stinespring environment is not a valid state: violates {names}")
+        if not is_free(env):
+            raise GateError("Stinespring environment is not free (nonzero position-momentum block)")
+        o = np.asarray(self.o, dtype=float)
+        if o.ndim != 2 or o.shape[0] != o.shape[1] or o.shape[0] <= env.m:
+            raise DimensionError(
+                f"Stinespring o must be n x n with n > {env.m}, the environment's mode count; "
+                f"got shape {o.shape}"
+            )
+        if not is_orthogonal(o):
+            raise GateError("Stinespring o is not orthogonal (O O^T != I)")
+        n = 2 * o.shape[0]
+        d = np.zeros(n) if self.d is None else np.array(self.d, dtype=float).ravel()
+        if d.shape[0] != n:
+            raise DimensionError(f"Stinespring displacement must have length {n}, got {d.shape[0]}")
+        if not np.isfinite(d).all():
+            raise DimensionError("Stinespring displacement must be finite")
+        object.__setattr__(self, "_gate", SympGate(_passive_matrix(o, np.zeros_like(o)), d))
+
     def apply_to(self, state: GaussianState) -> GaussianState:
         """The output state on the first m modes of the m-mode input ``state``."""
-        if not is_free(self.env):
-            raise GateError("environment is not free (nonzero position-momentum block)")
-        total = tensor_states(state, GaussianState(self.env))
-        gate = block_orthogonal(self.o)
-        if self.d is not None:
-            gate = SympGate(gate.S, self.d)
-        rotated = apply(gate, total)
-        return partial_trace(rotated, range(1, state.m + 1))
+        m = self._gate.m - self.env.m
+        if state.m != m:
+            raise DimensionError(
+                f"Stinespring channel acts on {m}-mode inputs ({self._gate.m} modes of o, "
+                f"{self.env.m} of them the environment's), but the state has {state.m}"
+            )
+        rotated = apply(self._gate, tensor_states(state, GaussianState(self.env)))
+        return partial_trace(rotated, range(1, m + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +449,6 @@ def require_budget(E: float, m: int) -> None:
         raise ValueError(f"covariance trace must be >= 2m with E^2 finite, got E={E}, m={m}")
 
 
-#: ``sqrt(eps)``: half the float64 digits, the per-weight tolerance of ``spectrum_from_weights``.
-_SQRT_EPS = math.sqrt(np.finfo(float).eps)
-
-
 def spectrum_from_weights(E: float, weights: np.ndarray) -> np.ndarray:
     """Squeezing spectrum ``d`` from nonnegative weights summing to 1, one per mode.
 
@@ -434,16 +459,15 @@ def spectrum_from_weights(E: float, weights: np.ndarray) -> np.ndarray:
 
     Raises:
         ValueError: unless ``2m <= E`` (``require_budget``), every weight is
-            nonnegative, and every row sums to 1 within ``m sqrt(eps)``: half
-            the float64 digits of each of its m weights, which admits the
-            rounding drift of the maximum search's rescaled weights.
+            nonnegative, and every row sums to 1 within ``rounding_floor(m, 1)``,
+            the floor of an m-term sum of numbers at most 1 (so a NaN fails).
     """
     weights = np.asarray(weights, dtype=float)
     m = weights.shape[-1]
     require_budget(E, m)
     if np.any(weights < 0.0):
         raise ValueError("weights must be nonnegative")
-    if not np.all(np.abs(weights.sum(axis=-1) - 1.0) <= m * _SQRT_EPS):
+    if not np.all(np.abs(weights.sum(axis=-1) - 1.0) <= rounding_floor(m, 1.0)):
         raise ValueError("each row of weights must sum to 1")
     return _spectrum(E, weights)
 

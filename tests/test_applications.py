@@ -1143,3 +1143,79 @@ def test_inflated_bound_dominates_exact_tvd(rng):
         assert bound >= exact - 1e-12
         checked += 1
     assert checked > 150
+
+
+# ---------------------------------------------------------------------------
+# The Helstrom bound is the trace-distance rule; thresholds past the float range
+# ---------------------------------------------------------------------------
+
+
+def _helstrom_by_hand(E, m, eta, c):
+    """The Helstrom bound with its trace-distance gap written out."""
+    shrink = (1.0 - eta) ** 2
+    gap = math.sqrt(shrink * (E - 2.0 * m) ** 2 / (2.0 * m) + 2.0 * c * shrink)
+    return 0.5 + min(1.0, gap / (E + 1.0)) / 400.0
+
+
+def test_helstrom_is_the_trace_distance_bound_between_the_two_outputs(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return td_lower_bound_gaussian(*args)
+
+    monkeypatch.setattr(applications, "td_lower_bound_gaussian", spy)
+    c = np.sinh(1.0) ** 2
+    assert helstrom_lower_bound_loss(6.0, 1, 0.5, c) == 0.5005858176000749
+    # The identity's output (trace E, coherence c) against the loss output.
+    assert calls == [(6.0, 0.5 * 6.0 + 0.5 * 2.0, c, 0.25 * c, 6.0, 1)]
+    assert helstrom_lower_bound_loss(6.0, 1, 1.0, c) == 0.5
+    assert helstrom_lower_bound_loss(1e9, 1, 0.0, 1e18) == 0.5 + 1.0 / 400.0
+
+
+def test_helstrom_matches_the_written_out_gap_on_a_random_panel():
+    rng = np.random.default_rng(34)
+    n = 100_000
+    ms = rng.integers(1, 9, n).tolist()
+    # 2% each: no excess trace, no coherence, eta = 0 and eta = 1.
+    excess = np.where(rng.uniform(size=n) < 0.98, 10.0 ** rng.uniform(-6.0, 6.0, n), 0.0)
+    cs = np.where(rng.uniform(size=n) < 0.98, rng.uniform(size=n) * (excess * excess / 4.0 + excess), 0.0)
+    etas = rng.choice([0.0, 1.0, 0.5], n, p=[0.02, 0.02, 0.96])
+    etas = np.where(etas == 0.5, rng.uniform(size=n), etas)
+    for m, x, c, eta in zip(ms, excess.tolist(), cs.tolist(), etas.tolist()):
+        E = 2 * m + x
+        # Within one ulp of the values in [1/2, 1/2 + 1/400]: 2^-53, about 1.11e-16.
+        assert abs(helstrom_lower_bound_loss(E, m, eta, c) - _helstrom_by_hand(E, m, eta, c)) <= math.ulp(0.5)
+
+
+@pytest.mark.parametrize("mus", [(1e-200, 2e-200), (1e200, 2e200)])
+def test_n_thres_orthogonal_past_the_float_range_is_named(mus):
+    # Squared, the gap underflows to 0 (1e-200) or the means overflow (1e200):
+    # each once ended in a ZeroDivisionError or an OverflowError.
+    with pytest.raises(NumericError, match="sample threshold overflows float64"):
+        n_thres_orthogonal(*mus, 1, 6.0, 0.1)
+
+
+@pytest.mark.parametrize("mu", [1e-200, 1e-160])
+def test_n_thres_loss_past_the_float_range_is_named(mu):
+    with pytest.raises(NumericError, match="sample threshold overflows float64"):
+        n_thres_loss(mu, 1.0, 2.0, 0.5, 1.0, 0.05)
+
+
+def test_meas_moments_names_a_variance_past_the_float_range():
+    probe = GaussianState(CovMat([[1.5e200, 1e200], [1e200, 1.5e200]]))
+    assert sympcoh.is_valid(probe.cov)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"variance 1 \+ V_00 V_mm \+ mu\^2"):
+            meas_moments(probe, IdentityChannel())
+
+
+def test_discrimination_threshold_names_probe_entries_whose_products_overflow():
+    # The outputs' variances are finite, but V_00 V_mm of the probe is not.
+    probe = GaussianState(CovMat([[1e160, 5e159], [5e159, 1e160]]))
+    channels = (LossChannel(1e-100), LossChannel(2e-100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="sample threshold overflows float64"):
+            run_discrimination(DiscriminationConfig(probe, channels, 0.1, 10, 10, 0))

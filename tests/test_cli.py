@@ -10,6 +10,7 @@ import re
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -879,3 +880,79 @@ def test_apply_takes_the_size_of_a_displacement_gate_from_its_vector(tmp_path, c
     code, out, _ = run_cli(["apply", str(state_file), "--gate", str(gate_file)], capsys)
     assert code == 0
     assert out["result"]["displacement"] == [1.0, 2.0, 3.0, 4.0]
+
+
+@pytest.mark.parametrize(
+    "matrix, reason",
+    [
+        # V_0m^2 underflows to 0: once a ZeroDivisionError traceback.
+        ([[1.0, 1e-200], [1e-200, 1.0]], "NumericError: sample threshold overflows float64"),
+        # n_thres is inf: once "Out of range float values are not JSON compliant".
+        ([[1.0, 1e-160], [1e-160, 1.0]], "NumericError: sample threshold overflows float64"),
+        # V_00 V_mm overflows: once an OverflowError traceback, after an overflow warning.
+        ([[1.5e200, 1e200], [1e200, 1.5e200]], "NumericError: variance 1 + V_00 V_mm + mu^2"),
+    ],
+)
+def test_discrimination_past_the_float_range_exits_1_naming_it(matrix, reason, tmp_path, capsys):
+    assert sympcoh.is_valid(CovMat(matrix))
+    config = {
+        "probe": {"format": "sympcoh-cm-v1", "matrix": matrix},
+        "channels": [{"kind": "loss", "eta": 0.5}, {"kind": "identity"}],
+        "delta": 0.05,
+        "n_samples": 200,
+        "trials": 100,
+        "seed": 7,
+    }
+    config_file = tmp_path / "disc.json"
+    config_file.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["discriminate", "--config", str(config_file)], capsys)
+    assert code == 1
+    assert out is None
+    assert reason in err
+
+
+def test_discrimination_names_a_stinespring_channel_of_the_wrong_size(tmp_path, capsys):
+    config = {
+        **_DISC,
+        "channels": [{"kind": "stinespring", "o": np.eye(3).tolist(), "env": _VACUUM}, _CHANNELS[0]],
+    }
+    config_file = tmp_path / "disc.json"
+    config_file.write_text(json.dumps(config))
+    code, out, err = run_cli(["discriminate", "--config", str(config_file)], capsys)
+    assert code == 1
+    assert out is None
+    assert "DimensionError: Stinespring channel acts on 2-mode inputs" in err
+
+
+@pytest.mark.parametrize("rel, within", [(0.0, True), (8.0 * sys.float_info.epsilon, True), (1e-9, False)])
+def test_maxsearch_within_bound_is_the_rounding_floor_of_c_max(rel, within, capsys, monkeypatch):
+    # At E = 2 + 1e-13, c_max is about 1e-13, and a fixed slack of 1e-12
+    # accepted ten times c_max.  The floor at m = 1 is 16 eps c_max: a
+    # synthetic sup_c = c_max (1 + rel) is inside it at 8 eps, not at 1e-9.
+    E, m = 2.0000000000001, 1
+    c_max = sympcoh.max_symplectic_coherence(E, m)
+    sup_c = c_max * (1.0 + rel)
+    outcome = sympcoh.coherence.SearchOutcome(sup_c, {"trial": 0})
+    monkeypatch.setattr(sympcoh.coherence, "numeric_max_search", lambda *args: outcome)
+    code, out, _ = run_cli(["maxsearch", "--E", repr(E), "--m", str(m), "--trials", "30"], capsys)
+    assert code == 0
+    assert (out["result"]["sup_c"], out["result"]["c_max"]) == (sup_c, c_max)
+    assert out["result"]["within_bound"] is within
+
+
+def test_maxsearch_stays_within_the_rounding_floor_near_the_maximum():
+    # Near-maximal searches at m = 1 and 2 with E - 2m from 1e-15 to 1e150:
+    # sup_c passes c_max only by its rounding, never by the floor.
+    rng = np.random.default_rng(34)
+    worst = 0.0
+    for i in range(800):
+        m = 1 + i % 2
+        E = 2 * m + 10.0 ** rng.uniform(-15.0, 150.0)
+        c_max = sympcoh.max_symplectic_coherence(E, m)
+        sup_c = sympcoh.numeric_max_search(E, m, 30, int(rng.integers(2**31))).sup_c
+        assert sup_c <= c_max + rounding_floor(2 * m, c_max), (E, m)
+        worst = max(worst, (sup_c - c_max) / c_max)
+    # The sweep reaches c_max: some search passes it by rounding.
+    assert worst > 0.0

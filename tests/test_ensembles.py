@@ -70,6 +70,16 @@ def test_spectrum_rejects_a_short_budget_and_bad_weights():
         spectrum_from_weights(10.0, [1.5, -0.5])
 
 
+def test_spectrum_weights_sum_to_one_within_the_rounding_floor():
+    # m = 2: the floor is (m + 2)^2 eps = 16 eps, where m sqrt(eps) admitted 3e-8.
+    eps = np.finfo(float).eps
+    d = spectrum_from_weights(10.0, [0.5, 0.5 + 8 * eps])
+    assert np.all(d >= 1.0)
+    for bad in ([0.5, 0.5 + 32 * eps], [0.5, 0.5 + 1e-9], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="sum to 1"):
+            spectrum_from_weights(10.0, bad)
+
+
 def test_sample_pure_cm_rejects_an_unknown_kind(rng):
     with pytest.raises(ValueError, match="kind"):
         sample_pure_cm(8.0, 2, "special", rng)

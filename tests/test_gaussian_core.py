@@ -509,6 +509,16 @@ def test_mix_states_weight_validation():
         mix_states([(0.5, vac), (0.5, vacuum_state(2))])
 
 
+def test_mix_states_weights_sum_to_one_within_the_rounding_floor():
+    # Two components: the floor is (2 + 2)^2 eps = 16 eps, where a fixed 1e-12
+    # admitted 4 500 eps, and a NaN weight passed both checks.
+    vac = vacuum_state(1)
+    assert mix_states([(0.5, vac), (0.5 + 8 * EPS, vac)]).cov.trace == pytest.approx(2.0, abs=TOL)
+    for weights in ((0.5, 0.5 + 32 * EPS), (math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="mixture weights must be nonnegative and sum to 1"):
+            mix_states([(w, vac) for w in weights])
+
+
 def test_state_dict_roundtrip(rng):
     state = GaussianState(random_valid_cov(rng, 2), rng.normal(size=4))
     doc = state_to_dict(state)

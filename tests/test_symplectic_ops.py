@@ -565,6 +565,42 @@ def test_stinespring_environment_check_agrees_with_is_free(xp, free):
             StinespringChannel(o, env).apply_to(vacuum_state(1))
 
 
+def test_stinespring_channel_checks_its_parts_when_built():
+    env, bs = vacuum_state(1).cov, beamsplitter_orthogonal(0.5)
+    faults = [
+        ((np.array([[1.0, 1.0], [0.0, 1.0]]), env), GateError, "Stinespring o is not orthogonal"),
+        ((np.eye(1), env), DimensionError, "Stinespring o must be n x n with n > 1"),
+        ((np.ones((2, 3)), env), DimensionError, "Stinespring o must be n x n"),
+        ((bs, CovMat(0.5 * np.eye(2))), GateError, "Stinespring environment is not a valid state"),
+        ((bs, CovMat([[2.0, 0.5], [0.5, 2.0]])), GateError, "Stinespring environment is not free"),
+        ((bs, env, [0.0, 0.0, 0.0]), DimensionError, "Stinespring displacement must have length 4"),
+        ((bs, env, [0.0, np.nan, 0.0, 0.0]), DimensionError, "Stinespring displacement must be finite"),
+    ]
+    for args, error, message in faults:
+        with pytest.raises(error, match=message):
+            StinespringChannel(*args)
+    # o on three modes with a one-mode environment takes two-mode inputs.
+    channel = StinespringChannel(np.eye(3), env)
+    with pytest.raises(DimensionError, match="Stinespring channel acts on 2-mode inputs"):
+        channel.apply_to(vacuum_state(1))
+    assert_array_equal(channel.apply_to(vacuum_state(2)).cov.matrix, np.eye(4))
+
+
+def test_stinespring_apply_reruns_no_construction_check(monkeypatch, rng):
+    eta = 0.3
+    channel = StinespringChannel(beamsplitter_orthogonal(eta), vacuum_state(1).cov)
+
+    def rerun(*args):
+        raise AssertionError("a construction check ran again")
+
+    for name in ("is_free", "is_orthogonal", "is_symplectic", "block_orthogonal", "passive_from_unitary"):
+        monkeypatch.setattr(symplectic_ops, name, rerun)
+    state = GaussianState(random_valid_cov(rng, 1))
+    for _ in range(3):
+        out = channel.apply_to(state)
+        assert_allclose(out.cov.matrix, apply_loss(state.cov, eta).matrix, atol=1e-10)
+
+
 def test_stinespring_displacement_lands_on_the_kept_modes():
     # m = 1 plus one vacuum environment mode: d in qqpp order is (q1, q2, p1, p2).
     out = StinespringChannel(
