@@ -56,8 +56,8 @@ def qfi_displacement(cov: CovMat) -> QfiBound:
     return QfiBound(value, is_pure(cov))
 
 
-def _moment_gap_sq(E1: float, E2: float, c1: float, c2: float, cap: float, m: int) -> float:
-    """``(E1-E2)^2/(2m) + 2(sqrt(c1)-sqrt(c2))^2``: the squared moment gap of both trace-distance bounds.
+def _moment_gaps(E1: float, E2: float, c1: float, c2: float, cap: float, m: int) -> tuple[float, float]:
+    """``(E1 - E2, sqrt(c1) - sqrt(c2))``: the moment gaps both trace-distance bounds square.
 
     Raises:
         ValueError: unless the traces E_i, the coherences c_i and the bound's
@@ -68,8 +68,7 @@ def _moment_gap_sq(E1: float, E2: float, c1: float, c2: float, cap: float, m: in
             "traces, coherences and energy cap must be nonnegative and finite with m >= 1, "
             f"got E1={E1}, E2={E2}, c1={c1}, c2={c2}, cap={cap}, m={m}"
         )
-    trace_gap, root_gap = E1 - E2, math.sqrt(c1) - math.sqrt(c2)
-    return trace_gap * trace_gap / (2.0 * m) + 2.0 * root_gap * root_gap
+    return E1 - E2, math.sqrt(c1) - math.sqrt(c2)
 
 
 def td_lower_bound_gaussian(
@@ -84,7 +83,9 @@ def td_lower_bound_gaussian(
     Raises:
         ValueError: on a negative, infinite or NaN input, or m < 1.
     """
-    return min(1.0, math.sqrt(_moment_gap_sq(E1, E2, c1, c2, E_cap, m)) / (E_cap + 1.0)) / 200.0
+    trace_gap, root_gap = _moment_gaps(E1, E2, c1, c2, E_cap, m)
+    gap_sq = trace_gap * trace_gap / (2.0 * m) + 2.0 * root_gap * root_gap
+    return min(1.0, math.sqrt(gap_sq) / (E_cap + 1.0)) / 200.0
 
 
 def td_lower_bound_general(
@@ -93,12 +94,27 @@ def td_lower_bound_general(
     """Trace-distance lower bound valid beyond the Gaussian family.
 
     ``((E1-E2)^2/(2m) + 2(sqrt(c1)-sqrt(c2))^2) / (3200 E_tilde_sq m)`` with
-    ``E_tilde_sq`` a caller-supplied second-moment energy cap.
+    ``E_tilde_sq`` a caller-supplied second-moment energy cap, taken as
+    ``(t / (80 m sqrt(E_tilde_sq)))^2 + (r / (40 sqrt(E_tilde_sq) sqrt(m)))^2``
+    for the gaps t = E1 - E2 and r = sqrt(c1) - sqrt(c2): each gap is divided
+    before it is squared, so no intermediate leaves the float range that the
+    bound itself stays in.
 
     Raises:
-        ValueError: on a negative, infinite or NaN input, or m < 1.
+        ValueError: on a negative, infinite or NaN input, on
+            ``E_tilde_sq = 0`` (the bound divides by it), or m < 1.
+        NumericError: if the bound is past the float range.
     """
-    return _moment_gap_sq(E1, E2, c1, c2, E_tilde_sq, m) / (3200.0 * E_tilde_sq * m)
+    trace_gap, root_gap = _moment_gaps(E1, E2, c1, c2, E_tilde_sq, m)
+    if E_tilde_sq == 0.0:
+        raise ValueError("energy cap E_tilde_sq must be positive: the general bound divides by it")
+    root_cap = math.sqrt(E_tilde_sq)
+    t = trace_gap / (80.0 * m) / root_cap
+    r = root_gap / 40.0 / root_cap / math.sqrt(m)
+    bound = t * t + r * r
+    if bound == math.inf:
+        raise NumericError(f"trace-distance bound overflows float64: its moment gaps are {trace_gap} and {root_gap}")
+    return bound
 
 
 def helstrom_lower_bound_loss(E: float, m: int, eta: float, c: float) -> float:
@@ -178,15 +194,16 @@ def _mom_groups(n: int, delta: float) -> tuple[int, int]:
     return k, n // k
 
 
-def _finite_threshold(numerator: float, gap: float) -> float:
-    """``numerator / gap^2``, divided as ``(numerator / gap) / gap`` so that no square underflows.
+def _threshold(ratio: float, delta: float) -> float:
+    """``272 log(2/delta) ratio``, the sample threshold of a variance over a squared gap.
 
     Raises:
-        NumericError: if the threshold, or the numerator, is past the float range.
+        ValueError: unless ``0 < delta < 1``.
+        NumericError: if the threshold is past the float range (or NaN).
     """
-    n = numerator / gap / gap
+    n = 272.0 * _log_factor(delta) * ratio
     if not math.isfinite(n):
-        raise NumericError(f"sample threshold overflows float64: numerator / gap^2 is {n}")
+        raise NumericError(f"sample threshold overflows float64: 272 log(2/delta) variance / gap^2 is {n}")
     return n
 
 
@@ -194,17 +211,20 @@ def n_thres_orthogonal(mu1: float, mu2: float, m: int, E: float, delta: float) -
     """Sufficient samples to tell two orthogonal-dilation channels apart.
 
     ``272 log(2/delta) (max(mu1^2, mu2^2) + 1 + (E/2-(m-1))^2) / (mu2-mu1)^2``
-    for channel-output means mu1 != mu2 at probe trace E, on Python floats.
+    for channel-output means mu1 != mu2 at probe trace E, on Python floats,
+    each term divided by the gap before it is squared, ``(mu/gap)^2 +
+    (f/gap)/gap``, so that means past the root of the float range still give
+    the finite threshold.
 
     Raises:
         ValueError: if the means coincide (no finite threshold exists).
-        NumericError: if the threshold, or its numerator, overflows float64.
+        NumericError: if the threshold, or the energy offset f, overflows float64.
     """
     if not _gap_exceeds_floor(mu1, mu2, 2 * m):
         raise ValueError("channel output means coincide; threshold is infinite")
-    f = energy_offset(m, E)
-    numerator = 272.0 * _log_factor(delta) * (max(mu1 * mu1, mu2 * mu2) + f)
-    return _finite_threshold(numerator, mu2 - mu1)
+    gap = mu2 - mu1
+    q = max(abs(mu1), abs(mu2)) / gap
+    return _threshold(q * q + energy_offset(m, E) / gap / gap, delta)
 
 
 def n_thres_orthogonal_optimal(m: int, E: float, delta: float, c: float) -> float:
@@ -229,14 +249,15 @@ def loss_g(nu_sq: float, mu: float, E1: float, eta: float) -> float:
     ``(eta^2 nu^2 + (1-eta)^2 + eta(1-eta) E1 + 2 eta^2 mu^2) / mu^2`` where
     nu^2 and mu are the probe's first-mode local symplectic eigenvalue
     squared and position-momentum covariance, and E1 its first-mode trace.
-    Taken on Python floats and divided as ``(num / mu) / mu``: inf past the
-    float range, with no error.
+    Taken on Python floats as ``(num / mu) / mu + 2 eta^2`` for the first
+    three terms ``num``, so the mu^2 term cancels exactly: inf only where the
+    ratio is past the float range, with no error.
     """
     if mu == 0.0:
         raise ValueError("probe position-momentum covariance must be nonzero")
     rest, eta_sq = 1.0 - eta, eta * eta
-    num = eta_sq * nu_sq + rest * rest + eta * rest * E1 + 2.0 * eta_sq * (mu * mu)
-    return num / mu / mu
+    num = eta_sq * nu_sq + rest * rest + eta * rest * E1
+    return num / mu / mu + 2.0 * eta_sq
 
 
 def n_thres_loss(
@@ -254,7 +275,8 @@ def n_thres_loss(
     if not _gap_exceeds_floor(eta1, eta2, 1):
         raise ValueError("equal transmissivities; threshold is infinite")
     g_max = max(loss_g(nu_sq, mu, E1, eta1), loss_g(nu_sq, mu, E1, eta2))
-    return _finite_threshold(272.0 * _log_factor(delta) * g_max, eta2 - eta1)
+    gap = eta2 - eta1
+    return _threshold(g_max / gap / gap, delta)
 
 
 def loss_gtilde(m: int, E: float, eta: float) -> float:

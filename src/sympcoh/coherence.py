@@ -11,7 +11,6 @@ under tensor products, and bounded at fixed trace by
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -388,24 +387,30 @@ class SearchOutcome(NamedTuple):
     argmax: dict
 
 
-def _gram_squares(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(|G|^2, G o G)`` elementwise, of ``G = U^T U`` for passive unitary U = X + iY."""
-    u = x + 1j * y
-    g = u.T @ u
-    return (g * g.conj()).real, g * g
+def _gram_form(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``H = U^T U`` of a passive unitary U (phases absorbed) and its form ``I - diag(|H|^2, Re(H o H))``.
 
-
-def _gram_coherence(
-    gamma: np.ndarray, sigma: np.ndarray, gram_abs: np.ndarray, gram_re: np.ndarray
-) -> np.ndarray:
-    """Coherence of pure states of one passive unitary at fixed phases, for (..., m) moduli.
-
-    ``1/2 [sum(gamma^2 + sigma^2) - gamma^T |G|^2 gamma - sigma^T Re(G o G o z z^T) sigma]``
-    with ``gram_abs = |G|^2`` and ``gram_re = Re(G o G o z z^T)`` at the phases
-    ``z_k = e^{2i theta_k}`` (the identity of ``numeric_max_search``).
+    The form is (2m, 2m), block diagonal, and ``_form_coherence`` reads the
+    coherence from it; ``I - |H|^2`` has zero row sums, since ``|H|^2`` is
+    doubly stochastic.
     """
-    quad = ((gamma @ gram_abs) * gamma).sum(axis=-1) + ((sigma @ gram_re) * sigma).sum(axis=-1)
-    return 0.5 * ((gamma * gamma + sigma * sigma).sum(axis=-1) - quad)
+    gram = u.T @ u
+    m = len(gram)
+    re_sq, im_sq = gram.real * gram.real, gram.imag * gram.imag
+    form = np.eye(2 * m)
+    form[:m, :m] -= re_sq + im_sq
+    form[m:, m:] -= re_sq - im_sq
+    return gram, form
+
+
+def _form_coherence(v: np.ndarray, form: np.ndarray) -> np.ndarray:
+    """Coherence of pure states of one passive unitary, for stacked moduli ``v = (gamma, sigma)`` (..., 2m).
+
+    ``1/2 v^T F v`` for the form F of ``_gram_form``, which is
+    ``1/2 [sum(gamma^2 + sigma^2) - gamma^T |H|^2 gamma - sigma^T Re(H o H)
+    sigma]`` (the identity of ``numeric_max_search``).
+    """
+    return 0.5 * np.einsum("...i,...i->...", v @ form, v)
 
 
 def _phase_argmax(c1: complex, c2: complex) -> complex:
@@ -469,70 +474,171 @@ def _phase_argmax(c1: complex, c2: complex) -> complex:
     return 1.0 + 0j
 
 
-# Weight move: grid points per round, and rounds zooming in on the best point.
+def _best_turn(c1: complex, c2: complex) -> tuple[complex, float]:
+    """``(zeta, gain)``: the best turn zeta of ``Re(c1 (zeta - 1) + c2 (zeta^2 - 1))`` and its value there."""
+    zeta = _phase_argmax(c1, c2)
+    return zeta, (c1 * (zeta - 1.0) + c2 * (zeta * zeta - 1.0)).real
+
+
+def _phase_coefficients(rows: list[list[complex]], sig: list[float], k: int) -> tuple[complex, complex]:
+    """``(c_1, c_2)`` of turning column k of U by ``e^{i theta}``, ``zeta = e^{2i theta}``, on Python scalars.
+
+    ``c_1 = -sig_k sum_{l != k} sig_l H_kl^2`` and ``c_2 = -sig_k^2 H_kk^2 / 2``,
+    from row k of H (``rows``) and the moduli ``sig`` in any common unit.
+    """
+    row, sk = rows[k], sig[k]
+    c2 = -0.5 * (sk * sk * (row[k] * row[k]))
+    return -(sk * sum(s * h * h for s, h in zip(sig, row))) - 2.0 * c2, c2
+
+
+def _givens_coefficients(
+    rows: list[list[complex]], gam: list[float], sig: list[float], i: int, j: int
+) -> tuple[complex, complex]:
+    """``(c_1, c_2)`` of turning columns i and j of U by a real rotation, on Python scalars.
+
+    ``H -> R^T H R`` for the rotation R by phi of columns (i, j) changes
+    ``_form_coherence`` by ``Re(c_1 (zeta - 1) + c_2 (zeta^2 - 1))``, ``zeta =
+    e^{2i phi}`` (the proof is in ``numeric_max_search``), at the moduli
+    ``gam`` and ``sig`` in any common unit; ``rows`` is H.  With ``T(a, b) =
+    (a - ib) conj(a + ib)`` and ``S(a, b) = ((a - ib)^2 + conj(a + ib)^2)/2``
+    the other modes k give ``t = sum_k gam_k T(H_ki, H_kj)`` and ``s = sum_k
+    sig_k S(H_ki, H_kj)``; the block ``[[p, r], [r, q]]`` of (i, j) gives, with
+    ``mu = (p + q)/2``, ``delta = (p - q)/2`` and ``A(x) = Re(x delta) - i Re(x
+    r)``,
+
+        c_1 = -1/2 [(gam_i - gam_j)(t + 2 (gam_i + gam_j) A(conj(mu)))
+                    + (sig_i - sig_j)(s + 2 (sig_i + sig_j) A(mu))]
+        c_2 = -1/4 [(gam_i - gam_j)^2 T(delta, r) + (sig_i - sig_j)^2 S(delta, r)].
+
+    O(m) scalar operations; both vanish for equal moduli.
+    """
+    row_i, row_j = rows[i], rows[j]
+    t = s = 0j
+    for k, (a, b, g, v) in enumerate(zip(row_i, row_j, gam, sig)):
+        if k != i and k != j:
+            minus, plus = a - 1j * b, (a + 1j * b).conjugate()
+            t += g * (minus * plus)
+            s += v * (minus * minus + plus * plus)
+    p, q, r = row_i[i], row_j[j], row_i[j]
+    mu, delta = 0.5 * (p + q), 0.5 * (p - q)
+    minus, plus = delta - 1j * r, (delta + 1j * r).conjugate()
+    mu_c = mu.conjugate()
+    dg, ds = gam[i] - gam[j], sig[i] - sig[j]
+    a_g = complex((mu_c * delta).real, -(mu_c * r).real)
+    a_s = complex((mu * delta).real, -(mu * r).real)
+    c1 = -0.5 * (dg * (t + 2.0 * (gam[i] + gam[j]) * a_g) + ds * (0.5 * s + 2.0 * (sig[i] + sig[j]) * a_s))
+    c2 = -0.25 * (dg * dg * (minus * plus) + 0.5 * ds * ds * (minus * minus + plus * plus))
+    return c1, c2
+
+
+def _free_turn(rows: list[list[complex]], gam: list[float], sig: list[float], i: int, j: int) -> complex:
+    """zeta of the turn of a weightless column j after which rotating (i, j) is steepest, on Python scalars.
+
+    At phi = 0 the rotation of ``_givens_coefficients`` changes c at the rate
+    ``dc/dphi = -2 Re sum_k (W_ki H_kj - W_kj H_ki)`` with ``W_kl = gam_k gam_l
+    conj(H_kl) + sig_k sig_l H_kl``.  With ``gam_j = sig_j = 0``, ``W_kj = 0``
+    and turning column j by rho leaves c alone and takes ``x = sum_k W_ki
+    H_kj`` to ``rho x``, so ``rho = conj(x)/|x|`` gives the rate 2|x| in
+    size, its largest: a real rotation after it is a complex Givens rotation
+    with the best first-order phase.  Returned as ``zeta = rho^2``, the form
+    ``_turn_column`` takes; 1 if x = 0.
+    """
+    gi, si = gam[i], sig[i]
+    x = sum((gi * g * a.conjugate() + si * v * a) * b for a, b, g, v in zip(rows[i], rows[j], gam, sig))
+    if not x:
+        return 1.0 + 0j
+    rho = x.conjugate() / abs(x)
+    return rho * rho
+
+
+def _turn_column(rows: list[list[complex]], cols: list[list[complex]], k: int, zeta: complex) -> None:
+    """Turn column k of U by ``sqrt(zeta)``: row and column k of H (its diagonal entry by zeta), in place."""
+    rho = zeta ** 0.5
+    row = [v * rho for v in rows[k]]
+    row[k] *= rho
+    rows[k] = row
+    for other, v in zip(rows, row):
+        other[k] = v
+    cols[k] = [v * rho for v in cols[k]]
+
+
+def _rotate_columns(
+    rows: list[list[complex]], cols: list[list[complex]], i: int, j: int, zeta: complex
+) -> None:
+    """Rotate columns (i, j) of U by phi, ``e^{2i phi} = zeta``, and H to ``R^T H R``, in place.
+
+    The new columns are ``cos(phi) u_i + sin(phi) u_j`` and ``cos(phi) u_j -
+    sin(phi) u_i``; the block ``[[p, r], [r, q]]`` of H goes to ``mu +- (Re(zeta)
+    delta + Im(zeta) r)`` on its diagonal and ``Re(zeta) r - Im(zeta) delta``
+    off it, as in ``_givens_coefficients``.
+    """
+    rho = zeta ** 0.5
+    c, s = rho.real, rho.imag
+    row_i, row_j = rows[i], rows[j]
+    p, q, r = row_i[i], row_j[j], row_i[j]
+    new_i = [c * a + s * b for a, b in zip(row_i, row_j)]
+    new_j = [c * b - s * a for a, b in zip(row_i, row_j)]
+    mu, delta = 0.5 * (p + q), 0.5 * (p - q)
+    turn = zeta.real * delta + zeta.imag * r
+    new_i[i], new_j[j] = mu + turn, mu - turn
+    new_i[j] = new_j[i] = zeta.real * r - zeta.imag * delta
+    rows[i], rows[j] = new_i, new_j
+    for row, a, b in zip(rows, new_i, new_j):
+        row[i], row[j] = a, b
+    col_i, col_j = cols[i], cols[j]
+    cols[i] = [c * a + s * b for a, b in zip(col_i, col_j)]
+    cols[j] = [c * b - s * a for a, b in zip(col_i, col_j)]
+
+
+# Weight move: grid points per line.
 _WEIGHT_GRID = 17
-_WEIGHT_ROUNDS = 6
-# Most coordinate sweeps (phase moves, then one weight move) of the refinement.
-_REFINE_PASSES = 3
-# Grid on [lo, hi] as lo * _GRID_FROM_LO + hi * _GRID_FROM_HI.  The fractions
-# k/16 and 1 - k/16 are exact, so the ends are exactly lo and hi, and no grid
-# point exceeds 1 (which would make the other weights negative).
-_GRID_FROM_HI = np.linspace(0.0, 1.0, _WEIGHT_GRID)
-_GRID_FROM_LO = 1.0 - _GRID_FROM_HI
+# Most coordinate sweeps (phase moves, Givens moves, then one weight move) of the refinement.
+_REFINE_PASSES = 4
+# The grid on [0, 1].  The fractions k/16 and 1 - k/16 are exact, so the
+# ends are exactly 0 and 1, and no grid point exceeds 1 (which would make the
+# other weights negative).
+_GRID = np.linspace(0.0, 1.0, _WEIGHT_GRID)
 # Rows of a block, those of largest spectrum bound, factored before the bound prunes the rest.
 _FIRST_BATCH = 8
 
 
-def _moduli(half_excess: float, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``gamma = (d + 1/d)/2 - 1`` and ``sigma = (d - 1/d)/2`` of weights w (..., m)."""
-    g = half_excess * w
-    return g, np.sqrt(g * (g + 2.0))
+def _moduli(half_excess: float, w: np.ndarray) -> np.ndarray:
+    """``v = (gamma, sigma)`` (..., 2m) of weights w (..., m): ``gamma = (d + 1/d)/2 - 1``, ``sigma = (d - 1/d)/2``."""
+    m = w.shape[-1]
+    v = np.empty(w.shape[:-1] + (2 * m,))
+    g = np.multiply(w, half_excess, out=v[..., :m])
+    np.sqrt(g * (g + 2.0), out=v[..., m:])
+    return v
 
 
 def _weight_move(
-    weights: np.ndarray, gram_abs: np.ndarray, gram_re: np.ndarray, half_excess: float, c0: float
+    weights: np.ndarray, form: np.ndarray, half_excess: float, c0: float
 ) -> tuple[np.ndarray, float] | None:
-    """The best single-weight move of ``_gram_coherence`` from ``weights``, if it raises c0.
+    """The best single-weight move of ``_form_coherence`` from ``weights``, if it raises c0.
 
-    Line i sets weight i to t in [0, 1] and rescales the others to share the
-    remaining 1 - t by their own directly summed rest (the total minus weight
-    i cancels when weight i is near 1); a line whose rest is 0 (m = 1, or
-    weight i alone) has no other point and is left out.  All lines are
-    zoomed together: each of the ``_WEIGHT_ROUNDS`` rounds evaluates one
-    (lines, ``_WEIGHT_GRID``, m) stack of moduli at the fixed phases, and
-    each line narrows its own [lo, hi] to the neighbours of its best grid
-    point.  The best point of the best line is returned (the
-    Gauss-Southwell rule), or None if no point beats c0.
+    Line i sets weight i to t in [0, 1] and shares the remaining 1 - t among
+    the others in proportion to their weights, divided by their own directly
+    summed rest (the total minus weight i cancels when weight i is near 1);
+    a line whose rest is 0 (m = 1, or weight i alone) has no other point and
+    is left out.  Every line's ``_WEIGHT_GRID`` points are evaluated in one
+    (lines, ``_WEIGHT_GRID``, 2m) stack of moduli on the form, and the best
+    point of the best line is returned (the Gauss-Southwell rule), the first
+    of equals, or None if no point beats c0.
     """
     m = len(weights)
-    rest = np.where(np.eye(m, dtype=bool), 0.0, weights).sum(axis=1)
+    others = np.where(np.eye(m, dtype=bool), 0.0, weights)  # row i: the weights but weight i
+    rest = others.sum(axis=1)
     lines = np.flatnonzero(rest > 0.0)
     if not len(lines):
         return None
-    rest, rows = rest[lines, None], np.arange(len(lines))
-    first = rows * _WEIGHT_GRID  # flat index of each line's first grid point
-    lo, hi = np.zeros(len(lines)), np.ones(len(lines))
-    points, values = [], []  # per round, each line's best grid point and value
-    for _ in range(_WEIGHT_ROUNDS):
-        t = lo[:, None] * _GRID_FROM_LO + hi[:, None] * _GRID_FROM_HI
-        w = weights * ((1.0 - t) / rest)[..., None]
-        w[rows, :, lines] = t
-        c = _gram_coherence(*_moduli(half_excess, w), gram_abs, gram_re)
-        k = first + c.argmax(axis=1)
-        t = t.ravel()
-        points.append(t[k])
-        values.append(c.ravel()[k])
-        lo, hi = t[np.maximum(k - 1, first)], t[np.minimum(k + 1, first + _WEIGHT_GRID - 1)]
-    # Each line's best round and the best line, the first of equals.
-    values = np.array(values)
-    best = values.max(axis=0)
-    j = int(best.argmax())
-    if not best[j] > c0:
+    share = others[lines] / rest[lines, None]
+    t = _GRID[:, None]
+    w = (1.0 - t) * share[:, None] + t * np.eye(m)[lines, None]
+    c = _form_coherence(_moduli(half_excess, w), form)
+    best = np.unravel_index(c.argmax(), c.shape)
+    if not c[best] > c0:
         return None
-    t = points[int(values[:, j].argmax())][j]
-    w = weights * ((1.0 - t) / rest[j, 0])  # the bytes of that round's point
-    w[lines[j]] = t
-    return w, float(best[j])
+    return w[best], float(c[best])
 
 
 def _best_sample(
@@ -591,8 +697,8 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
 
         c <= B(d) = sum_k sigma_k^2.
 
-    Proof: ``P = |G|^2`` is symmetric and doubly stochastic, and ``|Re(G o G
-    o z z^T)_kl| <= P_kl``, so ``B - c >= 1/2 sum_kl P_kl (gamma_k + gamma_l
+    Proof: ``P = |H|^2`` is symmetric and doubly stochastic, and ``|Re(H o
+    H)_kl| <= P_kl``, so ``B - c >= 1/2 sum_kl P_kl (gamma_k + gamma_l
     + gamma_k gamma_l - sigma_k sigma_l)``; with ``sigma^2 = gamma^2 + 2
     gamma``, ``(gamma_k + gamma_l + gamma_k gamma_l)^2 - sigma_k^2 sigma_l^2
     = (gamma_k - gamma_l)^2 >= 0``, so every term is nonnegative.  Turning
@@ -624,40 +730,58 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
     Algorithms, 2nd ed., Sec. 19.3).
 
     The best sample is then refined on one identity.  With ``gamma = (d +
-    1/d)/2 - 1`` and ``sigma = (d - 1/d)/2`` per mode, and column k of U turned
-    by ``e^{i theta_k}``, ``V_xp = Im(U Gamma U^H) - Im(U W U^T)`` with
-    ``Gamma = diag(gamma)``, ``W = diag(w)`` and ``w_k = sigma_k z_k``, ``z_k =
-    e^{2i theta_k}``: an antisymmetric plus a symmetric matrix, orthogonal in
+    1/d)/2 - 1`` and ``sigma = (d - 1/d)/2`` per mode, ``V_xp = Im(U Gamma
+    U^H) - Im(U S U^T)`` with ``Gamma = diag(gamma)`` and ``S =
+    diag(sigma)``: an antisymmetric plus a symmetric matrix, orthogonal in
     the Frobenius product, so unitarity gives
 
-        c = 1/2 [sum(gamma^2 + sigma^2) - gamma^T |G|^2 gamma - Re w^T (G o G) w]
+        c = 1/2 [sum(gamma^2 + sigma^2) - gamma^T |H|^2 gamma - sigma^T Re(H o H) sigma]
 
-    for ``G = U^T U`` of the sample (``o`` elementwise).  ``|G|^2`` and ``G o
-    G`` are built once per search (``_gram_squares``), and the refinement
-    carries only the weights and z, in sweeps of per-mode phase moves and then
-    one weight move:
+    for ``H = U^T U`` (``o`` elementwise), a quadratic form in ``(gamma,
+    sigma)`` (``_gram_form``, ``_form_coherence``).  The refinement carries
+    U with every turn absorbed in it, H as Python complex rows updated in
+    O(m) per move, and the weights, in sweeps of three kinds of move:
 
-    * per-mode phase: turning z_k by zeta changes the coherence by ``Re(c_1
-      (zeta - 1) + c_2 (zeta^2 - 1))`` with ``c_1 = -w_k sum_{l != k} w_l
-      G_kl^2`` and ``c_2 = -w_k^2 G_kk^2 / 2``, O(m) from one row of ``G o
-      G``.  The global maximum over zeta is a two-dimensional trust-region
-      subproblem, solved in closed form up to the root of one scalar secular
-      equation (``_phase_argmax``), so the per-mode loop runs on Python
-      complex scalars: one row of ``G o G`` as a list, w and z as lists, and
-      no numpy call per mode.  The phases are reported as ``theta =
-      arg(z)/2``, in (-pi/2, pi/2];
+    * per-mode phase: turning column k of U by ``e^{i theta}`` changes c by
+      ``Re(c_1 (zeta - 1) + c_2 (zeta^2 - 1))``, ``zeta = e^{2i theta}``,
+      with ``c_1 = -sigma_k sum_{l != k} sigma_l H_kl^2`` and ``c_2 =
+      -sigma_k^2 H_kk^2 / 2`` (``_phase_coefficients``).  The global maximum
+      over zeta is a two-dimensional trust-region subproblem, solved in
+      closed form up to the root of one scalar secular equation
+      (``_phase_argmax``);
+    * Givens: column k* of U, the mode of largest weight at the start of
+      the sweep, is rotated against every other column l by the real
+      rotation R(phi) of the plane (k*, l), which sends H to ``R^T H R``.
+      Each entry of ``R^T H R`` is a sum of ``cos^2 phi = (1 + cos psi)/2``,
+      ``sin^2 phi = (1 - cos psi)/2`` and ``cos phi sin phi = sin psi / 2``
+      times entries of H, for ``psi = 2 phi``: a trigonometric polynomial of
+      degree 1 in psi (``R(phi + pi) = -R(phi)`` leaves H alone).  So
+      ``|H_kl|^2`` and ``Re H_kl^2``, and c with them, are of degree 2 in
+      psi: ``c(psi) = c_0 + Re(c_1 (zeta - 1) + c_2 (zeta^2 - 1))`` at ``zeta
+      = e^{i psi}``, the phase move's form, with c_1 from the other rows of
+      columns k* and l and from the 2 x 2 block, and c_2 from the block
+      alone (``_givens_coefficients``); ``_phase_argmax`` gives its global
+      maximum too.  A column l of zero weight is first turned to the phase
+      at which the rotation's slope at phi = 0 is largest (``_free_turn``),
+      which leaves c alone, since its phase move cannot move it (its
+      coefficients are 0).  m - 1 moves per sweep, no numpy call per move;
     * single squeezing weight in [0, 1], the others rescaled to share the
       rest: ``gamma = (E - 2m) w / 2`` and ``sigma = sqrt(gamma (gamma + 2))``
-      per mode, and at the fixed phases the identity reads ``sigma^T Re(G o
-      G o z z^T) sigma`` in its last term (``_gram_coherence``).  Every
-      mode's line is gridded and zoomed around its best point together, one
-      stacked evaluation of the identity per round, and only the best line's
-      best point is taken (``_weight_move``), so a sweep costs
-      ``_WEIGHT_ROUNDS`` evaluations at any m.
+      per mode, on the form of H rebuilt from U once per sweep in which U
+      turned.  Every mode's line is gridded, all in one stacked evaluation
+      of the form, and only the best line's best point is taken
+      (``_weight_move``).
 
-    A move is accepted only if it raises the current value; a sweep that
+    The phase and Givens coefficients take gamma and sigma divided by
+    ``(E - 2m)/2``, so they stay finite at every trace whose square is.  A
+    move is accepted only if it raises the current value; a sweep that
     accepts none ends the refinement, since the next would repeat it, and
-    there are at most ``_REFINE_PASSES`` sweeps.
+    there are at most ``_REFINE_PASSES`` sweeps.  The argmax reports the
+    refined U as ``x`` and ``y`` (``U = X + iY``, phases included), its
+    ``weights``, from which ``symplectic_ops.spectrum_from_weights`` gives the
+    spectrum d, and ``refined_coherence``, the coherence of the pure state
+    ``pure_cm(x, y, d)``.  ``theta`` is each column's sum of phase turns
+    modulo pi, ``arg(z)/2`` in (-pi/2, pi/2] for z the product of its zetas.
 
     Args:
         E: covariance trace budget (>= 2m); only E = 2m forces the vacuum,
@@ -682,35 +806,51 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
 
     best_c, trial_idx, x, y, d = _best_sample(E, m, trials, seed)
     half_excess = 0.5 * (E - 2.0 * m)
+    unit = half_excess * half_excess  # the coherence of a unit of the scaled coefficients
     weights = np.clip((d + 1.0 / d - 2.0) / (2.0 * half_excess), 0.0, None)
     weights = weights / weights.sum()
-    gram_abs, gram_sq = _gram_squares(x, y)
-    rows = gram_sq.tolist()  # G o G as Python complex rows, read by the phase moves
-    z = [1.0 + 0j] * m  # e^{2i theta}, one per mode
-    gamma, sigma = _moduli(half_excess, weights)
-    w = sigma.tolist()  # sigma z at z = 1
-    refined_c = float(_gram_coherence(gamma, sigma, gram_abs, gram_sq.real))
+    u = x + 1j * y
+    cols = u.T.tolist()  # the columns of U, turned by every accepted move
+    gram, form = _gram_form(u)
+    rows = gram.tolist()  # H as Python complex rows, read and updated by the moves
+    z = [1.0 + 0j] * m  # e^{2i theta}: each column's phase turns
+    v = _moduli(half_excess, weights)
+    refined_c = float(_form_coherence(v, form))
     for _ in range(_REFINE_PASSES):
+        scaled = (v / half_excess).tolist()
+        gam, sig = scaled[:m], scaled[m:]
         moved = False
         for k in range(m):
-            row, wk = rows[k], w[k]
-            c2 = -0.5 * (wk * wk * row[k])
-            c1 = -(wk * sum(map(operator.mul, row, w))) - 2.0 * c2  # the sum over l != k
-            zeta = _phase_argmax(c1, c2)
-            gain = (c1 * (zeta - 1.0) + c2 * (zeta * zeta - 1.0)).real
+            zeta, gain = _best_turn(*_phase_coefficients(rows, sig, k))
             if gain > 0.0:
+                _turn_column(rows, cols, k, zeta)
                 z[k] *= zeta
-                w[k] = wk * zeta
-                refined_c += gain
+                refined_c += unit * gain
                 moved = True
-        phases = np.array(z)
-        gram_re = (gram_sq * np.outer(phases, phases)).real  # of the current phases
-        move = _weight_move(weights, gram_abs, gram_re, half_excess, refined_c)
+        i = int(weights.argmax())
+        for j in range(m):
+            if j == i:
+                continue
+            zeta = _free_turn(rows, gam, sig, i, j) if sig[j] == 0.0 else 1.0
+            if zeta != 1.0:  # column j carries no weight, so its turn leaves c alone
+                _turn_column(rows, cols, j, zeta)
+                z[j] *= zeta
+                moved = True
+            zeta, gain = _best_turn(*_givens_coefficients(rows, gam, sig, i, j))
+            if gain > 0.0:
+                _rotate_columns(rows, cols, i, j, zeta)
+                refined_c += unit * gain
+                moved = True
+        if moved:
+            gram, form = _gram_form(np.array(cols).T)
+            rows = gram.tolist()
+        move = _weight_move(weights, form, half_excess, refined_c)
         if move is not None:
             weights, refined_c = move
-            w = (_moduli(half_excess, weights)[1] * phases).tolist()
+            v = _moduli(half_excess, weights)
         if not moved and move is None:
             break
+    u = np.array(cols).T
     arg = np.angle(z)
     theta = 0.5 * np.where(arg == -np.pi, np.pi, arg)
     sup_c = max(best_c, refined_c)
@@ -722,5 +862,7 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
             "refined_coherence": refined_c,
             "theta": theta.tolist(),
             "weights": weights.tolist(),
+            "x": u.real.tolist(),
+            "y": u.imag.tolist(),
         },
     )

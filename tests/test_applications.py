@@ -1188,12 +1188,34 @@ def test_helstrom_matches_the_written_out_gap_on_a_random_panel():
         assert abs(helstrom_lower_bound_loss(E, m, eta, c) - _helstrom_by_hand(E, m, eta, c)) <= math.ulp(0.5)
 
 
-@pytest.mark.parametrize("mus", [(1e-200, 2e-200), (1e200, 2e200)])
-def test_n_thres_orthogonal_past_the_float_range_is_named(mus):
-    # Squared, the gap underflows to 0 (1e-200) or the means overflow (1e200):
-    # each once ended in a ZeroDivisionError or an OverflowError.
+def test_n_thres_orthogonal_past_the_float_range_is_named():
+    # Squared, the gap 1e-200 underflows to 0: this once ended in a
+    # ZeroDivisionError.  The threshold, about 1e402, is past the float range.
     with pytest.raises(NumericError, match="sample threshold overflows float64"):
-        n_thres_orthogonal(*mus, 1, 6.0, 0.1)
+        n_thres_orthogonal(1e-200, 2e-200, 1, 6.0, 0.1)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e200, 1e300])
+def test_thresholds_of_means_past_the_root_of_the_float_range_are_finite(scale):
+    # Each term is divided by the gap before it is squared: squared first,
+    # the means 1e200 overflowed, and a finite threshold was named an overflow.
+    # The orthogonal threshold depends on the means only through mu / gap.
+    assert n_thres_orthogonal(scale, 2.0 * scale, 1, 6.0, 0.1) == pytest.approx(
+        272.0 * math.log(20.0) * 4.0, rel=1e-15, abs=0
+    )
+    assert n_thres_loss(scale, 1.0, 6.0, 0.4, 0.8, 0.1) == pytest.approx(
+        272.0 * math.log(20.0) * 2.0 * 0.8 * 0.8 / (0.4 * 0.4), rel=1e-14, abs=0
+    )
+
+
+def test_general_trace_distance_bound_divides_before_it_squares():
+    # ((E1 - E2) / (80 m sqrt(E_tilde_sq)))^2: squared first, 1e200 gave nan.
+    assert td_lower_bound_general(1e200, 0.0, 0.0, 0.0, 1e306, 1) == pytest.approx(1.5625e90, rel=1e-14, abs=0)
+    with pytest.raises(NumericError, match="trace-distance bound overflows float64"):
+        td_lower_bound_general(1e200, 0.0, 0.0, 0.0, 1.0, 1)
+    # The general bound divides by its energy cap, so a zero cap is named.
+    with pytest.raises(ValueError, match="energy cap E_tilde_sq must be positive"):
+        td_lower_bound_general(6.0, 6.0, 4.0, 1.0, 0.0, 1)
 
 
 @pytest.mark.parametrize("mu", [1e-200, 1e-160])

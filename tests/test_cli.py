@@ -943,16 +943,17 @@ def test_maxsearch_within_bound_is_the_rounding_floor_of_c_max(rel, within, caps
 
 
 def test_maxsearch_stays_within_the_rounding_floor_near_the_maximum():
-    # Near-maximal searches at m = 1 and 2 with E - 2m from 1e-15 to 1e150:
-    # sup_c passes c_max only by its rounding, never by the floor.
+    # Near-maximal searches at m = 1, 2, 4 and 8 with E - 2m from 1e-15 to
+    # 1e150: sup_c passes c_max only by its rounding, never by the floor.
     rng = np.random.default_rng(34)
-    worst = 0.0
+    modes = (1, 2, 4, 8)
+    worst = dict.fromkeys(modes, -1.0)
     for i in range(800):
-        m = 1 + i % 2
+        m = modes[i % len(modes)]
         E = 2 * m + 10.0 ** rng.uniform(-15.0, 150.0)
         c_max = sympcoh.max_symplectic_coherence(E, m)
         sup_c = sympcoh.numeric_max_search(E, m, 30, int(rng.integers(2**31))).sup_c
         assert sup_c <= c_max + rounding_floor(2 * m, c_max), (E, m)
-        worst = max(worst, (sup_c - c_max) / c_max)
-    # The sweep reaches c_max: some search passes it by rounding.
-    assert worst > 0.0
+        worst[m] = max(worst[m], (sup_c - c_max) / c_max)
+    # The sweep reaches c_max at every m: some search passes it by rounding.
+    assert all(w > 0.0 for w in worst.values()), worst
