@@ -510,12 +510,13 @@ def _givens_coefficients(
                     + (sig_i - sig_j)(s + 2 (sig_i + sig_j) A(mu))]
         c_2 = -1/4 [(gam_i - gam_j)^2 T(delta, r) + (sig_i - sig_j)^2 S(delta, r)].
 
-    O(m) scalar operations; both vanish for equal moduli.
+    O(m) scalar operations, of which a weightless mode k takes none; both
+    vanish for equal moduli.
     """
     row_i, row_j = rows[i], rows[j]
     t = s = 0j
     for k, (a, b, g, v) in enumerate(zip(row_i, row_j, gam, sig)):
-        if k != i and k != j:
+        if g and k != i and k != j:  # a weightless mode adds 0 to both sums
             minus, plus = a - 1j * b, (a + 1j * b).conjugate()
             t += g * (minus * plus)
             s += v * (minus * minus + plus * plus)
@@ -541,10 +542,11 @@ def _free_turn(rows: list[list[complex]], gam: list[float], sig: list[float], i:
     H_kj`` to ``rho x``, so ``rho = conj(x)/|x|`` gives the rate 2|x| in
     size, its largest: a real rotation after it is a complex Givens rotation
     with the best first-order phase.  Returned as ``zeta = rho^2``, the form
-    ``_turn_column`` takes; 1 if x = 0.
+    ``_turn_column`` takes; 1 if x = 0.  Weightless modes k add nothing to x
+    and are skipped.
     """
     gi, si = gam[i], sig[i]
-    x = sum((gi * g * a.conjugate() + si * v * a) * b for a, b, g, v in zip(rows[i], rows[j], gam, sig))
+    x = sum((gi * g * a.conjugate() + si * v * a) * b for a, b, g, v in zip(rows[i], rows[j], gam, sig) if g)
     if not x:
         return 1.0 + 0j
     rho = x.conjugate() / abs(x)
@@ -590,7 +592,7 @@ def _rotate_columns(
     cols[j] = [c * b - s * a for a, b in zip(col_i, col_j)]
 
 
-# Weight move: grid points per line.
+# Interior weight move: grid points per line.
 _WEIGHT_GRID = 17
 # Most coordinate sweeps (phase moves, Givens moves, then one weight move) of the refinement.
 _REFINE_PASSES = 4
@@ -614,7 +616,7 @@ def _moduli(half_excess: float, w: np.ndarray) -> np.ndarray:
 def _weight_move(
     weights: np.ndarray, form: np.ndarray, half_excess: float, c0: float
 ) -> tuple[np.ndarray, float] | None:
-    """The best single-weight move of ``_form_coherence`` from ``weights``, if it raises c0.
+    """The best single-weight move of ``_form_coherence`` from interior ``weights``, if it raises c0.
 
     Line i sets weight i to t in [0, 1] and shares the remaining 1 - t among
     the others in proportion to their weights, divided by their own directly
@@ -623,7 +625,9 @@ def _weight_move(
     is left out.  Every line's ``_WEIGHT_GRID`` points are evaluated in one
     (lines, ``_WEIGHT_GRID``, 2m) stack of moduli on the form, and the best
     point of the best line is returned (the Gauss-Southwell rule), the first
-    of equals, or None if no point beats c0.
+    of equals, or None if no point beats c0.  The end t = 1 of line i is
+    exactly the vertex e_i; from a vertex the search moves by
+    ``_vertex_coherences`` instead.
     """
     m = len(weights)
     others = np.where(np.eye(m, dtype=bool), 0.0, weights)  # row i: the weights but weight i
@@ -639,6 +643,22 @@ def _weight_move(
     if not c[best] > c0:
         return None
     return w[best], float(c[best])
+
+
+def _vertex_coherences(rows: list[list[complex]], half_excess: float) -> list[float]:
+    """c(e_k) at every vertex e_k of the weights (all squeezing on mode k), from H's diagonal on Python scalars.
+
+    At e_k, ``gamma_k = h`` and ``sigma_k^2 = h^2 + 2h`` for ``h = (E -
+    2m)/2``, and every other modulus is 0, so ``_form_coherence`` is
+
+        c(e_k) = 1/2 [h^2 (1 - |H_kk|^2) + (h^2 + 2h)(1 - Re H_kk^2)]
+               = h [(h + 1)(1 - x^2) + y^2]
+
+    at ``H_kk = x + iy``: O(m), no form, and finite wherever h^2 is.
+    """
+    h = half_excess
+    diagonal = [row[k] for k, row in enumerate(rows)]
+    return [h * ((h + 1.0) * (1.0 - z.real * z.real) + z.imag * z.imag) for z in diagonal]
 
 
 def _best_sample(
@@ -763,25 +783,42 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
       alone (``_givens_coefficients``); ``_phase_argmax`` gives its global
       maximum too.  A column l of zero weight is first turned to the phase
       at which the rotation's slope at phi = 0 is largest (``_free_turn``),
-      which leaves c alone, since its phase move cannot move it (its
-      coefficients are 0).  m - 1 moves per sweep, no numpy call per move;
-    * single squeezing weight in [0, 1], the others rescaled to share the
-      rest: ``gamma = (E - 2m) w / 2`` and ``sigma = sqrt(gamma (gamma + 2))``
-      per mode, on the form of H rebuilt from U once per sweep in which U
-      turned.  Every mode's line is gridded, all in one stacked evaluation
-      of the form, and only the best line's best point is taken
-      (``_weight_move``).
+      which leaves c alone, since its phase move cannot move it: its
+      coefficients are 0, so the phase moves skip it, as every sum of the
+      moves skips the terms of weightless modes.  m - 1 moves per sweep, no
+      numpy call per move;
+    * weights, with ``gamma = (E - 2m) w / 2`` and ``sigma = sqrt(gamma
+      (gamma + 2))`` per mode.  While the weights are interior (the
+      sampled spectrum's, in practice the first sweep), a single weight is
+      moved in [0, 1] with the others rescaled to share the rest, on the
+      form of H rebuilt from U if it turned: every mode's line is gridded,
+      all in one stacked evaluation of the form, and only the best line's
+      best point is taken (``_weight_move``).  Its end t = 1 is a vertex
+      e_k, all squeezing on mode k, where every argmax ends.  From a vertex
+      the move is to the best vertex, ``c(e_k) = h [(h + 1)(1 - x^2) + y^2]``
+      at ``H_kk = x + iy`` and ``h = (E - 2m)/2``, read in O(m) off the
+      diagonal of the rows of H that the other moves keep, with no form
+      (``_vertex_coherences``).  Near the vacuum an interior point of the
+      grid can win: vertex moves alone from the sampled weights end at 0.985
+      c_max at E = 8.000001, m = 4, 50 trials, seed 87, against 1 - 3e-9.
 
     The phase and Givens coefficients take gamma and sigma divided by
     ``(E - 2m)/2``, so they stay finite at every trace whose square is.  A
-    move is accepted only if it raises the current value; a sweep that
-    accepts none ends the refinement, since the next would repeat it, and
-    there are at most ``_REFINE_PASSES`` sweeps.  The argmax reports the
+    move is accepted only if it raises the current value.  A sweep whose
+    total gain is at most ``rounding_floor(2m, c)`` ends the refinement (a
+    free turn gains nothing): past it the gains are rounding, which would
+    carry c above c_max sweep by sweep.  There are at most
+    ``_REFINE_PASSES`` sweeps.  The argmax reports the
     refined U as ``x`` and ``y`` (``U = X + iY``, phases included), its
     ``weights``, from which ``symplectic_ops.spectrum_from_weights`` gives the
     spectrum d, and ``refined_coherence``, the coherence of the pure state
     ``pure_cm(x, y, d)``.  ``theta`` is each column's sum of phase turns
     modulo pi, ``arg(z)/2`` in (-pi/2, pi/2] for z the product of its zetas.
+    It splits the gap ``c_max - refined_coherence`` into ``spectrum_gap =
+    c_max - sum sigma_k^2``, the spectrum's part (0 to rounding at a
+    vertex), and ``unitary_gap = sum sigma_k^2 - refined_coherence``, U's
+    part, and gives ``vertex_gap = 1 - |H_kk|`` for the mode k of largest
+    weight, which is 0 at the maximiser.
 
     Args:
         E: covariance trace budget (>= 2m); only E = 2m forces the vacuum,
@@ -816,17 +853,21 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
     z = [1.0 + 0j] * m  # e^{2i theta}: each column's phase turns
     v = _moduli(half_excess, weights)
     refined_c = float(_form_coherence(v, form))
+    vertex = np.count_nonzero(weights) == 1  # all squeezing on one mode (always at m = 1)
     for _ in range(_REFINE_PASSES):
+        start_c = refined_c
         scaled = (v / half_excess).tolist()
         gam, sig = scaled[:m], scaled[m:]
-        moved = False
+        turned = False
         for k in range(m):
+            if not sig[k]:  # a weightless column: its phase move is 0 (c_1 = c_2 = 0)
+                continue
             zeta, gain = _best_turn(*_phase_coefficients(rows, sig, k))
             if gain > 0.0:
                 _turn_column(rows, cols, k, zeta)
                 z[k] *= zeta
                 refined_c += unit * gain
-                moved = True
+                turned = True
         i = int(weights.argmax())
         for j in range(m):
             if j == i:
@@ -835,31 +876,46 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
             if zeta != 1.0:  # column j carries no weight, so its turn leaves c alone
                 _turn_column(rows, cols, j, zeta)
                 z[j] *= zeta
-                moved = True
+                turned = True
             zeta, gain = _best_turn(*_givens_coefficients(rows, gam, sig, i, j))
             if gain > 0.0:
                 _rotate_columns(rows, cols, i, j, zeta)
                 refined_c += unit * gain
-                moved = True
-        if moved:
-            gram, form = _gram_form(np.array(cols).T)
-            rows = gram.tolist()
-        move = _weight_move(weights, form, half_excess, refined_c)
-        if move is not None:
-            weights, refined_c = move
-            v = _moduli(half_excess, weights)
-        if not moved and move is None:
+                turned = True
+        if vertex:
+            at = _vertex_coherences(rows, half_excess)
+            k = max(range(m), key=at.__getitem__)
+            if at[k] > refined_c:
+                weights = np.zeros(m)
+                weights[k] = 1.0
+                refined_c = at[k]
+                v = _moduli(half_excess, weights)
+        else:
+            if turned:
+                gram, form = _gram_form(np.array(cols).T)
+                rows = gram.tolist()
+            move = _weight_move(weights, form, half_excess, refined_c)
+            if move is not None:
+                weights, refined_c = move
+                v = _moduli(half_excess, weights)
+                vertex = np.count_nonzero(weights) == 1
+        if not refined_c - start_c > rounding_floor(2 * m, refined_c):
             break
     u = np.array(cols).T
     arg = np.angle(z)
     theta = 0.5 * np.where(arg == -np.pi, np.pi, arg)
     sup_c = max(best_c, refined_c)
+    bound = float(v[m:] @ v[m:])  # sum sigma_k^2, the spectrum's bound on c
+    k = int(weights.argmax())
     return SearchOutcome(
         sup_c,
         {
             "trial": trial_idx,
             "sample_coherence": best_c,
             "refined_coherence": refined_c,
+            "spectrum_gap": max_symplectic_coherence(E, m) - bound,
+            "unitary_gap": bound - refined_c,
+            "vertex_gap": 1.0 - abs(rows[k][k]),
             "theta": theta.tolist(),
             "weights": weights.tolist(),
             "x": u.real.tolist(),

@@ -57,6 +57,7 @@ from sympcoh.coherence import (
     _moduli,
     _phase_argmax,
     _phase_coefficients,
+    _vertex_coherences,
 )
 from sympcoh.symplectic_ops import (
     pure_cm,
@@ -1048,26 +1049,139 @@ def test_search_makes_no_eigensolve(m, monkeypatch):
     assert outcome.argmax["refined_coherence"] > outcome.argmax["sample_coherence"]
 
 
-def test_search_builds_its_form_once_per_sweep(monkeypatch):
+def test_a_vertex_sweep_builds_no_form(monkeypatch):
     # Sampling scores V_xp directly; the refinement builds the form of H =
-    # U^T U for the best sample and then once per sweep in which U turned,
-    # never per move (each sweep makes one weight move).
-    shapes, sweeps = [], []
-    gram_form, weight_move = coherence._gram_form, coherence._weight_move
+    # U^T U for the best sample and then once per interior sweep in which U
+    # turned, never per move.  Once the weights are a vertex, each sweep's
+    # weight move is the closed form on H's diagonal: no form, no stack.
+    events, shapes = [], []
+    gram_form, weight_move, vertex = coherence._gram_form, coherence._weight_move, coherence._vertex_coherences
 
     def counting(u):
+        events.append("form")
         shapes.append(u.shape)
         return gram_form(u)
 
     def counting_move(*args):
-        sweeps.append(1)
+        events.append("grid")
         return weight_move(*args)
+
+    def counting_vertex(*args):
+        events.append("vertex")
+        return vertex(*args)
 
     monkeypatch.setattr(coherence, "_gram_form", counting)
     monkeypatch.setattr(coherence, "_weight_move", counting_move)
+    monkeypatch.setattr(coherence, "_vertex_coherences", counting_vertex)
     numeric_max_search(24.0, 4, trials=300, seed=1)
-    assert 1 < len(shapes) <= 1 + len(sweeps) <= 1 + _REFINE_PASSES
+    assert events[0] == "form" and "vertex" in events
+    first_vertex = events.index("vertex")
+    assert set(events[first_vertex:]) == {"vertex"}
+    grids = events.count("grid")
+    assert 1 < events.count("form") <= 1 + grids
+    assert 1 <= grids and grids + events.count("vertex") <= _REFINE_PASSES
     assert set(shapes) == {(4, 4)}
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_vertex_coherence_is_the_form_at_each_vertex(m):
+    # c(e_k) = h [(h + 1)(1 - x^2) + y^2] at H_kk = x + iy is the form's
+    # value at the weights e_k, on Haar unitaries with turned phases, from
+    # just above the vacuum to the largest trace whose square is finite,
+    # where it stays finite with no warning.
+    rng = np.random.default_rng(700 + m)
+    traces = [2.0 * m + excess for excess in (1e-6, 1e-3, 1.0, 1e4, 1e8, 1e150)] + [1.3e154]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for E in traces:
+            h, c_max = 0.5 * (E - 2.0 * m), max_symplectic_coherence(E, m)
+            _, xs, ys, _ = next(pure_param_blocks(31, 3, E, m, False))
+            for x, y in zip(xs, ys):
+                u = (x + 1j * y) * np.exp(0.5j * rng.uniform(-np.pi, np.pi, m))
+                gram, form = _gram_form(u)
+                got = _vertex_coherences(gram.tolist(), h)
+                want = [float(_form_coherence(_moduli(h, e), form)) for e in np.eye(m)]
+                assert all(np.isfinite(got))
+                assert_allclose(got, want, rtol=0, atol=1e-13 * c_max)
+
+
+def search_gap_panel():
+    """``(E, m, seed)`` of the gap panel (E = 4m + 8, seeds 1000-1063) and of E = 1e4 and 1e8."""
+    cases = [(4.0 * m + 8.0, m, seed) for m in (2, 4, 8) for seed in range(1000, 1064)]
+    return cases + [(E, m, seed) for E in (1e4, 1e8) for m in (2, 4, 8) for seed in range(1000, 1016)]
+
+
+def test_search_splits_its_gap_into_spectrum_and_unitary_parts():
+    # spectrum_gap = c_max - sum sigma_k^2 and unitary_gap = sum sigma_k^2 -
+    # c add up to the gap; each is >= 0 up to rounding (sum sigma_k^2 bounds
+    # c at every U, and c_max bounds it); at a vertex the spectrum part is 0.
+    # vertex_gap is 1 - |H_kk| of the reported U's mode of largest weight.
+    for E, m, seed in search_gap_panel():
+        c_max = max_symplectic_coherence(E, m)
+        floor = rounding_floor(2 * m, c_max)
+        where = numeric_max_search(E, m, trials=200, seed=seed).argmax
+        spectrum, unitary = where["spectrum_gap"], where["unitary_gap"]
+        assert abs(spectrum + unitary - (c_max - where["refined_coherence"])) <= floor
+        assert spectrum >= -floor and unitary >= -floor
+        weights = np.asarray(where["weights"])
+        if np.count_nonzero(weights) == 1:
+            assert abs(spectrum) <= floor
+        u = np.asarray(where["x"]) + 1j * np.asarray(where["y"])
+        k = int(weights.argmax())
+        assert where["vertex_gap"] == pytest.approx(1.0 - abs((u.T @ u)[k, k]), rel=0, abs=1e-13)
+
+
+def test_search_near_the_vacuum_keeps_the_interior_weight_grid():
+    # Near the vacuum an interior grid point can beat every vertex: a
+    # search that moved only between vertices read 0.985 c_max here, the
+    # grid from the sampled weights 1 - 3e-9.
+    E, m = 8.000001, 4
+    c_max = max_symplectic_coherence(E, m)
+    outcome = numeric_max_search(E, m, 50, 87)
+    assert 0.999 * c_max <= outcome.sup_c <= c_max + rounding_floor(2 * m, c_max)
+
+
+@pytest.mark.parametrize("m", [3, 4, 8, 16])
+def test_search_just_above_the_vacuum_reaches_the_maximum(m):
+    E = 2.0 * m + 1e-6
+    c_max = max_symplectic_coherence(E, m)
+    for seed in range(77, 101):
+        sup_c = numeric_max_search(E, m, 50, seed).sup_c
+        assert (1.0 - 1e-4) * c_max <= sup_c <= c_max + rounding_floor(2 * m, c_max), seed
+
+
+def test_stop_rule_keeps_many_sweeps_within_the_floor(monkeypatch):
+    # Without a stop rule, rounding-level gains carried sup_c past c_max +
+    # rounding_floor(2m, c_max) at a 32-sweep cap (in 15 of 96 searches at m =
+    # 1 and 28 at m = 2, 30 trials); a sweep that gains no more than the
+    # floor now ends the refinement.
+    monkeypatch.setattr(coherence, "_REFINE_PASSES", 32)
+    for m in (1, 2, 4):
+        for E in (2.0 * m + 1e-3, 4.0 * m + 8.0, 1e4):
+            c_max = max_symplectic_coherence(E, m)
+            for seed in range(32):
+                sup_c = numeric_max_search(E, m, 30, seed).sup_c
+                assert sup_c <= c_max + rounding_floor(2 * m, c_max), (m, E, seed)
+
+
+def test_a_converged_search_stops_before_the_cap(monkeypatch):
+    # A free turn gains nothing, so a converged search stops: at m = 2 one
+    # Givens move per sweep, and 2 or 3 sweeps where the cap allows 32.
+    monkeypatch.setattr(coherence, "_REFINE_PASSES", 32)
+    calls = []
+    givens = coherence._givens_coefficients
+
+    def counting(*args):
+        calls.append(1)
+        return givens(*args)
+
+    monkeypatch.setattr(coherence, "_givens_coefficients", counting)
+    c_max = max_symplectic_coherence(16.0, 2)
+    for seed in range(10):
+        calls.clear()
+        sup_c = numeric_max_search(16.0, 2, 200, seed).sup_c
+        assert abs(sup_c - c_max) <= rounding_floor(4, c_max)
+        assert 2 <= len(calls) <= 3, seed
 
 
 def weight_move_line_by_line(weights, form, half_excess, c0):
