@@ -162,16 +162,24 @@ class SympGate:
                 raise GateError(_NORM_OVERFLOW)
         if not is_symplectic(s):
             raise GateError("gate matrix is not symplectic (S Omega S^T != Omega)")
-        n = s.shape[0]
-        disp = np.zeros(n) if self.disp is None else np.array(self.disp, dtype=float).ravel()
-        if disp.shape[0] != n:
-            raise DimensionError(f"displacement must have length {n}, got {disp.shape[0]}")
-        if not np.isfinite(disp).all():
-            raise DimensionError("gate displacement must be finite")
-        disp.flags.writeable = False
         object.__setattr__(self, "S", s)
-        object.__setattr__(self, "disp", disp)
-        object.__setattr__(self, "m", n // 2)
+        object.__setattr__(self, "disp", _displacement(self.disp, s.shape[0], "gate"))
+        object.__setattr__(self, "m", s.shape[0] // 2)
+
+
+def _displacement(disp, n: int, owner: str) -> np.ndarray:
+    """Read-only float copy of the length-n displacement ``disp`` (zeros if ``None``).
+
+    The one displacement check of gates and channels: a wrong length or a
+    non-finite entry raises ``DimensionError`` naming ``owner``.
+    """
+    d = np.zeros(n) if disp is None else np.array(disp, dtype=float).ravel()
+    if d.shape[0] != n:
+        raise DimensionError(f"{owner} displacement must have length {n}, got {d.shape[0]}")
+    if not np.isfinite(d).all():
+        raise DimensionError(f"{owner} displacement must be finite")
+    d.flags.writeable = False
+    return d
 
 
 def _check_mode(m: int, mode: int) -> None:
@@ -263,9 +271,7 @@ def apply(gate: SympGate, state: GaussianState) -> GaussianState:
         NumericError: if ``S V S^T`` or ``S d + disp`` overflows float64.
     """
     if gate.m != state.m:
-        raise DimensionError(
-            f"gate acts on {gate.m} modes but state has {state.m}"
-        )
+        raise DimensionError(f"gate acts on {gate.m} modes but state has {state.m}")
     with np.errstate(over="ignore", invalid="ignore"):
         v = _require_finite(gate.S @ state.cov.matrix @ gate.S.T, "gate output S V S^T")
         d = _require_finite(gate.S @ state.d + gate.disp, "gate output S d + disp")
@@ -351,9 +357,7 @@ def partial_trace(state: GaussianState, keep: Sequence[int]) -> GaussianState:
     if not keep or any(not 1 <= k <= m for k in keep) or len(set(keep)) != len(keep):
         raise DimensionError(f"kept modes must be distinct indices in 1..{m}")
     idx = _mode_rows(m, np.array([k - 1 for k in keep]))
-    return GaussianState(
-        CovMat(state.cov.matrix[np.ix_(idx, idx)]), state.d[idx]
-    )
+    return GaussianState(CovMat(state.cov.matrix[np.ix_(idx, idx)]), state.d[idx])
 
 
 def beamsplitter_orthogonal(eta: float) -> np.ndarray:
@@ -371,17 +375,29 @@ def beamsplitter_orthogonal(eta: float) -> np.ndarray:
 class StinespringChannel:
     """Dilated free channel: tensor a free environment, rotate, displace, trace.
 
-    Construction checks every part and builds the dilation gate
-    ``diag(O, O)`` plus ``d`` once; each fault raises an error that names the
-    channel.
+    With the m input modes first and the k environment modes after them,
+    split ``O = [[O_ss, O_se], [O_es, O_ee]]`` into blocks of m and k rows
+    and columns.  The rotation sends the input's positions to ``O_ss q +
+    O_se q_env`` and its momenta to ``O_ss p + O_se p_env``, and the trace
+    keeps just those rows.  The environment has zero first moments and no
+    correlation with the input, so the channel is the m-mode pair
+    ``V -> X V X^T + Y``, ``d -> X d + disp`` with ``X = diag(O_ss, O_ss)``,
+    ``Y = B V_env B^T``, ``B = diag(O_se, O_se)``, and ``disp`` the kept
+    modes' rows of ``d`` (Serafini, Quantum Continuous Variables, 2017,
+    ch. 5).  Construction checks every part and computes X, Y and disp once;
+    each fault raises an error that names the channel.
 
     Attributes:
         o: (m+k) x (m+k) orthogonal matrix applied as ``diag(O, O)``, with
-            m >= 1 (else ``DimensionError``; ``GateError`` if not orthogonal).
+            m >= 1 (else ``DimensionError``; ``GateError`` if not orthogonal);
+            a read-only float copy.
         env: covariance matrix of a valid k-mode free state (``is_free``),
             else construction raises ``GateError``.
-        d: optional finite length-2(m+k) displacement applied after the
-            rotation (else ``DimensionError``).
+        d: finite length-2(m+k) displacement applied after the rotation (else
+            ``DimensionError``); a read-only float copy, zeros if omitted.
+
+    Raises:
+        NumericError: if ``Y`` overflows float64.
     """
 
     o: np.ndarray
@@ -389,38 +405,49 @@ class StinespringChannel:
     d: np.ndarray = None
 
     def __post_init__(self):
-        env = self.env
-        if env.violations:
-            names = ", ".join(v.name for v in env.violations)
+        if self.env.violations:
+            names = ", ".join(v.name for v in self.env.violations)
             raise GateError(f"Stinespring environment is not a valid state: violates {names}")
-        if not is_free(env):
+        if not is_free(self.env):
             raise GateError("Stinespring environment is not free (nonzero position-momentum block)")
-        o = np.asarray(self.o, dtype=float)
-        if o.ndim != 2 or o.shape[0] != o.shape[1] or o.shape[0] <= env.m:
+        o = np.array(self.o, dtype=float)
+        if o.ndim != 2 or o.shape[0] != o.shape[1] or o.shape[0] <= self.env.m:
             raise DimensionError(
-                f"Stinespring o must be n x n with n > {env.m}, the environment's mode count; "
-                f"got shape {o.shape}"
+                f"Stinespring o must be n x n with n > {self.env.m}, the environment's mode count; got shape {o.shape}"
             )
         if not is_orthogonal(o):
             raise GateError("Stinespring o is not orthogonal (O O^T != I)")
-        n = 2 * o.shape[0]
-        d = np.zeros(n) if self.d is None else np.array(self.d, dtype=float).ravel()
-        if d.shape[0] != n:
-            raise DimensionError(f"Stinespring displacement must have length {n}, got {d.shape[0]}")
-        if not np.isfinite(d).all():
-            raise DimensionError("Stinespring displacement must be finite")
-        object.__setattr__(self, "_gate", SympGate(_passive_matrix(o, np.zeros_like(o)), d))
+        o.flags.writeable = False
+        n, m = o.shape[0], o.shape[0] - self.env.m
+        d = _displacement(self.d, 2 * n, "Stinespring")
+        x, b = (_passive_matrix(block, np.zeros_like(block)) for block in (o[:m, :m], o[:m, m:]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = _require_finite(b @ self.env.matrix @ b.T, "Stinespring environment term B V_env B^T")
+        object.__setattr__(self, "o", o)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "_action", (x, y, d[_mode_rows(n, np.arange(m))]))
 
     def apply_to(self, state: GaussianState) -> GaussianState:
-        """The output state on the first m modes of the m-mode input ``state``."""
-        m = self._gate.m - self.env.m
+        """The output state on the first m modes of the m-mode input ``state``.
+
+        The steps of :func:`apply` with ``(X, Y, disp)`` in place of the
+        gate: the products, taken with overflow ignored and checked, then
+        :func:`symmetric_part` and one m-mode validation.
+
+        Raises:
+            NumericError: if ``X V X^T + Y`` or ``X d + disp`` overflows float64.
+        """
+        x, y, disp = self._action
+        m = x.shape[0] // 2
         if state.m != m:
             raise DimensionError(
-                f"Stinespring channel acts on {m}-mode inputs ({self._gate.m} modes of o, "
+                f"Stinespring channel acts on {m}-mode inputs ({self.o.shape[0]} modes of o, "
                 f"{self.env.m} of them the environment's), but the state has {state.m}"
             )
-        rotated = apply(self._gate, tensor_states(state, GaussianState(self.env)))
-        return partial_trace(rotated, range(1, m + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = _require_finite(x @ state.cov.matrix @ x.T + y, "Stinespring output X V X^T + Y")
+            d = _require_finite(x @ state.d + disp, "Stinespring output X d + disp")
+        return GaussianState(require_valid(CovMat(symmetric_part(v))), d)
 
 
 # ---------------------------------------------------------------------------

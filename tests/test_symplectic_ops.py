@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -593,7 +594,10 @@ def test_stinespring_apply_reruns_no_construction_check(monkeypatch, rng):
     def rerun(*args):
         raise AssertionError("a construction check ran again")
 
-    for name in ("is_free", "is_orthogonal", "is_symplectic", "block_orthogonal", "passive_from_unitary"):
+    for name in (
+        "is_free", "is_orthogonal", "is_symplectic", "block_orthogonal", "passive_from_unitary",
+        "tensor_states", "partial_trace", "apply", "SympGate",
+    ):
         monkeypatch.setattr(symplectic_ops, name, rerun)
     state = GaussianState(random_valid_cov(rng, 1))
     for _ in range(3):
@@ -612,6 +616,93 @@ def test_stinespring_displacement_lands_on_the_kept_modes():
     assert not symplectic_ops.is_orthogonal(np.ones(4))
     assert not is_symplectic(np.eye(3))
     assert not is_symplectic(np.ones((2, 4)))
+
+
+def _dilation_detour(channel, state):
+    """The dilation taken literally: tensor the environment, rotate and displace, trace it out."""
+    gate = SympGate(block_orthogonal(channel.o).S, channel.d)
+    joint = apply(gate, tensor_states(state, GaussianState(channel.env)))
+    return partial_trace(joint, range(1, state.m + 1))
+
+
+def _environment(kind, k, rng):
+    if kind == "vacuum":
+        return vacuum_state(k).cov
+    if kind == "thermal":
+        return CovMat(np.diag(np.tile(1.0 + rng.exponential(3.0, size=k), 2)))
+    return ensembles.sample_pure_cm(2 * k + float(rng.uniform(0.5, 20.0)), k, "orthogonal", rng)
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("env_kind", ["vacuum", "thermal", "orthogonal"])
+def test_stinespring_matches_the_dilation_detour(m, k, env_kind, monkeypatch, rng):
+    cases = []
+    for trace in (2 * m + 1, 1e2, 1e4, 1e8):
+        env = _environment(env_kind, k, rng)
+        cov = ensembles.sample_pure_cm(trace, m, "unitary", rng)
+        state = GaussianState(cov, math.sqrt(trace) * rng.normal(size=2 * m))
+        channel = StinespringChannel(haar_orthogonal(m + k, rng), env, rng.normal(size=2 * (m + k)))
+        cases.append((channel, state, _dilation_detour(channel, state)))
+
+    def detour(*args):
+        raise AssertionError("the channel built a joint state, gate or partial trace")
+
+    for name in ("tensor_states", "partial_trace", "apply", "SympGate"):
+        monkeypatch.setattr(symplectic_ops, name, detour)
+    for channel, state, ref in cases:
+        out = channel.apply_to(state)
+        n = 2 * (m + k)
+        cov_floor = rounding_floor(n, state.cov.trace + channel.env.trace)
+        assert np.max(np.abs(out.cov.matrix - ref.cov.matrix)) <= cov_floor
+        # X d and the joint S d sum the same products, but BLAS may group them
+        # differently for rows of 2m and of 2(m+k) entries.
+        d_floor = rounding_floor(n, np.abs(state.d).sum() + np.abs(channel.d).sum())
+        assert np.max(np.abs(out.d - ref.d)) <= d_floor
+
+
+def test_stinespring_output_past_the_joint_trace_range():
+    # The joint state of input and environment has trace 3.2e308, past the
+    # float range; the channel never forms it, and its output is finite.
+    big = CovMat(8e307 * np.eye(2))
+    channel = StinespringChannel(beamsplitter_orthogonal(0.5), big)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = channel.apply_to(GaussianState(big))
+    assert np.max(np.abs(out.cov.matrix - 8e307 * np.eye(2))) <= rounding_floor(4, 8e307)
+    assert_array_equal(out.d, [0.0, 0.0])
+
+
+def test_stinespring_names_an_environment_term_past_the_float_range():
+    # A valid free environment of trace just below the float maximum whose
+    # position block is nearly all along (1, 1): B V_env B^T sends that whole
+    # variance to the kept mode and rounds past the float range.
+    a = sys.float_info.max / 2 - 2
+    env = CovMat(np.array([[a, a, 0, 0], [a, a, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1.0]]))
+    assert not env.violations and is_free(env)
+    s = math.sqrt(0.5)
+    o = np.array([[0.0, s, s], [0.0, s, -s], [1.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=r"Stinespring environment term B V_env B\^T overflows"):
+            StinespringChannel(o, env)
+
+
+def test_stinespring_keeps_copies_of_its_arrays(rng):
+    o, d = beamsplitter_orthogonal(0.5), np.zeros(4)
+    channel = StinespringChannel(o, vacuum_state(1).cov, d)
+    state = GaussianState(random_valid_cov(rng, 1), rng.normal(size=2))
+    before = channel.apply_to(state)
+    o[:] = np.eye(2)
+    d[0] = 5.0
+    assert_array_equal(channel.o, beamsplitter_orthogonal(0.5))
+    assert_array_equal(channel.d, np.zeros(4))
+    after = channel.apply_to(state)
+    assert_array_equal(after.cov.matrix, before.cov.matrix)
+    assert_array_equal(after.d, before.d)
+    for attr in (channel.o, channel.d):
+        with pytest.raises(ValueError, match="read-only"):
+            attr[0] = 1.0
 
 
 def test_loss_scales_coherence_quadratically(rng):
