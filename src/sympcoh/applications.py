@@ -17,7 +17,7 @@ import numpy as np
 
 from .coherence import max_symplectic_coherence
 from .gaussian_core import CovMat, DimensionError, GaussianState, NumericError, _gap_exceeds_floor, is_pure
-from .symplectic_ops import BLOCK_ENTRIES, _require_int, mc_blocks, require_transmissivity
+from .symplectic_ops import BLOCK_ENTRIES, _require_count, _require_int, mc_blocks, require_transmissivity
 
 WILSON_Z = 1.96  #: normal quantile of the 95% Wilson-score bound on the error rate
 
@@ -61,11 +61,13 @@ def _moment_gaps(E1: float, E2: float, c1: float, c2: float, cap: float, m: int)
 
     Raises:
         ValueError: unless the traces E_i, the coherences c_i and the bound's
-            energy cap are nonnegative and finite (so also for NaN), and m >= 1.
+            energy cap are nonnegative and finite (so also for NaN), and m is a
+            count (``_require_count``).
     """
-    if not all(0.0 <= x < math.inf for x in (E1, E2, c1, c2, cap)) or not m >= 1:
+    _require_count("m", m)
+    if not all(0.0 <= x < math.inf for x in (E1, E2, c1, c2, cap)):
         raise ValueError(
-            "traces, coherences and energy cap must be nonnegative and finite with m >= 1, "
+            "traces, coherences and energy cap must be nonnegative and finite, "
             f"got E1={E1}, E2={E2}, c1={c1}, c2={c2}, cap={cap}, m={m}"
         )
     return E1 - E2, math.sqrt(c1) - math.sqrt(c2)
@@ -81,7 +83,7 @@ def td_lower_bound_gaussian(
     supplied energy cap; the value never exceeds 1/200.
 
     Raises:
-        ValueError: on a negative, infinite or NaN input, or m < 1.
+        ValueError: on a negative, infinite or NaN input, or an m that is not a count.
     """
     trace_gap, root_gap = _moment_gaps(E1, E2, c1, c2, E_cap, m)
     gap_sq = trace_gap * trace_gap / (2.0 * m) + 2.0 * root_gap * root_gap
@@ -102,7 +104,8 @@ def td_lower_bound_general(
 
     Raises:
         ValueError: on a negative, infinite or NaN input, on
-            ``E_tilde_sq = 0`` (the bound divides by it), or m < 1.
+            ``E_tilde_sq = 0`` (the bound divides by it), or an m that is
+            not a count.
         NumericError: if the bound is past the float range.
     """
     trace_gap, root_gap = _moment_gaps(E1, E2, c1, c2, E_tilde_sq, m)
@@ -130,7 +133,7 @@ def helstrom_lower_bound_loss(E: float, m: int, eta: float, c: float) -> float:
 
     Raises:
         ValueError: unless ``0 <= eta <= 1``, E and c are nonnegative and
-            finite (so also for NaN), and m >= 1.
+            finite (so also for NaN), and m is a count (``_require_count``).
     """
     require_transmissivity(eta)
     loss_trace = eta * E + (1.0 - eta) * 2.0 * m
@@ -170,7 +173,11 @@ def meas_moments(state: GaussianState, channel) -> tuple[float, float]:
 
 
 def energy_offset(m: int, E: float) -> float:
-    """Variance budget term ``1 + (E/2 - (m-1))^2`` used by the thresholds (inf past the float range)."""
+    """Variance budget term ``1 + (E/2 - (m-1))^2`` used by the thresholds (inf past the float range).
+
+    Raises ``ValueError`` unless m is a count (``_require_count``).
+    """
+    _require_count("m", m)
     half = E / 2.0 - (m - 1)
     return 1.0 + half * half
 
@@ -349,7 +356,7 @@ def wilson_upper(failures: int, trials: int) -> float:
     return (center + margin) / denom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscriminationConfig:
     """Monte-Carlo setup for the two-channel discrimination protocol.
 
@@ -380,10 +387,9 @@ class DiscriminationConfig:
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
-        for name in ("n_samples", "trials", "seed"):
-            _require_int(name, getattr(self, name))
-        if self.n_samples < 1 or self.trials < 1:
-            raise ValueError("n_samples and trials must be >= 1")
+        _require_count("n_samples", self.n_samples)
+        _require_count("trials", self.trials)
+        _require_int("seed", self.seed)
         if len(self.channels) != 2:
             raise ValueError("exactly two candidate channels are required")
         if self.probe.d.any():

@@ -23,6 +23,7 @@ from .gaussian_core import (
 )
 from .symplectic_ops import (
     SympGate,
+    _require_count,
     _require_int,
     apply,
     block_samples,
@@ -63,7 +64,7 @@ def closest_free_cm(cov: CovMat) -> CovMat:
     return CovMat._adopt(out, cov._peak)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherenceReport:
     """Coherence value together with its distance interpretation.
 
@@ -100,7 +101,7 @@ def max_symplectic_coherence(E: float, m: int) -> float:
     ``(E - 2m)^2 / 4 + (E - 2m)``.
 
     Raises:
-        ValueError: unless m >= 1 and 2m <= E with E^2 finite.
+        ValueError: unless m is a count and 2m <= E with E^2 finite.
     """
     require_budget(E, m)
     excess = E - 2.0 * m
@@ -111,7 +112,7 @@ def msc_squeezing(E: float, m: int) -> float:
     """Squeezing parameter of the canonical maximally correlated state.
 
     Solves ``e^{2r} + e^{-2r} = E - 2(m-1)`` with r >= 0.  Raises
-    ``ValueError`` unless m >= 1 and 2m <= E with E^2 finite.
+    ``ValueError`` unless m is a count and 2m <= E with E^2 finite.
     """
     require_budget(E, m)
     return 0.5 * float(np.arccosh((E - 2.0 * (m - 1)) / 2.0))
@@ -128,7 +129,7 @@ def msc_canonical(E: float, m: int) -> GaussianState:
     at E = 1e3 and 1.7e-7 at 1e5, and ``nu`` is about 5.5e3 at 1e12.
 
     Raises:
-        ValueError: unless m >= 1 and 2m <= E with E^2 finite.
+        ValueError: unless m is a count and 2m <= E with E^2 finite.
     """
     r = msc_squeezing(E, m)
     a, b = float(np.cosh(2.0 * r)), -float(np.sinh(2.0 * r))
@@ -144,7 +145,7 @@ def msc_canonical(E: float, m: int) -> GaussianState:
     return GaussianState(CovMat(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MscSpec:
     """Parameters of a maximal-coherence pure-state construction.
 
@@ -210,7 +211,7 @@ def msc_from_spec(spec: MscSpec) -> GaussianState:
     return GaussianState(CovMat(pure_cm(x, y, d)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MembershipReport:
     """Residuals of the maximal-coherence membership conditions.
 
@@ -334,12 +335,11 @@ def trace_distance_cov_bound(E_cap: float, m: int, trace_dist: float) -> float:
 
     Raises:
         ValueError: unless ``E_cap`` and ``trace_dist`` are nonnegative and
-            finite (so also for NaN) and m >= 1.
+            finite (so also for NaN) and m is a count (``_require_count``).
     """
-    if not (0.0 <= E_cap < math.inf and 0.0 <= trace_dist < math.inf and m >= 1):
-        raise ValueError(
-            f"arguments must be nonnegative and finite with m >= 1, got {(E_cap, m, trace_dist)}"
-        )
+    _require_count("m", m)
+    if not (0.0 <= E_cap < math.inf and 0.0 <= trace_dist < math.inf):
+        raise ValueError(f"arguments must be nonnegative and finite, got {(E_cap, m, trace_dist)}")
     return float(40.0 * E_cap * np.sqrt(m * trace_dist))
 
 
@@ -833,11 +833,9 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
     Returns:
         Best coherence found and a description of where it occurred.
     """
-    for name, value in (("m", m), ("trials", trials), ("seed", seed)):
-        _require_int(name, value)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     require_budget(E, m)
+    _require_count("trials", trials)
+    _require_int("seed", seed)
     if E == 2.0 * m:
         return SearchOutcome(0.0, {"trial": -1, "note": "trace budget forces vacuum"})
 

@@ -23,7 +23,7 @@ import numpy as np
 from .gaussian_core import CovMat, _as_cm_array, _frobenius_sq, is_free, require_valid, rounding_floor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscordImage:
     """Unit-trace virtual density matrix obtained from a covariance matrix.
 

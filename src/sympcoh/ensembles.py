@@ -16,6 +16,7 @@ import numpy as np
 
 from .gaussian_core import CovMat
 from .symplectic_ops import (
+    _require_count,
     _require_int,
     block_samples,
     ginibre_batch,
@@ -73,11 +74,9 @@ class EnsembleConfig:
 
     def __post_init__(self):
         _require_kind(self.kind)
-        for name in ("m", "n_samples", "seed"):
-            _require_int(name, getattr(self, name))
         require_budget(self.E, self.m)
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
+        _require_count("n_samples", self.n_samples)
+        _require_int("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def sample_pure_cm(E: float, m: int, kind: str, rng: np.random.Generator) -> Cov
     The draw is ``symplectic_ops.pure_draw`` for one sample from ``rng``.
     The orthogonal kind has a structurally zero position-momentum block, so
     its samples carry no position-momentum correlations at all.
-    Raises ``ValueError`` for a kind not in ``KINDS``, or unless m >= 1 and
+    Raises ``ValueError`` for a kind not in ``KINDS``, or unless m is a count and
     2m <= E with E^2 finite.
     """
     _require_kind(kind)

@@ -215,7 +215,7 @@ class Violation(NamedTuple):
     magnitude: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovMat:
     """A candidate covariance matrix in qqpp ordering.
 
@@ -367,7 +367,7 @@ class CovMat:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianState:
     """A Gaussian state: covariance matrix plus first-moment vector.
 

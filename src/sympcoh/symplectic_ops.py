@@ -44,14 +44,30 @@ _NORM_OVERFLOW = "squared norm of the gate matrix overflows float64"
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _require_int(name: str, value) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is a Python or numpy integer, not a bool.
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, not a bool: the one integer rule."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
-    For the counts, seeds and mode counts of the Monte-Carlo drivers: a float
-    such as 1.5 would otherwise be cut to the stream of another seed.
+
+def _require_int(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer (``_is_int``).
+
+    For seeds and mode indices, and through :func:`_require_count` for every
+    count: a float such as 1.5 would otherwise be cut to the stream of
+    another seed, or index the wrong row.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_int(value):
         raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+
+
+def _require_count(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer (``_require_int``) and >= 1.
+
+    The one count rule: mode counts, sample counts and trial counts.
+    """
+    _require_int(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def derive_rng(seed: int, index: int) -> np.random.Generator:
@@ -141,7 +157,7 @@ def is_symplectic(s: np.ndarray) -> bool:
     return _product_residual_within_floor(s, symplectic_form(s.shape[0] // 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SympGate:
     """A symplectic matrix plus displacement, acting on m modes.
 
@@ -183,6 +199,7 @@ def _displacement(disp, n: int, owner: str) -> np.ndarray:
 
 
 def _check_mode(m: int, mode: int) -> None:
+    _require_int("mode", mode)
     if not 1 <= mode <= m:
         raise GateError(f"mode index {mode} out of range 1..{m}")
 
@@ -260,22 +277,35 @@ def compose(outer: SympGate, inner: SympGate) -> SympGate:
     return SympGate(outer.S @ inner.S, outer.S @ inner.disp + outer.disp)
 
 
+def _gaussian_action(state: GaussianState, x: np.ndarray, y, disp: np.ndarray, labels) -> GaussianState:
+    """``V -> symmetric_part(X V X^T + Y)``, ``d -> X d + disp``, revalidated; no ``+ Y`` if ``y`` is None.
+
+    The one Gaussian-channel rule of the package (Serafini, Quantum
+    Continuous Variables, 2017, ch. 5): a gate is ``X = S`` with no ``Y``,
+    a dilated channel ``X = diag(O_ss, O_ss)`` with its environment term.
+    The inputs are finite, so an output entry past the float range is an
+    overflow; the products are taken with overflow ignored and checked, so
+    no warning precedes the ``NumericError``, which names the covariance or
+    first-moment output by its entry of ``labels``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = x @ state.cov.matrix @ x.T
+        v = _require_finite(v if y is None else v + y, labels[0])
+        d = _require_finite(x @ state.d + disp, labels[1])
+    return GaussianState(require_valid(CovMat(symmetric_part(v))), d)
+
+
 def apply(gate: SympGate, state: GaussianState) -> GaussianState:
     """Apply a gate: ``V -> symmetric_part(S V S^T)``, ``d -> S d + disp``; revalidates output.
 
-    The one ``S V S^T`` rule of the package.  Its inputs are finite, so an
-    output entry past the float range is an overflow; the products are taken
-    with overflow ignored and checked, so no warning precedes the error.
+    :func:`_gaussian_action` with ``X = S`` and no ``Y``.
 
     Raises:
         NumericError: if ``S V S^T`` or ``S d + disp`` overflows float64.
     """
     if gate.m != state.m:
         raise DimensionError(f"gate acts on {gate.m} modes but state has {state.m}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = _require_finite(gate.S @ state.cov.matrix @ gate.S.T, "gate output S V S^T")
-        d = _require_finite(gate.S @ state.d + gate.disp, "gate output S d + disp")
-    return GaussianState(require_valid(CovMat(symmetric_part(v))), d)
+    return _gaussian_action(state, gate.S, None, gate.disp, ("gate output S V S^T", "gate output S d + disp"))
 
 
 def require_transmissivity(eta: float) -> None:
@@ -351,10 +381,10 @@ def tensor_cm(a: CovMat, b: CovMat) -> CovMat:
 
 
 def partial_trace(state: GaussianState, keep: Sequence[int]) -> GaussianState:
-    """Keep a subset of modes (1-based indices) by row/column selection."""
+    """Keep a subset of modes (1-based integer indices, ``_is_int``) by row/column selection."""
     m = state.m
     keep = list(keep)
-    if not keep or any(not 1 <= k <= m for k in keep) or len(set(keep)) != len(keep):
+    if not keep or any(not _is_int(k) or not 1 <= k <= m for k in keep) or len(set(keep)) != len(keep):
         raise DimensionError(f"kept modes must be distinct indices in 1..{m}")
     idx = _mode_rows(m, np.array([k - 1 for k in keep]))
     return GaussianState(CovMat(state.cov.matrix[np.ix_(idx, idx)]), state.d[idx])
@@ -371,7 +401,7 @@ def beamsplitter_orthogonal(eta: float) -> np.ndarray:
     return np.array([[root_t, root_r], [-root_r, root_t]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StinespringChannel:
     """Dilated free channel: tensor a free environment, rotate, displace, trace.
 
@@ -430,9 +460,7 @@ class StinespringChannel:
     def apply_to(self, state: GaussianState) -> GaussianState:
         """The output state on the first m modes of the m-mode input ``state``.
 
-        The steps of :func:`apply` with ``(X, Y, disp)`` in place of the
-        gate: the products, taken with overflow ignored and checked, then
-        :func:`symmetric_part` and one m-mode validation.
+        :func:`_gaussian_action` with the channel's ``(X, Y, disp)``.
 
         Raises:
             NumericError: if ``X V X^T + Y`` or ``X d + disp`` overflows float64.
@@ -444,10 +472,7 @@ class StinespringChannel:
                 f"Stinespring channel acts on {m}-mode inputs ({self.o.shape[0]} modes of o, "
                 f"{self.env.m} of them the environment's), but the state has {state.m}"
             )
-        with np.errstate(over="ignore", invalid="ignore"):
-            v = _require_finite(x @ state.cov.matrix @ x.T + y, "Stinespring output X V X^T + Y")
-            d = _require_finite(x @ state.d + disp, "Stinespring output X d + disp")
-        return GaussianState(require_valid(CovMat(symmetric_part(v))), d)
+        return _gaussian_action(state, x, y, disp, ("Stinespring output X V X^T + Y", "Stinespring output X d + disp"))
 
 
 # ---------------------------------------------------------------------------
@@ -469,9 +494,8 @@ def block_samples(m: int) -> int:
 
 
 def require_budget(E: float, m: int) -> None:
-    """Raise ``ValueError`` unless ``m >= 1`` and ``2m <= E`` with ``E^2`` finite."""
-    if m < 1:
-        raise ValueError(f"mode count must be >= 1, got {m}")
+    """Raise ``ValueError`` unless the mode count m is a count (``_require_count``) and ``2m <= E`` with ``E^2`` finite."""
+    _require_count("m", m)
     if not (2 * m <= E and E * E < np.inf):
         raise ValueError(f"covariance trace must be >= 2m with E^2 finite, got E={E}, m={m}")
 
@@ -513,7 +537,7 @@ def sample_d_batch(E: float, m: int, n: int, rng: np.random.Generator) -> np.nda
     ``w = g^2 / sum(g^2)``, so ``sum w_i = 1``.  A row of zeros (probability
     zero) is redrawn from the same generator, which keeps the draw
     deterministic and free of NaN.
-    Raises ``ValueError`` unless m >= 1 and 2m <= E with E^2 finite.
+    Raises ``ValueError`` unless m is a count and 2m <= E with E^2 finite.
     """
     require_budget(E, m)
     g = rng.standard_normal((n, m))
