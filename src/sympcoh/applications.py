@@ -16,8 +16,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .coherence import max_symplectic_coherence
-from .gaussian_core import CovMat, DimensionError, GaussianState, NumericError, _gap_exceeds_floor, is_pure
-from .symplectic_ops import BLOCK_ENTRIES, _require_count, _require_int, mc_blocks, require_transmissivity
+from .gaussian_core import (
+    CovMat, DimensionError, GaussianState, NumericError, _gap_exceeds_floor, _require_count, _require_int, is_pure,
+)
+from .symplectic_ops import BLOCK_ENTRIES, mc_blocks, require_transmissivity
 
 WILSON_Z = 1.96  #: normal quantile of the 95% Wilson-score bound on the error rate
 

@@ -18,13 +18,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .gaussian_core import (
-    CovMat, DimensionError, GaussianState, _frobenius_sq, _gap_exceeds_floor, is_pure,
-    require_valid, rounding_floor,
+    CovMat, DimensionError, GaussianState, _EPS, _frobenius_sq, _gap_exceeds_floor, _require_count, _require_int,
+    is_pure, require_valid, rounding_floor,
 )
 from .symplectic_ops import (
     SympGate,
-    _require_count,
-    _require_int,
     apply,
     block_samples,
     haar_from_ginibre,
@@ -387,221 +385,12 @@ class SearchOutcome(NamedTuple):
     argmax: dict
 
 
-def _gram_form(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``H = U^T U`` of a passive unitary U (phases absorbed) and its form ``I - diag(|H|^2, Re(H o H))``.
-
-    The form is (2m, 2m), block diagonal, and ``_form_coherence`` reads the
-    coherence from it; ``I - |H|^2`` has zero row sums, since ``|H|^2`` is
-    doubly stochastic.
-    """
-    gram = u.T @ u
-    m = len(gram)
-    re_sq, im_sq = gram.real * gram.real, gram.imag * gram.imag
-    form = np.eye(2 * m)
-    form[:m, :m] -= re_sq + im_sq
-    form[m:, m:] -= re_sq - im_sq
-    return gram, form
-
-
-def _form_coherence(v: np.ndarray, form: np.ndarray) -> np.ndarray:
-    """Coherence of pure states of one passive unitary, for stacked moduli ``v = (gamma, sigma)`` (..., 2m).
-
-    ``1/2 v^T F v`` for the form F of ``_gram_form``, which is
-    ``1/2 [sum(gamma^2 + sigma^2) - gamma^T |H|^2 gamma - sigma^T Re(H o H)
-    sigma]`` (the identity of ``numeric_max_search``).
-    """
-    return 0.5 * np.einsum("...i,...i->...", v @ form, v)
-
-
-def _phase_argmax(c1: complex, c2: complex) -> complex:
-    """Point z of the unit circle where ``Re(c1 z + c2 z^2)`` is largest, on Python scalars.
-
-    With ``z = rho xi``, ``rho^2 = conj(c2)/|c2|``, and ``xi = x + iy``, the
-    problem is to maximise ``q x^2 + a x + b y`` on ``x^2 + y^2 = 1``, where
-    ``q = 2|c2|`` and ``a - ib = c1 rho`` (a constant ``-|c2|`` dropped): a
-    two-dimensional trust-region subproblem (More and Sorensen, SIAM J. Sci.
-    Stat. Comput. 4, 553 (1983)).  Its global maximiser is ``x = a/(2u)``,
-    ``y = b/(2(q + u))`` at the unique root ``u > 0`` of ``x^2 + y^2 = 1``,
-    except in the hard case ``a = 0``, ``|b| <= 2q``, where ``y = b/(2q)``.
-    The inputs are scaled by ``max(|c1|, |c2|)`` first, so no ratio of the
-    two overflows or underflows.  z = 1 wins ties, so a move that gains
-    nothing stays where it is.
-    """
-    if c2 == 0:  # an unsqueezed mode (sigma = 0), or q = 0: at most linear in z
-        return c1.conjugate() / abs(c1) if c1 else 1.0 + 0j
-    size = abs(c2)
-    scale = max(abs(c1), size)
-    q = 2.0 * size / scale
-    rho = (c2.conjugate() / size) ** 0.5
-    g = c1 / scale * rho
-    a, b = g.real, -g.imag
-    # x^2 <= 1 and y^2 <= 1 bound the root below, x^2 + y^2 <= (a^2 + b^2)/(4u^2) above.
-    lo, hi = max(0.5 * abs(a), 0.5 * abs(b) - q), 0.5 * math.hypot(a, b)
-    if lo == 0.0:  # the hard case: a = 0 (to underflow) and |b| <= 2q
-        y = b / (q + q)
-        x = math.copysign(math.sqrt(1.0 - y * y), a)
-    else:
-        # Newton on 1/|(x, y)| = 1, which is concave and increasing in u, so
-        # from lo its steps rise to the root; a step that leaves (lo, hi) or
-        # is not below half the one before the last is replaced by halving
-        # the bracket, geometrically while it spans more than a factor 2.
-        u = lo
-        older = last = hi - lo  # the steps before the last, and the last
-        while True:
-            x, y = a / (u + u), b / (2.0 * (q + u))
-            n2 = x * x + y * y
-            if n2 > 1.0:
-                lo = u
-            elif n2 < 1.0:
-                hi = u
-            else:
-                break
-            step = n2 * (math.sqrt(n2) - 1.0) / (x * x / u + y * y / (q + u))
-            if u + step == u:
-                break
-            if lo < u + step < hi and abs(step) <= 0.5 * older:
-                nxt = u + step
-            else:
-                nxt = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
-                if not lo < nxt < hi:
-                    break
-            older, last = last, abs(nxt - u)
-            u = nxt
-    zeta = rho * complex(x, y)
-    zeta /= abs(zeta)
-    if (c1 * zeta + c2 * zeta * zeta).real > (c1 + c2).real:
-        return zeta
-    return 1.0 + 0j
-
-
-def _best_turn(c1: complex, c2: complex) -> tuple[complex, float]:
-    """``(zeta, gain)``: the best turn zeta of ``Re(c1 (zeta - 1) + c2 (zeta^2 - 1))`` and its value there."""
-    zeta = _phase_argmax(c1, c2)
-    return zeta, (c1 * (zeta - 1.0) + c2 * (zeta * zeta - 1.0)).real
-
-
-def _phase_coefficients(rows: list[list[complex]], sig: list[float], k: int) -> tuple[complex, complex]:
-    """``(c_1, c_2)`` of turning column k of U by ``e^{i theta}``, ``zeta = e^{2i theta}``, on Python scalars.
-
-    ``c_1 = -sig_k sum_{l != k} sig_l H_kl^2`` and ``c_2 = -sig_k^2 H_kk^2 / 2``,
-    from row k of H (``rows``) and the moduli ``sig`` in any common unit.
-    """
-    row, sk = rows[k], sig[k]
-    c2 = -0.5 * (sk * sk * (row[k] * row[k]))
-    return -(sk * sum(s * h * h for s, h in zip(sig, row))) - 2.0 * c2, c2
-
-
-def _givens_coefficients(
-    rows: list[list[complex]], gam: list[float], sig: list[float], i: int, j: int
-) -> tuple[complex, complex]:
-    """``(c_1, c_2)`` of turning columns i and j of U by a real rotation, on Python scalars.
-
-    ``H -> R^T H R`` for the rotation R by phi of columns (i, j) changes
-    ``_form_coherence`` by ``Re(c_1 (zeta - 1) + c_2 (zeta^2 - 1))``, ``zeta =
-    e^{2i phi}`` (the proof is in ``numeric_max_search``), at the moduli
-    ``gam`` and ``sig`` in any common unit; ``rows`` is H.  With ``T(a, b) =
-    (a - ib) conj(a + ib)`` and ``S(a, b) = ((a - ib)^2 + conj(a + ib)^2)/2``
-    the other modes k give ``t = sum_k gam_k T(H_ki, H_kj)`` and ``s = sum_k
-    sig_k S(H_ki, H_kj)``; the block ``[[p, r], [r, q]]`` of (i, j) gives, with
-    ``mu = (p + q)/2``, ``delta = (p - q)/2`` and ``A(x) = Re(x delta) - i Re(x
-    r)``,
-
-        c_1 = -1/2 [(gam_i - gam_j)(t + 2 (gam_i + gam_j) A(conj(mu)))
-                    + (sig_i - sig_j)(s + 2 (sig_i + sig_j) A(mu))]
-        c_2 = -1/4 [(gam_i - gam_j)^2 T(delta, r) + (sig_i - sig_j)^2 S(delta, r)].
-
-    O(m) scalar operations, of which a weightless mode k takes none; both
-    vanish for equal moduli.
-    """
-    row_i, row_j = rows[i], rows[j]
-    t = s = 0j
-    for k, (a, b, g, v) in enumerate(zip(row_i, row_j, gam, sig)):
-        if g and k != i and k != j:  # a weightless mode adds 0 to both sums
-            minus, plus = a - 1j * b, (a + 1j * b).conjugate()
-            t += g * (minus * plus)
-            s += v * (minus * minus + plus * plus)
-    p, q, r = row_i[i], row_j[j], row_i[j]
-    mu, delta = 0.5 * (p + q), 0.5 * (p - q)
-    minus, plus = delta - 1j * r, (delta + 1j * r).conjugate()
-    mu_c = mu.conjugate()
-    dg, ds = gam[i] - gam[j], sig[i] - sig[j]
-    a_g = complex((mu_c * delta).real, -(mu_c * r).real)
-    a_s = complex((mu * delta).real, -(mu * r).real)
-    c1 = -0.5 * (dg * (t + 2.0 * (gam[i] + gam[j]) * a_g) + ds * (0.5 * s + 2.0 * (sig[i] + sig[j]) * a_s))
-    c2 = -0.25 * (dg * dg * (minus * plus) + 0.5 * ds * ds * (minus * minus + plus * plus))
-    return c1, c2
-
-
-def _free_turn(rows: list[list[complex]], gam: list[float], sig: list[float], i: int, j: int) -> complex:
-    """zeta of the turn of a weightless column j after which rotating (i, j) is steepest, on Python scalars.
-
-    At phi = 0 the rotation of ``_givens_coefficients`` changes c at the rate
-    ``dc/dphi = -2 Re sum_k (W_ki H_kj - W_kj H_ki)`` with ``W_kl = gam_k gam_l
-    conj(H_kl) + sig_k sig_l H_kl``.  With ``gam_j = sig_j = 0``, ``W_kj = 0``
-    and turning column j by rho leaves c alone and takes ``x = sum_k W_ki
-    H_kj`` to ``rho x``, so ``rho = conj(x)/|x|`` gives the rate 2|x| in
-    size, its largest: a real rotation after it is a complex Givens rotation
-    with the best first-order phase.  Returned as ``zeta = rho^2``, the form
-    ``_turn_column`` takes; 1 if x = 0.  Weightless modes k add nothing to x
-    and are skipped.
-    """
-    gi, si = gam[i], sig[i]
-    x = sum((gi * g * a.conjugate() + si * v * a) * b for a, b, g, v in zip(rows[i], rows[j], gam, sig) if g)
-    if not x:
-        return 1.0 + 0j
-    rho = x.conjugate() / abs(x)
-    return rho * rho
-
-
-def _turn_column(rows: list[list[complex]], cols: list[list[complex]], k: int, zeta: complex) -> None:
-    """Turn column k of U by ``sqrt(zeta)``: row and column k of H (its diagonal entry by zeta), in place."""
-    rho = zeta ** 0.5
-    row = [v * rho for v in rows[k]]
-    row[k] *= rho
-    rows[k] = row
-    for other, v in zip(rows, row):
-        other[k] = v
-    cols[k] = [v * rho for v in cols[k]]
-
-
-def _rotate_columns(
-    rows: list[list[complex]], cols: list[list[complex]], i: int, j: int, zeta: complex
-) -> None:
-    """Rotate columns (i, j) of U by phi, ``e^{2i phi} = zeta``, and H to ``R^T H R``, in place.
-
-    The new columns are ``cos(phi) u_i + sin(phi) u_j`` and ``cos(phi) u_j -
-    sin(phi) u_i``; the block ``[[p, r], [r, q]]`` of H goes to ``mu +- (Re(zeta)
-    delta + Im(zeta) r)`` on its diagonal and ``Re(zeta) r - Im(zeta) delta``
-    off it, as in ``_givens_coefficients``.
-    """
-    rho = zeta ** 0.5
-    c, s = rho.real, rho.imag
-    row_i, row_j = rows[i], rows[j]
-    p, q, r = row_i[i], row_j[j], row_i[j]
-    new_i = [c * a + s * b for a, b in zip(row_i, row_j)]
-    new_j = [c * b - s * a for a, b in zip(row_i, row_j)]
-    mu, delta = 0.5 * (p + q), 0.5 * (p - q)
-    turn = zeta.real * delta + zeta.imag * r
-    new_i[i], new_j[j] = mu + turn, mu - turn
-    new_i[j] = new_j[i] = zeta.real * r - zeta.imag * delta
-    rows[i], rows[j] = new_i, new_j
-    for row, a, b in zip(rows, new_i, new_j):
-        row[i], row[j] = a, b
-    col_i, col_j = cols[i], cols[j]
-    cols[i] = [c * a + s * b for a, b in zip(col_i, col_j)]
-    cols[j] = [c * b - s * a for a, b in zip(col_i, col_j)]
-
-
-# Interior weight move: grid points per line.
-_WEIGHT_GRID = 17
-# Most coordinate sweeps (phase moves, Givens moves, then one weight move) of the refinement.
-_REFINE_PASSES = 4
-# The grid on [0, 1].  The fractions k/16 and 1 - k/16 are exact, so the
-# ends are exactly 0 and 1, and no grid point exceeds 1 (which would make the
-# other weights negative).
-_GRID = np.linspace(0.0, 1.0, _WEIGHT_GRID)
+# Most pair sweeps of the refinement.
+_REFINE_PASSES = 32
 # Rows of a block, those of largest spectrum bound, factored before the bound prunes the rest.
 _FIRST_BATCH = 8
+# The pair move's turn e^{i pi/4}: it takes w^T M w = sigma to v^T M v = i sigma.
+_QUARTER_TURN = complex(math.sqrt(0.5), math.sqrt(0.5))
 
 
 def _moduli(half_excess: float, w: np.ndarray) -> np.ndarray:
@@ -613,52 +402,59 @@ def _moduli(half_excess: float, w: np.ndarray) -> np.ndarray:
     return v
 
 
-def _weight_move(
-    weights: np.ndarray, form: np.ndarray, half_excess: float, c0: float
-) -> tuple[np.ndarray, float] | None:
-    """The best single-weight move of ``_form_coherence`` from interior ``weights``, if it raises c0.
-
-    Line i sets weight i to t in [0, 1] and shares the remaining 1 - t among
-    the others in proportion to their weights, divided by their own directly
-    summed rest (the total minus weight i cancels when weight i is near 1);
-    a line whose rest is 0 (m = 1, or weight i alone) has no other point and
-    is left out.  Every line's ``_WEIGHT_GRID`` points are evaluated in one
-    (lines, ``_WEIGHT_GRID``, 2m) stack of moduli on the form, and the best
-    point of the best line is returned (the Gauss-Southwell rule), the first
-    of equals, or None if no point beats c0.  The end t = 1 of line i is
-    exactly the vertex e_i; from a vertex the search moves by
-    ``_vertex_coherences`` instead.
-    """
-    m = len(weights)
-    others = np.where(np.eye(m, dtype=bool), 0.0, weights)  # row i: the weights but weight i
-    rest = others.sum(axis=1)
-    lines = np.flatnonzero(rest > 0.0)
-    if not len(lines):
-        return None
-    share = others[lines] / rest[lines, None]
-    t = _GRID[:, None]
-    w = (1.0 - t) * share[:, None] + t * np.eye(m)[lines, None]
-    c = _form_coherence(_moduli(half_excess, w), form)
-    best = np.unravel_index(c.argmax(), c.shape)
-    if not c[best] > c0:
-        return None
-    return w[best], float(c[best])
-
-
-def _vertex_coherences(rows: list[list[complex]], half_excess: float) -> list[float]:
+def _vertex_coherences(diagonal: list[complex], half_excess: float) -> list[float]:
     """c(e_k) at every vertex e_k of the weights (all squeezing on mode k), from H's diagonal on Python scalars.
 
     At e_k, ``gamma_k = h`` and ``sigma_k^2 = h^2 + 2h`` for ``h = (E -
-    2m)/2``, and every other modulus is 0, so ``_form_coherence`` is
+    2m)/2``, and every other modulus is 0, so the identity of
+    ``numeric_max_search`` gives
 
         c(e_k) = 1/2 [h^2 (1 - |H_kk|^2) + (h^2 + 2h)(1 - Re H_kk^2)]
                = h [(h + 1)(1 - x^2) + y^2]
 
-    at ``H_kk = x + iy``: O(m), no form, and finite wherever h^2 is.
+    at ``H_kk = x + iy``: O(m), and finite wherever h^2 is.
     """
     h = half_excess
-    diagonal = [row[k] for k, row in enumerate(rows)]
     return [h * ((h + 1.0) * (1.0 - z.real * z.real) + z.imag * z.imag) for z in diagonal]
+
+
+def _pair_move(p: complex, r: complex, q: complex) -> tuple[complex, complex]:
+    """Unit ``v`` with ``v^T M v = i sigma_max(M)`` for the complex symmetric ``M = [[p, r], [r, q]]``, on Python scalars.
+
+    By the Autonne-Takagi factorization (Horn and Johnson, Matrix Analysis,
+    2nd ed., Sec. 4.4) ``v^T M v`` over the unit vectors of C^2 fills the disk
+    of radius ``sigma_max(M)``.  M is scaled by its largest entry first, so
+    nothing below overflows or underflows.  The top eigenvector x of the
+    Hermitian ``P = M^H M`` is taken in closed form, from the column of ``P -
+    lambda I``'s adjugate that does not cancel, and ``l = Mx / |Mx|``.  M is
+    symmetric, so ``M conj(l) = sigma conj(x)`` as well as ``Mx = sigma l``,
+    and both ``w = (x + conj(l)) / |x + conj(l)|`` and ``w = i (x - conj(l))
+    / |x - conj(l)|`` give ``w^T M w = sigma``; the longer of the two vectors
+    is taken, so neither cancels.  That holds for any unit x when ``sigma_1 =
+    sigma_2`` (``P = sigma^2 I``, as for every unitary M).  Returned is ``v =
+    e^{i pi/4} w``.
+    """
+    scale = max(abs(p), abs(r), abs(q))
+    if not scale:  # M = 0: every v gives 0
+        return _QUARTER_TURN, 0j
+    p, r, q = p / scale, r / scale, q / scale
+    pc, rc = p.conjugate(), r.conjugate()
+    b = pc * r + rc * q  # P_12; P_11 - P_22 = |p|^2 - |q|^2
+    t = 0.5 * ((p * pc).real - (q * q.conjugate()).real)
+    s = math.hypot(t, abs(b))
+    x1, x2 = (t + s, b.conjugate()) if t >= 0.0 else (b, s - t)
+    size = math.hypot(abs(x1), abs(x2))
+    x1, x2 = (x1 / size, x2 / size) if size else (1.0 + 0j, 0j)  # P = |p|^2 I: every x
+    l1, l2 = p * x1 + r * x2, r * x1 + q * x2
+    sigma = math.hypot(abs(l1), abs(l2))  # sigma_max >= 1, the largest entry
+    l1, l2 = (l1 / sigma).conjugate(), (l2 / sigma).conjugate()  # conj(l)
+    plus, minus = (x1 + l1, x2 + l2), (x1 - l1, x2 - l2)
+    n_plus, n_minus = math.hypot(abs(plus[0]), abs(plus[1])), math.hypot(abs(minus[0]), abs(minus[1]))
+    if n_plus >= n_minus:
+        f = _QUARTER_TURN / n_plus
+        return plus[0] * f, plus[1] * f
+    f = 1j * _QUARTER_TURN / n_minus
+    return minus[0] * f, minus[1] * f
 
 
 def _best_sample(
@@ -757,68 +553,41 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
 
         c = 1/2 [sum(gamma^2 + sigma^2) - gamma^T |H|^2 gamma - sigma^T Re(H o H) sigma]
 
-    for ``H = U^T U`` (``o`` elementwise), a quadratic form in ``(gamma,
-    sigma)`` (``_gram_form``, ``_form_coherence``).  The refinement carries
-    U with every turn absorbed in it, H as Python complex rows updated in
-    O(m) per move, and the weights, in sweeps of three kinds of move:
+    for ``H = U^T U`` (``o`` elementwise).  What is proven and what is tested
+    split there.  The spectrum half is proven: ``c <= B(d) <= c_max``, and
+    ``B(d) = c_max`` only at a vertex e_k of the weights ``w = gamma / h``,
+    all squeezing on one mode k.  So the refinement starts at the vertex of
+    the sampled U of largest ``c(e_k) = h [(h + 1)(1 - x^2) + y^2]``, ``H_kk
+    = x + iy`` (``_vertex_coherences``; the first of equals), where only
+    column u_k of U counts and ``c = c_max`` iff ``H_kk = u_k^T u_k = +-i``.
+    The unitary half is tested numerically, on Python scalars with no numpy
+    call per move:
 
-    * per-mode phase: turning column k of U by ``e^{i theta}`` changes c by
-      ``Re(c_1 (zeta - 1) + c_2 (zeta^2 - 1))``, ``zeta = e^{2i theta}``,
-      with ``c_1 = -sigma_k sum_{l != k} sigma_l H_kl^2`` and ``c_2 =
-      -sigma_k^2 H_kk^2 / 2`` (``_phase_coefficients``).  The global maximum
-      over zeta is a two-dimensional trust-region subproblem, solved in
-      closed form up to the root of one scalar secular equation
-      (``_phase_argmax``);
-    * Givens: column k* of U, the mode of largest weight at the start of
-      the sweep, is rotated against every other column l by the real
-      rotation R(phi) of the plane (k*, l), which sends H to ``R^T H R``.
-      Each entry of ``R^T H R`` is a sum of ``cos^2 phi = (1 + cos psi)/2``,
-      ``sin^2 phi = (1 - cos psi)/2`` and ``cos phi sin phi = sin psi / 2``
-      times entries of H, for ``psi = 2 phi``: a trigonometric polynomial of
-      degree 1 in psi (``R(phi + pi) = -R(phi)`` leaves H alone).  So
-      ``|H_kl|^2`` and ``Re H_kl^2``, and c with them, are of degree 2 in
-      psi: ``c(psi) = c_0 + Re(c_1 (zeta - 1) + c_2 (zeta^2 - 1))`` at ``zeta
-      = e^{i psi}``, the phase move's form, with c_1 from the other rows of
-      columns k* and l and from the 2 x 2 block, and c_2 from the block
-      alone (``_givens_coefficients``); ``_phase_argmax`` gives its global
-      maximum too.  A column l of zero weight is first turned to the phase
-      at which the rotation's slope at phi = 0 is largest (``_free_turn``),
-      which leaves c alone, since its phase move cannot move it: its
-      coefficients are 0, so the phase moves skip it, as every sum of the
-      moves skips the terms of weightless modes.  m - 1 moves per sweep, no
-      numpy call per move;
-    * weights, with ``gamma = (E - 2m) w / 2`` and ``sigma = sqrt(gamma
-      (gamma + 2))`` per mode.  While the weights are interior (the
-      sampled spectrum's, in practice the first sweep), a single weight is
-      moved in [0, 1] with the others rescaled to share the rest, on the
-      form of H rebuilt from U if it turned: every mode's line is gridded,
-      all in one stacked evaluation of the form, and only the best line's
-      best point is taken (``_weight_move``).  Its end t = 1 is a vertex
-      e_k, all squeezing on mode k, where every argmax ends.  From a vertex
-      the move is to the best vertex, ``c(e_k) = h [(h + 1)(1 - x^2) + y^2]``
-      at ``H_kk = x + iy`` and ``h = (E - 2m)/2``, read in O(m) off the
-      diagonal of the rows of H that the other moves keep, with no form
-      (``_vertex_coherences``).  Near the vacuum an interior point of the
-      grid can win: vertex moves alone from the sampled weights end at 0.985
-      c_max at E = 8.000001, m = 4, 50 trials, seed 87, against 1 - 3e-9.
+    * turn: column k is turned by a phase so that ``H_kk = i |H_kk|``; at m =
+      1 that is the whole refinement;
+    * pair sweeps: for each j != k in turn, columns k and j are mixed by the
+      2 x 2 unitary ``[[v_1, -conj(v_2)], [v_2, conj(v_1)]]``, so ``u_k <-
+      v_1 u_k + v_2 u_j`` and ``H_kk <- v^T M v`` for ``M = [[H_kk, H_kj],
+      [H_kj, H_jj]]``.  ``_pair_move`` takes v to ``v^T M v = i
+      sigma_max(M)``, the largest ``|H_kk|`` that the pair can reach, with x
+      = 0 kept.  ``H_kj`` is read off the columns, and the diagonal of H is
+      carried, so a move is O(m).  A move is kept only if ``|H_kk|`` rises;
+      with x = 0, ``c = h [(h + 1) + |H_kk|^2]`` rises with it at every
+      trace.  A sweep that raises ``|H_kk|`` by at most 4 eps ends the
+      refinement, and there are at most ``_REFINE_PASSES`` sweeps.
 
-    The phase and Givens coefficients take gamma and sigma divided by
-    ``(E - 2m)/2``, so they stay finite at every trace whose square is.  A
-    move is accepted only if it raises the current value.  A sweep whose
-    total gain is at most ``rounding_floor(2m, c)`` ends the refinement (a
-    free turn gains nothing): past it the gains are rounding, which would
-    carry c above c_max sweep by sweep.  There are at most
-    ``_REFINE_PASSES`` sweeps.  The argmax reports the
-    refined U as ``x`` and ``y`` (``U = X + iY``, phases included), its
-    ``weights``, from which ``symplectic_ops.spectrum_from_weights`` gives the
-    spectrum d, and ``refined_coherence``, the coherence of the pure state
-    ``pure_cm(x, y, d)``.  ``theta`` is each column's sum of phase turns
-    modulo pi, ``arg(z)/2`` in (-pi/2, pi/2] for z the product of its zetas.
-    It splits the gap ``c_max - refined_coherence`` into ``spectrum_gap =
-    c_max - sum sigma_k^2``, the spectrum's part (0 to rounding at a
-    vertex), and ``unitary_gap = sum sigma_k^2 - refined_coherence``, U's
-    part, and gives ``vertex_gap = 1 - |H_kk|`` for the mode k of largest
-    weight, which is 0 at the maximiser.
+    The argmax reports the refined U as ``x`` and ``y`` (``U = X + iY``,
+    phases included) and its ``weights`` e_k, from which
+    ``symplectic_ops.spectrum_from_weights`` gives the spectrum d.
+    ``refined_coherence`` is ``c(e_k)`` at ``H_kk = u_k^T u_k`` of the
+    reported U, the coherence of the pure state ``pure_cm(x, y, d)`` up to
+    rounding (the H carried through the sweeps drifts a few ulps past ``|H_kk|
+    = 1``).  ``theta`` is ``arg(H_jj)/2`` of the reported U per column, in
+    (-pi/2, pi/2]: pi/4 on mode k, the paper's turn.  The argmax splits the
+    gap ``c_max - refined_coherence`` into ``spectrum_gap = c_max - sum
+    sigma_k^2``, the spectrum's part (0 to rounding at a vertex), and
+    ``unitary_gap = sum sigma_k^2 - refined_coherence``, U's part, and gives
+    ``vertex_gap = 1 - |H_kk|``, which is 0 at the maximiser.
 
     Args:
         E: covariance trace budget (>= 2m); only E = 2m forces the vacuum,
@@ -839,72 +608,45 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
     if E == 2.0 * m:
         return SearchOutcome(0.0, {"trial": -1, "note": "trace budget forces vacuum"})
 
-    best_c, trial_idx, x, y, d = _best_sample(E, m, trials, seed)
+    best_c, trial_idx, x, y, _ = _best_sample(E, m, trials, seed)
     half_excess = 0.5 * (E - 2.0 * m)
-    unit = half_excess * half_excess  # the coherence of a unit of the scaled coefficients
-    weights = np.clip((d + 1.0 / d - 2.0) / (2.0 * half_excess), 0.0, None)
-    weights = weights / weights.sum()
     u = x + 1j * y
-    cols = u.T.tolist()  # the columns of U, turned by every accepted move
-    gram, form = _gram_form(u)
-    rows = gram.tolist()  # H as Python complex rows, read and updated by the moves
-    z = [1.0 + 0j] * m  # e^{2i theta}: each column's phase turns
-    v = _moduli(half_excess, weights)
-    refined_c = float(_form_coherence(v, form))
-    vertex = np.count_nonzero(weights) == 1  # all squeezing on one mode (always at m = 1)
+    diagonal = np.einsum("ij,ij->j", u, u).tolist()  # H_jj = u_j^T u_j
+    at = _vertex_coherences(diagonal, half_excess)
+    k = at.index(max(at))
+    cols = u.T.tolist()  # the columns of U, mixed by every kept move
+    p = diagonal[k]  # H_kk
+    if p:  # turning u_k by rho turns H_kk by rho^2
+        rho = (1j * p.conjugate() / abs(p)) ** 0.5
+        cols[k] = [a * rho for a in cols[k]]
+        p = 1j * abs(p)
     for _ in range(_REFINE_PASSES):
-        start_c = refined_c
-        scaled = (v / half_excess).tolist()
-        gam, sig = scaled[:m], scaled[m:]
-        turned = False
-        for k in range(m):
-            if not sig[k]:  # a weightless column: its phase move is 0 (c_1 = c_2 = 0)
-                continue
-            zeta, gain = _best_turn(*_phase_coefficients(rows, sig, k))
-            if gain > 0.0:
-                _turn_column(rows, cols, k, zeta)
-                z[k] *= zeta
-                refined_c += unit * gain
-                turned = True
-        i = int(weights.argmax())
+        start = abs(p)
         for j in range(m):
-            if j == i:
+            if j == k:
                 continue
-            zeta = _free_turn(rows, gam, sig, i, j) if sig[j] == 0.0 else 1.0
-            if zeta != 1.0:  # column j carries no weight, so its turn leaves c alone
-                _turn_column(rows, cols, j, zeta)
-                z[j] *= zeta
-                turned = True
-            zeta, gain = _best_turn(*_givens_coefficients(rows, gam, sig, i, j))
-            if gain > 0.0:
-                _rotate_columns(rows, cols, i, j, zeta)
-                refined_c += unit * gain
-                turned = True
-        if vertex:
-            at = _vertex_coherences(rows, half_excess)
-            k = max(range(m), key=at.__getitem__)
-            if at[k] > refined_c:
-                weights = np.zeros(m)
-                weights[k] = 1.0
-                refined_c = at[k]
-                v = _moduli(half_excess, weights)
-        else:
-            if turned:
-                gram, form = _gram_form(np.array(cols).T)
-                rows = gram.tolist()
-            move = _weight_move(weights, form, half_excess, refined_c)
-            if move is not None:
-                weights, refined_c = move
-                v = _moduli(half_excess, weights)
-                vertex = np.count_nonzero(weights) == 1
-        if not refined_c - start_c > rounding_floor(2 * m, refined_c):
+            col_k, col_j = cols[k], cols[j]
+            r, q = sum(a * b for a, b in zip(col_k, col_j)), diagonal[j]
+            v1, v2 = _pair_move(p, r, q)
+            w1, w2 = -v2.conjugate(), v1.conjugate()
+            moved = v1 * (v1 * p + v2 * r) + v2 * (v1 * r + v2 * q)  # v^T M v
+            if not abs(moved) > abs(p):
+                continue
+            p, diagonal[j] = moved, w1 * (w1 * p + w2 * r) + w2 * (w1 * r + w2 * q)
+            cols[k] = [v1 * a + v2 * b for a, b in zip(col_k, col_j)]
+            cols[j] = [w1 * a + w2 * b for a, b in zip(col_k, col_j)]
+        if not abs(p) - start > 4.0 * _EPS:
             break
     u = np.array(cols).T
-    arg = np.angle(z)
+    diagonal = np.einsum("ij,ij->j", u, u).tolist()
+    refined_c = _vertex_coherences(diagonal, half_excess)[k]
+    arg = np.angle(diagonal)
     theta = 0.5 * np.where(arg == -np.pi, np.pi, arg)
+    weights = np.zeros(m)
+    weights[k] = 1.0
+    v = _moduli(half_excess, weights)
     sup_c = max(best_c, refined_c)
     bound = float(v[m:] @ v[m:])  # sum sigma_k^2, the spectrum's bound on c
-    k = int(weights.argmax())
     return SearchOutcome(
         sup_c,
         {
@@ -913,7 +655,7 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
             "refined_coherence": refined_c,
             "spectrum_gap": max_symplectic_coherence(E, m) - bound,
             "unitary_gap": bound - refined_c,
-            "vertex_gap": 1.0 - abs(rows[k][k]),
+            "vertex_gap": 1.0 - abs(diagonal[k]),
             "theta": theta.tolist(),
             "weights": weights.tolist(),
             "x": u.real.tolist(),

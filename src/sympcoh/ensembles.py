@@ -14,10 +14,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .gaussian_core import CovMat
+from .gaussian_core import CovMat, _require_count, _require_int
 from .symplectic_ops import (
-    _require_count,
-    _require_int,
     block_samples,
     ginibre_batch,
     haar_from_ginibre,

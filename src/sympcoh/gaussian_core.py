@@ -67,7 +67,35 @@ class NumericError(RuntimeError):
     Cholesky of a matrix that is not positive definite in float64."""
 
 
-@lru_cache(maxsize=None)
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer, not a bool: the one integer rule."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require_int(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer (``_is_int``).
+
+    For seeds and mode indices, and through :func:`_require_count` for every
+    count: a float such as 1.5 would otherwise be cut to the stream of
+    another seed, or index the wrong row.
+    """
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+
+
+def _require_count(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Raise an error naming ``name`` unless ``value`` is an integer (``_require_int``) and >= 1.
+
+    The one count rule: mode counts, sample counts and trial counts.  A
+    value below 1 raises ``error``: the matrix builders of this module name a
+    mode count below 1 a ``DimensionError``, everything else a ``ValueError``.
+    """
+    _require_int(name, value)
+    if value < 1:
+        raise error(f"{name} must be >= 1, got {value}")
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: a bool m is not the cached int
 def symplectic_form(m: int) -> np.ndarray:
     """Return the 2m x 2m symplectic form ``[[0, I], [-I, 0]]``, read-only and built once per m.
 
@@ -77,8 +105,7 @@ def symplectic_form(m: int) -> np.ndarray:
     Returns:
         The antisymmetric matrix ``Omega`` with ``Omega @ Omega = -I``.
     """
-    if m < 1:
-        raise DimensionError(f"mode count must be positive, got {m}")
+    _require_count("m", m, DimensionError)
     omega = np.zeros((2 * m, 2 * m))
     omega[:m, m:] = np.eye(m)
     omega[m:, :m] = -np.eye(m)
@@ -412,6 +439,7 @@ class GaussianState:
 
 def vacuum_state(m: int) -> GaussianState:
     """Return the m-mode vacuum (identity covariance, zero first moments)."""
+    _require_count("m", m, DimensionError)
     return GaussianState(CovMat(np.eye(2 * m)))
 
 

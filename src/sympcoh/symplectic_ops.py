@@ -19,7 +19,10 @@ from .gaussian_core import (
     DimensionError,
     GaussianState,
     _as_cm_array,
+    _is_int,
+    _require_count,
     _require_finite,
+    _require_int,
     identity,
     is_free,
     require_valid,
@@ -42,32 +45,6 @@ class GateError(ValueError):
 # has no float matrix at all.
 _NORM_OVERFLOW = "squared norm of the gate matrix overflows float64"
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-
-
-def _is_int(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer, not a bool: the one integer rule."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _require_int(name: str, value) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer (``_is_int``).
-
-    For seeds and mode indices, and through :func:`_require_count` for every
-    count: a float such as 1.5 would otherwise be cut to the stream of
-    another seed, or index the wrong row.
-    """
-    if not _is_int(value):
-        raise ValueError(f"{name} must be an integer, got {type(value).__name__} {value!r}")
-
-
-def _require_count(name: str, value) -> None:
-    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer (``_require_int``) and >= 1.
-
-    The one count rule: mode counts, sample counts and trial counts.
-    """
-    _require_int(name, value)
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def derive_rng(seed: int, index: int) -> np.random.Generator:
@@ -199,6 +176,7 @@ def _displacement(disp, n: int, owner: str) -> np.ndarray:
 
 
 def _check_mode(m: int, mode: int) -> None:
+    _require_count("m", m)
     _require_int("mode", mode)
     if not 1 <= mode <= m:
         raise GateError(f"mode index {mode} out of range 1..{m}")
@@ -591,11 +569,15 @@ def ginibre_batch(
     if real:
         return rng.standard_normal(kept)
     # Filled in place to save temporaries; the values are bit for bit those of
-    # (g1 + 1j * g2) / sqrt(2), which the samples' streams rely on.
+    # (g1 + 1j * g2) / sqrt(2), which the samples' streams rely on.  numpy
+    # divides a complex by a real as a product with its reciprocal (Smith's
+    # formula), so multiplying the float view by that reciprocal gives the
+    # same bytes without the complex arithmetic.
     z = np.empty(kept, dtype=complex)
     z.real = rng.standard_normal(shape)[: kept[0]]
     z.imag = rng.standard_normal(kept)
-    z /= np.sqrt(2.0)
+    parts = z.view(float)
+    parts *= 1.0 / np.sqrt(2.0)
     return z
 
 

@@ -47,16 +47,10 @@ from sympcoh import (
 )
 from sympcoh import coherence
 from sympcoh.coherence import (
-    _GRID,
     _REFINE_PASSES,
     MscSpec,
-    _form_coherence,
-    _free_turn,
-    _givens_coefficients,
-    _gram_form,
     _moduli,
-    _phase_argmax,
-    _phase_coefficients,
+    _pair_move,
     _vertex_coherences,
 )
 from sympcoh.symplectic_ops import (
@@ -583,6 +577,23 @@ def qp_norm_sq(v: np.ndarray) -> np.ndarray:
     return norm_sq(v[..., :m, m:])
 
 
+def form_coherence(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Coherence of pure states of one passive unitary U, for stacked moduli ``v = (gamma, sigma)`` (..., 2m).
+
+    The identity of ``numeric_max_search``, ``1/2 [sum(gamma^2 + sigma^2) -
+    gamma^T |H|^2 gamma - sigma^T Re(H o H) sigma]`` for ``H = U^T U``, as
+    ``1/2 v^T F v`` with the block-diagonal form ``F = I - diag(|H|^2, Re(H o
+    H))``.
+    """
+    gram = u.T @ u
+    m = len(gram)
+    re_sq, im_sq = gram.real * gram.real, gram.imag * gram.imag
+    form = np.eye(2 * m)
+    form[:m, :m] -= re_sq + im_sq
+    form[m:, m:] -= re_sq - im_sq
+    return 0.5 * np.einsum("...i,...i->...", v @ form, v)
+
+
 def identity_coherence(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The coherence of each sample by the identity in ``H = U^T U``.
 
@@ -592,7 +603,7 @@ def identity_coherence(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarra
     alpha = d - 1.0
     beta = -alpha / d
     moduli = np.concatenate([0.5 * (alpha + beta), 0.5 * (alpha - beta)], axis=-1)
-    return np.array([_form_coherence(v, _gram_form(xk + 1j * yk)[1]) for xk, yk, v in zip(x, y, moduli)])
+    return np.array([form_coherence(xk + 1j * yk, v) for xk, yk, v in zip(x, y, moduli)])
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8, 16])
@@ -780,261 +791,6 @@ def test_search_is_the_exhaustive_scoring_bit_for_bit(m, monkeypatch):
     assert [exact(o) for o in got] == [exact(o) for o in want]
 
 
-@pytest.mark.parametrize("m", [1, 2, 4, 8])
-def test_phase_move_closed_form_is_exact(m):
-    phis = np.linspace(-np.pi, np.pi, 16, endpoint=False)
-    grid = np.linspace(-np.pi, np.pi, 720, endpoint=False)
-    for E in (2 * m + 1e-6, 4 * m + 8, 1e8):
-        _, xs, ys, ds = next(pure_param_blocks(17, 3, E, m, False))
-        for x, y, d in zip(xs, ys, ds):
-            u = x + 1j * y
-            c0 = float(qp_norm_sq(pure_cm(x, y, d)))
-            rows = (u.T @ u).tolist()
-            sig = ((d - 1.0 / d) / 2.0).tolist()
-            for i in range(m):
-                c1, c2 = _phase_coefficients(rows, sig, i)
-
-                def closed(phi):
-                    z = np.exp(1j * phi)
-                    return c0 + (c1 * (z - 1.0) + c2 * (z * z - 1.0)).real
-
-                # Column i turned by e^{i phi/2}, built and measured explicitly.
-                turned = np.repeat(u[None], len(phis), axis=0)
-                turned[:, :, i] *= np.exp(0.5j * phis)[:, None]
-                spectra = np.repeat(d[None], len(phis), axis=0)
-                explicit = qp_norm_sq(pure_cm(turned.real, turned.imag, spectra))
-                # c(phi) is c_0 plus terms of the size of c_0, so its error
-                # scales with the state's coherence, not with each c(phi).
-                scale = max(1.0, float(explicit.max()))
-                assert_allclose(closed(phis), explicit, rtol=0, atol=1e-12 * scale)
-                z = _phase_argmax(c1, c2)
-                assert abs(z) == pytest.approx(1.0, abs=1e-15)
-                best = closed(np.angle(z))
-                assert best >= closed(grid).max() * (1.0 - 1e-12)
-
-
-def rotated_coherence(u: np.ndarray, d: np.ndarray, i: int, j: int, phis: np.ndarray) -> np.ndarray:
-    """Coherence of ``pure_xp_block`` with columns (i, j) of U rotated by each phi, built explicitly."""
-    turned = np.repeat(u[None], len(phis), axis=0)
-    c, s = np.cos(phis)[:, None], np.sin(phis)[:, None]
-    turned[:, :, i] = c * u[:, i] + s * u[:, j]
-    turned[:, :, j] = c * u[:, j] - s * u[:, i]
-    alpha = d - 1.0
-    return norm_sq(pure_xp_block(turned.real, turned.imag, alpha, -alpha / d))
-
-
-def check_givens_move(u: np.ndarray, weights: np.ndarray, E: float, i: int, j: int) -> tuple[complex, complex]:
-    """Assert the closed form of rotating columns (i, j) against the explicit rotation; return its coefficients.
-
-    The coefficients take the moduli divided by h = (E - 2m)/2, as the
-    search takes them, and the change is h^2 times theirs.  c(phi) is c_0
-    plus terms of the size of c_max, so it is held to a multiple of c_max.
-    """
-    m = len(weights)
-    h = 0.5 * (E - 2.0 * m)
-    v = _moduli(h, weights)
-    d = 1.0 + v[:m] + v[m:]
-    scaled = (v / h).tolist()
-    c1, c2 = _givens_coefficients((u.T @ u).tolist(), scaled[:m], scaled[m:], i, j)
-    phis = np.linspace(-np.pi, np.pi, 24, endpoint=False)
-    explicit = rotated_coherence(u, d, i, j, phis)
-    zeta = np.exp(2j * phis)
-    c0 = float(rotated_coherence(u, d, i, j, np.zeros(1))[0])
-    closed = c0 + h * h * (c1 * (zeta - 1.0) + c2 * (zeta * zeta - 1.0)).real
-    scale = max_symplectic_coherence(E, m)
-    assert_allclose(closed, explicit, rtol=0, atol=1e-13 * scale)
-    zeta = _phase_argmax(c1, c2)
-    best = float(rotated_coherence(u, d, i, j, np.array([0.5 * np.angle(zeta)]))[0])
-    grid = rotated_coherence(u, d, i, j, np.linspace(-np.pi / 2, np.pi / 2, 721))
-    assert best >= grid.max() - 1e-13 * scale
-    return c1, c2
-
-
-@pytest.mark.parametrize("m", range(2, 17))
-def test_givens_move_closed_form_is_exact(m):
-    # A rotation of two columns makes c a degree-2 trigonometric polynomial
-    # in 2 phi; its coefficients are O(m) sums over H and the 2 x 2 block.
-    rng = np.random.default_rng(400 + m)
-    for E in (2 * m + 1e-6, 4 * m + 8, 1e8, 1e150):
-        _, xs, ys, _ = next(pure_param_blocks(19, 2, E, m, False))
-        for x, y in zip(xs, ys):
-            weights = rng.dirichlet(np.full(m, 0.5))
-            i, j = rng.choice(m, 2, replace=False)
-            check_givens_move(x + 1j * y, weights, E, int(i), int(j))
-
-
-@pytest.mark.parametrize("m", [2, 3, 8, 16])
-def test_givens_move_between_equal_weights_changes_nothing(m):
-    # Equal moduli make every term of both coefficients vanish: the
-    # rotation's c is flat, and z = 1 (no turn) is kept.
-    rng = np.random.default_rng(500 + m)
-    for E in (4 * m + 8, 1e150):
-        _, xs, ys, _ = next(pure_param_blocks(23, 2, E, m, False))
-        for x, y in zip(xs, ys):
-            weights = rng.dirichlet(np.ones(m))
-            weights[1] = weights[0]
-            weights /= weights.sum()
-            c1, c2 = check_givens_move(x + 1j * y, weights, E, 0, 1)
-            assert c1 == 0 and c2 == 0
-            assert _phase_argmax(c1, c2) == 1.0
-
-
-@pytest.mark.parametrize("E", [16.0, 1e8, 1e150])
-def test_givens_move_with_a_scalar_block_is_first_order(E):
-    # H = O^T diag(lam) O with O rotating the planes (0, 2) and (1, 3) by the
-    # same angle and lam = (a, a, b, b) has the block H_01 = 0, H_00 = H_11:
-    # delta = r = 0, so c_2 = 0, while the rows of modes 2 and 3 keep c_1.
-    angle, a, b = 0.7, np.exp(0.4j), np.exp(2.1j)
-    o = np.eye(4)
-    for p, q in ((0, 2), (1, 3)):
-        o[[p, p, q, q], [p, q, p, q]] = np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)
-    u = np.sqrt(np.array([a, a, b, b]))[:, None] * o  # U^T U = O^T diag(lam) O
-    weights = np.array([0.6, 0.1, 0.2, 0.1])
-    c1, c2 = check_givens_move(u, weights, E, 0, 1)
-    assert abs(c2) <= 1e-15 * abs(c1) and abs(c1) > 1e-3
-
-
-@pytest.mark.parametrize("m", [2, 3, 8])
-def test_free_turn_leaves_c_alone_and_makes_the_rotation_steepest(m):
-    # A column of zero weight can be turned at no cost in c; _free_turn picks
-    # the turn after which rotating it against column i is steepest at phi =
-    # 0, where dc/dphi = 2 dc/dpsi = -2 Im(c_1 + 2 c_2), among all turns.
-    rng = np.random.default_rng(600 + m)
-    phases = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False))
-
-    def slope(u, scaled, j):
-        c1, c2 = _givens_coefficients((u.T @ u).tolist(), scaled[:m], scaled[m:], 0, j)
-        return abs((c1 + 2.0 * c2).imag)
-
-    for E in (4 * m + 8, 1e8, 1e150):
-        h = 0.5 * (E - 2.0 * m)
-        _, xs, ys, _ = next(pure_param_blocks(29, 2, E, m, False))
-        for x, y in zip(xs, ys):
-            j = m - 1
-            weights = rng.dirichlet(np.ones(m))
-            weights[j] = 0.0
-            weights /= weights.sum()
-            v = _moduli(h, weights)
-            scaled = (v / h).tolist()
-            u = x + 1j * y
-            zeta = _free_turn((u.T @ u).tolist(), scaled[:m], scaled[m:], 0, j)
-            assert abs(zeta) == pytest.approx(1.0, abs=1e-15)
-            turned = u.copy()
-            turned[:, j] *= zeta ** 0.5
-            c_max = max_symplectic_coherence(E, m)
-            before = float(_form_coherence(v, _gram_form(u)[1]))
-            assert float(_form_coherence(v, _gram_form(turned)[1])) == pytest.approx(before, rel=0, abs=1e-13 * c_max)
-            best = slope(turned, scaled, j)
-            for rho in phases:
-                other = u.copy()
-                other[:, j] *= rho
-                assert slope(other, scaled, j) <= best * (1.0 + 1e-12) + 1e-15
-
-
-def phase_oracle_gain(c1: np.ndarray, c2: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Most that any oracle point o gains over z in ``Re(c1 o + c2 o^2)``, per case.
-
-    The oracle points are o = 1, the unit-normalised roots of the companion
-    matrix of ``2 c2 o^4 + c1 o^3 - conj(c1) o - 2 conj(c2)`` (whose
-    unit-circle roots are the critical points; built on inputs scaled by
-    ``max(|c1|, |c2|)`` and left out where it is not finite), and every local
-    maximum of a 1024-point angle grid, polished by Newton steps in the angle
-    clipped to one grid spacing.  A gain is taken as ``Re((o - z)(c1 + c2 (o +
-    z)))``, which does not round two nearly equal values.
-    """
-
-    def gain(o, c1, c2, z):
-        return ((o - z) * (c1 + c2 * (o + z))).real
-
-    scale = np.maximum(np.abs(c1), np.abs(c2))
-    scale[scale == 0] = 1.0
-    a1, a2 = c1 / scale, c2 / scale
-    with np.errstate(all="ignore"):
-        comp = np.zeros((len(c1), 4, 4), dtype=complex)
-        comp[:, 1:, :3] = np.eye(3)
-        comp[:, 0] = np.stack([-a1 / (2 * a2), 0 * a1, a1.conj() / (2 * a2), a2.conj() / a2], axis=1)
-        ok = np.all(np.isfinite(comp), axis=(1, 2))
-        roots = np.ones((len(c1), 4), dtype=complex)
-        roots[ok] = np.linalg.eigvals(comp[ok])
-        roots = np.where(np.isfinite(roots) & (roots != 0), roots / np.abs(roots), 1.0)
-    points = np.column_stack([np.ones(len(c1)), roots])
-    best = gain(points, c1[:, None], c2[:, None], z[:, None]).max(axis=1)
-    step = 2 * np.pi / 1024
-    grid = np.exp(1j * step * np.arange(1024))
-    f = (a1[:, None] * grid + a2[:, None] * grid * grid).real
-    case, at = np.nonzero((f >= np.roll(f, 1, axis=1)) & (f >= np.roll(f, -1, axis=1)))
-    phi = step * at
-    for _ in range(60):
-        e = np.exp(1j * phi)
-        d1 = (1j * a1[case] * e + 2j * a2[case] * e * e).real
-        d2 = (-a1[case] * e - 4 * a2[case] * e * e).real
-        phi = phi - np.where(d2 < 0, np.clip(d1 / np.where(d2 < 0, d2, -1.0), -step, step), 0.0)
-    np.maximum.at(best, case, gain(np.exp(1j * phi), c1[case], c2[case], z[case]))
-    return best
-
-
-def phase_cases(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """n random (c1, c2), |c1|/|c2| log-uniform in [1e-300, 1e300], plus the edge cases.
-
-    The edge cases are c1 = 0, c2 = 0, both 0, the hard case (real c2 > 0 and
-    imaginary c1, so a = 0 exactly) inside and on its boundary |b| = 2q, and
-    its neighbours, where a is small and |b| is near 2q.
-    """
-    ratio = rng.uniform(-300, 300, n)
-    size = rng.uniform(-4, 4, n)
-    c1 = 10 ** (size + ratio / 2) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
-    c2 = 10 ** (size - ratio / 2) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
-    edge = [(0, 1), (0, -3j), (1, 0), (-2 + 1j, 0), (0, 0), (1j, 1), (-3j, 1), (2j, 0.5)]
-    edge += [(4j, 1), (-4j, 1), (4e-300j, 1e-300), (1, 1e-300), (1e200, 1e-200), (5e-324 + 4j, 1)]
-    for eps in (1e-16, 1e-12, 1e-8, 1e-4, 1e-1):
-        for sign in (1, -1):
-            edge += [(4j * (1 + sign * eps), 1), (4j + sign * eps, 1), (3.9j + sign * eps, 1)]
-            edge += [(4j * (1 + sign * eps) + eps * eps, 1), (sign * eps - 2j, -0.5j)]
-    e1, e2 = np.array(edge, dtype=complex).T
-    return np.concatenate([c1, e1]), np.concatenate([c2, e2])
-
-
-def test_phase_argmax_matches_a_companion_and_grid_oracle():
-    c1, c2 = phase_cases(10_000, np.random.default_rng(26))
-    z = np.array([_phase_argmax(complex(a), complex(b)) for a, b in zip(c1, c2)])
-    assert_allclose(np.abs(z), 1.0, rtol=0, atol=1e-15)
-    gain = phase_oracle_gain(c1, c2, z)
-    assert np.all(gain <= 1e-15 * (np.abs(c1) + np.abs(c2))), np.max(gain / (np.abs(c1) + np.abs(c2)))
-
-
-@pytest.mark.parametrize("c1, c2", [(1.0, 1e-300), (1e200, 1e-200), (1e-200j, 1e200)])
-def test_phase_argmax_at_extreme_coefficient_ratios(c1, c2):
-    # A companion matrix of these overflows (c1 / c2 = 1e400), or a root
-    # underflows to 0; the closed form only compares scaled inputs.
-    z = _phase_argmax(complex(c1), complex(c2))
-    grid = np.exp(1j * np.linspace(-np.pi, np.pi, 4096, endpoint=False))
-    best = (c1 * grid + c2 * grid * grid).real.max()
-    assert abs(z) == pytest.approx(1.0, abs=1e-15)
-    assert (c1 * z + c2 * z * z).real >= best - 1e-15 * (abs(c1) + abs(c2))
-
-
-def test_phase_argmax_keeps_z_1_on_a_tie():
-    # Re(z^2) is largest at both z = 1 and z = -1, and a constant at every z;
-    # the hard case Re(i z + z^2) has its two maxima, of 9/8, off z = 1.
-    assert _phase_argmax(0j, 1 + 0j) == 1.0
-    assert _phase_argmax(0j, 0j) == 1.0
-    assert _phase_argmax(-2 + 0j, 0j) == -1.0
-    z = _phase_argmax(1j, 1 + 0j)
-    assert (1j * z + z * z).real == pytest.approx(1.125, rel=1e-15, abs=0)
-    # With Im(c1) = -2 Im(c2) and Re(c1) > 4|c2|, z = 1 is a maximum, and
-    # the closed form lands within rounding of it: it returns exactly 1
-    # unless its own point's value is larger.
-    rng = np.random.default_rng(8)
-    stayed = 0
-    for _ in range(200):
-        c2 = complex(*rng.standard_normal(2))
-        c1 = complex(4.0 * abs(c2) * (1.0 + rng.random()), -2.0 * c2.imag)
-        z = _phase_argmax(c1, c2)
-        assert z == 1.0 or (c1 * z + c2 * z * z).real > (c1 + c2).real
-        stayed += z == 1.0
-    assert stayed >= 50
-
-
 @pytest.mark.parametrize("m", [2, 8])
 def test_search_makes_no_eigensolve(m, monkeypatch):
     # The phase move is closed form and the rest of the refinement is matrix
@@ -1049,38 +805,88 @@ def test_search_makes_no_eigensolve(m, monkeypatch):
     assert outcome.argmax["refined_coherence"] > outcome.argmax["sample_coherence"]
 
 
-def test_a_vertex_sweep_builds_no_form(monkeypatch):
-    # Sampling scores V_xp directly; the refinement builds the form of H =
-    # U^T U for the best sample and then once per interior sweep in which U
-    # turned, never per move.  Once the weights are a vertex, each sweep's
-    # weight move is the closed form on H's diagonal: no form, no stack.
-    events, shapes = [], []
-    gram_form, weight_move, vertex = coherence._gram_form, coherence._weight_move, coherence._vertex_coherences
+def check_pair_move(block: np.ndarray) -> None:
+    """Assert that ``_pair_move`` of the 2 x 2 complex symmetric block gives ``v^T M v = i sigma_max(M)``, |v| = 1.
 
-    def counting(u):
-        events.append("form")
-        shapes.append(u.shape)
-        return gram_form(u)
+    The oracle is numpy's SVD; both sides round, so the value is held to 16 eps of sigma_max.
+    """
+    eps = np.finfo(float).eps
+    sigma = np.linalg.svd(block, compute_uv=False)[0]
+    v = np.array(_pair_move(complex(block[0, 0]), complex(block[0, 1]), complex(block[1, 1])))
+    assert abs(np.linalg.norm(v) - 1.0) <= 4 * eps
+    assert abs(v @ block @ v - 1j * sigma) <= 16 * eps * sigma
 
-    def counting_move(*args):
-        events.append("grid")
-        return weight_move(*args)
 
-    def counting_vertex(*args):
-        events.append("vertex")
-        return vertex(*args)
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300])
+def test_pair_move_reaches_i_sigma_max_on_random_blocks(scale):
+    # Complex symmetric blocks at every scale: the block is scaled by its
+    # largest entry first, so none of P = M^H M underflows or overflows.
+    rng = np.random.default_rng(41)
+    for _ in range(500):
+        a = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * scale
+        check_pair_move(a + a.T)
 
-    monkeypatch.setattr(coherence, "_gram_form", counting)
-    monkeypatch.setattr(coherence, "_weight_move", counting_move)
-    monkeypatch.setattr(coherence, "_vertex_coherences", counting_vertex)
-    numeric_max_search(24.0, 4, trials=300, seed=1)
-    assert events[0] == "form" and "vertex" in events
-    first_vertex = events.index("vertex")
-    assert set(events[first_vertex:]) == {"vertex"}
-    grids = events.count("grid")
-    assert 1 < events.count("form") <= 1 + grids
-    assert 1 <= grids and grids + events.count("vertex") <= _REFINE_PASSES
-    assert set(shapes) == {(4, 4)}
+
+def test_pair_move_reaches_i_sigma_max_on_unitary_and_diagonal_blocks():
+    # A unitary symmetric block W W^T (every move at m = 2) has sigma_1 =
+    # sigma_2 = 1, where any unit x is a top singular vector.  A diagonal
+    # block (H_kj = 0) moves H_kk to the larger diagonal modulus, also with
+    # equal moduli, a zero entry, or M = 0.
+    rng = np.random.default_rng(42)
+    for _ in range(500):
+        w = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        check_pair_move(w @ w.T)
+        p, q = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        for a, b in ((p, q), (p, abs(p) * np.exp(1j * rng.uniform(-np.pi, np.pi))), (p, 0.0), (0.0, q)):
+            check_pair_move(np.diag([a, b]).astype(complex))
+    check_pair_move(np.zeros((2, 2), dtype=complex))
+    check_pair_move(np.array([[0.0, 1.0 - 2.0j], [1.0 - 2.0j, 0.0]]))
+
+
+@pytest.mark.parametrize("m", [2, 3, 8])
+def test_pair_move_on_a_unitary_sets_h_kk_to_i_sigma_max(m):
+    # Mixing columns k and j of U by [[v_1, -conj(v_2)], [v_2, conj(v_1)]]
+    # keeps U unitary and puts H_kk of H = U^T U at i sigma_max of the block
+    # [[H_kk, H_kj], [H_kj, H_jj]], built and measured explicitly; the second
+    # unitary is block diagonal, so H_kj = 0 across its blocks.
+    rng = np.random.default_rng(43 + m)
+    eps = np.finfo(float).eps
+    _, xs, ys, _ = next(pure_param_blocks(47, 8, 4.0 * m + 8.0, m, False))
+    split = np.zeros((m, m), dtype=complex)
+    split[:1, :1] = np.exp(0.3j)
+    split[1:, 1:] = np.linalg.qr(rng.standard_normal((m - 1, m - 1)) + 1j * rng.standard_normal((m - 1, m - 1)))[0]
+    cases = [(x + 1j * y, *rng.choice(m, 2, replace=False)) for x, y in zip(xs, ys)] + [(split, 0, 1)]
+    for u, k, j in cases:
+        h = u.T @ u
+        block = h[np.ix_([k, j], [k, j])]
+        v1, v2 = _pair_move(complex(block[0, 0]), complex(block[0, 1]), complex(block[1, 1]))
+        mixed = u.copy()
+        mixed[:, k] = v1 * u[:, k] + v2 * u[:, j]
+        mixed[:, j] = -np.conj(v2) * u[:, k] + np.conj(v1) * u[:, j]
+        assert np.max(np.abs(mixed.conj().T @ mixed - np.eye(m))) <= 16 * m * eps
+        sigma = np.linalg.svd(block, compute_uv=False)[0]
+        assert abs((mixed.T @ mixed)[k, k] - 1j * sigma) <= 16 * m * eps
+
+
+@pytest.mark.parametrize("m", [2, 3, 8])
+def test_a_second_pair_move_gains_only_rounding(m):
+    # After a move H_kk = i sigma_max of the pair's block, and mixing the
+    # pair by a unitary leaves the block's singular values alone, so a second
+    # move on the same pair raises |H_kk| by rounding only: the sweeps' stop
+    # rule of 4 eps has nothing left to keep there.
+    rng = np.random.default_rng(53 + m)
+    eps = np.finfo(float).eps
+    _, xs, ys, _ = next(pure_param_blocks(59, 16, 4.0 * m + 8.0, m, False))
+    for x, y in zip(xs, ys):
+        u = x + 1j * y
+        k, j = rng.choice(m, 2, replace=False)
+        for _ in range(2):
+            h = u.T @ u
+            before = abs(h[k, k])
+            v1, v2 = _pair_move(complex(h[k, k]), complex(h[k, j]), complex(h[j, j]))
+            u = u.copy()
+            u[:, k], u[:, j] = v1 * u[:, k] + v2 * u[:, j], -np.conj(v2) * u[:, k] + np.conj(v1) * u[:, j]
+        assert abs((u.T @ u)[k, k]) - before <= 16 * m * eps
 
 
 @pytest.mark.parametrize("m", range(1, 17))
@@ -1098,9 +904,8 @@ def test_vertex_coherence_is_the_form_at_each_vertex(m):
             _, xs, ys, _ = next(pure_param_blocks(31, 3, E, m, False))
             for x, y in zip(xs, ys):
                 u = (x + 1j * y) * np.exp(0.5j * rng.uniform(-np.pi, np.pi, m))
-                gram, form = _gram_form(u)
-                got = _vertex_coherences(gram.tolist(), h)
-                want = [float(_form_coherence(_moduli(h, e), form)) for e in np.eye(m)]
+                got = _vertex_coherences(np.diagonal(u.T @ u).tolist(), h)
+                want = [float(form_coherence(u, _moduli(h, e))) for e in np.eye(m)]
                 assert all(np.isfinite(got))
                 assert_allclose(got, want, rtol=0, atol=1e-13 * c_max)
 
@@ -1131,14 +936,14 @@ def test_search_splits_its_gap_into_spectrum_and_unitary_parts():
         assert where["vertex_gap"] == pytest.approx(1.0 - abs((u.T @ u)[k, k]), rel=0, abs=1e-13)
 
 
-def test_search_near_the_vacuum_keeps_the_interior_weight_grid():
-    # Near the vacuum an interior grid point can beat every vertex: a
-    # search that moved only between vertices read 0.985 c_max here, the
-    # grid from the sampled weights 1 - 3e-9.
+def test_search_near_the_vacuum_reaches_the_maximum_from_the_best_vertex():
+    # Here a search that moved only between vertices by phase and Givens
+    # moves read 0.985 c_max, and one with an interior weight grid 1 - 3e-9;
+    # pair sweeps from the best vertex reach c_max to rounding.
     E, m = 8.000001, 4
     c_max = max_symplectic_coherence(E, m)
     outcome = numeric_max_search(E, m, 50, 87)
-    assert 0.999 * c_max <= outcome.sup_c <= c_max + rounding_floor(2 * m, c_max)
+    assert abs(outcome.sup_c - c_max) <= rounding_floor(2 * m, c_max)
 
 
 @pytest.mark.parametrize("m", [3, 4, 8, 16])
@@ -1147,15 +952,16 @@ def test_search_just_above_the_vacuum_reaches_the_maximum(m):
     c_max = max_symplectic_coherence(E, m)
     for seed in range(77, 101):
         sup_c = numeric_max_search(E, m, 50, seed).sup_c
-        assert (1.0 - 1e-4) * c_max <= sup_c <= c_max + rounding_floor(2 * m, c_max), seed
+        assert abs(sup_c - c_max) <= rounding_floor(2 * m, c_max), seed
 
 
 def test_stop_rule_keeps_many_sweeps_within_the_floor(monkeypatch):
     # Without a stop rule, rounding-level gains carried sup_c past c_max +
     # rounding_floor(2m, c_max) at a 32-sweep cap (in 15 of 96 searches at m =
-    # 1 and 28 at m = 2, 30 trials); a sweep that gains no more than the
-    # floor now ends the refinement.
-    monkeypatch.setattr(coherence, "_REFINE_PASSES", 32)
+    # 1 and 28 at m = 2, 30 trials).  A pair sweep that raises |H_kk| by at
+    # most 4 eps ends the refinement, so even a cap of 1000 sweeps keeps
+    # sup_c within the floor.
+    monkeypatch.setattr(coherence, "_REFINE_PASSES", 1000)
     for m in (1, 2, 4):
         for E in (2.0 * m + 1e-3, 4.0 * m + 8.0, 1e4):
             c_max = max_symplectic_coherence(E, m)
@@ -1165,107 +971,26 @@ def test_stop_rule_keeps_many_sweeps_within_the_floor(monkeypatch):
 
 
 def test_a_converged_search_stops_before_the_cap(monkeypatch):
-    # A free turn gains nothing, so a converged search stops: at m = 2 one
-    # Givens move per sweep, and 2 or 3 sweeps where the cap allows 32.
-    monkeypatch.setattr(coherence, "_REFINE_PASSES", 32)
+    # A sweep makes m - 1 pair moves.  At m = 2 the block is H itself, a
+    # unitary, so the first sweep reaches |H_kk| = 1 and the second gains
+    # rounding: at most 2 moves.  At every m the sweeps end by the stop rule,
+    # before the cap of _REFINE_PASSES.
     calls = []
-    givens = coherence._givens_coefficients
+    pair_move = coherence._pair_move
 
     def counting(*args):
         calls.append(1)
-        return givens(*args)
+        return pair_move(*args)
 
-    monkeypatch.setattr(coherence, "_givens_coefficients", counting)
-    c_max = max_symplectic_coherence(16.0, 2)
-    for seed in range(10):
-        calls.clear()
-        sup_c = numeric_max_search(16.0, 2, 200, seed).sup_c
-        assert abs(sup_c - c_max) <= rounding_floor(4, c_max)
-        assert 2 <= len(calls) <= 3, seed
-
-
-def weight_move_line_by_line(weights, form, half_excess, c0):
-    """The weight move one line at a time, each from the same weights.
-
-    Line i sets weight i to t and shares 1 - t among the others in
-    proportion to their weights, and its grid is evaluated point by point;
-    the best point of the best line is returned if it beats c0, else None.
-    """
-    best = None, c0
-    for i in range(len(weights)):
-        rest = np.delete(weights, i).sum()
-        if rest <= 0.0:
-            continue
-        share = weights / rest
-        share[i] = 0.0
-        end = np.eye(len(weights))[i]
-        for t in _GRID:
-            w = (1.0 - t) * share + t * end
-            c = float(_form_coherence(_moduli(half_excess, w), form))
-            if c > best[1]:
-                best = w, c
-    return None if best[0] is None else best
-
-
-@pytest.mark.parametrize("m", [1, 2, 3, 8, 16])
-def test_stacked_weight_move_matches_the_line_by_line_grid(m):
-    rng = np.random.default_rng(100 + m)
-    _, xs, ys, _ = next(pure_param_blocks(5, 8, 4.0 * m + 8.0, m, False))
-    for x, y in zip(xs, ys):
-        turns = np.exp(0.5j * rng.uniform(-np.pi, np.pi, m))
-        _, form = _gram_form((x + 1j * y) * turns)
-        for half_excess in (1e-9, 4.0, 1e6):
-            g = rng.standard_normal(m) ** 2
-            g[rng.random(m) < 0.2] = 0.0  # some lines rescale zero weights
-            for weights in (g / g.sum() if g.any() else np.eye(m)[0], np.eye(m)[m - 1]):
-                c0 = float(_form_coherence(_moduli(half_excess, weights), form))
-                for start in (c0, 0.5 * c0, 2.0 * c0 + 1.0):
-                    want = weight_move_line_by_line(weights, form, half_excess, start)
-                    got = coherence._weight_move(weights, form, half_excess, start)
-                    if want is None:
-                        assert got is None
-                        continue
-                    assert got[1] == pytest.approx(want[1], rel=1e-15, abs=0)
-                    assert_allclose(got[0], want[0], rtol=1e-15, atol=0)
-
-
-class CountingForm(np.ndarray):
-    """A quadratic form that counts the products ``v @ F`` taken with it."""
-
-    products = 0
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            self.products += 1
-        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
-
-
-@pytest.mark.parametrize("m", [2, 8])
-def test_weight_move_evaluates_one_stack(m, monkeypatch):
-    # Every line of a sweep is evaluated in the same stacked evaluation, so a
-    # weight move takes one product with the form, not one per mode.  U
-    # turns, so there is one form per sweep in which it turned, and each
-    # weight move reads the latest.
-    forms, moves = [], []
-    gram_form, weight_move = coherence._gram_form, coherence._weight_move
-
-    def counting_form(u):
-        gram, form = gram_form(u)
-        forms.append(form.view(CountingForm))
-        return gram, forms[-1]
-
-    def counting_move(*args):
-        assert args[1] is forms[-1]
-        before = forms[-1].products
-        out = weight_move(*args)
-        moves.append(forms[-1].products - before)
-        return out
-
-    monkeypatch.setattr(coherence, "_gram_form", counting_form)
-    monkeypatch.setattr(coherence, "_weight_move", counting_move)
-    numeric_max_search(4.0 * m + 8.0, m, trials=200, seed=0)
-    assert moves and 1 < len(forms) <= 1 + len(moves)
-    assert moves == [1] * len(moves)
+    monkeypatch.setattr(coherence, "_pair_move", counting)
+    for m in (2, 4, 8, 16):
+        for E in (4.0 * m + 8.0, 1e8):
+            c_max = max_symplectic_coherence(E, m)
+            for seed in range(10):
+                calls.clear()
+                sup_c = numeric_max_search(E, m, 200, seed).sup_c
+                assert abs(sup_c - c_max) <= rounding_floor(2 * m, c_max)
+                assert len(calls) <= 2 if m == 2 else len(calls) < (m - 1) * _REFINE_PASSES, (m, E, seed)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])
@@ -1288,27 +1013,117 @@ def test_search_just_above_the_minimum_budget(m, ulps):
         assert outcome.sup_c == pytest.approx(c_max, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("m, bound", [(2, 1e-14), (4, 1.2e-9), (8, 1e-7)])
-def test_search_mean_gap_and_phase_range(m, bound):
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_search_mean_gap_and_phase_range(m):
+    # Every gap, and so the mean, is within the rounding floor of c_max; the
+    # squeezed mode k has H_kk = i to rounding, so theta_k is the paper's pi/4.
     E = 4.0 * m + 8.0
     c_max = max_symplectic_coherence(E, m)
+    bound = rounding_floor(2 * m, 1.0)
     gaps = []
     for seed in range(10):
         outcome = numeric_max_search(E, m, trials=200, seed=seed)
         assert outcome.sup_c <= c_max * (1.0 + 1e-12)
         gaps.append((c_max - outcome.sup_c) / c_max)
+        assert abs(gaps[-1]) <= bound
         theta = np.asarray(outcome.argmax["theta"])
         assert np.all((theta > -np.pi / 2) & (theta <= np.pi / 2))
+        k = int(np.argmax(outcome.argmax["weights"]))
+        assert theta[k] == pytest.approx(np.pi / 4, rel=0, abs=bound)
     assert np.mean(gaps) <= bound
 
 
 def test_search_reaches_the_maximum_where_phases_and_weights_stalled():
     # At E = 16, m = 4, seed 7 and 10^4 trials, phase and weight moves alone
     # stopped at 0.916 c_max whatever the number of sweeps: they cannot
-    # change the columns of the sampled U.  Givens moves can.
+    # change the columns of the sampled U.  Pair moves mix them.
     c_max = max_symplectic_coherence(16.0, 4)
     outcome = numeric_max_search(16.0, 4, trials=10_000, seed=7)
-    assert 0.999 * c_max <= outcome.sup_c <= c_max + rounding_floor(8, c_max)
+    assert abs(outcome.sup_c - c_max) <= rounding_floor(8, c_max)
+
+
+VERTEX_GAP_TRACES = {
+    "2m+1e-6": lambda m: 2.0 * m + 1e-6,
+    "4m+8": lambda m: 4.0 * m + 8.0,
+    "1e4": lambda m: 1e4,
+    "1e8": lambda m: 1e8,
+}
+
+
+@pytest.mark.parametrize("trace", list(VERTEX_GAP_TRACES))
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+def test_search_vertex_gap_is_within_the_rounding_floor(m, trace):
+    # The pair sweeps converge at every trace: 1 - |H_kk| is rounding from
+    # just above the vacuum to E = 1e8, where the curvature of c in y is 1/h
+    # of that in x and the phase and Givens moves had stalled at 0.86.
+    E = VERTEX_GAP_TRACES[trace](m)
+    c_max = max_symplectic_coherence(E, m)
+    for seed in range(16):
+        outcome = numeric_max_search(E, m, 200, seed)
+        assert abs(outcome.argmax["vertex_gap"]) <= rounding_floor(2 * m, 1.0), seed
+        assert abs(outcome.sup_c - c_max) <= rounding_floor(2 * m, c_max), seed
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])
+def test_search_reports_a_unitary_at_a_vertex_with_the_papers_turn(m):
+    # At every trace the reported U = X + iY is unitary to rounding (the
+    # moves are products of 2 x 2 unitaries), the weights are a vertex e_k,
+    # and theta_k = arg(H_kk)/2 is pi/4 with every other theta in (-pi/2, pi/2].
+    bound = rounding_floor(2 * m, 1.0)
+    for make in SEARCH_TRACES.values():
+        for seed in range(3):
+            where = numeric_max_search(make(m), m, 200, seed).argmax
+            u = np.asarray(where["x"]) + 1j * np.asarray(where["y"])
+            assert np.max(np.abs(u.conj().T @ u - np.eye(m))) <= bound
+            weights = np.asarray(where["weights"])
+            k = int(weights.argmax())
+            assert np.array_equal(weights, np.eye(m)[k])
+            theta = np.asarray(where["theta"])
+            assert np.all((theta > -np.pi / 2) & (theta <= np.pi / 2))
+            assert theta[k] == pytest.approx(np.pi / 4, rel=0, abs=bound)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 8, 16])
+def test_search_refines_from_the_first_best_vertex_of_its_sample(m):
+    # The refinement moves the sampled U's first vertex of largest c(e_k)
+    # and keeps only moves that raise |H_kk|, so the refined coherence is at
+    # least that vertex's, up to the rounding of recomputing H_kk.
+    for make in SEARCH_TRACES.values():
+        E = make(m)
+        h, c_max = 0.5 * (E - 2.0 * m), max_symplectic_coherence(E, m)
+        for seed in range(3):
+            _, trial, x, y, _ = coherence._best_sample(E, m, 200, seed)
+            u = x + 1j * y
+            at = _vertex_coherences(np.diagonal(u.T @ u).tolist(), h)
+            where = numeric_max_search(E, m, 200, seed).argmax
+            assert where["trial"] == trial
+            assert int(np.argmax(where["weights"])) == at.index(max(at))
+            assert where["refined_coherence"] >= max(at) - rounding_floor(2 * m, c_max)
+
+
+@pytest.mark.parametrize("E", [2.0 + 1e-9, 2.0 + 1e-3, 6.0, 1e4, 1e8, 1.3e154])
+def test_single_mode_refinement_is_the_turn_alone(E, monkeypatch):
+    # At m = 1 U is the phase e^{i phi} and H = e^{2i phi}: the refinement
+    # turns it to H = i, so x = y = +-sqrt(1/2), theta = pi/4 and c = c_max,
+    # with no pair move.
+    calls = []
+    pair_move = coherence._pair_move
+
+    def counting(*args):
+        calls.append(1)
+        return pair_move(*args)
+
+    monkeypatch.setattr(coherence, "_pair_move", counting)
+    eps = np.finfo(float).eps
+    c_max = max_symplectic_coherence(E, 1)
+    for seed in range(8):
+        where = numeric_max_search(E, 1, 30, seed).argmax
+        (x,), (y,) = where["x"][0], where["y"][0]
+        assert abs(abs(x) - np.sqrt(0.5)) <= 4 * eps and abs(abs(y) - np.sqrt(0.5)) <= 4 * eps
+        assert where["theta"] == [pytest.approx(np.pi / 4, rel=0, abs=4 * eps)]
+        assert abs(where["vertex_gap"]) <= 4 * eps
+        assert abs(where["refined_coherence"] - c_max) <= rounding_floor(2, c_max)
+    assert not calls
 
 
 def test_search_input_validation():

@@ -54,6 +54,7 @@ from sympcoh.coherence import (
     trace_distance_cov_bound,
 )
 from sympcoh.discord_map import to_density
+from sympcoh.gaussian_core import symplectic_form
 from sympcoh.ensembles import EnsembleConfig
 from sympcoh.symplectic_ops import require_budget, sample_d_batch
 
@@ -161,6 +162,11 @@ def _discrimination_config(n_samples, trials):
             "n_samples must be >= 1, got 0",
         ),
         (lambda: numeric_max_search(6.0, 1, trials=0, seed=0), ValueError, "trials must be >= 1, got 0"),
+        # Mode counts of the matrix builders and gates, once an unnamed TypeError.
+        (lambda: symplectic_form(1.5), ValueError, "m must be an integer, got float 1.5"),
+        (lambda: vacuum_state(2.5), ValueError, "m must be an integer, got float 2.5"),
+        (lambda: squeezer(2.5, 1, 0.3), ValueError, "m must be an integer, got float 2.5"),
+        (lambda: phase_shifter(True, 1, 0.3), ValueError, "m must be an integer, got bool True"),
     ],
     ids=[
         "meas_moments-displaced-output",
@@ -196,6 +202,10 @@ def _discrimination_config(n_samples, trials):
         "DiscriminationConfig-no-trials",
         "EnsembleConfig-no-samples",
         "numeric_max_search-no-trials",
+        "symplectic_form-float-m",
+        "vacuum_state-float-m",
+        "squeezer-float-m",
+        "phase_shifter-bool-m",
     ],
 )
 def test_each_fault_raises_its_named_error(call, error, message):
