@@ -347,9 +347,19 @@ def median_of_means(samples: Sequence[float] | np.ndarray, delta: float) -> floa
 
 
 def wilson_upper(failures: int, trials: int) -> float:
-    """Wilson-score upper confidence limit for a binomial proportion, at ``z = WILSON_Z``."""
+    """Wilson-score upper confidence limit for a binomial proportion, at ``z = WILSON_Z``.
+
+    Raises:
+        ValueError: naming the argument, unless ``failures`` and ``trials``
+            are integers (``_require_int``), ``trials`` is positive and
+            ``0 <= failures <= trials``.
+    """
+    _require_int("failures", failures)
+    _require_int("trials", trials)
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if not 0 <= failures <= trials:
+        raise ValueError(f"failures must be in 0..{trials}, got {failures}")
     z = WILSON_Z
     p = failures / trials
     denom = 1.0 + z * z / trials

@@ -11,6 +11,7 @@ under tensor products, and bounded at fixed trace by
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -25,6 +26,7 @@ from .symplectic_ops import (
     SympGate,
     apply,
     block_samples,
+    ginibre_from_uniforms,
     haar_from_ginibre,
     is_orthogonal,
     mc_blocks,
@@ -465,21 +467,24 @@ def _best_sample(
     The branch-and-bound sampling of ``numeric_max_search``: per block, the
     ``_FIRST_BATCH`` rows of largest spectrum bound are factored and scored,
     then every other row whose bound plus its floor reaches the best c so far;
-    the best row keeps the factor of its batch.
+    the best row keeps the factor of its batch.  ``score`` maps just the
+    uniforms of the rows it factors to Ginibre matrices
+    (``ginibre_from_uniforms``), an elementwise map, so every row has the
+    bytes it would have if the whole block were mapped.
     """
-    draw = partial(pure_draw, E=E, m=m, real=False)
+    draw = partial(pure_draw, E=E, m=m)
     best_c = -1.0
-    for start, (ds, zs) in mc_blocks(seed, trials, block_samples(m), draw):
+    for start, (ds, ws) in mc_blocks(seed, trials, block_samples(m), draw):
         alphas = ds - 1.0
         betas = -alphas / ds
         sigmas = 0.5 * (alphas - betas)
         bounds = np.einsum("ij,ij->i", sigmas, sigmas)
         reach = bounds + 4.0 * m * rounding_floor(2 * m, bounds)
         c = np.full(len(ds), -np.inf)
-        us = np.empty_like(zs)
+        us = np.empty(ws.shape[:-1], dtype=complex)
 
         def score(rows: np.ndarray) -> None:
-            u = us[rows] = haar_from_ginibre(zs[rows])
+            u = us[rows] = haar_from_ginibre(ginibre_from_uniforms(ws[rows], real=False))
             vs = pure_xp_block(u.real, u.imag, alphas[rows], betas[rows])
             c[rows] = np.einsum("...ij,...ij->...", vs, vs)
 
@@ -502,8 +507,10 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
     Samples pure states (Haar passive gate times a random squeezing spectrum
     summing to the trace budget) in the blocks of ``mc_blocks``, each
     ``block_samples(m)`` draws of ``pure_draw``, so the samples of a run are a
-    prefix of those of any longer run with the same seed.  No covariance
-    matrix is built: a sample is scored by the squared norm of its
+    prefix of those of any longer run with the same seed.  A block draws
+    every row's spectrum but only uniforms for its gates; Gaussians are made
+    from them (``ginibre_from_uniforms``) only for the rows factored.  No
+    covariance matrix is built: a sample is scored by the squared norm of its
     position-momentum block, ``V_xp = Y (D^-1 - 1) X^T - X (D - 1) Y^T`` for
     passive unitary X + iY and ``D = diag(d)`` (``symplectic_ops.pure_xp_block``,
     two batched matmuls).  Most samples are never factored or scored, by
@@ -521,15 +528,15 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
     each mode's squeezing by pi/4 attains B, and ``B = sum gamma^2 + 2h <=
     h^2 + 2h`` for ``h = (E - 2m)/2`` is ``max_symplectic_coherence``.
 
-    Per block, the ``_FIRST_BATCH`` rows of largest B are factored (Haar QR,
-    ``haar_from_ginibre``) and scored, then, in one more batch, every other
-    row whose B plus a floor F reaches the best c so far, of earlier blocks
-    and of this first batch (``_best_sample``); the best row keeps the factor
-    of its batch.  A row left out has c below that best, so it could neither
-    win nor tie, and the first maximum in index order is taken over c filled
-    with -inf: every output is bit for bit that of scoring every sample.  At
-    200 trials about 24 / 6 / 4 % of the rows are factored at m = 2 / 4 / 8,
-    and all of them at m = 1, where B is one value.
+    Per block, the ``_FIRST_BATCH`` rows of largest B are mapped to Ginibre
+    matrices, factored (Haar QR, ``haar_from_ginibre``) and scored, then, in
+    one more batch, every other row whose B plus a floor F reaches the best c
+    so far, of earlier blocks and of this first batch (``_best_sample``); the
+    best row keeps the factor of its batch.  A row left out has c below that
+    best, so it could neither win nor tie, and the first maximum in index
+    order is taken over c filled with -inf: every output is bit for bit that
+    of scoring every sample.  At 200 trials about 24 / 6 / 4 % of the rows are
+    factored at m = 2 / 4 / 8, and all of them at m = 1, where B is one value.
 
     ``F = 4m rounding_floor(2m, B) = 16 m (m + 1)^2 eps B`` bounds, to first
     order in eps, how far the computed c can pass the computed B.  The
@@ -620,22 +627,25 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
         rho = (1j * p.conjugate() / abs(p)) ** 0.5
         cols[k] = [a * rho for a in cols[k]]
         p = 1j * abs(p)
+    size = abs(p)  # |H_kk|, carried with p
     for _ in range(_REFINE_PASSES):
-        start = abs(p)
+        start = size
         for j in range(m):
             if j == k:
                 continue
             col_k, col_j = cols[k], cols[j]
-            r, q = sum(a * b for a, b in zip(col_k, col_j)), diagonal[j]
+            r, q = sum(map(operator.mul, col_k, col_j)), diagonal[j]
             v1, v2 = _pair_move(p, r, q)
-            w1, w2 = -v2.conjugate(), v1.conjugate()
             moved = v1 * (v1 * p + v2 * r) + v2 * (v1 * r + v2 * q)  # v^T M v
-            if not abs(moved) > abs(p):
+            moved_size = abs(moved)
+            if not moved_size > size:
                 continue
-            p, diagonal[j] = moved, w1 * (w1 * p + w2 * r) + w2 * (w1 * r + w2 * q)
+            w1, w2 = -v2.conjugate(), v1.conjugate()
+            diagonal[j] = w1 * (w1 * p + w2 * r) + w2 * (w1 * r + w2 * q)
+            p, size = moved, moved_size
             cols[k] = [v1 * a + v2 * b for a, b in zip(col_k, col_j)]
             cols[j] = [w1 * a + w2 * b for a, b in zip(col_k, col_j)]
-        if not abs(p) - start > 4.0 * _EPS:
+        if not size - start > 4.0 * _EPS:
             break
     u = np.array(cols).T
     diagonal = np.einsum("ij,ij->j", u, u).tolist()

@@ -18,6 +18,7 @@ from .gaussian_core import CovMat, _require_count, _require_int
 from .symplectic_ops import (
     block_samples,
     ginibre_batch,
+    ginibre_from_uniforms,
     haar_from_ginibre,
     mc_blocks,
     mean_stderr_rows,
@@ -129,15 +130,17 @@ def pure_cm_from_passive(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> CovMat:
 def sample_pure_cm(E: float, m: int, kind: str, rng: np.random.Generator) -> CovMat:
     """Draw one pure m-mode covariance matrix with trace E of ensemble ``kind``.
 
-    The draw is ``symplectic_ops.pure_draw`` for one sample from ``rng``.
+    The draw is ``symplectic_ops.pure_draw`` for one sample from ``rng``: a
+    spectrum and uniforms, which ``ginibre_from_uniforms`` maps to a real
+    (orthogonal kind) or complex Ginibre matrix for ``haar_from_ginibre``.
     The orthogonal kind has a structurally zero position-momentum block, so
     its samples carry no position-momentum correlations at all.
     Raises ``ValueError`` for a kind not in ``KINDS``, or unless m is a count and
     2m <= E with E^2 finite.
     """
     _require_kind(kind)
-    d, z = pure_draw(rng, 1, E, m, kind == "orthogonal")
-    u = haar_from_ginibre(z)[0]
+    d, w = pure_draw(rng, 1, E, m)
+    u = haar_from_ginibre(ginibre_from_uniforms(w, kind == "orthogonal"))[0]
     return pure_cm_from_passive(u.real, u.imag, d[0])
 
 

@@ -33,7 +33,7 @@ from .gaussian_core import (
 
 # Id of the map from seeds to Monte-Carlo samples, reported in every CLI
 # manifest; bumped whenever a seeded sample changes (history in README).
-STREAM_SCHEME = "seedseq-spawn-v6"
+STREAM_SCHEME = "seedseq-spawn-v7"
 
 
 class GateError(ValueError):
@@ -73,8 +73,8 @@ def mc_blocks(seed: int, n: int, size: int, draw: Callable) -> Iterator[tuple[in
     a deterministic function of the seed, different seeds give independent
     samples, and a run of n samples is a prefix of every longer run with the
     same seed and size.  A ``draw`` only consumes its generator: per-sample
-    transforms, such as the QR of ``haar_from_ginibre``, run on the rows a
-    driver still needs.
+    transforms, such as ``ginibre_from_uniforms`` and the QR of
+    ``haar_from_ginibre``, run on the rows a driver still needs.
     """
     for b, start in enumerate(range(0, n, size)):
         yield start, draw(derive_rng(seed, b), size, keep=min(size, n - start))
@@ -601,21 +601,44 @@ def haar_unitary_batch(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return haar_from_ginibre(ginibre_batch(m, n, rng, real=False))
 
 
-def pure_draw(
-    rng: np.random.Generator, n: int, E: float, m: int, real: bool, keep: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The raw draw ``(d, z)`` of n random pure states with covariance trace E, cut at ``keep``.
+def ginibre_from_uniforms(w: np.ndarray, real: bool) -> np.ndarray:
+    """Ginibre entries of unit variance from uniform pairs ``w`` (..., 2) in [0, 1).
 
-    The layout of a block of whole pure states (an ``mc_blocks`` draw once
-    E, m, real are bound): spectra d (``sample_d_batch``), then one square
-    Ginibre stack z (``ginibre_batch``), real iff the passive gates
-    ``haar_from_ginibre(z)`` are to be orthogonal.  The spectra (and a
-    complex stack's real parts) are drawn for all n states and cut to their
-    first ``keep`` rows (all n by default); the last fill, the real stack or
-    the imaginary parts, stops at ``keep``.  The ensembles, which read only
-    z's first column, draw that column first instead.
+    The polar Box-Muller map (Box and Muller, Ann. Math. Stat. 29, 610
+    (1958)): the pair ``(w0, w1)`` gives the complex entry ``sqrt(-log1p(-w0))
+    e^{2 pi i w1}``, whose ``|z|^2 = -log(1 - w0)`` is Exp(1) and whose phase
+    is uniform, a standard complex normal; the real entry is ``sqrt(2)`` times
+    its real part, a standard normal.  The map is elementwise, so the entries
+    of any rows of ``w`` are those rows of the whole stack's entries.
     """
-    return sample_d_batch(E, m, n, rng)[:keep], ginibre_batch(m, n, rng, real, keep=keep)
+    radius = np.sqrt(-np.log1p(-w[..., 0]))
+    turn = 2.0 * np.pi * w[..., 1]
+    if real:
+        return radius * np.cos(turn) * math.sqrt(2.0)
+    z = np.empty(radius.shape, dtype=complex)
+    np.multiply(radius, np.cos(turn), out=z.real)
+    np.multiply(radius, np.sin(turn), out=z.imag)
+    return z
+
+
+def pure_draw(
+    rng: np.random.Generator, n: int, E: float, m: int, keep: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The raw draw ``(d, w)`` of n random pure states with covariance trace E, cut at ``keep``.
+
+    The layout of a block of whole pure states (an ``mc_blocks`` draw once E
+    and m are bound): spectra d (``sample_d_batch``), drawn for all n states
+    and cut to their first ``keep`` rows (all n by default), then a ``(keep,
+    m, m, 2)`` stack w of ``rng.random`` uniforms.  A uniform costs one word
+    of the stream, so those are the bytes of the whole block's first
+    ``keep`` stacks.  ``ginibre_from_uniforms(w, real)`` turns them into
+    square Ginibre stacks, real iff the passive gates ``haar_from_ginibre``
+    are to be orthogonal; a caller maps only the rows it factors.  The
+    ensembles, which read only a Ginibre matrix's first column, draw normals
+    (``ginibre_batch``), that column first, instead.
+    """
+    d = sample_d_batch(E, m, n, rng)[:keep]
+    return d, rng.random((len(d), m, m, 2))
 
 
 def pure_cm(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:

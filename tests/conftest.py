@@ -30,6 +30,7 @@ from sympcoh.ensembles import (
 from sympcoh.symplectic_ops import (
     block_samples,
     ginibre_batch,
+    ginibre_from_uniforms,
     haar_from_ginibre,
     mc_blocks,
     mean_stderr_rows,
@@ -122,9 +123,9 @@ def pure_param_blocks(
     ``X + iY = haar_from_ginibre(z)``, factored on every kept row (``Y = 0`` if
     orthogonal): the samples of the maximum search, all of them factored.
     """
-    draw = partial(pure_draw, E=E, m=m, real=orthogonal)
-    for start, (d, z) in mc_blocks(seed, n, block_samples(m), draw):
-        u = haar_from_ginibre(z)
+    draw = partial(pure_draw, E=E, m=m)
+    for start, (d, w) in mc_blocks(seed, n, block_samples(m), draw):
+        u = haar_from_ginibre(ginibre_from_uniforms(w, orthogonal))
         yield start, u.real, u.imag, d
 
 
@@ -174,10 +175,12 @@ def _rows(samples: np.ndarray, kind: str, m: int) -> Iterable[MomentCheck]:
         yield check("E[X_1i Y_1i X_1j Y_1j], i!=j", x1 * y1 * x2 * y2, 0.0)
 
 
-def haar_moment_check(m: int, n_samples: int, rng: np.random.Generator) -> list[MomentCheck]:
+def haar_moment_check(
+    m: int, n_samples: int, rng: np.random.Generator, uniforms: bool = False
+) -> list[MomentCheck]:
     """Estimate the fourth moments of Haar first rows against closed forms.
 
-    A self-check of the package's Haar sampler.  For each kind in
+    A self-check of the package's Haar samplers.  For each kind in
     ``ensembles.KINDS``, one integer seed is drawn from ``rng``
     (``integers(2**63)``); that kind's Ginibre stacks then come from
     ``symplectic_ops.mc_blocks`` in blocks of ``block_samples(m)``, factored
@@ -187,6 +190,9 @@ def haar_moment_check(m: int, n_samples: int, rng: np.random.Generator) -> list[
         m: matrix size (needs m >= 2 for the i != j rows).
         n_samples: Monte-Carlo sample count per kind (>= 1000).
         rng: random generator, used only for the per-kind seeds.
+        uniforms: take the Ginibre stacks as the maximum search does, the
+            polar map (``ginibre_from_uniforms``) of ``pure_draw``'s
+            uniforms, rather than the normals of ``ginibre_batch``.
 
     Returns:
         One row per moment with estimate, exact value and standard error.
@@ -199,7 +205,10 @@ def haar_moment_check(m: int, n_samples: int, rng: np.random.Generator) -> list[
     for kind in KINDS:
 
         def draw(block_rng: np.random.Generator, size: int, keep: int) -> tuple:
-            return (ginibre_batch(m, size, block_rng, real=kind == "orthogonal", keep=keep),)
+            real = kind == "orthogonal"
+            if uniforms:  # the spectra, here those of E = 2m, are not read
+                return (ginibre_from_uniforms(pure_draw(block_rng, size, 2.0 * m, m, keep)[1], real),)
+            return (ginibre_batch(m, size, block_rng, real=real, keep=keep),)
 
         blocks = mc_blocks(int(rng.integers(2**63)), n_samples, block_samples(m), draw)
         first_rows = np.concatenate([haar_from_ginibre(z)[:, 0, :] for _, (z,) in blocks])

@@ -434,6 +434,15 @@ def test_haar_moment_check_agreement(rng):
     assert kinds == {"orthogonal", "unitary"}
 
 
+@pytest.mark.parametrize("m", [2, 8])
+def test_haar_moment_check_agreement_on_the_search_draw(m, rng):
+    # The same table on the Haar matrices of the maximum search's draw.
+    checks = haar_moment_check(m, 5000, rng, uniforms=True)
+    assert len(checks) == 9
+    for check in checks:
+        assert check.n_sigma <= 5.0, check
+
+
 def test_haar_moment_check_mode_floor(rng):
     with pytest.raises(ValueError):
         haar_moment_check(1, 2000, rng)

@@ -84,6 +84,12 @@ def _discrimination_config(n_samples, trials):
         (lambda: loss_gtilde(1, 2.0, 0.5), ValueError, "trace budget admits no correlations"),
         (lambda: n_thres_loss_optimal(2, 4.0, 0.4, 0.8, 0.1), ValueError, "trace budget admits no correlations"),
         (lambda: wilson_upper(0, 0), ValueError, "trials must be positive"),
+        # These once returned 0.719 and 0.793, or raised an unnamed "math domain error".
+        (lambda: wilson_upper(0, 1.5), ValueError, "trials must be an integer, got float 1.5"),
+        (lambda: wilson_upper(0, True), ValueError, "trials must be an integer, got bool True"),
+        (lambda: wilson_upper(0.5, 2), ValueError, "failures must be an integer, got float 0.5"),
+        (lambda: wilson_upper(3, 2), ValueError, "failures must be in 0..2, got 3"),
+        (lambda: wilson_upper(-1, 5), ValueError, "failures must be in 0..5, got -1"),
         (_displaced_probe_config, ValueError, "probe must have zero first moments"),
         (
             lambda: rotated_quadrature_variance(vacuum_state(2).cov, 0.3),
@@ -173,6 +179,11 @@ def _discrimination_config(n_samples, trials):
         "loss_gtilde-at-2m",
         "n_thres_loss_optimal-at-2m",
         "wilson_upper-no-trials",
+        "wilson_upper-float-trials",
+        "wilson_upper-bool-trials",
+        "wilson_upper-float-failures",
+        "wilson_upper-failures-above-trials",
+        "wilson_upper-negative-failures",
         "DiscriminationConfig-displaced-probe",
         "rotated_quadrature_variance-m2",
         "tvd_bound_ppmm-m2",

@@ -47,6 +47,7 @@ from sympcoh.symplectic_ops import (
     BLOCK_ENTRIES,
     block_samples,
     ginibre_batch,
+    ginibre_from_uniforms,
     haar_from_ginibre,
     haar_unitary_batch,
     pure_draw,
@@ -816,35 +817,52 @@ def test_mc_blocks_tells_each_draw_the_rows_it_keeps():
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["orthogonal", "unitary"])
-def test_pure_draw_is_spectra_then_one_ginibre_stack(real):
-    d, z = pure_draw(derive_rng(2, 0), 5, 12.0, 3, real)
-    ref_rng = derive_rng(2, 0)
+def test_pure_draw_is_spectra_then_one_uniform_stack(real):
+    # The spectra, then one (n, m, m, 2) stack of uniforms; its polar map is
+    # the plain Box-Muller formula, real or complex, entry by entry.
+    rng, ref_rng = derive_rng(2, 0), derive_rng(2, 0)
+    d, w = pure_draw(rng, 5, 12.0, 3)
     assert d.tobytes() == sample_d_batch(12.0, 3, 5, ref_rng).tobytes()
-    assert z.tobytes() == ginibre_batch(3, 5, ref_rng, real).tobytes()
+    assert w.shape == (5, 3, 3, 2)
+    assert w.tobytes() == ref_rng.random((5, 3, 3, 2)).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    radius, turn = np.sqrt(-np.log1p(-w[..., 0])), 2.0 * np.pi * w[..., 1]
+    if real:
+        want = radius * np.cos(turn) * np.sqrt(2.0)
+    else:
+        want = np.empty(radius.shape, dtype=complex)
+        want.real, want.imag = radius * np.cos(turn), radius * np.sin(turn)
+    got = ginibre_from_uniforms(w, real)
+    assert got.dtype == want.dtype and got.shape == (5, 3, 3)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["orthogonal", "unitary"])
 def test_pure_draw_fills_its_last_stack_only_to_keep(real):
-    # The spectra and a complex stack's real parts are drawn for the whole
-    # block; the last fill stops at keep, with the full draw's bytes.
+    # The spectra are drawn for the whole block; the uniforms stop at keep,
+    # with the full draw's bytes, and so do the Ginibre stacks mapped from them.
     m, E = 8, 40.0
     n = block_samples(m)
-    d_all, z_all = pure_draw(derive_rng(9, 0), n, E, m, real)
+    d_all, w_all = pure_draw(derive_rng(9, 0), n, E, m)
     for keep in (1, 30, n):
         rng = derive_rng(9, 0)
-        d, z = pure_draw(rng, n, E, m, real, keep=keep)
+        d, w = pure_draw(rng, n, E, m, keep=keep)
         assert d.tobytes() == d_all[:keep].tobytes()
-        assert z.tobytes() == z_all[:keep].tobytes()
-        # The next normal of the stream follows the keep rows of the last fill.
-        drawn = n * m + (0 if real else n * m * m) + keep * m * m
-        assert rng.standard_normal() == derive_rng(9, 0).standard_normal(drawn + 1)[-1]
+        assert w.tobytes() == w_all[:keep].tobytes()
+        assert ginibre_from_uniforms(w, real).tobytes() == ginibre_from_uniforms(w_all, real)[:keep].tobytes()
+        # The stream stops right after the keep rows of the last fill.
+        ref_rng = derive_rng(9, 0)
+        sample_d_batch(E, m, n, ref_rng)
+        ref_rng.random((keep, m, m, 2))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("m", [1, 3, 16])
 @pytest.mark.parametrize("orthogonal", [True, False], ids=["orthogonal", "unitary"])
 def test_pure_param_blocks_are_full_block_draws_cut_at_n(m, orthogonal):
-    # Factoring only the kept rows leaves every row's bytes as they are when
-    # the whole block is drawn and factored, for n below, at and above a block.
+    # Mapping and factoring only the kept rows leaves every row's bytes as they
+    # are when the whole block is drawn, mapped and factored, for n below, at
+    # and above a block.
     size, E, seed = block_samples(m), 4.0 * m + 8.0, 41
     for n in (size - 7, size, 2 * size + 5):
         blocks = list(pure_param_blocks(seed, n, E, m, orthogonal))
@@ -853,12 +871,30 @@ def test_pure_param_blocks_are_full_block_draws_cut_at_n(m, orthogonal):
             stop = min(size, n - start)
             rng = derive_rng(seed, b)
             want_d = sample_d_batch(E, m, size, rng)[:stop]
-            want_u = haar_from_ginibre(ginibre_batch(m, size, rng, orthogonal))[:stop]
+            z = ginibre_from_uniforms(rng.random((size, m, m, 2)), orthogonal)
+            want_u = haar_from_ginibre(z)[:stop]
             assert x.shape == y.shape == (stop, m, m) and d.shape == (stop, m)
             assert d.tobytes() == want_d.tobytes()
             assert x.tobytes() == want_u.real.tobytes()
             assert y.tobytes() == want_u.imag.tobytes()
             assert not orthogonal or not y.any()
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_polar_ginibre_entries_have_the_normal_moments(real):
+    # Moments of the polar map's entries against their closed forms, at 5
+    # standard errors on 2e5 draws: a standard normal x has E x^2 = 1 and
+    # E x^4 = 3; a standard complex normal z has E|z|^2 = 1, E|z|^4 = 2 and
+    # E z = E z^2 = 0.
+    x = ginibre_from_uniforms(derive_rng(17, 0).random((200_000, 2)), real)
+    if real:
+        checks = [(x * x, 1.0), (x**4, 3.0), (x, 0.0)]
+    else:
+        sq = (x * x.conj()).real
+        checks = [(sq, 1.0), (sq * sq, 2.0), (x.real, 0.0), (x.imag, 0.0), ((x * x).real, 0.0), ((x * x).imag, 0.0)]
+    for values, exact in checks:
+        mean, se = mean_stderr(values)
+        assert abs(mean - exact) <= 5.0 * se, (mean, exact, se)
 
 
 def rows_whose_bound_reaches_the_best(E: float, m: int, trials: int, seed: int) -> int:
@@ -907,3 +943,25 @@ def test_monte_carlo_drivers_factor_only_the_rows_they_keep(m, monkeypatch):
         haar_moment_check(m, 1000, derive_rng(1, 0))
         assert sum(n for c, n in sizes if not c) == 1000
         assert sum(n for c, n in sizes if c) == 1000
+
+
+def test_search_maps_to_ginibre_only_the_rows_it_factors(monkeypatch):
+    # The search draws uniforms for every kept row, but makes Gaussians only
+    # for the rows it QR-factors, a few percent of them at m = 8.
+    mapped, factored = [], []
+    polar, qr = coherence.ginibre_from_uniforms, np.linalg.qr
+
+    def counting_polar(w, real):
+        mapped.append(w.shape[0])
+        return polar(w, real)
+
+    def counting_qr(z, *args, **kwargs):
+        factored.append(z.shape[0])
+        return qr(z, *args, **kwargs)
+
+    monkeypatch.setattr(coherence, "ginibre_from_uniforms", counting_polar)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    trials = 200
+    coherence.numeric_max_search(40.0, 8, trials, 3)
+    assert mapped == factored
+    assert 0 < sum(mapped) < 0.1 * trials
