@@ -177,9 +177,11 @@ def meas_moments(state: GaussianState, channel) -> tuple[float, float]:
 def energy_offset(m: int, E: float) -> float:
     """Variance budget term ``1 + (E/2 - (m-1))^2`` used by the thresholds (inf past the float range).
 
-    Raises ``ValueError`` unless m is a count (``_require_count``).
+    Raises ``ValueError`` unless m is a count (``_require_count``) and E a number (not NaN).
     """
     _require_count("m", m)
+    if math.isnan(E):
+        raise ValueError(f"covariance trace E must be a number, got {E}")
     half = E / 2.0 - (m - 1)
     return 1.0 + half * half
 
@@ -226,9 +228,12 @@ def n_thres_orthogonal(mu1: float, mu2: float, m: int, E: float, delta: float) -
     the finite threshold.
 
     Raises:
-        ValueError: if the means coincide (no finite threshold exists).
+        ValueError: if a mean is not finite, or the means coincide (no
+            finite threshold exists).
         NumericError: if the threshold, or the energy offset f, overflows float64.
     """
+    if not (math.isfinite(mu1) and math.isfinite(mu2)):
+        raise ValueError(f"channel output means must be finite, got {mu1} and {mu2}")
     if not _gap_exceeds_floor(mu1, mu2, 2 * m):
         raise ValueError("channel output means coincide; threshold is infinite")
     gap = mu2 - mu1
@@ -671,6 +676,7 @@ def rotated_quadrature_variance(cov: CovMat, theta: float) -> float:
 
     Raises:
         DimensionError: if the covariance matrix is not single-mode.
+        ValueError: unless theta is finite.
     """
     if cov.m != 1:
         raise DimensionError(f"single-mode covariance required, got m={cov.m}")
@@ -679,6 +685,9 @@ def rotated_quadrature_variance(cov: CovMat, theta: float) -> float:
 
 
 def _rotated_variance(v_x: float, v_p: float, v_xp: float, theta: float) -> float:
+    """``V_x cos^2 + V_p sin^2 + V_xp sin(2 theta)``; ``ValueError`` naming theta unless it is finite."""
+    if not math.isfinite(theta):
+        raise ValueError(f"quadrature angle theta must be finite, got {theta}")
     ct, st = math.cos(theta), math.sin(theta)
     return float(v_x * ct * ct + v_p * st * st + v_xp * math.sin(2.0 * theta))
 
@@ -704,8 +713,8 @@ def tvd_bound_ppmm(
 
     Raises:
         DimensionError: if the covariance matrix is not single-mode.
-        ValueError: if a rotated variance is below 1e-12 (or NaN), so that
-            output is no state.
+        ValueError: unless theta is finite, or if a rotated variance is
+            below 1e-12 (or NaN), so that output is no state.
     """
     if cov.m != 1:
         raise DimensionError(f"single-mode covariance required, got m={cov.m}")

@@ -464,31 +464,42 @@ def _best_sample(
 ) -> tuple[float, int, np.ndarray, np.ndarray, np.ndarray]:
     """``(c, trial, X, Y, d)`` of the first sample of largest coherence, factoring few samples.
 
-    The branch-and-bound sampling of ``numeric_max_search``: per block, the
-    ``_FIRST_BATCH`` rows of largest spectrum bound are factored and scored,
-    then every other row whose bound plus its floor reaches the best c so far;
-    the best row keeps the factor of its batch.  ``score`` maps just the
-    uniforms of the rows it factors to Ginibre matrices
-    (``ginibre_from_uniforms``), an elementwise map, so every row has the
-    bytes it would have if the whole block were mapped.
+    The branch-and-bound sampling of ``numeric_max_search``.  A row's reach
+    is its spectrum bound plus its floor.  A block none of whose rows reaches
+    the best c of earlier blocks draws no uniforms and factors nothing.
+    Otherwise the ``_FIRST_BATCH`` rows of largest bound among those that
+    reach it are factored and scored, then every other row that reaches the
+    best c so far.  ``score`` maps just the uniforms of the rows it factors
+    to Ginibre matrices (``ginibre_from_uniforms``), an elementwise map, so
+    every row has the bytes it would have if the whole block were mapped;
+    only the factors of those rows are kept.
     """
     draw = partial(pure_draw, E=E, m=m)
     best_c = -1.0
-    for start, (ds, ws) in mc_blocks(seed, trials, block_samples(m), draw):
+    for start, (ds, uniforms) in mc_blocks(seed, trials, block_samples(m), draw):
         alphas = ds - 1.0
         betas = -alphas / ds
         sigmas = 0.5 * (alphas - betas)
         bounds = np.einsum("ij,ij->i", sigmas, sigmas)
         reach = bounds + 4.0 * m * rounding_floor(2 * m, bounds)
+        # reach rises with the bound (every step of its arithmetic does), so
+        # the rows that reach best_c are those of largest bound: none does if
+        # the last of first does not, and all of first do if its first does
+        first = np.argsort(bounds)[-_FIRST_BATCH:]
+        if reach[first[-1]] < best_c:
+            continue
+        if reach[first[0]] < best_c:
+            first = first[reach[first] >= best_c]
+        ws = uniforms()
         c = np.full(len(ds), -np.inf)
-        us = np.empty(ws.shape[:-1], dtype=complex)
+        factored = []  # (rows as a list, their factors) per batch
 
         def score(rows: np.ndarray) -> None:
-            u = us[rows] = haar_from_ginibre(ginibre_from_uniforms(ws[rows], real=False))
+            u = haar_from_ginibre(ginibre_from_uniforms(ws[rows], real=False))
             vs = pure_xp_block(u.real, u.imag, alphas[rows], betas[rows])
             c[rows] = np.einsum("...ij,...ij->...", vs, vs)
+            factored.append((rows.tolist(), u))
 
-        first = np.argsort(bounds)[-_FIRST_BATCH:]
         score(first)
         reach[first] = -np.inf  # scored already
         rest = np.flatnonzero(reach >= max(best_c, c.max()))
@@ -497,7 +508,9 @@ def _best_sample(
         j = int(np.argmax(c))  # first maximum, as a strict running ">" keeps
         if c[j] > best_c:
             best_c = float(c[j])
-            best = (start + j, us[j].real, us[j].imag, ds[j])
+            rows, us = next(batch for batch in factored if j in batch[0])
+            u = us[rows.index(j)]
+            best = (start + j, u.real, u.imag, ds[j])
     return (best_c,) + best
 
 
@@ -508,12 +521,12 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
     summing to the trace budget) in the blocks of ``mc_blocks``, each
     ``block_samples(m)`` draws of ``pure_draw``, so the samples of a run are a
     prefix of those of any longer run with the same seed.  A block draws
-    every row's spectrum but only uniforms for its gates; Gaussians are made
-    from them (``ginibre_from_uniforms``) only for the rows factored.  No
-    covariance matrix is built: a sample is scored by the squared norm of its
-    position-momentum block, ``V_xp = Y (D^-1 - 1) X^T - X (D - 1) Y^T`` for
-    passive unitary X + iY and ``D = diag(d)`` (``symplectic_ops.pure_xp_block``,
-    two batched matmuls).  Most samples are never factored or scored, by
+    every row's spectrum, then uniforms for its gates only if one of its rows
+    can still win; Gaussians are made from them (``ginibre_from_uniforms``)
+    only for the rows factored.  No covariance matrix is built: a sample is
+    scored by the squared norm of its position-momentum block, ``V_xp = Y
+    (D^-1 - 1) X^T - X (D - 1) Y^T`` for passive unitary X + iY and ``D =
+    diag(d)`` (``symplectic_ops.pure_xp_block``, two batched matmuls).  Most samples are never factored or scored, by
     branch and bound (Land and Doig, Econometrica 28, 497 (1960)): in the
     notation of the identity below, the spectrum alone bounds c at every
     passive U,
@@ -528,11 +541,13 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
     each mode's squeezing by pi/4 attains B, and ``B = sum gamma^2 + 2h <=
     h^2 + 2h`` for ``h = (E - 2m)/2`` is ``max_symplectic_coherence``.
 
-    Per block, the ``_FIRST_BATCH`` rows of largest B are mapped to Ginibre
+    Per block, a row is live if its B plus a floor F reaches the best c of
+    earlier blocks; a block with no live row draws no uniforms.  Otherwise
+    the ``_FIRST_BATCH`` live rows of largest B are mapped to Ginibre
     matrices, factored (Haar QR, ``haar_from_ginibre``) and scored, then, in
-    one more batch, every other row whose B plus a floor F reaches the best c
-    so far, of earlier blocks and of this first batch (``_best_sample``); the
-    best row keeps the factor of its batch.  A row left out has c below that
+    one more batch, every other row whose B + F reaches the best c so far,
+    of earlier blocks and of this first batch (``_best_sample``); the best
+    row keeps the factor of its batch.  A row left out has c below that
     best, so it could neither win nor tie, and the first maximum in index
     order is taken over c filled with -inf: every output is bit for bit that
     of scoring every sample.  At 200 trials about 24 / 6 / 4 % of the rows are

@@ -15,12 +15,13 @@ back.  Sharing it is sound because an image is frozen and its ``rho`` read-only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .gaussian_core import CovMat, _as_cm_array, _frobenius_sq, is_free, require_valid, rounding_floor
+from .gaussian_core import (
+    CovMat, _as_cm_array, _cached_property, _frobenius_sq, is_free, require_valid, rounding_floor,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +68,7 @@ class DiscordImage:
         """Top-right m x m block of the virtual state."""
         return self.rho[: self.m, self.m :]
 
-    @cached_property
+    @_cached_property
     def geometric_discord(self) -> float:
         """``2 sum rho_xp^2``, computed once per image (see :func:`geometric_discord`)."""
         off = self.off_block

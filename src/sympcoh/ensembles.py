@@ -139,8 +139,8 @@ def sample_pure_cm(E: float, m: int, kind: str, rng: np.random.Generator) -> Cov
     2m <= E with E^2 finite.
     """
     _require_kind(kind)
-    d, w = pure_draw(rng, 1, E, m)
-    u = haar_from_ginibre(ginibre_from_uniforms(w, kind == "orthogonal"))[0]
+    d, uniforms = pure_draw(rng, 1, E, m)
+    u = haar_from_ginibre(ginibre_from_uniforms(uniforms(), kind == "orthogonal"))[0]
     return pure_cm_from_passive(u.real, u.imag, d[0])
 
 

@@ -36,7 +36,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -235,6 +235,33 @@ def _gap_exceeds_floor(a, b, n: int) -> bool:
     return bool(2.0 * abs(0.5 * a - 0.5 * b) > rounding_floor(n, max(abs(a), abs(b))))
 
 
+class _cached_property:
+    """``functools.cached_property`` with no lock: computed on first access, then read from the instance.
+
+    The first access calls ``func`` and stores its value in the instance
+    ``__dict__`` under the attribute's name; that entry shadows this
+    non-data descriptor, so every later access is a plain attribute read.
+    That is ``cached_property`` as Python 3.12 runs it; on 3.10 and 3.11 each
+    first access also takes one lock that every instance shares.  Two
+    threads racing on a first access both compute the value, and it is the
+    same value: a cached quantity depends only on its instance's read-only
+    matrix.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
+
+
 class Violation(NamedTuple):
     """A violated covariance-matrix invariant and by how much."""
 
@@ -295,11 +322,11 @@ class CovMat:
         cov._take(arr, peak)
         return cov
 
-    @cached_property
+    @_cached_property
     def trace(self) -> float:
         return float(np.trace(self.matrix))
 
-    @cached_property
+    @_cached_property
     def xp_norm_sq(self) -> float:
         """``sum V_xp^2``, the squared Frobenius norm of the position-momentum
         block: the symplectic coherence.  At most ``(Tr V)^2 / 2`` for a valid ``V``.
@@ -312,17 +339,17 @@ class CovMat:
             self.matrix[:m, m:], self._peak, "symplectic coherence (sum of squared V_xp entries)"
         )
 
-    @cached_property
+    @_cached_property
     def floor(self) -> float:
         """``rounding_floor(2m, |Tr V|)``, the floor of every verdict on this matrix."""
         return rounding_floor(2 * self.m, abs(self.trace))
 
-    @cached_property
+    @_cached_property
     def _sym(self) -> np.ndarray:
         """The :func:`symmetric_part` of the matrix."""
         return symmetric_part(self.matrix)
 
-    @cached_property
+    @_cached_property
     def _spectra(self) -> tuple[np.ndarray | None, np.ndarray]:
         """The symplectic eigenvalues and the spectrum of ``S + i*Omega``, from one eigensolve.
 
@@ -358,7 +385,7 @@ class CovMat:
         nu.flags.writeable = False
         return nu, uncertainty
 
-    @cached_property
+    @_cached_property
     def violations(self) -> tuple[Violation, ...]:
         """Every invariant this matrix violates, with its magnitude.
 

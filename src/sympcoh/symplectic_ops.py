@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -72,9 +73,11 @@ def mc_blocks(seed: int, n: int, size: int, draw: Callable) -> Iterator[tuple[in
     So sample j depends only on ``(seed, j // size, j % size)``: results are
     a deterministic function of the seed, different seeds give independent
     samples, and a run of n samples is a prefix of every longer run with the
-    same seed and size.  A ``draw`` only consumes its generator: per-sample
-    transforms, such as ``ginibre_from_uniforms`` and the QR of
-    ``haar_from_ginibre``, run on the rows a driver still needs.
+    same seed and size.  A ``draw`` only consumes its generator, and may
+    leave its last fill to the driver, which draws it only if it reads the
+    block's gates (``pure_draw``'s uniforms): per-sample transforms, such as
+    ``ginibre_from_uniforms`` and the QR of ``haar_from_ginibre``, run on
+    the rows a driver still needs.
     """
     for b, start in enumerate(range(0, n, size)):
         yield start, draw(derive_rng(seed, b), size, keep=min(size, n - start))
@@ -191,11 +194,14 @@ def squeezer(m: int, mode: int, r: float) -> SympGate:
         r: squeezing parameter (r = 0 is the identity).
 
     Raises:
-        GateError: if ``|r|`` exceeds the log of the largest float, so that
-            ``e^|r|`` overflows (past ``|r|`` of about 354.9 the gate's
-            squared norm overflows, and ``SympGate`` names it the same way).
+        GateError: if r is NaN, or if ``|r|`` exceeds the log of the largest
+            float, so that ``e^|r|`` overflows (past ``|r|`` of about 354.9
+            the gate's squared norm overflows, and ``SympGate`` names it the
+            same way).
     """
     _check_mode(m, mode)
+    if math.isnan(r):
+        raise GateError(f"squeezing parameter r must be a number, got {r}")
     if abs(r) > _LOG_FLOAT_MAX:
         raise GateError(_NORM_OVERFLOW)
     s = np.eye(2 * m)
@@ -209,8 +215,11 @@ def phase_shifter(m: int, mode: int, theta: float) -> SympGate:
     """Phase shifter ``[[cos t, sin t], [-sin t, cos t]]`` on one mode.
 
     ``passive_from_unitary`` of the identity with ``e^{it}`` at the mode.
+    Raises ``GateError`` unless theta is finite.
     """
     _check_mode(m, mode)
+    if not math.isfinite(theta):
+        raise GateError(f"phase angle theta must be finite, got {theta}")
     x, y = np.eye(m), np.zeros((m, m))
     i = mode - 1
     x[i, i], y[i, i] = np.cos(theta), np.sin(theta)
@@ -546,12 +555,7 @@ def haar_unitary(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarr
 
 
 def ginibre_batch(
-    m: int,
-    n: int,
-    rng: np.random.Generator,
-    real: bool,
-    columns: int | None = None,
-    keep: int | None = None,
+    m: int, n: int, rng: np.random.Generator, real: bool, columns: int | None = None
 ) -> np.ndarray:
     """Stack of ``n`` Ginibre draws (n x m x columns) with i.i.d. entries of unit variance.
 
@@ -559,23 +563,19 @@ def ginibre_batch(
     ``haar_from_ginibre`` factors; fewer columns draw the leading columns of
     a matrix, and a later call on the same generator can draw the rest.
     Real standard normals, or complex ``(g1 + i g2) / sqrt(2)`` with the real
-    parts drawn before the imaginary ones.  With ``keep`` only the first
-    ``keep`` draws are returned, and the last fill (the real stack, or the
-    imaginary parts) stops there; the generator fills in order, so they have
-    the bytes of the whole stack's first ``keep`` draws.
+    parts drawn before the imaginary ones.
     """
     shape = (n, m, m if columns is None else columns)
-    kept = (n if keep is None else keep,) + shape[1:]
     if real:
-        return rng.standard_normal(kept)
+        return rng.standard_normal(shape)
     # Filled in place to save temporaries; the values are bit for bit those of
     # (g1 + 1j * g2) / sqrt(2), which the samples' streams rely on.  numpy
     # divides a complex by a real as a product with its reciprocal (Smith's
     # formula), so multiplying the float view by that reciprocal gives the
     # same bytes without the complex arithmetic.
-    z = np.empty(kept, dtype=complex)
-    z.real = rng.standard_normal(shape)[: kept[0]]
-    z.imag = rng.standard_normal(kept)
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape)
+    z.imag = rng.standard_normal(shape)
     parts = z.view(float)
     parts *= 1.0 / np.sqrt(2.0)
     return z
@@ -623,22 +623,25 @@ def ginibre_from_uniforms(w: np.ndarray, real: bool) -> np.ndarray:
 
 def pure_draw(
     rng: np.random.Generator, n: int, E: float, m: int, keep: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The raw draw ``(d, w)`` of n random pure states with covariance trace E, cut at ``keep``.
+) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
+    """The raw draw ``(d, uniforms)`` of n random pure states with covariance trace E, cut at ``keep``.
 
     The layout of a block of whole pure states (an ``mc_blocks`` draw once E
     and m are bound): spectra d (``sample_d_batch``), drawn for all n states
-    and cut to their first ``keep`` rows (all n by default), then a ``(keep,
-    m, m, 2)`` stack w of ``rng.random`` uniforms.  A uniform costs one word
-    of the stream, so those are the bytes of the whole block's first
-    ``keep`` stacks.  ``ginibre_from_uniforms(w, real)`` turns them into
-    square Ginibre stacks, real iff the passive gates ``haar_from_ginibre``
-    are to be orthogonal; a caller maps only the rows it factors.  The
-    ensembles, which read only a Ginibre matrix's first column, draw normals
+    and cut to their first ``keep`` rows (all n by default), then, when
+    ``uniforms()`` is called, a ``(keep, m, m, 2)`` stack w of
+    ``rng.random`` uniforms.  A uniform costs one word of the stream, so
+    those are the bytes of the whole block's first ``keep`` stacks.  A
+    caller that reads no gate of the block never calls it and draws no
+    uniforms; one that does calls it once, as each call draws the next
+    stack.  ``ginibre_from_uniforms(w, real)`` turns them into square
+    Ginibre stacks, real iff the passive gates ``haar_from_ginibre`` are to
+    be orthogonal; a caller maps only the rows it factors.  The ensembles,
+    which read only a Ginibre matrix's first column, draw normals
     (``ginibre_batch``), that column first, instead.
     """
     d = sample_d_batch(E, m, n, rng)[:keep]
-    return d, rng.random((len(d), m, m, 2))
+    return d, partial(rng.random, (len(d), m, m, 2))
 
 
 def pure_cm(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -124,8 +124,8 @@ def pure_param_blocks(
     orthogonal): the samples of the maximum search, all of them factored.
     """
     draw = partial(pure_draw, E=E, m=m)
-    for start, (d, w) in mc_blocks(seed, n, block_samples(m), draw):
-        u = haar_from_ginibre(ginibre_from_uniforms(w, orthogonal))
+    for start, (d, uniforms) in mc_blocks(seed, n, block_samples(m), draw):
+        u = haar_from_ginibre(ginibre_from_uniforms(uniforms(), orthogonal))
         yield start, u.real, u.imag, d
 
 
@@ -183,8 +183,8 @@ def haar_moment_check(
     A self-check of the package's Haar samplers.  For each kind in
     ``ensembles.KINDS``, one integer seed is drawn from ``rng``
     (``integers(2**63)``); that kind's Ginibre stacks then come from
-    ``symplectic_ops.mc_blocks`` in blocks of ``block_samples(m)``, factored
-    on the kept rows.
+    ``symplectic_ops.mc_blocks`` in blocks of ``block_samples(m)``, drawn
+    whole, cut at the kept rows and factored on them.
 
     Args:
         m: matrix size (needs m >= 2 for the i != j rows).
@@ -207,8 +207,9 @@ def haar_moment_check(
         def draw(block_rng: np.random.Generator, size: int, keep: int) -> tuple:
             real = kind == "orthogonal"
             if uniforms:  # the spectra, here those of E = 2m, are not read
-                return (ginibre_from_uniforms(pure_draw(block_rng, size, 2.0 * m, m, keep)[1], real),)
-            return (ginibre_batch(m, size, block_rng, real=real, keep=keep),)
+                _, block_uniforms = pure_draw(block_rng, size, 2.0 * m, m, keep)
+                return (ginibre_from_uniforms(block_uniforms(), real),)
+            return (ginibre_batch(m, size, block_rng, real=real)[:keep],)
 
         blocks = mc_blocks(int(rng.integers(2**63)), n_samples, block_samples(m), draw)
         first_rows = np.concatenate([haar_from_ginibre(z)[:, 0, :] for _, (z,) in blocks])

@@ -54,6 +54,7 @@ from sympcoh.coherence import (
     _vertex_coherences,
 )
 from sympcoh.symplectic_ops import (
+    block_samples,
     pure_cm,
     pure_xp_block,
     spectrum_from_weights,
@@ -786,6 +787,36 @@ def test_search_is_the_exhaustive_scoring_bit_for_bit(m, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = [numeric_max_search(E, m, n, seed) for E, n, seed in cases]
+        monkeypatch.setattr(coherence, "_best_sample", exhaustive_best_sample)
+        want = [numeric_max_search(E, m, n, seed) for E, n, seed in cases]
+    assert [exact(o) for o in got] == [exact(o) for o in want]
+
+
+@pytest.mark.parametrize("m, trials", [(8, 1000), (16, 300)])
+def test_a_search_that_skips_blocks_is_the_exhaustive_scoring_bit_for_bit(m, trials, monkeypatch):
+    # Four or five blocks per search: a later block none of whose rows can
+    # reach the best c so far draws no uniforms, and the outcome is still the
+    # exhaustive scoring's, refinement included.
+    blocks, drawn = [], []
+    pure_draw = coherence.pure_draw
+
+    def counting(*args, **kwargs):
+        d, uniforms = pure_draw(*args, **kwargs)
+        blocks.append(len(d))
+
+        def counted():
+            drawn.append(len(d))
+            return uniforms()
+
+        return d, counted
+
+    monkeypatch.setattr(coherence, "pure_draw", counting)
+    cases = [(E, trials, seed) for E in panel_traces(m) for seed in range(4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [numeric_max_search(E, m, n, seed) for E, n, seed in cases]
+        assert len(blocks) == len(cases) * -(-trials // block_samples(m)) >= 3 * len(cases)
+        assert len(drawn) < len(blocks)
         monkeypatch.setattr(coherence, "_best_sample", exhaustive_best_sample)
         want = [numeric_max_search(E, m, n, seed) for E, n, seed in cases]
     assert [exact(o) for o in got] == [exact(o) for o in want]

@@ -11,6 +11,7 @@ import pytest
 from sympcoh import (
     CovMat,
     DimensionError,
+    GateError,
     GaussianState,
     IdentityChannel,
     LossChannel,
@@ -173,6 +174,38 @@ def _discrimination_config(n_samples, trials):
         (lambda: vacuum_state(2.5), ValueError, "m must be an integer, got float 2.5"),
         (lambda: squeezer(2.5, 1, 0.3), ValueError, "m must be an integer, got float 2.5"),
         (lambda: phase_shifter(True, 1, 0.3), ValueError, "m must be an integer, got bool True"),
+        # Non-finite arguments: a RuntimeWarning from cos, "X + iY is not
+        # unitary", an unnamed "math domain error", a NaN returned, or a
+        # message about the means or an overflow.
+        (lambda: phase_shifter(1, 1, INF), GateError, "phase angle theta must be finite, got inf"),
+        (lambda: phase_shifter(1, 1, NAN), GateError, "phase angle theta must be finite, got nan"),
+        (lambda: squeezer(1, 1, NAN), GateError, "squeezing parameter r must be a number, got nan"),
+        (
+            lambda: rotated_quadrature_variance(vacuum_state(1).cov, INF),
+            ValueError,
+            "quadrature angle theta must be finite, got inf",
+        ),
+        (
+            lambda: rotated_quadrature_variance(vacuum_state(1).cov, NAN),
+            ValueError,
+            "quadrature angle theta must be finite, got nan",
+        ),
+        (
+            lambda: tvd_bound_ppmm(vacuum_state(1).cov, 0.1, 0.0, INF),
+            ValueError,
+            "quadrature angle theta must be finite, got inf",
+        ),
+        (lambda: energy_offset(1, NAN), ValueError, "covariance trace E must be a number, got nan"),
+        (
+            lambda: n_thres_orthogonal(NAN, 1.0, 1, 6.0, 0.05),
+            ValueError,
+            "channel output means must be finite, got nan and 1.0",
+        ),
+        (
+            lambda: n_thres_orthogonal(-1.0, 1.0, 1, NAN, 0.05),
+            ValueError,
+            "covariance trace E must be a number, got nan",
+        ),
     ],
     ids=[
         "meas_moments-displaced-output",
@@ -217,6 +250,15 @@ def _discrimination_config(n_samples, trials):
         "vacuum_state-float-m",
         "squeezer-float-m",
         "phase_shifter-bool-m",
+        "phase_shifter-inf-theta",
+        "phase_shifter-nan-theta",
+        "squeezer-nan-r",
+        "rotated_quadrature_variance-inf-theta",
+        "rotated_quadrature_variance-nan-theta",
+        "tvd_bound_ppmm-inf-theta",
+        "energy_offset-nan-E",
+        "n_thres_orthogonal-nan-mean",
+        "n_thres_orthogonal-nan-E",
     ],
 )
 def test_each_fault_raises_its_named_error(call, error, message):

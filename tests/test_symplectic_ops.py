@@ -790,8 +790,8 @@ def test_haar_batches_match_properties(rng):
 
 
 def test_a_last_fill_of_the_kept_rows_is_the_full_fill_cut():
-    # A draw that cuts its last fill at the kept rows (``ginibre_batch`` with
-    # ``keep``) rests on this: numpy's Generator fills an array in order, so
+    # A draw that cuts its last fill at the kept rows (``pure_draw``'s
+    # uniforms) rests on this: numpy's Generator fills an array in order, so
     # after the same earlier draw, n rows of normals are the first n rows of a
     # full block's.
     size, k = 2184, 30
@@ -818,11 +818,13 @@ def test_mc_blocks_tells_each_draw_the_rows_it_keeps():
 
 @pytest.mark.parametrize("real", [True, False], ids=["orthogonal", "unitary"])
 def test_pure_draw_is_spectra_then_one_uniform_stack(real):
-    # The spectra, then one (n, m, m, 2) stack of uniforms; its polar map is
-    # the plain Box-Muller formula, real or complex, entry by entry.
+    # The spectra, then, when asked for, one (n, m, m, 2) stack of uniforms;
+    # its polar map is the plain Box-Muller formula, real or complex, entry by entry.
     rng, ref_rng = derive_rng(2, 0), derive_rng(2, 0)
-    d, w = pure_draw(rng, 5, 12.0, 3)
+    d, uniforms = pure_draw(rng, 5, 12.0, 3)
     assert d.tobytes() == sample_d_batch(12.0, 3, 5, ref_rng).tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state  # no uniform drawn yet
+    w = uniforms()
     assert w.shape == (5, 3, 3, 2)
     assert w.tobytes() == ref_rng.random((5, 3, 3, 2)).tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -843,10 +845,12 @@ def test_pure_draw_fills_its_last_stack_only_to_keep(real):
     # with the full draw's bytes, and so do the Ginibre stacks mapped from them.
     m, E = 8, 40.0
     n = block_samples(m)
-    d_all, w_all = pure_draw(derive_rng(9, 0), n, E, m)
+    d_all, uniforms_all = pure_draw(derive_rng(9, 0), n, E, m)
+    w_all = uniforms_all()
     for keep in (1, 30, n):
         rng = derive_rng(9, 0)
-        d, w = pure_draw(rng, n, E, m, keep=keep)
+        d, uniforms = pure_draw(rng, n, E, m, keep=keep)
+        w = uniforms()
         assert d.tobytes() == d_all[:keep].tobytes()
         assert w.tobytes() == w_all[:keep].tobytes()
         assert ginibre_from_uniforms(w, real).tobytes() == ginibre_from_uniforms(w_all, real)[:keep].tobytes()
@@ -897,14 +901,16 @@ def test_polar_ginibre_entries_have_the_normal_moments(real):
         assert abs(mean - exact) <= 5.0 * se, (mean, exact, se)
 
 
-def rows_whose_bound_reaches_the_best(E: float, m: int, trials: int, seed: int) -> int:
-    """Rows of a maximum search whose spectrum bound can still win, from every row scored.
+def rows_whose_bound_reaches_the_best(E: float, m: int, trials: int, seed: int) -> list[int]:
+    """Rows per block of a maximum search whose spectrum bound can still win, from every row scored.
 
-    Per block: the ``coherence._FIRST_BATCH`` rows of largest bound ``B =
-    sum_k sigma_k^2``, and every other row whose ``B + 4m rounding_floor(2m,
-    B)`` reaches the best c of earlier blocks and of those first rows.
+    A row's reach is its bound ``B = sum_k sigma_k^2`` plus ``4m
+    rounding_floor(2m, B)``.  Per block: none if no row reaches the best c
+    of earlier blocks; otherwise the ``coherence._FIRST_BATCH`` rows of
+    largest bound among those that reach it, and every other row that
+    reaches the best c of earlier blocks and of those first rows.
     """
-    best, count = -1.0, 0
+    best, counts = -1.0, []
     for _, x, y, d in pure_param_blocks(seed, trials, E, m, False):
         alpha = d - 1.0
         beta = -alpha / d
@@ -912,12 +918,15 @@ def rows_whose_bound_reaches_the_best(E: float, m: int, trials: int, seed: int) 
         c = np.einsum("...ij,...ij->...", v, v)
         sigma = 0.5 * (alpha - beta)
         bound = np.einsum("ij,ij->i", sigma, sigma)
-        first = np.argsort(bound)[-coherence._FIRST_BATCH:]
-        best = max(best, c[first].max())
-        others = np.delete(bound, first)
-        count += len(first) + int(np.sum(others + 4.0 * m * rounding_floor(2 * m, others) >= best))
+        reach = bound + 4.0 * m * rounding_floor(2 * m, bound)
+        live = np.flatnonzero(reach >= best)
+        first = live[np.argsort(bound[live])[-coherence._FIRST_BATCH:]]
+        if len(first):
+            best = max(best, c[first].max())
+        others = np.delete(reach, first)
+        counts.append(len(first) + int(np.sum(others >= best)))
         best = max(best, c.max())
-    return count
+    return counts
 
 
 @pytest.mark.parametrize("m", [1, 2, 8, 16])
@@ -935,7 +944,7 @@ def test_monte_carlo_drivers_factor_only_the_rows_they_keep(m, monkeypatch):
     E, trials, seed = 4.0 * m + 8.0, 200, 3
     coherence.numeric_max_search(E, m, trials, seed)
     factored = sum(n for _, n in sizes)
-    assert factored == rows_whose_bound_reaches_the_best(E, m, trials, seed)
+    assert factored == sum(rows_whose_bound_reaches_the_best(E, m, trials, seed))
     assert factored == trials if m == 1 else factored < trials
     assert (block_samples(m) > trials) == (m < 16)
     if m >= 2:
@@ -946,8 +955,9 @@ def test_monte_carlo_drivers_factor_only_the_rows_they_keep(m, monkeypatch):
 
 
 def test_search_maps_to_ginibre_only_the_rows_it_factors(monkeypatch):
-    # The search draws uniforms for every kept row, but makes Gaussians only
-    # for the rows it QR-factors, a few percent of them at m = 8.
+    # The search draws uniforms for every kept row of a block it reads, but
+    # makes Gaussians only for the rows it QR-factors, a few percent of them
+    # at m = 8.
     mapped, factored = [], []
     polar, qr = coherence.ginibre_from_uniforms, np.linalg.qr
 
@@ -965,3 +975,42 @@ def test_search_maps_to_ginibre_only_the_rows_it_factors(monkeypatch):
     coherence.numeric_max_search(40.0, 8, trials, 3)
     assert mapped == factored
     assert 0 < sum(mapped) < 0.1 * trials
+
+
+@pytest.mark.parametrize("m, trials, seed", [(8, 2000, 2), (16, 1000, 0)])
+def test_a_block_whose_rows_cannot_win_draws_maps_and_factors_nothing(m, trials, seed, monkeypatch):
+    # Counted per block: uniform stacks drawn, rows mapped to Ginibre matrices
+    # and rows factored.  A block none of whose rows reaches the best c of
+    # earlier blocks has none of them; the others factor the reference's rows.
+    E = 4.0 * m + 8.0
+    want = rows_whose_bound_reaches_the_best(E, m, trials, seed)
+    per_block = []
+    draw, polar, qr = coherence.pure_draw, coherence.ginibre_from_uniforms, np.linalg.qr
+
+    def counting_draw(*args, **kwargs):
+        d, uniforms = draw(*args, **kwargs)
+        counts = {"drawn": 0, "mapped": 0, "factored": 0}
+        per_block.append(counts)
+
+        def counted():
+            counts["drawn"] += 1
+            return uniforms()
+
+        return d, counted
+
+    def counting_polar(w, real):
+        per_block[-1]["mapped"] += w.shape[0]
+        return polar(w, real)
+
+    def counting_qr(z, *args, **kwargs):
+        per_block[-1]["factored"] += z.shape[0]
+        return qr(z, *args, **kwargs)
+
+    monkeypatch.setattr(coherence, "pure_draw", counting_draw)
+    monkeypatch.setattr(coherence, "ginibre_from_uniforms", counting_polar)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    coherence.numeric_max_search(E, m, trials, seed)
+    assert len(per_block) == len(want) >= 8
+    assert [c["factored"] for c in per_block] == [c["mapped"] for c in per_block] == want
+    assert [c["drawn"] for c in per_block] == [int(n > 0) for n in want]
+    assert 0 in want and want[0] >= coherence._FIRST_BATCH
