@@ -713,11 +713,14 @@ def tvd_bound_ppmm(
 
     Raises:
         DimensionError: if the covariance matrix is not single-mode.
-        ValueError: unless theta is finite, or if a rotated variance is
-            below 1e-12 (or NaN), so that output is no state.
+        ValueError: unless theta, sxp1 and sxp2 are finite, or if a rotated
+            variance is below 1e-12, so that output is no state.
     """
     if cov.m != 1:
         raise DimensionError(f"single-mode covariance required, got m={cov.m}")
+    for name, sxp in (("sxp1", sxp1), ("sxp2", sxp2)):
+        if not math.isfinite(sxp):
+            raise ValueError(f"position-momentum covariance {name} must be finite, got {sxp}")
     v = cov.matrix
     var1, var2 = (_rotated_variance(v[0, 0], v[1, 1], sxp, theta) for sxp in (sxp1, sxp2))
     for output, var in ((1, var1), (2, var2)):

@@ -244,13 +244,14 @@ def msc_membership_conditions(o: np.ndarray, theta: np.ndarray) -> MembershipRep
         no residual exceeds ``rounding_floor(m, 1)`` (no entry exceeds 1 in size).
 
     Raises:
+        DimensionError: unless ``o`` is m x m and ``theta`` has shape (m,).
         ValueError: if ``o`` is not orthogonal (``symplectic_ops.is_orthogonal``).
     """
     o = np.asarray(o, dtype=float)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     m = o.shape[0]
     if o.shape != (m, m) or theta.shape != (m,):
-        raise ValueError(f"shape mismatch: o {o.shape}, theta {theta.shape}")
+        raise DimensionError(f"shape mismatch: o {o.shape}, theta {theta.shape}")
     if not is_orthogonal(o):
         raise ValueError("matrix is not orthogonal (O O^T != I)")
     c, s = np.cos(theta), np.sin(theta)

@@ -232,13 +232,20 @@ def block_orthogonal(o: np.ndarray) -> SympGate:
 
 
 def passive_from_unitary(x: np.ndarray, y: np.ndarray) -> SympGate:
-    """Passive gate ``S = [[X, Y], [-Y, X]]`` with ``X + iY`` unitary."""
+    """Passive gate ``S = [[X, Y], [-Y, X]]`` with ``X + iY`` unitary.
+
+    ``SympGate``'s symplectic verdict is the unitarity check: S commutes with
+    Omega, so ``S Omega S^T - Omega = Omega (S S^T - I)``, and
+    ``|S S^T - I|_F = sqrt(2) |U U^H - I|_F`` for ``U = X + iY``.
+
+    Raises:
+        DimensionError: unless X and Y are square and of one shape.
+        GateError: if ``X + iY`` is not unitary (orthogonal if Y = 0).
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 2 or x.shape[0] != x.shape[1]:
         raise DimensionError(f"X and Y must be square and of one shape, got {x.shape}, {y.shape}")
-    if not is_orthogonal(x + 1j * y):
-        raise GateError("X + iY is not unitary (orthogonal if Y = 0)")
     return SympGate(_passive_matrix(x, y))
 
 

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import math
 import os
 import re
 import signal
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -33,6 +37,20 @@ from sympcoh.cli import DEFAULT_SEED, ENVELOPE_FORMAT, main
 from sympcoh.gaussian_core import rounding_floor
 from sympcoh.symplectic_ops import STREAM_SCHEME
 from conftest import SINGULAR_1E12
+
+
+@contextlib.contextmanager
+def deadline(seconds, argv):
+    def timeout(signum, frame):
+        pytest.fail(f"sympcoh {' '.join(argv)} did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_cli(argv, capsys, monkeypatch=None, stdin_text=None):
@@ -133,13 +151,13 @@ def test_validate_names_every_violation_of_a_matrix_near_the_float_range(tmp_pat
 
 
 def test_coherence_and_discord_agree_on_free(tmp_path, capsys):
-    # The floor at trace 2e4 is rounding_floor(2, 2e4) = 7.1e-11: between the two entries.
-    for xp in (5e-11, 1e-9):
+    # The floor at trace 2e4 is rounding_floor(2, 2e4) = 7.1e-11: between the first two entries.
+    for diag, xp in ((1e4, 5e-11), (1e4, 1e-9), (50.0, 1e-9)):
         state_file = tmp_path / "near_free.json"
-        save_state(GaussianState(CovMat([[1e4, xp], [xp, 1e4]])), str(state_file))
+        save_state(GaussianState(CovMat([[diag, xp], [xp, diag]])), str(state_file))
         _, coh, _ = run_cli(["coherence", str(state_file)], capsys)
         _, dis, _ = run_cli(["discord", str(state_file)], capsys)
-        free = xp <= rounding_floor(2, 2e4)
+        free = xp <= rounding_floor(2, 2 * diag)
         assert coh["result"]["is_free"] is dis["result"]["classical_quantum"] is free
 
 
@@ -215,26 +233,22 @@ def test_qfi_report(tmp_path, capsys):
     assert out["result"]["exact"] is True
 
 
-def test_ensemble_with_csv_side_channel(tmp_path, capsys):
+@pytest.mark.parametrize("m, E, samples, seed", [(2, 8.0, 50, 11), (8, 40.0, 1000, DEFAULT_SEED)])
+def test_ensemble_with_csv_side_channel(m, E, samples, seed, tmp_path, capsys):
     csv_path = tmp_path / "samples.csv"
-    argv = [
-        "ensemble",
-        "--m", "2",
-        "--E", "8",
-        "--kind", "unitary",
-        "--samples", "50",
-        "--seed", "11",
-        "--csv", str(csv_path),
-    ]
-    code, out, err = run_cli(argv, capsys)
+    argv = ["ensemble", "--m", str(m), "--E", str(E), "--kind", "unitary", "--samples", str(samples)]
+    argv += ["--seed", str(seed)]
+    code, out, err = run_cli(argv + ["--csv", str(csv_path)], capsys)
     assert code == 0
     assert str(csv_path) in err
-    stats = ensemble_nu_sq(EnsembleConfig(m=2, E=8.0, n_samples=50, seed=11, kind="unitary"))
+    # Writing the samples changes no statistic.
+    assert out["result"] == run_cli(argv, capsys)[1]["result"]
+    stats = ensemble_nu_sq(EnsembleConfig(m=m, E=E, n_samples=samples, seed=seed, kind="unitary"))
     assert out["result"]["mean_nu_sq"] == pytest.approx(stats.mean_nu_sq, abs=0)
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["index", "nu_sq", "coherence"]
-    assert len(rows) == 51
+    assert len(rows) == samples + 1
     mean_from_csv = np.mean([float(r[1]) for r in rows[1:]])
     assert mean_from_csv == pytest.approx(stats.mean_nu_sq, abs=1e-12)
 
@@ -396,6 +410,7 @@ def test_coherence_past_the_float_range_exits_1_naming_it(sub, capsys, monkeypat
     assert "Traceback" not in err
 
 
+@pytest.mark.filterwarnings("error")
 def test_apply_past_the_float_range_exits_1_naming_it(tmp_path, capsys, monkeypatch):
     # A squeezer at r = 300 on a trace-1e100 state: S V S^T is past the float
     # range, a named reason with no overflow warning (an error under pytest).
@@ -420,6 +435,7 @@ def test_every_reader_answers_where_the_cholesky_fails(sub, tmp_path, capsys):
     assert out["result"]
 
 
+@pytest.mark.filterwarnings("error")
 def test_qfi_past_the_float_range_exits_1_naming_the_overflow(tmp_path, capsys):
     # A valid pure state whose bound 2 (V_x + V_p) overflows: every other reader answers.
     edge = tmp_path / "edge.csv"
@@ -446,6 +462,7 @@ _DISC = {"probe": _PROBE, "delta": 0.1, "n_samples": 10, "trials": 10}
         ("discriminate", [1]),
         ("discriminate", {**_DISC, "channels": [[1], {"kind": "identity"}]}),
         ("discriminate", {**_DISC, "channels": 5}),
+        ("apply", [1]),
     ],
 )
 def test_json_inputs_of_the_wrong_shape_exit_1(sub, doc, tmp_path, capsys):
@@ -642,11 +659,12 @@ def test_manifest_key_set(capsys):
     assert manifest["stream_scheme"] == STREAM_SCHEME
 
 
-def test_validate_result_key_set_and_floor(tmp_path, capsys):
-    # Eigenvalue rounding at this trace, about eps * E = 7.8e-9, is above any
+@pytest.mark.parametrize("E, m", [("1e3", 4), ("3.5e7", 8)])
+def test_validate_result_key_set_and_floor(E, m, tmp_path, capsys):
+    # Eigenvalue rounding at E = 3.5e7, about eps * E = 7.8e-9, is above any
     # absolute 1e-9 but far below the floor the verdict is judged at.
     state_file = tmp_path / "s.json"
-    code, _, _ = run_cli(["msc", "--E", "3.5e7", "--m", "8", "-o", str(state_file)], capsys)
+    code, _, _ = run_cli(["msc", "--E", E, "--m", str(m), "-o", str(state_file)], capsys)
     assert code == 0
     code, out, err = run_cli(["validate", str(state_file)], capsys)
     assert code == 0, err
@@ -654,7 +672,7 @@ def test_validate_result_key_set_and_floor(tmp_path, capsys):
     assert set(result) == {"valid", "floor", "violations"}
     assert result["valid"] is True and result["violations"] == []
     trace = load_state(str(state_file)).cov.trace
-    assert result["floor"] == rounding_floor(16, trace) == 18**2 * np.finfo(float).eps * trace
+    assert result["floor"] == rounding_floor(2 * m, trace) == (2 * m + 2) ** 2 * np.finfo(float).eps * trace
 
 
 def test_tvd_rejects_empty_config(tmp_path, capsys):
@@ -732,16 +750,8 @@ def test_usage_errors_exit_2(capsys):
     ids=" ".join,
 )
 def test_out_of_domain_budget_exits_1(argv, capsys):
-    def timeout(signum, frame):
-        pytest.fail(f"sympcoh {' '.join(argv)} did not return within 20 s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(20)
-    try:
+    with deadline(20, argv):
         code = main(argv)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -838,6 +848,7 @@ def test_apply_rejects_a_gate_of_the_wrong_size(gate, counts, tmp_path, capsys):
 _NORM_OVERFLOW = "GateError: squared norm of the gate matrix overflows float64"
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "sub, doc, reason",
     [
@@ -854,6 +865,8 @@ _NORM_OVERFLOW = "GateError: squared norm of the gate matrix overflows float64"
         ("apply", {"kind": "squeezer", "params": {"mode": 1, "r": 400.0}}, _NORM_OVERFLOW),
         ("apply", {"kind": "squeezer", "params": {"mode": 1, "r": 1000.0}}, _NORM_OVERFLOW),
         ("apply", {"kind": "matrix", "params": {"S": [[1e200, 0.0], [0.0, 1e-200]]}}, _NORM_OVERFLOW),
+        ("discriminate", {**_DISC, "channels": _CHANNELS, "trials": 0}, "trials must be >= 1"),
+        ("discriminate", {**_DISC, "channels": _CHANNELS, "n_samples": 0}, "n_samples must be >= 1"),
     ],
 )
 def test_gate_and_bound_faults_exit_1_naming_the_input(sub, doc, reason, tmp_path, capsys):
@@ -959,3 +972,219 @@ def test_maxsearch_stays_within_the_rounding_floor_near_the_maximum():
             worst[m] = max(worst[m], (sup_c - c_max) / c_max)
     # The sweep reaches c_max at every m: some search passes it by rounding.
     assert all(w > 0.0 for w in worst.values()), worst
+
+
+# ---------------------------------------------------------------------------
+# The CLI contract: one invocation per row, in process with warnings as errors
+# ---------------------------------------------------------------------------
+
+
+class Case(NamedTuple):
+    """``sympcoh <argv>`` run in a fresh directory holding ``files``, with ``stdin``.
+
+    A file or stdin text ``"sympcoh <argv>"`` is the stdout of that command
+    (files are written in order, so one may read another); other text is
+    itself, and anything else is written as JSON.  ``err`` is a pattern
+    stderr matches; if empty, stderr is empty.  ``check`` is a predicate on
+    the result.
+    """
+
+    argv: str
+    code: int = 0
+    err: str = ""
+    check: Callable[[dict], bool] | None = None
+    stdin: object = None
+    files: dict = {}
+
+
+_MSC = "sympcoh msc --E 6 --m 1"
+_E10 = (np.array(_BS) @ np.diag([np.exp(10), np.exp(-10)]) @ np.array(_BS).T).tolist()
+_DILATED_LOSS = {"kind": "stinespring", "o": beamsplitter_orthogonal(0.8).tolist(), "env": _ENV}
+_LOSS0_ID = [{"kind": "loss", "eta": 0.0}, _CHANNELS[0]]
+_DISCRIMINATE = "discriminate --config disc.json"
+_QUARTER = {"kind": "phase_shifter", "params": {"mode": 1, "theta": 1.5707963267948966}}
+
+
+def _disc_files(probe=_MSC, **changes):
+    """A probe file and a seeded config: loss at eta = 0.5 against the identity, 100 trials of 200 shots."""
+    config = {"probe_file": "probe.json", "channels": _CHANNELS[::-1], "delta": 0.05, "n_samples": 200}
+    return {"probe.json": probe, "disc.json": {**config, "trials": 100, "seed": 7, **changes}}
+
+
+def _search(m, also=lambda r: True):
+    """Within its bound, short of c_max by at most its rounding floor, and ``also``."""
+    return lambda r: (
+        r["within_bound"] is True and r["c_max"] - r["sup_c"] <= rounding_floor(2 * m, r["c_max"]) and also(r)
+    )
+
+
+def _at_a_vertex(m):
+    return lambda r: abs(r["argmax"]["vertex_gap"]) <= rounding_floor(2 * m, 1.0)
+
+
+def _finite(r):
+    return all(math.isfinite(v) for k, v in r.items() if k != "kind")
+
+
+def _exact_error(r):
+    return 0 < r["empirical_error"] < 1
+
+
+def _exactly_valid(r):
+    # msc stores its first-mode block exactly symmetric with det >= 1, in rational arithmetic.
+    (a, b), (c, d) = (map(Fraction, row) for row in r["matrix"])
+    return b == c and a > 0 and a * d - b * c >= 1
+
+
+_CONTRACT = {
+    "ensemble-one-sample": Case(
+        "ensemble --m 4 --E 24 --kind unitary --samples 1",
+        check=lambda r: r["stderr"] == 0 and r["n_sigma"] is None,
+    ),
+    "ensemble-m16": Case("ensemble --m 16 --E 72 --kind unitary --samples 1000", check=_finite),
+    "ensemble-m1-at-1e12": Case(
+        "ensemble --m 1 --E 1e12 --kind unitary --samples 1000",
+        check=lambda r: abs(r["mean_nu_sq"] - 1) <= 1e-12,
+    ),
+    # Ensemble statistics stay finite up to the largest trace whose square is finite.
+    "ensemble-at-1.3e154": Case("ensemble --m 2 --E 1.3e154 --kind unitary --samples 200", check=_finite),
+    "qfi-at-1e5": Case("qfi -", stdin="sympcoh msc --E 1e5 --m 1", check=lambda r: r["exact"] is True),
+    # Purity needs no Cholesky factor: a pure state whose factor fails in float64 is exact.
+    "qfi-where-the-cholesky-fails": Case(
+        "qfi -", stdin="sympcoh msc --E 4173961835.019933 --m 1", check=lambda r: r["exact"] is True
+    ),
+    "msc-exact-at-1e12": Case("msc --E 1e12 --m 1", check=_exactly_valid),
+    "apply-e10-squeezer": Case(
+        "apply - --gate g.json", stdin=_MSC, files={"g.json": {"kind": "matrix", "params": {"S": _E10}}}
+    ),
+    # A gate on a matrix at both ends of the float range: no overflow, no warning.
+    "apply-at-both-ends-of-the-float-range": Case(
+        "apply edge.csv --gate g.json",
+        files={"edge.csv": "1e308,0\n0,1e-308\n", "g.json": {**_QUARTER, "params": {"mode": 1, "theta": 0}}},
+    ),
+    "validate-below-the-uncertainty-bound": Case(
+        "validate -", 1, "uncertainty", stdin={**_VACUUM, "matrix": [[0.5, 0], [0, 0.5]]}
+    ),
+    "validate-trace-overflow": Case(
+        "validate -", 1, "DimensionError.*trace", stdin={**_VACUUM, "matrix": [[1e308, 0], [0, 1e308]]}
+    ),
+    # Pair sweeps from the best vertex bring an 8-mode search to c_max within its rounding floor.
+    "maxsearch-m8": Case("maxsearch --E 40 --m 8 --trials 200 --seed 0", check=_search(8)),
+    # At a large trace the pair sweeps reach c_max too, with every phase in (-pi/2, pi/2].
+    "maxsearch-m4-at-1e8": Case(
+        "maxsearch --E 1e8 --m 4 --trials 200 --seed 0",
+        check=_search(4, lambda r: all(-math.pi / 2 < t <= math.pi / 2 for t in r["argmax"]["theta"])),
+    ),
+    # At a large trace search_gap_rel cannot see whether |H_kk| = 1 at the best vertex; vertex_gap can.
+    "maxsearch-m8-at-1e8": Case(
+        "maxsearch --E 1e8 --m 8 --trials 200 --seed 0", check=_search(8, _at_a_vertex(8))
+    ),
+    # Just above the vacuum the pair sweeps end by their stop rule at the rounding floor.
+    "maxsearch-m8-near-the-vacuum": Case(
+        "maxsearch --E 16.000001 --m 8 --trials 50 --seed 77", check=_search(8, _at_a_vertex(8))
+    ),
+    # Here the maximiser needs the sampled U's columns mixed, which only pair moves do.
+    "maxsearch-m4-10000-trials": Case("maxsearch --E 16 --m 4 --trials 10000 --seed 7", check=_search(4)),
+    # Near the vacuum the maximum is reached from the best vertex, not between vertices.
+    "maxsearch-m4-near-the-vacuum": Case(
+        "maxsearch --E 8.000001 --m 4 --trials 50 --seed 87", check=_search(4)
+    ),
+    # An ulp above the minimum budget is not the vacuum: the search finds squeezing.
+    "maxsearch-an-ulp-above-2m": Case(
+        "maxsearch --E 2.0000000000000004 --m 1 --trials 30 --seed 0", check=lambda r: r["sup_c"] > 0
+    ),
+    # Just above the minimum budget within_bound is two-sided: sup_c is within 16 eps of c_max.
+    "maxsearch-just-above-2m": Case(
+        "maxsearch --E 2.0000000000001 --m 1 --trials 30",
+        check=lambda r: r["within_bound"] is True
+        and r["sup_c"] <= r["c_max"] * (1 + 16 * sys.float_info.epsilon),
+    ),
+    "maxsearch-m16": Case("maxsearch --E 72 --m 16 --trials 30 --seed 0", check=_search(16)),
+    # A long search factors only the samples whose bound can win, and keeps the exhaustive argmax.
+    "maxsearch-m8-20000-trials": Case(
+        "maxsearch --E 40 --m 8 --trials 20000 --seed 0",
+        check=_search(8, lambda r: r["argmax"]["trial"] == 247),
+    ),
+    # The spectrum bounds stay finite up to the largest trace whose square is finite.
+    "maxsearch-at-1.3e154": Case("maxsearch --E 1.3e154 --m 8 --trials 300"),
+    # Discrimination at 1e8 shots per trial draws only one uniform per trial.
+    "discriminate-1e8-shots": Case(_DISCRIMINATE, files=_disc_files(n_samples=100_000_000, trials=20)),
+    # A seeded run (K = 30, with K/2 ties) keeps its error rate under v7.
+    "discriminate-seeded": Case(
+        _DISCRIMINATE, files=_disc_files(trials=5000), check=lambda r: r["empirical_error"] == 0.0174
+    ),
+    # Tie-heavy (a K/2 tie with chance about 14%), K = 2 (two groups of one
+    # shot) and the far tail (the probe turned a quarter period, the vacuum's
+    # group means above the midpoint with chance below 1e-3): each exact
+    # error is computed with no warning and no error.
+    "discriminate-tie-heavy": Case(
+        _DISCRIMINATE,
+        files=_disc_files(channels=[_CHANNELS[1], {"kind": "loss", "eta": 0.52}], trials=2000),
+        check=_exact_error,
+    ),
+    "discriminate-k2": Case(
+        _DISCRIMINATE,
+        files=_disc_files(channels=_LOSS0_ID, delta=0.1, n_samples=2, trials=2000),
+        check=_exact_error,
+    ),
+    "discriminate-far-tail": Case(
+        _DISCRIMINATE,
+        files={
+            "msc.json": _MSC,
+            "quarter.json": _QUARTER,
+            **_disc_files(
+                "sympcoh apply msc.json --gate quarter.json",
+                channels=_LOSS0_ID,
+                delta=0.95,
+                n_samples=60,
+                trials=2000,
+            ),
+        },
+        check=_exact_error,
+    ),
+    # Identity against the beam-splitter dilation of loss at eta = 0.8: mu2 = 0.8 mu1.
+    "discriminate-beam-splitter-dilation": Case(
+        _DISCRIMINATE,
+        files=_disc_files(channels=[_CHANNELS[0], _DILATED_LOSS]),
+        check=lambda r: abs(r["mu2"] - 0.8 * r["mu1"]) <= 1e-12 * abs(r["mu1"]),
+    ),
+}
+
+
+def _text(spec, capsys) -> str:
+    if isinstance(spec, str) and spec.startswith("sympcoh "):
+        code, out, err = run_cli(spec.split()[1:], capsys)
+        assert code == 0, err
+        return json.dumps(out)
+    return spec if isinstance(spec, str) else json.dumps(spec)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", _CONTRACT.values(), ids=_CONTRACT.keys())
+def test_cli_contract(case, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, spec in case.files.items():
+        Path(name).write_text(_text(spec, capsys))
+    stdin = None if case.stdin is None else _text(case.stdin, capsys)
+    with deadline(60, case.argv.split()):
+        code, out, err = run_cli(case.argv.split(), capsys, monkeypatch, stdin)
+    assert code == case.code, err
+    assert re.search(case.err, err) if case.err else err == "", err
+    assert "Traceback" not in err and "Warning" not in err
+    assert out is None or out["manifest"]["stream_scheme"] == "seedseq-spawn-v7"
+    if case.check is not None:
+        assert case.check(out["result"]), out["result"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_discrimination_in_the_other_channel_order_swaps_only_the_moments(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    results = []
+    for channels in (_CHANNELS[::-1], _CHANNELS):
+        for name, spec in _disc_files(channels=channels, trials=5000).items():
+            Path(name).write_text(_text(spec, capsys))
+        code, out, err = run_cli(_DISCRIMINATE.split(), capsys)
+        assert code == 0, err
+        results.append(out["result"])
+    a, b = results
+    assert a == {**b, "mu1": b["mu2"], "mu2": b["mu1"], "var1": b["var2"], "var2": b["var1"]}

@@ -106,7 +106,7 @@ def _discrimination_config(n_samples, trials):
         (lambda: build_channel({"kind": "amplifier"}), ValueError, "unknown channel kind 'amplifier'"),
         (
             lambda: msc_membership_conditions(np.eye(2), np.zeros(3)),
-            ValueError,
+            DimensionError,
             "shape mismatch: o (2, 2), theta (3,)",
         ),
         (lambda: trace_distance_cov_bound(-1.0, 1, 0.1), ValueError, "arguments must be nonnegative"),
@@ -195,6 +195,12 @@ def _discrimination_config(n_samples, trials):
             ValueError,
             "quadrature angle theta must be finite, got inf",
         ),
+        # A non-finite sxp once gave a bound of 1.0, or "rotated variance of output 1 is nan".
+        (lambda: tvd_bound_ppmm(vacuum_state(1).cov, INF, 0.0, 0.3), ValueError, "sxp1 must be finite, got inf"),
+        (lambda: tvd_bound_ppmm(vacuum_state(1).cov, -INF, 0.0, 0.3), ValueError, "sxp1 must be finite, got -inf"),
+        (lambda: tvd_bound_ppmm(vacuum_state(1).cov, NAN, 0.0, 0.3), ValueError, "sxp1 must be finite, got nan"),
+        (lambda: tvd_bound_ppmm(vacuum_state(1).cov, 0.1, INF, 0.3), ValueError, "sxp2 must be finite, got inf"),
+        (lambda: tvd_bound_ppmm(vacuum_state(1).cov, 0.1, NAN, 0.3), ValueError, "sxp2 must be finite, got nan"),
         (lambda: energy_offset(1, NAN), ValueError, "covariance trace E must be a number, got nan"),
         (
             lambda: n_thres_orthogonal(NAN, 1.0, 1, 6.0, 0.05),
@@ -256,6 +262,11 @@ def _discrimination_config(n_samples, trials):
         "rotated_quadrature_variance-inf-theta",
         "rotated_quadrature_variance-nan-theta",
         "tvd_bound_ppmm-inf-theta",
+        "tvd_bound_ppmm-inf-sxp1",
+        "tvd_bound_ppmm-minus-inf-sxp1",
+        "tvd_bound_ppmm-nan-sxp1",
+        "tvd_bound_ppmm-inf-sxp2",
+        "tvd_bound_ppmm-nan-sxp2",
         "energy_offset-nan-E",
         "n_thres_orthogonal-nan-mean",
         "n_thres_orthogonal-nan-E",
