@@ -90,6 +90,9 @@ class EnsembleStats:
         stderr: standard error of that mean.
         s1_hat: Monte-Carlo mean of ``sum_{i!=j} d_i/d_j + d_j/d_i``.
         s2_hat: Monte-Carlo mean of ``sum_{i!=j} d_i d_j + 1/(d_i d_j)``.
+            Each sample's two sums come from the pass that makes its
+            nu_1^2, as ``2 sum_{k<l} (t - 1/t)^2 + 4P`` and likewise with s
+            (``_first_mode_nu_sq``): sums of nonnegative terms.
         analytic_mean: closed-form ensemble mean evaluated at s1_hat/s2_hat.
         stderr_diff: standard error of the per-sample difference
             ``nu_1^2(i) - analytic(i)`` (the right scale for comparing
@@ -153,26 +156,8 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _pair_sums(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``d``: ``sum_{i!=j} d_i/d_j + d_j/d_i``, ``sum_{i!=j} d_i d_j + 1/(d_i d_j)``.
-
-    Summed over the pairs ``k < l`` as ``2 sum (r + 1/r)``, ``r = d_k/d_l``,
-    and ``2 sum (p + 1/p)``, ``p = d_k d_l``: every term is positive, so no
-    large sums cancel when one ``d_k`` dominates.  The pair arithmetic runs
-    in place on three pair-sized arrays.
-    """
-    k, l = _pairs(d.shape[1])
-    dk, dl = d[:, k], d[:, l]
-    r = np.divide(dk, dl)
-    p = np.multiply(dk, dl, out=dk)
-    inv = np.divide(1.0, r, out=dl)
-    s1 = 2.0 * np.sum(np.add(r, inv, out=r), axis=1)
-    np.divide(1.0, p, out=inv)
-    return s1, 2.0 * np.sum(np.add(p, inv, out=p), axis=1)
-
-
-def _first_mode_nu_sq(u: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """nu_1^2 of pure states from unit first rows ``u = x + iy`` (n, m) and spectra d (n, m).
+def _first_mode_nu_sq(u: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(nu_1^2, s1, s2)`` of pure states from unit first rows ``u = x + iy`` (n, m) and spectra d (n, m).
 
     Rows 0 and m of ``A = S_U diag(d, 1/d)^(1/2)`` give ``nu_1^2 = |a|^2 |b|^2
     - (a.b)^2``.  The Lagrange identity turns it into a sum of squared 2 x 2
@@ -183,8 +168,16 @@ def _first_mode_nu_sq(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     with ``s = sqrt(d_k d_l)``, ``t = sqrt(d_k / d_l)`` and ``z + iw =
     conj(u_k) u_l``.  Every term is nonnegative, so ``nu_1^2 >= 1`` and nothing
     of size d^2 cancels; a single mode (no pairs) gives exactly 1.  A real
-    ``u`` (orthogonal passive gate) has ``w = 0``.  The real pair arithmetic
-    runs in place on the gathered arrays.
+    ``u`` (orthogonal passive gate) has ``w = 0``.
+
+    The same pair arrays give the spectrum statistics of ``EnsembleStats``:
+    ``t^2 + t^-2 = (t - 1/t)^2 + 2``, so over the P = m(m-1)/2 pairs
+
+        ``s1 = sum_{i!=j} d_i/d_j + d_j/d_i = 2 sum_{k<l} (t - 1/t)^2 + 4P``
+
+    and ``s2 = sum_{i!=j} d_i d_j + 1/(d_i d_j)`` likewise with s.  Every
+    term is nonnegative here too.  The real pair arithmetic runs in place on
+    the gathered arrays.
     """
     k, l = _pairs(d.shape[1])
     # The complex product first, while no real pair array is alive, and out of
@@ -196,13 +189,18 @@ def _first_mode_nu_sq(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     t = np.divide(rk, rl)
     s = np.multiply(rk, rl, out=rk)
     inv = np.divide(1.0, t, out=rl)
-    z = np.multiply(np.subtract(t, inv, out=t), g.real, out=t)
+    twos = 4.0 * len(k)  # the 2 of each pair's (x - 1/x)^2 + 2, in a sum over i != j
+    a = np.subtract(t, inv, out=t)
+    s1 = 2.0 * np.einsum("ij,ij->i", a, a) + twos
+    z = np.multiply(a, g.real, out=a)
     nu_sq = 1.0 + np.einsum("ij,ij->i", z, z)
+    np.divide(1.0, s, out=inv)
+    b = np.subtract(s, inv, out=s)
+    s2 = 2.0 * np.einsum("ij,ij->i", b, b) + twos
     if np.iscomplexobj(g):
-        np.divide(1.0, s, out=inv)
-        w = np.multiply(np.subtract(s, inv, out=s), g.imag, out=s)
+        w = np.multiply(b, g.imag, out=b)
         nu_sq += np.einsum("ij,ij->i", w, w)
-    return nu_sq
+    return nu_sq, s1, s2
 
 
 def analytic_mean_nu_sq(kind: str, m: int, s1: float, s2: float) -> float:
@@ -219,16 +217,18 @@ def _ensemble_draw(
     """One ensemble block ``(d, z)`` of n samples, cut to its first ``keep`` rows.
 
     Spectra, then Ginibre columns from the same generator: d is
-    ``sample_d_batch``; z is the first column alone, an (n, m, 1)
-    ``ginibre_batch``, unless ``full``, when the other m - 1 columns are
-    drawn after it and z is the whole (n, m, m) stack.  Either way the first
-    column has the same bytes.
+    ``sample_d_batch`` cut at ``keep``; z is the first column alone, a
+    (keep, m, 1) ``ginibre_batch`` whose last fill (the real stack, or the
+    imaginary parts) stops at ``keep``, unless ``full``, when that column is
+    drawn whole, the other m - 1 columns follow it, and z is the whole (n,
+    m, m) stack cut at ``keep``.  Either way the kept rows have the bytes of
+    the whole block's.
     """
-    d = sample_d_batch(E, m, n, rng)
-    z = ginibre_batch(m, n, rng, real, columns=1)
+    d = sample_d_batch(E, m, n, rng, keep)
+    z = ginibre_batch(m, n, rng, real, columns=1, keep=n if full else keep)
     if full:
-        z = np.concatenate([z, ginibre_batch(m, n, rng, real, columns=m - 1)], axis=2)
-    return d[:keep], z[:keep]
+        z = np.concatenate([z, ginibre_batch(m, n, rng, real, columns=m - 1)], axis=2)[:keep]
+    return d, z
 
 
 def ensemble_nu_sq(
@@ -245,8 +245,10 @@ def ensemble_nu_sq(
     ``haar_from_ginibre(z[j])``; a Haar matrix's transpose is again Haar.
     Its first row is that matrix's first column, the normalised Ginibre
     column ``z[j, :, 0] / |z[j, :, 0]|`` (Mezzadri, Notices AMS 54, 592
-    (2007)), so nu_1^2 (``_first_mode_nu_sq``) needs only m of the m^2
-    Ginibre entries, and no QR and no covariance matrix.
+    (2007)), so nu_1^2 (``_first_mode_nu_sq``, whose pass also gives the
+    pair sums) needs only m of the m^2 Ginibre entries, and no QR and no
+    covariance matrix.  A block makes spectra and draws its last fill for
+    the rows it keeps only (``_ensemble_draw``).
 
     Args:
         config: ensemble parameters.
@@ -273,8 +275,7 @@ def ensemble_nu_sq(
     for start, (d, z) in mc_blocks(config.seed, n, block_samples(m), draw):
         block = slice(start, start + d.shape[0])
         col = z[:, :, 0]
-        nu_sq[block] = _first_mode_nu_sq(col / np.linalg.norm(col, axis=1)[:, None], d)
-        s1_arr[block], s2_arr[block] = _pair_sums(d)
+        nu_sq[block], s1_arr[block], s2_arr[block] = _first_mode_nu_sq(col / np.linalg.norm(col, axis=1)[:, None], d)
         if return_samples:
             passive = np.swapaxes(haar_from_ginibre(z), -1, -2)
             alpha = d - 1.0

@@ -76,8 +76,8 @@ def mc_blocks(seed: int, n: int, size: int, draw: Callable) -> Iterator[tuple[in
     same seed and size.  A ``draw`` only consumes its generator, and may
     leave its last fill to the driver, which draws it only if it reads the
     block's gates (``pure_draw``'s uniforms): per-sample transforms, such as
-    ``ginibre_from_uniforms`` and the QR of ``haar_from_ginibre``, run on
-    the rows a driver still needs.
+    ``sample_d_batch``'s spectra, ``ginibre_from_uniforms`` and the QR of
+    ``haar_from_ginibre``, run on the rows a driver still needs.
     """
     for b, start in enumerate(range(0, n, size)):
         yield start, draw(derive_rng(seed, b), size, keep=min(size, n - start))
@@ -507,7 +507,7 @@ def spectrum_from_weights(E: float, weights: np.ndarray) -> np.ndarray:
             nonnegative, and every row sums to 1 within ``rounding_floor(m, 1)``,
             the floor of an m-term sum of numbers at most 1 (so a NaN fails).
     """
-    weights = np.asarray(weights, dtype=float)
+    weights = np.array(weights, dtype=float)  # a copy: the spectrum is made in it
     m = weights.shape[-1]
     require_budget(E, m)
     if np.any(weights < 0.0):
@@ -518,19 +518,33 @@ def spectrum_from_weights(E: float, weights: np.ndarray) -> np.ndarray:
 
 
 def _spectrum(E: float, weights: np.ndarray) -> np.ndarray:
-    """:func:`spectrum_from_weights` with no checks, for float weights its maker proves valid."""
-    x = (E - 2 * weights.shape[-1]) * weights
-    return 1.0 + x / 2.0 + np.sqrt(x + x * x / 4.0)
+    """:func:`spectrum_from_weights` with no checks, for float weights its maker proves valid.
+
+    Works in place on ``weights``, which ends as ``sqrt(h h + x)`` with ``x
+    = (E - 2m) w`` and ``h = x/2``; the result is ``(1 + h)`` plus that
+    root.  Those are the bytes of ``1 + x/2 + sqrt(x + x^2/4)``: ``x * 0.5``
+    is ``x / 2``, ``(x/2)^2`` and ``x^2/4`` round alike except where they
+    are subnormal, and there both vanish against x; E^2 is finite, so
+    ``x^2`` is too.
+    """
+    x = np.multiply(weights, E - 2 * weights.shape[-1], out=weights)
+    h = x * 0.5
+    np.sqrt(np.add(h * h, x, out=x), out=x)
+    return np.add(np.add(h, 1.0, out=h), x, out=h)
 
 
-def sample_d_batch(E: float, m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n squeezing spectra (shape n x m), each with ``d_i >= 1`` and ``sum(d_i + 1/d_i) = E``.
+def sample_d_batch(E: float, m: int, n: int, rng: np.random.Generator, keep: int | None = None) -> np.ndarray:
+    """Draw n squeezing spectra, each with ``d_i >= 1`` and ``sum(d_i + 1/d_i) = E``, cut at ``keep``.
 
     Row k's weights are the squared coordinates of row k of one
     ``standard_normal((n, m))`` draw projected onto the unit (m-1)-sphere,
     ``w = g^2 / sum(g^2)``, so ``sum w_i = 1``.  A row of zeros (probability
     zero) is redrawn from the same generator, which keeps the draw
-    deterministic and free of NaN.
+    deterministic and free of NaN.  The normals and the redraw cover all n
+    rows, so the generator moves as for the whole draw; the weights and
+    the spectrum (``_spectrum``, in place) are computed for the first
+    ``keep`` rows only (all n by default), a (keep, m) array with the bytes
+    of the whole draw's first ``keep`` rows.
     Raises ``ValueError`` unless m is a count and 2m <= E with E^2 finite.
     """
     require_budget(E, m)
@@ -542,7 +556,9 @@ def sample_d_batch(E: float, m: int, n: int, rng: np.random.Generator) -> np.nda
         g[zero] = rng.standard_normal((int(zero.sum()), m))
         sq = g * g
         total = sq.sum(axis=1)
-    return _spectrum(E, sq / total[:, None])  # nonnegative, normalised and E checked above
+    weights = sq[:keep]
+    weights /= total[:keep, None]
+    return _spectrum(E, weights)  # nonnegative, normalised and E checked above
 
 
 def sample_d(E: float, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -562,7 +578,7 @@ def haar_unitary(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarr
 
 
 def ginibre_batch(
-    m: int, n: int, rng: np.random.Generator, real: bool, columns: int | None = None
+    m: int, n: int, rng: np.random.Generator, real: bool, columns: int | None = None, keep: int | None = None
 ) -> np.ndarray:
     """Stack of ``n`` Ginibre draws (n x m x columns) with i.i.d. entries of unit variance.
 
@@ -570,19 +586,23 @@ def ginibre_batch(
     ``haar_from_ginibre`` factors; fewer columns draw the leading columns of
     a matrix, and a later call on the same generator can draw the rest.
     Real standard normals, or complex ``(g1 + i g2) / sqrt(2)`` with the real
-    parts drawn before the imaginary ones.
+    parts drawn before the imaginary ones.  With ``keep`` only the first
+    ``keep`` draws are returned, and the last fill (the real stack, or the
+    imaginary parts) stops there; the generator fills in order, so they have
+    the bytes of the whole stack's first ``keep`` draws.
     """
     shape = (n, m, m if columns is None else columns)
+    kept = (n if keep is None else keep,) + shape[1:]
     if real:
-        return rng.standard_normal(shape)
+        return rng.standard_normal(kept)
     # Filled in place to save temporaries; the values are bit for bit those of
     # (g1 + 1j * g2) / sqrt(2), which the samples' streams rely on.  numpy
     # divides a complex by a real as a product with its reciprocal (Smith's
     # formula), so multiplying the float view by that reciprocal gives the
     # same bytes without the complex arithmetic.
-    z = np.empty(shape, dtype=complex)
-    z.real = rng.standard_normal(shape)
-    z.imag = rng.standard_normal(shape)
+    z = np.empty(kept, dtype=complex)
+    z.real = rng.standard_normal(shape)[: kept[0]]
+    z.imag = rng.standard_normal(kept)
     parts = z.view(float)
     parts *= 1.0 / np.sqrt(2.0)
     return z
@@ -634,20 +654,20 @@ def pure_draw(
     """The raw draw ``(d, uniforms)`` of n random pure states with covariance trace E, cut at ``keep``.
 
     The layout of a block of whole pure states (an ``mc_blocks`` draw once E
-    and m are bound): spectra d (``sample_d_batch``), drawn for all n states
-    and cut to their first ``keep`` rows (all n by default), then, when
-    ``uniforms()`` is called, a ``(keep, m, m, 2)`` stack w of
-    ``rng.random`` uniforms.  A uniform costs one word of the stream, so
-    those are the bytes of the whole block's first ``keep`` stacks.  A
-    caller that reads no gate of the block never calls it and draws no
-    uniforms; one that does calls it once, as each call draws the next
-    stack.  ``ginibre_from_uniforms(w, real)`` turns them into square
+    and m are bound): spectra d (``sample_d_batch``), whose normals are
+    drawn for all n states and whose spectra are made for the first ``keep``
+    (all n by default), then, when ``uniforms()`` is called, a ``(keep, m,
+    m, 2)`` stack w of ``rng.random`` uniforms.  A uniform costs one word of
+    the stream, so those are the bytes of the whole block's first ``keep``
+    stacks.  A caller that reads no gate of the block never calls it and
+    draws no uniforms; one that does calls it once, as each call draws the
+    next stack.  ``ginibre_from_uniforms(w, real)`` turns them into square
     Ginibre stacks, real iff the passive gates ``haar_from_ginibre`` are to
     be orthogonal; a caller maps only the rows it factors.  The ensembles,
     which read only a Ginibre matrix's first column, draw normals
     (``ginibre_batch``), that column first, instead.
     """
-    d = sample_d_batch(E, m, n, rng)[:keep]
+    d = sample_d_batch(E, m, n, rng, keep)
     return d, partial(rng.random, (len(d), m, m, 2))
 
 

@@ -237,11 +237,18 @@ def reference_mean_stderr(values: np.ndarray) -> tuple[float, float]:
 
 
 def reference_pair_sums(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``ensembles._pair_sums`` with a new array for every operation."""
+    """The pair sums ``(s1, s2)`` of ``ensembles._first_mode_nu_sq`` with a new array for every operation.
+
+    ``2 sum (t - 1/t)^2 + 4P`` and ``2 sum (s - 1/s)^2 + 4P`` over the P
+    pairs k < l, with ``t = sqrt(d_k / d_l)`` and ``s = sqrt(d_k d_l)``.
+    """
     k, l = _pairs(d.shape[1])
-    r = d[:, k] / d[:, l]
-    p = d[:, k] * d[:, l]
-    return 2.0 * np.sum(r + 1.0 / r, axis=1), 2.0 * np.sum(p + 1.0 / p, axis=1)
+    root = np.sqrt(d)
+    t = root[:, k] / root[:, l]
+    s = root[:, k] * root[:, l]
+    a, b = t - 1.0 / t, s - 1.0 / s
+    twos = 4.0 * len(k)
+    return 2.0 * np.einsum("ij,ij->i", a, a) + twos, 2.0 * np.einsum("ij,ij->i", b, b) + twos
 
 
 def reference_first_mode_nu_sq(u: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -260,7 +267,10 @@ def reference_first_mode_nu_sq(u: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def reference_ensemble_stats(config: EnsembleConfig) -> EnsembleStats:
-    """``ensemble_nu_sq(config)`` from the same draws, with one reduction per statistic."""
+    """``ensemble_nu_sq(config)`` from the same draws, with one reduction per statistic.
+
+    The pair sums are ``reference_pair_sums``: the one-pass identity, out of place.
+    """
     n, m = config.n_samples, config.m
     nu_sq, s1, s2 = np.empty(n), np.empty(n), np.empty(n)
     draw = partial(_ensemble_draw, E=config.E, m=m, real=config.kind == "orthogonal", full=False)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sympcoh import EnsembleConfig, ensemble_nu_sq
-from sympcoh.ensembles import KINDS, _first_mode_nu_sq, _pair_sums
+from sympcoh.ensembles import KINDS, _first_mode_nu_sq
 from sympcoh.symplectic_ops import block_samples, mean_stderr_rows
 from conftest import (
     BASE_SEED,
@@ -52,8 +52,9 @@ def test_in_place_pair_arithmetic_has_the_reference_bytes(kind, m):
             for rows in [slice(None)] + [slice(i, i + 1) for i in range(100)]:
                 ur, dr = u[rows], d[rows]
                 d_before, u_before = dr.copy(), ur.copy()
-                got = (_first_mode_nu_sq(ur, dr), *_pair_sums(dr))
+                got = _first_mode_nu_sq(ur, dr)  # nu_1^2, then the two pair sums
                 want = (reference_first_mode_nu_sq(ur, dr), *reference_pair_sums(dr))
+                assert len(got) == len(want) == 3
                 for a, b in zip(got, want):
                     assert a.tobytes() == b.tobytes(), (E, rows)
                 # the helpers write only into arrays of their own

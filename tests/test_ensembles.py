@@ -28,7 +28,7 @@ from sympcoh import (
     symplectic_eigenvalues,
 )
 from sympcoh import ensembles, symplectic_ops
-from sympcoh.ensembles import _first_mode_nu_sq, _pair_sums
+from sympcoh.ensembles import KINDS, _ensemble_draw, _first_mode_nu_sq
 from sympcoh.symplectic_ops import (
     block_samples,
     ginibre_batch,
@@ -36,7 +36,7 @@ from sympcoh.symplectic_ops import (
     pure_cm,
     sample_d_batch,
 )
-from conftest import haar_moment_check, pure_param_blocks
+from conftest import haar_moment_check, pure_param_blocks, reference_pair_sums
 
 TOL = 1e-12
 
@@ -182,7 +182,7 @@ def lagrange_nu_sq(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
 def test_first_mode_nu_sq_matches_long_double_minors(kind, m):
     for E in (2 * m + 1e-9, 2 * m + 1e-6, 4 * m + 8, 1e3, 1e8, 1e12, 1e50, 1e150):
         for _, x, y, d in pure_param_blocks(23, 256, E, m, kind == "orthogonal"):
-            got = _first_mode_nu_sq(x[:, 0] + 1j * y[:, 0], d)
+            got, _, _ = _first_mode_nu_sq(x[:, 0] + 1j * y[:, 0], d)
             want = lagrange_nu_sq(x[:, 0], y[:, 0], d)
             assert np.all(np.abs(got - want) <= 1e-12 * want), (m, E)
             assert np.all(got >= 1.0 - 1e-15), (m, E)
@@ -190,9 +190,11 @@ def test_first_mode_nu_sq_matches_long_double_minors(kind, m):
 
 @pytest.mark.parametrize("m", [2, 8])
 def test_pair_sums_match_long_double(m):
-    for E in (4 * m + 8, 1e4, 1e12, 1e150):
-        for _, _, _, d in pure_param_blocks(29, 64, E, m, True):
-            s1, s2 = _pair_sums(d)
+    # The pair sums of the one pass, 2 sum (t - 1/t)^2 + 4P and likewise with
+    # s, against sum_{i!=j} d_i/d_j + d_j/d_i and d_i d_j + 1/(d_i d_j) in long double.
+    for E in (2 * m + 1e-9, 4 * m + 8, 1e4, 1e12, 1e150, 1.3e154):
+        for _, x, _, d in pure_param_blocks(29, 64, E, m, True):
+            _, s1, s2 = _first_mode_nu_sq(x[:, 0], d)
             ld = d.astype(np.longdouble)
             off = ~np.eye(m, dtype=bool)
             ratio, prod = ld[:, :, None] / ld[:, None, :], ld[:, :, None] * ld[:, None, :]
@@ -257,7 +259,7 @@ def test_samples_do_not_change_the_nu_sq_samples_or_statistics(kind, m, monkeypa
         monkeypatch.setattr(ensembles, "_first_mode_nu_sq", recording)
         config = EnsembleConfig(m=m, E=4 * m + 8, n_samples=600, seed=13, kind=kind)
         out = ensemble_nu_sq(config, return_samples=return_samples)
-        runs.append((out[0] if return_samples else out, np.concatenate(recorded)))
+        runs.append((out[0] if return_samples else out, np.concatenate([nu for nu, _, _ in recorded])))
         if return_samples:
             assert out[1].tobytes() == runs[-1][1].tobytes()
     (stats_a, nu_a), (stats_b, nu_b) = runs
@@ -287,7 +289,8 @@ def test_samples_are_states_of_the_transposed_haar_draw(kind, m):
 @pytest.mark.parametrize("kind", ["orthogonal", "unitary"])
 @pytest.mark.parametrize("m", [1, 2, 8])
 def test_statistics_draw_one_ginibre_column_per_sample(kind, m, monkeypatch):
-    # After its spectra a block takes m normals per sample, 2m for complex entries.
+    # After its spectra a block takes m normals per sample, 2m for complex
+    # entries; the last fill (real, or imaginary parts) stops at the kept rows.
     rngs = []
 
     def recording(seed, index):
@@ -298,11 +301,37 @@ def test_statistics_draw_one_ginibre_column_per_sample(kind, m, monkeypatch):
     seed, E, size = 37, 4 * m + 8, block_samples(m)
     ensemble_nu_sq(EnsembleConfig(m=m, E=E, n_samples=size + 3, seed=seed, kind=kind))
     assert len(rngs) == 2
-    for b, rng in enumerate(rngs):
+    for b, (rng, keep) in enumerate(zip(rngs, (size, 3))):
         ref = derive_rng(seed, b)
         sample_d_batch(E, m, size, ref)
-        ref.standard_normal(size * m * (1 if kind == "orthogonal" else 2))
+        if kind == "unitary":
+            ref.standard_normal(size * m)
+        ref.standard_normal(keep * m)
         assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["statistics", "samples"])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("m", [1, 2, 8, 16])
+def test_an_ensemble_block_keeps_the_bytes_of_the_whole_block_cut(m, kind, full):
+    # A block drawn for its kept rows only equals the whole block drawn and
+    # then cut; the stream stops after the kept rows of the first column's
+    # last fill, or, when samples are asked for, after the whole stack.
+    seed, E, n, real = 47, 4.0 * m + 8.0, block_samples(m), kind == "orthogonal"
+    d_all, z_all = _ensemble_draw(derive_rng(seed, m), n, n, E, m, real, full)
+    for keep in sorted({k for k in (1, 7, 120, n) if k <= n}):
+        rng = derive_rng(seed, m)
+        d, z = _ensemble_draw(rng, n, keep, E, m, real, full)
+        assert d.shape == (keep, m) and z.shape == (keep, m, m if full else 1)
+        assert d.tobytes() == d_all[:keep].tobytes(), keep
+        assert z.tobytes() == z_all[:keep].tobytes(), keep
+        ref = derive_rng(seed, m)
+        sample_d_batch(E, m, n, ref)
+        if full:
+            ref.standard_normal(n * m * m * (1 if real else 2))
+        else:
+            ref.standard_normal((keep if real else n + keep) * m)
+        assert rng.bit_generator.state == ref.bit_generator.state, keep
 
 
 @pytest.mark.parametrize("kind", ["orthogonal", "unitary"])
@@ -313,7 +342,7 @@ def test_pair_statistics_read_only_the_block_spectra(kind, m):
     d = np.concatenate(
         [sample_d_batch(E, m, size, derive_rng(seed, b)) for b in range(-(-n // size))]
     )[:n]
-    s1, s2 = _pair_sums(d)
+    s1, s2 = reference_pair_sums(d)
     assert stats.s1_hat == float(np.mean(s1))
     assert stats.s2_hat == float(np.mean(s2))
 

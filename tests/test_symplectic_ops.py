@@ -132,24 +132,66 @@ def test_mean_stderr_is_the_plain_formula_and_finite_near_the_float_range(rng):
     assert se == pytest.approx(1e307 / np.sqrt(3), rel=1e-14)
 
 
+class ZeroRowFirst:
+    """Generator stand-in whose first draw has an all-zero row ``row``."""
+
+    def __init__(self, row: int = 1):
+        self.rng, self.calls, self.row = derive_rng(3, 0), 0, row
+
+    def standard_normal(self, shape):
+        g = self.rng.standard_normal(shape)
+        self.calls += 1
+        if self.calls == 1:
+            g[self.row] = 0.0
+        return g
+
+
 def test_sample_d_batch_redraws_a_zero_row():
-    class ZeroRowFirst:
-        """Generator stand-in whose first draw has an all-zero row."""
-
-        def __init__(self):
-            self.rng, self.calls = derive_rng(3, 0), 0
-
-        def standard_normal(self, shape):
-            g = self.rng.standard_normal(shape)
-            self.calls += 1
-            if self.calls == 1:
-                g[1] = 0.0
-            return g
-
     d = sample_d_batch(8.0, 2, 4, ZeroRowFirst())
     assert np.all(np.isfinite(d)) and np.all(d >= 1.0)
     assert_allclose(np.sum(d + 1.0 / d, axis=1), 8.0, atol=1e-12)
     assert_array_equal(d, sample_d_batch(8.0, 2, 4, ZeroRowFirst()))
+
+
+@pytest.mark.parametrize("m", [1, 2, 8, 16])
+def test_sample_d_batch_makes_only_the_kept_spectra_with_the_whole_draws_bytes(m):
+    # Every row's normals are drawn and checked for the zero-row redraw, so the
+    # stream moves as for the whole draw; the kept rows have the whole draw's bytes.
+    n = block_samples(m)
+    for E in (2.0 * m + 1e-9, 4.0 * m + 8.0, 1e8, 1.3e154):
+        for keep in sorted({k for k in (1, 7, 120, n) if k <= n}):
+            rng, ref = derive_rng(59, m), derive_rng(59, m)
+            d = sample_d_batch(E, m, n, rng, keep)
+            assert d.shape == (keep, m) and d.flags.c_contiguous
+            assert d.tobytes() == sample_d_batch(E, m, n, ref)[:keep].tobytes(), (E, keep)
+            assert rng.bit_generator.state == ref.bit_generator.state
+    # A zero row past the kept ones is still redrawn, from the same generator.
+    cut, whole = ZeroRowFirst(row=3), ZeroRowFirst(row=3)
+    assert sample_d_batch(8.0, 2, 4, cut, 2).tobytes() == sample_d_batch(8.0, 2, 4, whole)[:2].tobytes()
+    assert cut.calls == whole.calls == 2
+    assert cut.rng.bit_generator.state == whole.rng.bit_generator.state
+
+
+def test_in_place_spectrum_has_the_bytes_of_the_closed_form():
+    # A seeded fuzz panel: m up to 16, E from just above 2m to the largest E
+    # with E^2 finite, zero weights, and weights so small that x^2/4, or x
+    # itself, is subnormal.
+    rng = derive_rng(61, 0)
+    for _ in range(400):
+        m = int(rng.integers(1, 17))
+        E = float(rng.choice([2.0 * m + 10.0 ** rng.uniform(-12, 0), 10.0 ** rng.uniform(1.5, 153), 1.3e154]))
+        E = max(E, 2.0 * m)
+        shape = (int(rng.integers(1, 9)), m)
+        w = rng.random(shape) * 10.0 ** rng.uniform(-320, 0, shape)
+        w[rng.random(shape) < 0.25] = 0.0
+        w[:, 0] += w.sum(axis=1) == 0.0
+        w /= w.sum(axis=1)[:, None]
+        x = (E - 2 * m) * w
+        want = 1.0 + x / 2.0 + np.sqrt(x + x * x / 4.0)
+        assert symplectic_ops._spectrum(E, w.copy()).tobytes() == want.tobytes(), (E, m)
+        before = w.copy()
+        assert spectrum_from_weights(E, w).tobytes() == want.tobytes(), (E, m)
+        assert w.tobytes() == before.tobytes()  # the checked path works on a copy
 
 
 @pytest.mark.parametrize("E, m", [(2.5, 1), (12.0, 3), (40.0, 8), (1e8, 4), (1.3e154, 2)])
