@@ -647,13 +647,9 @@ def run_discrimination(config: DiscriminationConfig) -> DiscriminationReport:
     error = _error_chance(
         k, [(threshold - mu) / math.sqrt(var / b) for mu, var in ((mu1, var1), (mu2, var2))]
     )
-
-    def draw(rng: np.random.Generator, size: int, keep: int) -> tuple:
-        return (rng.random(keep),)
-
     failures = 0
-    for _, (u,) in mc_blocks(config.seed, config.trials, BLOCK_ENTRIES, draw):
-        failures += int(np.count_nonzero(u < error))
+    for _, keep, rng in mc_blocks(config.seed, config.trials, BLOCK_ENTRIES):
+        failures += int(np.count_nonzero(rng.random(keep) < error))
 
     return DiscriminationReport(
         mu1=mu1,

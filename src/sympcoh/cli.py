@@ -370,10 +370,14 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    start = time.perf_counter()
     # The parameters as parsed; a handler may then set args.seed to the seed it ran.
     params = {k: v for k, v in vars(args).items() if k not in ("func", "subcommand")}
     try:
+        # A state piped on stdin is read before the clock starts, so that
+        # wall_time_s times what ran and not the wait for the pipe's writer.
+        if getattr(args, "cm", None) == "-":
+            args.cm = _require_object(json.load(sys.stdin), "the document on stdin")
+        start = time.perf_counter()
         result, code = args.func(args)
         envelope = {"result": result, "manifest": _manifest(args, params, time.perf_counter() - start)}
         text = json.dumps(envelope, sort_keys=True, allow_nan=False)  # no bare NaN/Infinity
@@ -383,15 +387,11 @@ def main(argv: list[str] | None = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"malformed JSON: {exc}", file=sys.stderr)
         return 1
-    except (
-        gaussian_core.DimensionError,
-        gaussian_core.NumericError,
-        ops.GateError,
-        ValueError,
-        KeyError,
-        OSError,
-    ) as exc:
+    except (gaussian_core.NumericError, ValueError, KeyError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy raises a subclass with a private name
+        print(f"MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     try:
         print(text, flush=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -31,9 +30,9 @@ from .symplectic_ops import (
     is_orthogonal,
     mc_blocks,
     pure_cm,
-    pure_draw,
     pure_xp_block,
     require_budget,
+    sample_d_batch,
 )
 
 
@@ -475,9 +474,9 @@ def _best_sample(
     every row has the bytes it would have if the whole block were mapped;
     only the factors of those rows are kept.
     """
-    draw = partial(pure_draw, E=E, m=m)
-    best_c = -1.0
-    for start, (ds, uniforms) in mc_blocks(seed, trials, block_samples(m), draw):
+    size, best_c = block_samples(m), -1.0
+    for start, keep, rng in mc_blocks(seed, trials, size):
+        ds = sample_d_batch(E, m, size, rng, keep)
         alphas = ds - 1.0
         betas = -alphas / ds
         sigmas = 0.5 * (alphas - betas)
@@ -491,7 +490,7 @@ def _best_sample(
             continue
         if reach[first[0]] < best_c:
             first = first[reach[first] >= best_c]
-        ws = uniforms()
+        ws = rng.random((keep, m, m, 2))
         c = np.full(len(ds), -np.inf)
         factored = []  # (rows as a list, their factors) per batch
 
@@ -519,12 +518,13 @@ def numeric_max_search(E: float, m: int, trials: int, seed: int) -> SearchOutcom
     """Randomized search for the largest coherence at fixed covariance trace.
 
     Samples pure states (Haar passive gate times a random squeezing spectrum
-    summing to the trace budget) in the blocks of ``mc_blocks``, each
-    ``block_samples(m)`` draws of ``pure_draw``, so the samples of a run are a
-    prefix of those of any longer run with the same seed.  A block draws
-    every row's spectrum, then uniforms for its gates only if one of its rows
-    can still win; Gaussians are made from them (``ginibre_from_uniforms``)
-    only for the rows factored.  No covariance matrix is built: a sample is
+    summing to the trace budget) in the blocks of ``mc_blocks``, each of
+    ``block_samples(m)`` samples, so the samples of a run are a prefix of
+    those of any longer run with the same seed.  A block draws every row's
+    spectrum (``sample_d_batch``), then, only if one of its rows can still
+    win, a ``(keep, m, m, 2)`` stack of uniform pairs for its gates;
+    Gaussians are made from them (``ginibre_from_uniforms``) only for the
+    rows factored.  No covariance matrix is built: a sample is
     scored by the squared norm of its position-momentum block, ``V_xp = Y
     (D^-1 - 1) X^T - X (D - 1) Y^T`` for passive unitary X + iY and ``D =
     diag(d)`` (``symplectic_ops.pure_xp_block``, two batched matmuls).  Most samples are never factored or scored, by

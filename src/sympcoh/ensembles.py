@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .symplectic_ops import (
     mc_blocks,
     mean_stderr_rows,
     pure_cm,
-    pure_draw,
     pure_xp_block,
     require_budget,
     sample_d,  # noqa: F401 - perfbench times ensembles.sample_d by this name
@@ -133,17 +132,18 @@ def pure_cm_from_passive(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> CovMat:
 def sample_pure_cm(E: float, m: int, kind: str, rng: np.random.Generator) -> CovMat:
     """Draw one pure m-mode covariance matrix with trace E of ensemble ``kind``.
 
-    The draw is ``symplectic_ops.pure_draw`` for one sample from ``rng``: a
-    spectrum and uniforms, which ``ginibre_from_uniforms`` maps to a real
-    (orthogonal kind) or complex Ginibre matrix for ``haar_from_ginibre``.
+    The draw is that of one maximum-search sample from ``rng``: a spectrum
+    (``sample_d_batch``), then one ``(1, m, m, 2)`` stack of uniform pairs,
+    which ``ginibre_from_uniforms`` maps to a real (orthogonal kind) or
+    complex Ginibre matrix for ``haar_from_ginibre``.
     The orthogonal kind has a structurally zero position-momentum block, so
     its samples carry no position-momentum correlations at all.
     Raises ``ValueError`` for a kind not in ``KINDS``, or unless m is a count and
     2m <= E with E^2 finite.
     """
     _require_kind(kind)
-    d, uniforms = pure_draw(rng, 1, E, m)
-    u = haar_from_ginibre(ginibre_from_uniforms(uniforms(), kind == "orthogonal"))[0]
+    d = sample_d_batch(E, m, 1, rng)
+    u = haar_from_ginibre(ginibre_from_uniforms(rng.random((1, m, m, 2)), kind == "orthogonal"))[0]
     return pure_cm_from_passive(u.real, u.imag, d[0])
 
 
@@ -236,7 +236,7 @@ def ensemble_nu_sq(
 ) -> EnsembleStats | tuple[EnsembleStats, np.ndarray, np.ndarray]:
     """Monte-Carlo mean of the first-mode nu^2 over the ensemble.
 
-    Block b of ``mc_blocks`` draws from ``derive_rng(seed, b)`` the spectra
+    Each block of ``mc_blocks`` draws from its generator the spectra
     d (``sample_d_batch``), then the first column of every sample's Ginibre
     matrix z, as an (n, m) stack, then, only when samples are requested,
     the other m - 1 columns; so the first k samples do not depend on
@@ -269,11 +269,10 @@ def ensemble_nu_sq(
     rows = np.empty((4, n))
     nu_sq, diff, s1_arr, s2_arr = rows
     coh = np.empty(n) if return_samples else None
-    draw = partial(
-        _ensemble_draw, E=config.E, m=m, real=config.kind == "orthogonal", full=return_samples
-    )
-    for start, (d, z) in mc_blocks(config.seed, n, block_samples(m), draw):
-        block = slice(start, start + d.shape[0])
+    real, size = config.kind == "orthogonal", block_samples(m)
+    for start, keep, rng in mc_blocks(config.seed, n, size):
+        d, z = _ensemble_draw(rng, size, keep, config.E, m, real, return_samples)
+        block = slice(start, start + keep)
         col = z[:, :, 0]
         nu_sq[block], s1_arr[block], s2_arr[block] = _first_mode_nu_sq(col / np.linalg.norm(col, axis=1)[:, None], d)
         if return_samples:

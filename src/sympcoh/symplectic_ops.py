@@ -10,8 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -61,26 +60,26 @@ def derive_rng(seed: int, index: int) -> np.random.Generator:
     )
 
 
-def mc_blocks(seed: int, n: int, size: int, draw: Callable) -> Iterator[tuple[int, tuple]]:
-    """Yield ``(start, arrays)`` for Monte-Carlo samples ``start, start + 1, ...`` < n.
+def mc_blocks(seed: int, n: int, size: int) -> Iterator[tuple[int, int, np.random.Generator]]:
+    """Yield ``(start, keep, rng)`` for the blocks of Monte-Carlo samples ``0, 1, ...`` < n.
 
-    The one block driver of every Monte-Carlo routine.  Block b is
-    ``draw(derive_rng(seed, b), size, keep=k)``, a tuple of arrays with the
-    block's first ``k = min(size, n - start)`` rows: the block cut at n.  A
-    draw uses its generator exactly as a draw of the full ``size`` rows
-    would, except that its last fill may draw just the k kept rows; numpy's
-    ``Generator`` fills an array in order, so those rows have the same bytes.
-    So sample j depends only on ``(seed, j // size, j % size)``: results are
-    a deterministic function of the seed, different seeds give independent
-    samples, and a run of n samples is a prefix of every longer run with the
-    same seed and size.  A ``draw`` only consumes its generator, and may
-    leave its last fill to the driver, which draws it only if it reads the
-    block's gates (``pure_draw``'s uniforms): per-sample transforms, such as
+    The one block driver of every Monte-Carlo routine.  Block b holds the
+    ``keep = min(size, n - start)`` samples from ``start = b size`` on (the
+    block cut at n) and draws them from its own generator ``rng =
+    derive_rng(seed, b)``.  The stream contract: a block draws its fills in
+    a fixed order, each for the whole block of ``size`` rows; only the last
+    fill it draws may stop at ``keep`` rows, and a fill the block does not
+    need is not drawn, so a block may end early.  numpy's ``Generator``
+    fills an array in order, so the kept rows have the bytes of the whole
+    block's.  So sample j depends only on ``(seed, j // size, j % size)``:
+    results are a deterministic function of the seed, different seeds give
+    independent samples, and a run of n samples is a prefix of every longer
+    run with the same seed and size.  Per-sample transforms, such as
     ``sample_d_batch``'s spectra, ``ginibre_from_uniforms`` and the QR of
     ``haar_from_ginibre``, run on the rows a driver still needs.
     """
     for b, start in enumerate(range(0, n, size)):
-        yield start, draw(derive_rng(seed, b), size, keep=min(size, n - start))
+        yield start, min(size, n - start), derive_rng(seed, b)
 
 
 def mean_stderr_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -646,29 +645,6 @@ def ginibre_from_uniforms(w: np.ndarray, real: bool) -> np.ndarray:
     np.multiply(radius, np.cos(turn), out=z.real)
     np.multiply(radius, np.sin(turn), out=z.imag)
     return z
-
-
-def pure_draw(
-    rng: np.random.Generator, n: int, E: float, m: int, keep: int | None = None
-) -> tuple[np.ndarray, Callable[[], np.ndarray]]:
-    """The raw draw ``(d, uniforms)`` of n random pure states with covariance trace E, cut at ``keep``.
-
-    The layout of a block of whole pure states (an ``mc_blocks`` draw once E
-    and m are bound): spectra d (``sample_d_batch``), whose normals are
-    drawn for all n states and whose spectra are made for the first ``keep``
-    (all n by default), then, when ``uniforms()`` is called, a ``(keep, m,
-    m, 2)`` stack w of ``rng.random`` uniforms.  A uniform costs one word of
-    the stream, so those are the bytes of the whole block's first ``keep``
-    stacks.  A caller that reads no gate of the block never calls it and
-    draws no uniforms; one that does calls it once, as each call draws the
-    next stack.  ``ginibre_from_uniforms(w, real)`` turns them into square
-    Ginibre stacks, real iff the passive gates ``haar_from_ginibre`` are to
-    be orthogonal; a caller maps only the rows it factors.  The ensembles,
-    which read only a Ginibre matrix's first column, draw normals
-    (``ginibre_batch``), that column first, instead.
-    """
-    d = sample_d_batch(E, m, n, rng, keep)
-    return d, partial(rng.random, (len(d), m, m, 2))
 
 
 def pure_cm(x: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:

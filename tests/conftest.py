@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -34,7 +33,7 @@ from sympcoh.symplectic_ops import (
     haar_from_ginibre,
     mc_blocks,
     mean_stderr_rows,
-    pure_draw,
+    sample_d_batch,
 )
 
 BASE_SEED = 20240817
@@ -119,14 +118,52 @@ def pure_param_blocks(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
     """Yield ``(start, X, Y, d)`` stacks for samples ``start, start + 1, ...`` < n.
 
-    The ``mc_blocks`` of ``pure_draw`` in blocks of ``block_samples(m)`` samples;
-    ``X + iY = haar_from_ginibre(z)``, factored on every kept row (``Y = 0`` if
-    orthogonal): the samples of the maximum search, all of them factored.
+    The ``mc_blocks`` of ``block_samples(m)`` samples, each drawing the
+    maximum search's fills: spectra d, then uniform pairs, which
+    ``ginibre_from_uniforms`` maps to z; ``X + iY = haar_from_ginibre(z)``,
+    factored on every kept row (``Y = 0`` if orthogonal): the samples of the
+    maximum search, all of them factored.
     """
-    draw = partial(pure_draw, E=E, m=m)
-    for start, (d, uniforms) in mc_blocks(seed, n, block_samples(m), draw):
-        u = haar_from_ginibre(ginibre_from_uniforms(uniforms(), orthogonal))
+    size = block_samples(m)
+    for start, keep, rng in mc_blocks(seed, n, size):
+        d = sample_d_batch(E, m, size, rng, keep)
+        u = haar_from_ginibre(ginibre_from_uniforms(rng.random((keep, m, m, 2)), orthogonal))
         yield start, u.real, u.imag, d
+
+
+def record_spectra(monkeypatch: pytest.MonkeyPatch, module) -> list[tuple[np.random.Generator, dict, int]]:
+    """Log every ``module.sample_d_batch`` call: its generator, that generator's state right after, its kept rows.
+
+    The log is returned and filled as the patched module draws spectra.
+    """
+    log = []
+
+    def recording(E, m, n, rng, keep=None):
+        d = sample_d_batch(E, m, n, rng, keep)
+        log.append((rng, rng.bit_generator.state, n if keep is None else keep))
+        return d
+
+    monkeypatch.setattr(module, "sample_d_batch", recording)
+    return log
+
+
+def uniform_rows_after_spectra(log: list[tuple[np.random.Generator, dict, int]], m: int) -> list[int]:
+    """Per ``record_spectra`` entry, the rows of uniform pairs its generator drew after the spectra.
+
+    0 for a generator that drew nothing more, else ``keep``: asserts that
+    whatever it drew is exactly one ``random((keep, m, m, 2))`` stack.
+    """
+    rows = []
+    for rng, state, keep in log:
+        if rng.bit_generator.state == state:
+            rows.append(0)
+            continue
+        ref = np.random.Generator(type(rng.bit_generator)())
+        ref.bit_generator.state = state
+        ref.random((keep, m, m, 2))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        rows.append(keep)
+    return rows
 
 
 def mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -191,8 +228,9 @@ def haar_moment_check(
         n_samples: Monte-Carlo sample count per kind (>= 1000).
         rng: random generator, used only for the per-kind seeds.
         uniforms: take the Ginibre stacks as the maximum search does, the
-            polar map (``ginibre_from_uniforms``) of ``pure_draw``'s
-            uniforms, rather than the normals of ``ginibre_batch``.
+            polar map (``ginibre_from_uniforms``) of the uniform pairs drawn
+            after a block's spectra, rather than the normals of
+            ``ginibre_batch``.
 
     Returns:
         One row per moment with estimate, exact value and standard error.
@@ -202,18 +240,17 @@ def haar_moment_check(
     if m < 2:
         raise ValueError("moment table needs m >= 2")
     out: list[MomentCheck] = []
+    size = block_samples(m)
     for kind in KINDS:
-
-        def draw(block_rng: np.random.Generator, size: int, keep: int) -> tuple:
-            real = kind == "orthogonal"
+        real, first_rows = kind == "orthogonal", []
+        for _, keep, block_rng in mc_blocks(int(rng.integers(2**63)), n_samples, size):
             if uniforms:  # the spectra, here those of E = 2m, are not read
-                _, block_uniforms = pure_draw(block_rng, size, 2.0 * m, m, keep)
-                return (ginibre_from_uniforms(block_uniforms(), real),)
-            return (ginibre_batch(m, size, block_rng, real=real)[:keep],)
-
-        blocks = mc_blocks(int(rng.integers(2**63)), n_samples, block_samples(m), draw)
-        first_rows = np.concatenate([haar_from_ginibre(z)[:, 0, :] for _, (z,) in blocks])
-        out.extend(_rows(first_rows, kind, m))
+                sample_d_batch(2.0 * m, m, size, block_rng, keep)
+                z = ginibre_from_uniforms(block_rng.random((keep, m, m, 2)), real)
+            else:
+                z = ginibre_batch(m, size, block_rng, real=real)[:keep]
+            first_rows.append(haar_from_ginibre(z)[:, 0, :])
+        out.extend(_rows(np.concatenate(first_rows), kind, m))
     return out
 
 
@@ -273,9 +310,10 @@ def reference_ensemble_stats(config: EnsembleConfig) -> EnsembleStats:
     """
     n, m = config.n_samples, config.m
     nu_sq, s1, s2 = np.empty(n), np.empty(n), np.empty(n)
-    draw = partial(_ensemble_draw, E=config.E, m=m, real=config.kind == "orthogonal", full=False)
-    for start, (d, z) in mc_blocks(config.seed, n, block_samples(m), draw):
-        block = slice(start, start + d.shape[0])
+    real, size = config.kind == "orthogonal", block_samples(m)
+    for start, keep, rng in mc_blocks(config.seed, n, size):
+        d, z = _ensemble_draw(rng, size, keep, config.E, m, real, False)
+        block = slice(start, start + keep)
         col = z[:, :, 0]
         nu_sq[block] = reference_first_mode_nu_sq(col / np.linalg.norm(col, axis=1)[:, None], d)
         s1[block], s2[block] = reference_pair_sums(d)

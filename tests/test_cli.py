@@ -9,9 +9,11 @@ import json
 import math
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -34,7 +36,7 @@ from sympcoh import (
     vacuum_state,
 )
 from sympcoh.cli import DEFAULT_SEED, ENVELOPE_FORMAT, main
-from sympcoh.gaussian_core import rounding_floor
+from sympcoh.gaussian_core import require_valid, rounding_floor
 from sympcoh.symplectic_ops import STREAM_SCHEME
 from conftest import SINGULAR_1E12
 
@@ -120,16 +122,21 @@ def test_load_state_reads_a_saved_envelope(tmp_path, capsys):
     assert load_state(str(envelope), m=1).m == 1
 
 
+def child_env() -> dict:
+    """The environment of a ``python -m sympcoh.cli`` child: this checkout first on its path, one BLAS thread."""
+    src = str(Path(sympcoh.__file__).parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+
+
 def test_a_reader_that_closes_early_gets_no_traceback():
     # An m = 128 state is about 330 kB of JSON, several times what a pipe
     # holds, so the write fails once the reader has closed its end.
-    src = str(Path(sympcoh.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.Popen(
         [sys.executable, "-m", "sympcoh.cli", "msc", "--E", "1e3", "--m", "128"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=child_env(),
     )
     assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
@@ -138,6 +145,66 @@ def test_a_reader_that_closes_early_gets_no_traceback():
     assert "Traceback" not in err
     reason = "BrokenPipeError: stdout was closed before the output was written"
     assert err.strip().splitlines() == [reason]
+
+
+# The child alone runs under a 512 MiB address-space cap (RLIMIT_AS, set
+# in preexec_fn).  At m = 100000 numpy cannot allocate the 2m x 2m matrix
+# (its MemoryError subclass, with a message); at m = 2000 the matrix fits,
+# and the 16 million Python floats of its JSON text do not (a bare MemoryError).
+@pytest.mark.parametrize("m", [100_000, 2000], ids=["matrix", "json-text"])
+def test_a_state_past_the_memory_cap_exits_1_naming_memory_error(m):
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+    argv = [sys.executable, "-m", "sympcoh.cli", "msc", "--E", str(4 * m + 8), "--m", str(m)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=child_env(), preexec_fn=cap, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("MemoryError: ")
+
+
+def test_a_memory_error_without_a_message_is_named_out_of_memory(capsys, monkeypatch):
+    def exhausted(E, m):
+        raise MemoryError
+
+    monkeypatch.setattr(sympcoh.cli.coherence, "max_symplectic_coherence", exhausted)
+    code, out, err = run_cli(["maxsc", "--E", "10", "--m", "2"], capsys)
+    assert (code, out, err) == (1, None, "MemoryError: out of memory\n")
+
+
+def test_wall_time_leaves_out_the_wait_for_input(capsys, monkeypatch):
+    # A pipe's writer that takes 0.2 s: the clock starts once the input is in.
+    text = json.dumps(state_to_dict(msc_canonical(6.0, 1)))
+
+    class SlowStdin:
+        def read(self, *args):
+            time.sleep(0.2)
+            return text
+
+    monkeypatch.setattr("sys.stdin", SlowStdin())
+    code, out, _ = run_cli(["validate", "-"], capsys)
+    assert code == 0 and out["result"]["valid"]
+    assert out["manifest"]["wall_time_s"] < 0.05
+
+
+def test_wall_time_counts_the_work_before_a_later_read(tmp_path, capsys, monkeypatch):
+    # apply validates its state, then reads the gate file: a validation that
+    # takes 0.2 s stays on the clock.
+    state_path = tmp_path / "state.json"
+    save_state(msc_canonical(6.0, 1), str(state_path))
+    gate_path = tmp_path / "gate.json"
+    gate_path.write_text(json.dumps({"kind": "squeezer", "params": {"mode": 1, "r": 0.1}}))
+
+    def slow_validation(cov):
+        time.sleep(0.2)
+        return require_valid(cov)
+
+    monkeypatch.setattr(sympcoh.cli.gaussian_core, "require_valid", slow_validation)
+    code, out, _ = run_cli(["apply", str(state_path), "--gate", str(gate_path)], capsys)
+    assert code == 0
+    assert out["manifest"]["wall_time_s"] >= 0.2
 
 
 def test_validate_names_every_violation_of_a_matrix_near_the_float_range(tmp_path, capsys):

@@ -62,7 +62,8 @@ from sympcoh.symplectic_ops import (
 from sympcoh.applications import qfi_displacement
 from sympcoh.gaussian_core import NumericError, rounding_floor, validate
 from conftest import (
-    first_mode_block_exactly_valid, pure_param_blocks, random_free_cov, random_valid_cov,
+    first_mode_block_exactly_valid, pure_param_blocks, random_free_cov, random_valid_cov, record_spectra,
+    uniform_rows_after_spectra,
 )
 
 TOL = 1e-9
@@ -797,25 +798,13 @@ def test_a_search_that_skips_blocks_is_the_exhaustive_scoring_bit_for_bit(m, tri
     # Four or five blocks per search: a later block none of whose rows can
     # reach the best c so far draws no uniforms, and the outcome is still the
     # exhaustive scoring's, refinement included.
-    blocks, drawn = [], []
-    pure_draw = coherence.pure_draw
-
-    def counting(*args, **kwargs):
-        d, uniforms = pure_draw(*args, **kwargs)
-        blocks.append(len(d))
-
-        def counted():
-            drawn.append(len(d))
-            return uniforms()
-
-        return d, counted
-
-    monkeypatch.setattr(coherence, "pure_draw", counting)
+    blocks = record_spectra(monkeypatch, coherence)
     cases = [(E, trials, seed) for E in panel_traces(m) for seed in range(4)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = [numeric_max_search(E, m, n, seed) for E, n, seed in cases]
         assert len(blocks) == len(cases) * -(-trials // block_samples(m)) >= 3 * len(cases)
+        drawn = [rows for rows in uniform_rows_after_spectra(blocks, m) if rows]
         assert len(drawn) < len(blocks)
         monkeypatch.setattr(coherence, "_best_sample", exhaustive_best_sample)
         want = [numeric_max_search(E, m, n, seed) for E, n, seed in cases]

@@ -44,6 +44,34 @@ def relative_imports(path: Path) -> list[str]:
     return found
 
 
+def seeding_calls(path: Path) -> set[str]:
+    """The innermost functions of a module (``<module>`` outside any) that call a seeding name.
+
+    The names are ``derive_rng``, ``default_rng`` and ``SeedSequence``,
+    called bare or as an attribute (``np.random.default_rng``).
+    """
+    found = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("derive_rng", "default_rng", "SeedSequence"):
+                    found.add(where)
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            visit(child, inner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_only_the_block_driver_seeds():
+    # One driver owns seeding: the callers draw from the generators it hands them.
+    sites = {(path.stem, where) for path in SOURCES for where in seeding_calls(path)}
+    assert sites == {("symplectic_ops", "derive_rng"), ("symplectic_ops", "mc_blocks")}
+
+
 def test_every_module_has_a_layer():
     assert {path.stem for path in SOURCES} == set(LAYERS)
 

@@ -50,14 +50,14 @@ from sympcoh.symplectic_ops import (
     ginibre_from_uniforms,
     haar_from_ginibre,
     haar_unitary_batch,
-    pure_draw,
     pure_xp_block,
     sample_d_batch,
     spectrum_from_weights,
 )
 from sympcoh.gaussian_core import rounding_floor, symplectic_form
 from conftest import (
-    exact_residual_sq, fractions, haar_moment_check, mean_stderr, pure_param_blocks, random_valid_cov,
+    exact_residual_sq, fractions, haar_moment_check, mean_stderr, pure_param_blocks, random_valid_cov, record_spectra,
+    uniform_rows_after_spectra,
 )
 
 TOL = 1e-12
@@ -832,7 +832,7 @@ def test_haar_batches_match_properties(rng):
 
 
 def test_a_last_fill_of_the_kept_rows_is_the_full_fill_cut():
-    # A draw that cuts its last fill at the kept rows (``pure_draw``'s
+    # A block that cuts its last fill at the kept rows (the search's
     # uniforms) rests on this: numpy's Generator fills an array in order, so
     # after the same earlier draw, n rows of normals are the first n rows of a
     # full block's.
@@ -845,30 +845,23 @@ def test_a_last_fill_of_the_kept_rows_is_the_full_fill_cut():
         assert kept.tobytes() == full_rng.standard_normal((size, k))[:n].tobytes()
 
 
-def test_mc_blocks_tells_each_draw_the_rows_it_keeps():
-    calls = []
-
-    def draw(rng, size, keep):
-        calls.append((size, keep))
-        return (rng.standard_normal((keep, 2)),)
-
-    blocks = list(symplectic_ops.mc_blocks(3, 25, 10, draw))
-    assert calls == [(10, 10), (10, 10), (10, 5)]
-    assert [start for start, _ in blocks] == [0, 10, 20]
-    assert [z.shape for _, (z,) in blocks] == [(10, 2), (10, 2), (5, 2)]
+def test_mc_blocks_hands_each_block_its_kept_rows_and_generator():
+    blocks = list(symplectic_ops.mc_blocks(3, 25, 10))
+    assert [(start, keep) for start, keep, _ in blocks] == [(0, 10), (10, 10), (20, 5)]
+    for b, (_, keep, rng) in enumerate(blocks):
+        want = derive_rng(3, b).standard_normal((10, 2))[:keep]
+        assert rng.standard_normal((keep, 2)).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["orthogonal", "unitary"])
-def test_pure_draw_is_spectra_then_one_uniform_stack(real):
-    # The spectra, then, when asked for, one (n, m, m, 2) stack of uniforms;
-    # its polar map is the plain Box-Muller formula, real or complex, entry by entry.
+def test_a_pure_sample_is_spectra_then_one_uniform_stack(real):
+    # sample_pure_cm draws the spectrum, then one (1, m, m, 2) stack of
+    # uniforms and nothing more; its polar map is the plain Box-Muller
+    # formula, real or complex, entry by entry.
     rng, ref_rng = derive_rng(2, 0), derive_rng(2, 0)
-    d, uniforms = pure_draw(rng, 5, 12.0, 3)
-    assert d.tobytes() == sample_d_batch(12.0, 3, 5, ref_rng).tobytes()
-    assert rng.bit_generator.state == ref_rng.bit_generator.state  # no uniform drawn yet
-    w = uniforms()
-    assert w.shape == (5, 3, 3, 2)
-    assert w.tobytes() == ref_rng.random((5, 3, 3, 2)).tobytes()
+    cov = ensembles.sample_pure_cm(12.0, 3, "orthogonal" if real else "unitary", rng)
+    d = sample_d_batch(12.0, 3, 1, ref_rng)
+    w = ref_rng.random((1, 3, 3, 2))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     radius, turn = np.sqrt(-np.log1p(-w[..., 0])), 2.0 * np.pi * w[..., 1]
     if real:
@@ -877,30 +870,26 @@ def test_pure_draw_is_spectra_then_one_uniform_stack(real):
         want = np.empty(radius.shape, dtype=complex)
         want.real, want.imag = radius * np.cos(turn), radius * np.sin(turn)
     got = ginibre_from_uniforms(w, real)
-    assert got.dtype == want.dtype and got.shape == (5, 3, 3)
+    assert got.dtype == want.dtype and got.shape == (1, 3, 3)
     assert got.tobytes() == want.tobytes()
+    u = haar_from_ginibre(want)[0]
+    assert cov.matrix.tobytes() == ensembles.pure_cm_from_passive(u.real, u.imag, d[0]).matrix.tobytes()
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["orthogonal", "unitary"])
-def test_pure_draw_fills_its_last_stack_only_to_keep(real):
+def test_a_search_block_fills_its_last_stack_only_to_keep(real):
     # The spectra are drawn for the whole block; the uniforms stop at keep,
     # with the full draw's bytes, and so do the Ginibre stacks mapped from them.
     m, E = 8, 40.0
     n = block_samples(m)
-    d_all, uniforms_all = pure_draw(derive_rng(9, 0), n, E, m)
-    w_all = uniforms_all()
+    rng_all = derive_rng(9, 0)
+    d_all, w_all = sample_d_batch(E, m, n, rng_all), rng_all.random((n, m, m, 2))
     for keep in (1, 30, n):
         rng = derive_rng(9, 0)
-        d, uniforms = pure_draw(rng, n, E, m, keep=keep)
-        w = uniforms()
+        d, w = sample_d_batch(E, m, n, rng, keep), rng.random((keep, m, m, 2))
         assert d.tobytes() == d_all[:keep].tobytes()
         assert w.tobytes() == w_all[:keep].tobytes()
         assert ginibre_from_uniforms(w, real).tobytes() == ginibre_from_uniforms(w_all, real)[:keep].tobytes()
-        # The stream stops right after the keep rows of the last fill.
-        ref_rng = derive_rng(9, 0)
-        sample_d_batch(E, m, n, ref_rng)
-        ref_rng.random((keep, m, m, 2))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("m", [1, 3, 16])
@@ -1027,18 +1016,12 @@ def test_a_block_whose_rows_cannot_win_draws_maps_and_factors_nothing(m, trials,
     E = 4.0 * m + 8.0
     want = rows_whose_bound_reaches_the_best(E, m, trials, seed)
     per_block = []
-    draw, polar, qr = coherence.pure_draw, coherence.ginibre_from_uniforms, np.linalg.qr
+    blocks, polar, qr = coherence.mc_blocks, coherence.ginibre_from_uniforms, np.linalg.qr
 
-    def counting_draw(*args, **kwargs):
-        d, uniforms = draw(*args, **kwargs)
-        counts = {"drawn": 0, "mapped": 0, "factored": 0}
-        per_block.append(counts)
-
-        def counted():
-            counts["drawn"] += 1
-            return uniforms()
-
-        return d, counted
+    def counting_blocks(*args):
+        for block in blocks(*args):
+            per_block.append({"mapped": 0, "factored": 0})
+            yield block
 
     def counting_polar(w, real):
         per_block[-1]["mapped"] += w.shape[0]
@@ -1048,11 +1031,20 @@ def test_a_block_whose_rows_cannot_win_draws_maps_and_factors_nothing(m, trials,
         per_block[-1]["factored"] += z.shape[0]
         return qr(z, *args, **kwargs)
 
-    monkeypatch.setattr(coherence, "pure_draw", counting_draw)
+    log = record_spectra(monkeypatch, coherence)
+    monkeypatch.setattr(coherence, "mc_blocks", counting_blocks)
     monkeypatch.setattr(coherence, "ginibre_from_uniforms", counting_polar)
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     coherence.numeric_max_search(E, m, trials, seed)
-    assert len(per_block) == len(want) >= 8
+    assert len(per_block) == len(log) == len(want) >= 8
     assert [c["factored"] for c in per_block] == [c["mapped"] for c in per_block] == want
-    assert [c["drawn"] for c in per_block] == [int(n > 0) for n in want]
+    drawn = uniform_rows_after_spectra(log, m)
+    assert [int(rows > 0) for rows in drawn] == [int(n > 0) for n in want]
+    # Every block drew its whole block's spectra first; the last is cut at the trials.
+    size = block_samples(m)
+    assert [keep for *_, keep in log] == [min(size, trials - start) for start in range(0, trials, size)]
+    for b, (_, state, _) in enumerate(log):
+        ref = derive_rng(seed, b)
+        sample_d_batch(E, m, size, ref)
+        assert state == ref.bit_generator.state
     assert 0 in want and want[0] >= coherence._FIRST_BATCH
