@@ -8,9 +8,11 @@ Exit codes: 0 success, 1 invalid input (with the violated invariant named
 on stderr), 2 usage error.
 
 State files are JSON documents (see :mod:`sympcoh.gaussian_core`) or bare
-CSV matrices; ``-`` reads a document from stdin.  A JSON document, from a
-file, stdin or inline in a config, may be bare or a previous invocation's
-envelope, so subcommands pipe and read each other's saved output:
+CSV matrices.  A state argument ``-`` on the command line reads a document
+from stdin; a config names a state by path or inline document, so a ``-``
+there is a file name.  A JSON document, from a file, stdin or inline in a
+config, may be bare or a previous invocation's envelope, so subcommands
+pipe and read each other's saved output:
 ``sympcoh msc --E 6 --m 1 | sympcoh coherence -``.
 """
 
@@ -36,13 +38,11 @@ ENVELOPE_FORMAT = "sympcoh-envelope-v1"
 
 
 def _read_state(spec: str | dict, m: int | None = None) -> gaussian_core.GaussianState:
-    """A state from a file path, stdin (``-``) or an inline config document.
+    """A state from a file path or an inline document; ``main`` alone reads stdin.
 
     A JSON document may be bare or a previous invocation's envelope around one
     (``gaussian_core.state_from_dict`` reads both).
     """
-    if spec == "-":
-        return gaussian_core.state_from_dict(json.load(sys.stdin), m)
     if isinstance(spec, str):
         return gaussian_core.load_state(spec, m)
     return gaussian_core.state_from_dict(spec, m)

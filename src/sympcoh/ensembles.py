@@ -218,16 +218,14 @@ def _ensemble_draw(
 
     Spectra, then Ginibre columns from the same generator: d is
     ``sample_d_batch`` cut at ``keep``; z is the first column alone, a
-    (keep, m, 1) ``ginibre_batch`` whose last fill (the real stack, or the
-    imaginary parts) stops at ``keep``, unless ``full``, when that column is
-    drawn whole, the other m - 1 columns follow it, and z is the whole (n,
-    m, m) stack cut at ``keep``.  Either way the kept rows have the bytes of
-    the whole block's.
+    (keep, m, 1) ``ginibre_batch``, unless ``full``, when that column is
+    drawn for all n rows and the other m - 1 columns follow it for the kept
+    rows only.  Either way the kept rows have the bytes of the whole block's.
     """
     d = sample_d_batch(E, m, n, rng, keep)
-    z = ginibre_batch(m, n, rng, real, columns=1, keep=n if full else keep)
+    z = ginibre_batch(m, n if full else keep, rng, real, columns=1)[:keep]
     if full:
-        z = np.concatenate([z, ginibre_batch(m, n, rng, real, columns=m - 1)], axis=2)[:keep]
+        z = np.concatenate([z, ginibre_batch(m, keep, rng, real, columns=m - 1)], axis=2)
     return d, z
 
 

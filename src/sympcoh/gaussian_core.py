@@ -737,8 +737,15 @@ def load_state(path: str, m: int | None = None) -> GaussianState:
 
 
 def save_state(state: GaussianState, path: str) -> None:
-    """Write a state as a covariance-matrix JSON document (or CSV matrix)."""
+    """Write a state as a covariance-matrix JSON document, or as a CSV matrix.
+
+    Raises:
+        ValueError: for a ``.csv`` path and a nonzero displacement, which a
+            CSV file, holding only the matrix, cannot keep.
+    """
     if path.endswith(".csv"):
+        if state.d.any():
+            raise ValueError(f"a CSV file holds only the matrix, not the displacement d = {state.d.tolist()}")
         buf = io.StringIO()
         writer = csv.writer(buf)
         for row in state.cov.matrix:

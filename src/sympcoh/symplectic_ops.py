@@ -33,7 +33,7 @@ from .gaussian_core import (
 
 # Id of the map from seeds to Monte-Carlo samples, reported in every CLI
 # manifest; bumped whenever a seeded sample changes (history in README).
-STREAM_SCHEME = "seedseq-spawn-v7"
+STREAM_SCHEME = "seedseq-spawn-v8"
 
 
 class GateError(ValueError):
@@ -576,35 +576,23 @@ def haar_unitary(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarr
     return u.real.copy(), u.imag.copy()
 
 
-def ginibre_batch(
-    m: int, n: int, rng: np.random.Generator, real: bool, columns: int | None = None, keep: int | None = None
-) -> np.ndarray:
-    """Stack of ``n`` Ginibre draws (n x m x columns) with i.i.d. entries of unit variance.
+def ginibre_batch(m: int, n: int, rng: np.random.Generator, real: bool, columns: int | None = None) -> np.ndarray:
+    """Stack of ``n`` Ginibre draws (n x m x columns): one fill of standard normals.
 
     ``columns`` defaults to m, a stack of square matrices that
     ``haar_from_ginibre`` factors; fewer columns draw the leading columns of
     a matrix, and a later call on the same generator can draw the rest.
-    Real standard normals, or complex ``(g1 + i g2) / sqrt(2)`` with the real
-    parts drawn before the imaginary ones.  With ``keep`` only the first
-    ``keep`` draws are returned, and the last fill (the real stack, or the
-    imaginary parts) stops there; the generator fills in order, so they have
-    the bytes of the whole stack's first ``keep`` draws.
+    Real entries are the standard normals ``standard_normal((n, m,
+    columns))``; a complex entry reads the adjacent pair of normals
+    ``standard_normal((n, m, columns, 2))`` as its real and imaginary parts,
+    in place and not rescaled (a Haar factor does not depend on the scale).
+    The generator fills in order, so the first k draws have the bytes of
+    any longer stack's first k.
     """
     shape = (n, m, m if columns is None else columns)
-    kept = (n if keep is None else keep,) + shape[1:]
     if real:
-        return rng.standard_normal(kept)
-    # Filled in place to save temporaries; the values are bit for bit those of
-    # (g1 + 1j * g2) / sqrt(2), which the samples' streams rely on.  numpy
-    # divides a complex by a real as a product with its reciprocal (Smith's
-    # formula), so multiplying the float view by that reciprocal gives the
-    # same bytes without the complex arithmetic.
-    z = np.empty(kept, dtype=complex)
-    z.real = rng.standard_normal(shape)[: kept[0]]
-    z.imag = rng.standard_normal(kept)
-    parts = z.view(float)
-    parts *= 1.0 / np.sqrt(2.0)
-    return z
+        return rng.standard_normal(shape)
+    return rng.standard_normal(shape + (2,)).view(complex)[..., 0]
 
 
 def haar_from_ginibre(z: np.ndarray) -> np.ndarray:

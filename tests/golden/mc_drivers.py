@@ -1,10 +1,11 @@
 """Golden slice of the seeded Monte-Carlo drivers: write or recompute ``mc_drivers.json``.
 
 Every seeded output of the three drivers (the max search, the ensembles and
-the discrimination protocol) and of ``sample_pure_cm`` over a fixed panel of
-cases, encoded as JSON: floats as ``float.hex``, arrays (and lists of floats)
-as the sha256 of their float64 bytes with their shape, sum and sum of
-magnitudes.  A manifest records the setup that wrote it.
+the discrimination protocol), of ``sample_pure_cm`` and of the Haar samplers
+over a fixed panel of cases, encoded as JSON: floats as ``float.hex``,
+arrays (and lists of floats) as the sha256 of their float64 bytes with
+their shape, sum and sum of magnitudes.  A manifest records the setup that
+wrote it.
 
 Regenerate from the repository root with
 
@@ -25,9 +26,10 @@ from pathlib import Path
 
 import numpy as np
 
-from sympcoh import LossChannel, derive_rng, msc_canonical, numeric_max_search, sample_pure_cm
+from sympcoh import LossChannel, derive_rng, haar_orthogonal, msc_canonical, numeric_max_search, sample_pure_cm
 from sympcoh.applications import DiscriminationConfig, run_discrimination
 from sympcoh.ensembles import EnsembleConfig, ensemble_nu_sq
+from sympcoh.symplectic_ops import haar_unitary_batch
 
 PATH = Path(__file__).with_name("mc_drivers.json")
 
@@ -62,6 +64,8 @@ PURE_STATES = [
     for i, (E, m) in enumerate([(3.0, 1), (9.0, 2), (20.0, 4), (50.0, 8)])
     for kind in ("orthogonal", "unitary")
 ]
+# (m, seed): a stack of 9 Haar unitaries, and one Haar orthogonal matrix, from derive_rng(seed, m).
+HAAR = [(m, 70 + m) for m in (1, 2, 4, 8)]
 # (E, eta1, eta2, delta, n_samples, trials, seed).  BLOCK_ENTRIES = 65536
 # trials per block: 70 000 trials end in the second block, 140 000 in the third.
 DISCRIMINATIONS = [
@@ -123,6 +127,15 @@ def _pure_state(E, m, kind, seed, index) -> dict:
     return {"matrix": sample_pure_cm(E, m, kind, derive_rng(seed, index)).matrix}
 
 
+def _haar_unitary_batch(m, seed) -> dict:
+    u = haar_unitary_batch(m, 9, derive_rng(seed, m))
+    return {"real": u.real, "imag": u.imag}
+
+
+def _haar_orthogonal(m, seed) -> dict:
+    return {"matrix": haar_orthogonal(m, derive_rng(seed, m))}
+
+
 def _discrimination(E, eta1, eta2, delta, n, trials, seed) -> dict:
     channels = (LossChannel(eta1), LossChannel(eta2))
     return vars(run_discrimination(DiscriminationConfig(msc_canonical(E, 1), channels, delta, n, trials, seed)))
@@ -138,6 +151,9 @@ def cases() -> dict:
         out[name] = partial(_ensemble, kind, m, E, n, seed, samples)
     for E, m, kind, seed, i in PURE_STATES:
         out[f"pure-{kind}-m{m}-E{E!r}-s{seed}-{i}"] = partial(_pure_state, E, m, kind, seed, i)
+    for m, seed in HAAR:
+        out[f"haar-unitary-batch-m{m}-s{seed}"] = partial(_haar_unitary_batch, m, seed)
+        out[f"haar-orthogonal-m{m}-s{seed}"] = partial(_haar_orthogonal, m, seed)
     for E, eta1, eta2, delta, n, trials, seed in DISCRIMINATIONS:
         name = f"discrimination-E{E!r}-eta{eta1}-{eta2}-n{n}-t{trials}-s{seed}"
         out[name] = partial(_discrimination, E, eta1, eta2, delta, n, trials, seed)

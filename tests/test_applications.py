@@ -887,9 +887,9 @@ def test_discrimination_draws_only_the_trials_it_keeps():
 )
 def test_discrimination_error_rates_are_pinned(first, n_samples, expected):
     # Rates of msc(6, 1) probes, loss 0.5 against the identity in either order,
-    # recorded under seedseq-spawn-v6 and the same under v7, which moved only
-    # the search's and sample_pure_cm's samples; a seeded sample that moves
-    # must bump STREAM_SCHEME.
+    # recorded under seedseq-spawn-v6 and the same under v7 and v8, which moved
+    # only the search's and sample_pure_cm's samples (v7) and the unitary Haar
+    # draws (v8); a seeded sample that moves must bump STREAM_SCHEME.
     # The order does not move the rate: a trial's chance of a wrong verdict is
     # the mean over the two channels, and it draws one uniform.
     second = IdentityChannel() if first.eta < 1.0 else LossChannel(0.5)

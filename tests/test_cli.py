@@ -1070,6 +1070,7 @@ _DILATED_LOSS = {"kind": "stinespring", "o": beamsplitter_orthogonal(0.8).tolist
 _LOSS0_ID = [{"kind": "loss", "eta": 0.0}, _CHANNELS[0]]
 _DISCRIMINATE = "discriminate --config disc.json"
 _QUARTER = {"kind": "phase_shifter", "params": {"mode": 1, "theta": 1.5707963267948966}}
+_NO_FILE_DASH = r"\AFileNotFoundError: [^\n]*'-'\n\Z"
 
 
 def _disc_files(probe=_MSC, **changes):
@@ -1176,7 +1177,7 @@ _CONTRACT = {
     "maxsearch-at-1.3e154": Case("maxsearch --E 1.3e154 --m 8 --trials 300"),
     # Discrimination at 1e8 shots per trial draws only one uniform per trial.
     "discriminate-1e8-shots": Case(_DISCRIMINATE, files=_disc_files(n_samples=100_000_000, trials=20)),
-    # A seeded run (K = 30, with K/2 ties) keeps its error rate under v7.
+    # A seeded run (K = 30, with K/2 ties) keeps its error rate under v8.
     "discriminate-seeded": Case(
         _DISCRIMINATE, files=_disc_files(trials=5000), check=lambda r: r["empirical_error"] == 0.0174
     ),
@@ -1209,6 +1210,13 @@ _CONTRACT = {
         },
         check=_exact_error,
     ),
+    # A config names a state by path or inline document: its "-" is a file
+    # name, and stdin (a stub that fails the row if read) stays unread.
+    "discriminate-probe-file-dash": Case(_DISCRIMINATE, 1, _NO_FILE_DASH, files=_disc_files(probe_file="-")),
+    "discriminate-stinespring-env-dash": Case(
+        _DISCRIMINATE, 1, _NO_FILE_DASH, files=_disc_files(channels=[_CHANNELS[0], {**_DILATED_LOSS, "env": "-"}])
+    ),
+    "tvd-cm-dash": Case("tvd --config t.json", 1, _NO_FILE_DASH, files={"t.json": {**_TVD_BOUND, "cm": "-"}}),
     # Identity against the beam-splitter dilation of loss at eta = 0.8: mu2 = 0.8 mu1.
     "discriminate-beam-splitter-dilation": Case(
         _DISCRIMINATE,
@@ -1216,6 +1224,15 @@ _CONTRACT = {
         check=lambda r: abs(r["mu2"] - 0.8 * r["mu1"]) <= 1e-12 * abs(r["mu1"]),
     ),
 }
+
+
+class _UnreadStdin:
+    """The stdin of a row that gives none: reading it fails the row."""
+
+    def read(self, *args):
+        pytest.fail("stdin was read")
+
+    readline = read
 
 
 def _text(spec, capsys) -> str:
@@ -1233,12 +1250,14 @@ def test_cli_contract(case, tmp_path, capsys, monkeypatch):
     for name, spec in case.files.items():
         Path(name).write_text(_text(spec, capsys))
     stdin = None if case.stdin is None else _text(case.stdin, capsys)
+    if stdin is None:
+        monkeypatch.setattr("sys.stdin", _UnreadStdin())
     with deadline(60, case.argv.split()):
         code, out, err = run_cli(case.argv.split(), capsys, monkeypatch, stdin)
     assert code == case.code, err
     assert re.search(case.err, err) if case.err else err == "", err
     assert "Traceback" not in err and "Warning" not in err
-    assert out is None or out["manifest"]["stream_scheme"] == "seedseq-spawn-v7"
+    assert out is None or out["manifest"]["stream_scheme"] == "seedseq-spawn-v8"
     if case.check is not None:
         assert case.check(out["result"]), out["result"]
 

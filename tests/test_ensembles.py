@@ -289,8 +289,8 @@ def test_samples_are_states_of_the_transposed_haar_draw(kind, m):
 @pytest.mark.parametrize("kind", ["orthogonal", "unitary"])
 @pytest.mark.parametrize("m", [1, 2, 8])
 def test_statistics_draw_one_ginibre_column_per_sample(kind, m, monkeypatch):
-    # After its spectra a block takes m normals per sample, 2m for complex
-    # entries; the last fill (real, or imaginary parts) stops at the kept rows.
+    # After its spectra a block takes m normals per kept sample, 2m for
+    # complex entries.
     rngs = []
 
     def recording(seed, index):
@@ -304,9 +304,7 @@ def test_statistics_draw_one_ginibre_column_per_sample(kind, m, monkeypatch):
     for b, (rng, keep) in enumerate(zip(rngs, (size, 3))):
         ref = derive_rng(seed, b)
         sample_d_batch(E, m, size, ref)
-        if kind == "unitary":
-            ref.standard_normal(size * m)
-        ref.standard_normal(keep * m)
+        ref.standard_normal(keep * m * (1 if kind == "orthogonal" else 2))
         assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -315,8 +313,9 @@ def test_statistics_draw_one_ginibre_column_per_sample(kind, m, monkeypatch):
 @pytest.mark.parametrize("m", [1, 2, 8, 16])
 def test_an_ensemble_block_keeps_the_bytes_of_the_whole_block_cut(m, kind, full):
     # A block drawn for its kept rows only equals the whole block drawn and
-    # then cut; the stream stops after the kept rows of the first column's
-    # last fill, or, when samples are asked for, after the whole stack.
+    # then cut; the stream stops after the kept rows of the first column, or,
+    # when samples are asked for, after the first column of every row and the
+    # other m - 1 columns of the kept rows.
     seed, E, n, real = 47, 4.0 * m + 8.0, block_samples(m), kind == "orthogonal"
     d_all, z_all = _ensemble_draw(derive_rng(seed, m), n, n, E, m, real, full)
     for keep in sorted({k for k in (1, 7, 120, n) if k <= n}):
@@ -327,10 +326,12 @@ def test_an_ensemble_block_keeps_the_bytes_of_the_whole_block_cut(m, kind, full)
         assert z.tobytes() == z_all[:keep].tobytes(), keep
         ref = derive_rng(seed, m)
         sample_d_batch(E, m, n, ref)
+        parts = 1 if real else 2
         if full:
-            ref.standard_normal(n * m * m * (1 if real else 2))
+            ref.standard_normal(n * m * parts)
+            ref.standard_normal(keep * m * (m - 1) * parts)
         else:
-            ref.standard_normal((keep if real else n + keep) * m)
+            ref.standard_normal(keep * m * parts)
         assert rng.bit_generator.state == ref.bit_generator.state, keep
 
 

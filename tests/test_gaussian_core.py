@@ -548,13 +548,21 @@ def test_file_roundtrip_json_and_csv(tmp_path, rng):
     assert_allclose(back.d, state.d, atol=0)
 
     csv_path = str(tmp_path / "state.csv")
-    save_state(state, csv_path)
+    save_state(GaussianState(state.cov), csv_path)
     back_csv = load_state(csv_path)
     assert_allclose(back_csv.cov.matrix, state.cov.matrix, atol=0)
     assert_allclose(back_csv.d, np.zeros(4), atol=0)
 
     with pytest.raises(DimensionError):
         load_state(csv_path, m=3)
+
+
+def test_csv_refuses_a_nonzero_displacement(tmp_path):
+    # A CSV file holds only the matrix: a displacement it would drop is an error, and nothing is written.
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValueError, match=r"displacement d = \[1\.0, -2\.0\]"):
+        save_state(GaussianState(CovMat(np.eye(2)), [1, -2]), str(path))
+    assert not path.exists()
 
 
 def _ulps_away(x: float, k: int) -> float:

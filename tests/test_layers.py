@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -44,32 +45,44 @@ def relative_imports(path: Path) -> list[str]:
     return found
 
 
-def seeding_calls(path: Path) -> set[str]:
-    """The innermost functions of a module (``<module>`` outside any) that call a seeding name.
+def called_name(call: ast.Call) -> str | None:
+    """The name a call calls: ``f`` of ``f(...)`` or of ``x.f(...)``."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
 
-    The names are ``derive_rng``, ``default_rng`` and ``SeedSequence``,
-    called bare or as an attribute (``np.random.default_rng``).
-    """
+
+def call_sites(matches: Callable[[ast.Call], bool]) -> set[tuple[str, str]]:
+    """``(module, function)`` of every call that ``matches``, by its innermost function (``<module>`` outside any)."""
     found = set()
 
-    def visit(node: ast.AST, where: str) -> None:
+    def visit(node: ast.AST, module: str, where: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in ("derive_rng", "default_rng", "SeedSequence"):
-                    found.add(where)
+            if isinstance(child, ast.Call) and matches(child):
+                found.add((module, where))
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
-            visit(child, inner)
+            visit(child, module, inner)
 
-    visit(ast.parse(path.read_text()), "<module>")
+    for path in SOURCES:
+        visit(ast.parse(path.read_text()), path.stem, "<module>")
     return found
 
 
 def test_only_the_block_driver_seeds():
     # One driver owns seeding: the callers draw from the generators it hands them.
-    sites = {(path.stem, where) for path in SOURCES for where in seeding_calls(path)}
+    seeding = {"derive_rng", "default_rng", "SeedSequence"}
+    sites = call_sites(lambda call: called_name(call) in seeding)
     assert sites == {("symplectic_ops", "derive_rng"), ("symplectic_ops", "mc_blocks")}
+
+
+def test_gaussian_fills_stay_in_the_samplers():
+    # Standard normals are drawn for the spectra and for the Ginibre stacks
+    # alone, and only a Ginibre stack reads normals as complex numbers.
+    normals = call_sites(lambda call: called_name(call) == "standard_normal")
+    assert normals == {("symplectic_ops", "sample_d_batch"), ("symplectic_ops", "ginibre_batch")}
+    complex_views = call_sites(
+        lambda call: called_name(call) == "view" and any("complex" in ast.unparse(arg) for arg in call.args)
+    )
+    assert complex_views == {("symplectic_ops", "ginibre_batch")}
 
 
 def test_every_module_has_a_layer():

@@ -771,9 +771,8 @@ def test_haar_samplers_produce_orthogonal_unitary(rng):
 def test_haar_unitary_batch_keeps_the_bytes_of_the_plain_formula(m):
     for seed in range(50):
         rng, ref_rng = derive_rng(seed, m), derive_rng(seed, m)
-        z = (
-            ref_rng.standard_normal((9, m, m)) + 1j * ref_rng.standard_normal((9, m, m))
-        ) / np.sqrt(2.0)
+        g = ref_rng.standard_normal((9, m, m, 2))
+        z = g[..., 0] + 1j * g[..., 1]
         q, r = np.linalg.qr(z)
         diag = np.diagonal(r, axis1=-2, axis2=-1)
         phases = diag / np.abs(diag)
@@ -812,9 +811,11 @@ def test_haar_first_column_is_the_normalised_ginibre_column(m, real):
 def test_ginibre_columns_keep_the_bytes_of_the_plain_formula(columns, real):
     rng, ref_rng = derive_rng(8, columns), derive_rng(8, columns)
     shape = (5, 4, columns)
-    want = ref_rng.standard_normal(shape)
-    if not real:
-        want = (want + 1j * ref_rng.standard_normal(shape)) / np.sqrt(2.0)
+    if real:
+        want = ref_rng.standard_normal(shape)
+    else:  # each entry's real and imaginary parts are adjacent normals
+        g = ref_rng.standard_normal(shape + (2,))
+        want = g[..., 0] + 1j * g[..., 1]
     got = ginibre_batch(4, 5, rng, real, columns=columns)
     assert got.dtype == want.dtype and got.shape == shape
     assert got.tobytes() == want.tobytes()
